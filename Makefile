@@ -3,13 +3,13 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all ci build test race race-short crash faults cover bench benchdiff vet lint fmtcheck fuzz experiments report clean
+.PHONY: all ci build test race race-short crash faults cover bench bench-check benchdiff vet lint fmtcheck fuzz experiments report clean
 
 all: build vet lint test race-short
 
 # ci mirrors .github/workflows/ci.yml step for step: the workflow shells out
 # to exactly these targets, so what passes here passes there.
-ci: build vet lint fmtcheck test cover race-short crash
+ci: build vet lint fmtcheck test cover race-short crash bench-check
 
 build:
 	$(GO) build ./...
@@ -94,6 +94,14 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The end-to-end benchmark is a module of its own (sapla/bench) that compiles
+# against internal/index, internal/server and sapla-serve's flags, and root
+# `go test ./...` does not descend into it: vet it and run its unit tests and
+# smoke run here, so a product change that breaks it fails before the
+# benchmark driver sees it.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Benchmark-regression harness: times the hot paths, writes BENCH_<date>.json
 # and fails if allocs/op regresses on a zero-allocation path or ns/op

@@ -1,7 +1,7 @@
 // Command sapla-serve runs the similarity-search service: a long-running
 // HTTP server that ingests raw series (reduced under the configured method
-// and inserted into a concurrent DBCH-tree) while answering k-NN, batch
-// k-NN and ε-range queries.
+// and appended to a flat filter-and-refine tier per shard) while answering
+// k-NN, batch k-NN and ε-range queries.
 //
 // Endpoints:
 //
@@ -53,40 +53,34 @@ func main() {
 		maxBody  = flag.Int64("max-body", 8<<20, "request body size limit in bytes")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request timeout")
 		grace    = flag.Duration("grace", 15*time.Second, "shutdown drain budget")
-		unsafeB  = flag.Bool("paper-bound", false, "use the paper's Section 5.3 node bound instead of the triangle-safe one (may dismiss true neighbours)")
 
 		dataDir   = flag.String("data-dir", "", "durability directory for WAL + snapshots (empty = in-memory only)")
 		syncEvery = flag.Int("sync-every", 1, "WAL group-commit batch: fsync after every N records (1 = fsync each acknowledged write)")
 		snapEvery = flag.Duration("snapshot-every", 5*time.Minute, "period of the background snapshot that bounds WAL replay time")
 
-		compactEvery = flag.Duration("compact-every", time.Minute, "period of the background arena compaction check (negative = never compact)")
-		compactFrag  = flag.Float64("compact-fragmentation", 0.3, "fraction of freed arena slots that triggers a compaction")
-		reclaimBound = flag.Int("reclaim-bound", 0, "per-shard retired-slot ceiling before writers throttle to let epoch-based reclamation catch up (0 = default 65536, negative = unbounded)")
+		// Parsed and ignored: bench/ still passes it (see server.Config.CompactEvery).
+		compactEvery = flag.Duration("compact-every", 0, "ignored: the flat tier has nothing to compact")
 
 		maxSearch = flag.Int("max-inflight-search", 256, "concurrently admitted search requests before shedding with 429")
 		maxWrite  = flag.Int("max-inflight-write", 256, "concurrently admitted write requests before shedding with 429")
 	)
 	flag.Parse()
 
-	safe := !*unsafeB
 	srv, err := server.New(server.Config{
-		Method:               *method,
-		M:                    *m,
-		SafeBound:            &safe,
-		Shards:               *shards,
-		Workers:              *workers,
-		MaxK:                 *maxK,
-		MaxBatch:             *maxBatch,
-		MaxBodyBytes:         *maxBody,
-		RequestTimeout:       *timeout,
-		DataDir:              *dataDir,
-		SyncEvery:            *syncEvery,
-		SnapshotEvery:        *snapEvery,
-		CompactEvery:         *compactEvery,
-		CompactFragmentation: *compactFrag,
-		ReclaimBound:         *reclaimBound,
-		MaxInflightSearch:    *maxSearch,
-		MaxInflightWrite:     *maxWrite,
+		Method:            *method,
+		M:                 *m,
+		Shards:            *shards,
+		Workers:           *workers,
+		MaxK:              *maxK,
+		MaxBatch:          *maxBatch,
+		MaxBodyBytes:      *maxBody,
+		RequestTimeout:    *timeout,
+		DataDir:           *dataDir,
+		SyncEvery:         *syncEvery,
+		SnapshotEvery:     *snapEvery,
+		CompactEvery:      *compactEvery,
+		MaxInflightSearch: *maxSearch,
+		MaxInflightWrite:  *maxWrite,
 	})
 	if err != nil {
 		log.Fatalf("sapla-serve: %v", err)

@@ -105,3 +105,34 @@ func TestFlattenLinearIntercepts(t *testing.T) {
 		start = s.R + 1
 	}
 }
+
+// TestFlatLinearValid: what a flattened reduction yields is valid; every way
+// of breaking the endpoint sequence the merge loop relies on is not.
+func TestFlatLinearValid(t *testing.T) {
+	good := FlattenLinear(wsReps(t, []int64{920}, 128, 12)[0])
+	if !good.Valid() {
+		t.Fatalf("flattened reduction invalid: %+v", good)
+	}
+	mutate := func(f func(*FlatLinear)) *FlatLinear {
+		c := &FlatLinear{N: good.N,
+			A: append([]float64(nil), good.A...),
+			C: append([]float64(nil), good.C...),
+			R: append([]int32(nil), good.R...)}
+		f(c)
+		return c
+	}
+	for name, bad := range map[string]*FlatLinear{
+		"nil":             nil,
+		"empty":           {N: 128},
+		"zero length":     mutate(func(c *FlatLinear) { c.N = 0 }),
+		"short of N-1":    mutate(func(c *FlatLinear) { c.R[len(c.R)-1]-- }),
+		"not increasing":  mutate(func(c *FlatLinear) { c.R[1] = c.R[0] }),
+		"negative first":  mutate(func(c *FlatLinear) { c.R[0] = -1 }),
+		"ragged slopes":   mutate(func(c *FlatLinear) { c.A = c.A[1:] }),
+		"ragged constant": mutate(func(c *FlatLinear) { c.C = c.C[1:] }),
+	} {
+		if bad.Valid() {
+			t.Fatalf("%s: reported valid", name)
+		}
+	}
+}

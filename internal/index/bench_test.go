@@ -1,11 +1,13 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"sapla/internal/core"
 	"sapla/internal/dist"
+	"sapla/internal/ts"
 )
 
 func benchEntries(b testing.TB, count, n, m int) []*Entry {
@@ -199,6 +201,151 @@ func BenchmarkBatchKNN(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := BatchKNN(tree, queries, 8, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// mixedSeries draws one z-normalised series from a three-family mixture
+// (random walk, noisy seasonal with trend, step levels) — the kind of data
+// the served workloads carry, where some queries have close neighbours and
+// others none.
+func mixedSeries(rng *rand.Rand, family, n int) ts.Series {
+	s := make(ts.Series, n)
+	switch family % 3 {
+	case 0:
+		var v float64
+		for i := range s {
+			v += rng.NormFloat64()
+			s[i] = v
+		}
+	case 1:
+		freq, phase := 1+7*rng.Float64(), 2*math.Pi*rng.Float64()
+		trend, noise := rng.NormFloat64(), 0.1+0.4*rng.Float64()
+		for i := range s {
+			t := float64(i) / float64(n)
+			s[i] = math.Sin(2*math.Pi*freq*t+phase) + trend*t + noise*rng.NormFloat64()
+		}
+	default:
+		level, next := rng.NormFloat64(), 0
+		for i := range s {
+			if i == next {
+				level = 3 * rng.NormFloat64()
+				next = i + n/8 + rng.Intn(n/3)
+			}
+			s[i] = level + 0.2*rng.NormFloat64()
+		}
+	}
+	return s.ZNormalize()
+}
+
+// mixedEntries reduces count mixed-family series under SAPLA. Half of the
+// queries drawn by mixedQueries perturb one of them.
+func mixedEntries(tb testing.TB, rng *rand.Rand, count, n, m int) []*Entry {
+	tb.Helper()
+	meth := core.New()
+	out := make([]*Entry, count)
+	for i := range out {
+		raw := mixedSeries(rng, i, n)
+		rep, err := meth.Reduce(raw, m)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = NewEntry(i, raw, rep)
+	}
+	return out
+}
+
+func mixedQueries(tb testing.TB, rng *rand.Rand, entries []*Entry, count, m int) []dist.Query {
+	tb.Helper()
+	meth := core.New()
+	n := len(entries[0].Raw)
+	out := make([]dist.Query, count)
+	for i := range out {
+		raw := mixedSeries(rng, i/2, n)
+		if i%2 == 0 {
+			raw = entries[rng.Intn(len(entries))].Raw.Clone()
+			noise := 0.1 + 0.3*rng.Float64()
+			for j := range raw {
+				raw[j] += noise * rng.NormFloat64()
+			}
+			raw = raw.ZNormalize()
+		}
+		rep, err := meth.Reduce(raw, m)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = dist.NewQuery(raw, rep)
+	}
+	return out
+}
+
+// servedPair builds the two candidates for a shard's index at the size the
+// end-to-end benchmark serves — 6000 × 256, M = 12, loaded in batches of 250:
+// the DBCH-tree under the triangle-safe bound, and the flat tier.
+func servedPair(b *testing.B) (map[string]Index, []dist.Query) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(16))
+	entries := mixedEntries(b, rng, 6000, 256, 12)
+	tree, err := NewDBCH("SAPLA", 2, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree.SafeBound = true
+	flat, err := NewFlat("SAPLA")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for lo := 0; lo < len(entries); lo += 250 {
+		if err := tree.InsertBatch(entries[lo : lo+250]); err != nil {
+			b.Fatal(err)
+		}
+		// The flat tier takes its entries over; the tree keeps its own.
+		own := make([]*Entry, 250)
+		for i, e := range entries[lo : lo+250] {
+			own[i] = NewEntry(e.ID, e.Raw, e.Rep)
+		}
+		if err := flat.InsertBatch(own); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return map[string]Index{"dbch": tree, "flat": flat}, mixedQueries(b, rng, entries, 64, 12)
+}
+
+// BenchmarkServedKNN is the search-kernel delta without the HTTP harness.
+func BenchmarkServedKNN(b *testing.B) {
+	idxs, queries := servedPair(b)
+	for _, name := range []string{"dbch", "flat"} {
+		idx := idxs[name].(WorkspaceSearcher)
+		b.Run(name, func(b *testing.B) {
+			ws := NewWorkspace()
+			var st SearchStats
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, s, err := idx.KNNWith(ws, queries[i%len(queries)], 10)
+				if err != nil {
+					b.Fatal(err)
+				}
+				addStats(&st, s)
+			}
+			b.ReportMetric(float64(st.Filtered)/float64(b.N), "filter/op")
+			b.ReportMetric(float64(st.Measured)/float64(b.N), "refine/op")
+		})
+	}
+}
+
+// BenchmarkServedRange is the range twin, at a radius that admits a handful
+// of answers for the perturbed queries and none for the fresh ones.
+func BenchmarkServedRange(b *testing.B) {
+	idxs, queries := servedPair(b)
+	for _, name := range []string{"dbch", "flat"} {
+		idx := idxs[name].(RangeSearcher)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := idx.Range(queries[i%len(queries)], 8); err != nil {
 					b.Fatal(err)
 				}
 			}

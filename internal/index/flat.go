@@ -1,0 +1,367 @@
+package index
+
+import (
+	"fmt"
+	"math"
+
+	"sapla/internal/dist"
+	"sapla/internal/ts"
+)
+
+// flatRows is the number of entries per storage block: big enough that the
+// per-block call is noise against 256 filter evaluations, small enough that
+// growth allocates ~20 KiB at a time instead of doubling one huge slice.
+const flatRows = 256
+
+// refined marks a filter-buffer slot whose entry has already been measured
+// (the seeds of KNNWith). Filter distances are clamped to [0, +Inf], so a
+// negative value cannot be one.
+const refined = -1
+
+// ErrQueryLength is returned by the flat tier when a query's raw length
+// differs from a stored series' — the exact distance is undefined there.
+var ErrQueryLength = fmt.Errorf("index: query and stored series lengths differ: %w", ts.ErrLengthMismatch)
+
+// flatBlock holds the flattened representations (dist.FlatLinear's A/C/R) of
+// flatRows consecutive slots, row by row at the index's stride. A row with
+// fewer segments than the stride pads its endpoints with N−1: PARFlat's merge
+// loop stops at the first N−1 and never reads the padding. A negative first
+// endpoint marks a vacant row.
+type flatBlock struct {
+	a, c []float64 // slope and global-time intercept per segment
+	r    []int32   // inclusive right endpoint per segment
+}
+
+// Flat is the filter-and-refine tier without a tree: every live entry sits in
+// a dense slot, its flattened representation in fixed-stride
+// structure-of-arrays blocks beside the entry pointer, and a query evaluates
+// the filter on all of them in one contiguous sweep before refining the few
+// that survive. Insert appends, Delete moves the last slot into the hole, so
+// storage never fragments and there is nothing to rebalance or compact.
+//
+// The block rows serve the Dist_PAR methods (SAPLA, APLA, APCA). An entry
+// without a flat form, with more segments than the stride (fixed by the first
+// flat entry), or of another series length keeps a vacant row and is filtered
+// through the method's generic FilterFunc instead — as is everything under
+// the other methods, which never allocate blocks.
+//
+// Not safe for concurrent use; wrap it in a ConcurrentIndex.
+type Flat struct {
+	filter dist.FilterFunc
+	usePAR bool
+
+	n, stride int // series length and segments per row of the block rows; 0 until the first flat entry
+	ents      []*Entry
+	slot      map[int]int32 // entry ID → slot
+	blocks    []flatBlock   // cover every slot once stride is set
+	generic   int           // live entries with no occupied block row
+}
+
+// NewFlat builds an empty flat tier for the given method.
+func NewFlat(method string) (*Flat, error) {
+	f, err := dist.Filter(method)
+	if err != nil {
+		return nil, err
+	}
+	return &Flat{
+		filter: f,
+		usePAR: method == "SAPLA" || method == "APLA" || method == "APCA",
+		slot:   make(map[int]int32),
+	}, nil
+}
+
+// Len implements Index.
+func (f *Flat) Len() int { return len(f.ents) }
+
+// Insert implements Index. It takes ownership of e: the coefficients move
+// into block storage and the entry's own caches of them are dropped, so one
+// copy stays resident. A duplicate ID is an error — the ID is the delete key.
+func (f *Flat) Insert(e *Entry) error {
+	if _, dup := f.slot[e.ID]; dup {
+		return fmt.Errorf("index: duplicate entry id %d", e.ID)
+	}
+	s := len(f.ents)
+	f.ents = append(f.ents, e)
+	f.slot[e.ID] = int32(s)
+
+	fl := e.flat
+	if fl == nil && f.usePAR {
+		fl = dist.FlattenLinear(e.Rep) // an entry built by hand, or re-inserted after Insert dropped its cache
+	}
+	e.flat, e.vec = nil, nil
+	ok := f.usePAR && fl.Valid()
+	if ok && f.stride == 0 {
+		f.n, f.stride = fl.N, len(fl.R)
+	}
+	ok = ok && fl.N == f.n && len(fl.R) <= f.stride
+	if !ok {
+		f.generic++
+	}
+	if f.stride == 0 {
+		return nil
+	}
+	for len(f.blocks)*flatRows <= s {
+		f.blocks = append(f.blocks, newFlatBlock(f.stride))
+	}
+	b, at := f.row(s)
+	if !ok {
+		b.r[at] = -1
+		return nil
+	}
+	used := copy(b.r[at:at+f.stride], fl.R)
+	copy(b.a[at:], fl.A)
+	copy(b.c[at:], fl.C)
+	for i := at + used; i < at+f.stride; i++ {
+		b.r[i] = int32(f.n - 1)
+	}
+	return nil
+}
+
+// row returns the block holding slot s and the offset of its row there.
+func (f *Flat) row(s int) (*flatBlock, int) {
+	return &f.blocks[s/flatRows], (s % flatRows) * f.stride
+}
+
+// newFlatBlock allocates one block with every row vacant.
+func newFlatBlock(stride int) flatBlock {
+	b := flatBlock{
+		a: make([]float64, flatRows*stride),
+		c: make([]float64, flatRows*stride),
+		r: make([]int32, flatRows*stride),
+	}
+	for i := range b.r {
+		b.r[i] = -1
+	}
+	return b
+}
+
+// InsertBatch implements BatchInserter: all of entries or none.
+func (f *Flat) InsertBatch(entries []*Entry) error {
+	for i, e := range entries {
+		if err := f.Insert(e); err != nil {
+			for _, u := range entries[:i] {
+				f.Delete(u.ID)
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// occupied reports whether slot s has a block row.
+func (f *Flat) occupied(s int) bool {
+	if f.stride == 0 {
+		return false
+	}
+	b, at := f.row(s)
+	return b.r[at] >= 0
+}
+
+// Delete implements Deleter by swap-remove: the last slot's entry and row
+// move into the hole. Blocks past one spare are released.
+func (f *Flat) Delete(id int) bool {
+	s32, ok := f.slot[id]
+	if !ok {
+		return false
+	}
+	s, last := int(s32), len(f.ents)-1
+	if !f.occupied(s) {
+		f.generic--
+	}
+	if s != last {
+		moved := f.ents[last]
+		f.ents[s] = moved
+		f.slot[moved.ID] = s32
+		if f.stride > 0 {
+			from, fa := f.row(last)
+			to, ta := f.row(s)
+			copy(to.a[ta:ta+f.stride], from.a[fa:])
+			copy(to.c[ta:ta+f.stride], from.c[fa:])
+			copy(to.r[ta:ta+f.stride], from.r[fa:])
+		}
+	}
+	f.ents[last] = nil
+	f.ents = f.ents[:last]
+	delete(f.slot, id)
+	// With the block before the last one empty too, the last is a second
+	// spare: let it go.
+	if nb := len(f.blocks); nb >= 2 && (nb-2)*flatRows >= last {
+		f.blocks[nb-1] = flatBlock{}
+		f.blocks = f.blocks[:nb-1]
+	}
+	return true
+}
+
+// blockFilter reports whether q can be filtered against the block rows: it
+// has a well-formed flat form of the rows' series length.
+func (f *Flat) blockFilter(q dist.Query) bool {
+	return f.stride > 0 && q.Flat.Valid() && q.Flat.N == f.n
+}
+
+// filterSlots writes the filter distance from q to slots lo..lo+len(out)−1
+// (all within one block) into out: PARFlat over the occupied rows when rows
+// is set, the method's generic measure for everything else. A measure error
+// aborts.
+//
+//sapla:noalloc
+func (f *Flat) filterSlots(q dist.Query, rows bool, lo int, out []float64) error {
+	if rows {
+		b, _ := f.row(lo)
+		row := dist.FlatLinear{N: f.n}
+		for i := range out {
+			at, end := i*f.stride, (i+1)*f.stride
+			if b.r[at] < 0 {
+				continue
+			}
+			row.A, row.C, row.R = b.a[at:end], b.c[at:end], b.r[at:end]
+			out[i] = dist.PARFlat(q.Flat, &row)
+		}
+		if f.generic == 0 {
+			return nil
+		}
+	}
+	for i := range out {
+		if rows && f.occupied(lo+i) {
+			continue
+		}
+		fd, err := f.filter(q, f.ents[lo+i].Rep)
+		if err != nil {
+			return err
+		}
+		out[i] = fd
+	}
+	return nil
+}
+
+// abandonLimit is the squared-distance ceiling past which a candidate cannot
+// enter an answer bounded by bound. The relative 1e-12 margin is ~10⁴ ulps:
+// far more than the rounding of bound² and of the final square root, so a
+// sum above the limit has a rounded root strictly above bound — a candidate
+// offerBest (or a range test) would have rejected anyway.
+func abandonLimit(bound float64) float64 { return bound * bound * (1 + 1e-12) }
+
+// measure refines one candidate against the running k-th best distance and
+// returns the updated bound. The exact distance it offers is the same
+// sequential sum ts.EuclideanSq computes, so answers stay bit-identical to
+// every other index's.
+//
+//sapla:noalloc
+func measure(ws *Workspace, q dist.Query, k int, e *Entry, kth float64) (float64, error) {
+	if len(e.Raw) != len(q.Raw) {
+		return kth, ErrQueryLength
+	}
+	sum, ok := ts.EuclideanSqAbandon(q.Raw, e.Raw, abandonLimit(kth))
+	if !ok {
+		return kth, nil
+	}
+	return ws.offerBest(k, math.Sqrt(sum), e), nil
+}
+
+// KNN implements Index.
+func (f *Flat) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
+	return pooledKNN(f, q, k)
+}
+
+// KNNWith implements WorkspaceSearcher in two passes over a workspace-owned
+// buffer of filter distances. Pass 1 filters every live entry and keeps the k
+// smallest filter distances; those entries are measured first, which seeds
+// the k-th best distance close to its final value. Pass 2 walks the buffer
+// and measures only entries whose filter distance does not exceed the running
+// bound, abandoning each exact distance as soon as it cannot beat it.
+//
+//sapla:noalloc
+func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
+	var stats SearchStats
+	n := len(f.ents)
+	if n == 0 || k <= 0 {
+		return nil, stats, nil
+	}
+	if cap(ws.filt) < n {
+		ws.filt = make([]float64, n+n/4) //sapla:alloc amortised growth of the reused filter buffer; steady state never re-enters
+	}
+	filt := ws.filt[:n]
+	seeds := ws.seeds
+	seeds.Reset()
+	rows := f.blockFilter(q)
+	for lo := 0; lo < n; lo += flatRows {
+		out := filt[lo:min(lo+flatRows, n)]
+		if err := f.filterSlots(q, rows, lo, out); err != nil {
+			return nil, stats, err
+		}
+		for i, fd := range out {
+			if !(fd >= 0) { // NaN from a rounded-negative sum: measure it rather than trust it
+				fd, out[i] = 0, 0
+			}
+			if seeds.Len() < k {
+				seeds.Push(fd, int32(lo+i))
+			} else if fd < seeds.PeekPriority() {
+				seeds.Pop()
+				seeds.Push(fd, int32(lo+i))
+			}
+		}
+	}
+	stats.Filtered = n
+
+	ws.best.Reset()
+	kth := math.Inf(1)
+	var err error
+	for seeds.Len() > 0 {
+		_, s := seeds.Pop()
+		filt[s] = refined
+		stats.Measured++
+		if kth, err = measure(ws, q, k, f.ents[s], kth); err != nil {
+			return nil, stats, err
+		}
+	}
+	for s, fd := range filt {
+		if fd < 0 || fd > kth {
+			continue
+		}
+		stats.Measured++
+		if kth, err = measure(ws, q, k, f.ents[s], kth); err != nil {
+			return nil, stats, err
+		}
+	}
+	return ws.drainResults(), stats, nil
+}
+
+// Range implements RangeSearcher: the one-pass twin of KNNWith against a
+// fixed bound — filter a block, measure what the filter lets through,
+// abandoning past radius².
+func (f *Flat) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {
+	var stats SearchStats
+	n := len(f.ents)
+	if n == 0 || radius < 0 {
+		return nil, stats, nil
+	}
+	var out []Result
+	var buf [flatRows]float64
+	limit := abandonLimit(radius)
+	rows := f.blockFilter(q)
+	for lo := 0; lo < n; lo += flatRows {
+		filt := buf[:min(flatRows, n-lo)]
+		if err := f.filterSlots(q, rows, lo, filt); err != nil {
+			return nil, stats, err
+		}
+		stats.Filtered += len(filt)
+		for i, fd := range filt {
+			if fd > radius {
+				continue
+			}
+			e := f.ents[lo+i]
+			if len(e.Raw) != len(q.Raw) {
+				return nil, stats, ErrQueryLength
+			}
+			stats.Measured++
+			sum, ok := ts.EuclideanSqAbandon(q.Raw, e.Raw, limit)
+			if !ok {
+				continue
+			}
+			if exact := math.Sqrt(sum); exact <= radius {
+				out = append(out, Result{Entry: e, Dist: exact})
+			}
+		}
+	}
+	sortResults(out)
+	return out, stats, nil
+}

@@ -33,15 +33,16 @@ func ShardOf(id, shards int) int {
 }
 
 // ShardedIndex partitions entries across N independent ConcurrentIndex
-// shards by ShardOf(entry ID). Each shard owns its own tree, write lock,
-// published view and epoch counter, so writes to different shards proceed
-// concurrently and a compacting shard never blocks the others; with
-// DBCH-tree shards, reads are lock-free — a query scatters across every
-// shard's current published view without touching any write lock, so even
-// the shard whose writer is mid-mutation answers immediately. The gather
-// runs through the canonical (distance, ID) merge, which makes k-NN and
-// range answers byte-identical to the single-shard answer for any shard
-// count.
+// shards by ShardOf(entry ID). Each shard owns its own inner index, write
+// lock and epoch counter, so writes to different shards proceed concurrently.
+// How a shard reads is its ConcurrentIndex's business: flat-tier shards (what
+// sapla-serve runs) search under the shard's shared lock, against a writer
+// whose critical section is one append or swap; DBCH-tree shards search a
+// published copy-on-write view without touching any lock. The gather runs
+// through the canonical (distance, ID) merge: whenever each shard returns its
+// true top-k — any index whose filter lower-bounds the exact distance — the
+// merged k-NN and range answers are byte-identical to the single-shard answer
+// for any shard count.
 type ShardedIndex struct {
 	shards []*ConcurrentIndex
 }
@@ -157,46 +158,6 @@ func (s *ShardedIndex) Compact(minFragmentation float64) int {
 	return n
 }
 
-// SetReclaimBound sets every shard's retired-slot ceiling past which that
-// shard's writer throttles to let epoch-based reclamation catch up. Zero or
-// negative disables throttling.
-func (s *ShardedIndex) SetReclaimBound(n int) {
-	for _, sh := range s.shards {
-		sh.SetReclaimBound(n)
-	}
-}
-
-// ReadRetries sums the per-shard counts of lock-free reads that observed a
-// concurrent publish mid-traversal and re-ran.
-func (s *ShardedIndex) ReadRetries() uint64 {
-	var n uint64
-	for _, sh := range s.shards {
-		n += sh.ReadRetries()
-	}
-	return n
-}
-
-// WriterThrottles sums the per-shard counts of writer backoff rounds spent
-// waiting for reclamation to drop below the bound.
-func (s *ShardedIndex) WriterThrottles() uint64 {
-	var n uint64
-	for _, sh := range s.shards {
-		n += sh.WriterThrottles()
-	}
-	return n
-}
-
-// ReclaimLag sums the per-shard counts of retired-but-unreclaimed arena
-// slots — the memory the copy-on-write scheme currently holds for in-flight
-// or stalled readers.
-func (s *ShardedIndex) ReclaimLag() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.ReclaimLag()
-	}
-	return n
-}
-
 // Fragmentation reports the entry-weighted mean fragmentation across shards
 // (the fraction of dead arena slots a full compaction would reclaim).
 func (s *ShardedIndex) Fragmentation() float64 {
@@ -246,9 +207,8 @@ func (s *ShardedIndex) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 // shard's top-k is gathered into the workspace's candidate buffer, then the
 // global top-k is selected under the canonical (distance, ID) order. Each
 // shard's top-k under that order is a superset of its contribution to the
-// global top-k, so the merge loses nothing. Every shard search runs against
-// that shard's published view (lock-free for DBCH-tree shards); the
-// parallel fan-out lives in BatchKNN.
+// global top-k, so the merge loses nothing. Every shard search sees one
+// consistent state of that shard; the parallel fan-out lives in BatchKNN.
 //
 //sapla:noalloc
 func (s *ShardedIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {

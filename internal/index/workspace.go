@@ -25,6 +25,10 @@ type Workspace struct {
 	// cand accumulates per-shard candidate results during a scatter-gather
 	// search; see ShardedIndex.KNNWith.
 	cand []Result
+	// filt and seeds belong to the flat tier (Flat.KNNWith): one filter
+	// distance per slot, and the slots of the k smallest of them, worst on top.
+	filt  []float64
+	seeds *pqueue.Heap[int32]
 }
 
 // NewWorkspace returns an empty search workspace.
@@ -33,6 +37,7 @@ func NewWorkspace() *Workspace {
 		nodes: pqueue.NewMinHeap[treeNode](),
 		ids:   pqueue.NewMinHeap[int32](),
 		best:  pqueue.NewMaxTieHeap[*Entry](),
+		seeds: pqueue.NewMaxHeap[int32](),
 	}
 }
 

@@ -13,12 +13,12 @@ import (
 )
 
 // openStores opens the durability layer (when configured), recovers the
-// persisted per-shard state in parallel and bulk-loads one tree per shard
-// from it. It returns the trees (one per effective shard) and populates
+// persisted per-shard state in parallel and batch-inserts it into one flat
+// tier per shard. It returns the tiers (one per effective shard) and populates
 // s.shards; without durability it simply sizes both to Config.Shards.
 // Called from New while the server is still single-goroutine, before any
 // request can arrive.
-func (s *Server) openStores() ([]*index.DBCH, error) {
+func (s *Server) openStores() ([]*index.Flat, error) {
 	fsys := s.cfg.WALFS
 	if fsys == nil && s.cfg.DataDir != "" {
 		dfs, err := wal.NewDirFS(s.cfg.DataDir)
@@ -29,17 +29,17 @@ func (s *Server) openStores() ([]*index.DBCH, error) {
 	}
 
 	if fsys == nil { // purely in-memory
-		trees := make([]*index.DBCH, s.cfg.Shards)
+		tiers := make([]*index.Flat, s.cfg.Shards)
 		s.shards = make([]*shardState, s.cfg.Shards)
-		for i := range trees {
-			tree, err := s.newTree()
+		for i := range tiers {
+			tier, err := index.NewFlat(s.cfg.Method)
 			if err != nil {
 				return nil, err
 			}
-			trees[i] = tree
+			tiers[i] = tier
 			s.shards[i] = &shardState{ids: make(map[int]ts.Series)}
 		}
-		return trees, nil
+		return tiers, nil
 	}
 
 	start := time.Now()
@@ -53,15 +53,15 @@ func (s *Server) openStores() ([]*index.DBCH, error) {
 
 	// The manifest-pinned count wins over Config.Shards (see Config.Shards);
 	// from here on len(s.shards) is the effective count everywhere.
-	trees := make([]*index.DBCH, len(recs))
+	tiers := make([]*index.Flat, len(recs))
 	s.shards = make([]*shardState, len(recs))
 	for i := range recs {
-		tree, terr := s.newTree()
+		tier, terr := index.NewFlat(s.cfg.Method)
 		if terr != nil {
 			err = terr
 			break
 		}
-		trees[i] = tree
+		tiers[i] = tier
 		s.shards[i] = &shardState{store: recs[i].Store, ids: make(map[int]ts.Series)}
 	}
 	if err != nil {
@@ -74,9 +74,8 @@ func (s *Server) openStores() ([]*index.DBCH, error) {
 	// Rebuild each shard's index from its recovered series, shards in
 	// parallel: reduction dominates recovery time and is embarrassingly
 	// parallel across shards (the Reducer pool hands each goroutine its own
-	// workspace). Bulk loading skips every split and branch-pick the
-	// incremental path would pay. Cross-shard bookkeeping (claimed set,
-	// nextID, series length) funnels through bookMu.
+	// workspace). Cross-shard bookkeeping (claimed set, nextID, series
+	// length) funnels through bookMu.
 	errs := make([]error, len(recs))
 	var wg sync.WaitGroup
 	for i := range recs {
@@ -94,7 +93,7 @@ func (s *Server) openStores() ([]*index.DBCH, error) {
 				entries = append(entries, index.NewEntry(int(sr.ID), sr.Values, rep))
 				sh.ids[int(sr.ID)] = sr.Values
 			}
-			if err := trees[i].BulkLoad(entries); err != nil {
+			if err := tiers[i].InsertBatch(entries); err != nil {
 				errs[i] = fmt.Errorf("server: rebuild shard %d: %w", i, err)
 				return
 			}
@@ -132,7 +131,7 @@ func (s *Server) openStores() ([]*index.DBCH, error) {
 		}
 	}
 	s.recoveryDur = time.Since(start)
-	return trees, nil
+	return tiers, nil
 }
 
 // metricsWALSyncObserver returns the fsync-latency observer. The metrics
@@ -168,46 +167,6 @@ func (s *Server) snapshotLoop(every time.Duration) {
 			}
 		}
 	}
-}
-
-// compactLoop periodically offers each shard a chance to rebuild its arena
-// once deletes have fragmented it past the configured threshold. It exits
-// when snapStop closes (Shutdown).
-func (s *Server) compactLoop(every time.Duration) {
-	defer s.snapWG.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.snapStop:
-			return
-		case <-t.C:
-			s.compactNow()
-		}
-	}
-}
-
-// compactNow runs one compaction check per shard against the configured
-// fragmentation threshold, recording global and per-shard metrics when a
-// rebuild actually ran. Each rebuild holds only its own shard's exclusive
-// lock and advances that shard's epoch; queries serialize against that
-// shard and never observe a half-moved arena, while the other shards keep
-// answering untouched.
-func (s *Server) compactNow() bool {
-	start := time.Now()
-	rebuilt := 0
-	for i := 0; i < s.idx.NumShards(); i++ {
-		if s.idx.Shard(i).Compact(s.cfg.CompactFragmentation) {
-			rebuilt++
-			s.metrics.shardCompactions[i].Add(1)
-		}
-	}
-	if rebuilt == 0 {
-		return false
-	}
-	s.metrics.compactions.Add(int64(rebuilt))
-	s.metrics.compactTime.Observe(time.Since(start))
-	return true
 }
 
 // snapshotNow captures and persists every shard's state, one shard at a
@@ -256,11 +215,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusServiceUnavailable
 	}
 	body := map[string]any{
-		"status":            stateName(st),
-		"index_size":        s.idx.Len(),
-		"shards":            len(s.shards),
-		"durable":           s.durable(),
-		"reclaim_lag_slots": s.idx.ReclaimLag(),
+		"status":     stateName(st),
+		"index_size": s.idx.Len(),
+		"shards":     len(s.shards),
+		"durable":    s.durable(),
 	}
 	if s.durable() {
 		unsynced := 0

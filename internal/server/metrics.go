@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
-
-	"sapla/internal/index"
 )
 
 // latencyBuckets are the histogram upper bounds. Exponential-ish spacing
@@ -142,13 +140,6 @@ type metrics struct {
 	ingested expvar.Int // series accepted
 	deleted  expvar.Int // series removed
 
-	// Arena maintenance: background compactions that actually rebuilt a
-	// shard (compactions sums across shards; shardCompactions[i] counts
-	// shard i's rebuilds).
-	compactions      expvar.Int
-	compactTime      *histogram
-	shardCompactions []expvar.Int
-
 	// Durability instrumentation (zero when the WAL is disabled).
 	// snapshots sums across shards; shardSnapshots[i] counts shard i's.
 	walSync        *histogram // WAL fsync latency, the write-path floor
@@ -172,16 +163,14 @@ var endpointNames = []string{"ingest", "ingest_batch", "knn", "knn_batch", "rang
 
 func newMetrics(nshards int) *metrics {
 	m := &metrics{
-		start:            time.Now(),
-		requests:         new(expvar.Map).Init(),
-		errors:           new(expvar.Map).Init(),
-		shed:             new(expvar.Map).Init(),
-		latency:          make(map[string]*histogram, len(endpointNames)),
-		walSync:          newHistogram(),
-		snapshotTime:     newHistogram(),
-		compactTime:      newHistogram(),
-		shardCompactions: make([]expvar.Int, nshards),
-		shardSnapshots:   make([]expvar.Int, nshards),
+		start:          time.Now(),
+		requests:       new(expvar.Map).Init(),
+		errors:         new(expvar.Map).Init(),
+		shed:           new(expvar.Map).Init(),
+		latency:        make(map[string]*histogram, len(endpointNames)),
+		walSync:        newHistogram(),
+		snapshotTime:   newHistogram(),
+		shardSnapshots: make([]expvar.Int, nshards),
 	}
 	for _, name := range endpointNames {
 		m.latency[name] = newHistogram()
@@ -240,51 +229,27 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		"pruning_ratio": pruning,
 	})
 
-	idx := map[string]any{
-		"size":              s.idx.Len(),
-		"epoch":             s.idx.Epoch(),
-		"shards":            s.idx.NumShards(),
-		"method":            s.cfg.Method,
-		"coeff_budget":      s.cfg.M,
-		"series_length":     s.seriesLen(),
-		"ingested":          m.ingested.Value(),
-		"deleted":           m.deleted.Value(),
-		"compactions":       m.compactions.Value(),
-		"compact_time":      json.RawMessage(m.compactTime.String()),
-		"fragmentation":     s.idx.Fragmentation(),
-		"read_retries":      s.idx.ReadRetries(),
-		"reclaim_lag_slots": s.idx.ReclaimLag(),
-		"writer_throttle":   s.idx.WriterThrottles(),
-	}
-	if st, ok := s.treeStats(); ok {
-		idx["tree"] = map[string]any{
-			"internal_nodes": st.InternalNodes,
-			"leaf_nodes":     st.LeafNodes,
-			"height":         st.Height,
-			"avg_leaf_fill":  st.AvgLeafFill(),
-		}
-	}
-	doc["index"] = mustJSON(idx)
+	doc["index"] = mustJSON(map[string]any{
+		"size":          s.idx.Len(),
+		"epoch":         s.idx.Epoch(),
+		"shards":        s.idx.NumShards(),
+		"method":        s.cfg.Method,
+		"coeff_budget":  s.cfg.M,
+		"series_length": s.seriesLen(),
+		"ingested":      m.ingested.Value(),
+		"deleted":       m.deleted.Value(),
+	})
 
 	// Per-shard slice of the index and (when durable) WAL state, so an
-	// operator can see a hot, fragmented or snapshot-lagging shard instead
-	// of an averaged-away aggregate.
+	// operator can see a hot or snapshot-lagging shard instead of an
+	// averaged-away aggregate.
 	shardDocs := make([]map[string]any, len(s.shards))
 	for i, shState := range s.shards {
 		sh := s.idx.Shard(i)
 		sd := map[string]any{
-			"size":              sh.Len(),
-			"epoch":             sh.Epoch(),
-			"compactions":       m.shardCompactions[i].Value(),
-			"read_retries":      sh.ReadRetries(),
-			"reclaim_lag_slots": sh.ReclaimLag(),
-			"writer_throttle":   sh.WriterThrottles(),
+			"size":  sh.Len(),
+			"epoch": sh.Epoch(),
 		}
-		sh.View(func(inner index.Index) {
-			if comp, ok := inner.(index.Compactor); ok {
-				sd["fragmentation"] = comp.Fragmentation()
-			}
-		})
 		if shState.store != nil {
 			sd["wal_unsynced"] = shState.store.Unsynced()
 			sd["snapshot_seq"] = shState.store.SnapshotSeq()

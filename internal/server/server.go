@@ -1,19 +1,19 @@
 // Package server exposes the SAPLA similarity-search engine as a
-// long-running HTTP service: series are ingested (reduced and indexed into
-// DBCH-trees behind a ShardedIndex) while k-NN, batch k-NN and ε-range
-// queries are answered concurrently through the BatchKNN worker pool. The
-// service is the north-star serving path: reads take shared locks and reuse
-// pooled workspaces (no per-request index rebuild, allocation-free search
-// hot path), writes serialize per shard, and shutdown drains in-flight
-// requests.
+// long-running HTTP service: series are ingested (reduced and appended to a
+// flat filter-and-refine tier, index.Flat, behind a ShardedIndex) while
+// k-NN, batch k-NN and ε-range queries are answered concurrently through the
+// BatchKNN worker pool. The service is the north-star serving path: reads
+// take shared locks and reuse pooled workspaces (no per-request index
+// rebuild, allocation-free search hot path), writes serialize per shard, and
+// shutdown drains in-flight requests.
 //
 // The index is partitioned across Config.Shards shards by a stable hash of
-// the series ID. Each shard owns its own DBCH-tree, write lock, epoch
+// the series ID. Each shard owns its own flat tier, write lock, epoch
 // counter and — with durability enabled — its own WAL segment stream and
 // snapshot cadence, so writes to different shards commit concurrently and a
-// compacting or snapshotting shard never stalls the rest. Queries scatter
-// across every shard and gather under the canonical (distance, ID) order,
-// which keeps answers byte-identical to a single-shard server.
+// snapshotting shard never stalls the rest. Queries scatter across every
+// shard and gather under the canonical (distance, ID) order, so every answer
+// is a set of live series with their exact distances in that order.
 //
 // With a data directory configured the service is durable: every
 // ingest/delete is appended to its shard's checksummed write-ahead log
@@ -49,12 +49,6 @@ type Config struct {
 	Method string
 	// M is the per-series coefficient budget. Default 12 (4 segments).
 	M int
-	// MinFill/MaxFill are the DBCH node fill bounds. Default 2/5 (paper
-	// Section 6).
-	MinFill, MaxFill int
-	// SafeBound enables the triangle-safe node bound (no false dismissals).
-	// Default true: a service should not silently drop true neighbours.
-	SafeBound *bool
 	// Shards partitions the index (and, with durability, the WAL) across
 	// this many independent shards keyed by a stable hash of the series ID.
 	// Default 1. With durability enabled the count persisted in the data
@@ -93,22 +87,12 @@ type Config struct {
 	// durability enabled.
 	SnapshotEvery time.Duration
 
-	// CompactEvery is the period of the background compaction ticker that
-	// rebuilds a shard's DBCH arena once deletes have fragmented it past
-	// CompactFragmentation. Default 1m; <0 disables the ticker (compaction
-	// then happens only via explicit calls). Unlike snapshots, compaction is
-	// purely in-memory, so the ticker runs with or without durability.
+	// CompactEvery is ignored: the flat tier never fragments, so there is
+	// nothing to compact. The field (and sapla-serve's -compact-every) stays
+	// only because bench/ still sets it; it goes with the follow-up
+	// benchmark PR (ROADMAP, "One benchmark").
 	CompactEvery time.Duration
-	// CompactFragmentation is the dead-slot fraction in [0,1] at or above
-	// which a ticker firing actually rebuilds a shard. Default 0.3.
-	CompactFragmentation float64
 
-	// ReclaimBound is the per-shard ceiling on arena slots retired by
-	// copy-on-write mutations but not yet reclaimed (held for in-flight
-	// readers pinning old epochs). Past it, that shard's writer throttles
-	// until epoch-based reclamation catches up; readers are never
-	// throttled. Default index.DefaultReclaimBound; <0 disables the valve.
-	ReclaimBound int
 	// MaxInflightSearch bounds concurrently admitted search requests
 	// (/v1/knn, /v1/knn/batch, /v1/range); excess requests are shed with
 	// 429 + Retry-After instead of queueing without bound. Default 256.
@@ -125,13 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.M <= 0 {
 		c.M = 12
-	}
-	if c.MinFill <= 0 || c.MaxFill <= 0 {
-		c.MinFill, c.MaxFill = 2, 5
-	}
-	if c.SafeBound == nil {
-		t := true
-		c.SafeBound = &t
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
@@ -153,15 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 5 * time.Minute
-	}
-	if c.CompactEvery == 0 {
-		c.CompactEvery = time.Minute
-	}
-	if c.CompactFragmentation <= 0 {
-		c.CompactFragmentation = 0.3
-	}
-	if c.ReclaimBound == 0 {
-		c.ReclaimBound = index.DefaultReclaimBound
 	}
 	if c.MaxInflightSearch <= 0 {
 		c.MaxInflightSearch = 256
@@ -260,10 +228,10 @@ func (s *Server) shardFor(id int) *shardState {
 // durable reports whether the server runs with a WAL.
 func (s *Server) durable() bool { return s.shards[0].store != nil }
 
-// New builds a Server over fresh DBCH-trees for cfg.Method, one per shard.
+// New builds a Server over one empty flat tier per shard for cfg.Method.
 // With durability configured (DataDir or WALFS) it first recovers the
 // persisted state — every shard's newest snapshot plus WAL replay, shards in
-// parallel — bulk-loads the trees from it, and only then reports ready; a
+// parallel — batch-inserts it into the tiers, and only then reports ready; a
 // corrupt snapshot or a torn non-final WAL segment in any shard fails
 // construction rather than serving silently incomplete data.
 func New(cfg Config) (*Server, error) {
@@ -284,40 +252,25 @@ func New(cfg Config) (*Server, error) {
 	s.state.Store(stateRecovering)
 	s.reducers.New = func() any { return core.NewReducer() }
 
-	trees, err := s.openStores()
+	tiers, err := s.openStores()
 	if err != nil {
 		return nil, err
 	}
-	s.metrics = newMetrics(len(trees))
-	s.idx, err = index.NewSharded(len(trees), func(i int) (index.Index, error) {
-		return trees[i], nil
+	s.metrics = newMetrics(len(tiers))
+	s.idx, err = index.NewSharded(len(tiers), func(i int) (index.Index, error) {
+		return tiers[i], nil
 	})
 	if err != nil {
 		s.closeStores()
 		return nil, err
 	}
-	s.idx.SetReclaimBound(cfg.ReclaimBound)
 	s.handler = s.buildHandler()
 	if s.durable() && cfg.SnapshotEvery > 0 {
 		s.snapWG.Add(1)
 		go s.snapshotLoop(cfg.SnapshotEvery)
 	}
-	if cfg.CompactEvery > 0 {
-		s.snapWG.Add(1)
-		go s.compactLoop(cfg.CompactEvery)
-	}
 	s.state.Store(stateReady)
 	return s, nil
-}
-
-// newTree builds one shard's DBCH-tree from the configured parameters.
-func (s *Server) newTree() (*index.DBCH, error) {
-	tree, err := index.NewDBCH(s.cfg.Method, s.cfg.MinFill, s.cfg.MaxFill)
-	if err != nil {
-		return nil, err
-	}
-	tree.SafeBound = *s.cfg.SafeBound
-	return tree, nil
 }
 
 // methodFor returns a fresh instance of a non-SAPLA reduction method.
@@ -428,29 +381,6 @@ func (s *Server) seriesLen() int {
 	return s.n
 }
 
-// treeStats aggregates the DBCH shape across shards under each shard's
-// shared index lock: node counts and entries sum, height is the maximum.
-func (s *Server) treeStats() (index.TreeStats, bool) {
-	var total index.TreeStats
-	var ok bool
-	for i := 0; i < s.idx.NumShards(); i++ {
-		s.idx.Shard(i).View(func(inner index.Index) {
-			type statser interface{ Stats() index.TreeStats }
-			if t, isT := inner.(statser); isT {
-				st := t.Stats()
-				total.InternalNodes += st.InternalNodes
-				total.LeafNodes += st.LeafNodes
-				total.Entries += st.Entries
-				if st.Height > total.Height {
-					total.Height = st.Height
-				}
-				ok = true
-			}
-		})
-	}
-	return total, ok
-}
-
 // Index exposes the sharded index (read-mostly; used by tests and the CLI
 // for diagnostics).
 func (s *Server) Index() *index.ShardedIndex { return s.idx }
@@ -491,8 +421,8 @@ func (s *Server) closeStores() {
 }
 
 // Shutdown gracefully stops the server: new requests are refused (503,
-// draining), in-flight requests drain until ctx expires, the snapshot and
-// compaction tickers stop, and every shard's WAL is flushed, fsync'd and
+// draining), in-flight requests drain until ctx expires, the snapshot
+// ticker stops, and every shard's WAL is flushed, fsync'd and
 // closed — so every acknowledged write is durable across a clean restart
 // even with a large group-commit batch.
 func (s *Server) Shutdown(ctx context.Context) error {

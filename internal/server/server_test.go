@@ -111,8 +111,13 @@ func TestServerEndToEnd(t *testing.T) {
 	if knn.Results[0].ID != 3 || knn.Results[0].Dist != 0 {
 		t.Fatalf("self query top hit = %+v, want id 3 dist 0", knn.Results[0])
 	}
-	if knn.Stats.Measured == 0 {
-		t.Fatal("knn stats report zero measured series")
+	// Served from the flat tier: every live series is filtered, no tree node
+	// is visited, and the filter spares most of them the exact distance.
+	if knn.Stats.Filtered != count || knn.Stats.NodesVisited != 0 {
+		t.Fatalf("knn stats %+v, want %d filtered and no nodes", knn.Stats, count)
+	}
+	if knn.Stats.Measured < 5 || knn.Stats.Measured >= count {
+		t.Fatalf("knn measured %d of %d series", knn.Stats.Measured, count)
 	}
 
 	// Batch: every query's own series leads its answer slot.
@@ -180,10 +185,13 @@ func TestServerEndToEnd(t *testing.T) {
 			PruningRatio float64 `json:"pruning_ratio"`
 		} `json:"search"`
 		Index struct {
-			Size     int64          `json:"size"`
-			Ingested int64          `json:"ingested"`
-			Deleted  int64          `json:"deleted"`
-			Tree     map[string]any `json:"tree"`
+			Size     int64 `json:"size"`
+			Ingested int64 `json:"ingested"`
+			Deleted  int64 `json:"deleted"`
+			// Gone with the tree, COW/EBR and compaction.
+			Tree        any `json:"tree"`
+			Compactions any `json:"compactions"`
+			ReclaimLag  any `json:"reclaim_lag_slots"`
 		} `json:"index"`
 		Latency map[string]histSnapshot `json:"latency"`
 	}
@@ -202,8 +210,8 @@ func TestServerEndToEnd(t *testing.T) {
 	if met.Index.Size != count-1 || met.Index.Ingested != count || met.Index.Deleted != 1 {
 		t.Fatalf("metrics index = %+v", met.Index)
 	}
-	if met.Index.Tree["leaf_nodes"] == nil {
-		t.Fatal("metrics missing tree stats")
+	if met.Index.Tree != nil || met.Index.Compactions != nil || met.Index.ReclaimLag != nil {
+		t.Fatalf("metrics still report tree maintenance: %+v", met.Index)
 	}
 	if met.Latency["knn"].Count != 2 {
 		t.Fatalf("knn latency count = %d, want 2", met.Latency["knn"].Count)
@@ -577,50 +585,5 @@ func TestServerIngestBatch(t *testing.T) {
 	defer s2.Shutdown(context.Background())
 	if got := s2.Index().Len(); got != 3 {
 		t.Fatalf("recovered Len = %d, want 3", got)
-	}
-}
-
-// TestServerCompaction checks the maintenance path end-to-end: deletes
-// fragment the arena, compactNow rebuilds it above the threshold (and
-// refuses below), and queries answer identically across the rebuild.
-func TestServerCompaction(t *testing.T) {
-	s, hs := newTestServer(t, Config{Workers: 2, CompactEvery: -1, CompactFragmentation: 0.05})
-	client := hs.Client()
-	rng := rand.New(rand.NewSource(78))
-
-	items := make([]map[string]any, 40)
-	for i := range items {
-		items[i] = map[string]any{"values": randWalk(rng, 64)}
-	}
-	var resp ingestBatchResponse
-	if code := doJSON(t, client, "POST", hs.URL+"/v1/ingest/batch",
-		map[string]any{"series": items}, &resp); code != http.StatusCreated {
-		t.Fatalf("batch ingest: status %d", code)
-	}
-
-	if s.compactNow() {
-		t.Fatal("compaction ran on an unfragmented index")
-	}
-	for _, id := range resp.IDs[:20] {
-		if code := doJSON(t, client, "DELETE", fmt.Sprintf("%s/v1/series/%d", hs.URL, id), nil, nil); code != http.StatusOK {
-			t.Fatalf("delete %d: status %d", id, code)
-		}
-	}
-	q := randWalk(rng, 64)
-	before := knnIDs(t, client, hs.URL, q, 5)
-	if !s.compactNow() {
-		t.Fatal("compaction refused on a fragmented index")
-	}
-	after := knnIDs(t, client, hs.URL, q, 5)
-	if len(before) != len(after) {
-		t.Fatalf("result count changed across compaction: %d -> %d", len(before), len(after))
-	}
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("answer %d changed across compaction: %+v -> %+v", i, before[i], after[i])
-		}
-	}
-	if s.metrics.compactions.Value() != 1 {
-		t.Fatalf("compactions metric = %d, want 1", s.metrics.compactions.Value())
 	}
 }

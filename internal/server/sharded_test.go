@@ -14,15 +14,12 @@ import (
 
 // TestServerShardedEndToEnd drives the full HTTP surface of a multi-shard
 // durable server — single ingests, a cross-shard batch ingest, routed
-// deletes, per-shard compaction — and requires every k-NN answer to be
-// byte-identical to a single-shard in-memory reference over the same series.
+// deletes — and requires every k-NN answer to be byte-identical to a
+// single-shard in-memory reference over the same series.
 func TestServerShardedEndToEnd(t *testing.T) {
 	const n = 64
 	mem := wal.NewMemFS()
-	cfg := durableShardedConfig(mem, 1, 4)
-	cfg.CompactEvery = -1
-	cfg.CompactFragmentation = 0.05
-	s, hs := newTestServer(t, cfg)
+	s, hs := newTestServer(t, durableShardedConfig(mem, 1, 4))
 	client := hs.Client()
 	rng := rand.New(rand.NewSource(41))
 
@@ -103,12 +100,6 @@ func TestServerShardedEndToEnd(t *testing.T) {
 	}
 	checkIdentical("after deletes")
 
-	// Per-shard compaction keeps answering identically.
-	if !s.compactNow() {
-		t.Fatal("compaction refused after fragmenting deletes")
-	}
-	checkIdentical("after compaction")
-
 	// Batch k-NN fans out at (query, shard) granularity; answers must match
 	// the reference too.
 	queries := make([]map[string]any, 5)
@@ -149,7 +140,6 @@ func TestServerShardedEndToEnd(t *testing.T) {
 		Shards []struct {
 			Size        int     `json:"size"`
 			Epoch       float64 `json:"epoch"`
-			Compactions int     `json:"compactions"`
 			WALUnsynced *int    `json:"wal_unsynced"`
 			SnapshotSeq *int    `json:"snapshot_seq"`
 		} `json:"shards"`
@@ -164,19 +154,15 @@ func TestServerShardedEndToEnd(t *testing.T) {
 		t.Fatalf("metrics shard layout: index.shards=%d shards=%d wal_streams=%d",
 			met.Index.Shards, len(met.Shards), met.Durability.WALStreams)
 	}
-	sizeSum, compactSum := 0, 0
+	sizeSum := 0
 	for i, sd := range met.Shards {
 		sizeSum += sd.Size
-		compactSum += sd.Compactions
 		if sd.WALUnsynced == nil || sd.SnapshotSeq == nil {
 			t.Fatalf("shard %d metrics missing WAL fields: %+v", i, sd)
 		}
 	}
 	if sizeSum != met.Index.Size || sizeSum != len(live) {
 		t.Fatalf("per-shard sizes sum to %d, index size %d, live %d", sizeSum, met.Index.Size, len(live))
-	}
-	if compactSum == 0 {
-		t.Fatal("per-shard compaction counters all zero after a rebuild")
 	}
 
 	// Clean shutdown flushes all four WAL streams; restart recovers them in

@@ -213,3 +213,82 @@ func TestZNormalizeIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// checkAbandon holds EuclideanSqAbandon to its contract against the plain
+// kernel: a completed sum is bit-identical, an abandoned one proves that the
+// full sum exceeds the limit.
+func checkAbandon(t *testing.T, a, b Series, limit float64) {
+	t.Helper()
+	full := EuclideanSq(a, b)
+	sum, ok := EuclideanSqAbandon(a, b, limit)
+	if ok {
+		if math.Float64bits(sum) != math.Float64bits(full) {
+			t.Fatalf("n=%d limit=%g: completed with %v, EuclideanSq says %v", len(a), limit, sum, full)
+		}
+		return
+	}
+	if !(sum > limit) || !(full > limit) || sum > full {
+		t.Fatalf("n=%d limit=%g: abandoned at %v with full sum %v", len(a), limit, sum, full)
+	}
+}
+
+// abandonCase derives one (a, b, limit) triple from a seed: lengths straddle
+// the check stride, and the limit lands below, inside and above the range of
+// partial sums, plus the edge values a k-NN bound takes (0 and +Inf).
+func abandonCase(seed int64, n int, scale float64) (a, b Series, limit float64) {
+	rng := rand.New(rand.NewSource(seed))
+	a, b = make(Series, n), make(Series, n)
+	for i := range a {
+		a[i], b[i] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	switch rng.Intn(6) {
+	case 0:
+		limit = 0
+	case 1:
+		limit = math.Inf(1)
+	default:
+		limit = scale * EuclideanSq(a, b)
+	}
+	return a, b, limit
+}
+
+func TestEuclideanSqAbandon(t *testing.T) {
+	abandoned := 0
+	for seed := int64(0); seed < 2000; seed++ {
+		n := int(seed % 70) // 0, below one stride, exact multiples, ragged tails
+		a, b, limit := abandonCase(seed, n, float64(seed%13)/8)
+		checkAbandon(t, a, b, limit)
+		if _, ok := EuclideanSqAbandon(a, b, limit); !ok {
+			abandoned++
+		}
+	}
+	if abandoned == 0 {
+		t.Fatal("no case abandoned: the property was only checked on completed sums")
+	}
+	// The limit is a ceiling, not a target: a sum equal to it completes.
+	a, b := make(Series, 32), make(Series, 32)
+	a[0] = 3
+	if sum, ok := EuclideanSqAbandon(a, b, 9); !ok || sum != 9 {
+		t.Fatalf("sum == limit: got (%v, %v), want (9, true)", sum, ok)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("length mismatch did not panic")
+		}
+	}()
+	EuclideanSqAbandon(Series{1}, Series{1, 2}, 1)
+}
+
+func FuzzEuclideanSqAbandon(f *testing.F) {
+	f.Add(int64(1), uint16(256), 0.5)
+	f.Add(int64(2), uint16(16), 1.0)
+	f.Add(int64(3), uint16(17), 0.0)
+	f.Add(int64(4), uint16(0), 2.0)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, scale float64) {
+		if math.IsNaN(scale) {
+			t.Skip()
+		}
+		a, b, limit := abandonCase(seed, int(n%2048), scale)
+		checkAbandon(t, a, b, limit)
+	})
+}
