@@ -3,13 +3,13 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all ci build test race race-short crash faults cover bench bench-check benchdiff vet lint fmtcheck fuzz experiments report clean
+.PHONY: all ci build test race race-short crash faults cover bench bench-check bench-smoke benchdiff vet lint fmtcheck fuzz experiments report clean
 
 all: build vet lint test race-short
 
 # ci mirrors .github/workflows/ci.yml step for step: the workflow shells out
 # to exactly these targets, so what passes here passes there.
-ci: build vet lint fmtcheck test cover race-short crash bench-check
+ci: build vet lint fmtcheck test cover race-short crash bench-check bench-smoke
 
 build:
 	$(GO) build ./...
@@ -102,6 +102,13 @@ bench:
 # benchmark driver sees it.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# One iteration of the flat tier's kernel benchmarks (BenchmarkServedKNN,
+# BenchmarkServedRange, BenchmarkFlatFilter): `go test` compiles benchmarks but
+# never runs them, and these are the per-layer evidence search-kernel PRs
+# quote, so they must keep running.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'Served|FlatFilter' -benchtime 1x ./internal/index
 
 # Benchmark-regression harness: times the hot paths, writes BENCH_<date>.json
 # and fails if allocs/op regresses on a zero-allocation path or ns/op

@@ -21,6 +21,14 @@ func NewQuery(raw ts.Series, rep repr.Representation) Query {
 	return Query{Raw: raw, Prefix: ts.NewPrefix(raw), Rep: rep, Flat: FlattenLinear(rep)}
 }
 
+// NewFilterQuery is NewQuery without the prefix sums — 3·(n+1) floats per
+// query that only Adaptive's MeasureLB reads. Every FilterFunc and every
+// index search works from Raw, Rep and Flat alone, so a caller that only
+// searches (the server) builds its queries here.
+func NewFilterQuery(raw ts.Series, rep repr.Representation) Query {
+	return Query{Raw: raw, Rep: rep, Flat: FlattenLinear(rep)}
+}
+
 // FilterFunc is a representation-space distance used to filter k-NN
 // candidates before exact refinement (the GEMINI framework).
 type FilterFunc func(q Query, c repr.Representation) (float64, error)

@@ -59,39 +59,46 @@ func BatchKNNContext(ctx context.Context, idx Index, queries []dist.Query, k, wo
 	ws, _ := idx.(WorkspaceSearcher)
 	var next atomic.Int64
 	var done atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			var scratch *Workspace
+	work := func() {
+		var scratch *Workspace
+		if ws != nil {
+			scratch = wsPool.Get().(*Workspace)
+			defer wsPool.Put(scratch)
+		}
+		for {
+			if ctx.Err() != nil {
+				return
+			}
+			i := int(next.Add(1)) - 1
+			if i >= len(queries) {
+				return
+			}
 			if ws != nil {
-				scratch = wsPool.Get().(*Workspace)
-				defer wsPool.Put(scratch)
+				res, st, err := ws.KNNWith(scratch, queries[i], k)
+				if len(res) > 0 {
+					out[i] = make([]Result, len(res))
+					copy(out[i], res)
+				}
+				stats[i], errs[i] = st, err
+			} else {
+				out[i], stats[i], errs[i] = idx.KNN(queries[i], k)
 			}
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				if ws != nil {
-					res, st, err := ws.KNNWith(scratch, queries[i], k)
-					if len(res) > 0 {
-						out[i] = make([]Result, len(res))
-						copy(out[i], res)
-					}
-					stats[i], errs[i] = st, err
-				} else {
-					out[i], stats[i], errs[i] = idx.KNN(queries[i], k)
-				}
-				done.Add(1)
-			}
-		}()
+			done.Add(1)
+		}
 	}
-	wg.Wait()
+	if workers == 1 {
+		work() // a single query, or a serial batch: nothing to hand to another goroutine
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
 
 	if err := ctx.Err(); err != nil && int(done.Load()) < len(queries) {
 		return out, stats, fmt.Errorf("%w after %d of %d queries: %w",

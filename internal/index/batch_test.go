@@ -5,7 +5,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -241,6 +244,88 @@ func TestBatchKNNContextCanceled(t *testing.T) {
 				t.Fatalf("q%d result %d diverges between ctx and plain batch", qi, i)
 			}
 		}
+	}
+}
+
+// stackProbe is an Index (and deliberately not a WorkspaceSearcher) that
+// records, per KNN call, whether the calling goroutine's stack passes through
+// the named function, and cancels a context after a set number of calls.
+type stackProbe struct {
+	scan     *LinearScan
+	through  string
+	cancelAt int
+	cancel   context.CancelFunc
+
+	mu       sync.Mutex
+	onCaller []bool
+}
+
+func (p *stackProbe) Insert(e *Entry) error { return p.scan.Insert(e) }
+func (p *stackProbe) Len() int              { return p.scan.Len() }
+func (p *stackProbe) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
+	buf := make([]byte, 8192)
+	stack := string(buf[:runtime.Stack(buf, false)])
+	p.mu.Lock()
+	p.onCaller = append(p.onCaller, strings.Contains(stack, p.through))
+	if len(p.onCaller) == p.cancelAt {
+		p.cancel()
+	}
+	p.mu.Unlock()
+	return p.scan.KNN(q, k)
+}
+
+// TestBatchKNNSerialOnCaller: with one worker — asked for, or all a single
+// query can use — the claim loop runs on the caller's goroutine, answers what
+// the pool answers, and still stops at the first cancellation check.
+func TestBatchKNNSerialOnCaller(t *testing.T) {
+	queries := testQueries(t, 5, 64, 12)
+	probe := func(cancelAt int) (*stackProbe, context.Context) {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		p := &stackProbe{scan: NewLinearScan(), through: "TestBatchKNNSerialOnCaller", cancelAt: cancelAt, cancel: cancel}
+		for _, e := range benchEntries(t, 60, 64, 12) {
+			if err := p.Insert(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p, ctx
+	}
+	for name, c := range map[string]struct {
+		queries  []dist.Query
+		workers  int
+		onCaller bool
+	}{
+		"one worker":            {queries, 1, true},
+		"one query, four asked": {queries[:1], 4, true},
+		"two workers, a pool":   {queries, 2, false},
+	} {
+		p, ctx := probe(0)
+		got, _, err := BatchKNNContext(ctx, p, c.queries, 8, c.workers)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(p.onCaller) != len(c.queries) {
+			t.Fatalf("%s: %d searches for %d queries", name, len(p.onCaller), len(c.queries))
+		}
+		for i, on := range p.onCaller {
+			if on != c.onCaller {
+				t.Fatalf("%s: search %d on the caller's goroutine = %v, want %v", name, i, on, c.onCaller)
+			}
+		}
+		for qi, q := range c.queries {
+			want, _, _ := p.scan.KNN(q, 8)
+			identicalResults(t, name, got[qi], want)
+		}
+	}
+
+	p, ctx := probe(2)
+	out, _, err := BatchKNNContext(ctx, p, queries, 8, 1)
+	if !errors.Is(err, ErrBatchCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled after two: err = %v", err)
+	}
+	if len(p.onCaller) != 2 || out[0] == nil || out[1] == nil || out[2] != nil {
+		t.Fatalf("canceled after two: %d searches ran, answered %v %v %v",
+			len(p.onCaller), out[0] != nil, out[1] != nil, out[2] != nil)
 	}
 }
 

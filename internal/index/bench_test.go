@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -280,6 +281,50 @@ func mixedQueries(tb testing.TB, rng *rand.Rand, entries []*Entry, count, m int)
 		out[i] = dist.NewQuery(raw, rep)
 	}
 	return out
+}
+
+// BenchmarkFlatFilter times the filter stage of the flat tier alone, at the
+// two shapes the end-to-end benchmark serves per shard (M = 12): "rows" is
+// Flat.filterSlots' table kernel, query table build included; "parflat" is
+// the merge loop it replaced, dist.PARFlat once per row, as the reference.
+func BenchmarkFlatFilter(b *testing.B) {
+	for _, shape := range []struct{ count, n int }{{6000, 256}, {1500, 1024}} {
+		rng := rand.New(rand.NewSource(17))
+		entries := mixedEntries(b, rng, shape.count, shape.n, 12)
+		queries := mixedQueries(b, rng, entries, 64, 12)
+		flats := make([]*dist.FlatLinear, len(entries))
+		flat, err := NewFlat("SAPLA")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, e := range entries {
+			flats[i] = dist.FlattenLinear(e.Rep)
+			if err := flat.Insert(e); err != nil {
+				b.Fatal(err)
+			}
+		}
+		out := make([]float64, len(entries))
+		perRow := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(entries)), "ns/row")
+		}
+		name := fmt.Sprintf("%dx%d", shape.count, shape.n)
+		b.Run(name+"/rows", func(b *testing.B) {
+			ws := NewWorkspace()
+			for i := 0; i < b.N; i++ {
+				sweepRows(b, flat, ws, queries[i%len(queries)], out)
+			}
+			perRow(b)
+		})
+		b.Run(name+"/parflat", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				q := queries[i%len(queries)].Flat
+				for s, c := range flats {
+					out[s] = dist.PARFlat(q, c)
+				}
+			}
+			perRow(b)
+		})
+	}
 }
 
 // servedPair builds the two candidates for a shard's index at the size the

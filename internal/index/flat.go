@@ -22,14 +22,77 @@ const refined = -1
 // differs from a stored series' — the exact distance is undefined there.
 var ErrQueryLength = fmt.Errorf("index: query and stored series lengths differ: %w", ts.ErrLengthMismatch)
 
+// parGuard is the relative floor under which the row kernel's d² = ‖q̂‖² +
+// ‖ĉ‖² − 2⟨q̂,ĉ⟩ has cancelled too far to trust — reconstructions that nearly
+// coincide, or that share a large offset — and the row is re-evaluated by
+// dist.PARFlat's merge loop, which sums squared differences and cannot
+// cancel. TestFlatRowFilter sets it: rows just above the guard deviate from
+// PARFlat by ~1.4e-11·(1+d) at 1e-4 and by up to 1.7e-9·(1+d) at 1e-6, and on
+// z-normalised data only a row closer than 0.01·√(2n) to the query — none in
+// the served benchmarks — takes the slow path.
+const parGuard = 1e-4
+
 // flatBlock holds the flattened representations (dist.FlatLinear's A/C/R) of
-// flatRows consecutive slots, row by row at the index's stride. A row with
-// fewer segments than the stride pads its endpoints with N−1: PARFlat's merge
-// loop stops at the first N−1 and never reads the padding. A negative first
-// endpoint marks a vacant row.
+// flatRows consecutive slots, row by row at the index's stride, and the
+// squared norm of each row's reconstruction. A row with fewer segments than
+// the stride pads its endpoints with N−1 and its coefficients with 0: the
+// padding spans the empty range past the series' end, so it adds exactly 0 to
+// the row kernel's inner product (and PARFlat's merge loop stops at the first
+// N−1 without reading it). A negative first endpoint marks a vacant row.
 type flatBlock struct {
 	a, c []float64 // slope and global-time intercept per segment
 	r    []int32   // inclusive right endpoint per segment
+	nn   []float64 // Σ_t ĉ(t)² per row
+}
+
+// parTable is the query's side of the row kernel: running sums of the
+// query's reconstruction q̂, built once per search so that its inner product
+// with any stored segment is two table differences.
+type parTable struct {
+	p  [][2]float64 // p[x] = {Σ_{t<x} q̂(t), Σ_{t<x} t·q̂(t)}, x = 0..n
+	qq float64      // Σ_t q̂(t)²
+}
+
+// reset rebuilds the table for q, which must be Valid, straight from its
+// segments' lines.
+//
+//sapla:noalloc
+func (t *parTable) reset(q *dist.FlatLinear) {
+	if cap(t.p) < q.N+1 {
+		t.p = make([][2]float64, q.N+1) //sapla:alloc amortised growth of the reused table; steady state never re-enters
+	}
+	t.p = t.p[:q.N+1]
+	var s0, s1, qq float64
+	x := 0
+	for j, r := range q.R {
+		a, c := q.A[j], q.C[j]
+		for ; x <= int(r); x++ {
+			t.p[x] = [2]float64{s0, s1}
+			tm := float64(x)
+			v := a*tm + c
+			s0 += v
+			s1 += tm * v
+			qq += v * v
+		}
+	}
+	t.p[x] = [2]float64{s0, s1}
+	t.qq = qq
+}
+
+// sqNorm returns Σ_t ĉ(t)² of a Valid flat representation in closed form per
+// segment, in the segment's local time so that the global intercept's
+// A·start term does not cancel against it.
+func sqNorm(fl *dist.FlatLinear) float64 {
+	var sum float64
+	start := int32(0)
+	for j, r := range fl.R {
+		l := float64(r - start + 1)
+		a := fl.A[j]
+		b := a*float64(start) + fl.C[j]
+		sum += l*(l-1)*(2*l-1)/6*a*a + l*(l-1)*a*b + l*b*b
+		start = r + 1
+	}
+	return sum
 }
 
 // Flat is the filter-and-refine tier without a tree: every live entry sits in
@@ -113,7 +176,9 @@ func (f *Flat) Insert(e *Entry) error {
 	copy(b.c[at:], fl.C)
 	for i := at + used; i < at+f.stride; i++ {
 		b.r[i] = int32(f.n - 1)
+		b.a[i], b.c[i] = 0, 0 // a reused slot still holds its last tenant's
 	}
+	b.nn[s%flatRows] = sqNorm(fl)
 	return nil
 }
 
@@ -125,9 +190,10 @@ func (f *Flat) row(s int) (*flatBlock, int) {
 // newFlatBlock allocates one block with every row vacant.
 func newFlatBlock(stride int) flatBlock {
 	b := flatBlock{
-		a: make([]float64, flatRows*stride),
-		c: make([]float64, flatRows*stride),
-		r: make([]int32, flatRows*stride),
+		a:  make([]float64, flatRows*stride),
+		c:  make([]float64, flatRows*stride),
+		r:  make([]int32, flatRows*stride),
+		nn: make([]float64, flatRows),
 	}
 	for i := range b.r {
 		b.r[i] = -1
@@ -178,6 +244,7 @@ func (f *Flat) Delete(id int) bool {
 			copy(to.a[ta:ta+f.stride], from.a[fa:])
 			copy(to.c[ta:ta+f.stride], from.c[fa:])
 			copy(to.r[ta:ta+f.stride], from.r[fa:])
+			to.nn[s%flatRows] = from.nn[last%flatRows]
 		}
 	}
 	f.ents[last] = nil
@@ -192,36 +259,63 @@ func (f *Flat) Delete(id int) bool {
 	return true
 }
 
-// blockFilter reports whether q can be filtered against the block rows: it
-// has a well-formed flat form of the rows' series length.
-func (f *Flat) blockFilter(q dist.Query) bool {
-	return f.stride > 0 && q.Flat.Valid() && q.Flat.N == f.n
+// queryTable returns ws's table rebuilt for q when q can be filtered against
+// the block rows — it has a well-formed flat form of the rows' series length —
+// and nil when every slot must go through the generic measure.
+//
+//sapla:noalloc
+func (f *Flat) queryTable(ws *Workspace, q dist.Query) *parTable {
+	if f.stride == 0 || !q.Flat.Valid() || q.Flat.N != f.n {
+		return nil
+	}
+	ws.tab.reset(q.Flat)
+	return &ws.tab
 }
 
 // filterSlots writes the filter distance from q to slots lo..lo+len(out)−1
-// (all within one block) into out: PARFlat over the occupied rows when rows
-// is set, the method's generic measure for everything else. A measure error
-// aborts.
+// (all within one block) into out: Dist_PAR over the occupied rows when tab is
+// q's table, the method's generic measure for everything else. A measure
+// error aborts.
+//
+// Dist_PAR is the Euclidean distance between the reconstructions q̂ and ĉ, so
+// d² = ‖q̂‖² + ‖ĉ‖² − 2⟨q̂,ĉ⟩, and over one stored segment ⟨q̂,ĉ⟩ is
+// A·Σt·q̂(t) + C·Σq̂(t) — two differences of tab's running sums. A row costs
+// its stride in multiply-adds, with no merge against the query's endpoints.
 //
 //sapla:noalloc
-func (f *Flat) filterSlots(q dist.Query, rows bool, lo int, out []float64) error {
-	if rows {
+func (f *Flat) filterSlots(q dist.Query, tab *parTable, lo int, out []float64) error {
+	if tab != nil {
 		b, _ := f.row(lo)
-		row := dist.FlatLinear{N: f.n}
+		p, qq, stride := tab.p, tab.qq, f.stride
+		row := dist.FlatLinear{N: f.n} // the guard's view of a row
 		for i := range out {
-			at, end := i*f.stride, (i+1)*f.stride
+			at, end := i*stride, (i+1)*stride
 			if b.r[at] < 0 {
 				continue
 			}
-			row.A, row.C, row.R = b.a[at:end], b.c[at:end], b.r[at:end]
-			out[i] = dist.PARFlat(q.Flat, &row)
+			a, c, r := b.a[at:end], b.c[at:end], b.r[at:end]
+			var dot float64
+			var prev [2]float64
+			for j, e := range r {
+				cur := p[e+1]
+				dot += a[j]*(cur[1]-prev[1]) + c[j]*(cur[0]-prev[0])
+				prev = cur
+			}
+			norms := qq + b.nn[i]
+			d2 := norms - 2*dot
+			if d2 < parGuard*norms {
+				row.A, row.C, row.R = a, c, r
+				out[i] = dist.PARFlat(q.Flat, &row)
+				continue
+			}
+			out[i] = math.Sqrt(d2)
 		}
 		if f.generic == 0 {
 			return nil
 		}
 	}
 	for i := range out {
-		if rows && f.occupied(lo+i) {
+		if tab != nil && f.occupied(lo+i) {
 			continue
 		}
 		fd, err := f.filter(q, f.ents[lo+i].Rep)
@@ -282,10 +376,10 @@ func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 	filt := ws.filt[:n]
 	seeds := ws.seeds
 	seeds.Reset()
-	rows := f.blockFilter(q)
+	tab := f.queryTable(ws, q)
 	for lo := 0; lo < n; lo += flatRows {
 		out := filt[lo:min(lo+flatRows, n)]
-		if err := f.filterSlots(q, rows, lo, out); err != nil {
+		if err := f.filterSlots(q, tab, lo, out); err != nil {
 			return nil, stats, err
 		}
 		for i, fd := range out {
@@ -337,10 +431,12 @@ func (f *Flat) Range(q dist.Query, radius float64) ([]Result, SearchStats, error
 	var out []Result
 	var buf [flatRows]float64
 	limit := abandonLimit(radius)
-	rows := f.blockFilter(q)
+	ws := wsPool.Get().(*Workspace) // for the query's table
+	defer wsPool.Put(ws)
+	tab := f.queryTable(ws, q)
 	for lo := 0; lo < n; lo += flatRows {
 		filt := buf[:min(flatRows, n-lo)]
-		if err := f.filterSlots(q, rows, lo, filt); err != nil {
+		if err := f.filterSlots(q, tab, lo, filt); err != nil {
 			return nil, stats, err
 		}
 		stats.Filtered += len(filt)

@@ -29,6 +29,9 @@ type Workspace struct {
 	// distance per slot, and the slots of the k smallest of them, worst on top.
 	filt  []float64
 	seeds *pqueue.Heap[int32]
+	// tab is the flat tier's per-query table (Flat.queryTable), rebuilt by
+	// every search that sweeps block rows.
+	tab parTable
 }
 
 // NewWorkspace returns an empty search workspace.

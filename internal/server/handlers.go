@@ -445,7 +445,7 @@ func (s *Server) prepareQuery(values ts.Series) (dist.Query, error) {
 	if err != nil {
 		return dist.Query{}, fmt.Errorf("reduce: %w", err)
 	}
-	return dist.NewQuery(values, rep), nil
+	return dist.NewFilterQuery(values, rep), nil
 }
 
 // knnStatus maps a batch search error to a status code: a cancellation
