@@ -104,11 +104,13 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of the flat tier's kernel benchmarks (BenchmarkServedKNN,
-# BenchmarkServedRange, BenchmarkFlatFilter): `go test` compiles benchmarks but
-# never runs them, and these are the per-layer evidence search-kernel PRs
-# quote, so they must keep running.
+# BenchmarkServedRange, BenchmarkFlatFilter) and of the request front end's
+# (BenchmarkHandlerKNN, BenchmarkHandlerKNNBatch, BenchmarkHandlerIngestBatch,
+# BenchmarkDecodeBody): `go test` compiles benchmarks but never runs them, and
+# these are the per-layer evidence perf PRs quote, so they must keep running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Served|FlatFilter' -benchtime 1x ./internal/index
+	$(GO) test -run '^$$' -bench 'Handler|DecodeBody' -benchtime 1x ./internal/server
 
 # Benchmark-regression harness: times the hot paths, writes BENCH_<date>.json
 # and fails if allocs/op regresses on a zero-allocation path or ns/op

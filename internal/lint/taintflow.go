@@ -25,6 +25,10 @@ import (
 //     ValidParams comparison bits;
 //   - strconv parses (Atoi/Parse*), whose results are shape-checked scalars.
 //
+// A call that yields a context.Context (r.Context()) is clean: the context
+// carries the request's deadline and cancellation, nothing the client wrote,
+// so handing it to a helper does not taint what the helper returns.
+//
 // Sinks: Insert* index methods and Append* methods on a Store (by identity,
 // like baseEffects), positions that flow into one through a callee's
 // SinkParams bitset (masked by ValidParams — a validate-then-sink helper is
@@ -447,6 +451,9 @@ func (w *taintWalker) evalCall(call *ast.CallExpr, st *taintState) bool {
 	}
 	if isStrconvParse(w.info, call) {
 		return false // a parsed scalar is shape-checked by construction
+	}
+	if isContextType(typeOf(w.info, call)) {
+		return false // r.Context() carries the deadline and cancellation, no payload
 	}
 
 	callees := w.ip.Callees(w.info, call)

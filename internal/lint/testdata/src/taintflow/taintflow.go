@@ -4,6 +4,7 @@
 package taintflow
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"strconv"
@@ -166,6 +167,27 @@ func handleAsync(w http.ResponseWriter, r *http.Request, s *Store) {
 		_ = s.AppendIngest(6, req.Values) // want "unvalidated request data .* reaches AppendIngest"
 	}
 	commit()
+}
+
+// summarize models a cancellable helper over validated data.
+func summarize(ctx context.Context, vals []float64) []float64 {
+	if ctx.Err() != nil {
+		return nil
+	}
+	return vals
+}
+
+// handleCancellable is clean: the request's context is not payload, so the
+// helper's result is as trusted as the validated values it was given.
+func handleCancellable(w http.ResponseWriter, r *http.Request, s *Store) {
+	var req ingestReq
+	if err := decode(r, &req); err != nil {
+		return
+	}
+	if err := ValidateSeries(req.Values, 8); err != nil {
+		return
+	}
+	_ = s.AppendIngest(9, summarize(r.Context(), req.Values))
 }
 
 // handleReplay documents a deliberate exception.

@@ -10,6 +10,52 @@ import (
 	"testing"
 )
 
+// benchServer returns an in-memory server holding stored series of length n,
+// bulk-loaded 250 at a time as the end-to-end benchmark does, and a function
+// that serves one request through the full handler chain with no socket in
+// between.
+func benchServer(b *testing.B, rng *rand.Rand, stored, n int) func(path string, raw []byte, want int) {
+	b.Helper()
+	s, err := New(Config{M: 12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func(path string, raw []byte, want int) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(raw)))
+		if rec.Code != want {
+			b.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+		}
+	}
+	for lo := 0; lo < stored; lo += 250 {
+		post("/v1/ingest/batch", ingestBatchBody(rng, 250, n), http.StatusCreated)
+	}
+	return post
+}
+
+func benchBody(b *testing.B, v any) []byte {
+	b.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return raw
+}
+
+// ingestBatchBody renders count series without IDs in the benchmark's wire
+// format; json.Marshal would write "id":null, which is encoding/json's to
+// decode.
+func ingestBatchBody(rng *rand.Rand, count, n int) []byte {
+	raw := []byte(`{"series":[`)
+	for i := 0; i < count; i++ {
+		if i > 0 {
+			raw = append(raw, ',')
+		}
+		raw = append(wireValues(append(raw, '{'), randWalk(rng, n)), '}')
+	}
+	return append(raw, `]}`...)
+}
+
 // BenchmarkHandlerKNN serves POST /v1/knn through the full handler chain —
 // decode, validate, reduce, search, encode — with no socket in between:
 // 1000 stored series at the two lengths the end-to-end benchmark uses, so
@@ -17,40 +63,87 @@ import (
 func BenchmarkHandlerKNN(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			s, err := New(Config{M: 12})
-			if err != nil {
-				b.Fatal(err)
-			}
 			rng := rand.New(rand.NewSource(3))
-			body := func(v any) []byte {
-				raw, err := json.Marshal(v)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return raw
-			}
-			post := func(path string, raw []byte, want int) {
-				rec := httptest.NewRecorder()
-				s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(raw)))
-				if rec.Code != want {
-					b.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
-				}
-			}
-			for lo := 0; lo < 1000; lo += 250 {
-				batch := make([]ingestRequest, 250)
-				for i := range batch {
-					batch[i].Values = randWalk(rng, n)
-				}
-				post("/v1/ingest/batch", body(ingestBatchRequest{Series: batch}), http.StatusCreated)
-			}
+			post := benchServer(b, rng, 1000, n)
 			queries := make([][]byte, 16)
 			for i := range queries {
-				queries[i] = body(knnRequest{Values: randWalk(rng, n), K: 10})
+				queries[i] = benchBody(b, knnRequest{Values: randWalk(rng, n), K: 10})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				post("/v1/knn", queries[i%len(queries)], http.StatusOK)
+			}
+		})
+	}
+}
+
+// BenchmarkHandlerKNNBatch serves the end-to-end benchmark's batch shape, 32
+// queries per POST /v1/knn/batch. Run at -cpu 1,2: decode is serial, the
+// reduction in front of the search spreads over the workers.
+func BenchmarkHandlerKNNBatch(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(4))
+			post := benchServer(b, rng, 1000, n)
+			req := batchRequest{K: 10, Queries: make([]batchQuery, 32)}
+			for i := range req.Queries {
+				req.Queries[i].Values = randWalk(rng, n)
+			}
+			raw := benchBody(b, req)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post("/v1/knn/batch", raw, http.StatusOK)
+			}
+		})
+	}
+}
+
+// BenchmarkHandlerIngestBatch serves the bulk-load shape, 250 series per POST
+// /v1/ingest/batch with server-assigned IDs, into an in-memory index (no
+// WAL): what is left is decode, validate, reduce and insert. Run at -cpu 1,2.
+func BenchmarkHandlerIngestBatch(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			post := benchServer(b, rng, 250, n)
+			raw := ingestBatchBody(rng, 250, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post("/v1/ingest/batch", raw, http.StatusCreated)
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeBody decodes one k-NN body from memory into a zeroed target:
+// the scanner decodeRequest tries first against the encoding/json call it
+// falls back to.
+func BenchmarkDecodeBody(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		raw := benchBody(b, knnRequest{Values: randWalk(rand.New(rand.NewSource(6)), n), K: 10})
+		b.Run(fmt.Sprintf("n%d/scanner", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(raw)))
+			var req knnRequest
+			for i := 0; i < b.N; i++ {
+				req = knnRequest{}
+				if fast, err := decodeRequest(raw, &req); !fast || err != nil {
+					b.Fatal(fast, err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("n%d/encoding-json", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(raw)))
+			var req knnRequest
+			for i := 0; i < b.N; i++ {
+				req = knnRequest{}
+				if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&req); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -71,11 +73,12 @@ func (s *Server) openStores() ([]*index.Flat, error) {
 		return nil, err
 	}
 
-	// Rebuild each shard's index from its recovered series, shards in
-	// parallel: reduction dominates recovery time and is embarrassingly
-	// parallel across shards (the Reducer pool hands each goroutine its own
-	// workspace). Cross-shard bookkeeping (claimed set, nextID, series
-	// length) funnels through bookMu.
+	// Rebuild each shard's index from its recovered series. Reduction
+	// dominates recovery time, so the cores are split evenly over the shards
+	// and each shard reduces on its share: four shards on two cores stay at
+	// one goroutine each, one shard uses both. Cross-shard bookkeeping
+	// (claimed set, nextID, series length) funnels through bookMu.
+	workers := max(1, runtime.GOMAXPROCS(0)/len(recs))
 	errs := make([]error, len(recs))
 	var wg sync.WaitGroup
 	for i := range recs {
@@ -83,14 +86,18 @@ func (s *Server) openStores() ([]*index.Flat, error) {
 		go func(i int) {
 			defer wg.Done()
 			sh := s.shards[i]
-			entries := make([]*index.Entry, 0, len(recs[i].Series))
-			for _, sr := range recs[i].Series {
-				rep, rerr := s.reduce(sr.Values)
-				if rerr != nil {
-					errs[i] = fmt.Errorf("server: recover series %d: %w", sr.ID, rerr)
-					return
-				}
-				entries = append(entries, index.NewEntry(int(sr.ID), sr.Values, rep))
+			values := make([]ts.Series, len(recs[i].Series))
+			for j, sr := range recs[i].Series {
+				values[j] = sr.Values
+			}
+			reps, bad, rerr := s.reduceAll(context.Background(), values, workers)
+			if rerr != nil {
+				errs[i] = fmt.Errorf("server: recover series %d: %w", recs[i].Series[bad].ID, rerr)
+				return
+			}
+			entries := make([]*index.Entry, len(values))
+			for j, sr := range recs[i].Series {
+				entries[j] = index.NewEntry(int(sr.ID), sr.Values, reps[j])
 				sh.ids[int(sr.ID)] = sr.Values
 			}
 			if err := tiers[i].InsertBatch(entries); err != nil {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
@@ -51,7 +52,7 @@ func knnIDs(t *testing.T, client *http.Client, base string, q ts.Series, k int) 
 // equality is exact, not merely prefix-consistent. The property runs at
 // shard counts 1, 4 and 7: the crash takes down every per-shard WAL stream
 // at once, and parallel recovery across the streams must still reproduce the
-// single-shard answers bit-for-bit.
+// single-shard answers bit-for-bit — with one core or four to reduce on.
 func TestServerCrashRecoveryProperty(t *testing.T) {
 	trials := 4
 	if testing.Short() {
@@ -107,8 +108,13 @@ func TestServerCrashRecoveryProperty(t *testing.T) {
 				mem.Crash(nil)
 
 				// Reopen with a deliberately wrong shard request: the
-				// manifest must pin the original count.
+				// manifest must pin the original count. Recovery splits
+				// GOMAXPROCS over the shards (one core: every shard reduces
+				// serially; four: one shard gets four workers, four shards
+				// one each), and what it rebuilds must not depend on it.
+				prevProcs := runtime.GOMAXPROCS([]int{1, 4}[trial%2])
 				rec, hrec := newTestServer(t, durableShardedConfig(mem, 1, shards%3+1))
+				runtime.GOMAXPROCS(prevProcs)
 				info, _, ok := rec.Recovery()
 				if !ok {
 					t.Fatalf("trial %d: recovered server reports no durability", trial)

@@ -1,16 +1,20 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"sapla/internal/core"
 	"sapla/internal/dist"
 	"sapla/internal/index"
+	"sapla/internal/reduce"
 	"sapla/internal/repr"
 	"sapla/internal/ts"
 	"sapla/internal/tsio"
@@ -34,37 +38,101 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeBody decodes the request body into v, translating size-limit and
-// syntax failures into client errors. It reports whether decoding succeeded.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooBig.Limit)
-			return false
-		}
-		writeErr(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return false
+// borrowReducer returns a reduction method for the calling goroutine's
+// exclusive use until releaseReducer. SAPLA comes from the pool of
+// allocation-free Reducers; baseline methods get a fresh instance (their
+// constructors are cheap and their scratch state is not goroutine-safe).
+func (s *Server) borrowReducer() (reduce.Method, error) {
+	if s.cfg.Method == "SAPLA" {
+		return s.reducers.Get().(*core.Reducer), nil
 	}
-	return true
+	return methodFor(s.cfg.Method)
 }
 
-// reduce runs the configured reduction. SAPLA goes through the pooled
-// allocation-free Reducer; baseline methods get a fresh instance (their
-// constructors are cheap and their scratch state is not goroutine-safe).
-func (s *Server) reduce(values ts.Series) (repr.Representation, error) {
-	if s.cfg.Method == "SAPLA" {
-		red := s.reducers.Get().(*core.Reducer)
-		defer s.reducers.Put(red)
-		return red.Reduce(values, s.cfg.M)
+// releaseReducer gives a borrowed SAPLA Reducer back to the pool.
+func (s *Server) releaseReducer(m reduce.Method) {
+	if red, ok := m.(*core.Reducer); ok {
+		s.reducers.Put(red)
 	}
-	m, err := methodFor(s.cfg.Method)
+}
+
+// reduce runs the configured reduction on one series.
+func (s *Server) reduce(values ts.Series) (repr.Representation, error) {
+	m, err := s.borrowReducer()
 	if err != nil {
 		return nil, err
 	}
+	defer s.releaseReducer(m)
 	return m.Reduce(values, s.cfg.M)
+}
+
+// reduceAll reduces every series on up to workers goroutines (≤ 0 selects
+// GOMAXPROCS), each holding one borrowed reducer and claiming the next
+// unreduced index from a shared counter. A failure stops further claims and
+// reports the lowest failing index with its error — indices are claimed in
+// order, so everything below a failed one was claimed too and runs to its own
+// verdict, which makes that index the one a serial loop stops at. ctx is
+// re-checked before each claim: a cancelled request costs at most one more
+// reduction per worker and returns ctx's error with index -1.
+func (s *Server) reduceAll(ctx context.Context, values []ts.Series, workers int) ([]repr.Representation, int, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(values))
+	reps := make([]repr.Representation, len(values))
+	var (
+		next    atomic.Int64
+		stop    atomic.Bool
+		mu      sync.Mutex // guards failIdx, failErr
+		failIdx = -1
+		failErr error
+	)
+	fail := func(i int, err error) {
+		stop.Store(true)
+		mu.Lock()
+		if failIdx < 0 || i < failIdx {
+			failIdx, failErr = i, err
+		}
+		mu.Unlock()
+	}
+	work := func() {
+		m, err := s.borrowReducer()
+		if err != nil {
+			fail(0, err)
+			return
+		}
+		defer s.releaseReducer(m)
+		for !stop.Load() && ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(values) {
+				return
+			}
+			if reps[i], err = m.Reduce(values[i], s.cfg.M); err != nil {
+				fail(i, err)
+				return
+			}
+		}
+	}
+	if workers <= 1 {
+		work() // nothing to hand to another goroutine
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	if failErr != nil {
+		return nil, failIdx, failErr
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, -1, err
+	}
+	return reps, -1, nil
 }
 
 // unclaim releases an ID claim after a failed commit so the ID becomes
@@ -77,13 +145,14 @@ func (s *Server) unclaim(ids ...int) {
 	s.bookMu.Unlock()
 }
 
-// checkSeries validates values against the index's fixed series length.
-// A zero fixed length (nothing ingested yet) admits any valid series.
-func (s *Server) checkSeries(values ts.Series) error {
+// checkSeries validates values against n, the index's fixed series length as
+// seriesLen read it for this request. A zero n (nothing ingested yet) admits
+// any valid series.
+func checkSeries(values ts.Series, n int) error {
 	if err := tsio.ValidateSeries(values); err != nil {
 		return err
 	}
-	if n := s.seriesLen(); n != 0 && len(values) != n {
+	if n != 0 && len(values) != n {
 		return fmt.Errorf("series length %d does not match index series length %d", len(values), n)
 	}
 	return nil
@@ -107,10 +176,10 @@ type ingestResponse struct {
 // handleIngest reduces one raw series and inserts it into the index.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req ingestRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if err := s.checkSeries(req.Values); err != nil {
+	if err := checkSeries(req.Values, s.seriesLen()); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -210,7 +279,7 @@ type ingestBatchResponse struct {
 // ID or append failure rejects the whole request with nothing applied.
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	var req ingestBatchRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Series) == 0 {
@@ -222,16 +291,16 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 			"batch of %d exceeds limit %d", len(req.Series), s.cfg.MaxBatch)
 		return
 	}
-	// Validate and reduce everything before taking the lock: reduction is the
-	// expensive part and needs no bookkeeping state. The loop doubles as the
-	// taint barrier — values and reqIDs hold only items that passed
+	// Validate, then reduce, everything before taking the lock: reduction is
+	// the expensive part and needs no bookkeeping state. The validation loop is
+	// the taint barrier — values and reqIDs hold only items that passed
 	// checkSeries, and every phase below works from these extracts, never
 	// from the raw request again.
-	reps := make([]repr.Representation, len(req.Series))
+	n := s.seriesLen()
 	values := make([]ts.Series, len(req.Series))
 	reqIDs := make([]*int, len(req.Series))
 	for i, item := range req.Series {
-		if err := s.checkSeries(item.Values); err != nil {
+		if err := checkSeries(item.Values, n); err != nil {
 			writeErr(w, http.StatusBadRequest, "series %d: %v", i, err)
 			return
 		}
@@ -243,12 +312,11 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 				i, len(values[i]), len(values[0]))
 			return
 		}
-		rep, err := s.reduce(values[i])
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "series %d: reduce: %v", i, err)
-			return
-		}
-		reps[i] = rep
+	}
+	reps, bad, err := s.reduceAll(r.Context(), values, s.cfg.Workers)
+	if err != nil {
+		writeReduceErr(w, "series", bad, err)
+		return
 	}
 
 	// Same commit discipline as handleIngest, batched and sharded: every ID
@@ -438,7 +506,7 @@ type knnResponse struct {
 
 // prepareQuery validates and reduces one query series.
 func (s *Server) prepareQuery(values ts.Series) (dist.Query, error) {
-	if err := s.checkSeries(values); err != nil {
+	if err := checkSeries(values, s.seriesLen()); err != nil {
 		return dist.Query{}, err
 	}
 	rep, err := s.reduce(values)
@@ -446,6 +514,17 @@ func (s *Server) prepareQuery(values ts.Series) (dist.Query, error) {
 		return dist.Query{}, fmt.Errorf("reduce: %w", err)
 	}
 	return dist.NewFilterQuery(values, rep), nil
+}
+
+// writeReduceErr answers a failed reduceAll: item bad of the batch (a
+// "series" or a "query") could not be reduced, or — bad < 0 — the request was
+// cancelled first, which is the client's doing (see knnStatus).
+func writeReduceErr(w http.ResponseWriter, item string, bad int, err error) {
+	if bad < 0 {
+		writeErr(w, http.StatusServiceUnavailable, "reduce: %v", err)
+		return
+	}
+	writeErr(w, http.StatusBadRequest, "%s %d: reduce: %v", item, bad, err)
 }
 
 // knnStatus maps a batch search error to a status code: a cancellation
@@ -470,7 +549,7 @@ func (s *Server) checkK(k int) error {
 // queries and batches share one code path (and one workspace pool).
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	var req knnRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if err := s.checkK(req.K); err != nil {
@@ -498,10 +577,14 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 
 // batchRequest is the POST /v1/knn/batch body.
 type batchRequest struct {
-	K       int `json:"k"`
-	Queries []struct {
-		Values ts.Series `json:"values"`
-	} `json:"queries"`
+	K       int          `json:"k"`
+	Queries []batchQuery `json:"queries"`
+}
+
+// batchQuery is one query of a batch. An alias, so the struct stays unnamed
+// and encoding/json's type errors keep naming the field ".queries.values".
+type batchQuery = struct {
+	Values ts.Series `json:"values"`
 }
 
 // batchResponse answers a batch; Answers[i] corresponds to Queries[i].
@@ -521,7 +604,7 @@ type knnAnswer struct {
 // BatchKNN pool; each query sees a consistent index snapshot.
 func (s *Server) handleKNNBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if err := s.checkK(req.K); err != nil {
@@ -537,14 +620,23 @@ func (s *Server) handleKNNBatch(w http.ResponseWriter, r *http.Request) {
 			"batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch)
 		return
 	}
-	queries := make([]dist.Query, len(req.Queries))
+	n := s.seriesLen()
+	values := make([]ts.Series, len(req.Queries))
 	for i, rq := range req.Queries {
-		q, err := s.prepareQuery(rq.Values)
-		if err != nil {
+		if err := checkSeries(rq.Values, n); err != nil {
 			writeErr(w, http.StatusBadRequest, "query %d: %v", i, err)
 			return
 		}
-		queries[i] = q
+		values[i] = rq.Values
+	}
+	reps, bad, err := s.reduceAll(r.Context(), values, s.cfg.Workers)
+	if err != nil {
+		writeReduceErr(w, "query", bad, err)
+		return
+	}
+	queries := make([]dist.Query, len(values))
+	for i := range values {
+		queries[i] = dist.NewFilterQuery(values[i], reps[i])
 	}
 	size := s.idx.Len()
 	out, stats, err := index.BatchKNNContext(r.Context(), s.idx, queries, req.K, s.cfg.Workers)
@@ -574,7 +666,7 @@ type rangeRequest struct {
 // handleRange answers one ε-range query.
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	var req rangeRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Radius < 0 {

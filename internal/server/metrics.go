@@ -140,6 +140,11 @@ type metrics struct {
 	ingested expvar.Int // series accepted
 	deleted  expvar.Int // series removed
 
+	// Request bodies by the decoder that took them: the hand-written scanner
+	// or, for anything outside its subset, encoding/json at about 3× the cost.
+	decodeFast     expvar.Int
+	decodeFallback expvar.Int
+
 	// Durability instrumentation (zero when the WAL is disabled).
 	// snapshots sums across shards; shardSnapshots[i] counts shard i's.
 	walSync        *histogram // WAL fsync latency, the write-path floor
@@ -209,6 +214,10 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 	doc["requests"] = raw(m.requests)
 	doc["errors"] = raw(m.errors)
 	doc["shed"] = raw(m.shed)
+	doc["decode"] = mustJSON(map[string]any{
+		"fast":     m.decodeFast.Value(),
+		"fallback": m.decodeFallback.Value(),
+	})
 
 	lat := map[string]json.RawMessage{}
 	for name, h := range m.latency {
