@@ -145,9 +145,8 @@ type bench struct {
 
 // benches builds the tracked hot-path benchmarks: reduction, the Dist_PAR
 // filter (scalar and unrolled-flat kernels), single-query k-NN on a warm
-// workspace, k-NN under a looping writer (lock-free read-path latency),
-// DBCH ingest (incremental, batched, and sharded), arena compaction, and
-// the batch query engine (single-tree and scatter-gather).
+// workspace, DBCH ingest (incremental, batched, and sharded), arena
+// compaction, and the batch query engine (single-tree and scatter-gather).
 func benches() []bench {
 	series := randWalk(11, 1024)
 	meth := sapla.SAPLA()
@@ -313,60 +312,6 @@ func benches() []bench {
 					b.Fatal(err)
 				}
 			}
-		}},
-		{"KNNUnderWrite", func(b *testing.B) {
-			// Reader latency while one writer loops insert/delete churn
-			// on the same index: with lock-free copy-on-write reads this
-			// prices a pin + view load + traversal, independent of the
-			// writer's lock hold time.
-			t, err := sapla.NewDBCH("SAPLA")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := t.InsertBatch(entries); err != nil {
-				b.Fatal(err)
-			}
-			ci := sapla.NewConcurrentIndex(t)
-			churn := make([]*sapla.Entry, 32)
-			for i := range churn {
-				raw := randWalk(int64(20000+i), 128)
-				rep, err := meth.Reduce(raw, 12)
-				if err != nil {
-					b.Fatal(err)
-				}
-				churn[i] = sapla.NewEntry(20000+i, raw, rep)
-			}
-			stop := make(chan struct{})
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					e := churn[i%len(churn)]
-					if err := ci.Insert(e); err != nil {
-						b.Error(err)
-						return
-					}
-					ci.Delete(e.ID)
-				}
-			}()
-			ws := sapla.NewSearchWorkspace()
-			if _, _, err := ci.KNNWith(ws, queries[0], 8); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ci.KNNWith(ws, queries[0], 8); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			close(stop)
-			<-done
 		}},
 		{"Compact", func(b *testing.B) {
 			// A fragmented tree: every third entry deleted. Compact always

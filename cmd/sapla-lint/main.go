@@ -6,14 +6,12 @@
 // errors (errcheck), WAL-append-before-acknowledge ordering (walorder),
 // context threading and cancellable goroutines (ctxflow), a cycle-free
 // lock-acquisition order (lockorder), no copied sync primitives or mixed
-// atomic/plain field access (copylocks), and the publication-safety trio
-// behind the lock-free read path — no writes through atomically published
-// values (immutpub), no arena-backed slices surviving a repack
-// (arenaretain), and epoch-bracketed snapshot reads (epochcheck) — plus the
-// flow-sensitive trio gating the streaming/multi-node tier: every goroutine
-// joined by its spawner or cancellable (goleak), bounded channel blocking on
-// the serving and WAL paths (chanflow), and no request-derived data reaching
-// the index, the WAL or an allocation size unvalidated (taintflow).
+// atomic/plain field access (copylocks), and no arena-backed slices
+// surviving a repack (arenaretain) — plus the flow-sensitive trio gating the
+// streaming/multi-node tier: every goroutine joined by its spawner or
+// cancellable (goleak), bounded channel blocking on the serving and WAL
+// paths (chanflow), and no request-derived data reaching the index, the WAL
+// or an allocation size unvalidated (taintflow).
 //
 // Usage:
 //

@@ -55,11 +55,9 @@ func (a *nodeArena) alloc(leaf bool) int32 {
 	return id
 }
 
-// freeNode returns a node id to the free list. The slot block is left as-is;
-// alloc reinitialises the header fields on reuse. The count write makes this
-// a mutation of the slot: under copy-on-write, frozen ids must never come
-// here directly — they go through retireOrFree, which queues them until
-// epoch-based reclamation proves no published view can still reach them.
+// freeNode returns a node id to the free list. The slot block is left as-is
+// and no array moves, so a slotsOf slice held across the call stays valid;
+// alloc reinitialises the header fields on reuse.
 //
 //sapla:noalloc
 func (a *nodeArena) freeNode(id int32) {

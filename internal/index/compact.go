@@ -49,14 +49,8 @@ func (t *DBCH) Fragmentation() float64 {
 // and the tree is bulk-loaded back. The result is bit-identical to a fresh
 // tree bulk-loaded with the same entries in the same order — compaction
 // changes memory layout, never answers. Backing arrays are retained, so a
-// compaction cycle costs no arena reallocations — except under copy-on-write,
-// where resetting in place would repack slots under published views, so the
-// rebuild goes into wholly fresh arenas instead (compactCOW).
+// compaction cycle costs no arena reallocations.
 func (t *DBCH) Compact() {
-	if t.cowOn {
-		t.compactCOW()
-		return
-	}
 	live := make([]*Entry, 0, t.size)
 	for _, e := range t.ents {
 		if e != nil {

@@ -73,6 +73,100 @@ func TestConcurrentIndexBasics(t *testing.T) {
 	}
 }
 
+// TestConcurrentIndexEpochContract pins the single-counter invariant for
+// both inner types: every committed mutation advances Epoch by exactly one,
+// a failed one leaves it where it was, and on a quiescent index KNNSnapshot
+// reports the same epoch Epoch does.
+func TestConcurrentIndexEpochContract(t *testing.T) {
+	flat, err := NewFlat("SAPLA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		ci       *ConcurrentIndex
+		compacts bool // inner is a Compactor
+	}{
+		{"DBCH", newConcurrentDBCH(t), true},
+		{"Flat", NewConcurrent(flat), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			meth := buildMethod(t, "SAPLA")
+			entries := makeEntries(t, meth, rng, 20, 64, 12)
+			ci, want := tc.ci, uint64(0)
+			step := func(op string, committed bool) {
+				t.Helper()
+				if committed {
+					want++
+				}
+				if got := ci.Epoch(); got != want {
+					t.Fatalf("after %s: Epoch = %d, want %d", op, got, want)
+				}
+			}
+
+			step("construction", false)
+			if err := ci.Insert(entries[0]); err != nil {
+				t.Fatal(err)
+			}
+			step("Insert", true)
+			if err := ci.InsertBatch(entries[1:]); err != nil {
+				t.Fatal(err)
+			}
+			step("InsertBatch of 19", true)
+			if err := ci.InsertBatch(nil); err != nil {
+				t.Fatal(err)
+			}
+			step("empty InsertBatch", false)
+			if !tc.compacts {
+				// Flat rejects a duplicate ID, singly and inside a batch
+				// (which it then unwinds); the tree does not check.
+				if err := ci.Insert(entries[3]); err == nil {
+					t.Fatal("duplicate-ID Insert succeeded")
+				}
+				step("duplicate-ID Insert", false)
+				fresh := makeEntries(t, meth, rng, 1, 64, 12)[0]
+				fresh.ID = 900
+				if err := ci.InsertBatch([]*Entry{fresh, entries[3]}); err == nil {
+					t.Fatal("InsertBatch with a duplicate ID succeeded")
+				}
+				step("InsertBatch with a duplicate ID", false)
+			}
+			if ci.Compact(0.99) {
+				t.Fatal("Compact(0.99) rebuilt an unfragmented index")
+			}
+			step("Compact below threshold", false)
+			for _, e := range entries[:5] {
+				if !ci.Delete(e.ID) {
+					t.Fatalf("Delete(%d) = false", e.ID)
+				}
+				step("Delete", true)
+			}
+			if ci.Delete(entries[0].ID) {
+				t.Fatal("Delete of an absent ID returned true")
+			}
+			step("Delete of an absent ID", false)
+			if got := ci.Compact(0); got != tc.compacts {
+				t.Fatalf("Compact(0) = %v, want %v", got, tc.compacts)
+			}
+			step("Compact(0)", tc.compacts)
+
+			q := dist.NewQuery(entries[7].Raw, entries[7].Rep)
+			_, _, epoch, err := ci.KNNSnapshot(NewWorkspace(), q, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if epoch != ci.Epoch() {
+				t.Fatalf("KNNSnapshot epoch = %d, Epoch() = %d on a quiescent index", epoch, ci.Epoch())
+			}
+			step("KNNSnapshot", false)
+			if ci.Len() != 15 {
+				t.Fatalf("Len = %d, want 15", ci.Len())
+			}
+		})
+	}
+}
+
 func TestConcurrentIndexDeleteOnNonDeleter(t *testing.T) {
 	ci := NewConcurrent(NewLinearScan())
 	if err := ci.Insert(NewEntry(1, ts.Series{1, 2, 3}, nil)); err != nil {
@@ -264,8 +358,7 @@ func TestConcurrentIndexStress(t *testing.T) {
 // the sharded scatter-gather path: under concurrent per-shard mutation,
 //
 //   - each shard's epoch, sampled repeatedly from reader goroutines, never
-//     moves backwards (per-shard snapshots are monotonic — the invariant the
-//     lock-free read path's validation loop will retry on);
+//     moves backwards (per-shard snapshots are monotonic);
 //   - concurrent ShardedIndex.KNNWith answers stay sorted, duplicate-free,
 //     hold the complete never-deleted core set, and carry exact recomputed
 //     distances — a torn cross-shard gather would drop or corrupt entries.

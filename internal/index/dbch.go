@@ -47,15 +47,6 @@ type DBCH struct {
 	ents    []*Entry // entry arena: id → entry, nil when freed
 	entFree []int32  // reusable entry ids
 
-	// Copy-on-write publication state (see cow.go). Zero-valued and inert
-	// until enableCOW; an exclusively-locked tree mutates in place.
-	cowOn       bool
-	frozenNodes int32        // node ids below this are frozen into a published view
-	frozenEnts  int32        // entry ids below this are frozen into a published view
-	cowStamp    uint64       // epoch stamped on this mutation window's retirements
-	retired     []retirement // frozen node ids awaiting epoch-based reclamation
-	retiredE    []retirement // frozen entry ids awaiting epoch-based reclamation
-
 	// Reused scratch, pre-sized in NewDBCH so the insert path never grows it.
 	orphans     []int32   // entry ids condensed out during Delete
 	scratchA    []int32   // split group 1
@@ -179,10 +170,7 @@ func (t *DBCH) Insert(e *Entry) error {
 	return nil
 }
 
-// insertEntry places a registered entry id into the tree. Under
-// copy-on-write the descent path is copied before it is written: the root is
-// made mutable here, every picked branch is made mutable (and re-rooted in
-// its parent) in insertRec.
+// insertEntry places a registered entry id into the tree.
 //
 //sapla:noalloc
 func (t *DBCH) insertEntry(eid int32) {
@@ -193,7 +181,6 @@ func (t *DBCH) insertEntry(eid int32) {
 		t.root = nd
 		return
 	}
-	t.root = t.mutableNode(t.root)
 	if sib, _ := t.insertRec(t.root, eid); sib != nilNode {
 		old := t.root
 		root := t.ar.alloc(false)
@@ -217,10 +204,6 @@ func (t *DBCH) insertEntry(eid int32) {
 // hull inputs are unchanged too, so the whole rebuild chain above it is
 // skipped — for random workloads this prunes most of the per-insert
 // farthest-pair scans that make DBCH ingest cost more than the R-tree's.
-//
-// The caller guarantees nd is mutable (fresh this window, or already copied
-// by mutableNode), so every hull write and push below lands outside all
-// published views.
 func (t *DBCH) insertRec(nd int32, eid int32) (sib int32, changed bool) {
 	if t.ar.isLeaf[nd] {
 		t.ar.push(nd, eid)
@@ -229,12 +212,7 @@ func (t *DBCH) insertRec(nd int32, eid int32) (sib int32, changed bool) {
 		}
 		return nilNode, t.absorbLeaf(nd, eid)
 	}
-	best := t.pickBranch(nd, eid)
-	if m := t.mutableNode(best); m != best {
-		t.replaceChild(nd, best, m)
-		best = m
-	}
-	sib, changed = t.insertRec(best, eid)
+	sib, changed = t.insertRec(t.pickBranch(nd, eid), eid)
 	if sib != nilNode {
 		t.ar.push(nd, sib)
 		if int(t.ar.count[nd]) > t.maxFill {

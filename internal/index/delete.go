@@ -77,9 +77,8 @@ func collectEntries(nd *rnode, out *[]*Entry) {
 
 // Delete removes the entry with the given ID from the DBCH-tree, condensing
 // underfull nodes and rebuilding hulls on the path. Condensed subtrees
-// release their nodes (straight to the free list, or through the retirement
-// queue under copy-on-write); their entries keep their entry-arena ids and
-// are reinserted. It reports whether the entry was found.
+// release their nodes to the free list; their entries keep their entry-arena
+// ids and are reinserted. It reports whether the entry was found.
 //
 //sapla:noalloc
 func (t *DBCH) Delete(id int) bool {
@@ -87,23 +86,19 @@ func (t *DBCH) Delete(id int) bool {
 		return false
 	}
 	t.orphans = t.orphans[:0]
-	found, _, newRoot := t.deleteRec(t.root, id)
-	if !found {
+	if found, _ := t.deleteRec(t.root, id); !found {
 		return false
 	}
-	t.root = newRoot
 	t.size--
 	// Shrink the root: an internal root with one child collapses; an empty
-	// leaf root resets the tree. The collapsed-away root is released; the
-	// surviving child may stay frozen — pointing the writer's root at a
-	// frozen node is fine, it is only ever written through mutableNode.
+	// leaf root resets the tree.
 	for !t.ar.isLeaf[t.root] && t.ar.count[t.root] == 1 {
 		old := t.root
 		t.root = t.ar.slotsOf(old)[0]
-		t.retireOrFree(old)
+		t.ar.freeNode(old)
 	}
 	if t.ar.isLeaf[t.root] && t.ar.count[t.root] == 0 {
-		t.retireOrFree(t.root)
+		t.ar.freeNode(t.root)
 		t.root = nilNode
 	}
 	for _, eid := range t.orphans {
@@ -112,64 +107,53 @@ func (t *DBCH) Delete(id int) bool {
 	return true
 }
 
-// deleteRec removes id under nd, rebuilding hulls bottom-up. It returns the
-// node that replaces nd: under copy-on-write the found path is copied before
-// it is written (mutableNode), so the parent must re-root the returned id.
-// Children are scanned by index against the arena directly — descending may
-// allocate copies and repack the slot array, so no slotsOf slice may be held
-// across the recursion.
-func (t *DBCH) deleteRec(nd int32, id int) (found, underflow bool, out int32) {
+// deleteRec removes id under nd, rebuilding hulls bottom-up. It returns
+// whether the id was found and whether nd now underflows. Each scan ranges
+// over the slot block itself: nothing below it repacks the arena, and the
+// first hit mutates the block and returns.
+func (t *DBCH) deleteRec(nd int32, id int) (found, underflow bool) {
 	if t.ar.isLeaf[nd] {
-		n := int(t.ar.count[nd])
-		for i := 0; i < n; i++ {
-			eid := t.ar.slots[nd*t.ar.slotCap+int32(i)]
+		for i, eid := range t.ar.slotsOf(nd) {
 			if t.ents[eid].ID != id {
 				continue
 			}
-			nd = t.mutableNode(nd)
 			t.ar.removeSlot(nd, i)
-			t.retireOrFreeEntry(eid)
+			t.freeEntry(eid)
 			if t.ar.count[nd] > 0 {
 				t.rebuildLeafHull(nd)
 			}
-			return true, int(t.ar.count[nd]) < t.minFill, nd
+			return true, int(t.ar.count[nd]) < t.minFill
 		}
-		return false, false, nd
+		return false, false
 	}
-	n := int(t.ar.count[nd])
-	for i := 0; i < n; i++ {
-		ch := t.ar.slots[nd*t.ar.slotCap+int32(i)]
-		f, uf, newCh := t.deleteRec(ch, id)
+	for i, ch := range t.ar.slotsOf(nd) {
+		f, uf := t.deleteRec(ch, id)
 		if !f {
 			continue
 		}
-		nd = t.mutableNode(nd)
 		if uf {
 			t.ar.removeSlot(nd, i)
-			t.collectSubtree(newCh)
-		} else if newCh != ch {
-			t.ar.slots[nd*t.ar.slotCap+int32(i)] = newCh
+			t.collectSubtree(ch)
 		}
 		if t.ar.count[nd] > 0 {
 			t.rebuildInternalHull(nd)
 		}
-		return true, int(t.ar.count[nd]) < t.minFill, nd
+		return true, int(t.ar.count[nd]) < t.minFill
 	}
-	return false, false, nd
+	return false, false
 }
 
 // collectSubtree gathers every entry id in a subtree into t.orphans and
-// releases the subtree's nodes (free list, or retirement queue for frozen
-// ids under copy-on-write). Nothing here repacks the arena, so ranging over
+// frees the subtree's nodes. Nothing here repacks the arena, so ranging over
 // the slot block is safe.
 func (t *DBCH) collectSubtree(nd int32) {
 	if t.ar.isLeaf[nd] {
 		t.orphans = append(t.orphans, t.ar.slotsOf(nd)...) //sapla:alloc amortised orphan-buffer growth; reused across deletes
-		t.retireOrFree(nd)
+		t.ar.freeNode(nd)
 		return
 	}
 	for _, c := range t.ar.slotsOf(nd) {
 		t.collectSubtree(c)
 	}
-	t.retireOrFree(nd)
+	t.ar.freeNode(nd)
 }

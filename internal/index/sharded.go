@@ -35,14 +35,13 @@ func ShardOf(id, shards int) int {
 // ShardedIndex partitions entries across N independent ConcurrentIndex
 // shards by ShardOf(entry ID). Each shard owns its own inner index, write
 // lock and epoch counter, so writes to different shards proceed concurrently.
-// How a shard reads is its ConcurrentIndex's business: flat-tier shards (what
-// sapla-serve runs) search under the shard's shared lock, against a writer
-// whose critical section is one append or swap; DBCH-tree shards search a
-// published copy-on-write view without touching any lock. The gather runs
-// through the canonical (distance, ID) merge: whenever each shard returns its
-// true top-k — any index whose filter lower-bounds the exact distance — the
-// merged k-NN and range answers are byte-identical to the single-shard answer
-// for any shard count.
+// Every shard searches under its own shared lock, whatever its inner index;
+// for the flat-tier shards sapla-serve runs, the writer a search can queue
+// behind holds the lock for one append or swap. The gather runs through the
+// canonical (distance, ID) merge: whenever each shard returns its true top-k
+// — any index whose filter lower-bounds the exact distance — the merged k-NN
+// and range answers are byte-identical to the single-shard answer for any
+// shard count.
 type ShardedIndex struct {
 	shards []*ConcurrentIndex
 }
@@ -134,7 +133,8 @@ func (s *ShardedIndex) Len() int {
 
 // Epoch returns the sum of the per-shard mutation epochs: any mutation
 // anywhere advances it, and equal sums across two observations of an
-// otherwise-quiescent index promise no shard changed between them.
+// otherwise-quiescent index promise no shard changed between them. It takes
+// no lock.
 func (s *ShardedIndex) Epoch() uint64 {
 	var e uint64
 	for _, sh := range s.shards {

@@ -10,9 +10,8 @@ import (
 // ArenaretainAnalyzer enforces the arena aliasing discipline documented on
 // nodeArena.slotsOf: a slice into the SoA backing arrays is valid only until
 // the next operation that may move them (alloc/reserve/reset, or a Compact).
-// Under the RWMutex that is a correctness convention; on the lock-free read
-// path a retained slice after a repack is a silent use-after-free reading
-// another node's data.
+// It is a single-threaded hazard: a slice retained across a repack keeps
+// reading the old backing array, which no longer tracks the tree.
 //
 // Three escape shapes are findings: (1) using a slice after a call whose
 // effect summary says it may repack (flow-sensitive, through helpers via

@@ -2,12 +2,11 @@ package lint
 
 import "go/ast"
 
-// This file is the flow-sensitive dataflow engine the publication-safety
-// analyzers (immutpub, arenaretain, epochcheck) ride on. The COW/epoch
-// invariants of the lock-free shard read path are flow properties — a write
-// to a node is fine before it is published and a bug after, a slice into the
-// arena is fine before a repack and dangling after — so the flow-insensitive
-// walks the other analyzers use cannot express them.
+// This file is the flow-sensitive dataflow engine arenaretain, chanflow and
+// taintflow ride on. Their invariants are flow properties — a slice into the
+// arena is fine before a repack and dangling after, request data is tainted
+// before validation and clean after — so the flow-insensitive walks the
+// other analyzers use cannot express them.
 //
 // The engine is an SSA-lite abstract interpreter over go/ast: each analyzer
 // supplies an abstract state (its lattice) and a transfer function for leaf
@@ -48,8 +47,8 @@ type flowEngine struct {
 	// tag, case expression). Each leaf is passed exactly once per visit.
 	transfer func(n ast.Node, st flowState)
 	// onReturn, when set, runs at every return statement after its result
-	// expressions have been transferred — where bracket-must-close checks
-	// (epochcheck) fire.
+	// expressions have been transferred — where a check that something
+	// opened on the path was closed before leaving the function fires.
 	onReturn func(ret *ast.ReturnStmt, st flowState)
 }
 

@@ -282,8 +282,8 @@ chk("r")`,
 
 // TestFlowEngineOnReturn pins that the return hook fires after the return
 // statement itself has been transferred (clients scan the result expressions
-// inside that leaf) — the ordering epochcheck's bracket-must-close report
-// relies on.
+// inside that leaf) — the ordering a must-close-before-return report relies
+// on.
 func TestFlowEngineOnReturn(t *testing.T) {
 	src := "package p\n\nfunc f() int {\n\tmark(\"a\")\n\treturn use(chk(\"a\"))\n}\n"
 	fset := token.NewFileSet()

@@ -23,15 +23,9 @@
 //	                           best-effort compensation on an error path)
 //	//sapla:detach <reason>    suppresses a ctxflow finding on its line (a
 //	                           deliberately detached context or goroutine)
-//	//sapla:prepub <reason>    suppresses an immutpub finding on its line (a
-//	                           constructor-phase write provably before any
-//	                           reader can observe the value)
 //	//sapla:retain <reason>    suppresses an arenaretain finding on its line
 //	                           (an arena-backed slice held across a call that
 //	                           provably cannot move the slot arrays)
-//	//sapla:epochok <reason>   suppresses an epochcheck finding on its line
-//	                           (a snapshot-path read provably safe outside
-//	                           the epoch bracket)
 //	//sapla:daemon <reason>    suppresses a goleak finding on its line (a
 //	                           designed process-lifetime loop — the
 //	                           snapshot/compaction ticker class — that is
@@ -120,9 +114,7 @@ const (
 	DirErrOK     = "errok"
 	DirVolatile  = "volatile"
 	DirDetach    = "detach"
-	DirPrepub    = "prepub"
 	DirRetain    = "retain"
-	DirEpochOK   = "epochok"
 	DirDaemon    = "daemon"
 	DirChanOK    = "chanok"
 	DirUntainted = "untainted"
@@ -136,9 +128,7 @@ var suppressDirective = map[string]string{
 	"errcheck":    DirErrOK,
 	"walorder":    DirVolatile,
 	"ctxflow":     DirDetach,
-	"immutpub":    DirPrepub,
 	"arenaretain": DirRetain,
-	"epochcheck":  DirEpochOK,
 	"goleak":      DirDaemon,
 	"chanflow":    DirChanOK,
 	"taintflow":   DirUntainted,
@@ -154,9 +144,7 @@ var knownDirectives = map[string]bool{
 	DirErrOK:     true,
 	DirVolatile:  true,
 	DirDetach:    true,
-	DirPrepub:    true,
 	DirRetain:    true,
-	DirEpochOK:   true,
 	DirDaemon:    true,
 	DirChanOK:    true,
 	DirUntainted: true,
@@ -254,7 +242,7 @@ func (prog *Program) indexDirectives() []Diagnostic {
 					diags = append(diags, Diagnostic{
 						Pos:   pos,
 						Check: "directive",
-						Message: fmt.Sprintf("unknown directive //sapla:%s (known: alloc, chanok, daemon, detach, epochok, errok, floateq, noalloc, nondet, prepub, retain, untainted, volatile)",
+						Message: fmt.Sprintf("unknown directive //sapla:%s (known: alloc, chanok, daemon, detach, errok, floateq, noalloc, nondet, retain, untainted, volatile)",
 							d.name),
 					})
 					continue
@@ -322,9 +310,7 @@ func Analyzers(names ...string) ([]*Analyzer, error) {
 		CtxflowAnalyzer,
 		LockorderAnalyzer,
 		CopylocksAnalyzer,
-		ImmutpubAnalyzer,
 		ArenaretainAnalyzer,
-		EpochcheckAnalyzer,
 		GoleakAnalyzer,
 		ChanflowAnalyzer,
 		TaintflowAnalyzer,
@@ -380,7 +366,7 @@ func (prog *Program) RunTimed(analyzers []*Analyzer) ([]Diagnostic, []CheckTimin
 	for _, a := range analyzers {
 		switch a.Name {
 		case "walorder", "ctxflow", "lockorder", "noalloc", "lockguard",
-			"immutpub", "arenaretain", "goleak", "chanflow", "taintflow":
+			"arenaretain", "goleak", "chanflow", "taintflow":
 			needIP = true
 		}
 	}

@@ -110,9 +110,7 @@ func TestWalorder(t *testing.T)          { runFixture(t, "walorder", "walorder")
 func TestCtxflow(t *testing.T)           { runFixture(t, "ctxflow", "ctxflow") }
 func TestLockorder(t *testing.T)         { runFixture(t, "lockorder", "lockorder") }
 func TestCopylocks(t *testing.T)         { runFixture(t, "copylocks", "copylocks") }
-func TestImmutpub(t *testing.T)          { runFixture(t, "immutpub", "immutpub") }
 func TestArenaretain(t *testing.T)       { runFixture(t, "arenaretain", "arenaretain") }
-func TestEpochcheck(t *testing.T)        { runFixture(t, "epochcheck", "epochcheck") }
 func TestGoleak(t *testing.T)            { runFixture(t, "goleak", "goleak") }
 func TestChanflow(t *testing.T)          { runFixture(t, "chanflow", "chanflow") }
 func TestTaintflow(t *testing.T)         { runFixture(t, "taintflow", "taintflow") }
@@ -132,9 +130,7 @@ func TestFindingsDeterministic(t *testing.T) {
 		"./internal/lint/testdata/src/ctxflow",
 		"./internal/lint/testdata/src/lockorder",
 		"./internal/lint/testdata/src/copylocks",
-		"./internal/lint/testdata/src/immutpub",
 		"./internal/lint/testdata/src/arenaretain",
-		"./internal/lint/testdata/src/epochcheck",
 		"./internal/lint/testdata/src/goleak",
 		"./internal/lint/testdata/src/chanflow",
 		"./internal/lint/testdata/src/taintflow",

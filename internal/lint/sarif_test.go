@@ -16,7 +16,7 @@ func TestSARIF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := lint.Diagnostic{Check: "immutpub", Message: "write after publish"}
+	d1 := lint.Diagnostic{Check: "lockguard", Message: "write without the lock"}
 	d1.Pos.Filename = "/repo/internal/index/concurrent.go"
 	d1.Pos.Line = 42
 	d1.Pos.Column = 7
@@ -92,8 +92,8 @@ func TestSARIF(t *testing.T) {
 		t.Fatalf("got %d results, want 2", len(run.Results))
 	}
 	r := run.Results[0]
-	if r.RuleID != "immutpub" || r.Level != "error" {
-		t.Errorf("result 0 = %s/%s, want immutpub/error", r.RuleID, r.Level)
+	if r.RuleID != "lockguard" || r.Level != "error" {
+		t.Errorf("result 0 = %s/%s, want lockguard/error", r.RuleID, r.Level)
 	}
 	if got := r.Locations[0].PhysicalLocation.ArtifactLocation.URI; got != "internal/index/concurrent.go" {
 		t.Errorf("in-root URI = %q, want root-relative internal/index/concurrent.go", got)

@@ -35,9 +35,6 @@ const (
 	// invalidates every outstanding slice into them. freeNode is deliberately
 	// NOT in this set: it only grows the free list, never the slot arrays.
 	EffMayRepack
-	// EffPublish: may publish a value to concurrent readers via
-	// atomic.Pointer.Store/Swap/CompareAndSwap or atomic.Value equivalents.
-	EffPublish
 	// EffSpawnDetached: contains (directly or through a callee) a go
 	// statement whose goroutine is neither joined by its spawner nor
 	// cancellable — a detached spawn. Computed in a post-pass after the main
@@ -109,11 +106,6 @@ type Summary struct {
 	// to the position of one witness acquisition (a direct Lock/RLock, or
 	// the call that reaches one).
 	Acquires map[*types.Var]token.Pos
-	// PubParams is a bitset of parameter indices (0..31) whose argument the
-	// function may publish to concurrent readers, directly or through a
-	// callee. Call sites fold it the way ackParam folds: the bit moves to
-	// whichever caller parameter was passed in that position.
-	PubParams uint32
 	// ValidParams is a bitset of parameter indices the function validates:
 	// the parameter is passed to a ValidateSeries-style content check
 	// (directly or through a callee's ValidParams), or — for basic-typed
@@ -160,7 +152,7 @@ func (ip *Interproc) updateSummary(fi *FuncInfo) bool {
 	eff := baseEffects(fi)
 	ack := ackInfo{class: ackNo}
 	acq := make(map[*types.Var]token.Pos, len(s.Acquires))
-	var pub, valid, sink uint32
+	var valid, sink uint32
 
 	info := fi.Pkg.Info
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
@@ -196,20 +188,14 @@ func (ip *Interproc) updateSummary(fi *FuncInfo) bool {
 				ack = ackJoin(ack, respAck)
 				return true
 			}
-			if args := atomicPubArgs(info, n); len(args) > 0 {
-				eff |= EffPublish
-				for _, a := range args {
-					pub |= pubParamBit(info, fi.Decl, a)
-				}
-			}
 			if isValidatorCall(n) {
 				for _, arg := range n.Args {
-					valid |= pubParamBit(info, fi.Decl, arg)
+					valid |= paramBit(info, fi.Decl, arg)
 				}
 			}
 			if sizes := makeSizeArgs(info, n); len(sizes) > 0 {
 				for _, arg := range sizes {
-					sink |= pubParamBit(info, fi.Decl, arg)
+					sink |= paramBit(info, fi.Decl, arg)
 				}
 			}
 			for _, callee := range ip.Callees(info, n) {
@@ -223,16 +209,9 @@ func (ip *Interproc) updateSummary(fi *FuncInfo) bool {
 						acq[mu] = n.Pos()
 					}
 				}
-				if cs.PubParams != 0 {
-					for i, arg := range n.Args {
-						if i < 32 && cs.PubParams&(1<<i) != 0 {
-							pub |= pubParamBit(info, fi.Decl, arg)
-						}
-					}
-				}
 				if isTaintSink(callee) {
 					for _, arg := range n.Args {
-						sink |= pubParamBit(info, fi.Decl, arg)
+						sink |= paramBit(info, fi.Decl, arg)
 					}
 				}
 				for i, arg := range n.Args {
@@ -240,12 +219,12 @@ func (ip *Interproc) updateSummary(fi *FuncInfo) bool {
 						break
 					}
 					if cs.ValidParams&(1<<i) != 0 {
-						valid |= pubParamBit(info, fi.Decl, arg)
+						valid |= paramBit(info, fi.Decl, arg)
 					}
 					// A parameter the callee validates before sinking is
 					// sanitized, not leaked: mask the sink bit.
 					if cs.SinkParams&^cs.ValidParams&(1<<i) != 0 {
-						sink |= pubParamBit(info, fi.Decl, arg)
+						sink |= paramBit(info, fi.Decl, arg)
 					}
 				}
 			}
@@ -267,10 +246,6 @@ func (ip *Interproc) updateSummary(fi *FuncInfo) bool {
 			s.Acquires[mu] = pos
 			grew = true
 		}
-	}
-	if pub|s.PubParams != s.PubParams {
-		s.PubParams |= pub
-		grew = true
 	}
 	if valid|s.ValidParams != s.ValidParams {
 		s.ValidParams |= valid
@@ -303,7 +278,7 @@ func cmpParamBits(info *types.Info, enclosing *ast.FuncDecl, cmp *ast.BinaryExpr
 		if !ok || basic.Kind() == types.Bool || basic.Kind() == types.UntypedBool {
 			continue
 		}
-		bits |= pubParamBit(info, enclosing, id)
+		bits |= paramBit(info, enclosing, id)
 	}
 	return bits
 }
@@ -406,55 +381,11 @@ func baseEffects(fi *FuncInfo) Effect {
 	return 0
 }
 
-// atomicPubArgs returns the value operands of a publication call — Store(x),
-// Swap(x), CompareAndSwap(old, new) on a sync/atomic Pointer or Value — or
-// nil when the call is not a publication. Only the values being made visible
-// to readers count (CompareAndSwap's new, not its old).
-func atomicPubArgs(info *types.Info, call *ast.CallExpr) []ast.Expr {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	var vals []ast.Expr
-	switch sel.Sel.Name {
-	case "Store", "Swap":
-		if len(call.Args) != 1 {
-			return nil
-		}
-		vals = call.Args[:1]
-	case "CompareAndSwap":
-		if len(call.Args) != 2 {
-			return nil
-		}
-		vals = call.Args[1:2]
-	default:
-		return nil
-	}
-	if !isAtomicPubType(typeOf(info, sel.X)) {
-		return nil
-	}
-	return vals
-}
-
-// isAtomicPubType reports whether t is sync/atomic's Pointer[T] or Value —
-// the reference-publishing atomics. The scalar atomics (Int64, Uint64, …)
-// publish by value and carry no aliasing, so they are not publication sites.
-func isAtomicPubType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	return obj.Name() == "Pointer" || obj.Name() == "Value"
-}
-
-// pubParamBit maps a published argument back onto the enclosing function's
-// parameter bitset: publishing parameter i sets bit i so call sites can fold
-// the fact through, the way foldAck folds status parameters.
-func pubParamBit(info *types.Info, enclosing *ast.FuncDecl, arg ast.Expr) uint32 {
+// paramBit maps an argument expression back onto the enclosing function's
+// parameter bitset: an argument that is parameter i yields bit i, so call
+// sites can fold per-parameter facts through, the way foldAck folds status
+// parameters.
+func paramBit(info *types.Info, enclosing *ast.FuncDecl, arg ast.Expr) uint32 {
 	id, ok := ast.Unparen(arg).(*ast.Ident)
 	if !ok || enclosing == nil {
 		return 0
@@ -594,6 +525,37 @@ func typeOf(info *types.Info, e ast.Expr) types.Type {
 		return tv.Type
 	}
 	return nil
+}
+
+// objOf resolves an identifier through Uses then Defs.
+func objOf(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Uses[id]; obj != nil {
+		return obj
+	}
+	return info.Defs[id]
+}
+
+// rootVar returns the variable at the root of a write target: x in x.f = v,
+// x[i] = v, *x = v and chains thereof. Package-level and field selectors
+// resolve to the base identifier's object.
+func rootVar(info *types.Info, e ast.Expr) *types.Var {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			v, _ := objOf(info, x).(*types.Var)
+			return v
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 // lockMutex matches x.mu.Lock() / x.mu.RLock() where mu is a struct field

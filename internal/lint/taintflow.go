@@ -37,8 +37,8 @@ import (
 // sent).
 //
 // The walk is flow-sensitive on the dataflow engine — taint is a may-fact
-// joined by union, sanitization is path-local — and, unlike the publication
-// analyzers, it walks function literals inline (with a cloned state): taint
+// joined by union, sanitization is path-local — and, unlike arenaretain, it
+// walks function literals inline (with a cloned state): taint
 // is a data property, not a temporal one, and the fork-join closures on the
 // ingest path run with exactly the captured request data. Sanitization is
 // whole-variable: validating req.Values clears req — the decoded request is
