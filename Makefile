@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all ci build test race race-short crash cover bench bench-check bench-smoke benchdiff vet lint fmtcheck fuzz experiments report clean
+.PHONY: all ci build test race race-short crash cover bench bench-check bench-smoke vet lint fmtcheck fuzz experiments report clean
 
 all: build vet lint test race-short
 
@@ -17,13 +17,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific static analysis (internal/lint): zero-allocation hot paths,
-# mutex-guarded field access, float equality, eval/index determinism,
-# dropped errors, WAL append-before-acknowledge, context threading and
-# goroutine cancellability, lock-order cycles, sync-value copies, and arena
-# slice aliasing (arenaretain). Runs with per-analyzer timing under a hard
-# wall-clock budget (LINT_BUDGET_MS, analysis cost only — package loading is
-# excluded) so the dataflow engine cannot quietly get slow; set
+# Repo-specific static analysis (internal/lint): mutex-guarded field access,
+# float equality, eval/index determinism, dropped errors, WAL
+# append-before-acknowledge, context threading, lock-order cycles, arena slice
+# aliasing (arenaretain), goroutine lifecycle (goleak) and request-data
+# validation (taintflow). Lock copies are `make vet`'s contract and
+# zero-allocation hot paths that of the AllocsPerRun tests in `make test`.
+# Runs with per-analyzer timing under a hard wall-clock budget
+# (LINT_BUDGET_MS, analysis cost only — package loading is excluded) so the
+# dataflow engine cannot quietly get slow; set
 # LINT_JSON=<file> to also write the machine-readable report and
 # LINT_SARIF=<file> for the SARIF log CI uploads to code scanning. See
 # README "Static analysis" for the annotation escapes.
@@ -95,14 +97,6 @@ bench-check:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Served|FlatFilter' -benchtime 1x ./internal/index
 	$(GO) test -run '^$$' -bench 'Handler|DecodeBody' -benchtime 1x ./internal/server
-
-# Benchmark-regression harness: times the hot paths, writes BENCH_<date>.json
-# and fails if allocs/op regresses on a zero-allocation path or ns/op
-# regresses beyond the tolerance (default ±10%; set BENCH_TOLERANCE=-1 to
-# disable the timing gate, e.g. on shared/noisy machines).
-BENCH_TOLERANCE ?= 0.10
-benchdiff:
-	$(GO) run ./cmd/sapla-bench -tolerance $(BENCH_TOLERANCE)
 
 # Short fuzzing bursts over every fuzz target. Targets are discovered with
 # `go test -list`, so the list cannot drift when targets are added or

@@ -1,21 +1,19 @@
 // Command sapla-lint runs the repo's static analyzers: stdlib-only checks
-// that enforce the performance, durability and concurrency contract —
-// allocation-free hot paths (noalloc), mutex discipline on shared structs
-// (lockguard), no exact float comparison (floatcmp),
+// that enforce the durability and concurrency contract — mutex discipline on
+// shared structs (lockguard), no exact float comparison (floatcmp),
 // worker-count-independent evaluation (determinism), no silently dropped
 // errors (errcheck), WAL-append-before-acknowledge ordering (walorder),
-// context threading and cancellable goroutines (ctxflow), a cycle-free
-// lock-acquisition order (lockorder), no copied sync primitives or mixed
-// atomic/plain field access (copylocks), and no arena-backed slices
-// surviving a repack (arenaretain) — plus the flow-sensitive trio gating the
-// streaming/multi-node tier: every goroutine joined by its spawner or
-// cancellable (goleak), bounded channel blocking on the serving and WAL
-// paths (chanflow), and no request-derived data reaching the index, the WAL
-// or an allocation size unvalidated (taintflow).
+// context threading (ctxflow), a cycle-free lock-acquisition order
+// (lockorder), no arena-backed slices surviving a repack (arenaretain),
+// every goroutine joined by its spawner or cancellable (goleak), and no
+// request-derived data reaching the index, the WAL or an allocation size
+// unvalidated (taintflow). Lock copies are go vet's contract and
+// allocation-free hot paths are held by testing.AllocsPerRun tests; neither
+// is repeated here.
 //
 // Usage:
 //
-//	sapla-lint [-checks noalloc,lockorder,...] [-json] [-json-out FILE] [-sarif FILE] [-timing] [-budget-ms N] [patterns...]
+//	sapla-lint [-checks lockguard,lockorder,...] [-json] [-json-out FILE] [-sarif FILE] [-timing] [-budget-ms N] [patterns...]
 //
 // Patterns default to ./... and are module-relative ("./internal/index",
 // "./internal/..."). Exit status: 0 clean, 1 findings (or a blown timing

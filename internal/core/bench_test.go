@@ -6,9 +6,9 @@ import (
 	"sapla/internal/repr"
 )
 
-// BenchmarkReduce is the benchdiff-tracked hot path: a warmed-up Reducer
-// reducing a length-1024 series into a recycled representation must perform
-// zero heap allocations per call.
+// BenchmarkReduce times the reduction hot path: a warmed-up Reducer reducing
+// a length-1024 series into a recycled representation. TestReduceIntoAllocs
+// holds its zero allocations per call.
 func BenchmarkReduce(b *testing.B) {
 	c := randWalk(44, 1024)
 	r := NewReducer()

@@ -54,8 +54,6 @@ func (r *Reducer) Reduce(c ts.Series, m int) (repr.Representation, error) {
 // result into dst's segment buffer. With a dst recycled from a previous call
 // the reduction performs zero heap allocations once the workspace has warmed
 // up on the largest series length in play.
-//
-//sapla:noalloc
 func (r *Reducer) ReduceInto(dst repr.Linear, c ts.Series, m int) (repr.Linear, error) {
 	if err := c.Validate(); err != nil {
 		return repr.Linear{}, err

@@ -47,6 +47,30 @@ func TestReducerMatchesFreshReduce(t *testing.T) {
 	}
 }
 
+// TestReduceIntoAllocs is the zero-allocation contract of the reduction hot
+// path (BenchmarkReduce's -benchmem column, held on every test run): a
+// Reducer that has reduced one series of this shape into dst reduces the next
+// without touching the heap — state, split/merge scratch, priority queue and
+// dst's segment buffer are all reused, and segment.SumAbsLine's closure stays
+// on the stack.
+func TestReduceIntoAllocs(t *testing.T) {
+	for _, tc := range []struct{ n, m int }{{1024, 12}, {256, 24}} {
+		c := randWalk(44, tc.n)
+		r := NewReducer()
+		var dst repr.Linear
+		// AllocsPerRun's own warm-up run sizes the workspace and dst.
+		allocs := testing.AllocsPerRun(20, func() {
+			var err error
+			if dst, err = r.ReduceInto(dst, c, tc.m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("n=%d m=%d: warmed ReduceInto allocates %v times per call", tc.n, tc.m, allocs)
+		}
+	}
+}
+
 // TestReducerConfigVariants: the pooled SAPLA.Reduce path must honour every
 // configuration knob exactly as a dedicated Reducer does.
 func TestReducerConfigVariants(t *testing.T) {

@@ -212,7 +212,7 @@ func (st *state) initialize(nSeg int, eta *pqueue.Heap[struct{}]) {
 	}
 }
 
-func (st *state) push(g seg) { st.segs = append(st.segs, g) } //sapla:alloc amortised growth of the reused segment buffer; warmed workspaces never grow
+func (st *state) push(g seg) { st.segs = append(st.segs, g) }
 
 func (st *state) size() int { return len(st.segs) }
 
@@ -263,7 +263,7 @@ func (st *state) mergePair(i int) {
 		beta = segment.BetaMerge(st.c[a.start:b.end+1], merged, a.line, a.len(), b.line, b.len())
 	}
 	st.segs[i] = seg{line: merged, start: a.start, end: b.end, beta: beta, merged: true}
-	st.segs = append(st.segs[:i+1], st.segs[i+2:]...) //sapla:alloc shrinking append into the existing backing array; never grows
+	st.segs = append(st.segs[:i+1], st.segs[i+2:]...)
 }
 
 // bestSplitSeg returns the index of the splittable segment (≥ 2 points) with
@@ -309,7 +309,7 @@ func (st *state) splitSeg(i int) {
 	} else {
 		bl, br = segment.BetaSplit(st.c[g.start:g.end+1], g.line, left, l1, right, l2)
 	}
-	st.segs = append(st.segs, seg{}) //sapla:alloc amortised growth of the reused segment buffer; warmed workspaces never grow
+	st.segs = append(st.segs, seg{})
 	copy(st.segs[i+2:], st.segs[i+1:])
 	st.segs[i] = seg{line: left, start: g.start, end: bestCut, beta: bl, split: true}
 	st.segs[i+1] = seg{line: right, start: bestCut + 1, end: g.end, beta: br, split: true}
@@ -338,7 +338,7 @@ func (st *state) adjustToCount(nSeg int) {
 // (the series and prefix are shared).
 func (st *state) copyInto(dst *state) {
 	dst.c, dst.p, dst.exact = st.c, st.p, st.exact
-	dst.segs = append(dst.segs[:0], st.segs...) //sapla:alloc amortised growth of dst's reused segment buffer; warmed workspaces never grow
+	dst.segs = append(dst.segs[:0], st.segs...)
 }
 
 // refine is the second half of Algorithm 4.3: at size N, evaluate
@@ -366,7 +366,7 @@ func (st *state) refine(maxPasses int, sm, ms *state) {
 		if best == nil {
 			return
 		}
-		st.segs = append(st.segs[:0], best.segs...) //sapla:alloc writes into the existing backing array; both states hold size-N segmentations
+		st.segs = append(st.segs[:0], best.segs...) // writes into the existing backing array: both states hold size-N segmentations
 	}
 }
 
@@ -515,7 +515,7 @@ func (st *state) appendRepr(dst repr.Linear) repr.Linear {
 	dst.N = len(st.c)
 	dst.Segs = dst.Segs[:0]
 	for _, g := range st.segs {
-		dst.Segs = append(dst.Segs, repr.LinearSeg{Line: g.line, R: g.end}) //sapla:alloc amortised growth of the caller's recycled representation; warmed buffers never grow
+		dst.Segs = append(dst.Segs, repr.LinearSeg{Line: g.line, R: g.end})
 	}
 	return dst
 }

@@ -76,8 +76,6 @@ func (f *FlatLinear) Valid() bool {
 // slope delta da = A_q[iq] − A_c[ic] and intercept delta
 // db = da·lo + (C_q[iq] − C_c[ic]), which is Dist_S's (qb − cb) after both
 // lines are shifted to local time — identical algebra to PAR, reassociated.
-//
-//sapla:noalloc
 func PARFlat(q, c *FlatLinear) float64 {
 	if q == nil || c == nil || q.N != c.N || q.N == 0 ||
 		len(q.R) == 0 || len(c.R) == 0 ||

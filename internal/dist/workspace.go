@@ -24,8 +24,6 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // NewQuery prepares a query like the package-level NewQuery, but reuses the
 // workspace's prefix-sum buffers. The returned Query aliases the workspace
 // and stays valid only until the next NewQuery call on w.
-//
-//sapla:noalloc
 func (w *Workspace) NewQuery(raw ts.Series, rep repr.Representation) Query {
 	w.prefix.Reset(raw)
 	return Query{Raw: raw, Prefix: &w.prefix, Rep: rep}
@@ -35,12 +33,10 @@ func (w *Workspace) NewQuery(raw ts.Series, rep repr.Representation) Query {
 // every candidate, returning the row-major matrix out[qi*len(cs)+ci]. The
 // returned slice aliases the workspace's reused buffer and stays valid until
 // the next PairwisePAR call on w.
-//
-//sapla:noalloc
 func (w *Workspace) PairwisePAR(qs, cs []repr.Linear) ([]float64, error) {
 	n := len(qs) * len(cs)
 	if cap(w.out) < n {
-		w.out = make([]float64, n) //sapla:alloc one-time growth of the reused matrix; steady state never re-enters
+		w.out = make([]float64, n)
 	}
 	w.out = w.out[:n]
 	for qi := range qs {

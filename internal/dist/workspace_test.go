@@ -91,8 +91,46 @@ func TestPairwisePARMatchesScalar(t *testing.T) {
 	}
 }
 
-// BenchmarkDistPAR is the benchdiff-tracked hot path: one Dist_PAR
-// evaluation between two warmed representations must not allocate. The
+// TestDistAllocs is the zero-allocation contract of the distance hot paths
+// (BenchmarkDistPAR's and BenchmarkPairwisePAR's -benchmem column, held on
+// every test run): on a workspace warmed by one call of the same shape,
+// preparing a query, a batch Dist_PAR matrix and one flat Dist_PAR evaluation
+// do not touch the heap.
+func TestDistAllocs(t *testing.T) {
+	raw := wsWalk(100, 1024)
+	reps := wsReps(t, []int64{101, 102, 103}, 1024, 12)
+	fq, fc := FlattenLinear(reps[0]), FlattenLinear(reps[1])
+	w := NewWorkspace()
+	rows := []struct {
+		name string
+		run  func()
+	}{
+		{"Workspace.NewQuery", func() {
+			if q := w.NewQuery(raw, reps[0]); q.Prefix.Len() != len(raw) {
+				t.Fatal("prefix does not cover the series")
+			}
+		}},
+		{"Workspace.PairwisePAR", func() {
+			if _, err := w.PairwisePAR(reps[:1], reps[1:]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"PARFlat", func() {
+			if d := PARFlat(fq, fc); math.IsInf(d, 1) {
+				t.Fatal("incompatible flats")
+			}
+		}},
+	}
+	for _, row := range rows {
+		// AllocsPerRun's own warm-up run sizes the buffers.
+		if allocs := testing.AllocsPerRun(50, row.run); allocs != 0 {
+			t.Errorf("%s allocates %v times per call on a warmed workspace", row.name, allocs)
+		}
+	}
+}
+
+// BenchmarkDistPAR times one Dist_PAR evaluation between two warmed
+// representations (TestDistAllocs holds its zero allocations). The
 // scalar sub-benchmark runs the generic merge loop; unrolled runs the
 // 4-way-unrolled kernel over pre-flattened SoA representations, the form the
 // DBCH filter path actually calls.

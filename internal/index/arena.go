@@ -29,8 +29,6 @@ type nodeArena struct {
 }
 
 // alloc returns a node id, reusing the free list before growing the arena.
-//
-//sapla:noalloc
 func (a *nodeArena) alloc(leaf bool) int32 {
 	if n := len(a.free); n > 0 {
 		id := a.free[n-1]
@@ -42,27 +40,25 @@ func (a *nodeArena) alloc(leaf bool) int32 {
 		return id
 	}
 	id := int32(len(a.isLeaf))
-	a.isLeaf = append(a.isLeaf, leaf) //sapla:alloc amortised arena growth; steady state reuses the free list
-	a.count = append(a.count, 0)      //sapla:alloc amortised arena growth; steady state reuses the free list
+	a.isLeaf = append(a.isLeaf, leaf)
+	a.count = append(a.count, 0)
 	for i := int32(0); i < a.slotCap; i++ {
-		a.slots = append(a.slots, 0) //sapla:alloc amortised arena growth; steady state reuses the free list
+		a.slots = append(a.slots, 0)
 	}
-	a.hullU = append(a.hullU, nilNode) //sapla:alloc amortised arena growth; steady state reuses the free list
-	a.hullL = append(a.hullL, nilNode) //sapla:alloc amortised arena growth; steady state reuses the free list
-	a.volume = append(a.volume, 0)     //sapla:alloc amortised arena growth; steady state reuses the free list
-	a.coverU = append(a.coverU, 0)     //sapla:alloc amortised arena growth; steady state reuses the free list
-	a.coverL = append(a.coverL, 0)     //sapla:alloc amortised arena growth; steady state reuses the free list
+	a.hullU = append(a.hullU, nilNode)
+	a.hullL = append(a.hullL, nilNode)
+	a.volume = append(a.volume, 0)
+	a.coverU = append(a.coverU, 0)
+	a.coverL = append(a.coverL, 0)
 	return id
 }
 
 // freeNode returns a node id to the free list. The slot block is left as-is
 // and no array moves, so a slotsOf slice held across the call stays valid;
 // alloc reinitialises the header fields on reuse.
-//
-//sapla:noalloc
 func (a *nodeArena) freeNode(id int32) {
 	a.count[id] = 0
-	a.free = append(a.free, id) //sapla:alloc amortised free-list growth; bounded by the arena length
+	a.free = append(a.free, id)
 }
 
 // slotsOf returns node id's live slots. The slice aliases the arena: any
@@ -71,8 +67,6 @@ func (a *nodeArena) freeNode(id int32) {
 // struct field. The arenaretain analyzer enforces this aliasing discipline
 // across the whole module; a caller that can prove its hold is safe escapes
 // with //sapla:retain <reason>.
-//
-//sapla:noalloc
 func (a *nodeArena) slotsOf(id int32) []int32 {
 	base := id * a.slotCap
 	return a.slots[base : base+a.count[id] : base+a.slotCap]
@@ -80,24 +74,18 @@ func (a *nodeArena) slotsOf(id int32) []int32 {
 
 // push appends v to node id's slots. The caller guarantees the node holds at
 // most maxFill = slotCap−1 slots, so the one-over-full pre-split state fits.
-//
-//sapla:noalloc
 func (a *nodeArena) push(id int32, v int32) {
 	a.slots[id*a.slotCap+a.count[id]] = v
 	a.count[id]++
 }
 
 // setSlots replaces node id's slots with vs (len(vs) ≤ slotCap).
-//
-//sapla:noalloc
 func (a *nodeArena) setSlots(id int32, vs []int32) {
 	copy(a.slots[id*a.slotCap:], vs)
 	a.count[id] = int32(len(vs))
 }
 
 // removeSlot deletes slot position i of node id, preserving order.
-//
-//sapla:noalloc
 func (a *nodeArena) removeSlot(id int32, i int) {
 	base := id * a.slotCap
 	copy(a.slots[base+int32(i):], a.slots[base+int32(i)+1:base+a.count[id]])

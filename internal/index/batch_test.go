@@ -89,6 +89,73 @@ func TestKNNWithMatchesKNN(t *testing.T) {
 	}
 }
 
+// TestKNNWithAllocs is the zero-allocation contract of every k-NN entry
+// point that takes a Workspace: once one search has sized the workspace, a
+// search does not touch the heap. Each row builds its index from fresh
+// entries (Flat.Insert takes ownership of an entry's cached flat form), over
+// more than two flat blocks so the sweep crosses a block boundary.
+//
+// The R-tree row is the exception, held at what it measures today: its node
+// bound calls q.Rep.Coeffs() through the nodeDistFunc value, one slice per
+// node bounded (268 here) — a call the syntactic noalloc walk this table
+// replaced never followed. It is eval-only (Figs. 13–15); lower the number
+// when that is fixed, never raise it.
+func TestKNNWithAllocs(t *testing.T) {
+	const n, m, k = 128, 12, 10
+	q := testQueries(t, 1, n, m)[0]
+	flat := func(int) (Index, error) { return NewFlat("SAPLA") }
+	concurrent := func() (Index, error) {
+		f, err := NewFlat("SAPLA")
+		return NewConcurrent(f), err
+	}
+	knnWith := func(idx Index, ws *Workspace) error {
+		_, _, err := idx.(WorkspaceSearcher).KNNWith(ws, q, k)
+		return err
+	}
+	knnSnapshot := func(idx Index, ws *Workspace) error {
+		_, _, _, err := idx.(*ConcurrentIndex).KNNSnapshot(ws, q, k)
+		return err
+	}
+	rows := []struct {
+		name   string
+		build  func() (Index, error)
+		search func(Index, *Workspace) error
+		want   float64
+	}{
+		{"Flat", func() (Index, error) { return flat(0) }, knnWith, 0},
+		{"Concurrent", concurrent, knnWith, 0},
+		{"ConcurrentSnapshot", concurrent, knnSnapshot, 0},
+		{"Sharded1", func() (Index, error) { return NewSharded(1, flat) }, knnWith, 0},
+		{"Sharded4", func() (Index, error) { return NewSharded(4, flat) }, knnWith, 0},
+		{"DBCH", func() (Index, error) { return NewDBCH("SAPLA", 2, 5) }, knnWith, 0},
+		{"RTree", func() (Index, error) { return NewRTree("SAPLA", n, m, 2, 5) }, knnWith, 268},
+		{"LinearScan", func() (Index, error) { return NewLinearScan(), nil }, knnWith, 0},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			idx, err := row.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range benchEntries(t, 2*flatRows+30, n, m) {
+				if err := idx.Insert(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ws := NewWorkspace()
+			// AllocsPerRun's own warm-up run sizes the workspace.
+			allocs := testing.AllocsPerRun(50, func() {
+				if err := row.search(idx, ws); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != row.want {
+				t.Fatalf("steady-state search allocates %v times, want %v", allocs, row.want)
+			}
+		})
+	}
+}
+
 // TestLinearScanKNNExact: the heap-based scan must return the true k
 // smallest exact distances, in ascending order.
 func TestLinearScanKNNExact(t *testing.T) {

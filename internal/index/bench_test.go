@@ -151,8 +151,8 @@ func BenchmarkCompact(b *testing.B) {
 	}
 }
 
-// BenchmarkKNN is the benchdiff-tracked hot path: one DBCH k-NN search on a
-// warmed workspace must perform zero heap allocations.
+// BenchmarkKNN times one DBCH k-NN search on a warmed workspace;
+// TestKNNWithAllocs holds its zero heap allocations.
 func BenchmarkKNN(b *testing.B) {
 	tree, err := NewDBCH("SAPLA", 2, 5)
 	if err != nil {

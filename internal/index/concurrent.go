@@ -148,8 +148,6 @@ func (c *ConcurrentIndex) KNN(q dist.Query, k int) ([]Result, SearchStats, error
 
 // KNNWith implements WorkspaceSearcher. The results correspond to one
 // consistent state of the index: the one the shared lock holds still.
-//
-//sapla:noalloc
 func (c *ConcurrentIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
 	res, stats, _, err := c.KNNSnapshot(ws, q, k)
 	return res, stats, err
@@ -159,8 +157,6 @@ func (c *ConcurrentIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result,
 // version of the index that produced the results. The epoch is read under
 // the shared lock, which excludes every writer, so it cannot move during
 // the search.
-//
-//sapla:noalloc
 func (c *ConcurrentIndex) KNNSnapshot(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, uint64, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -91,8 +91,6 @@ func NewDBCH(method string, minFill, maxFill int) (*DBCH, error) {
 func (t *DBCH) Len() int { return t.size }
 
 // addEntry registers e in the entry arena and returns its id.
-//
-//sapla:noalloc
 func (t *DBCH) addEntry(e *Entry) int32 {
 	if n := len(t.entFree); n > 0 {
 		id := t.entFree[n-1]
@@ -100,24 +98,20 @@ func (t *DBCH) addEntry(e *Entry) int32 {
 		t.ents[id] = e
 		return id
 	}
-	t.ents = append(t.ents, e) //sapla:alloc amortised entry-arena growth; steady state reuses the free list
+	t.ents = append(t.ents, e)
 	return int32(len(t.ents) - 1)
 }
 
 // freeEntry returns an entry id to the free list.
-//
-//sapla:noalloc
 func (t *DBCH) freeEntry(id int32) {
 	t.ents[id] = nil
-	t.entFree = append(t.entFree, id) //sapla:alloc amortised free-list growth; bounded by the arena length
+	t.entFree = append(t.entFree, id)
 }
 
 // dEnt is the representation distance between two stored entries, treating
 // failures as "far". For the Dist_PAR methods it runs on the flattened forms
 // — no interface assertions, no per-sub-segment Shift — which is the hot
 // kernel of every hull rebuild, branch pick and split.
-//
-//sapla:noalloc
 func (t *DBCH) dEnt(a, b int32) float64 {
 	ea, eb := t.ents[a], t.ents[b]
 	if t.usePAR && ea.flat != nil && eb.flat != nil {
@@ -133,8 +127,6 @@ func (t *DBCH) dEnt(a, b int32) float64 {
 // dQ is the representation distance from a query to a stored entry, treating
 // failures as "far". Used for node bounds, where an error means "don't
 // prune", never a hard failure.
-//
-//sapla:noalloc
 func (t *DBCH) dQ(q dist.Query, eid int32) float64 {
 	e := t.ents[eid]
 	if t.usePAR && q.Flat != nil && e.flat != nil {
@@ -150,8 +142,6 @@ func (t *DBCH) dQ(q dist.Query, eid int32) float64 {
 // filterEntry is the leaf-level filtering distance, preserving the generic
 // measure's error semantics: the flat kernel answers only when it is
 // applicable, and incompatibilities fall back to the typed-error path.
-//
-//sapla:noalloc
 func (t *DBCH) filterEntry(q dist.Query, e *Entry) (float64, error) {
 	if t.usePAR && q.Flat != nil && e.flat != nil {
 		if d := dist.PARFlat(q.Flat, e.flat); !math.IsInf(d, 1) {
@@ -162,8 +152,6 @@ func (t *DBCH) filterEntry(q dist.Query, e *Entry) (float64, error) {
 }
 
 // Insert implements Index.
-//
-//sapla:noalloc
 func (t *DBCH) Insert(e *Entry) error {
 	t.insertEntry(t.addEntry(e))
 	t.size++
@@ -171,8 +159,6 @@ func (t *DBCH) Insert(e *Entry) error {
 }
 
 // insertEntry places a registered entry id into the tree.
-//
-//sapla:noalloc
 func (t *DBCH) insertEntry(eid int32) {
 	if t.root == nilNode {
 		nd := t.ar.alloc(true)
@@ -231,8 +217,6 @@ func (t *DBCH) insertRec(nd int32, eid int32) (sib int32, changed bool) {
 // candidate pairs involve eid, so comparing it against every other entry
 // keeps the hull the true max-distance pair. It reports whether the hull,
 // volume or covers changed.
-//
-//sapla:noalloc
 func (t *DBCH) absorbLeaf(nd, eid int32) bool {
 	ss := t.ar.slotsOf(nd)
 	if len(ss) == 1 {
@@ -267,8 +251,6 @@ func (t *DBCH) absorbLeaf(nd, eid int32) bool {
 }
 
 // leafCovers recomputes a leaf's exact cover radii.
-//
-//sapla:noalloc
 func (t *DBCH) leafCovers(nd int32) {
 	cu, cl := 0.0, 0.0
 	hu, hl := t.ar.hullU[nd], t.ar.hullL[nd]
@@ -285,8 +267,6 @@ func (t *DBCH) leafCovers(nd int32) {
 
 // pickBranch chooses the child whose hull needs the smallest growth to
 // cover eid (ties: smaller volume).
-//
-//sapla:noalloc
 func (t *DBCH) pickBranch(nd, eid int32) int32 {
 	best := nilNode
 	bestCost, bestVol := math.Inf(1), math.Inf(1)
@@ -308,14 +288,12 @@ func (t *DBCH) pickBranch(nd, eid int32) int32 {
 // the rest join the nearer seed. The groups are distributed into pre-sized
 // scratch first — allocating the sibling may move the arena's slot array, so
 // no slot alias may be held across it.
-//
-//sapla:noalloc
 func (t *DBCH) splitLeaf(nd int32) int32 {
 	ss := t.ar.slotsOf(nd)
 	s1, s2 := t.farthestEntryPair(ss)
 	a, b := t.scratchA[:0], t.scratchB[:0]
-	a = append(a, ss[s1]) //sapla:alloc scratch is pre-sized to slotCap in NewDBCH; append never grows
-	b = append(b, ss[s2]) //sapla:alloc scratch is pre-sized to slotCap in NewDBCH; append never grows
+	a = append(a, ss[s1])
+	b = append(b, ss[s2])
 	total := len(ss)
 	for i, e := range ss {
 		if i == s1 || i == s2 {
@@ -324,13 +302,13 @@ func (t *DBCH) splitLeaf(nd int32) int32 {
 		d1, d2 := t.dEnt(e, ss[s1]), t.dEnt(e, ss[s2])
 		switch {
 		case len(a) >= total-t.minFill: // b must take the rest
-			b = append(b, e) //sapla:alloc scratch is pre-sized to slotCap in NewDBCH; append never grows
+			b = append(b, e)
 		case len(b) >= total-t.minFill:
-			a = append(a, e) //sapla:alloc scratch is pre-sized to slotCap in NewDBCH; append never grows
+			a = append(a, e)
 		case d1 <= d2:
-			a = append(a, e) //sapla:alloc scratch is pre-sized to slotCap in NewDBCH; append never grows
+			a = append(a, e)
 		default:
-			b = append(b, e) //sapla:alloc scratch is pre-sized to slotCap in NewDBCH; append never grows
+			b = append(b, e)
 		}
 	}
 	sib := t.ar.alloc(true) // may move the slot array; ss is dead from here
@@ -342,14 +320,12 @@ func (t *DBCH) splitLeaf(nd int32) int32 {
 }
 
 // splitInternal splits children by the distance between their hulls.
-//
-//sapla:noalloc
 func (t *DBCH) splitInternal(nd int32) int32 {
 	ss := t.ar.slotsOf(nd)
 	s1, s2 := t.farthestChildPair(ss)
 	a, b := t.scratchA[:0], t.scratchB[:0]
-	a = append(a, ss[s1]) //sapla:alloc scratch is pre-sized to slotCap in NewDBCH; append never grows
-	b = append(b, ss[s2]) //sapla:alloc scratch is pre-sized to slotCap in NewDBCH; append never grows
+	a = append(a, ss[s1])
+	b = append(b, ss[s2])
 	total := len(ss)
 	for i, c := range ss {
 		if i == s1 || i == s2 {
@@ -358,13 +334,13 @@ func (t *DBCH) splitInternal(nd int32) int32 {
 		d1, d2 := t.childDist(c, ss[s1]), t.childDist(c, ss[s2])
 		switch {
 		case len(a) >= total-t.minFill:
-			b = append(b, c) //sapla:alloc scratch is pre-sized to slotCap in NewDBCH; append never grows
+			b = append(b, c)
 		case len(b) >= total-t.minFill:
-			a = append(a, c) //sapla:alloc scratch is pre-sized to slotCap in NewDBCH; append never grows
+			a = append(a, c)
 		case d1 <= d2:
-			a = append(a, c) //sapla:alloc scratch is pre-sized to slotCap in NewDBCH; append never grows
+			a = append(a, c)
 		default:
-			b = append(b, c) //sapla:alloc scratch is pre-sized to slotCap in NewDBCH; append never grows
+			b = append(b, c)
 		}
 	}
 	sib := t.ar.alloc(false) // may move the slot array; ss is dead from here
@@ -378,8 +354,6 @@ func (t *DBCH) splitInternal(nd int32) int32 {
 // childDist is the distance between two subtrees: the maximum distance
 // among their hull representatives (only hull pairs are compared for
 // internal nodes, per Section 5.3).
-//
-//sapla:noalloc
 func (t *DBCH) childDist(a, b int32) float64 {
 	au, al := t.ar.hullU[a], t.ar.hullL[a]
 	bu, bl := t.ar.hullU[b], t.ar.hullL[b]
@@ -398,8 +372,6 @@ func (t *DBCH) childDist(a, b int32) float64 {
 
 // farthestEntryPair returns the positions of the entry-id pair maximising
 // the representation distance.
-//
-//sapla:noalloc
 func (t *DBCH) farthestEntryPair(ids []int32) (int, int) {
 	s1, s2, worst := 0, 1, math.Inf(-1)
 	for i := 0; i < len(ids); i++ {
@@ -417,8 +389,6 @@ func (t *DBCH) farthestEntryPair(ids []int32) (int, int) {
 // rebuilds read the volume and every cover term back from the matrix instead
 // of re-evaluating the kernel — the cover distances are always a subset of
 // the pairs the farthest scan visits.
-//
-//sapla:noalloc
 func (t *DBCH) pairDists(ids []int32) (int, int) {
 	n := len(ids)
 	dm := t.dm
@@ -439,8 +409,6 @@ func (t *DBCH) pairDists(ids []int32) (int, int) {
 
 // farthestChildPair returns the positions of the child-node pair maximising
 // the hull-to-hull distance.
-//
-//sapla:noalloc
 func (t *DBCH) farthestChildPair(ids []int32) (int, int) {
 	s1, s2, worst := 0, 1, math.Inf(-1)
 	for i := 0; i < len(ids); i++ {
@@ -454,8 +422,6 @@ func (t *DBCH) farthestChildPair(ids []int32) (int, int) {
 }
 
 // rebuildLeafHull recomputes a leaf's exact max-distance pair.
-//
-//sapla:noalloc
 func (t *DBCH) rebuildLeafHull(nd int32) {
 	ss := t.ar.slotsOf(nd)
 	if len(ss) == 1 {
@@ -481,13 +447,11 @@ func (t *DBCH) rebuildLeafHull(nd int32) {
 
 // rebuildInternalHull recomputes an internal node's hull from its children's
 // hull representatives.
-//
-//sapla:noalloc
 func (t *DBCH) rebuildInternalHull(nd int32) {
 	ss := t.ar.slotsOf(nd)
 	h := t.hullScratch[:0]
 	for _, c := range ss {
-		h = append(h, t.ar.hullU[c], t.ar.hullL[c]) //sapla:alloc scratch is pre-sized to 2*slotCap in NewDBCH; append never grows
+		h = append(h, t.ar.hullU[c], t.ar.hullL[c])
 	}
 	i, j := t.pairDists(h)
 	n := len(h)
@@ -512,8 +476,6 @@ func (t *DBCH) rebuildInternalHull(nd int32) {
 
 // refreshInternalHull rebuilds nd's hull and reports whether anything moved,
 // so unchanged chains stop propagating up the insert path.
-//
-//sapla:noalloc
 func (t *DBCH) refreshInternalHull(nd int32) bool {
 	oldU, oldL := t.ar.hullU[nd], t.ar.hullL[nd]
 	oldVol := t.ar.volume[nd]
@@ -528,8 +490,6 @@ func (t *DBCH) refreshInternalHull(nd int32) bool {
 // boundID is Section 5.3's query-to-node distance: 0 when the query lies
 // within the hull's volume of both ends; otherwise the smaller of the two
 // hull distances (paper rule) or the triangle-safe bound (SafeBound).
-//
-//sapla:noalloc
 func (t *DBCH) boundID(q dist.Query, nd int32) float64 {
 	du := t.dQ(q, t.ar.hullU[nd])
 	dl := t.dQ(q, t.ar.hullL[nd])
@@ -555,8 +515,6 @@ func (t *DBCH) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 // specialised to the arena layout — the node frontier holds int32 ids, so
 // traversal never boxes a node into an interface, and child scans walk the
 // dense slot block.
-//
-//sapla:noalloc
 func (t *DBCH) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
 	var stats SearchStats
 	if t.root == nilNode || k <= 0 {

@@ -79,8 +79,6 @@ func collectEntries(nd *rnode, out *[]*Entry) {
 // underfull nodes and rebuilding hulls on the path. Condensed subtrees
 // release their nodes to the free list; their entries keep their entry-arena
 // ids and are reinserted. It reports whether the entry was found.
-//
-//sapla:noalloc
 func (t *DBCH) Delete(id int) bool {
 	if t.root == nilNode {
 		return false
@@ -148,7 +146,7 @@ func (t *DBCH) deleteRec(nd int32, id int) (found, underflow bool) {
 // the slot block is safe.
 func (t *DBCH) collectSubtree(nd int32) {
 	if t.ar.isLeaf[nd] {
-		t.orphans = append(t.orphans, t.ar.slotsOf(nd)...) //sapla:alloc amortised orphan-buffer growth; reused across deletes
+		t.orphans = append(t.orphans, t.ar.slotsOf(nd)...)
 		t.ar.freeNode(nd)
 		return
 	}

@@ -55,11 +55,9 @@ type parTable struct {
 
 // reset rebuilds the table for q, which must be Valid, straight from its
 // segments' lines.
-//
-//sapla:noalloc
 func (t *parTable) reset(q *dist.FlatLinear) {
 	if cap(t.p) < q.N+1 {
-		t.p = make([][2]float64, q.N+1) //sapla:alloc amortised growth of the reused table; steady state never re-enters
+		t.p = make([][2]float64, q.N+1)
 	}
 	t.p = t.p[:q.N+1]
 	var s0, s1, qq float64
@@ -262,8 +260,6 @@ func (f *Flat) Delete(id int) bool {
 // queryTable returns ws's table rebuilt for q when q can be filtered against
 // the block rows — it has a well-formed flat form of the rows' series length —
 // and nil when every slot must go through the generic measure.
-//
-//sapla:noalloc
 func (f *Flat) queryTable(ws *Workspace, q dist.Query) *parTable {
 	if f.stride == 0 || !q.Flat.Valid() || q.Flat.N != f.n {
 		return nil
@@ -281,8 +277,6 @@ func (f *Flat) queryTable(ws *Workspace, q dist.Query) *parTable {
 // d² = ‖q̂‖² + ‖ĉ‖² − 2⟨q̂,ĉ⟩, and over one stored segment ⟨q̂,ĉ⟩ is
 // A·Σt·q̂(t) + C·Σq̂(t) — two differences of tab's running sums. A row costs
 // its stride in multiply-adds, with no merge against the query's endpoints.
-//
-//sapla:noalloc
 func (f *Flat) filterSlots(q dist.Query, tab *parTable, lo int, out []float64) error {
 	if tab != nil {
 		b, _ := f.row(lo)
@@ -338,8 +332,6 @@ func abandonLimit(bound float64) float64 { return bound * bound * (1 + 1e-12) }
 // returns the updated bound. The exact distance it offers is the same
 // sequential sum ts.EuclideanSq computes, so answers stay bit-identical to
 // every other index's.
-//
-//sapla:noalloc
 func measure(ws *Workspace, q dist.Query, k int, e *Entry, kth float64) (float64, error) {
 	if len(e.Raw) != len(q.Raw) {
 		return kth, ErrQueryLength
@@ -362,8 +354,6 @@ func (f *Flat) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 // the k-th best distance close to its final value. Pass 2 walks the buffer
 // and measures only entries whose filter distance does not exceed the running
 // bound, abandoning each exact distance as soon as it cannot beat it.
-//
-//sapla:noalloc
 func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
 	var stats SearchStats
 	n := len(f.ents)
@@ -371,7 +361,7 @@ func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 		return nil, stats, nil
 	}
 	if cap(ws.filt) < n {
-		ws.filt = make([]float64, n+n/4) //sapla:alloc amortised growth of the reused filter buffer; steady state never re-enters
+		ws.filt = make([]float64, n+n/4)
 	}
 	filt := ws.filt[:n]
 	seeds := ws.seeds

@@ -644,29 +644,6 @@ func TestFlatQueryErrors(t *testing.T) {
 	m.valid("after errors", good, res)
 }
 
-// TestFlatKNNWithAllocs: a warmed workspace searches without touching the
-// heap.
-func TestFlatKNNWithAllocs(t *testing.T) {
-	f := newFlat(t, "SAPLA")
-	m := newFlatModel(t, "SAPLA", 71)
-	for id := 0; id < 2*flatRows+30; id++ {
-		m.insert(f, m.entry(id))
-	}
-	q := m.query()
-	ws := NewWorkspace()
-	if _, _, err := f.KNNWith(ws, q, 10); err != nil { // warm-up sizes the buffers
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := f.KNNWith(ws, q, 10); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Flat.KNNWith allocates %v times per search", allocs)
-	}
-}
-
 // sweepRows runs the filter stage alone, as KNNWith's pass 1 does: q's table,
 // then every block's rows into out (one value per slot).
 func sweepRows(tb testing.TB, f *Flat, ws *Workspace, q dist.Query, out []float64) {

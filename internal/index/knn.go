@@ -33,8 +33,6 @@ type searcher interface {
 // (those fetches are the paper's "time series which have to be measured").
 // All scratch state lives in ws; the returned slice aliases ws and stays
 // valid until its next use.
-//
-//sapla:noalloc
 func knnSearch(ws *Workspace, s searcher, root treeNode, q dist.Query, k int,
 	filter dist.FilterFunc) ([]Result, SearchStats, error) {
 
@@ -106,8 +104,6 @@ func (s *LinearScan) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 // KNNWith implements WorkspaceSearcher: exhaustive search through a
 // k-bounded heap, so a scan over n entries costs O(n log k) and zero
 // allocations instead of the sort-everything O(n log n).
-//
-//sapla:noalloc
 func (s *LinearScan) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
 	stats := SearchStats{Measured: len(s.entries)}
 	if k <= 0 {

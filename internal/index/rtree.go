@@ -212,8 +212,6 @@ func (n *rnode) Child(i int) treeNode { return n.children[i] }
 func (n *rnode) Entries() []*Entry { return n.entries }
 
 // boundOf implements searcher: the MBR lower bound of the node.
-//
-//sapla:noalloc
 func (t *RTree) boundOf(q dist.Query, nd treeNode) float64 {
 	return t.nodeDist(q, nd.(*rnode).rect)
 }
@@ -224,8 +222,6 @@ func (t *RTree) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 }
 
 // KNNWith implements WorkspaceSearcher.
-//
-//sapla:noalloc
 func (t *RTree) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
 	if t.root == nil {
 		return nil, SearchStats{}, nil

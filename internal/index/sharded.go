@@ -188,8 +188,6 @@ func addStats(total *SearchStats, st SearchStats) {
 // (distance, ID) order. The k-bounded tie heap keeps exactly the k smallest
 // candidates seen regardless of feed order, so the merged answer equals what
 // one tree holding every entry would return. The returned slice aliases ws.
-//
-//sapla:noalloc
 func mergeTopK(ws *Workspace, k int, cand []Result) []Result {
 	ws.best.Reset()
 	for i := range cand {
@@ -209,8 +207,6 @@ func (s *ShardedIndex) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 // shard's top-k under that order is a superset of its contribution to the
 // global top-k, so the merge loses nothing. Every shard search sees one
 // consistent state of that shard; the parallel fan-out lives in BatchKNN.
-//
-//sapla:noalloc
 func (s *ShardedIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
 	if len(s.shards) == 1 {
 		return s.shards[0].KNNWith(ws, q, k)
@@ -223,7 +219,7 @@ func (s *ShardedIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, Se
 			return nil, stats, err
 		}
 		addStats(&stats, st)
-		ws.cand = append(ws.cand, res...) //sapla:alloc amortised growth of the reused gather buffer; Reset keeps capacity
+		ws.cand = append(ws.cand, res...)
 	}
 	return mergeTopK(ws, k, ws.cand), stats, nil
 }

@@ -48,8 +48,6 @@ func NewWorkspace() *Workspace {
 // canonical (distance, ID) order and returns the updated k-th-best distance
 // bound. A candidate strictly worse than the current worst is dropped; an
 // exact distance tie is decided by the smaller entry ID.
-//
-//sapla:noalloc
 func (ws *Workspace) offerBest(k int, exact float64, e *Entry) float64 {
 	best := ws.best
 	if best.Len() < k {
@@ -70,7 +68,7 @@ func (ws *Workspace) offerBest(k int, exact float64, e *Entry) float64 {
 func (ws *Workspace) drainResults() []Result {
 	n := ws.best.Len()
 	if cap(ws.results) < n {
-		ws.results = make([]Result, n) //sapla:alloc one-time growth of the reused result buffer; steady state never re-enters
+		ws.results = make([]Result, n)
 	}
 	ws.results = ws.results[:n]
 	for i := n - 1; i >= 0; i-- {

@@ -2,13 +2,12 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 )
 
 // This file builds the module-wide static call graph the interprocedural
-// analyzers (walorder, ctxflow, lockorder, the ported noalloc/lockguard)
+// analyzers (walorder, lockorder, lockguard, arenaretain, goleak, taintflow)
 // share. Nodes are module-internal functions with bodies; edges are calls
 // that resolve statically (package functions, concrete methods, qualified
 // cross-package calls) plus interface calls resolved through method-set
@@ -151,6 +150,33 @@ func (ip *Interproc) CallTargets(info *types.Info, call *ast.CallExpr) ([]*types
 	return ip.resolveInterface(iface, fn), true
 }
 
+// staticCallee resolves a call to the *types.Func it statically invokes:
+// package-level functions and concrete methods resolve; interface methods,
+// function values and builtins do not.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := info.Uses[fun].(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			fn, ok := sel.Obj().(*types.Func)
+			if !ok {
+				return nil
+			}
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				return nil
+			}
+			return fn
+		}
+		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
+			return fn // qualified cross-package call
+		}
+	}
+	return nil
+}
+
 // receiverTypeName returns the declaring *types.TypeName of a method's
 // receiver (canonical per type), nil for plain functions.
 func receiverTypeName(fn *types.Func) *types.TypeName {
@@ -216,12 +242,4 @@ func eachCall(root ast.Node, fn func(*ast.CallExpr)) {
 		}
 		return true
 	})
-}
-
-// funcPos renders a function's declaration position, for witness messages.
-func (ip *Interproc) funcPos(fn *types.Func) token.Position {
-	if fi, ok := ip.Funcs[fn]; ok {
-		return ip.prog.Fset.Position(fi.Decl.Pos())
-	}
-	return ip.prog.Fset.Position(fn.Pos())
 }

@@ -2,67 +2,38 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
-// CtxflowAnalyzer enforces context discipline on the serving path:
-//
-//  1. A function that takes a context.Context must thread it: passing
-//     context.Background() or context.TODO() to a callee that accepts a
-//     context silently detaches the callee from the caller's deadline and
-//     cancellation. Deliberate detachment (a background task that must
-//     outlive the request) carries //sapla:detach <reason>.
-//  2. Goroutines spawned in internal/server and internal/index must be
-//     cancellable: a goroutine whose transitive effects include an
-//     unbounded loop (for without a condition) must also observe a
-//     cancellation signal — a ctx.Done()/ctx.Err() check or a receive from
-//     a chan struct{} stop channel — or it leaks when the server drains.
-//
-// Both rules ride on the shared effect summaries, so the signal may live
-// arbitrarily deep in the goroutine's module-internal call tree.
+// CtxflowAnalyzer enforces context threading on the serving path: a function
+// that takes a context.Context must pass it on. Handing context.Background()
+// or context.TODO() to a callee that accepts a context silently detaches the
+// callee from the caller's deadline and cancellation. Deliberate detachment
+// (a background task that must outlive the request) carries
+// //sapla:detach <reason>. Goroutine lifetime is goleak's contract, not this
+// analyzer's.
 var CtxflowAnalyzer = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "thread context.Context to callees that accept one; spawned goroutines must be cancellable",
+	Doc:  "thread context.Context to callees that accept one",
 	Run:  runCtxflow,
 }
 
 func runCtxflow(p *Pass) {
-	ip := p.Prog.Interproc()
 	info := p.Pkg.Info
-	goroutineScope := ctxflowGoroutineScope(p.Pkg)
 	for _, file := range p.Pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok || fd.Body == nil || !funcTakesContext(info, fd) {
 				continue
 			}
-			hasCtx := funcTakesContext(info, fd)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					if hasCtx {
-						checkDroppedContext(p, info, n)
-					}
-				case *ast.GoStmt:
-					if goroutineScope {
-						checkCancellable(p, ip, info, fd.Body, n)
-					}
+				if call, ok := n.(*ast.CallExpr); ok {
+					checkDroppedContext(p, info, call)
 				}
 				return true
 			})
 		}
 	}
-}
-
-// ctxflowGoroutineScope limits the goroutine-leak rule to the packages
-// whose goroutines must die on drain: the HTTP serving layer and the
-// concurrent index (plus the analyzer's own fixtures).
-func ctxflowGoroutineScope(pkg *Package) bool {
-	return strings.HasSuffix(pkg.Path, "/server") ||
-		strings.HasSuffix(pkg.Path, "/index") ||
-		strings.Contains(pkg.Path, "lint/testdata/")
 }
 
 // funcTakesContext reports whether the function declares a context.Context
@@ -119,54 +90,4 @@ func freshContextCall(info *types.Info, e ast.Expr) string {
 		return ""
 	}
 	return sel.Sel.Name
-}
-
-// checkCancellable flags a go statement whose spawned body may loop forever
-// without ever observing a cancellation signal. A goroutine joined by its
-// spawner (spawn.go's fork-join/handoff recognition) is exempt: the spawner
-// blocks until the loop exits, so the goroutine cannot outlive a drain —
-// those sites used to need //sapla:detach escapes.
-func checkCancellable(p *Pass, ip *Interproc, info *types.Info, scope *ast.BlockStmt, g *ast.GoStmt) {
-	eff, spawned, spawnedInfo, what, ok := spawnTarget(ip, info, g)
-	if !ok {
-		return // function value or bodiless callee: opaque, nothing to prove
-	}
-	if eff&EffForever == 0 || eff&EffCancel != 0 {
-		return
-	}
-	if joinedBySpawner(ip, info, scope, g, spawned, spawnedInfo) {
-		return
-	}
-	p.Reportf(g.Pos(),
-		"%s has an unbounded loop but never observes a cancellation signal (ctx.Done/ctx.Err or a chan struct{} receive); it leaks on shutdown",
-		what)
-}
-
-// litEffects computes the transitive effects of a function literal: its own
-// body's base effects plus the summaries of the module-internal functions
-// it calls.
-func litEffects(ip *Interproc, info *types.Info, lit *ast.FuncLit) Effect {
-	var eff Effect
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ForStmt:
-			if n.Cond == nil {
-				eff |= EffForever
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && isCancelChan(info, n.X) {
-				eff |= EffCancel
-			}
-		case *ast.CallExpr:
-			if isCtxSignal(info, n) {
-				eff |= EffCancel
-				return true
-			}
-			for _, callee := range ip.Callees(info, n) {
-				eff |= ip.Summary(callee).Effects
-			}
-		}
-		return true
-	})
-	return eff
 }

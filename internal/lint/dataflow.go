@@ -2,8 +2,8 @@ package lint
 
 import "go/ast"
 
-// This file is the flow-sensitive dataflow engine arenaretain, chanflow and
-// taintflow ride on. Their invariants are flow properties — a slice into the
+// This file is the flow-sensitive dataflow engine arenaretain and taintflow
+// ride on. Their invariants are flow properties — a slice into the
 // arena is fine before a repack and dangling after, request data is tainted
 // before validation and clean after — so the flow-insensitive walks the
 // other analyzers use cannot express them.
@@ -46,10 +46,6 @@ type flowEngine struct {
 	// or a control-flow operand (if/for condition, range operand, switch
 	// tag, case expression). Each leaf is passed exactly once per visit.
 	transfer func(n ast.Node, st flowState)
-	// onReturn, when set, runs at every return statement after its result
-	// expressions have been transferred — where a check that something
-	// opened on the path was closed before leaving the function fires.
-	onReturn func(ret *ast.ReturnStmt, st flowState)
 }
 
 // flowPath is a state plus whether the path has terminated.
@@ -98,9 +94,6 @@ func (e *flowEngine) stmt(stmt ast.Stmt, p *flowPath) {
 		e.stmts(s.List, p)
 	case *ast.ReturnStmt:
 		e.leaf(s, p)
-		if e.onReturn != nil {
-			e.onReturn(s, p.st)
-		}
 		p.done = true
 	case *ast.BranchStmt:
 		// break/continue/goto/fallthrough leave the walked region; dropping

@@ -279,37 +279,3 @@ chk("r")`,
 		})
 	}
 }
-
-// TestFlowEngineOnReturn pins that the return hook fires after the return
-// statement itself has been transferred (clients scan the result expressions
-// inside that leaf) — the ordering a must-close-before-return report relies
-// on.
-func TestFlowEngineOnReturn(t *testing.T) {
-	src := "package p\n\nfunc f() int {\n\tmark(\"a\")\n\treturn use(chk(\"a\"))\n}\n"
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "flow.go", src, 0)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	fn := file.Decls[0].(*ast.FuncDecl)
-
-	var order []string
-	eng := &flowEngine{
-		transfer: func(n ast.Node, st flowState) {
-			if _, ok := n.(*ast.ReturnStmt); ok {
-				order = append(order, "results")
-			}
-		},
-		onReturn: func(ret *ast.ReturnStmt, st flowState) {
-			order = append(order, "hook")
-		},
-	}
-	p := eng.run(fn.Body, &flowTestState{vars: map[string]bool{}})
-	if !p.done {
-		t.Errorf("path should be done after an unconditional return")
-	}
-	want := "[results hook]"
-	if got := fmt.Sprint(order); got != want {
-		t.Errorf("return ordering: got %v, want %v", got, want)
-	}
-}

@@ -5,10 +5,9 @@ import (
 	"go/types"
 )
 
-// GoleakAnalyzer enforces the goroutine-lifecycle contract the streaming and
-// multi-node tiers will be built against: every go statement must have an
-// owner with a collection story. A spawned goroutine is accounted for when
-// either
+// GoleakAnalyzer enforces the goroutine-lifecycle contract: every go
+// statement must have an owner with a collection story. A spawned goroutine
+// is accounted for when either
 //
 //  1. its spawner joins it — the goroutine signals completion (wg.Done() on
 //     a sync.WaitGroup, a send on or close of a channel) and the spawning

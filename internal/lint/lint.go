@@ -1,20 +1,18 @@
 // Package lint is the repo's static-analysis driver: a stdlib-only
 // (go/parser, go/ast, go/types, go/token — no x/tools dependency) analysis
-// framework plus the repo-specific analyzers that turn the performance and
-// concurrency contract established by the benchmarks — zero-allocation hot
-// paths, lock-guarded shared state, deterministic evaluation output — into
+// framework plus the repo-specific analyzers that turn the concurrency and
+// durability contract — lock-guarded shared state, WAL append before
+// acknowledge, collected goroutines, deterministic evaluation output — into
 // compile-time checks that run on every push instead of regression signals
-// that fire after the fact.
+// that fire after the fact. Contracts a cheaper tool already holds are not
+// repeated here: go vet guards lock copies, testing.AllocsPerRun tests guard
+// the zero-allocation hot paths.
 //
 // The driver loads and type-checks packages (see Load), runs each Analyzer
 // over every requested package, and reports findings as
 // "file:line:col: [check] message". Intentional exceptions are annotated in
 // the source with //sapla: directives:
 //
-//	//sapla:noalloc            marks a function whose module-internal call
-//	                           closure must not allocate (marker, placed in
-//	                           the function's doc comment)
-//	//sapla:alloc <reason>     suppresses a noalloc finding on its line
 //	//sapla:floateq <reason>   suppresses a floatcmp finding on its line
 //	//sapla:nondet <reason>    suppresses a determinism finding on its line
 //	//sapla:errok <reason>     suppresses an errcheck finding on its line
@@ -30,9 +28,6 @@
 //	                           designed process-lifetime loop — the
 //	                           snapshot/compaction ticker class — that is
 //	                           collected at process exit, not by its spawner)
-//	//sapla:chanok <reason>    suppresses a chanflow finding on its line (a
-//	                           channel operation whose bound is established
-//	                           by something the analyzer cannot see)
 //	//sapla:untainted <reason> suppresses a taintflow finding on its line
 //	                           (request-derived data validated by a
 //	                           mechanism outside the recognized sanitizers)
@@ -66,8 +61,7 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one named check. Per-package analyzers set Run and are
 // invoked once per analyzed package; whole-program analyzers (lock-order
-// cycles, the noalloc closure) set RunProgram and are invoked once with a
-// package-less Pass.
+// cycles) set RunProgram and are invoked once with a package-less Pass.
 type Analyzer struct {
 	Name       string
 	Doc        string
@@ -104,11 +98,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Directive names. DirNoalloc is a marker consumed by the noalloc analyzer;
-// the rest are per-line suppressions.
+// Directive names, each a per-line suppression.
 const (
-	DirNoalloc   = "noalloc"
-	DirAlloc     = "alloc"
 	DirFloatEq   = "floateq"
 	DirNonDet    = "nondet"
 	DirErrOK     = "errok"
@@ -116,13 +107,11 @@ const (
 	DirDetach    = "detach"
 	DirRetain    = "retain"
 	DirDaemon    = "daemon"
-	DirChanOK    = "chanok"
 	DirUntainted = "untainted"
 )
 
 // suppressDirective maps an analyzer to the directive that silences it.
 var suppressDirective = map[string]string{
-	"noalloc":     DirAlloc,
 	"floatcmp":    DirFloatEq,
 	"determinism": DirNonDet,
 	"errcheck":    DirErrOK,
@@ -130,15 +119,12 @@ var suppressDirective = map[string]string{
 	"ctxflow":     DirDetach,
 	"arenaretain": DirRetain,
 	"goleak":      DirDaemon,
-	"chanflow":    DirChanOK,
 	"taintflow":   DirUntainted,
 }
 
-// knownDirectives is every accepted //sapla: directive and whether it
-// requires a reason.
+// knownDirectives is every accepted //sapla: directive; each requires a
+// reason.
 var knownDirectives = map[string]bool{
-	DirNoalloc:   false,
-	DirAlloc:     true,
 	DirFloatEq:   true,
 	DirNonDet:    true,
 	DirErrOK:     true,
@@ -146,7 +132,6 @@ var knownDirectives = map[string]bool{
 	DirDetach:    true,
 	DirRetain:    true,
 	DirDaemon:    true,
-	DirChanOK:    true,
 	DirUntainted: true,
 }
 
@@ -231,39 +216,32 @@ func (prog *Program) ensureDirectives() []Diagnostic {
 func (prog *Program) indexDirectives() []Diagnostic {
 	var diags []Diagnostic
 	prog.suppress = make(map[suppressKey]bool)
+	known := make([]string, 0, len(knownDirectives)) // for the unknown-directive message
+	for name := range knownDirectives {
+		known = append(known, name)
+	}
+	sort.Strings(known)
 	for _, pkg := range prog.Pkgs {
 		for _, file := range pkg.Files {
 			src := prog.sources[prog.Fset.Position(file.Pos()).Filename]
-			docPositions := funcDocRanges(file)
 			for _, d := range parseDirectives(prog.Fset, file, src) {
 				pos := prog.Fset.Position(d.pos)
-				needsReason, known := knownDirectives[d.name]
-				if !known {
+				if !knownDirectives[d.name] {
 					diags = append(diags, Diagnostic{
 						Pos:   pos,
 						Check: "directive",
-						Message: fmt.Sprintf("unknown directive //sapla:%s (known: alloc, chanok, daemon, detach, errok, floateq, noalloc, nondet, retain, untainted, volatile)",
-							d.name),
+						Message: fmt.Sprintf("unknown directive //sapla:%s (known: %s)",
+							d.name, strings.Join(known, ", ")),
 					})
 					continue
 				}
-				if needsReason && d.reason == "" {
+				if d.reason == "" {
 					diags = append(diags, Diagnostic{
 						Pos:   pos,
 						Check: "directive",
 						Message: fmt.Sprintf("//sapla:%s needs a reason: say why the exception is sound",
 							d.name),
 					})
-					continue
-				}
-				if d.name == DirNoalloc {
-					if !inRanges(docPositions, d.pos) {
-						diags = append(diags, Diagnostic{
-							Pos:     pos,
-							Check:   "directive",
-							Message: "//sapla:noalloc must appear in a function declaration's doc comment",
-						})
-					}
 					continue
 				}
 				prog.suppress[suppressKey{name: d.name, file: pos.Filename, line: d.appliesTo}] = true
@@ -273,35 +251,10 @@ func (prog *Program) indexDirectives() []Diagnostic {
 	return diags
 }
 
-// posRange is a half-open position interval.
-type posRange struct{ lo, hi token.Pos }
-
-// funcDocRanges returns the position ranges of every function declaration's
-// doc comment group in the file.
-func funcDocRanges(file *ast.File) []posRange {
-	var out []posRange
-	for _, decl := range file.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
-			out = append(out, posRange{lo: fd.Doc.Pos(), hi: fd.Doc.End()})
-		}
-	}
-	return out
-}
-
-func inRanges(rs []posRange, p token.Pos) bool {
-	for _, r := range rs {
-		if p >= r.lo && p <= r.hi {
-			return true
-		}
-	}
-	return false
-}
-
 // Analyzers returns the analyzers with the given names, or every analyzer
 // when no names are given. Unknown names are an error naming the valid set.
 func Analyzers(names ...string) ([]*Analyzer, error) {
 	all := []*Analyzer{
-		NoallocAnalyzer,
 		LockguardAnalyzer,
 		FloatcmpAnalyzer,
 		DeterminismAnalyzer,
@@ -309,10 +262,8 @@ func Analyzers(names ...string) ([]*Analyzer, error) {
 		WalorderAnalyzer,
 		CtxflowAnalyzer,
 		LockorderAnalyzer,
-		CopylocksAnalyzer,
 		ArenaretainAnalyzer,
 		GoleakAnalyzer,
-		ChanflowAnalyzer,
 		TaintflowAnalyzer,
 	}
 	if len(names) == 0 {
@@ -365,8 +316,7 @@ func (prog *Program) RunTimed(analyzers []*Analyzer) ([]Diagnostic, []CheckTimin
 	needIP := false
 	for _, a := range analyzers {
 		switch a.Name {
-		case "walorder", "ctxflow", "lockorder", "noalloc", "lockguard",
-			"arenaretain", "goleak", "chanflow", "taintflow":
+		case "walorder", "lockorder", "lockguard", "arenaretain", "goleak", "taintflow":
 			needIP = true
 		}
 	}

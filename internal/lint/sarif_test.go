@@ -83,7 +83,7 @@ func TestSARIF(t *testing.T) {
 	for _, rule := range run.Tool.Driver.Rules {
 		ruleIDs[rule.ID] = true
 	}
-	for _, id := range []string{"goleak", "chanflow", "taintflow"} {
+	for _, id := range []string{"arenaretain", "goleak", "taintflow"} {
 		if !ruleIDs[id] {
 			t.Errorf("rules missing %q — the flow-sensitive analyzers must publish SARIF rules", id)
 		}

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// This file is the spawn-lifecycle layer shared by goleak, ctxflow and the
+// This file is the spawn-lifecycle layer shared by goleak and the
 // EffSpawnDetached summary bit: resolving what a go statement launches, and
 // deciding whether the spawner provably collects the goroutine again — a
 // WaitGroup Done/Wait pair or a channel handoff received back in the
@@ -33,6 +33,31 @@ func spawnTarget(ip *Interproc, info *types.Info, g *ast.GoStmt) (eff Effect, sp
 		}
 		return ip.summaries[fn].Effects, fi.Decl.Body, fi.Pkg.Info, "goroutine running " + fn.Name(), true
 	}
+}
+
+// litEffects computes the transitive effects of a function literal: its own
+// body's base effects plus the summaries of the module-internal functions
+// it calls.
+func litEffects(ip *Interproc, info *types.Info, lit *ast.FuncLit) Effect {
+	var eff Effect
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW && isCancelChan(info, n.X) {
+				eff |= EffCancel
+			}
+		case *ast.CallExpr:
+			if isCtxSignal(info, n) {
+				eff |= EffCancel
+				return true
+			}
+			for _, callee := range ip.Callees(info, n) {
+				eff |= ip.Summary(callee).Effects
+			}
+		}
+		return true
+	})
+	return eff
 }
 
 // joinedBySpawner reports whether the goroutine spawned by g is collected

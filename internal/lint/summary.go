@@ -22,11 +22,6 @@ const (
 	// EffMutate: mutates the serving index (Insert/Delete on a type named
 	// ConcurrentIndex).
 	EffMutate
-	// EffSpawn: launches a goroutine.
-	EffSpawn
-	// EffForever: contains a for-loop with no condition (runs until an
-	// explicit exit).
-	EffForever
 	// EffCancel: observes a cancellation signal — ctx.Done()/ctx.Err(), or
 	// a receive from a chan struct{} stop channel.
 	EffCancel
@@ -157,12 +152,6 @@ func (ip *Interproc) updateSummary(fi *FuncInfo) bool {
 	info := fi.Pkg.Info
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.GoStmt:
-			eff |= EffSpawn
-		case *ast.ForStmt:
-			if n.Cond == nil {
-				eff |= EffForever
-			}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW && isCancelChan(info, n.X) {
 				eff |= EffCancel

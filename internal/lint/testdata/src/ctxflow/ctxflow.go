@@ -1,12 +1,8 @@
 // Package ctxflow exercises the ctxflow analyzer: functions holding a
-// context must thread it to callees that accept one, and spawned goroutines
-// with unbounded loops must observe a cancellation signal.
+// context must thread it to callees that accept one.
 package ctxflow
 
-import (
-	"context"
-	"sync"
-)
+import "context"
 
 func helper(ctx context.Context) {}
 
@@ -26,87 +22,4 @@ func root() {
 // detached detaches deliberately and says why.
 func detached(ctx context.Context) {
 	go helper(context.Background()) //sapla:detach fixture model of a background task that must outlive the request
-}
-
-// spin loops forever and never looks at any cancellation signal.
-func spin() {
-	for {
-	}
-}
-
-// launchLeak spawns the unbounded loop: it leaks on shutdown.
-func launchLeak() {
-	go spin() // want "goroutine running spin has an unbounded loop but never observes a cancellation signal"
-}
-
-// launchLitLeak spawns an unbounded literal with the same problem.
-func launchLitLeak() {
-	go func() { // want "goroutine has an unbounded loop but never observes a cancellation signal"
-		for {
-		}
-	}()
-}
-
-// launchCancellable spawns loops that watch ctx.Done or a stop channel.
-func launchCancellable(ctx context.Context, stop chan struct{}) {
-	go func() {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			default:
-			}
-		}
-	}()
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-		}
-	}()
-}
-
-// stopped observes the stop channel on pump's behalf.
-func stopped(stop chan struct{}) bool {
-	select {
-	case <-stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// pump loops forever but observes cancellation transitively through
-// stopped; the signal lives one call deep.
-func pump(stop chan struct{}) {
-	for {
-		if stopped(stop) {
-			return
-		}
-	}
-}
-
-// launchPump is silent: the spawned tree contains a cancellation check.
-func launchPump(stop chan struct{}) {
-	go pump(stop)
-}
-
-// launchJoinedLoop is silent without any cancellation signal: the spawner
-// blocks on the WaitGroup until the drain loop returns, so the goroutine
-// cannot outlive it — the fork-join idiom that used to need //sapla:detach.
-func launchJoinedLoop(work chan int) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			if _, ok := <-work; !ok {
-				return
-			}
-		}
-	}()
-	wg.Wait()
 }

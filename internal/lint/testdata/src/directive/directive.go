@@ -17,7 +17,7 @@ func missingReason(a, b float64) bool {
 	return a == b //sapla:floateq
 }
 
-func misplacedNoalloc() int {
+func retiredName() int {
 	//sapla:noalloc
 	return 0
 }

@@ -20,6 +20,18 @@ func launchDetached() {
 	}()
 }
 
+// spin loops forever and never looks at any cancellation signal.
+func spin() {
+	for {
+	}
+}
+
+// launchSpin spawns the unbounded loop as a static callee: the same finding
+// through the callee's summary instead of a literal's body.
+func launchSpin() {
+	go spin() // want "goroutine running spin is neither joined by its spawner .* nor observes a cancellation signal"
+}
+
 // launchShortDetached leaks even without a loop: the spawner has no way to
 // know the goroutine finished.
 func launchShortDetached() {

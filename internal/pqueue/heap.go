@@ -25,8 +25,6 @@ func NewMaxHeap[T any]() *Heap[T] { return &Heap[T]{min: false} }
 func (h *Heap[T]) Len() int { return len(h.items) }
 
 // Reset empties the heap, keeping its backing storage for reuse.
-//
-//sapla:noalloc
 func (h *Heap[T]) Reset() {
 	var zero heapItem[T]
 	for i := range h.items {
@@ -36,29 +34,21 @@ func (h *Heap[T]) Reset() {
 }
 
 // Push inserts a value with the given priority.
-//
-//sapla:noalloc
 func (h *Heap[T]) Push(priority float64, v T) {
-	h.items = append(h.items, heapItem[T]{priority: priority, value: v}) //sapla:alloc amortised growth of the reused backing slice; Reset keeps capacity
+	h.items = append(h.items, heapItem[T]{priority: priority, value: v})
 	h.up(len(h.items) - 1)
 }
 
 // PeekPriority returns the best priority without removing it. The heap must
 // be non-empty.
-//
-//sapla:noalloc
 func (h *Heap[T]) PeekPriority() float64 { return h.items[0].priority }
 
 // PeekValue returns the best value without removing it. The heap must be
 // non-empty.
-//
-//sapla:noalloc
 func (h *Heap[T]) PeekValue() T { return h.items[0].value }
 
 // Pop removes and returns the best priority and value. The heap must be
 // non-empty.
-//
-//sapla:noalloc
 func (h *Heap[T]) Pop() (float64, T) {
 	top := h.items[0]
 	last := len(h.items) - 1

@@ -33,8 +33,6 @@ func NewMaxTieHeap[T any]() *TieHeap[T] { return &TieHeap[T]{min: false} }
 func (h *TieHeap[T]) Len() int { return len(h.items) }
 
 // Reset empties the heap, keeping its backing storage for reuse.
-//
-//sapla:noalloc
 func (h *TieHeap[T]) Reset() {
 	var zero tieItem[T]
 	for i := range h.items {
@@ -44,35 +42,25 @@ func (h *TieHeap[T]) Reset() {
 }
 
 // Push inserts a value under the (priority, tie) key.
-//
-//sapla:noalloc
 func (h *TieHeap[T]) Push(priority float64, tie int64, v T) {
-	h.items = append(h.items, tieItem[T]{priority: priority, tie: tie, value: v}) //sapla:alloc amortised growth of the reused backing slice; Reset keeps capacity
+	h.items = append(h.items, tieItem[T]{priority: priority, tie: tie, value: v})
 	h.up(len(h.items) - 1)
 }
 
 // PeekPriority returns the best item's priority without removing it. The
 // heap must be non-empty.
-//
-//sapla:noalloc
 func (h *TieHeap[T]) PeekPriority() float64 { return h.items[0].priority }
 
 // PeekTie returns the best item's tie key without removing it. The heap
 // must be non-empty.
-//
-//sapla:noalloc
 func (h *TieHeap[T]) PeekTie() int64 { return h.items[0].tie }
 
 // PeekValue returns the best value without removing it. The heap must be
 // non-empty.
-//
-//sapla:noalloc
 func (h *TieHeap[T]) PeekValue() T { return h.items[0].value }
 
 // Pop removes and returns the best priority, tie key and value. The heap
 // must be non-empty.
-//
-//sapla:noalloc
 func (h *TieHeap[T]) Pop() (float64, int64, T) {
 	top := h.items[0]
 	last := len(h.items) - 1
@@ -90,8 +78,6 @@ func (h *TieHeap[T]) Pop() (float64, int64, T) {
 // The float equality is exact on purpose: the tie key must only take over
 // when the priorities are bit-comparable equals, anything looser would make
 // the order depend on evaluation noise.
-//
-//sapla:noalloc
 func (h *TieHeap[T]) better(ap float64, at int64, bp float64, bt int64) bool {
 	if ap != bp { //sapla:floateq exact comparison: the tie key decides only true float ties
 		if h.min {

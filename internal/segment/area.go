@@ -14,7 +14,7 @@ func SumAbsLine(p, q float64, l int) float64 {
 		return 0
 	}
 	fl := float64(l)
-	sum := func(lo, hi float64) float64 { //sapla:alloc the closure never escapes SumAbsLine, so it stays on the stack (benchdiff holds the 0 allocs/op line)
+	sum := func(lo, hi float64) float64 { // never escapes, so it stays on the stack (core's TestReduceIntoAllocs holds that)
 		// Σ_{t=lo}^{hi-1} (p·t + q)
 		n := hi - lo
 		return p*(lo+hi-1)*n/2 + q*n

@@ -31,9 +31,9 @@ func (p *Prefix) Reset(s Series) {
 	n := len(s)
 	p.n = n
 	if cap(p.c) < n+1 {
-		p.c = make([]float64, n+1)  //sapla:alloc amortized warm-up growth; steady-state Reset reuses the buffers
-		p.tc = make([]float64, n+1) //sapla:alloc amortized warm-up growth; steady-state Reset reuses the buffers
-		p.cc = make([]float64, n+1) //sapla:alloc amortized warm-up growth; steady-state Reset reuses the buffers
+		p.c = make([]float64, n+1)
+		p.tc = make([]float64, n+1)
+		p.cc = make([]float64, n+1)
 	}
 	p.c, p.tc, p.cc = p.c[:n+1], p.tc[:n+1], p.cc[:n+1]
 	p.c[0], p.tc[0], p.cc[0] = 0, 0, 0

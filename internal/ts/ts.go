@@ -39,10 +39,10 @@ func (s Series) Validate() error {
 	}
 	for i, v := range s {
 		if math.IsNaN(v) {
-			return fmt.Errorf("ts: NaN at index %d", i) //sapla:alloc cold error path; a rejected series never reaches the hot loop
+			return fmt.Errorf("ts: NaN at index %d", i)
 		}
 		if math.IsInf(v, 0) {
-			return fmt.Errorf("ts: infinity at index %d", i) //sapla:alloc cold error path; a rejected series never reaches the hot loop
+			return fmt.Errorf("ts: infinity at index %d", i)
 		}
 	}
 	return nil
