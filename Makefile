@@ -46,12 +46,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Race-check the packages that run concurrent hot paths (the experiment
-# pool, the batch reduction fan-out, the batch query engine / concurrent
-# index, the HTTP service, and the WAL) without paying for a full -race
-# sweep.
+# Race-check the one fan-out (par.Do) and the packages that call it or run
+# concurrent hot paths of their own (the experiments, the batch query engine /
+# concurrent index, the HTTP service, and the WAL) without paying for a full
+# -race sweep.
 race-short:
-	$(GO) test -race ./internal/eval ./internal/index ./internal/reduce ./internal/server ./internal/wal
+	$(GO) test -race ./internal/par ./internal/eval ./internal/index ./internal/reduce ./internal/server ./internal/wal
 
 # Crash-recovery property tests under the race detector, repeated: random
 # ingest/delete/snapshot interleavings are crashed (fault-injected in-memory

@@ -1,7 +1,10 @@
 package eval
 
 import (
+	"context"
+
 	"sapla/internal/mining"
+	"sapla/internal/par"
 )
 
 // ClassificationRow is one method's k-NN classification quality over the
@@ -32,7 +35,7 @@ func ClassificationExperiment(opt Options, m, k int) ([]ClassificationRow, error
 	errs := make([]error, nd*nm)
 	gens := newLabelledCache(opt)
 
-	runIndexed(nd*nm, opt.Workers, func(u int) {
+	par.Do(context.Background(), nd*nm, opt.Workers, func(u int) {
 		di, mi := u/nm, u%nm
 		train, test := gens.get(di)
 		if len(test) == 0 {

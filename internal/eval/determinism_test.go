@@ -127,19 +127,3 @@ func TestClassificationExperimentDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestRunIndexedCoversAllUnits: the pool must call every index exactly once
-// for worker counts below, at, and above the unit count.
-func TestRunIndexedCoversAllUnits(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 50} {
-		const n = 23
-		hits := make([]int32, n)
-		runIndexed(n, workers, func(i int) { hits[i]++ })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: unit %d ran %d times", workers, i, h)
-			}
-		}
-	}
-	runIndexed(0, 4, func(i int) { t.Fatal("fn called for n=0") })
-}

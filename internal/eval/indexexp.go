@@ -1,12 +1,14 @@
 package eval
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"time"
 
 	"sapla/internal/dist"
 	"sapla/internal/index"
+	"sapla/internal/par"
 	"sapla/internal/ts"
 )
 
@@ -110,7 +112,7 @@ func IndexExperiment(opt Options, m int) ([]IndexRow, error) {
 	linSlots := make([]indexAcc, nUnits)
 	errs := make([]error, nUnits)
 
-	runIndexed(nUnits, opt.Workers, func(u int) {
+	par.Do(context.Background(), nUnits, opt.Workers, func(u int) {
 		di, mi := u/(nm+1), u%(nm+1)
 		data, queries := dc.get(di)
 		if len(data) == 0 {

@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"context"
 	"sort"
 	"time"
 
+	"sapla/internal/par"
 	"sapla/internal/ts"
 )
 
@@ -37,7 +39,7 @@ func ReductionByDataset(opt Options, m int) ([]DatasetRow, error) {
 	filled := make([]bool, nd*nm)
 	errs := make([]error, nd*nm)
 
-	runIndexed(nd*nm, opt.Workers, func(u int) {
+	par.Do(context.Background(), nd*nm, opt.Workers, func(u int) {
 		di, mi := u/nm, u%nm
 		data, _ := dc.get(di)
 		if len(data) == 0 {

@@ -1,8 +1,11 @@
 package eval
 
 import (
+	"context"
+
 	"sapla/internal/dist"
 	"sapla/internal/index"
+	"sapla/internal/par"
 )
 
 // KRow is one (method, tree, K) point of the K-sweep behind Figure 13: how
@@ -41,7 +44,7 @@ func IndexByK(opt Options, m int) ([]KRow, error) {
 	slots := make([]acc, nUnits*2*nk)
 	errs := make([]error, nUnits)
 
-	runIndexed(nUnits, opt.Workers, func(u int) {
+	par.Do(context.Background(), nUnits, opt.Workers, func(u int) {
 		di, mi := u/nm, u%nm
 		data, queries := dc.get(di)
 		if len(data) == 0 {

@@ -1,57 +1,13 @@
 package eval
 
 import (
-	"runtime"
+	"context"
 	"sync"
-	"sync/atomic"
 
+	"sapla/internal/par"
 	"sapla/internal/ts"
 	"sapla/internal/ucr"
 )
-
-// runIndexed runs fn(i) for every i in [0, n) on a bounded worker pool.
-// Units are claimed from a shared atomic counter (work stealing), so one
-// slow unit never idles the other workers — the failure mode of the old
-// dataset-level fan-out, where the slowest dataset serialised the tail of
-// every experiment. workers <= 0 means GOMAXPROCS.
-//
-// Determinism contract: fn must write its results into per-index slots and
-// the caller must fold the slots sequentially afterwards. That fixes the
-// floating-point accumulation order, so every derived figure is identical
-// for any worker count.
-func runIndexed(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // datasetCache generates each dataset at most once, on demand, whichever
 // unit touches it first — the piece that lets experiments parallelise below
@@ -89,7 +45,7 @@ func (dc *datasetCache) get(di int) (data, queries []ts.Series) {
 // that need the generated shapes up front (to lay out work units) call this
 // instead of generating lazily.
 func (dc *datasetCache) generateAll(workers int) {
-	runIndexed(len(dc.opt.Datasets), workers, func(di int) { dc.get(di) })
+	par.Do(context.Background(), len(dc.opt.Datasets), workers, func(di int) { dc.get(di) })
 }
 
 // labelledCache is the datasetCache analogue for experiments that need the

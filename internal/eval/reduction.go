@@ -1,8 +1,10 @@
 package eval
 
 import (
+	"context"
 	"time"
 
+	"sapla/internal/par"
 	"sapla/internal/ts"
 )
 
@@ -45,7 +47,7 @@ func ReductionExperiment(opt Options) ([]ReductionRow, error) {
 	nm, nk := len(methods), len(opt.Ms)
 	slots := make([]acc, len(units)*nm*nk)
 	errs := make([]error, len(units))
-	runIndexed(len(units), opt.Workers, func(u int) {
+	par.Do(context.Background(), len(units), opt.Workers, func(u int) {
 		data, _ := dc.get(units[u].di)
 		c := data[units[u].si]
 		base := u * nm * nk

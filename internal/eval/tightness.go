@@ -1,8 +1,11 @@
 package eval
 
 import (
+	"context"
+
 	"sapla/internal/core"
 	"sapla/internal/dist"
+	"sapla/internal/par"
 	"sapla/internal/repr"
 	"sapla/internal/ts"
 )
@@ -37,7 +40,7 @@ func TightnessExperiment(opt Options, m int) ([]TightnessRow, error) {
 	slots := make([]acc, nd*len(measures))
 	errs := make([]error, nd)
 
-	runIndexed(nd, opt.Workers, func(di int) {
+	par.Do(context.Background(), nd, opt.Workers, func(di int) {
 		data, queries := dc.get(di)
 		sapla := core.New()
 		local := slots[di*len(measures) : (di+1)*len(measures)]

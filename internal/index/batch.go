@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"sapla/internal/dist"
+	"sapla/internal/par"
 )
 
 // ErrBatchCanceled is wrapped by the error BatchKNNContext returns when its
@@ -16,14 +14,15 @@ import (
 // queries that did complete stay valid; unfinished slots are zero.
 var ErrBatchCanceled = errors.New("index: batch k-NN canceled")
 
-// BatchKNN answers many k-NN queries over one index concurrently. Queries
-// are claimed from a shared atomic counter (work stealing, so skewed query
-// costs don't idle workers), each worker owns one reusable Workspace, and
-// every query writes its answers and statistics into its own output slot —
-// the results are therefore identical for any worker count. workers <= 0
-// means GOMAXPROCS. Searches only read the index, so any Index is safe to
-// share; indexes implementing WorkspaceSearcher are searched
-// allocation-free apart from the per-query result copy.
+// BatchKNN answers many k-NN queries over one index concurrently on par.Do.
+// The unit of work is one (query, part): a ShardedIndex with more than one
+// shard contributes its shards as parts, so one slow shard of one query never
+// idles a worker and a batch fills the cores even with fewer queries than
+// workers; every other index is its own single part. Each task searches on a
+// pooled Workspace and writes into its own slot, and multi-part queries are
+// merged afterwards under the canonical (distance, ID) order — the results
+// are identical for any worker count and any shard count. workers <= 0 means
+// GOMAXPROCS. Searches only read the index, so any Index is safe to share.
 //
 // The first error in query order aborts nothing already in flight but is
 // the one returned; out and stats stay valid for the queries that finished.
@@ -31,83 +30,87 @@ func BatchKNN(idx Index, queries []dist.Query, k, workers int) ([][]Result, []Se
 	return BatchKNNContext(context.Background(), idx, queries, k, workers)
 }
 
-// BatchKNNContext is BatchKNN with cancellation: workers re-check ctx
-// before claiming each query, so a shed or timed-out batch request stops
-// consuming CPU after at most one in-flight query per worker. When ctx
-// expires early the answered prefix of out/stats stays valid and the error
+// searchParts returns the shards of a multi-shard ShardedIndex, and nil for
+// every other index: it is its own single part.
+func searchParts(idx Index) []*ConcurrentIndex {
+	if sh, ok := idx.(*ShardedIndex); ok && len(sh.shards) > 1 {
+		return sh.shards
+	}
+	return nil
+}
+
+// BatchKNNContext is BatchKNN with cancellation: ctx is re-checked before
+// each task is claimed, so a shed or timed-out batch request stops consuming
+// CPU after at most one in-flight search per worker. A query counts as
+// answered only when all its parts ran; when ctx expires early the answered
+// queries' out/stats stay valid, the others keep zero slots, and the error
 // wraps both ErrBatchCanceled and ctx's cause.
 func BatchKNNContext(ctx context.Context, idx Index, queries []dist.Query, k, workers int) ([][]Result, []SearchStats, error) {
-	// A multi-shard index fans out at (query, shard) granularity instead of
-	// whole queries, so the pool stays busy even when queries are fewer than
-	// workers; the per-query merges reproduce the single-shard answers.
-	if sh, ok := idx.(*ShardedIndex); ok && sh.NumShards() > 1 {
-		return sh.batchKNN(ctx, queries, k, workers)
-	}
-	out := make([][]Result, len(queries))
-	stats := make([]SearchStats, len(queries))
-	if len(queries) == 0 {
-		return out, stats, nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
+	shards := searchParts(idx)
+	parts := max(1, len(shards))
+	tasks := len(queries) * parts
+	res := make([][]Result, tasks) // slot t answers query t/parts on part t%parts
+	stats := make([]SearchStats, tasks)
+	ran := make([]struct {
+		done bool
+		err  error
+	}, tasks)
+	par.Do(ctx, tasks, workers, func(t int) {
+		part := idx
+		if shards != nil {
+			part = shards[t%parts]
+		}
+		// A WorkspaceSearcher's KNN borrows a Workspace from wsPool for this
+		// one search and returns a copy of the answer (pooledKNN).
+		res[t], stats[t], ran[t].err = part.KNN(queries[t/parts], k)
+		ran[t].done = true
+	})
 
-	errs := make([]error, len(queries))
-	ws, _ := idx.(WorkspaceSearcher)
-	var next atomic.Int64
-	var done atomic.Int64
-	work := func() {
-		var scratch *Workspace
-		if ws != nil {
-			scratch = wsPool.Get().(*Workspace)
-			defer wsPool.Put(scratch)
-		}
-		for {
-			if ctx.Err() != nil {
-				return
+	// Gather. With one part the part's answer is the query's; with several,
+	// the parts' top-k are merged into the query's top-k.
+	out, qstats := res, stats
+	var merge *Workspace
+	if shards != nil {
+		out, qstats = make([][]Result, len(queries)), make([]SearchStats, len(queries))
+		merge = wsPool.Get().(*Workspace)
+		defer wsPool.Put(merge)
+	}
+	answered := 0
+	var firstErr error
+	for qi := range queries {
+		lo, hi := qi*parts, (qi+1)*parts
+		all, qerr := true, error(nil)
+		for _, r := range ran[lo:hi] {
+			all = all && r.done
+			if qerr == nil {
+				qerr = r.err
 			}
-			i := int(next.Add(1)) - 1
-			if i >= len(queries) {
-				return
-			}
-			if ws != nil {
-				res, st, err := ws.KNNWith(scratch, queries[i], k)
-				if len(res) > 0 {
-					out[i] = make([]Result, len(res))
-					copy(out[i], res)
-				}
-				stats[i], errs[i] = st, err
-			} else {
-				out[i], stats[i], errs[i] = idx.KNN(queries[i], k)
-			}
-			done.Add(1)
+		}
+		if !all {
+			continue // cancelled before every part ran: the slots stay zero
+		}
+		answered++
+		if firstErr == nil {
+			firstErr = qerr
+		}
+		if shards == nil {
+			continue
+		}
+		merge.cand = merge.cand[:0]
+		for t := lo; t < hi; t++ {
+			addStats(&qstats[qi], stats[t])
+			merge.cand = append(merge.cand, res[t]...)
+		}
+		if qerr != nil {
+			continue
+		}
+		if best := mergeTopK(merge, k, merge.cand); len(best) > 0 {
+			out[qi] = append([]Result(nil), best...)
 		}
 	}
-	if workers == 1 {
-		work() // a single query, or a serial batch: nothing to hand to another goroutine
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
+	if err := ctx.Err(); err != nil && answered < len(queries) {
+		return out, qstats, fmt.Errorf("%w after %d of %d queries: %w",
+			ErrBatchCanceled, answered, len(queries), err)
 	}
-
-	if err := ctx.Err(); err != nil && int(done.Load()) < len(queries) {
-		return out, stats, fmt.Errorf("%w after %d of %d queries: %w",
-			ErrBatchCanceled, done.Load(), len(queries), err)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return out, stats, err
-		}
-	}
-	return out, stats, nil
+	return out, qstats, firstErr
 }

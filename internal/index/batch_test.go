@@ -343,7 +343,8 @@ func (p *stackProbe) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 
 // TestBatchKNNSerialOnCaller: with one worker — asked for, or all a single
 // query can use — the claim loop runs on the caller's goroutine, answers what
-// the pool answers, and still stops at the first cancellation check.
+// two workers answer (the caller and one more goroutine, in any split), and
+// still stops at the first cancellation check.
 func TestBatchKNNSerialOnCaller(t *testing.T) {
 	queries := testQueries(t, 5, 64, 12)
 	probe := func(cancelAt int) (*stackProbe, context.Context) {
@@ -364,7 +365,7 @@ func TestBatchKNNSerialOnCaller(t *testing.T) {
 	}{
 		"one worker":            {queries, 1, true},
 		"one query, four asked": {queries[:1], 4, true},
-		"two workers, a pool":   {queries, 2, false},
+		"two workers":           {queries, 2, false},
 	} {
 		p, ctx := probe(0)
 		got, _, err := BatchKNNContext(ctx, p, c.queries, 8, c.workers)
@@ -375,8 +376,8 @@ func TestBatchKNNSerialOnCaller(t *testing.T) {
 			t.Fatalf("%s: %d searches for %d queries", name, len(p.onCaller), len(c.queries))
 		}
 		for i, on := range p.onCaller {
-			if on != c.onCaller {
-				t.Fatalf("%s: search %d on the caller's goroutine = %v, want %v", name, i, on, c.onCaller)
+			if c.onCaller && !on {
+				t.Fatalf("%s: search %d left the caller's goroutine", name, i)
 			}
 		}
 		for qi, q := range c.queries {

@@ -7,14 +7,15 @@ import (
 	"sapla/internal/dist"
 )
 
-// Deleter is implemented by indexes that can remove an entry by ID (both
-// trees; the linear scan does not condense, so it opts out).
+// Deleter is implemented by indexes that can remove an entry by ID (the flat
+// tier and both trees; the linear scan opts out).
 type Deleter interface {
 	Delete(id int) bool
 }
 
-// BatchInserter is implemented by indexes with a batched ingest path that
-// amortizes per-entry maintenance (the DBCH-tree's InsertBatch).
+// BatchInserter is implemented by indexes with an all-or-nothing batched
+// ingest path (the flat tier's InsertBatch, which rolls itself back on a
+// failed entry, and the DBCH-tree's, which amortizes per-entry maintenance).
 type BatchInserter interface {
 	InsertBatch(entries []*Entry) error
 }

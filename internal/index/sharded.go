@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"sapla/internal/dist"
+	"sapla/internal/par"
 )
 
 // ErrNoShards is returned when constructing a ShardedIndex with a
@@ -47,7 +45,8 @@ type ShardedIndex struct {
 }
 
 // NewSharded builds a sharded index with shards partitions, calling newInner
-// once per shard to construct its tree.
+// once per shard to construct its inner index (sapla-serve passes one flat
+// tier per shard).
 func NewSharded(shards int, newInner func(shard int) (Index, error)) (*ShardedIndex, error) {
 	if shards < 1 {
 		return nil, ErrNoShards
@@ -66,8 +65,8 @@ func NewSharded(shards int, newInner func(shard int) (Index, error)) (*ShardedIn
 // NumShards returns the partition count.
 func (s *ShardedIndex) NumShards() int { return len(s.shards) }
 
-// Shard returns shard i for direct per-shard operations (per-shard batch
-// commit, compaction, diagnostics).
+// Shard returns shard i for direct per-shard operations (the server's
+// per-shard batch commit and its unwind).
 func (s *ShardedIndex) Shard(i int) *ConcurrentIndex { return s.shards[i] }
 
 // ShardFor returns the shard that owns id.
@@ -81,9 +80,11 @@ func (s *ShardedIndex) Insert(e *Entry) error {
 }
 
 // InsertBatch splits the batch by shard and commits the per-shard groups
-// concurrently, one exclusive lock acquisition and one epoch advance per
-// touched shard. Entries keep their relative order within each shard, so the
-// resulting trees are deterministic functions of the batch contents.
+// concurrently (par.Do), one exclusive lock acquisition and one epoch advance
+// per touched shard. Entries keep their relative order within each shard, so
+// each shard's slot order is a deterministic function of the batch contents.
+// The commits are not cancellable and a failed shard does not undo the others:
+// the first error in shard order is returned.
 func (s *ShardedIndex) InsertBatch(entries []*Entry) error {
 	if len(entries) == 0 {
 		return nil
@@ -97,18 +98,11 @@ func (s *ShardedIndex) InsertBatch(entries []*Entry) error {
 		groups[si] = append(groups[si], e)
 	}
 	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for si := range groups {
-		if len(groups[si]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
+	par.Do(context.Background(), len(s.shards), len(s.shards), func(si int) {
+		if len(groups[si]) > 0 {
 			errs[si] = s.shards[si].InsertBatch(groups[si])
-		}(si)
-	}
-	wg.Wait()
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -240,107 +234,4 @@ func (s *ShardedIndex) Range(q dist.Query, radius float64) ([]Result, SearchStat
 	}
 	sortResults(out)
 	return out, stats, nil
-}
-
-// batchKNN is the scatter-gather arm of BatchKNNContext: the work-stealing
-// pool claims (query, shard) tasks instead of whole queries, so one slow
-// shard of one query never idles a worker, and a batch saturates every core
-// even with fewer queries than GOMAXPROCS. Per-task partials land in
-// pre-assigned slots and are merged per query afterwards under the canonical
-// (distance, ID) order — results are identical for any worker count and any
-// shard count.
-func (s *ShardedIndex) batchKNN(ctx context.Context, queries []dist.Query, k, workers int) ([][]Result, []SearchStats, error) {
-	nshards := len(s.shards)
-	out := make([][]Result, len(queries))
-	stats := make([]SearchStats, len(queries))
-	if len(queries) == 0 {
-		return out, stats, nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	tasks := len(queries) * nshards
-	if workers > tasks {
-		workers = tasks
-	}
-
-	partial := make([][]Result, tasks) // slot t answers query t/nshards on shard t%nshards
-	partStats := make([]SearchStats, tasks)
-	errs := make([]error, tasks)
-	taskDone := make([]bool, tasks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			scratch := wsPool.Get().(*Workspace)
-			defer wsPool.Put(scratch)
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				t := int(next.Add(1)) - 1
-				if t >= tasks {
-					return
-				}
-				qi, si := t/nshards, t%nshards
-				res, st, err := s.shards[si].KNNWith(scratch, queries[qi], k)
-				if len(res) > 0 {
-					partial[t] = make([]Result, len(res))
-					copy(partial[t], res)
-				}
-				partStats[t], errs[t] = st, err
-				taskDone[t] = true
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Gather: merge every query whose shard set completed. On cancellation
-	// the merged queries stay valid, unfinished ones keep zero slots — the
-	// same contract as the single-index batch.
-	merge := wsPool.Get().(*Workspace)
-	completed := 0
-	var firstErr error
-	for qi := range queries {
-		all := true
-		var qerr error
-		merge.cand = merge.cand[:0]
-		for si := 0; si < nshards; si++ {
-			t := qi*nshards + si
-			if !taskDone[t] {
-				all = false
-				break
-			}
-			if errs[t] != nil && qerr == nil {
-				qerr = errs[t]
-			}
-			addStats(&stats[qi], partStats[t])
-			merge.cand = append(merge.cand, partial[t]...)
-		}
-		if !all {
-			stats[qi] = SearchStats{}
-			continue
-		}
-		completed++
-		if qerr != nil {
-			if firstErr == nil {
-				firstErr = qerr
-			}
-			continue
-		}
-		res := mergeTopK(merge, k, merge.cand)
-		if len(res) > 0 {
-			out[qi] = make([]Result, len(res))
-			copy(out[qi], res)
-		}
-	}
-	wsPool.Put(merge)
-
-	if err := ctx.Err(); err != nil && completed < len(queries) {
-		return out, stats, fmt.Errorf("%w after %d of %d queries: %w",
-			ErrBatchCanceled, completed, len(queries), err)
-	}
-	return out, stats, firstErr
 }

@@ -1,45 +1,27 @@
 package reduce
 
 import (
-	"runtime"
-	"sync"
+	"context"
 
+	"sapla/internal/par"
 	"sapla/internal/repr"
 	"sapla/internal/ts"
 )
 
-// Batch reduces every series concurrently, preserving order. workers ≤ 0
-// selects GOMAXPROCS. The first error aborts the batch.
+// Batch reduces every series on up to workers goroutines (≤ 0 selects
+// GOMAXPROCS), preserving order. Every series is attempted; when any fail,
+// the error of the first failing series in data order is returned, whatever
+// the worker count. method must be safe for concurrent Reduce calls.
 func Batch(method Method, data []ts.Series, m, workers int) ([]repr.Representation, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	out := make([]repr.Representation, len(data))
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, c := range data {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, c ts.Series) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rep, err := method.Reduce(c, m)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			out[i] = rep
-		}(i, c)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	errs := make([]error, len(data))
+	par.Do(context.Background(), len(data), workers, func(i int) {
+		out[i], errs[i] = method.Reduce(data[i], m)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -6,10 +6,10 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"sapla/internal/index"
+	"sapla/internal/par"
 	"sapla/internal/ts"
 	"sapla/internal/wal"
 )
@@ -80,42 +80,36 @@ func (s *Server) openStores() ([]*index.Flat, error) {
 	// (claimed set, nextID, series length) funnels through bookMu.
 	workers := max(1, runtime.GOMAXPROCS(0)/len(recs))
 	errs := make([]error, len(recs))
-	var wg sync.WaitGroup
-	for i := range recs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sh := s.shards[i]
-			values := make([]ts.Series, len(recs[i].Series))
-			for j, sr := range recs[i].Series {
-				values[j] = sr.Values
-			}
-			reps, bad, rerr := s.reduceAll(context.Background(), values, workers)
-			if rerr != nil {
-				errs[i] = fmt.Errorf("server: recover series %d: %w", recs[i].Series[bad].ID, rerr)
-				return
-			}
-			entries := make([]*index.Entry, len(values))
-			for j, sr := range recs[i].Series {
-				entries[j] = index.NewEntry(int(sr.ID), sr.Values, reps[j])
-				sh.ids[int(sr.ID)] = sr.Values
-			}
-			if err := tiers[i].InsertBatch(entries); err != nil {
-				errs[i] = fmt.Errorf("server: rebuild shard %d: %w", i, err)
-				return
-			}
-			s.bookMu.Lock()
-			for _, sr := range recs[i].Series {
-				s.claimed[int(sr.ID)] = true
-				s.n = len(sr.Values)
-			}
-			if next := int(recs[i].Info.MaxID) + 1; next > s.nextID {
-				s.nextID = next
-			}
-			s.bookMu.Unlock()
-		}(i)
-	}
-	wg.Wait()
+	par.Do(context.Background(), len(recs), len(recs), func(i int) {
+		sh := s.shards[i]
+		values := make([]ts.Series, len(recs[i].Series))
+		for j, sr := range recs[i].Series {
+			values[j] = sr.Values
+		}
+		reps, bad, rerr := s.reduceAll(context.Background(), values, workers)
+		if rerr != nil {
+			errs[i] = fmt.Errorf("server: recover series %d: %w", recs[i].Series[bad].ID, rerr)
+			return
+		}
+		entries := make([]*index.Entry, len(values))
+		for j, sr := range recs[i].Series {
+			entries[j] = index.NewEntry(int(sr.ID), sr.Values, reps[j])
+			sh.ids[int(sr.ID)] = sr.Values
+		}
+		if err := tiers[i].InsertBatch(entries); err != nil {
+			errs[i] = fmt.Errorf("server: rebuild shard %d: %w", i, err)
+			return
+		}
+		s.bookMu.Lock()
+		for _, sr := range recs[i].Series {
+			s.claimed[int(sr.ID)] = true
+			s.n = len(sr.Values)
+		}
+		if next := int(recs[i].Info.MaxID) + 1; next > s.nextID {
+			s.nextID = next
+		}
+		s.bookMu.Unlock()
+	})
 	for _, rerr := range errs {
 		if rerr != nil {
 			s.closeStores()

@@ -265,47 +265,48 @@ func TestServerLoadShedding(t *testing.T) {
 }
 
 // TestServerWALAppendFailure: an fsync failure rejects the write with 503
-// and nothing becomes visible; the store fails stop, so later writes also
-// answer 503 while reads keep serving; restart recovers every acknowledged
-// series.
+// and nothing becomes visible or stays claimed; the store fails stop, so later
+// writes also answer 503 while reads keep serving; restart recovers every
+// acknowledged series. The same through a single ingest and a batch of one.
 func TestServerWALAppendFailure(t *testing.T) {
-	mem := wal.NewMemFS()
-	ffs := wal.NewFaultFS(mem)
-	s, hs := newTestServer(t, durableConfig(ffs, 1))
-	client := hs.Client()
-	rng := rand.New(rand.NewSource(9))
-	acked := map[int]ts.Series{}
-	for i := 0; i < 5; i++ {
-		v := randWalk(rng, 32)
-		resp := ingestOne(t, client, hs.URL, nil, v)
-		acked[resp.ID] = v
-	}
+	for _, ep := range ingestEndpoints {
+		mem := wal.NewMemFS()
+		ffs := wal.NewFaultFS(mem)
+		s, hs := newTestServer(t, durableConfig(ffs, 1))
+		client := hs.Client()
+		rng := rand.New(rand.NewSource(9))
+		acked := map[int]ts.Series{}
+		for i := 0; i < 5; i++ {
+			v := randWalk(rng, 32)
+			resp := ingestOne(t, client, hs.URL, nil, v)
+			acked[resp.ID] = v
+		}
 
-	ffs.FailSyncAt(ffs.Ops() + 2) // next append: write, then the failing sync
-	var errBody errorResponse
-	code := doJSON(t, client, "POST", hs.URL+"/v1/ingest",
-		map[string]any{"values": randWalk(rng, 32)}, &errBody)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("ingest over failed fsync: status %d (%s)", code, errBody.Error)
-	}
-	if s.idx.Len() != len(acked) {
-		t.Fatal("rejected ingest became visible in the index")
-	}
-	if code := doJSON(t, client, "POST", hs.URL+"/v1/ingest",
-		map[string]any{"values": randWalk(rng, 32)}, &errBody); code != http.StatusServiceUnavailable {
-		t.Fatalf("ingest on broken store: status %d", code)
-	}
-	if !errors.Is(s.shards[0].store.Sync(), wal.ErrStoreBroken) {
-		t.Fatal("store not fail-stopped after fsync error")
-	}
-	// Reads are unaffected by the broken write path.
-	knnIDs(t, client, hs.URL, randWalk(rng, 32), 3)
+		ffs.FailSyncAt(ffs.Ops() + 2) // next append: write, then the failing sync
+		var errBody errorResponse
+		code := doJSON(t, client, "POST", hs.URL+ep.path, ep.body(50, randWalk(rng, 32)), &errBody)
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("%s over failed fsync: status %d (%s)", ep.path, code, errBody.Error)
+		}
+		if s.idx.Len() != len(acked) {
+			t.Fatalf("%s: rejected ingest became visible in the index", ep.path)
+		}
+		// The same ID again: 503 from the broken store, not 409 from a kept claim.
+		if code := doJSON(t, client, "POST", hs.URL+ep.path, ep.body(50, randWalk(rng, 32)), &errBody); code != http.StatusServiceUnavailable {
+			t.Fatalf("%s on broken store: status %d (%s)", ep.path, code, errBody.Error)
+		}
+		if !errors.Is(s.shards[0].store.Sync(), wal.ErrStoreBroken) {
+			t.Fatal("store not fail-stopped after fsync error")
+		}
+		// Reads are unaffected by the broken write path.
+		knnIDs(t, client, hs.URL, randWalk(rng, 32), 3)
 
-	hs.Close()
-	mem.Crash(nil)
-	rec, _ := newTestServer(t, durableConfig(mem, 1))
-	if rec.idx.Len() != len(acked) {
-		t.Fatalf("recovered %d series, acknowledged %d", rec.idx.Len(), len(acked))
+		hs.Close()
+		mem.Crash(nil)
+		rec, _ := newTestServer(t, durableConfig(mem, 1))
+		if rec.idx.Len() != len(acked) {
+			t.Fatalf("%s: recovered %d series, acknowledged %d", ep.path, rec.idx.Len(), len(acked))
+		}
 	}
 }
 

@@ -6,15 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
+	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"sapla/internal/core"
 	"sapla/internal/dist"
 	"sapla/internal/index"
-	"sapla/internal/reduce"
+	"sapla/internal/par"
 	"sapla/internal/repr"
 	"sapla/internal/ts"
 	"sapla/internal/tsio"
@@ -38,96 +37,46 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// borrowReducer returns a reduction method for the calling goroutine's
-// exclusive use until releaseReducer. SAPLA comes from the pool of
-// allocation-free Reducers; baseline methods get a fresh instance (their
+// reduce runs the configured reduction on one series, on a reducer that is
+// the calling goroutine's alone for the call: SAPLA borrows one from the pool
+// of allocation-free Reducers; a baseline method gets a fresh instance (their
 // constructors are cheap and their scratch state is not goroutine-safe).
-func (s *Server) borrowReducer() (reduce.Method, error) {
-	if s.cfg.Method == "SAPLA" {
-		return s.reducers.Get().(*core.Reducer), nil
-	}
-	return methodFor(s.cfg.Method)
-}
-
-// releaseReducer gives a borrowed SAPLA Reducer back to the pool.
-func (s *Server) releaseReducer(m reduce.Method) {
-	if red, ok := m.(*core.Reducer); ok {
-		s.reducers.Put(red)
-	}
-}
-
-// reduce runs the configured reduction on one series.
 func (s *Server) reduce(values ts.Series) (repr.Representation, error) {
-	m, err := s.borrowReducer()
+	if s.cfg.Method == "SAPLA" {
+		red := s.reducers.Get().(*core.Reducer)
+		defer s.reducers.Put(red)
+		return red.Reduce(values, s.cfg.M)
+	}
+	m, err := methodFor(s.cfg.Method)
 	if err != nil {
 		return nil, err
 	}
-	defer s.releaseReducer(m)
 	return m.Reduce(values, s.cfg.M)
 }
 
-// reduceAll reduces every series on up to workers goroutines (≤ 0 selects
-// GOMAXPROCS), each holding one borrowed reducer and claiming the next
-// unreduced index from a shared counter. A failure stops further claims and
-// reports the lowest failing index with its error — indices are claimed in
-// order, so everything below a failed one was claimed too and runs to its own
-// verdict, which makes that index the one a serial loop stops at. ctx is
-// re-checked before each claim: a cancelled request costs at most one more
-// reduction per worker and returns ctx's error with index -1.
+// reduceAll reduces every series on up to workers goroutines (par.Do; ≤ 0
+// selects GOMAXPROCS), each item on a reducer borrowed for that item. A
+// failure reports the lowest failing index with its error — the one a serial
+// loop stops at — and stops further work: an item runs unless a lower one has
+// already failed, so everything below the reported index ran to its own
+// verdict. A cancelled ctx costs at most one more reduction per worker and
+// returns ctx's error with index -1.
 func (s *Server) reduceAll(ctx context.Context, values []ts.Series, workers int) ([]repr.Representation, int, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(values))
 	reps := make([]repr.Representation, len(values))
-	var (
-		next    atomic.Int64
-		stop    atomic.Bool
-		mu      sync.Mutex // guards failIdx, failErr
-		failIdx = -1
-		failErr error
-	)
-	fail := func(i int, err error) {
-		stop.Store(true)
-		mu.Lock()
-		if failIdx < 0 || i < failIdx {
-			failIdx, failErr = i, err
-		}
-		mu.Unlock()
-	}
-	work := func() {
-		m, err := s.borrowReducer()
-		if err != nil {
-			fail(0, err)
+	errs := make([]error, len(values))
+	var failed atomic.Int64 // lowest failing index so far; len(values) while none
+	failed.Store(int64(len(values)))
+	par.Do(ctx, len(values), workers, func(i int) {
+		if int64(i) > failed.Load() {
 			return
 		}
-		defer s.releaseReducer(m)
-		for !stop.Load() && ctx.Err() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= len(values) {
-				return
-			}
-			if reps[i], err = m.Reduce(values[i], s.cfg.M); err != nil {
-				fail(i, err)
-				return
-			}
+		reps[i], errs[i] = s.reduce(values[i])
+		for f := failed.Load(); errs[i] != nil && int64(i) < f; f = failed.Load() {
+			failed.CompareAndSwap(f, int64(i))
 		}
-	}
-	if workers <= 1 {
-		work() // nothing to hand to another goroutine
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
-	}
-	if failErr != nil {
-		return nil, failIdx, failErr
+	})
+	if bad := int(failed.Load()); bad < len(values) {
+		return nil, bad, errs[bad]
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, -1, err
@@ -173,87 +122,207 @@ type ingestResponse struct {
 	Representation json.RawMessage `json:"representation,omitempty"`
 }
 
+// rejection is a refused batch: the status code, the item of the request at
+// fault (-1 when no single item is) and the reason.
+type rejection struct {
+	code, item int
+	err        error
+}
+
+// write answers the rejection, naming the item at fault as a "series" or a
+// "query" of the batch.
+func (rej *rejection) write(w http.ResponseWriter, item string) {
+	if rej.item < 0 {
+		writeErr(w, rej.code, "%v", rej.err)
+		return
+	}
+	writeErr(w, rej.code, "%s %d: %v", item, rej.item, rej.err)
+}
+
+// reduceRejection is the rejection for a failed reduceAll: item bad could not
+// be reduced, or — bad < 0 — the request was cancelled first, which is the
+// client's doing (see knnStatus).
+func reduceRejection(bad int, err error) *rejection {
+	code := http.StatusBadRequest
+	if bad < 0 {
+		code = http.StatusServiceUnavailable
+	}
+	return &rejection{code, bad, fmt.Errorf("reduce: %w", err)}
+}
+
+// ingest is the one write commit: it validates, reduces and claims every
+// item, then commits them shard by shard — one WAL group append (one fsync at
+// SyncEvery=1), one exclusive index lock acquisition and one epoch advance
+// per touched shard. It is atomic over acknowledgement: any invalid series,
+// duplicate ID, append or insert failure rejects all of items with nothing
+// applied and nothing claimed. A single ingest is a batch of one.
+func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []repr.Representation, *rejection) {
+	// Validate, then reduce, everything before taking a lock: reduction is
+	// the expensive part and needs no bookkeeping state. The validation loop is
+	// the taint barrier — values and reqIDs hold only items that passed
+	// checkSeries, and every phase below works from these extracts, never
+	// from the raw request again.
+	n := s.seriesLen()
+	values := make([]ts.Series, len(items))
+	reqIDs := make([]*int, len(items))
+	for i, item := range items {
+		if err := checkSeries(item.Values, n); err != nil {
+			return nil, nil, &rejection{http.StatusBadRequest, i, err}
+		}
+		values[i] = item.Values
+		reqIDs[i] = item.ID
+		if len(values[i]) != len(values[0]) {
+			return nil, nil, &rejection{http.StatusBadRequest, -1, fmt.Errorf(
+				"series %d length %d does not match series 0 length %d", i, len(values[i]), len(values[0]))}
+		}
+	}
+	reps, bad, err := s.reduceAll(ctx, values, s.cfg.Workers)
+	if err != nil {
+		return nil, nil, reduceRejection(bad, err)
+	}
+
+	// ID uniqueness and the series length are cross-shard, so every ID
+	// resolves and claims under one bookMu hold: racing ingests cannot claim
+	// one ID or disagree on the length, and a claim covers in-flight ingests
+	// — the same explicit ID conflicts even before the first one commits.
+	s.bookMu.Lock()
+	if s.n != 0 && len(values[0]) != s.n {
+		n := s.n
+		s.bookMu.Unlock()
+		return nil, nil, &rejection{http.StatusBadRequest, -1, fmt.Errorf(
+			"series length %d does not match index series length %d", len(values[0]), n)}
+	}
+	// Every explicit ID must be free — against committed series, in-flight
+	// claims and the request itself — before anything claims, so a conflict
+	// rejects with nothing to unwind.
+	ids := make([]int, len(values))
+	inBatch := make(map[int]bool, len(values))
+	for _, rid := range reqIDs {
+		if rid == nil {
+			continue
+		}
+		id := *rid
+		if s.claimed[id] || inBatch[id] {
+			s.bookMu.Unlock()
+			return nil, nil, &rejection{http.StatusConflict, -1, fmt.Errorf("id %d already exists", id)}
+		}
+		inBatch[id] = true
+	}
+	for i, rid := range reqIDs {
+		if rid != nil {
+			ids[i] = *rid
+			if ids[i] >= s.nextID {
+				s.nextID = ids[i] + 1
+			}
+		} else {
+			ids[i] = s.nextID
+			s.nextID++
+		}
+		s.claimed[ids[i]] = true
+	}
+	// The length pins at claim time, not commit time, so two racing first
+	// ingests of different lengths cannot both pass the check above.
+	s.n = len(values[0])
+	s.bookMu.Unlock()
+
+	// Split by owning shard, preserving request order within each group so
+	// each shard's flat tier is a deterministic function of the request.
+	nshards := len(s.shards)
+	groups := make([][]int, nshards) // positions in items per shard
+	var touched []int                // shards with a non-empty group
+	for i, id := range ids {
+		si := index.ShardOf(id, nshards)
+		if groups[si] == nil {
+			touched = append(touched, si)
+		}
+		groups[si] = append(groups[si], i)
+	}
+	// The groups commit concurrently, each under its shard's mu with the WAL
+	// append strictly before its inserts become visible. One touched shard —
+	// every single ingest — commits on this goroutine. Once IDs are claimed
+	// the commit runs to its end whatever happens to the request, so the
+	// fan-out is detached from ctx's cancellation.
+	type shardCommit struct {
+		logged bool // the group's records reached the shard's log, or it has none
+		err    error
+	}
+	commits := make([]shardCommit, len(touched))
+	par.Do(context.WithoutCancel(ctx), len(touched), len(touched), func(ti int) {
+		si, c := touched[ti], &commits[ti]
+		sh := s.shards[si]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		if sh.store != nil {
+			batch := make([]wal.Series, len(groups[si]))
+			for gi, pos := range groups[si] {
+				batch[gi] = wal.Series{ID: int64(ids[pos]), Values: values[pos]}
+			}
+			if c.err = sh.store.AppendIngestBatch(batch); c.err != nil {
+				return
+			}
+		}
+		c.logged = true
+		entries := make([]*index.Entry, len(groups[si]))
+		for gi, pos := range groups[si] {
+			entries[gi] = index.NewEntry(ids[pos], values[pos], reps[pos])
+		}
+		if c.err = s.idx.Shard(si).InsertBatch(entries); c.err != nil {
+			return
+		}
+		for _, pos := range groups[si] {
+			sh.ids[ids[pos]] = values[pos]
+		}
+	})
+	if failed := slices.IndexFunc(commits, func(c shardCommit) bool { return c.err != nil }); failed >= 0 {
+		// Reject wholesale: undo every shard whose records reached its log —
+		// a compensating delete record per ID, then the index and bookkeeping
+		// removal, so replay converges to the served state. That includes a
+		// shard whose InsertBatch failed: the flat tier has already rolled
+		// that batch back, so its index delete is a no-op and its delete
+		// records replay onto absent IDs, which wal replay tolerates. During
+		// the unwind another shard's entries are transiently visible to
+		// searches — multi-shard atomicity is over acknowledgement
+		// (all-or-nothing at the API), not over in-flight reads.
+		for ti, c := range commits {
+			if !c.logged {
+				continue
+			}
+			si := touched[ti]
+			sh := s.shards[si]
+			sh.mu.Lock()
+			for _, pos := range groups[si] {
+				if sh.store != nil {
+					_ = sh.store.AppendDelete(int64(ids[pos])) //sapla:volatile compensating append while rejecting the whole request: the ingest it undoes is never acknowledged, and a broken store refuses every later append anyway
+				}
+				s.idx.Shard(si).Delete(ids[pos])
+				delete(sh.ids, ids[pos])
+			}
+			sh.mu.Unlock()
+		}
+		s.unclaim(ids...)
+		if c := commits[failed]; c.logged {
+			return nil, nil, &rejection{http.StatusInternalServerError, -1, fmt.Errorf("insert: %w", c.err)}
+		}
+		return nil, nil, &rejection{http.StatusServiceUnavailable, -1, fmt.Errorf("wal append: %w", commits[failed].err)}
+	}
+	s.metrics.ingested.Add(int64(len(ids)))
+	return ids, reps, nil
+}
+
 // handleIngest reduces one raw series and inserts it into the index.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req ingestRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if err := checkSeries(req.Values, s.seriesLen()); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+	ids, reps, rej := s.ingest(r.Context(), []ingestRequest{req})
+	if rej != nil {
+		writeErr(w, rej.code, "%v", rej.err)
 		return
 	}
-	rep, err := s.reduce(req.Values)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "reduce: %v", err)
-		return
-	}
-
-	// ID uniqueness is cross-shard, so the claim happens under bookMu: two
-	// racing ingests cannot claim one ID or disagree on the series length.
-	// The claim also covers in-flight ingests — a concurrent explicit-ID
-	// ingest of the same ID conflicts even before the first one commits.
-	s.bookMu.Lock()
-	if s.n != 0 && len(req.Values) != s.n {
-		n := s.n
-		s.bookMu.Unlock()
-		writeErr(w, http.StatusBadRequest,
-			"series length %d does not match index series length %d", len(req.Values), n)
-		return
-	}
-	var id int
-	if req.ID != nil {
-		id = *req.ID
-		if s.claimed[id] {
-			s.bookMu.Unlock()
-			writeErr(w, http.StatusConflict, "id %d already exists", id)
-			return
-		}
-		if id >= s.nextID {
-			s.nextID = id + 1
-		}
-	} else {
-		id = s.nextID
-		s.nextID++
-	}
-	s.claimed[id] = true
-	// The length pins at claim time, not commit time, so two racing first
-	// ingests of different lengths cannot both pass the check above.
-	s.n = len(req.Values)
-	s.bookMu.Unlock()
-
-	// Commit on the owning shard. Durability before acknowledgement: the
-	// WAL record must be appended (and, at SyncEvery=1, fsync'd) to the
-	// shard's stream before the insert becomes visible. A failed append
-	// rejects the request with nothing to undo but the claim; a failed
-	// insert after a successful append is undone by a compensating delete
-	// record so replay converges to the served state.
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	if sh.store != nil {
-		if err := sh.store.AppendIngest(int64(id), req.Values); err != nil {
-			sh.mu.Unlock()
-			s.unclaim(id)
-			writeErr(w, http.StatusServiceUnavailable, "wal append: %v", err)
-			return
-		}
-	}
-	if err := s.idx.Insert(index.NewEntry(id, req.Values, rep)); err != nil {
-		if sh.store != nil {
-			_ = sh.store.AppendDelete(int64(id)) //sapla:volatile compensating append after a failed insert: the mutation it follows never took effect, and a broken store refuses every later append anyway
-		}
-		sh.mu.Unlock()
-		s.unclaim(id)
-		writeErr(w, http.StatusInternalServerError, "insert: %v", err)
-		return
-	}
-	sh.ids[id] = req.Values
-	sh.mu.Unlock()
-
-	s.metrics.ingested.Add(1)
-	resp := ingestResponse{ID: id, IndexSize: s.idx.Len(), Epoch: s.idx.Epoch()}
+	resp := ingestResponse{ID: ids[0], IndexSize: s.idx.Len(), Epoch: s.idx.Epoch()}
 	if r.URL.Query().Get("include_rep") == "1" {
-		if raw, err := tsio.MarshalRepresentation(rep); err == nil {
+		if raw, err := tsio.MarshalRepresentation(reps[0]); err == nil {
 			resp.Representation = raw
 		}
 	}
@@ -273,10 +342,8 @@ type ingestBatchResponse struct {
 	Epoch     uint64 `json:"epoch"`
 }
 
-// handleIngestBatch reduces many raw series and inserts them as one batch:
-// one WAL group append (one fsync at SyncEvery=1), one exclusive index lock
-// acquisition, one epoch. The batch is atomic — any invalid series, duplicate
-// ID or append failure rejects the whole request with nothing applied.
+// handleIngestBatch reduces many raw series and inserts them as one atomic
+// batch (see ingest).
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	var req ingestBatchRequest
 	if !s.decodeBody(w, r, &req) {
@@ -291,176 +358,11 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 			"batch of %d exceeds limit %d", len(req.Series), s.cfg.MaxBatch)
 		return
 	}
-	// Validate, then reduce, everything before taking the lock: reduction is
-	// the expensive part and needs no bookkeeping state. The validation loop is
-	// the taint barrier — values and reqIDs hold only items that passed
-	// checkSeries, and every phase below works from these extracts, never
-	// from the raw request again.
-	n := s.seriesLen()
-	values := make([]ts.Series, len(req.Series))
-	reqIDs := make([]*int, len(req.Series))
-	for i, item := range req.Series {
-		if err := checkSeries(item.Values, n); err != nil {
-			writeErr(w, http.StatusBadRequest, "series %d: %v", i, err)
-			return
-		}
-		values[i] = item.Values
-		reqIDs[i] = item.ID
-		if len(values[i]) != len(values[0]) {
-			writeErr(w, http.StatusBadRequest,
-				"series %d length %d does not match series 0 length %d",
-				i, len(values[i]), len(values[0]))
-			return
-		}
-	}
-	reps, bad, err := s.reduceAll(r.Context(), values, s.cfg.Workers)
-	if err != nil {
-		writeReduceErr(w, "series", bad, err)
+	ids, _, rej := s.ingest(r.Context(), req.Series)
+	if rej != nil {
+		rej.write(w, "series")
 		return
 	}
-
-	// Same commit discipline as handleIngest, batched and sharded: every ID
-	// resolves and claims under one bookMu hold (duplicates reject the whole
-	// request with nothing claimed), then the batch splits by owning shard
-	// and the per-shard groups commit concurrently — one WAL group append
-	// (one fsync at SyncEvery=1), one exclusive index lock acquisition and
-	// one epoch advance per touched shard, with each shard's WAL append
-	// strictly before its inserts become visible.
-	s.bookMu.Lock()
-	if s.n != 0 && len(values[0]) != s.n {
-		n := s.n
-		s.bookMu.Unlock()
-		writeErr(w, http.StatusBadRequest,
-			"series length %d does not match index series length %d", len(values[0]), n)
-		return
-	}
-	// Every explicit ID must be free — against committed series, in-flight
-	// claims and the batch itself — before anything claims, so a conflict
-	// rejects with nothing to unwind.
-	ids := make([]int, len(values))
-	inBatch := make(map[int]bool, len(values))
-	for _, rid := range reqIDs {
-		if rid == nil {
-			continue
-		}
-		id := *rid
-		if s.claimed[id] || inBatch[id] {
-			s.bookMu.Unlock()
-			writeErr(w, http.StatusConflict, "id %d already exists", id)
-			return
-		}
-		inBatch[id] = true
-	}
-	for i, rid := range reqIDs {
-		if rid != nil {
-			ids[i] = *rid
-			if ids[i] >= s.nextID {
-				s.nextID = ids[i] + 1
-			}
-		} else {
-			ids[i] = s.nextID
-			s.nextID++
-		}
-		s.claimed[ids[i]] = true
-	}
-	s.n = len(values[0])
-	s.bookMu.Unlock()
-
-	// Split by owning shard, preserving batch order within each group so
-	// the per-shard trees are deterministic functions of the request.
-	nshards := len(s.shards)
-	groupIdx := make([][]int, nshards) // positions in req.Series per shard
-	for i, id := range ids {
-		si := index.ShardOf(id, nshards)
-		groupIdx[si] = append(groupIdx[si], i)
-	}
-	shardErrs := make([]error, nshards)
-	walErr := make([]bool, nshards)
-	var wg sync.WaitGroup
-	for si := range groupIdx {
-		if len(groupIdx[si]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			sh := s.shards[si]
-			group := groupIdx[si]
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			if sh.store != nil {
-				batch := make([]wal.Series, len(group))
-				for gi, pos := range group {
-					batch[gi] = wal.Series{ID: int64(ids[pos]), Values: values[pos]}
-				}
-				if err := sh.store.AppendIngestBatch(batch); err != nil {
-					shardErrs[si] = err
-					walErr[si] = true
-					return
-				}
-			}
-			entries := make([]*index.Entry, len(group))
-			for gi, pos := range group {
-				entries[gi] = index.NewEntry(ids[pos], values[pos], reps[pos])
-			}
-			if err := s.idx.Shard(si).InsertBatch(entries); err != nil {
-				// Roll this shard back: a compensating delete record per ID,
-				// then the index removal, so replay converges to the served
-				// (empty-of-this-group) state.
-				for _, pos := range group {
-					if sh.store != nil {
-						_ = sh.store.AppendDelete(int64(ids[pos])) //sapla:volatile compensating append after a failed batch insert: the mutation it follows never became visible, and a broken store refuses every later append anyway
-					}
-					s.idx.Shard(si).Delete(ids[pos])
-				}
-				shardErrs[si] = err
-				return
-			}
-			for _, pos := range group {
-				sh.ids[ids[pos]] = values[pos]
-			}
-		}(si)
-	}
-	wg.Wait()
-	var commitErr error
-	walFailed := false
-	for si, err := range shardErrs {
-		if err != nil {
-			commitErr = err
-			walFailed = walErr[si]
-			break
-		}
-	}
-	if commitErr != nil {
-		// Undo the shards that did commit so the batch rejects wholesale.
-		// During this unwind another shard's entries are transiently visible
-		// to searches — multi-shard batch atomicity is over acknowledgement
-		// (all-or-nothing at the API), not over in-flight reads.
-		for si := range groupIdx {
-			if len(groupIdx[si]) == 0 || shardErrs[si] != nil {
-				continue
-			}
-			sh := s.shards[si]
-			sh.mu.Lock()
-			for _, pos := range groupIdx[si] {
-				if sh.store != nil {
-					_ = sh.store.AppendDelete(int64(ids[pos])) //sapla:volatile compensating append while rejecting the whole batch: the ingest it undoes is never acknowledged, and a broken store refuses every later append anyway
-				}
-				s.idx.Shard(si).Delete(ids[pos])
-				delete(sh.ids, ids[pos])
-			}
-			sh.mu.Unlock()
-		}
-		s.unclaim(ids...)
-		if walFailed {
-			writeErr(w, http.StatusServiceUnavailable, "wal append: %v", commitErr)
-		} else {
-			writeErr(w, http.StatusInternalServerError, "insert batch: %v", commitErr)
-		}
-		return
-	}
-
-	s.metrics.ingested.Add(int64(len(ids)))
 	writeJSON(w, http.StatusCreated, ingestBatchResponse{
 		IDs: ids, IndexSize: s.idx.Len(), Epoch: s.idx.Epoch(),
 	})
@@ -516,17 +418,6 @@ func (s *Server) prepareQuery(values ts.Series) (dist.Query, error) {
 	return dist.NewFilterQuery(values, rep), nil
 }
 
-// writeReduceErr answers a failed reduceAll: item bad of the batch (a
-// "series" or a "query") could not be reduced, or — bad < 0 — the request was
-// cancelled first, which is the client's doing (see knnStatus).
-func writeReduceErr(w http.ResponseWriter, item string, bad int, err error) {
-	if bad < 0 {
-		writeErr(w, http.StatusServiceUnavailable, "reduce: %v", err)
-		return
-	}
-	writeErr(w, http.StatusBadRequest, "%s %d: reduce: %v", item, bad, err)
-}
-
 // knnStatus maps a batch search error to a status code: a cancellation
 // (client gone, or the request timeout fired — the TimeoutHandler then owns
 // the response anyway) is the client's doing, everything else is ours.
@@ -545,8 +436,9 @@ func (s *Server) checkK(k int) error {
 	return nil
 }
 
-// handleKNN answers one k-NN query through the BatchKNN pool, so single
-// queries and batches share one code path (and one workspace pool).
+// handleKNN answers one k-NN query as a batch of one, so single queries and
+// batches share one code path (index.BatchKNNContext on par.Do, one workspace
+// pool); on one shard the search runs on this goroutine.
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	var req knnRequest
 	if !s.decodeBody(w, r, &req) {
@@ -600,8 +492,9 @@ type knnAnswer struct {
 	Stats   statsJSON    `json:"stats"`
 }
 
-// handleKNNBatch answers many k-NN queries concurrently on the work-stealing
-// BatchKNN pool; each query sees a consistent index snapshot.
+// handleKNNBatch answers many k-NN queries concurrently (par.Do over
+// (query, shard) tasks); each shard search sees one consistent state of its
+// shard.
 func (s *Server) handleKNNBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !s.decodeBody(w, r, &req) {
@@ -631,7 +524,7 @@ func (s *Server) handleKNNBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	reps, bad, err := s.reduceAll(r.Context(), values, s.cfg.Workers)
 	if err != nil {
-		writeReduceErr(w, "query", bad, err)
+		reduceRejection(bad, err).write(w, "query")
 		return
 	}
 	queries := make([]dist.Query, len(values))

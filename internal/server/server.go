@@ -1,8 +1,8 @@
 // Package server exposes the SAPLA similarity-search engine as a
 // long-running HTTP service: series are ingested (reduced and appended to a
 // flat filter-and-refine tier, index.Flat, behind a ShardedIndex) while
-// k-NN, batch k-NN and ε-range queries are answered concurrently through the
-// BatchKNN worker pool. The service is the north-star serving path: reads
+// k-NN, batch k-NN and ε-range queries are answered concurrently, every
+// fan-out on par.Do. The service is the north-star serving path: reads
 // take shared locks and reuse pooled workspaces (no per-request index
 // rebuild, allocation-free search hot path), writes serialize per shard, and
 // shutdown drains in-flight requests.
@@ -56,8 +56,9 @@ type Config struct {
 	// under the persisted count, and reopening under another would replay
 	// them into the wrong shards.
 	Shards int
-	// Workers sizes the BatchKNN pool for /v1/knn/batch. Default 0 =
-	// GOMAXPROCS.
+	// Workers bounds every request's par.Do fan-out: the (query, shard)
+	// searches of /v1/knn and /v1/knn/batch and the reductions of batch
+	// ingest and batch k-NN. Default 0 = GOMAXPROCS.
 	Workers int
 	// MaxK caps k per query. Default 128.
 	MaxK int

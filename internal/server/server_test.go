@@ -10,6 +10,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -82,6 +84,28 @@ func ingestOne(t *testing.T, client *http.Client, base string, id *int, values t
 		t.Fatalf("ingest returned %d", code)
 	}
 	return resp
+}
+
+// ingestEndpoints are the two ways to ingest one series: POST /v1/ingest, and
+// POST /v1/ingest/batch with a batch of one.
+var ingestEndpoints = []struct {
+	path string
+	body func(id int, values ts.Series) any
+}{
+	{"/v1/ingest", func(id int, values ts.Series) any {
+		return map[string]any{"id": id, "values": values}
+	}},
+	{"/v1/ingest/batch", func(id int, values ts.Series) any {
+		return map[string]any{"series": []map[string]any{{"id": id, "values": values}}}
+	}},
+}
+
+// ingestOutcome decodes what both ingest endpoints' answers share, and the
+// error body.
+type ingestOutcome struct {
+	IndexSize int    `json:"index_size"`
+	Epoch     uint64 `json:"epoch"`
+	Error     string `json:"error"`
 }
 
 func TestServerEndToEnd(t *testing.T) {
@@ -492,14 +516,25 @@ func TestServerIngestEdgeCases(t *testing.T) {
 	})
 
 	t.Run("length-1 series", func(t *testing.T) {
-		var errResp errorResponse
-		code := doJSON(t, client, "POST", hs.URL+"/v1/ingest", map[string]any{"values": []float64{1}}, &errResp)
-		if code != http.StatusBadRequest {
-			t.Fatalf("length-1 ingest returned %d, want 400", code)
+		for _, ep := range ingestEndpoints {
+			var got ingestOutcome
+			code := doJSON(t, client, "POST", hs.URL+ep.path, ep.body(7, ts.Series{1}), &got)
+			if code != http.StatusBadRequest {
+				t.Fatalf("%s: length-1 ingest returned %d, want 400", ep.path, code)
+			}
+			if !strings.Contains(got.Error, "reduce:") {
+				t.Errorf("%s: length-1 rejection %q should come from the reducer, not validation", ep.path, got.Error)
+			}
 		}
-		if !strings.Contains(errResp.Error, "reduce:") {
-			t.Errorf("length-1 rejection %q should come from the reducer, not validation", errResp.Error)
+		// Nothing was applied: no entry, no epoch, no pinned length, no claim on
+		// the ID.
+		var health ingestOutcome
+		doJSON(t, client, "GET", hs.URL+"/healthz", nil, &health)
+		if health.IndexSize != 0 || health.Epoch != 0 {
+			t.Fatalf("rejected ingests left index_size %d, epoch %d", health.IndexSize, health.Epoch)
 		}
+		id := 7
+		ingestOne(t, client, hs.URL, &id, randWalk(rand.New(rand.NewSource(10)), 16))
 	})
 
 	t.Run("empty values object", func(t *testing.T) {
@@ -585,5 +620,76 @@ func TestServerIngestBatch(t *testing.T) {
 	defer s2.Shutdown(context.Background())
 	if got := s2.Index().Len(); got != 3 {
 		t.Fatalf("recovered Len = %d, want 3", got)
+	}
+
+	// A single ingest is a batch of one: the same series with the same IDs
+	// through either endpoint leave the same bytes in every WAL file, the same
+	// size and epoch after every step, the same answers and the same
+	// rejections.
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("batch of one/shards=%d", shards), func(t *testing.T) {
+			fsys := make([]*wal.MemFS, len(ingestEndpoints))
+			urls := make([]string, len(ingestEndpoints))
+			for e := range ingestEndpoints {
+				fsys[e] = wal.NewMemFS()
+				_, hs := newTestServer(t, durableShardedConfig(fsys[e], 1, shards))
+				urls[e] = hs.URL
+			}
+			// post sends one ingest to both servers and requires the same
+			// verdict, size and epoch from both.
+			post := func(id int, values ts.Series, want int) {
+				t.Helper()
+				var got [2]ingestOutcome
+				for e, ep := range ingestEndpoints {
+					if code := doJSON(t, client, "POST", urls[e]+ep.path, ep.body(id, values), &got[e]); code != want {
+						t.Fatalf("%s id %d: status %d (%s), want %d", ep.path, id, code, got[e].Error, want)
+					}
+				}
+				if got[0].IndexSize != got[1].IndexSize || got[0].Epoch != got[1].Epoch {
+					t.Fatalf("id %d: single %+v, batch of one %+v", id, got[0], got[1])
+				}
+			}
+			state := func() (out [2]ingestOutcome) {
+				for e := range out {
+					doJSON(t, client, "GET", urls[e]+"/healthz", nil, &out[e])
+				}
+				return out
+			}
+			stored := []ts.Series{series(), series(), series()}
+			for i, v := range stored {
+				post(10+7*i, v, http.StatusCreated)
+			}
+			before := state()
+			post(17, series(), http.StatusConflict)            // duplicate explicit ID
+			post(99, randWalk(rng, 32), http.StatusBadRequest) // wrong length
+			if after := state(); after != before || before[0] != before[1] || before[0].IndexSize != 3 {
+				t.Fatalf("rejections applied something: %+v, then %+v", before, after)
+			}
+			post(99, series(), http.StatusCreated) // the rejected ID was not claimed
+
+			names, err := fsys[0].List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, _ := fsys[1].List()
+			sort.Strings(names)
+			sort.Strings(other)
+			if !reflect.DeepEqual(names, other) || len(names) == 0 {
+				t.Fatalf("files differ: single %v, batch of one %v", names, other)
+			}
+			for _, name := range names {
+				a, _ := fsys[0].ReadFile(name)
+				b, _ := fsys[1].ReadFile(name)
+				if !bytes.Equal(a, b) {
+					t.Errorf("%s: %d bytes after single ingests, %d after batches of one, not identical", name, len(a), len(b))
+				}
+			}
+			for i, v := range stored {
+				a, b := knnIDs(t, client, urls[0], v, 3), knnIDs(t, client, urls[1], v, 3)
+				if !reflect.DeepEqual(a, b) || a[0].ID != 10+7*i {
+					t.Errorf("k-NN for series %d: single %v, batch of one %v", i, a, b)
+				}
+			}
+		})
 	}
 }

@@ -1,12 +1,14 @@
 package wal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io/fs"
 	"strconv"
 	"strings"
-	"sync"
+
+	"sapla/internal/par"
 )
 
 // Per-shard multiplexing: N independent WAL streams share one data
@@ -225,21 +227,15 @@ func OpenSharded(fsys FS, shards int, opts Options) ([]ShardRecovery, error) {
 
 	recs := make([]ShardRecovery, effective)
 	errs := make([]error, effective)
-	var wg sync.WaitGroup
-	for i := 0; i < effective; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sfs := NewNamespaceFS(fsys, shardNamespace(i))
-			st, series, info, oerr := Open(sfs, opts)
-			if oerr != nil {
-				errs[i] = fmt.Errorf("wal: shard %d: %w", i, oerr)
-				return
-			}
-			recs[i] = ShardRecovery{Store: st, Series: series, Info: info}
-		}(i)
-	}
-	wg.Wait()
+	par.Do(context.Background(), effective, effective, func(i int) {
+		sfs := NewNamespaceFS(fsys, shardNamespace(i))
+		st, series, info, oerr := Open(sfs, opts)
+		if oerr != nil {
+			errs[i] = fmt.Errorf("wal: shard %d: %w", i, oerr)
+			return
+		}
+		recs[i] = ShardRecovery{Store: st, Series: series, Info: info}
+	})
 	for _, oerr := range errs {
 		if oerr != nil {
 			for _, r := range recs {
