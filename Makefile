@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all ci build test race race-short crash cover bench bench-check bench-smoke vet lint fmtcheck fuzz experiments report clean
+.PHONY: all ci build test race race-short crash cover bench bench-check bench-smoke bench-probe vet lint fmtcheck fuzz experiments report clean
 
 all: build vet lint test race-short
 
@@ -90,13 +90,29 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of the flat tier's kernel benchmarks (BenchmarkServedKNN,
-# BenchmarkServedRange, BenchmarkFlatFilter) and of the request front end's
-# (BenchmarkHandlerKNN, BenchmarkHandlerKNNBatch, BenchmarkHandlerIngestBatch,
-# BenchmarkDecodeBody): `go test` compiles benchmarks but never runs them, and
-# these are the per-layer evidence perf PRs quote, so they must keep running.
+# BenchmarkServedRange, BenchmarkFlatFilter, BenchmarkBatchKNN) and of the
+# request front end's (BenchmarkHandlerKNN, BenchmarkHandlerKNNBatch,
+# BenchmarkHandlerIngestBatch, BenchmarkDecodeBody): `go test` compiles
+# benchmarks but never runs them, and these are the per-layer evidence perf PRs
+# quote, so they must keep running.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Served|FlatFilter' -benchtime 1x ./internal/index
+	$(GO) test -run '^$$' -bench 'Served|FlatFilter|BatchKNN' -benchtime 1x ./internal/index
 	$(GO) test -run '^$$' -bench 'Handler|DecodeBody' -benchtime 1x ./internal/server
+
+# Before believing an end-to-end pair: bench/loadgen links internal/index and
+# internal/server, so a product change moves its CPU probe; with main.probe's
+# entry at 32 mod 64 instead of 0 mod 64 the probe's median reads ~10 % lower
+# on this host and every normalised timing ~10 % worse (verify skill, "Served
+# search"). Prints the address and fails unless it is 0 mod 64. Not part of
+# `make ci`: an accidental alignment must not fail an unrelated PR.
+bench-probe:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	(cd bench && $(GO) build -o "$$tmp/loadgen" ./loadgen); \
+	addr=$$($(GO) tool nm "$$tmp/loadgen" | awk '$$3 == "main.probe" {print $$1}'); \
+	test -n "$$addr" || { echo "FAIL: no main.probe in bench/loadgen"; exit 1; }; \
+	phase=$$(( 0x$$addr % 64 )); \
+	echo "main.probe at 0x$$addr ($$phase mod 64)"; \
+	test $$phase -eq 0 || { echo "FAIL: the loadgen's CPU probe is not 64-byte aligned: normalised timings read ~10 % worse than the same server under an aligned build; reshape the change or compare raw samples"; exit 1; }
 
 # Short fuzzing bursts over every fuzz target. Targets are discovered with
 # `go test -list`, so the list cannot drift when targets are added or

@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -289,6 +290,48 @@ func TestBatchKNNContextCanceled(t *testing.T) {
 		}
 	}
 
+	// Cancelled mid-batch over four flat shards: cancellation is per query, so
+	// a slot is either a whole answer — k results, every shard's rows
+	// filtered — or nil, never the merge of some shards.
+	sharded := newShardedFlat(t, "SAPLA", 4)
+	if err := sharded.InsertBatch(benchEntries(t, 100, 64, 12)); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		mctx, mcancel := context.WithCancel(context.Background())
+		p := &stackProbe{scan: sharded, cancelAt: 3, cancel: mcancel}
+		out, stats, err := BatchKNNContext(mctx, p, queries, 8, workers)
+		mcancel()
+		if !errors.Is(err, ErrBatchCanceled) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d canceled after three: err = %v", workers, err)
+		}
+		answered := 0
+		for qi, res := range out {
+			if res == nil {
+				if stats[qi] != (SearchStats{}) {
+					t.Fatalf("workers=%d q%d: unanswered, stats %+v", workers, qi, stats[qi])
+				}
+				continue
+			}
+			answered++
+			want, _, err := sharded.KNN(queries[qi], 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			identicalResults(t, "answered before the cancel", res, want)
+			if len(res) != 8 || stats[qi].Filtered != sharded.Len() {
+				t.Fatalf("workers=%d q%d: %d results, filtered %d of %d", workers, qi, len(res), stats[qi].Filtered, sharded.Len())
+			}
+		}
+		// Each worker may finish the query it had claimed when the third returned.
+		if answered < 3 || answered > 2+workers || len(p.onCaller) != answered {
+			t.Fatalf("workers=%d: %d answered, %d searches ran", workers, answered, len(p.onCaller))
+		}
+		if want := fmt.Sprintf("after %d of %d queries", answered, len(queries)); !strings.Contains(err.Error(), want) {
+			t.Fatalf("workers=%d: err = %v, want %q", workers, err, want)
+		}
+	}
+
 	// Expired deadline reports the deadline cause.
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
@@ -318,7 +361,7 @@ func TestBatchKNNContextCanceled(t *testing.T) {
 // records, per KNN call, whether the calling goroutine's stack passes through
 // the named function, and cancels a context after a set number of calls.
 type stackProbe struct {
-	scan     *LinearScan
+	scan     Index
 	through  string
 	cancelAt int
 	cancel   context.CancelFunc

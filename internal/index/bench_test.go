@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"sapla/internal/core"
@@ -180,7 +181,9 @@ func BenchmarkKNN(b *testing.B) {
 
 // BenchmarkBatchKNN compares the batch engine across worker counts. On a
 // multi-core host the Workers=GOMAXPROCS case demonstrates the parallel
-// speedup; per-answer copies are the only steady-state allocations.
+// speedup; per-answer copies are the only steady-state allocations. The
+// sharded4 case is one served batch — 32 queries over servedSharded4 — whose
+// worker count follows -cpu.
 func BenchmarkBatchKNN(b *testing.B) {
 	tree, err := NewDBCH("SAPLA", 2, 5)
 	if err != nil {
@@ -207,6 +210,16 @@ func BenchmarkBatchKNN(b *testing.B) {
 			}
 		})
 	}
+	b.Run("sharded4/1500x1024", func(b *testing.B) {
+		idx, queries := servedSharded4(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := BatchKNN(idx, queries[:32], 10, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // mixedSeries draws one z-normalised series from a three-family mixture
@@ -359,11 +372,38 @@ func servedPair(b *testing.B) (map[string]Index, []dist.Query) {
 	return map[string]Index{"dbch": tree, "flat": flat}, mixedQueries(b, rng, entries, 64, 12)
 }
 
-// BenchmarkServedKNN is the search-kernel delta without the HTTP harness.
+// sharded4 caches servedSharded4's index across benchmarks and -cpu rounds:
+// reducing 6000 series of 1024 points is the expensive part of either.
+var sharded4 struct {
+	once    sync.Once
+	idx     *ShardedIndex
+	queries []dist.Query
+}
+
+// servedSharded4 is rw_long_4shard's index without the server: four flat
+// shards of BenchmarkFlatFilter's long per-shard shape (1500 × 1024, M = 12)
+// behind the scatter-gather, and 64 queries against them.
+func servedSharded4(b *testing.B) (*ShardedIndex, []dist.Query) {
+	b.Helper()
+	sharded4.once.Do(func() {
+		rng := rand.New(rand.NewSource(17))
+		entries := mixedEntries(b, rng, 4*1500, 1024, 12)
+		sharded4.idx = newShardedFlat(b, "SAPLA", 4)
+		if err := sharded4.idx.InsertBatch(entries); err != nil {
+			b.Fatal(err)
+		}
+		sharded4.queries = mixedQueries(b, rng, entries, 64, 12)
+	})
+	return sharded4.idx, sharded4.queries
+}
+
+// BenchmarkServedKNN is the search-kernel delta without the HTTP harness:
+// filter/op and refine/op are the two counts a k-NN change moves. The sharded4
+// row runs through ShardedIndex.KNNWith, so its refine/op is what the bound
+// handed from shard to shard saves over four independent searches.
 func BenchmarkServedKNN(b *testing.B) {
 	idxs, queries := servedPair(b)
-	for _, name := range []string{"dbch", "flat"} {
-		idx := idxs[name].(WorkspaceSearcher)
+	run := func(name string, idx WorkspaceSearcher, queries []dist.Query) {
 		b.Run(name, func(b *testing.B) {
 			ws := NewWorkspace()
 			var st SearchStats
@@ -379,6 +419,11 @@ func BenchmarkServedKNN(b *testing.B) {
 			b.ReportMetric(float64(st.Measured)/float64(b.N), "refine/op")
 		})
 	}
+	for _, name := range []string{"dbch", "flat"} {
+		run(name, idxs[name].(WorkspaceSearcher), queries)
+	}
+	sharded, long := servedSharded4(b)
+	run("sharded4/1500x1024", sharded, long)
 }
 
 // BenchmarkServedRange is the range twin, at a radius that admits a handful

@@ -329,9 +329,11 @@ func (f *Flat) filterSlots(q dist.Query, tab *parTable, lo int, out []float64) e
 func abandonLimit(bound float64) float64 { return bound * bound * (1 + 1e-12) }
 
 // measure refines one candidate against the running k-th best distance and
-// returns the updated bound. The exact distance it offers is the same
-// sequential sum ts.EuclideanSq computes, so answers stay bit-identical to
-// every other index's.
+// returns the updated bound — never looser than the one it was given, so a
+// search handed a bound (Workspace.bound) keeps pruning against it while its
+// own heap fills. The exact distance it offers is the same sequential sum
+// ts.EuclideanSq computes, so answers stay bit-identical to every other
+// index's.
 func measure(ws *Workspace, q dist.Query, k int, e *Entry, kth float64) (float64, error) {
 	if len(e.Raw) != len(q.Raw) {
 		return kth, ErrQueryLength
@@ -340,7 +342,7 @@ func measure(ws *Workspace, q dist.Query, k int, e *Entry, kth float64) (float64
 	if !ok {
 		return kth, nil
 	}
-	return ws.offerBest(k, math.Sqrt(sum), e), nil
+	return min(kth, ws.offerBest(k, math.Sqrt(sum), e)), nil
 }
 
 // KNN implements Index.
@@ -353,7 +355,11 @@ func (f *Flat) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 // smallest filter distances; those entries are measured first, which seeds
 // the k-th best distance close to its final value. Pass 2 walks the buffer
 // and measures only entries whose filter distance does not exceed the running
-// bound, abandoning each exact distance as soon as it cannot beat it.
+// bound, abandoning each exact distance as soon as it cannot beat it. The
+// bound starts at ws.bound: +Inf, or inside a scatter-gather search the k-th
+// best distance the shards before this one earned, which the seeds must beat
+// too. Pruning is strict, so an entry tying that distance is still measured
+// and the canonical merge decides the tie by ID.
 func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
 	var stats SearchStats
 	n := len(f.ents)
@@ -387,11 +393,14 @@ func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 	stats.Filtered = n
 
 	ws.best.Reset()
-	kth := math.Inf(1)
+	kth := ws.bound
 	var err error
 	for seeds.Len() > 0 {
-		_, s := seeds.Pop()
+		fd, s := seeds.Pop()
 		filt[s] = refined
+		if fd > kth {
+			continue
+		}
 		stats.Measured++
 		if kth, err = measure(ws, q, k, f.ents[s], kth); err != nil {
 			return nil, stats, err

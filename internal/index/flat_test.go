@@ -323,6 +323,82 @@ func TestFlatModelSAPLA(t *testing.T) {
 	}
 }
 
+// TestFlatHandOffSAPLA: Dist_PAR is not a lower bound, so the bound handed
+// from shard to shard may dismiss what four independent searches would keep —
+// but every answer is still k live entries with their exact distances in
+// canonical order, and no query measures more than its shards would on their
+// own.
+func TestFlatHandOffSAPLA(t *testing.T) {
+	for _, shards := range []int{2, 4, 7} {
+		m := newFlatModel(t, "SAPLA", 71)
+		idx := newShardedFlat(t, "SAPLA", shards)
+		for i := 0; i < 400; i++ {
+			m.next++
+			m.insert(idx, m.entry(m.next))
+		}
+		ws := NewWorkspace()
+		var measured, independent int
+		for qi := 0; qi < 20; qi++ {
+			q := m.query()
+			label := testLabel("hand-off", qi, shards, 0)
+			res, got, ind := handOffKNN(t, label, idx, ws, q, 10)
+			if len(res) != 10 {
+				t.Fatalf("%s: %d results", label, len(res))
+			}
+			m.valid(label, q, res)
+			measured, independent = measured+got, independent+ind
+		}
+		if measured >= independent {
+			t.Fatalf("shards=%d: measured %d, the shards on their own %d: the bound saved nothing", shards, measured, independent)
+		}
+	}
+}
+
+// TestFlatHandOffLeavesWorkspaceClean: a scatter-gather search that fails on
+// a later shard — after earlier ones have earned a finite bound — must not
+// leave that bound in the workspace: the next search on it, of any index,
+// returns what a fresh workspace returns and measures as much.
+func TestFlatHandOffLeavesWorkspaceClean(t *testing.T) {
+	const shards, k = 4, 5
+	idx := newShardedFlat(t, "SAPLA", shards)
+	m := newFlatModel(t, "SAPLA", 73)
+	for i := 0; i < 200; i++ {
+		m.next++
+		m.insert(idx, m.entry(m.next))
+	}
+	q := m.query()
+	// On shard 2, a series of another length behind the query's own
+	// representation: the filter puts it first among the seeds, the exact
+	// distance is undefined.
+	id := m.next + 1
+	for ShardOf(id, shards) != 2 {
+		id++
+	}
+	if err := idx.Insert(NewEntry(id, q.Raw[:64], q.Rep)); err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace()
+	if res, _, err := idx.KNNWith(ws, q, k); !errors.Is(err, ErrQueryLength) || res != nil {
+		t.Fatalf("search over a shard with a 64-point series: %v %v", res, err)
+	}
+	last := idx.Shard(3)
+	got, gotStats, err := last.KNNWith(ws, q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantStats, err := last.KNNWith(NewWorkspace(), q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != k {
+		t.Fatalf("shard 3 on a fresh workspace: %d results", len(want))
+	}
+	identicalResults(t, "after the failed search", got, want)
+	if gotStats != wantStats {
+		t.Fatalf("after the failed search: stats %+v, on a fresh workspace %+v", gotStats, wantStats)
+	}
+}
+
 // TestFlatConcurrentReaders races queries against inserts and deletes on a
 // sharded flat tier (the lock arm of ConcurrentIndex): whatever state a
 // reader lands on, its answer is internally consistent.

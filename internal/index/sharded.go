@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"sapla/internal/dist"
 	"sapla/internal/par"
@@ -39,7 +40,11 @@ func ShardOf(id, shards int) int {
 // canonical (distance, ID) merge: whenever each shard returns its true top-k
 // — any index whose filter lower-bounds the exact distance — the merged k-NN
 // and range answers are byte-identical to the single-shard answer for any
-// shard count.
+// shard count. Under Dist_PAR, which is not a lower bound, a k-NN answer is a
+// function of the stored data and the shard count: shards are visited in
+// order and each flat shard prunes from the bound the ones before it earned
+// (KNNWith), so a sharded index dismisses nearly what one shard would — more
+// than shards searched independently, never by worker count or timing.
 type ShardedIndex struct {
 	shards []*ConcurrentIndex
 }
@@ -195,12 +200,17 @@ func (s *ShardedIndex) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 	return pooledKNN(s, q, k)
 }
 
-// KNNWith implements WorkspaceSearcher by sequential scatter-gather: each
-// shard's top-k is gathered into the workspace's candidate buffer, then the
-// global top-k is selected under the canonical (distance, ID) order. Each
-// shard's top-k under that order is a superset of its contribution to the
-// global top-k, so the merge loses nothing. Every shard search sees one
-// consistent state of that shard; the parallel fan-out lives in BatchKNN.
+// KNNWith implements WorkspaceSearcher by visiting the shards in order on one
+// workspace and keeping one running top-k across them (ws.cand): each shard's
+// answer is folded in under the canonical (distance, ID) order, and once k
+// results are held their k-th distance is the bound the next shard starts
+// pruning from (ws.bound; the flat tier honours it, the trees start from
+// +Inf). That bound is an exact distance already measured, so it is never
+// below the global k-th: under a lower-bounding filter a shard's answer
+// within it is a superset of its contribution to the global top-k, and the
+// fold loses nothing. ws.bound is back at +Inf on every return. Every shard
+// search sees one consistent state of that shard. There is no per-query
+// fan-out: BatchKNN fills the cores with queries.
 func (s *ShardedIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
 	if len(s.shards) == 1 {
 		return s.shards[0].KNNWith(ws, q, k)
@@ -210,12 +220,18 @@ func (s *ShardedIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, Se
 	for _, sh := range s.shards {
 		res, st, err := sh.KNNWith(ws, q, k)
 		if err != nil {
+			ws.bound = math.Inf(1)
 			return nil, stats, err
 		}
 		addStats(&stats, st)
 		ws.cand = append(ws.cand, res...)
+		ws.cand = append(ws.cand[:0], mergeTopK(ws, k, ws.cand)...)
+		if k > 0 && len(ws.cand) == k {
+			ws.bound = ws.cand[k-1].Dist
+		}
 	}
-	return mergeTopK(ws, k, ws.cand), stats, nil
+	ws.bound = math.Inf(1)
+	return ws.cand, stats, nil
 }
 
 // Range implements RangeSearcher by scatter-gather: per-shard answers are

@@ -79,19 +79,26 @@ func identicalResults(t *testing.T, label string, got, want []Result) {
 	}
 }
 
-// shardedFixture builds the same entry set into sharded indexes of several
-// shard counts. Duplicated raw series force exact distance ties, so the
-// (distance, ID) tie-break is actually load-bearing, not decorative.
-func shardedFixture(t *testing.T, meth reduce.Method, rng *rand.Rand) ([]*Entry, []*ShardedIndex) {
+// duplicatedEntries reduces 220 random walks and appends exact duplicates of a
+// third of them under fresh IDs: their distances to any query are
+// bit-identical, so the (distance, ID) tie-break is actually load-bearing, not
+// decorative.
+func duplicatedEntries(t *testing.T, meth reduce.Method, rng *rand.Rand) []*Entry {
 	t.Helper()
 	entries := makeEntries(t, meth, rng, 220, 128, 12)
-	// Append exact duplicates of a third of the series under fresh IDs:
-	// their distances to any query are bit-identical, exercising the tie.
 	base := len(entries)
 	for i := 0; i < base/3; i++ {
 		src := entries[i*3%base]
 		entries = append(entries, NewEntry(base+i, src.Raw, src.Rep))
 	}
+	return entries
+}
+
+// shardedFixture builds the same duplicatedEntries into sharded indexes of
+// several shard counts.
+func shardedFixture(t *testing.T, meth reduce.Method, rng *rand.Rand) ([]*Entry, []*ShardedIndex) {
+	t.Helper()
+	entries := duplicatedEntries(t, meth, rng)
 	indexes := make([]*ShardedIndex, 0, 3)
 	for _, shards := range []int{1, 2, 8} {
 		s := newShardedDBCH(t, shards)
@@ -104,6 +111,84 @@ func shardedFixture(t *testing.T, meth reduce.Method, rng *rand.Rand) ([]*Entry,
 		indexes = append(indexes, s)
 	}
 	return entries, indexes
+}
+
+// handOffKNN runs one scatter-gather search and, next to it, every shard's
+// search on its own fresh workspace — what the shards measure when none is
+// handed the bound the ones before it earned. The hand-off may only save.
+func handOffKNN(t *testing.T, label string, s *ShardedIndex, ws *Workspace, q dist.Query, k int) (res []Result, measured, independent int) {
+	t.Helper()
+	res, stats, err := s.KNNWith(ws, q, k)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if stats.Filtered != s.Len() {
+		t.Fatalf("%s: filtered %d of %d", label, stats.Filtered, s.Len())
+	}
+	res = append([]Result(nil), res...)
+	for i := 0; i < s.NumShards(); i++ {
+		_, st, err := s.Shard(i).KNNWith(NewWorkspace(), q, k)
+		if err != nil {
+			t.Fatalf("%s shard %d: %v", label, i, err)
+		}
+		independent += st.Measured
+	}
+	if stats.Measured > independent {
+		t.Fatalf("%s: measured %d, the shards on their own %d", label, stats.Measured, independent)
+	}
+	return res, stats.Measured, independent
+}
+
+// TestShardedFlatHandOffLowerBound: under a lower-bounding filter (PAA) the
+// bound handed from flat shard to flat shard costs nothing — answers are the
+// single shard's, bit for bit and tie for tie, at every shard count — and it
+// saves: no query measures more than its shards would independently, and over
+// the run a multi-shard index measures strictly less.
+func TestShardedFlatHandOffLowerBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	meth := buildMethod(t, "PAA")
+	entries := duplicatedEntries(t, meth, rng)
+	queries := make([]dist.Query, 12)
+	for qi := range queries {
+		raw := randWalk(rng, 128)
+		if qi%3 == 0 {
+			raw = entries[qi*7%len(entries)].Raw // stored series: guaranteed exact ties
+		}
+		rep, err := meth.Reduce(raw, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries[qi] = dist.NewQuery(raw, rep)
+	}
+	ws := NewWorkspace()
+	// At k = 1 a stored series' query hands the next shard a bound of exactly
+	// 0, which its duplicate there ties — with a filter distance of 0 too.
+	for _, k := range []int{1, 10} {
+		var want [][]Result
+		for _, shards := range []int{1, 2, 4, 7} {
+			s := newShardedFlat(t, "PAA", shards)
+			for _, e := range entries {
+				if err := s.Insert(NewEntry(e.ID, e.Raw, e.Rep)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var measured, independent int
+			for qi, q := range queries {
+				label := testLabel(fmt.Sprintf("hand-off k=%d", k), qi, shards, 0)
+				res, m, ind := handOffKNN(t, label, s, ws, q, k)
+				measured, independent = measured+m, independent+ind
+				if shards == 1 {
+					want = append(want, res)
+					continue
+				}
+				identicalResults(t, label, res, want[qi])
+			}
+			if shards > 1 && measured >= independent {
+				t.Fatalf("k=%d shards=%d: measured %d, the shards on their own %d: the bound saved nothing",
+					k, shards, measured, independent)
+			}
+		}
+	}
 }
 
 // TestShardedKNNByteIdenticalAcrossShardCounts is the tentpole determinism
@@ -186,8 +271,9 @@ func TestShardedRangeByteIdenticalAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestShardedBatchKNNMatchesSequential pins the parallel (query, shard)
-// fan-out to the sequential scatter-gather for every worker count.
+// TestShardedBatchKNNMatchesSequential pins the batch engine — one task per
+// query, each the whole scatter-gather — to the same searches run one after
+// the other on one workspace, for every worker count.
 func TestShardedBatchKNNMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	meth := buildMethod(t, "SAPLA")
@@ -231,8 +317,8 @@ func TestShardedBatchKNNMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardedBatchKNNCanceled checks the cancellation contract of the
-// sharded fan-out: a canceled batch reports ErrBatchCanceled.
+// TestShardedBatchKNNCanceled checks the cancellation contract over a sharded
+// index: a canceled batch reports ErrBatchCanceled.
 func TestShardedBatchKNNCanceled(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	meth := buildMethod(t, "SAPLA")

@@ -22,9 +22,12 @@ type Workspace struct {
 	// entries live in one tree or are scattered across shards.
 	best    *pqueue.TieHeap[*Entry]
 	results []Result
-	// cand accumulates per-shard candidate results during a scatter-gather
-	// search; see ShardedIndex.KNNWith.
-	cand []Result
+	// cand and bound carry a scatter-gather search from shard to shard
+	// (ShardedIndex.KNNWith): the running global top-k, and its k-th distance —
+	// the bound Flat.KNNWith starts pruning from. Outside such a search bound
+	// is +Inf.
+	cand  []Result
+	bound float64
 	// filt and seeds belong to the flat tier (Flat.KNNWith): one filter
 	// distance per slot, and the slots of the k smallest of them, worst on top.
 	filt  []float64
@@ -41,6 +44,7 @@ func NewWorkspace() *Workspace {
 		ids:   pqueue.NewMinHeap[int32](),
 		best:  pqueue.NewMaxTieHeap[*Entry](),
 		seeds: pqueue.NewMaxHeap[int32](),
+		bound: math.Inf(1),
 	}
 }
 

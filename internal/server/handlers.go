@@ -438,7 +438,8 @@ func (s *Server) checkK(k int) error {
 
 // handleKNN answers one k-NN query as a batch of one, so single queries and
 // batches share one code path (index.BatchKNNContext on par.Do, one workspace
-// pool); on one shard the search runs on this goroutine.
+// pool). A query is one task, so at any shard count the search runs on this
+// goroutine, shard after shard under one running bound.
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	var req knnRequest
 	if !s.decodeBody(w, r, &req) {
@@ -492,9 +493,9 @@ type knnAnswer struct {
 	Stats   statsJSON    `json:"stats"`
 }
 
-// handleKNNBatch answers many k-NN queries concurrently (par.Do over
-// (query, shard) tasks); each shard search sees one consistent state of its
-// shard.
+// handleKNNBatch answers many k-NN queries concurrently (par.Do over the
+// queries; each visits its shards in order); each shard search sees one
+// consistent state of its shard.
 func (s *Server) handleKNNBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !s.decodeBody(w, r, &req) {

@@ -56,9 +56,9 @@ type Config struct {
 	// under the persisted count, and reopening under another would replay
 	// them into the wrong shards.
 	Shards int
-	// Workers bounds every request's par.Do fan-out: the (query, shard)
-	// searches of /v1/knn and /v1/knn/batch and the reductions of batch
-	// ingest and batch k-NN. Default 0 = GOMAXPROCS.
+	// Workers bounds every request's par.Do fan-out: the queries of
+	// /v1/knn/batch (a query is one task, whatever the shard count) and the
+	// reductions of batch ingest and batch k-NN. Default 0 = GOMAXPROCS.
 	Workers int
 	// MaxK caps k per query. Default 128.
 	MaxK int

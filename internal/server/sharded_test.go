@@ -100,8 +100,8 @@ func TestServerShardedEndToEnd(t *testing.T) {
 	}
 	checkIdentical("after deletes")
 
-	// Batch k-NN fans out at (query, shard) granularity; answers must match
-	// the reference too.
+	// Batch k-NN fans out over the queries, each a whole scatter-gather;
+	// answers must match the reference too.
 	queries := make([]map[string]any, 5)
 	for i := range queries {
 		queries[i] = map[string]any{"values": randWalk(rng, n)}
