@@ -64,9 +64,9 @@ func (a *nodeArena) freeNode(id int32) {
 // slotsOf returns node id's live slots. The slice aliases the arena: any
 // alloc, reserve, reset or Compact may grow (and move) the backing array, so
 // callers must not hold it across such a call, return it, or store it in a
-// struct field. The arenaretain analyzer enforces this aliasing discipline
-// across the whole module; a caller that can prove its hold is safe escapes
-// with //sapla:retain <reason>.
+// struct field. TestArenaFreeListReuse holds the tree to this: after every
+// alloc/freeNode/reserve/reset cycle it checks the reachable entries, the hull
+// invariant and k-NN answers against a model of what the tree stores.
 func (a *nodeArena) slotsOf(id int32) []int32 {
 	base := id * a.slotCap
 	return a.slots[base : base+a.count[id] : base+a.slotCap]

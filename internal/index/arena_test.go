@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sapla/internal/dist"
@@ -36,25 +37,84 @@ func checkArenaAccounting(t *testing.T, tree *DBCH) {
 	}
 }
 
+// checkArenaModel checks the tree against the model of what it stores: the
+// entries reachable from the root are exactly live, each once; every leaf
+// keeps the hull invariant; and SafeBound k-NN answers like a linear scan
+// over live. A write through a slotsOf slice held across a call that moved
+// the slot arrays (alloc, reserve, reset) is lost, so entries vanish from the
+// tree or appear twice — the first check.
+func checkArenaModel(t *testing.T, tree *DBCH, live []int, byID map[int]*Entry, queries []dist.Query) {
+	t.Helper()
+	var reached []int
+	var walk func(nd int32)
+	walk = func(nd int32) {
+		for _, s := range tree.ar.slotsOf(nd) {
+			if !tree.ar.isLeaf[nd] {
+				walk(s)
+				continue
+			}
+			e := tree.ents[s]
+			if e == nil {
+				t.Fatalf("leaf %d holds freed entry slot %d", nd, s)
+			}
+			reached = append(reached, e.ID)
+		}
+	}
+	walk(tree.root)
+	want := slices.Clone(live)
+	slices.Sort(want)
+	slices.Sort(reached)
+	if !slices.Equal(reached, want) {
+		t.Fatalf("entries reachable from the root differ from the live set:\n got %v\nwant %v", reached, want)
+	}
+	checkHullInvariant(t, tree)
+
+	entries := make([]*Entry, len(live))
+	for i, id := range live {
+		entries[i] = byID[id]
+	}
+	const k = 5
+	for qi, q := range queries {
+		res, _, err := tree.KNN(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ov := overlap(res, trueKNN(entries, q.Raw, k)); len(res) != k || ov != k {
+			t.Fatalf("query %d: SafeBound k-NN has %d results, %d/%d against a linear scan over live", qi, len(res), ov, k)
+		}
+	}
+}
+
 // TestArenaFreeListReuse churns a tree through many delete/insert/compact
 // cycles of constant live size. Freed node and entry slots must be reused, so
 // the arenas stay bounded by their early high-water mark instead of growing
-// with the total number of operations.
+// with the total number of operations. Each cycle runs every arena primitive
+// (alloc and freeNode on the incremental paths, reserve on InsertBatch, reset
+// on Compact), and checkArenaModel holds the tree to what it stores after the
+// build and after every cycle.
 func TestArenaFreeListReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	meth := buildMethod(t, "SAPLA")
 	const n, m, count, churn = 64, 12, 200, 50
+	var queries []dist.Query
+	for _, e := range makeEntries(t, meth, rand.New(rand.NewSource(61)), 3, n, m) {
+		queries = append(queries, dist.NewQuery(e.Raw, e.Rep))
+	}
 	tree, err := NewDBCH("SAPLA", 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tree.SafeBound = true
 	live := make([]int, 0, count)
+	byID := make(map[int]*Entry, count)
 	for _, e := range makeEntries(t, meth, rng, count, n, m) {
 		if err := tree.Insert(e); err != nil {
 			t.Fatal(err)
 		}
 		live = append(live, e.ID)
+		byID[e.ID] = e
 	}
+	checkArenaModel(t, tree, live, byID, queries)
 	nextID := count
 
 	var maxNodes, maxEnts int
@@ -62,6 +122,7 @@ func TestArenaFreeListReuse(t *testing.T) {
 		for i := 0; i < churn; i++ {
 			id := live[0]
 			live = live[1:]
+			delete(byID, id)
 			if !tree.Delete(id) {
 				t.Fatalf("cycle %d: entry %d not found", cycle, id)
 			}
@@ -78,19 +139,31 @@ func TestArenaFreeListReuse(t *testing.T) {
 				t.Fatalf("cycle %d: fragmentation %v after compaction", cycle, f)
 			}
 		}
+		// Half the reinserts one at a time, the other half as one batch.
+		var batch []*Entry
 		for i := 0; i < churn; i++ {
 			raw := randWalk(rng, n)
 			rep, err := meth.Reduce(raw, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tree.Insert(NewEntry(nextID, raw, rep)); err != nil {
-				t.Fatal(err)
+			e := NewEntry(nextID, raw, rep)
+			if i < churn/2 {
+				if err := tree.Insert(e); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				batch = append(batch, e)
 			}
 			live = append(live, nextID)
+			byID[nextID] = e
 			nextID++
 		}
+		if err := tree.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
 		checkArenaAccounting(t, tree)
+		checkArenaModel(t, tree, live, byID, queries)
 		if tree.Len() != count {
 			t.Fatalf("cycle %d: Len = %d, want %d", cycle, tree.Len(), count)
 		}

@@ -333,6 +333,13 @@ func TestDBCHHullInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	checkHullInvariant(t, tree)
+}
+
+// checkHullInvariant asserts that every leaf entry lies within its leaf's
+// hull volume of both hull representatives.
+func checkHullInvariant(t *testing.T, tree *DBCH) {
+	t.Helper()
 	var walk func(nd int32)
 	walk = func(nd int32) {
 		if tree.ar.isLeaf[nd] {

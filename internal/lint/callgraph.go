@@ -7,9 +7,9 @@ import (
 )
 
 // This file builds the module-wide static call graph the interprocedural
-// analyzers (walorder, lockorder, lockguard, arenaretain, goleak, taintflow)
-// share. Nodes are module-internal functions with bodies; edges are calls
-// that resolve statically (package functions, concrete methods, qualified
+// analyzers (walorder, lockorder, lockguard, taintflow) share. Nodes are
+// module-internal functions with bodies; edges are calls that resolve
+// statically (package functions, concrete methods, qualified
 // cross-package calls) plus interface calls resolved through method-set
 // satisfaction against every named type declared in the module. Calls
 // through plain function values stay unresolved — the analyzers that ride
@@ -26,8 +26,6 @@ type FuncInfo struct {
 // per-function effect summaries (summary.go). It is built once per Program
 // and cached.
 type Interproc struct {
-	prog *Program
-
 	// Funcs maps every module-internal function with a body to its info.
 	Funcs map[*types.Func]*FuncInfo
 	// order is Funcs in deterministic (file-position) order.
@@ -57,11 +55,7 @@ func (prog *Program) Interproc() *Interproc {
 }
 
 func buildInterproc(prog *Program) *Interproc {
-	// The EffSpawnDetached post-pass honors //sapla:daemon, so the directive
-	// index must exist before summaries are computed.
-	prog.ensureDirectives()
 	ip := &Interproc{
-		prog:       prog,
 		Funcs:      make(map[*types.Func]*FuncInfo),
 		ifaceCache: make(map[ifaceKey][]*types.Func),
 		summaries:  make(map[*types.Func]*Summary),
@@ -102,7 +96,6 @@ func buildInterproc(prog *Program) *Interproc {
 		return ip.named[i].Obj().Pos() < ip.named[j].Obj().Pos()
 	})
 	ip.computeSummaries()
-	ip.computeSpawnDetached()
 	return ip
 }
 
@@ -229,17 +222,4 @@ func (ip *Interproc) resolveInterface(iface *types.Interface, m *types.Func) []*
 	}
 	ip.ifaceCache[key] = out
 	return out
-}
-
-// eachCall visits every call expression under root in source order,
-// skipping nothing: function-literal bodies are included, since a closure's
-// calls become effects of the function that builds (and usually runs or
-// launches) it.
-func eachCall(root ast.Node, fn func(*ast.CallExpr)) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			fn(call)
-		}
-		return true
-	})
 }

@@ -2,11 +2,10 @@ package lint
 
 import "go/ast"
 
-// This file is the flow-sensitive dataflow engine arenaretain and taintflow
-// ride on. Their invariants are flow properties — a slice into the
-// arena is fine before a repack and dangling after, request data is tainted
-// before validation and clean after — so the flow-insensitive walks the
-// other analyzers use cannot express them.
+// This file is the flow-sensitive dataflow engine taintflow rides on. Its
+// invariant is a flow property — request data is tainted before validation
+// and clean after — so the flow-insensitive walks the other analyzers use
+// cannot express it.
 //
 // The engine is an SSA-lite abstract interpreter over go/ast: each analyzer
 // supplies an abstract state (its lattice) and a transfer function for leaf
@@ -21,8 +20,8 @@ import "go/ast"
 //
 // Function literals are deliberately NOT walked inline: a closure built on
 // this path may run on another goroutine or after the function returns, so
-// its body gets no facts from the enclosing walk. Clients skip *ast.FuncLit
-// in their transfer functions for the same reason.
+// its body gets no facts from the enclosing walk. A client that needs a
+// closure's facts walks it itself on a cloned state (taintflow's subWalk).
 
 // flowState is one analyzer's abstract state. Implementations are maps from
 // locals to lattice values plus whatever path facts the analyzer tracks.
@@ -129,8 +128,8 @@ func (e *flowEngine) stmt(stmt ast.Stmt, p *flowPath) {
 		e.loop(s.Cond, nil, s.Post, s.Body, p)
 	case *ast.RangeStmt:
 		// The range operand is re-transferred per fixpoint iteration: the
-		// loop keeps reading the ranged-over state on every step, which is
-		// exactly what use-after-repack needs to see.
+		// loop keeps reading the ranged-over state on every step, so a fact
+		// the body sets is seen by the operand on the next round.
 		e.loop(nil, s.X, nil, s.Body, p)
 	case *ast.SwitchStmt:
 		if s.Init != nil {

@@ -28,7 +28,6 @@ import (
 // sits under the same contract as the engines built on it.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc:  "flag map-iteration-order dependence and wall-clock/randomness in eval, index and pqueue packages",
 	Run:  runDeterminism,
 }
 

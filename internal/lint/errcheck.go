@@ -18,7 +18,6 @@ import (
 // destinations cannot fail.
 var ErrcheckAnalyzer = &Analyzer{
 	Name: "errcheck",
-	Doc:  "flag statement-position calls whose error result is dropped",
 	Run:  runErrcheck,
 }
 

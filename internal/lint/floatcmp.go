@@ -15,7 +15,6 @@ import (
 // a //sapla:floateq <reason> directive.
 var FloatcmpAnalyzer = &Analyzer{
 	Name: "floatcmp",
-	Doc:  "flag == / != on floating-point operands",
 	Run:  runFloatcmp,
 }
 

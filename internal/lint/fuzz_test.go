@@ -11,12 +11,12 @@ import (
 // FuzzLintSource drives the full loader/analyzer pipeline over arbitrary Go
 // source: whatever the fuzzer produces, the driver must either reject it
 // with a parse/typecheck error or analyze it without panicking. The seeds
-// steer the corpus toward the constructs the flow-sensitive analyzers walk —
-// go statements, channel operations, directives, WaitGroup joins.
+// steer the corpus toward the constructs the flow-sensitive walks have to
+// survive — closures, channel operations, directives, labeled jumps.
 func FuzzLintSource(f *testing.F) {
 	f.Add("package p\n\nfunc f() {}\n")
 	f.Add("package p\n\nfunc f() { go func() { for {} }() }\n")
-	f.Add("package p\n\n//sapla:daemon reason\nfunc f() {}\n")
+	f.Add("package p\n\n//sapla:bogus reason\nfunc f() {}\n")
 	f.Add("package p\n\nfunc f() { ch := make(chan int); ch <- 1; for range ch {} }\n")
 	f.Add("package p\n\nimport \"sync\"\n\nfunc f() { var wg sync.WaitGroup; wg.Add(1); go func() { wg.Done() }(); wg.Wait() }\n")
 	f.Add("package p\n\nfunc f(xs []int) {\nloop:\n\tfor _, x := range xs {\n\t\tif x == 0 {\n\t\t\tcontinue loop\n\t\t}\n\t\tgoto done\n\t}\ndone:\n}\n")

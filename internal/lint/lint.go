@@ -2,11 +2,13 @@
 // (go/parser, go/ast, go/types, go/token — no x/tools dependency) analysis
 // framework plus the repo-specific analyzers that turn the concurrency and
 // durability contract — lock-guarded shared state, WAL append before
-// acknowledge, collected goroutines, deterministic evaluation output — into
-// compile-time checks that run on every push instead of regression signals
-// that fire after the fact. Contracts a cheaper tool already holds are not
-// repeated here: go vet guards lock copies, testing.AllocsPerRun tests guard
-// the zero-allocation hot paths.
+// acknowledge, deterministic evaluation output, validated request data — into
+// checks that run inside `go test ./...` (TestRepoIsClean) instead of
+// regression signals that fire after the fact. Contracts a cheaper tool
+// already holds are not repeated here: go vet guards lock copies,
+// testing.AllocsPerRun tests guard the zero-allocation hot paths, and
+// goroutine lifetime is a reviewed list of go statements (TestGoStatements)
+// plus the runtime join tests of the packages that spawn them.
 //
 // The driver loads and type-checks packages (see Load), runs each Analyzer
 // over every requested package, and reports findings as
@@ -20,14 +22,7 @@
 //	                           deliberately non-durable write, e.g. a
 //	                           best-effort compensation on an error path)
 //	//sapla:detach <reason>    suppresses a ctxflow finding on its line (a
-//	                           deliberately detached context or goroutine)
-//	//sapla:retain <reason>    suppresses an arenaretain finding on its line
-//	                           (an arena-backed slice held across a call that
-//	                           provably cannot move the slot arrays)
-//	//sapla:daemon <reason>    suppresses a goleak finding on its line (a
-//	                           designed process-lifetime loop — the
-//	                           snapshot/compaction ticker class — that is
-//	                           collected at process exit, not by its spawner)
+//	                           deliberately detached context)
 //	//sapla:untainted <reason> suppresses a taintflow finding on its line
 //	                           (request-derived data validated by a
 //	                           mechanism outside the recognized sanitizers)
@@ -44,7 +39,6 @@ import (
 	"go/token"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Diagnostic is one finding.
@@ -64,7 +58,6 @@ func (d Diagnostic) String() string {
 // cycles) set RunProgram and are invoked once with a package-less Pass.
 type Analyzer struct {
 	Name       string
-	Doc        string
 	Run        func(*Pass)
 	RunProgram func(*Pass)
 }
@@ -105,8 +98,6 @@ const (
 	DirErrOK     = "errok"
 	DirVolatile  = "volatile"
 	DirDetach    = "detach"
-	DirRetain    = "retain"
-	DirDaemon    = "daemon"
 	DirUntainted = "untainted"
 )
 
@@ -117,8 +108,6 @@ var suppressDirective = map[string]string{
 	"errcheck":    DirErrOK,
 	"walorder":    DirVolatile,
 	"ctxflow":     DirDetach,
-	"arenaretain": DirRetain,
-	"goleak":      DirDaemon,
 	"taintflow":   DirUntainted,
 }
 
@@ -130,8 +119,6 @@ var knownDirectives = map[string]bool{
 	DirErrOK:     true,
 	DirVolatile:  true,
 	DirDetach:    true,
-	DirRetain:    true,
-	DirDaemon:    true,
 	DirUntainted: true,
 }
 
@@ -200,17 +187,6 @@ type suppressKey struct {
 	line int
 }
 
-// ensureDirectives builds the suppression index once per Program, returning
-// the directive-validation findings. Both the driver (RunTimed) and the
-// summary layer (buildInterproc, whose EffSpawnDetached post-pass must honor
-// //sapla:daemon) need the index; whichever runs first pays the cost.
-func (prog *Program) ensureDirectives() []Diagnostic {
-	if prog.suppress == nil {
-		prog.dirDiags = prog.indexDirectives()
-	}
-	return prog.dirDiags
-}
-
 // indexDirectives builds the suppression index and validates directive use,
 // reporting malformed directives under the "directive" check.
 func (prog *Program) indexDirectives() []Diagnostic {
@@ -262,8 +238,6 @@ func Analyzers(names ...string) ([]*Analyzer, error) {
 		WalorderAnalyzer,
 		CtxflowAnalyzer,
 		LockorderAnalyzer,
-		ArenaretainAnalyzer,
-		GoleakAnalyzer,
 		TaintflowAnalyzer,
 	}
 	if len(names) == 0 {
@@ -287,68 +261,20 @@ func Analyzers(names ...string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// CheckTiming is one analyzer's wall-clock cost over a whole run. The
-// synthetic "(interproc)" entry is the shared call-graph + effect-summary
-// build the interprocedural analyzers amortize.
-type CheckTiming struct {
-	Check    string        `json:"check"`
-	Duration time.Duration `json:"-"`
-	Millis   float64       `json:"ms"`
-	Findings int           `json:"findings"`
-}
-
 // Run validates //sapla: directives and runs each analyzer over every
 // requested package, returning findings sorted by position.
 func (prog *Program) Run(analyzers []*Analyzer) []Diagnostic {
-	diags, _ := prog.RunTimed(analyzers)
-	return diags
-}
-
-// RunTimed is Run with per-analyzer wall-clock timing. Analyzer order is
-// check-outer so one analyzer's cost over every package aggregates into one
-// timing entry; program-level analyzers run once.
-func (prog *Program) RunTimed(analyzers []*Analyzer) ([]Diagnostic, []CheckTiming) {
-	diags := append([]Diagnostic(nil), prog.ensureDirectives()...)
-	var timings []CheckTiming
-
-	// The interprocedural state is shared; build it eagerly so its cost is
-	// visible as its own entry instead of inflating the first user.
-	needIP := false
+	diags := prog.indexDirectives()
 	for _, a := range analyzers {
-		switch a.Name {
-		case "walorder", "lockorder", "lockguard", "arenaretain", "goleak", "taintflow":
-			needIP = true
-		}
-	}
-	if needIP {
-		start := time.Now()
-		prog.Interproc()
-		timings = append(timings, CheckTiming{Check: "(interproc)", Duration: time.Since(start)})
-	}
-
-	for _, a := range analyzers {
-		start := time.Now()
-		before := len(diags)
 		if a.RunProgram != nil {
-			pass := &Pass{Analyzer: a, Prog: prog, diags: &diags}
-			a.RunProgram(pass)
-		} else {
-			for _, pkg := range prog.Pkgs {
-				if !pkg.Analyze {
-					continue
-				}
-				pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &diags}
-				a.Run(pass)
+			a.RunProgram(&Pass{Analyzer: a, Prog: prog, diags: &diags})
+			continue
+		}
+		for _, pkg := range prog.Pkgs {
+			if pkg.Analyze {
+				a.Run(&Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &diags})
 			}
 		}
-		timings = append(timings, CheckTiming{
-			Check:    a.Name,
-			Duration: time.Since(start),
-			Findings: len(diags) - before,
-		})
-	}
-	for i := range timings {
-		timings[i].Millis = float64(timings[i].Duration.Microseconds()) / 1e3
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -374,5 +300,5 @@ func (prog *Program) RunTimed(analyzers []*Analyzer) ([]Diagnostic, []CheckTimin
 		}
 		out = append(out, d)
 	}
-	return out, timings
+	return out
 }

@@ -2,10 +2,13 @@ package lint_test
 
 import (
 	"fmt"
+	"go/ast"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"sapla/internal/lint"
@@ -108,14 +111,12 @@ func TestErrcheck(t *testing.T)          { runFixture(t, "errcheck", "errcheck")
 func TestWalorder(t *testing.T)          { runFixture(t, "walorder", "walorder") }
 func TestCtxflow(t *testing.T)           { runFixture(t, "ctxflow", "ctxflow") }
 func TestLockorder(t *testing.T)         { runFixture(t, "lockorder", "lockorder") }
-func TestArenaretain(t *testing.T)       { runFixture(t, "arenaretain", "arenaretain") }
-func TestGoleak(t *testing.T)            { runFixture(t, "goleak", "goleak") }
 func TestTaintflow(t *testing.T)         { runFixture(t, "taintflow", "taintflow") }
 
-// TestFindingsDeterministic is the byte-stability contract behind -json and
-// the golden fixtures: the full analyzer suite over every fixture package
-// (the packages with findings) must render identically run after run,
-// regardless of map iteration order anywhere in the framework.
+// TestFindingsDeterministic is the byte-stability contract behind the golden
+// fixtures: the full analyzer suite over every fixture package (the packages
+// with findings) must render identically run after run, regardless of map
+// iteration order anywhere in the framework.
 func TestFindingsDeterministic(t *testing.T) {
 	fixtures := []string{
 		"./internal/lint/testdata/src/lockguard",
@@ -125,8 +126,6 @@ func TestFindingsDeterministic(t *testing.T) {
 		"./internal/lint/testdata/src/walorder",
 		"./internal/lint/testdata/src/ctxflow",
 		"./internal/lint/testdata/src/lockorder",
-		"./internal/lint/testdata/src/arenaretain",
-		"./internal/lint/testdata/src/goleak",
 		"./internal/lint/testdata/src/taintflow",
 	}
 	analyzers, err := lint.Analyzers()
@@ -179,7 +178,7 @@ func TestDirectiveValidation(t *testing.T) {
 		{17, "floatcmp", "floating-point == comparison"},
 		{17, "directive", "//sapla:floateq needs a reason"},
 		// A retired directive is an unknown one; the message lists what is left.
-		{21, "directive", "(known: daemon, detach, errok, floateq, nondet, retain, untainted, volatile)"},
+		{21, "directive", "(known: detach, errok, floateq, nondet, untainted, volatile)"},
 	}
 	if len(diags) != len(expect) {
 		var got []string
@@ -197,6 +196,12 @@ func TestDirectiveValidation(t *testing.T) {
 	}
 }
 
+// loadRepo loads every package of the repo (bench/ included) once for the
+// tests that walk the whole tree.
+var loadRepo = sync.OnceValues(func() (*lint.Program, error) {
+	return lint.Load(".", []string{"./..."})
+})
+
 // TestRepoIsClean is the contract the repo itself must keep: every analyzer
 // over every package, zero findings. A failure here is a genuine regression
 // (or a missing, justified //sapla: annotation).
@@ -205,7 +210,7 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := lint.Load(".", []string{"./..."})
+	prog, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +220,94 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestUnknownCheck pins the error for a bad -checks value.
+// goStatements is every go statement in the repo's non-test code, one entry
+// per statement as "file:function", each with how its goroutine is joined or
+// stopped. The runtime side of each story is tested where the goroutine lives
+// (par's tests, the server's shutdown and snapshot-ticker tests, bench's
+// smoke run).
+var goStatements = []struct{ site, why string }{
+	{"internal/par/par.go:Do", "joined by Do's WaitGroup before Do returns"},
+	{"internal/server/server.go:New", "snapshotLoop returns on snapStop; Shutdown closes it and waits on snapWG"},
+	{"cmd/sapla-serve/main.go:main", "srv.Serve's result is handed back on done, which main receives after Shutdown"},
+	{"bench/loadgen/layers.go:layers.run", "Serve's result is received from served in run's deferred drain, after Shutdown"},
+	{"bench/loadgen/run.go:runner.round", "closes readerDone, which round receives before it returns"},
+	{"bench/loadgen/oracle.go:newOracle", "joined by newOracle's WaitGroup"},
+	{"bench/loadgen/child.go:startChild", "the stderr reader ends when the child exits and closes drained, which child.kill receives"},
+}
+
+// TestGoStatements holds goroutine lifetime to a reviewed list: the go
+// statements in the tree, counted per function, must be exactly those of
+// goStatements.
+func TestGoStatements(t *testing.T) {
+	prog, err := loadRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int{} // found minus listed, per site
+	for _, g := range goStatements {
+		count[g.site]--
+	}
+	for _, pkg := range prog.Pkgs {
+		if !pkg.Analyze {
+			continue
+		}
+		for _, file := range pkg.Files {
+			rel, err := filepath.Rel(prog.Root, prog.Fset.Position(file.Pos()).Filename)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if _, ok := n.(*ast.GoStmt); ok {
+						count[filepath.ToSlash(rel)+":"+funcName(fd)]++
+					}
+					return true
+				})
+			}
+		}
+	}
+	sites := make([]string, 0, len(count))
+	for site := range count {
+		sites = append(sites, site)
+	}
+	sort.Strings(sites)
+	for _, site := range sites {
+		switch d := count[site]; {
+		case d > 0:
+			t.Errorf("%d new go statement(s) in %s: add each to goStatements with how its goroutine is joined or cancelled", d, site)
+		case d < 0:
+			t.Errorf("%d listed go statement(s) gone from %s: remove them from goStatements", -d, site)
+		}
+	}
+}
+
+// funcName renders a declaration as "Name" or "Recv.Name".
+func funcName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	recv := fd.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	if id, ok := recv.(*ast.Ident); ok {
+		return id.Name + "." + fd.Name.Name
+	}
+	return fd.Name.Name
+}
+
+// TestUnknownCheck pins the error for an unknown check name.
 func TestUnknownCheck(t *testing.T) {
 	if _, err := lint.Analyzers("nope"); err == nil {
 		t.Fatal("expected an error for an unknown check name")
 	}
 }
 
-// TestDiagnosticString pins the canonical rendering used by cmd/sapla-lint.
+// TestDiagnosticString pins the canonical rendering of a finding.
 func TestDiagnosticString(t *testing.T) {
 	d := lint.Diagnostic{Check: "lockguard", Message: "boom"}
 	d.Pos.Filename = "a.go"

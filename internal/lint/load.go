@@ -43,8 +43,7 @@ type Program struct {
 
 	sources  map[string][]byte // filename -> raw bytes (directive placement)
 	suppress map[suppressKey]bool
-	dirDiags []Diagnostic // directive-validation findings (ensureDirectives)
-	ip       *Interproc   // lazily built interprocedural state (callgraph.go)
+	ip       *Interproc // lazily built interprocedural state (callgraph.go)
 }
 
 // Load parses and type-checks the packages matched by patterns, plus any

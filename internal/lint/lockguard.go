@@ -29,7 +29,6 @@ import (
 // reported for every method.
 var LockguardAnalyzer = &Analyzer{
 	Name: "lockguard",
-	Doc:  "require methods to hold a struct's mutex when touching the fields declared after it; verify *Locked call sites",
 	Run:  runLockguard,
 }
 

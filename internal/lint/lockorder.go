@@ -21,7 +21,6 @@ import (
 // come from the shared interprocedural summaries.
 var LockorderAnalyzer = &Analyzer{
 	Name:       "lockorder",
-	Doc:        "report cycles in the module-wide lock-acquisition-order graph",
 	RunProgram: runLockorder,
 }
 

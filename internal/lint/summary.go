@@ -22,21 +22,6 @@ const (
 	// EffMutate: mutates the serving index (Insert/Delete on a type named
 	// ConcurrentIndex).
 	EffMutate
-	// EffCancel: observes a cancellation signal — ctx.Done()/ctx.Err(), or
-	// a receive from a chan struct{} stop channel.
-	EffCancel
-	// EffMayRepack: may move the arena's node storage arrays (alloc/reserve/
-	// reset on a type named nodeArena, or any method named Compact), which
-	// invalidates every outstanding slice into them. freeNode is deliberately
-	// NOT in this set: it only grows the free list, never the slot arrays.
-	EffMayRepack
-	// EffSpawnDetached: contains (directly or through a callee) a go
-	// statement whose goroutine is neither joined by its spawner nor
-	// cancellable — a detached spawn. Computed in a post-pass after the main
-	// fixpoint (computeSpawnDetached) because "cancellable" depends on the
-	// converged EffCancel of the spawned tree; //sapla:daemon sites are
-	// excluded, so the bit never propagates a designed daemon to callers.
-	EffSpawnDetached
 )
 
 // ackClass classifies whether a response write acknowledges success. The
@@ -152,20 +137,12 @@ func (ip *Interproc) updateSummary(fi *FuncInfo) bool {
 	info := fi.Pkg.Info
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && isCancelChan(info, n.X) {
-				eff |= EffCancel
-			}
 		case *ast.BinaryExpr:
 			switch n.Op {
 			case token.LSS, token.GTR, token.LEQ, token.GEQ, token.EQL, token.NEQ:
 				valid |= cmpParamBits(info, fi.Decl, n)
 			}
 		case *ast.CallExpr:
-			if isCtxSignal(info, n) {
-				eff |= EffCancel
-				return true
-			}
 			if mu := lockMutex(info, n); mu != nil {
 				if _, ok := acq[mu]; !ok {
 					acq[mu] = n.Pos()
@@ -344,11 +321,6 @@ func baseEffects(fi *FuncInfo) Effect {
 	if !ok {
 		return 0
 	}
-	if fn.Name() == "Compact" {
-		// Compaction repacks node storage wholesale (DBCH.Compact, the
-		// Compactor interface, fixture models alike).
-		return EffMayRepack
-	}
 	switch named.Obj().Name() {
 	case "Store":
 		if len(fn.Name()) > 6 && fn.Name()[:6] == "Append" {
@@ -357,14 +329,6 @@ func baseEffects(fi *FuncInfo) Effect {
 	case "ConcurrentIndex":
 		if fn.Name() == "Insert" || fn.Name() == "InsertBatch" || fn.Name() == "Delete" {
 			return EffMutate
-		}
-	case "nodeArena":
-		// The primitives that may grow/move the SoA backing arrays. freeNode
-		// only appends to the free list and never moves the slot arrays, so
-		// holding a slotsOf slice across it is safe.
-		switch fn.Name() {
-		case "alloc", "reserve", "reset":
-			return EffMayRepack
 		}
 	}
 	return 0
@@ -474,15 +438,6 @@ func paramIndex(info *types.Info, fd *ast.FuncDecl, obj *types.Var) int {
 	return -1
 }
 
-// isCtxSignal matches ctx.Done() / ctx.Err() on a context.Context value.
-func isCtxSignal(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Done" && sel.Sel.Name != "Err") {
-		return false
-	}
-	return isContextType(typeOf(info, sel.X))
-}
-
 // isContextType reports whether t is context.Context.
 func isContextType(t types.Type) bool {
 	named, ok := t.(*types.Named)
@@ -491,21 +446,6 @@ func isContextType(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// isCancelChan reports whether e is a channel of struct{} — the stop-channel
-// idiom. Receiving from one counts as observing a cancellation signal.
-func isCancelChan(info *types.Info, e ast.Expr) bool {
-	t := typeOf(info, e)
-	if t == nil {
-		return false
-	}
-	ch, ok := t.Underlying().(*types.Chan)
-	if !ok {
-		return false
-	}
-	st, ok := ch.Elem().Underlying().(*types.Struct)
-	return ok && st.NumFields() == 0
 }
 
 // typeOf is info.Types[e].Type, tolerating missing entries.

@@ -37,15 +37,14 @@ import (
 // sent).
 //
 // The walk is flow-sensitive on the dataflow engine — taint is a may-fact
-// joined by union, sanitization is path-local — and, unlike arenaretain, it
-// walks function literals inline (with a cloned state): taint
-// is a data property, not a temporal one, and the fork-join closures on the
-// ingest path run with exactly the captured request data. Sanitization is
+// joined by union, sanitization is path-local — and it walks function
+// literals inline (with a cloned state): taint is a data property, not a
+// temporal one, and the fork-join closures on the ingest path run with
+// exactly the captured request data. Sanitization is
 // whole-variable: validating req.Values clears req — the decoded request is
 // admitted as a unit. Deliberate exceptions carry //sapla:untainted <reason>.
 var TaintflowAnalyzer = &Analyzer{
 	Name: "taintflow",
-	Doc:  "request-derived values must pass ValidateSeries or an ID/shape check before reaching the index, the WAL, or an allocation size",
 	Run:  runTaintflow,
 }
 
@@ -534,4 +533,20 @@ func isStrconvParse(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	return sel.Sel.Name == "Atoi" || strings.HasPrefix(sel.Sel.Name, "Parse")
+}
+
+// renderExpr renders a tainted operand for a message: the selector path when
+// simple, a placeholder otherwise.
+func renderExpr(e ast.Expr) string {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return renderExpr(e.X) + "." + e.Sel.Name
+	case *ast.IndexExpr:
+		return renderExpr(e.X) + "[...]"
+	case *ast.StarExpr:
+		return "*" + renderExpr(e.X)
+	}
+	return "an expression"
 }

@@ -24,7 +24,6 @@ import (
 // are the legitimate exception — annotate them //sapla:volatile <reason>.
 var WalorderAnalyzer = &Analyzer{
 	Name: "walorder",
-	Doc:  "require WAL appends to precede success responses and index mutations on every path",
 	Run:  runWalorder,
 }
 

@@ -364,3 +364,54 @@ func TestServerSnapshotBoundsReplay(t *testing.T) {
 		t.Fatal("shutdown hung")
 	}
 }
+
+// TestServerSnapshotTicker runs the background snapshot loop itself: with a
+// short SnapshotEvery it snapshots on its own, Shutdown stops it promptly, and
+// a restart recovers every acknowledged series from that snapshot alone.
+func TestServerSnapshotTicker(t *testing.T) {
+	mem := wal.NewMemFS()
+	cfg := durableConfig(mem, 1)
+	cfg.SnapshotEvery = 10 * time.Millisecond
+	s, hs := newTestServer(t, cfg)
+	rng := rand.New(rand.NewSource(23))
+	acked := map[int]bool{}
+	for i := 0; i < 6; i++ {
+		acked[ingestOne(t, hs.Client(), hs.URL, nil, randWalk(rng, 32)).ID] = true
+	}
+	// The loop is sequential, so the second snapshot to finish from here on
+	// started after the last ingest was acknowledged and covers all of them.
+	after := s.metrics.snapshots.Value()
+	for deadline := time.Now().Add(5 * time.Second); s.metrics.snapshots.Value() < after+2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("snapshot ticker took %d snapshots in 5s, want 2", s.metrics.snapshots.Value()-after)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	hs.Close()
+
+	done := make(chan error, 1)
+	go func() { done <- s.Shutdown(context.Background()) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("shutdown hung: the snapshot ticker ignored snapStop")
+	}
+
+	rec, _ := newTestServer(t, durableConfig(mem, 1))
+	info, _, _ := rec.Recovery()
+	if info.SnapshotSeries != len(acked) || info.Replayed != 0 {
+		t.Fatalf("recovery info %+v: want all %d series from the snapshot, none replayed", info, len(acked))
+	}
+	for id := range acked {
+		sh := rec.shardFor(id)
+		sh.mu.Lock()
+		_, ok := sh.ids[id]
+		sh.mu.Unlock()
+		if !ok {
+			t.Fatalf("acknowledged series %d lost across the ticker's snapshot", id)
+		}
+	}
+}
