@@ -79,14 +79,17 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of the flat tier's kernel benchmarks (BenchmarkServedKNN,
-# BenchmarkServedRange, BenchmarkFlatFilter, BenchmarkBatchKNN) and of the
+# BenchmarkServedRange, BenchmarkFlatFilter, BenchmarkBatchKNN), of the
 # request front end's (BenchmarkHandlerKNN, BenchmarkHandlerKNNBatch,
-# BenchmarkHandlerIngestBatch, BenchmarkDecodeBody): `go test` compiles
-# benchmarks but never runs them, and these are the per-layer evidence perf PRs
-# quote, so they must keep running.
+# BenchmarkHandlerIngestBatch, BenchmarkDecodeBody and its wire-format rows)
+# and of the reducer's (BenchmarkReduce, BenchmarkReduceMix,
+# BenchmarkReduceByStage): `go test` compiles benchmarks but never runs them,
+# and these are the per-layer evidence perf PRs quote, so they must keep
+# running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Served|FlatFilter|BatchKNN' -benchtime 1x ./internal/index
 	$(GO) test -run '^$$' -bench 'Handler|DecodeBody' -benchtime 1x ./internal/server
+	$(GO) test -run '^$$' -bench 'Reduce' -benchtime 1x ./internal/core
 
 # Before believing an end-to-end pair: bench/loadgen links internal/index and
 # internal/server, so a product change moves its CPU probe; with main.probe's

@@ -26,6 +26,53 @@ func BenchmarkReduce(b *testing.B) {
 	}
 }
 
+// benchReduceMix reduces the family mix round robin on one warm Reducer;
+// ns/op is the cost of one series.
+func benchReduceMix(b *testing.B, cfg SAPLA, n int) {
+	corpus := familySeries(n, 1)
+	r := NewReducerFor(cfg)
+	var dst repr.Linear
+	for _, c := range corpus { // warm-up: size the workspace and dst
+		var err error
+		if dst, err = r.ReduceInto(dst, c, 12); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if dst, err = r.ReduceInto(dst, corpus[i%len(corpus)], 12); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReduceMix is the reducer on what it is served: every ucr family at
+// the end-to-end benchmark's two lengths, m = 12. Run it at -cpu 1.
+func BenchmarkReduceMix(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		b.Run("n"+itoa(n), func(b *testing.B) { benchReduceMix(b, SAPLA{}, n) })
+	}
+}
+
+// BenchmarkReduceByStage splits BenchmarkReduceMix/n1024 by the paper's three
+// stages: initialization (with the merge/split down to N), plus the
+// split & merge refinement, plus endpoint movement. Differences between
+// adjacent rows are what each stage costs.
+func BenchmarkReduceByStage(b *testing.B) {
+	for _, st := range []struct {
+		name string
+		cfg  SAPLA
+	}{
+		{"init", SAPLA{SkipRefine: true, SkipEndpointMove: true}},
+		{"init+refine", SAPLA{SkipEndpointMove: true}},
+		{"init+refine+move", SAPLA{}},
+	} {
+		b.Run(st.name, func(b *testing.B) { benchReduceMix(b, st.cfg, 1024) })
+	}
+}
+
 // BenchmarkSAPLAByLength verifies the near-linear growth of the full
 // three-stage pipeline (Table 1's O(n(N + log n)) row).
 func BenchmarkSAPLAByLength(b *testing.B) {

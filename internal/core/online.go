@@ -128,7 +128,7 @@ func (o *Online) state() (*state, error) {
 	if n < 2*o.nSeg {
 		return nil, errBudget(3*o.nSeg, n)
 	}
-	st := &state{c: o.c, p: ts.NewPrefix(o.c), exact: o.params.ExactBounds}
+	st := &state{c: o.c, p: ts.NewPrefix(o.c), exact: o.params.ExactBounds, splits: new(splitMemo)}
 	st.segs = append(st.segs, o.closed...)
 	st.segs = append(st.segs, seg{line: o.line, start: o.start, end: n - 1, beta: o.beta})
 	if o.params.ExactBounds {

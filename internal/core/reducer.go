@@ -10,16 +10,18 @@ import (
 )
 
 // Reducer is a reusable SAPLA reduction workspace: it owns the working
-// segmentation, the split/merge scratch states, the prefix-sum buffers and
-// the two bookkeeping heaps, so repeated reductions perform zero heap
-// allocations after warm-up (ReduceInto) or allocate only the returned
-// representation (Reduce). A Reducer is not safe for concurrent use; create
-// one per goroutine, or go through SAPLA.Reduce, which draws from a pool.
+// segmentation, the split/merge scratch states, the prefix-sum buffers, the
+// split memo and the two bookkeeping heaps, so repeated reductions perform
+// zero heap allocations after warm-up (ReduceInto) or allocate only the
+// returned representation (Reduce). A Reducer is not safe for concurrent use;
+// create one per goroutine, or go through SAPLA.Reduce, which draws from a
+// pool.
 type Reducer struct {
 	cfg    SAPLA
 	st     state
 	sm, ms state // refine scratch
 	prefix ts.Prefix
+	splits splitMemo
 	eta    *pqueue.Heap[struct{}]
 	order  *pqueue.Heap[int]
 }
@@ -55,6 +57,13 @@ func (r *Reducer) Reduce(c ts.Series, m int) (repr.Representation, error) {
 // the reduction performs zero heap allocations once the workspace has warmed
 // up on the largest series length in play.
 func (r *Reducer) ReduceInto(dst repr.Linear, c ts.Series, m int) (repr.Linear, error) {
+	return r.reduce(dst, c, m, nil)
+}
+
+// reduce is ReduceInto; a non-nil stages receives freshly allocated copies of
+// the segmentation after initialization and after the split & merge
+// iteration (SAPLA.ReduceStages).
+func (r *Reducer) reduce(dst repr.Linear, c ts.Series, m int, stages *[2]repr.Linear) (repr.Linear, error) {
 	if err := c.Validate(); err != nil {
 		return repr.Linear{}, err
 	}
@@ -63,14 +72,18 @@ func (r *Reducer) ReduceInto(dst repr.Linear, c ts.Series, m int) (repr.Linear, 
 		return repr.Linear{}, err
 	}
 	r.prefix.Reset(c)
+	r.splits.reset()
 	st := &r.st
-	st.c, st.p, st.exact = c, &r.prefix, r.cfg.ExactBounds
+	st.c, st.p, st.exact, st.splits = c, &r.prefix, r.cfg.ExactBounds, &r.splits
 	st.initialize(nSeg, r.eta)
 	if st.exact {
 		for i := range st.segs {
 			g := &st.segs[i]
 			g.beta = segment.ExactMaxDeviation(st.c[g.start:g.end+1], g.line)
 		}
+	}
+	if stages != nil {
+		stages[0] = st.toRepr()
 	}
 
 	st.adjustToCount(nSeg)
@@ -80,6 +93,9 @@ func (r *Reducer) ReduceInto(dst repr.Linear, c ts.Series, m int) (repr.Linear, 
 			passes = nSeg
 		}
 		st.refine(passes, &r.sm, &r.ms)
+	}
+	if stages != nil {
+		stages[1] = st.toRepr()
 	}
 
 	if !r.cfg.SkipEndpointMove {

@@ -20,6 +20,8 @@
 package core
 
 import (
+	"math"
+
 	"sapla/internal/pqueue"
 	"sapla/internal/repr"
 	"sapla/internal/segment"
@@ -74,50 +76,12 @@ func (s *SAPLA) Reduce(c ts.Series, m int) (repr.Representation, error) {
 
 // ReduceStages runs SAPLA and additionally returns the intermediate
 // representations after initialization and after the split & merge
-// iteration, matching the paper's Figures 5, 6 and 8.
+// iteration, matching the paper's Figures 5, 6 and 8. It runs the same code
+// as ReduceInto on a fresh Reducer.
 func (s *SAPLA) ReduceStages(c ts.Series, m int) (init, afterSM, final repr.Linear, err error) {
-	if err := c.Validate(); err != nil {
-		return repr.Linear{}, repr.Linear{}, repr.Linear{}, err
-	}
-	nSeg, err := segmentCount(len(c), m)
-	if err != nil {
-		return repr.Linear{}, repr.Linear{}, repr.Linear{}, err
-	}
-	st := initialize(c, nSeg)
-	if s.ExactBounds {
-		st.exact = true
-		for i := range st.segs {
-			g := &st.segs[i]
-			g.beta = segment.ExactMaxDeviation(st.c[g.start:g.end+1], g.line)
-		}
-	}
-	init = st.toRepr()
-
-	st.adjustToCount(nSeg)
-	if !s.SkipRefine {
-		passes := s.RefinePasses
-		if passes <= 0 {
-			passes = nSeg
-		}
-		var sm, ms state
-		st.refine(passes, &sm, &ms)
-	}
-	afterSM = st.toRepr()
-
-	if !s.SkipEndpointMove {
-		passes := s.MovePasses
-		if passes <= 0 {
-			passes = 1
-		}
-		order := pqueue.NewMaxHeap[int]()
-		for p := 0; p < passes; p++ {
-			if !st.moveEndpoints(order) {
-				break
-			}
-		}
-	}
-	final = st.toRepr()
-	return init, afterSM, final, nil
+	var stages [2]repr.Linear
+	final, err = NewReducerFor(*s).reduce(repr.Linear{}, c, m, &stages)
+	return stages[0], stages[1], final, err
 }
 
 // segmentCount validates the coefficient budget (Table 1: N = M/3, each
@@ -134,12 +98,15 @@ func segmentCount(n, m int) (int, error) {
 }
 
 // seg is one working segment: its least-squares line over local time, its
-// inclusive global range, its upper bound β, and the split/merge marks used
-// by the refinement loop.
+// inclusive global range, its upper bound β, the cached Reconstruction Area
+// of merging it with its right neighbour, and the split/merge marks used by
+// the refinement loop.
 type seg struct {
 	line       segment.Line
 	start, end int
 	beta       float64
+	area       float64 // mergeArea of this segment and the next; valid while areaOK
+	areaOK     bool    // cleared whenever this segment or the next one changes
 	split      bool
 	merged     bool
 }
@@ -148,18 +115,11 @@ func (g seg) len() int { return g.end - g.start + 1 }
 
 // state is a working segmentation of c.
 type state struct {
-	c     ts.Series
-	p     *ts.Prefix
-	segs  []seg
-	exact bool // ExactBounds mode: β is the true segment max deviation
-}
-
-// initialize is Algorithm 4.2 on a fresh state (test and ReduceStages entry;
-// the Reducer drives the buffer-reusing form directly).
-func initialize(c ts.Series, nSeg int) *state {
-	st := &state{c: c, p: ts.NewPrefix(c)}
-	st.initialize(nSeg, pqueue.NewMinHeap[struct{}]())
-	return st
+	c      ts.Series
+	p      *ts.Prefix
+	segs   []seg
+	exact  bool       // ExactBounds mode: β is the true segment max deviation
+	splits *splitMemo // outcomes of splitSeg for this series
 }
 
 // initialize is Algorithm 4.2: scan once, growing the current segment and
@@ -227,11 +187,24 @@ func (st *state) totalBeta() float64 {
 func (st *state) fitRange(lo, hi int) segment.Line { return segment.FitWindow(st.p, lo, hi) }
 
 // mergeArea is the Reconstruction Area of merging segs[i] and segs[i+1]
-// (Definition 4.2), O(1).
+// (Definition 4.2), O(1), cached in segs[i] until either segment changes.
 func (st *state) mergeArea(i int) float64 {
-	a, b := st.segs[i], st.segs[i+1]
-	merged := segment.Merge(a.line, a.len(), b.line, b.len())
-	return segment.ReconstructionArea(merged, a.line, a.len(), b.line, b.len())
+	a := &st.segs[i]
+	if !a.areaOK {
+		b := &st.segs[i+1]
+		merged := segment.Merge(a.line, a.len(), b.line, b.len())
+		a.area, a.areaOK = segment.ReconstructionArea(merged, a.line, a.len(), b.line, b.len()), true
+	}
+	return a.area
+}
+
+// changed clears the cached merge areas of the pairs segs[i] belongs to: its
+// own with segs[i+1] and segs[i−1]'s with it.
+func (st *state) changed(i int) {
+	st.segs[i].areaOK = false
+	if i > 0 {
+		st.segs[i-1].areaOK = false
+	}
 }
 
 // bestMergePair returns the index of the adjacent pair with the minimum
@@ -264,6 +237,7 @@ func (st *state) mergePair(i int) {
 	}
 	st.segs[i] = seg{line: merged, start: a.start, end: b.end, beta: beta, merged: true}
 	st.segs = append(st.segs[:i+1], st.segs[i+2:]...)
+	st.changed(i)
 }
 
 // bestSplitSeg returns the index of the splittable segment (≥ 2 points) with
@@ -287,6 +261,28 @@ func (st *state) bestSplitSeg(skipMarked bool) int {
 // (Section 4.3.2) and computes the children's β per Section 4.3.1.
 func (st *state) splitSeg(i int) {
 	g := st.segs[i]
+	sp, ok := st.splits.lookup(g)
+	if !ok {
+		sp = st.bestSplit(g)
+		st.splits.store(g, sp)
+	}
+	st.segs = append(st.segs, seg{})
+	copy(st.segs[i+2:], st.segs[i+1:])
+	st.segs[i] = seg{line: sp.left, start: g.start, end: sp.cut, beta: sp.betaL, split: true}
+	st.segs[i+1] = seg{line: sp.right, start: sp.cut + 1, end: g.end, beta: sp.betaR, split: true}
+	st.changed(i)
+}
+
+// split is the outcome of splitting one segment: the last point of the left
+// part, both parts' lines and their β.
+type split struct {
+	cut          int
+	left, right  segment.Line
+	betaL, betaR float64
+}
+
+// bestSplit scans every cut of g for the maximum Reconstruction Area, O(len).
+func (st *state) bestSplit(g seg) split {
 	bestCut, bestArea := g.start, -1.0
 	for cut := g.start; cut < g.end; cut++ {
 		l1 := cut - g.start + 1
@@ -298,21 +294,64 @@ func (st *state) splitSeg(i int) {
 			bestArea, bestCut = area, cut
 		}
 	}
-	l1 := bestCut - g.start + 1
-	l2 := g.end - bestCut
-	left := st.fitRange(g.start, bestCut+1)
-	right := st.fitRange(bestCut+1, g.end+1)
-	var bl, br float64
-	if st.exact {
-		bl = segment.ExactMaxDeviation(st.c[g.start:bestCut+1], left)
-		br = segment.ExactMaxDeviation(st.c[bestCut+1:g.end+1], right)
-	} else {
-		bl, br = segment.BetaSplit(st.c[g.start:g.end+1], g.line, left, l1, right, l2)
+	sp := split{
+		cut:   bestCut,
+		left:  st.fitRange(g.start, bestCut+1),
+		right: st.fitRange(bestCut+1, g.end+1),
 	}
-	st.segs = append(st.segs, seg{})
-	copy(st.segs[i+2:], st.segs[i+1:])
-	st.segs[i] = seg{line: left, start: g.start, end: bestCut, beta: bl, split: true}
-	st.segs[i+1] = seg{line: right, start: bestCut + 1, end: g.end, beta: br, split: true}
+	if st.exact {
+		sp.betaL = segment.ExactMaxDeviation(st.c[g.start:bestCut+1], sp.left)
+		sp.betaR = segment.ExactMaxDeviation(st.c[bestCut+1:g.end+1], sp.right)
+	} else {
+		sp.betaL, sp.betaR = segment.BetaSplit(st.c[g.start:g.end+1], g.line, sp.left, bestCut-g.start+1, sp.right, g.end-bestCut)
+	}
+	return sp
+}
+
+// splitMemoSize bounds the splits remembered per reduction; a 1024-point
+// series is split a handful of times.
+const splitMemoSize = 16
+
+// splitMemo remembers splitSeg's outcomes within one reduction. The outcome
+// is a pure function of the series, the mode and the segment's window and
+// line, so a hit returns exactly what bestSplit would recompute: the
+// refinement's split-then-merge and merge-then-split candidates, and
+// successive passes, split the same segment again.
+type splitMemo struct {
+	n, next int
+	keys    [splitMemoSize]splitKey
+	vals    [splitMemoSize]split
+}
+
+type splitKey struct {
+	start, end int
+	a, b       uint64 // Float64bits of the segment's line
+}
+
+func keyOf(g seg) splitKey {
+	return splitKey{g.start, g.end, math.Float64bits(g.line.A), math.Float64bits(g.line.B)}
+}
+
+// reset forgets every outcome; the next series has other splits.
+func (m *splitMemo) reset() { m.n, m.next = 0, 0 }
+
+func (m *splitMemo) lookup(g seg) (split, bool) {
+	k := keyOf(g)
+	for i := 0; i < m.n; i++ {
+		if m.keys[i] == k {
+			return m.vals[i], true
+		}
+	}
+	return split{}, false
+}
+
+// store records an outcome, overwriting the oldest once the memo is full.
+func (m *splitMemo) store(g seg, sp split) {
+	m.keys[m.next], m.vals[m.next] = keyOf(g), sp
+	m.next = (m.next + 1) % splitMemoSize
+	if m.n < splitMemoSize {
+		m.n++
+	}
 }
 
 // adjustToCount is the first half of Algorithm 4.3: merge down / split up
@@ -334,10 +373,11 @@ func (st *state) adjustToCount(nSeg int) {
 	}
 }
 
-// copyInto copies the segmentation into dst, reusing dst's segment buffer
-// (the series and prefix are shared).
+// copyInto copies the segmentation, cached merge areas included, into dst,
+// reusing dst's segment buffer (the series, prefix and split memo are
+// shared).
 func (st *state) copyInto(dst *state) {
-	dst.c, dst.p, dst.exact = st.c, st.p, st.exact
+	dst.c, dst.p, dst.exact, dst.splits = st.c, st.p, st.exact, st.splits
 	dst.segs = append(dst.segs[:0], st.segs...)
 }
 
@@ -451,6 +491,8 @@ func (st *state) applyBoundary(i, cut int) {
 	right.line = st.fitRange(right.start, right.end+1)
 	left.beta = st.betaApprox(left.start, left.end+1, left.line)
 	right.beta = st.betaApprox(right.start, right.end+1, right.line)
+	st.changed(i)
+	st.changed(i + 1)
 }
 
 // moveEndpoints is Algorithm 4.4: process segments in decreasing-β order;

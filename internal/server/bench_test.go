@@ -43,15 +43,15 @@ func benchBody(b *testing.B, v any) []byte {
 }
 
 // ingestBatchBody renders count series without IDs in the benchmark's wire
-// format; json.Marshal would write "id":null, which is encoding/json's to
-// decode.
+// format, six-decimal values included; json.Marshal would write "id":null,
+// which is encoding/json's to decode.
 func ingestBatchBody(rng *rand.Rand, count, n int) []byte {
 	raw := []byte(`{"series":[`)
 	for i := 0; i < count; i++ {
 		if i > 0 {
 			raw = append(raw, ',')
 		}
-		raw = append(wireValues(append(raw, '{'), randWalk(rng, n)), '}')
+		raw = append(wireValues(append(raw, '{'), wireSeries(rng, n)), '}')
 	}
 	return append(raw, `]}`...)
 }
@@ -67,7 +67,7 @@ func BenchmarkHandlerKNN(b *testing.B) {
 			post := benchServer(b, rng, 1000, n)
 			queries := make([][]byte, 16)
 			for i := range queries {
-				queries[i] = benchBody(b, knnRequest{Values: randWalk(rng, n), K: 10})
+				queries[i] = benchBody(b, knnRequest{Values: wireSeries(rng, n), K: 10})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -88,7 +88,7 @@ func BenchmarkHandlerKNNBatch(b *testing.B) {
 			post := benchServer(b, rng, 1000, n)
 			req := batchRequest{K: 10, Queries: make([]batchQuery, 32)}
 			for i := range req.Queries {
-				req.Queries[i].Values = randWalk(rng, n)
+				req.Queries[i].Values = wireSeries(rng, n)
 			}
 			raw := benchBody(b, req)
 			b.ReportAllocs()
@@ -118,23 +118,23 @@ func BenchmarkHandlerIngestBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeBody decodes one k-NN body from memory into a zeroed target:
-// the scanner decodeRequest tries first against the encoding/json call it
-// falls back to.
+// BenchmarkDecodeBody decodes one body from memory into a zeroed target. The
+// wire rows are what the end-to-end benchmark sends — six-decimal values, so
+// every number takes the scanner's exact fast path: a k-NN body at both
+// lengths and a 250 × 1024 bulk load. The n256 and n1024 rows are k-NN bodies
+// of json.Marshal's 17-digit floats, whose numbers go through strconv: the
+// scanner there against the encoding/json call it falls back to.
 func BenchmarkDecodeBody(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{256, 1024} {
+		raw := append(wireValues([]byte(`{`), wireSeries(rng, n)), `,"k":10}`...)
+		b.Run(fmt.Sprintf("wire/knn-n%d", n), benchDecode[knnRequest](raw))
+	}
+	b.Run("wire/ingest-250x1024", benchDecode[ingestBatchRequest](ingestBatchBody(rng, 250, 1024)))
+
 	for _, n := range []int{256, 1024} {
 		raw := benchBody(b, knnRequest{Values: randWalk(rand.New(rand.NewSource(6)), n), K: 10})
-		b.Run(fmt.Sprintf("n%d/scanner", n), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(raw)))
-			var req knnRequest
-			for i := 0; i < b.N; i++ {
-				req = knnRequest{}
-				if fast, err := decodeRequest(raw, &req); !fast || err != nil {
-					b.Fatal(fast, err)
-				}
-			}
-		})
+		b.Run(fmt.Sprintf("n%d/scanner", n), benchDecode[knnRequest](raw))
 		b.Run(fmt.Sprintf("n%d/encoding-json", n), func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(raw)))
@@ -146,5 +146,22 @@ func BenchmarkDecodeBody(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// benchDecode decodes raw into a zeroed T with decodeRequest, which must take
+// it on the scanner.
+func benchDecode[T any](raw []byte) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(raw)))
+		var req T
+		for i := 0; i < b.N; i++ {
+			var zero T
+			req = zero
+			if fast, err := decodeRequest(raw, &req); !fast || err != nil {
+				b.Fatal(fast, err)
+			}
+		}
 	}
 }

@@ -134,9 +134,9 @@ func TestReduceAllCancel(t *testing.T) {
 // return the same bytes.
 func TestBatchWorkersByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	bodies := wireBodies(rng, 64)
+	bodies := wireBodies(rng, 64, wireSeries)
 	bulk, batch := bodies[3], bodies[4]
-	more := bytes.ReplaceAll(wireBodies(rng, 64)[3], []byte(`"id":`), []byte(`"id":10`))
+	more := bytes.ReplaceAll(wireBodies(rng, 64, wireSeries)[3], []byte(`"id":`), []byte(`"id":10`))
 
 	var want []string
 	for _, workers := range []int{1, 2, 8} {
