@@ -17,8 +17,8 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The repo's static analyzers and the reviewed go-statement list (README
-# "Static analysis"); `make test` runs the same package.
+# The repo's static analyzers and the reviewed go-statement and lock-class
+# lists (README "Static analysis"); `make test` runs the same package.
 lint:
 	$(GO) test ./internal/lint
 
@@ -38,7 +38,9 @@ race:
 # Race-check the one fan-out (par.Do) and the packages that call it or run
 # concurrent hot paths of their own (the experiments, the batch query engine /
 # concurrent index, the HTTP service, and the WAL) without paying for a full
-# -race sweep.
+# -race sweep. This is also the check on guarded fields: the mutexes are the
+# reviewed lock-class list (TestLockClasses), and -race is what sees a field
+# they guard touched without its lock.
 race-short:
 	$(GO) test -race ./internal/par ./internal/eval ./internal/index ./internal/reduce ./internal/server ./internal/wal
 

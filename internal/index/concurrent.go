@@ -40,9 +40,7 @@ type Compactor interface {
 // written only under the exclusive lock but read with a plain atomic load,
 // so Epoch never queues behind a writer.
 type ConcurrentIndex struct {
-	// epoch sits before mu on purpose: it is accessed only through its
-	// atomic methods, never under the lock discipline lockguard enforces
-	// for the fields below mu.
+	// epoch is accessed only through its atomic methods; mu guards inner.
 	epoch atomic.Uint64
 
 	mu    sync.RWMutex

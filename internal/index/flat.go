@@ -106,7 +106,9 @@ func sqNorm(fl *dist.FlatLinear) float64 {
 // through the method's generic FilterFunc instead — as is everything under
 // the other methods, which never allocate blocks.
 //
-// Not safe for concurrent use; wrap it in a ConcurrentIndex.
+// Not safe for concurrent use; wrap it in a ConcurrentIndex. The server's
+// writers mutate it only through that wrapper and under a mutex of their own,
+// which is then enough to read it (Lookup, Each) without the wrapper's lock.
 type Flat struct {
 	filter dist.FilterFunc
 	usePAR bool
@@ -133,6 +135,22 @@ func NewFlat(method string) (*Flat, error) {
 
 // Len implements Index.
 func (f *Flat) Len() int { return len(f.ents) }
+
+// Lookup returns the live entry with the given ID.
+func (f *Flat) Lookup(id int) (*Entry, bool) {
+	s, ok := f.slot[id]
+	if !ok {
+		return nil, false
+	}
+	return f.ents[s], true
+}
+
+// Each calls fn with the ID and raw series of every live entry.
+func (f *Flat) Each(fn func(id int, raw ts.Series)) {
+	for _, e := range f.ents {
+		fn(e.ID, e.Raw)
+	}
+}
 
 // Insert implements Index. It takes ownership of e: the coefficients move
 // into block storage and the entry's own caches of them are dropped, so one

@@ -509,6 +509,20 @@ func TestFlatEdgeCases(t *testing.T) {
 	}
 	delete(m.live, 5)
 	delete(m.live, 1)
+	// Lookup and Each see exactly the live entries, the moved one included.
+	if _, ok := f.Lookup(1); ok {
+		t.Fatal("Lookup found a deleted id")
+	}
+	seen := map[int]bool{}
+	f.Each(func(id int, raw ts.Series) {
+		if e, ok := f.Lookup(id); !ok || e != m.live[id] || &raw[0] != &e.Raw[0] {
+			t.Fatalf("Each visited id %d, which Lookup does not resolve to its live entry", id)
+		}
+		seen[id] = true
+	})
+	if len(seen) != len(m.live) {
+		t.Fatalf("Each visited %d entries, %d live", len(seen), len(m.live))
+	}
 	res, _, err := f.KNNWith(ws, q, 10)
 	if err != nil || len(res) != 3 {
 		t.Fatalf("after deletes: %d results, err %v", len(res), err)

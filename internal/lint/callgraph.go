@@ -7,13 +7,13 @@ import (
 )
 
 // This file builds the module-wide static call graph the interprocedural
-// analyzers (walorder, lockorder, lockguard, taintflow) share. Nodes are
-// module-internal functions with bodies; edges are calls that resolve
-// statically (package functions, concrete methods, qualified
-// cross-package calls) plus interface calls resolved through method-set
-// satisfaction against every named type declared in the module. Calls
-// through plain function values stay unresolved — the analyzers that ride
-// on the graph are deliberately conservative about what they cannot see.
+// analyzers (walorder, taintflow) share. Nodes are module-internal functions
+// with bodies; edges are calls that resolve statically (package functions,
+// concrete methods, qualified cross-package calls) plus interface calls
+// resolved through method-set satisfaction against every named type declared
+// in the module. Calls through plain function values stay unresolved — the
+// analyzers that ride on the graph are deliberately conservative about what
+// they cannot see.
 
 // FuncInfo is one module-internal function with a body.
 type FuncInfo struct {
@@ -104,43 +104,34 @@ func buildInterproc(prog *Program) *Interproc {
 // to every module type satisfying the interface; anything else (builtins,
 // function values, stdlib) resolves to nothing.
 func (ip *Interproc) Callees(info *types.Info, call *ast.CallExpr) []*types.Func {
-	targets, _ := ip.CallTargets(info, call)
-	return targets
-}
-
-// CallTargets is Callees plus whether resolution went through an interface
-// (so callers can discount wrapper self-dispatch: a method of T invoking an
-// interface value that resolves back to T's own methods is dispatching to
-// the value T wraps, not to itself).
-func (ip *Interproc) CallTargets(info *types.Info, call *ast.CallExpr) ([]*types.Func, bool) {
 	if fn := staticCallee(info, call); fn != nil {
 		if _, ok := ip.Funcs[fn]; ok {
-			return []*types.Func{fn}, false
+			return []*types.Func{fn}
 		}
-		return nil, false
+		return nil
 	}
 	// Interface method call: resolve through method-set satisfaction.
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return nil, false
+		return nil
 	}
 	selection, ok := info.Selections[sel]
 	if !ok || selection.Kind() != types.MethodVal {
-		return nil, false
+		return nil
 	}
 	fn, ok := selection.Obj().(*types.Func)
 	if !ok {
-		return nil, false
+		return nil
 	}
 	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil {
-		return nil, false
+		return nil
 	}
 	iface, ok := recv.Type().Underlying().(*types.Interface)
 	if !ok {
-		return nil, false
+		return nil
 	}
-	return ip.resolveInterface(iface, fn), true
+	return ip.resolveInterface(iface, fn)
 }
 
 // staticCallee resolves a call to the *types.Func it statically invokes:
@@ -168,30 +159,6 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// receiverTypeName returns the declaring *types.TypeName of a method's
-// receiver (canonical per type), nil for plain functions.
-func receiverTypeName(fn *types.Func) *types.TypeName {
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return nil
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj()
-	}
-	return nil
-}
-
-// sameReceiver reports whether two functions are methods of the same named
-// type.
-func sameReceiver(a, b *types.Func) bool {
-	ta, tb := receiverTypeName(a), receiverTypeName(b)
-	return ta != nil && ta == tb
 }
 
 // resolveInterface returns the module-internal implementations of an

@@ -1,14 +1,15 @@
 // Package lint is the repo's static-analysis driver: a stdlib-only
 // (go/parser, go/ast, go/types, go/token — no x/tools dependency) analysis
-// framework plus the repo-specific analyzers that turn the concurrency and
-// durability contract — lock-guarded shared state, WAL append before
-// acknowledge, deterministic evaluation output, validated request data — into
-// checks that run inside `go test ./...` (TestRepoIsClean) instead of
-// regression signals that fire after the fact. Contracts a cheaper tool
-// already holds are not repeated here: go vet guards lock copies,
-// testing.AllocsPerRun tests guard the zero-allocation hot paths, and
-// goroutine lifetime is a reviewed list of go statements (TestGoStatements)
-// plus the runtime join tests of the packages that spawn them.
+// framework plus the repo-specific analyzers that turn the durability
+// contract — WAL append before acknowledge, deterministic evaluation output,
+// validated request data — into checks that run inside `go test ./...`
+// (TestRepoIsClean) instead of regression signals that fire after the fact.
+// Contracts a cheaper tool already holds are not repeated here: go vet guards
+// lock copies, testing.AllocsPerRun tests guard the zero-allocation hot
+// paths, goroutine lifetime is a reviewed list of go statements
+// (TestGoStatements) plus the runtime join tests of the packages that spawn
+// them, and locking is a reviewed list of lock classes (TestLockClasses) plus
+// the race detector over the packages that hold them.
 //
 // The driver loads and type-checks packages (see Load), runs each Analyzer
 // over every requested package, and reports findings as
@@ -53,13 +54,10 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// Analyzer is one named check. Per-package analyzers set Run and are
-// invoked once per analyzed package; whole-program analyzers (lock-order
-// cycles) set RunProgram and are invoked once with a package-less Pass.
+// Analyzer is one named check, invoked once per analyzed package.
 type Analyzer struct {
-	Name       string
-	Run        func(*Pass)
-	RunProgram func(*Pass)
+	Name string
+	Run  func(*Pass)
 }
 
 // Pass carries one (analyzer, package) run. Analyzers report through Reportf;
@@ -231,13 +229,11 @@ func (prog *Program) indexDirectives() []Diagnostic {
 // when no names are given. Unknown names are an error naming the valid set.
 func Analyzers(names ...string) ([]*Analyzer, error) {
 	all := []*Analyzer{
-		LockguardAnalyzer,
 		FloatcmpAnalyzer,
 		DeterminismAnalyzer,
 		ErrcheckAnalyzer,
 		WalorderAnalyzer,
 		CtxflowAnalyzer,
-		LockorderAnalyzer,
 		TaintflowAnalyzer,
 	}
 	if len(names) == 0 {
@@ -266,10 +262,6 @@ func Analyzers(names ...string) ([]*Analyzer, error) {
 func (prog *Program) Run(analyzers []*Analyzer) []Diagnostic {
 	diags := prog.indexDirectives()
 	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			a.RunProgram(&Pass{Analyzer: a, Prog: prog, diags: &diags})
-			continue
-		}
 		for _, pkg := range prog.Pkgs {
 			if pkg.Analyze {
 				a.Run(&Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &diags})

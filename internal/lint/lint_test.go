@@ -3,9 +3,11 @@ package lint_test
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -100,7 +102,6 @@ func runFixture(t *testing.T, fixture string, checks ...string) {
 	}
 }
 
-func TestLockguard(t *testing.T)   { runFixture(t, "lockguard", "lockguard") }
 func TestFloatcmp(t *testing.T)    { runFixture(t, "floatcmp", "floatcmp") }
 func TestDeterminism(t *testing.T) { runFixture(t, "eval", "determinism") }
 
@@ -110,7 +111,6 @@ func TestDeterminismPqueue(t *testing.T) { runFixture(t, "pqueue", "determinism"
 func TestErrcheck(t *testing.T)          { runFixture(t, "errcheck", "errcheck") }
 func TestWalorder(t *testing.T)          { runFixture(t, "walorder", "walorder") }
 func TestCtxflow(t *testing.T)           { runFixture(t, "ctxflow", "ctxflow") }
-func TestLockorder(t *testing.T)         { runFixture(t, "lockorder", "lockorder") }
 func TestTaintflow(t *testing.T)         { runFixture(t, "taintflow", "taintflow") }
 
 // TestFindingsDeterministic is the byte-stability contract behind the golden
@@ -119,13 +119,11 @@ func TestTaintflow(t *testing.T)         { runFixture(t, "taintflow", "taintflow
 // iteration order anywhere in the framework.
 func TestFindingsDeterministic(t *testing.T) {
 	fixtures := []string{
-		"./internal/lint/testdata/src/lockguard",
 		"./internal/lint/testdata/src/floatcmp",
 		"./internal/lint/testdata/src/eval",
 		"./internal/lint/testdata/src/errcheck",
 		"./internal/lint/testdata/src/walorder",
 		"./internal/lint/testdata/src/ctxflow",
-		"./internal/lint/testdata/src/lockorder",
 		"./internal/lint/testdata/src/taintflow",
 	}
 	analyzers, err := lint.Analyzers()
@@ -285,6 +283,126 @@ func TestGoStatements(t *testing.T) {
 	}
 }
 
+// lockClasses is every sync.Mutex / sync.RWMutex struct field in the repo's
+// non-test code, one entry per field as "dir.Type.field", with what it
+// guards and the classes a goroutine may take while holding it. The declared
+// may-take graph must be acyclic: that is the lock order. Whether a guarded
+// field is only touched under its mutex is the race detector's check
+// (`make race-short` over server, index and wal).
+var lockClasses = []struct {
+	class, guards string
+	mayTake       []string
+}{
+	{"internal/server.shardState.mu", "the shard's commit protocol — WAL append, then the flat tier's mutation through the index — and reads of flat outside the index lock",
+		[]string{"internal/index.ConcurrentIndex.mu", "internal/wal.Store.mu"}},
+	{"internal/server.Server.bookMu", "claimed (the IDs of in-flight ingests), the series length n and nextID", nil},
+	{"internal/server.Server.httpMu", "httpSrv, set by Serve and read by Shutdown", nil},
+	{"internal/index.ConcurrentIndex.mu", "inner: shared for searches, exclusive for mutations", nil},
+	{"internal/wal.Store.mu", "the active segment, its counters and the broken/closed state; file operations run under it",
+		[]string{"internal/wal.FaultFS.mu", "internal/wal.MemFS.mu"}},
+	{"internal/wal.MemFS.mu", "files and their durable/pending bytes", nil},
+	{"internal/wal.FaultFS.mu", "the op counter, the armed faults and the crash flag", nil},
+	{"bench/loadgen.tally.mu", "attempted, failed, findings and the embedding outcome's probes", nil},
+	{"bench/loadgen.child.mu", "tail, appended by the stderr reader and read on failure", nil},
+}
+
+// TestLockClasses holds locking to a reviewed list: the mutex struct fields
+// in the tree must be exactly those of lockClasses, every class a holder may
+// take must be listed, and the may-take graph must have no cycle.
+func TestLockClasses(t *testing.T) {
+	prog, err := loadRepo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := map[string]bool{}
+	for _, pkg := range prog.Pkgs {
+		if !pkg.Analyze {
+			continue
+		}
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				spec, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				st, ok := spec.Type.(*ast.StructType)
+				if !ok {
+					return false
+				}
+				for _, field := range st.Fields.List {
+					switch types.TypeString(pkg.Info.TypeOf(field.Type), nil) {
+					case "sync.Mutex", "sync.RWMutex", "*sync.Mutex", "*sync.RWMutex":
+					default:
+						continue
+					}
+					names := []string{"Mutex"} // an embedded mutex is named after its type
+					if len(field.Names) > 0 {
+						names = names[:0]
+						for _, name := range field.Names {
+							names = append(names, name.Name)
+						}
+					}
+					for _, name := range names {
+						found[pkg.Dir+"."+spec.Name.Name+"."+name] = true
+					}
+				}
+				return false
+			})
+		}
+	}
+
+	mayTake := map[string][]string{}
+	for _, lc := range lockClasses {
+		mayTake[lc.class] = lc.mayTake
+		if !found[lc.class] {
+			t.Errorf("listed lock class %s is gone: remove it from lockClasses", lc.class)
+		}
+	}
+	var classes []string
+	for class := range found {
+		classes = append(classes, class)
+	}
+	sort.Strings(classes)
+	for _, class := range classes {
+		if _, ok := mayTake[class]; !ok {
+			t.Errorf("mutex field %s is not in lockClasses: add it with what it guards and which classes may be taken while it is held", class)
+		}
+	}
+	for _, lc := range lockClasses {
+		for _, next := range lc.mayTake {
+			if _, ok := mayTake[next]; !ok {
+				t.Errorf("%s may take %s, which is not a listed lock class", lc.class, next)
+			}
+		}
+	}
+
+	// Depth-first search over the declared edges; a class met again while
+	// still on the path closes a cycle.
+	state := map[string]int{} // 0 unvisited, 1 on the path, 2 done
+	var path []string
+	var visit func(class string)
+	visit = func(class string) {
+		switch state[class] {
+		case 1:
+			i := slices.Index(path, class)
+			t.Errorf("lock-order cycle in lockClasses: %s", strings.Join(append(path[i:], class), " → "))
+			return
+		case 2:
+			return
+		}
+		state[class] = 1
+		path = append(path, class)
+		for _, next := range mayTake[class] {
+			visit(next)
+		}
+		path = path[:len(path)-1]
+		state[class] = 2
+	}
+	for _, lc := range lockClasses {
+		visit(lc.class)
+	}
+}
+
 // funcName renders a declaration as "Name" or "Recv.Name".
 func funcName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
@@ -309,11 +427,11 @@ func TestUnknownCheck(t *testing.T) {
 
 // TestDiagnosticString pins the canonical rendering of a finding.
 func TestDiagnosticString(t *testing.T) {
-	d := lint.Diagnostic{Check: "lockguard", Message: "boom"}
+	d := lint.Diagnostic{Check: "walorder", Message: "boom"}
 	d.Pos.Filename = "a.go"
 	d.Pos.Line = 3
 	d.Pos.Column = 7
-	if got, wantS := d.String(), "a.go:3:7: [lockguard] boom"; got != wantS {
+	if got, wantS := d.String(), "a.go:3:7: [walorder] boom"; got != wantS {
 		t.Fatalf("got %q, want %q", got, wantS)
 	}
 }

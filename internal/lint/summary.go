@@ -82,10 +82,6 @@ type Summary struct {
 	// Ack classifies the function's response writes (meaningful only when
 	// Effects has EffRespWrite).
 	Ack ackInfo
-	// Acquires maps every mutex field the function may lock, transitively,
-	// to the position of one witness acquisition (a direct Lock/RLock, or
-	// the call that reaches one).
-	Acquires map[*types.Var]token.Pos
 	// ValidParams is a bitset of parameter indices the function validates:
 	// the parameter is passed to a ValidateSeries-style content check
 	// (directly or through a callee's ValidParams), or — for basic-typed
@@ -109,11 +105,11 @@ func (ip *Interproc) Summary(fn *types.Func) *Summary {
 
 // computeSummaries runs the forward dataflow fixpoint: each round re-walks
 // every function body folding callee summaries at call sites, until no
-// summary grows. Effects and acquisitions only ever grow and the ack
+// summary grows. Effects and parameter bits only ever grow and the ack
 // lattice has height 3, so the fixpoint terminates in a handful of rounds.
 func (ip *Interproc) computeSummaries() {
 	for _, fi := range ip.order {
-		ip.summaries[fi.Fn] = &Summary{Acquires: make(map[*types.Var]token.Pos)}
+		ip.summaries[fi.Fn] = &Summary{}
 	}
 	for changed := true; changed; {
 		changed = false
@@ -131,7 +127,6 @@ func (ip *Interproc) updateSummary(fi *FuncInfo) bool {
 	s := ip.summaries[fi.Fn]
 	eff := baseEffects(fi)
 	ack := ackInfo{class: ackNo}
-	acq := make(map[*types.Var]token.Pos, len(s.Acquires))
 	var valid, sink uint32
 
 	info := fi.Pkg.Info
@@ -143,12 +138,6 @@ func (ip *Interproc) updateSummary(fi *FuncInfo) bool {
 				valid |= cmpParamBits(info, fi.Decl, n)
 			}
 		case *ast.CallExpr:
-			if mu := lockMutex(info, n); mu != nil {
-				if _, ok := acq[mu]; !ok {
-					acq[mu] = n.Pos()
-				}
-				return true
-			}
 			if respAck, ok := respWrite(info, fi.Decl, n); ok {
 				eff |= EffRespWrite
 				ack = ackJoin(ack, respAck)
@@ -169,11 +158,6 @@ func (ip *Interproc) updateSummary(fi *FuncInfo) bool {
 				eff |= cs.Effects
 				if cs.Effects&EffRespWrite != 0 {
 					ack = ackJoin(ack, foldAck(info, fi.Decl, n, cs.Ack))
-				}
-				for mu := range cs.Acquires {
-					if _, ok := acq[mu]; !ok {
-						acq[mu] = n.Pos()
-					}
 				}
 				if isTaintSink(callee) {
 					for _, arg := range n.Args {
@@ -206,12 +190,6 @@ func (ip *Interproc) updateSummary(fi *FuncInfo) bool {
 	if j := ackJoin(s.Ack, ack); j != s.Ack {
 		s.Ack = j
 		grew = true
-	}
-	for mu, pos := range acq {
-		if _, ok := s.Acquires[mu]; !ok {
-			s.Acquires[mu] = pos
-			grew = true
-		}
 	}
 	if valid|s.ValidParams != s.ValidParams {
 		s.ValidParams |= valid
@@ -485,45 +463,4 @@ func rootVar(info *types.Info, e ast.Expr) *types.Var {
 			return nil
 		}
 	}
-}
-
-// lockMutex matches x.mu.Lock() / x.mu.RLock() where mu is a struct field
-// of type sync.Mutex/sync.RWMutex, returning the field (the lock class used
-// by lockorder). Unlocks return nil — only acquisitions define ordering.
-func lockMutex(info *types.Info, call *ast.CallExpr) *types.Var {
-	mu, kind := lockOp(info, call)
-	if kind == lockShared || kind == lockExclusive {
-		return mu
-	}
-	return nil
-}
-
-// lockOp classifies a call as a mutex acquisition or release on a struct
-// field, returning the field and the resulting state (lockNone = release;
-// a nil field means the call is not a mutex operation on a field).
-func lockOp(info *types.Info, call *ast.CallExpr) (*types.Var, lockKind) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil, lockNone
-	}
-	var kind lockKind
-	switch sel.Sel.Name {
-	case "Lock":
-		kind = lockExclusive
-	case "RLock":
-		kind = lockShared
-	case "Unlock", "RUnlock":
-		kind = lockNone
-	default:
-		return nil, lockNone
-	}
-	fieldSel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok {
-		return nil, lockNone
-	}
-	field, ok := info.Uses[fieldSel.Sel].(*types.Var)
-	if !ok || !field.IsField() || !isMutexType(field.Type()) {
-		return nil, lockNone
-	}
-	return field, kind
 }

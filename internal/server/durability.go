@@ -16,72 +16,56 @@ import (
 
 // openStores opens the durability layer (when configured), recovers the
 // persisted per-shard state in parallel and batch-inserts it into one flat
-// tier per shard. It returns the tiers (one per effective shard) and populates
-// s.shards; without durability it simply sizes both to Config.Shards.
-// Called from New while the server is still single-goroutine, before any
-// request can arrive.
-func (s *Server) openStores() ([]*index.Flat, error) {
+// tier per shard, populating s.shards; without durability it sizes s.shards
+// to Config.Shards with empty tiers. Called from New while the server is
+// still single-goroutine, before any request can arrive.
+func (s *Server) openStores() error {
 	fsys := s.cfg.WALFS
 	if fsys == nil && s.cfg.DataDir != "" {
 		dfs, err := wal.NewDirFS(s.cfg.DataDir)
 		if err != nil {
-			return nil, fmt.Errorf("server: open data dir: %w", err)
+			return fmt.Errorf("server: open data dir: %w", err)
 		}
 		fsys = dfs
 	}
 
-	if fsys == nil { // purely in-memory
-		tiers := make([]*index.Flat, s.cfg.Shards)
-		s.shards = make([]*shardState, s.cfg.Shards)
-		for i := range tiers {
-			tier, err := index.NewFlat(s.cfg.Method)
-			if err != nil {
-				return nil, err
-			}
-			tiers[i] = tier
-			s.shards[i] = &shardState{ids: make(map[int]ts.Series)}
-		}
-		return tiers, nil
-	}
-
 	start := time.Now()
-	recs, err := wal.OpenSharded(fsys, s.cfg.Shards, wal.Options{
-		SyncEvery:   s.cfg.SyncEvery,
-		ObserveSync: s.metricsWALSyncObserver(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("server: recover: %w", err)
+	recs := make([]wal.ShardRecovery, s.cfg.Shards) // without durability: empty, no store
+	if fsys != nil {
+		var err error
+		recs, err = wal.OpenSharded(fsys, s.cfg.Shards, wal.Options{
+			SyncEvery:   s.cfg.SyncEvery,
+			ObserveSync: s.metricsWALSyncObserver(),
+		})
+		if err != nil {
+			return fmt.Errorf("server: recover: %w", err)
+		}
 	}
 
 	// The manifest-pinned count wins over Config.Shards (see Config.Shards);
 	// from here on len(s.shards) is the effective count everywhere.
-	tiers := make([]*index.Flat, len(recs))
 	s.shards = make([]*shardState, len(recs))
-	for i := range recs {
-		tier, terr := index.NewFlat(s.cfg.Method)
-		if terr != nil {
-			err = terr
-			break
-		}
-		tiers[i] = tier
-		s.shards[i] = &shardState{store: recs[i].Store, ids: make(map[int]ts.Series)}
+	for i, r := range recs {
+		s.shards[i] = &shardState{store: r.Store}
 	}
-	if err != nil {
-		for _, r := range recs {
-			_ = r.Store.Close() //sapla:errok unwinding a failed construction; the constructor's error is the one reported
+	for _, sh := range s.shards {
+		var err error
+		if sh.flat, err = index.NewFlat(s.cfg.Method); err != nil {
+			s.closeStores()
+			return err
 		}
-		return nil, err
+	}
+	if fsys == nil {
+		return nil // purely in-memory
 	}
 
 	// Rebuild each shard's index from its recovered series. Reduction
 	// dominates recovery time, so the cores are split evenly over the shards
 	// and each shard reduces on its share: four shards on two cores stay at
-	// one goroutine each, one shard uses both. Cross-shard bookkeeping
-	// (claimed set, nextID, series length) funnels through bookMu.
+	// one goroutine each, one shard uses both.
 	workers := max(1, runtime.GOMAXPROCS(0)/len(recs))
 	errs := make([]error, len(recs))
 	par.Do(context.Background(), len(recs), len(recs), func(i int) {
-		sh := s.shards[i]
 		values := make([]ts.Series, len(recs[i].Series))
 		for j, sr := range recs[i].Series {
 			values[j] = sr.Values
@@ -94,32 +78,27 @@ func (s *Server) openStores() ([]*index.Flat, error) {
 		entries := make([]*index.Entry, len(values))
 		for j, sr := range recs[i].Series {
 			entries[j] = index.NewEntry(int(sr.ID), sr.Values, reps[j])
-			sh.ids[int(sr.ID)] = sr.Values
 		}
-		if err := tiers[i].InsertBatch(entries); err != nil {
+		if err := s.shards[i].flat.InsertBatch(entries); err != nil {
 			errs[i] = fmt.Errorf("server: rebuild shard %d: %w", i, err)
 			return
 		}
-		s.bookMu.Lock()
-		for _, sr := range recs[i].Series {
-			s.claimed[int(sr.ID)] = true
-			s.n = len(sr.Values)
-		}
-		if next := int(recs[i].Info.MaxID) + 1; next > s.nextID {
-			s.nextID = next
-		}
-		s.bookMu.Unlock()
 	})
 	for _, rerr := range errs {
 		if rerr != nil {
 			s.closeStores()
-			return nil, rerr
+			return rerr
 		}
 	}
 
 	// Aggregate what recovery did: counters sum across shards, the sequence
-	// floor and MaxID take the maximum.
+	// floor and MaxID take the maximum. Auto IDs resume past every ID any
+	// shard has seen, and the series length is that of any recovered series.
 	for _, r := range recs {
+		s.nextID = max(s.nextID, int(r.Info.MaxID)+1)
+		if len(r.Series) > 0 {
+			s.n = len(r.Series[0].Values)
+		}
 		s.recovery.SnapshotSeries += r.Info.SnapshotSeries
 		s.recovery.Segments += r.Info.Segments
 		s.recovery.Replayed += r.Info.Replayed
@@ -132,7 +111,7 @@ func (s *Server) openStores() ([]*index.Flat, error) {
 		}
 	}
 	s.recoveryDur = time.Since(start)
-	return tiers, nil
+	return nil
 }
 
 // metricsWALSyncObserver returns the fsync-latency observer. The metrics
@@ -184,10 +163,10 @@ func (s *Server) snapshotNow() error {
 	}
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		series := make([]wal.Series, 0, len(sh.ids))
-		for id, values := range sh.ids {
-			series = append(series, wal.Series{ID: int64(id), Values: values})
-		}
+		series := make([]wal.Series, 0, sh.flat.Len())
+		sh.flat.Each(func(id int, raw ts.Series) {
+			series = append(series, wal.Series{ID: int64(id), Values: raw})
+		})
 		sealed, err := sh.store.Rotate()
 		sh.mu.Unlock()
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -43,6 +44,35 @@ func knnIDs(t *testing.T, client *http.Client, base string, q ts.Series, k int) 
 	return resp.Results
 }
 
+// contents returns every committed series of s, read from each shard's flat
+// tier under the shard's mu, as ID → the bits of its values.
+func contents(s *Server) map[int][]uint64 {
+	out := map[int][]uint64{}
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.flat.Each(func(id int, raw ts.Series) { out[id] = seriesBits(raw) })
+		sh.mu.Unlock()
+	}
+	return out
+}
+
+// bitsOf renders a set of series the way contents does.
+func bitsOf(set map[int]ts.Series) map[int][]uint64 {
+	out := make(map[int][]uint64, len(set))
+	for id, v := range set {
+		out[id] = seriesBits(v)
+	}
+	return out
+}
+
+func seriesBits(v ts.Series) []uint64 {
+	bits := make([]uint64, len(v))
+	for i, x := range v {
+		bits[i] = math.Float64bits(x)
+	}
+	return bits
+}
+
 // TestServerCrashRecoveryProperty drives random ingest/delete traffic (with
 // occasional snapshots) against a durable server on an in-memory filesystem,
 // crashes it — no shutdown, page cache lost — restarts from the surviving
@@ -52,7 +82,9 @@ func knnIDs(t *testing.T, client *http.Client, base string, q ts.Series, k int) 
 // equality is exact, not merely prefix-consistent. The property runs at
 // shard counts 1, 4 and 7: the crash takes down every per-shard WAL stream
 // at once, and parallel recovery across the streams must still reproduce the
-// single-shard answers bit-for-bit — with one core or four to reduce on.
+// single-shard answers bit-for-bit — with one core or four to reduce on. The
+// recovered contents must equal the acknowledged series exactly, and the
+// recovered server must refuse an acknowledged ID and admit a deleted one.
 func TestServerCrashRecoveryProperty(t *testing.T) {
 	trials := 4
 	if testing.Short() {
@@ -62,6 +94,7 @@ func TestServerCrashRecoveryProperty(t *testing.T) {
 	for _, shards := range []int{1, 4, 7} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			reingested := 0
 			for trial := 0; trial < trials; trial++ {
 				rng := rand.New(rand.NewSource(int64(500 + 100*shards + trial)))
 				mem := wal.NewMemFS()
@@ -69,6 +102,7 @@ func TestServerCrashRecoveryProperty(t *testing.T) {
 				client := hs.Client()
 
 				acked := map[int]ts.Series{}
+				deleted := -1 // the last acknowledged delete; auto IDs never reuse it
 				nextID := 0
 				nOps := 10 + rng.Intn(30)
 				for i := 0; i < nOps; i++ {
@@ -92,6 +126,7 @@ func TestServerCrashRecoveryProperty(t *testing.T) {
 								t.Fatalf("trial %d: delete %d: status %d", trial, id, code)
 							}
 							delete(acked, id)
+							deleted = id
 						} else if code != http.StatusNotFound {
 							t.Fatalf("trial %d: delete missing %d: status %d", trial, id, code)
 						}
@@ -122,9 +157,9 @@ func TestServerCrashRecoveryProperty(t *testing.T) {
 				if got := len(rec.shards); got != shards {
 					t.Fatalf("trial %d: recovered %d shards, manifest pins %d", trial, got, shards)
 				}
-				if rec.idx.Len() != len(acked) {
-					t.Fatalf("trial %d: recovered %d series, acknowledged %d (info %+v)",
-						trial, rec.idx.Len(), len(acked), info)
+				if got, want := contents(rec), bitsOf(acked); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d: recovered %d series, acknowledged %d, contents differ (info %+v)",
+						trial, len(got), len(want), info)
 				}
 
 				// Reference: a purely in-memory single-shard server over
@@ -157,6 +192,33 @@ func TestServerCrashRecoveryProperty(t *testing.T) {
 						}
 					}
 				}
+
+				// Recovery claims nothing, so the shards alone must refuse an
+				// acknowledged ID — through either endpoint, with nothing
+				// applied — and admit a deleted one again.
+				var before, after ingestOutcome
+				doJSON(t, hrec.Client(), "GET", hrec.URL+"/healthz", nil, &before)
+				for id := range acked {
+					for _, ep := range ingestEndpoints {
+						var got ingestOutcome
+						if code := doJSON(t, hrec.Client(), "POST", hrec.URL+ep.path, ep.body(id, randWalk(rng, n)), &got); code != http.StatusConflict {
+							t.Fatalf("trial %d: %s of acknowledged id %d after restart: status %d (%s), want 409",
+								trial, ep.path, id, code, got.Error)
+						}
+					}
+					break
+				}
+				doJSON(t, hrec.Client(), "GET", hrec.URL+"/healthz", nil, &after)
+				if after != before {
+					t.Fatalf("trial %d: rejected re-ingests moved the index: %+v, then %+v", trial, before, after)
+				}
+				if deleted >= 0 {
+					ingestOne(t, hrec.Client(), hrec.URL, &deleted, randWalk(rng, n))
+					reingested++
+				}
+			}
+			if reingested == 0 {
+				t.Fatal("no trial deleted a series, so none re-ingested one after the restart")
 			}
 		})
 	}
@@ -186,17 +248,8 @@ func TestServerShutdownDrain(t *testing.T) {
 	mem.Crash(nil)
 
 	rec, _ := newTestServer(t, durableConfig(mem, 1))
-	if rec.idx.Len() != len(acked) {
-		t.Fatalf("recovered %d series, acknowledged %d", rec.idx.Len(), len(acked))
-	}
-	for id, v := range acked {
-		sh := rec.shardFor(id)
-		sh.mu.Lock()
-		got, ok := sh.ids[id]
-		sh.mu.Unlock()
-		if !ok || len(got) != len(v) {
-			t.Fatalf("series %d lost or resized across clean shutdown", id)
-		}
+	if got := contents(rec); !reflect.DeepEqual(got, bitsOf(acked)) {
+		t.Fatalf("recovered %d series, acknowledged %d, contents differ", len(got), len(acked))
 	}
 }
 
@@ -374,9 +427,10 @@ func TestServerSnapshotTicker(t *testing.T) {
 	cfg.SnapshotEvery = 10 * time.Millisecond
 	s, hs := newTestServer(t, cfg)
 	rng := rand.New(rand.NewSource(23))
-	acked := map[int]bool{}
+	acked := map[int]ts.Series{}
 	for i := 0; i < 6; i++ {
-		acked[ingestOne(t, hs.Client(), hs.URL, nil, randWalk(rng, 32)).ID] = true
+		v := randWalk(rng, 32)
+		acked[ingestOne(t, hs.Client(), hs.URL, nil, v).ID] = v
 	}
 	// The loop is sequential, so the second snapshot to finish from here on
 	// started after the last ingest was acknowledged and covers all of them.
@@ -405,13 +459,7 @@ func TestServerSnapshotTicker(t *testing.T) {
 	if info.SnapshotSeries != len(acked) || info.Replayed != 0 {
 		t.Fatalf("recovery info %+v: want all %d series from the snapshot, none replayed", info, len(acked))
 	}
-	for id := range acked {
-		sh := rec.shardFor(id)
-		sh.mu.Lock()
-		_, ok := sh.ids[id]
-		sh.mu.Unlock()
-		if !ok {
-			t.Fatalf("acknowledged series %d lost across the ticker's snapshot", id)
-		}
+	if got := contents(rec); !reflect.DeepEqual(got, bitsOf(acked)) {
+		t.Fatalf("recovered %d series from the ticker's snapshot, acknowledged %d, contents differ", len(got), len(acked))
 	}
 }

@@ -84,16 +84,6 @@ func (s *Server) reduceAll(ctx context.Context, values []ts.Series, workers int)
 	return reps, -1, nil
 }
 
-// unclaim releases an ID claim after a failed commit so the ID becomes
-// ingestable again. Called without any shard mu held.
-func (s *Server) unclaim(ids ...int) {
-	s.bookMu.Lock()
-	for _, id := range ids {
-		delete(s.claimed, id)
-	}
-	s.bookMu.Unlock()
-}
-
 // checkSeries validates values against n, the index's fixed series length as
 // seriesLen read it for this request. A zero n (nothing ingested yet) admits
 // any valid series.
@@ -151,11 +141,13 @@ func reduceRejection(bad int, err error) *rejection {
 }
 
 // ingest is the one write commit: it validates, reduces and claims every
-// item, then commits them shard by shard — one WAL group append (one fsync at
-// SyncEvery=1), one exclusive index lock acquisition and one epoch advance
-// per touched shard. It is atomic over acknowledgement: any invalid series,
-// duplicate ID, append or insert failure rejects all of items with nothing
-// applied and nothing claimed. A single ingest is a batch of one.
+// item, checks the explicit IDs against the committed series, then commits
+// them shard by shard — one WAL group append (one fsync at SyncEvery=1), one
+// exclusive index lock acquisition and one epoch advance per touched shard —
+// and releases its claims once every shard has finished. It is atomic over
+// acknowledgement: any invalid series, duplicate ID, append or insert failure
+// rejects all of items with nothing applied. A single ingest is a batch of
+// one.
 func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []repr.Representation, *rejection) {
 	// Validate, then reduce, everything before taking a lock: reduction is
 	// the expensive part and needs no bookkeeping state. The validation loop is
@@ -181,10 +173,10 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []re
 		return nil, nil, reduceRejection(bad, err)
 	}
 
-	// ID uniqueness and the series length are cross-shard, so every ID
-	// resolves and claims under one bookMu hold: racing ingests cannot claim
-	// one ID or disagree on the length, and a claim covers in-flight ingests
-	// — the same explicit ID conflicts even before the first one commits.
+	// The series length and the claims are cross-shard, so every ID resolves
+	// and claims under one bookMu hold: racing ingests cannot claim one ID or
+	// disagree on the length, and the same explicit ID conflicts while the
+	// first ingest of it is still in flight.
 	s.bookMu.Lock()
 	if s.n != 0 && len(values[0]) != s.n {
 		n := s.n
@@ -192,9 +184,9 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []re
 		return nil, nil, &rejection{http.StatusBadRequest, -1, fmt.Errorf(
 			"series length %d does not match index series length %d", len(values[0]), n)}
 	}
-	// Every explicit ID must be free — against committed series, in-flight
-	// claims and the request itself — before anything claims, so a conflict
-	// rejects with nothing to unwind.
+	// Every explicit ID must be free of in-flight claims and of the request
+	// itself before anything claims, so a conflict rejects with nothing to
+	// release.
 	ids := make([]int, len(values))
 	inBatch := make(map[int]bool, len(values))
 	for _, rid := range reqIDs {
@@ -224,6 +216,16 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []re
 	// ingests of different lengths cannot both pass the check above.
 	s.n = len(values[0])
 	s.bookMu.Unlock()
+	// The claims go only once every touched shard's commit or unwind has
+	// finished: a committed ID is then its shard's to refuse, a rejected one
+	// is free again.
+	defer func() {
+		s.bookMu.Lock()
+		for _, id := range ids {
+			delete(s.claimed, id)
+		}
+		s.bookMu.Unlock()
+	}()
 
 	// Split by owning shard, preserving request order within each group so
 	// each shard's flat tier is a deterministic function of the request.
@@ -236,6 +238,24 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []re
 			touched = append(touched, si)
 		}
 		groups[si] = append(groups[si], i)
+	}
+	// A claimed explicit ID may still be committed: its shard's flat tier
+	// answers. The claim keeps any other ingest from committing it between
+	// this check and the commit below. Auto IDs never are (see nextID), so a
+	// request without explicit IDs takes no shard lock here.
+	if len(inBatch) > 0 {
+		for _, si := range touched {
+			sh := s.shards[si]
+			sh.mu.Lock()
+			dup := slices.IndexFunc(groups[si], func(pos int) bool {
+				_, ok := sh.flat.Lookup(ids[pos])
+				return ok
+			})
+			sh.mu.Unlock()
+			if dup >= 0 {
+				return nil, nil, &rejection{http.StatusConflict, -1, fmt.Errorf("id %d already exists", ids[groups[si][dup]])}
+			}
+		}
 	}
 	// The groups commit concurrently, each under its shard's mu with the WAL
 	// append strictly before its inserts become visible. One touched shard —
@@ -266,23 +286,18 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []re
 		for gi, pos := range groups[si] {
 			entries[gi] = index.NewEntry(ids[pos], values[pos], reps[pos])
 		}
-		if c.err = s.idx.Shard(si).InsertBatch(entries); c.err != nil {
-			return
-		}
-		for _, pos := range groups[si] {
-			sh.ids[ids[pos]] = values[pos]
-		}
+		c.err = s.idx.Shard(si).InsertBatch(entries)
 	})
 	if failed := slices.IndexFunc(commits, func(c shardCommit) bool { return c.err != nil }); failed >= 0 {
 		// Reject wholesale: undo every shard whose records reached its log —
-		// a compensating delete record per ID, then the index and bookkeeping
-		// removal, so replay converges to the served state. That includes a
-		// shard whose InsertBatch failed: the flat tier has already rolled
-		// that batch back, so its index delete is a no-op and its delete
-		// records replay onto absent IDs, which wal replay tolerates. During
-		// the unwind another shard's entries are transiently visible to
-		// searches — multi-shard atomicity is over acknowledgement
-		// (all-or-nothing at the API), not over in-flight reads.
+		// a compensating delete record per ID, then the index removal, so
+		// replay converges to the served state. That includes a shard whose
+		// InsertBatch failed: the flat tier has already rolled that batch
+		// back, so its index delete is a no-op and its delete records replay
+		// onto absent IDs, which wal replay tolerates. During the unwind
+		// another shard's entries are transiently visible to searches —
+		// multi-shard atomicity is over acknowledgement (all-or-nothing at the
+		// API), not over in-flight reads.
 		for ti, c := range commits {
 			if !c.logged {
 				continue
@@ -295,11 +310,9 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []re
 					_ = sh.store.AppendDelete(int64(ids[pos])) //sapla:volatile compensating append while rejecting the whole request: the ingest it undoes is never acknowledged, and a broken store refuses every later append anyway
 				}
 				s.idx.Shard(si).Delete(ids[pos])
-				delete(sh.ids, ids[pos])
 			}
 			sh.mu.Unlock()
 		}
-		s.unclaim(ids...)
 		if c := commits[failed]; c.logged {
 			return nil, nil, &rejection{http.StatusInternalServerError, -1, fmt.Errorf("insert: %w", c.err)}
 		}
@@ -602,13 +615,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The whole removal runs on the owning shard: presence check, WAL
-	// append (same WAL-before-acknowledge discipline as ingest), index
-	// removal and bookkeeping under one shard mu hold. The claim release
-	// nests bookMu inside the shard mu — the one sanctioned nesting
-	// direction (see shardState).
+	// append (same WAL-before-acknowledge discipline as ingest) and index
+	// removal under one shard mu hold.
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	_, present := sh.ids[id]
+	_, present := sh.flat.Lookup(id)
 	if present {
 		if sh.store != nil {
 			if err := sh.store.AppendDelete(int64(id)); err != nil {
@@ -617,16 +628,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		if !s.idx.Delete(id) {
-			sh.mu.Unlock()
-			writeErr(w, http.StatusInternalServerError,
-				"id %d tracked but not found in index", id)
-			return
-		}
-		delete(sh.ids, id)
-		s.bookMu.Lock()
-		delete(s.claimed, id)
-		s.bookMu.Unlock()
+		s.idx.Delete(id)
 	}
 	sh.mu.Unlock()
 	if !present {

@@ -37,7 +37,6 @@ import (
 	"sapla/internal/core"
 	"sapla/internal/index"
 	"sapla/internal/reduce"
-	"sapla/internal/ts"
 	"sapla/internal/wal"
 )
 
@@ -161,19 +160,20 @@ func stateName(st int32) string {
 }
 
 // shardState is one shard's write-side state. mu serializes the commit
-// protocol for series owned by this shard: the WAL append, the index
-// mutation and the ids bookkeeping change together under one hold, so a
-// snapshot capturing ids while rotating the shard's WAL segment (also under
-// mu) sees exactly the state the sealed segment covers. Searches never take
-// it, and writes to different shards never contend on it.
+// protocol for series owned by this shard: the WAL append and the index
+// mutation happen under one hold, so a snapshot capturing flat while rotating
+// the shard's WAL segment (also under mu) sees exactly the state the sealed
+// segment covers. Searches never take it — they read flat under the index's
+// shared lock, which the WAL fsync therefore never holds — and writes to
+// different shards never contend on it. flat is mutated only through
+// s.idx.Shard(i) while mu is held, so holding mu is enough to read it.
 //
-// Lock order: a goroutine holding mu may take Server.bookMu (delete unclaims
-// an ID, a finished ingest publishes the series length); bookMu holders
-// never take a shard mu.
+// Lock order: a holder of mu may take the shard's index lock and its store's
+// lock, never Server.bookMu.
 type shardState struct {
 	mu    sync.Mutex
 	store *wal.Store // this shard's WAL stream; nil without durability
-	ids   map[int]ts.Series
+	flat  *index.Flat
 }
 
 // Server is the similarity-search HTTP service. Create with New, mount via
@@ -208,10 +208,11 @@ type Server struct {
 	snapWG      sync.WaitGroup
 	stopOnce    sync.Once
 
-	// bookMu guards the cross-shard ingest bookkeeping: the claimed-ID set
-	// (uniqueness across shards and across in-flight ingests), the fixed
-	// series length, and the auto-ID counter. Search paths never take it,
-	// and holders never take a shard mu (see shardState's lock order).
+	// bookMu guards the cross-shard ingest bookkeeping: the IDs of in-flight
+	// ingests (committed ones are their shards' to refuse), the fixed series
+	// length, and the auto-ID counter, which exceeds every ID ever claimed or
+	// recovered — so an auto ID is never in flight or committed. Search paths
+	// never take bookMu, and its holders take no other lock.
 	bookMu  sync.Mutex
 	claimed map[int]bool
 	n       int // series length, fixed by the first ingest
@@ -253,13 +254,13 @@ func New(cfg Config) (*Server, error) {
 	s.state.Store(stateRecovering)
 	s.reducers.New = func() any { return core.NewReducer() }
 
-	tiers, err := s.openStores()
+	err := s.openStores()
 	if err != nil {
 		return nil, err
 	}
-	s.metrics = newMetrics(len(tiers))
-	s.idx, err = index.NewSharded(len(tiers), func(i int) (index.Index, error) {
-		return tiers[i], nil
+	s.metrics = newMetrics(len(s.shards))
+	s.idx, err = index.NewSharded(len(s.shards), func(i int) (index.Index, error) {
+		return s.shards[i].flat, nil
 	})
 	if err != nil {
 		s.closeStores()

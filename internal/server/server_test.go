@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"sapla/internal/index"
 	"sapla/internal/ts"
 	"sapla/internal/wal"
 )
@@ -317,8 +318,11 @@ func TestServerValidation(t *testing.T) {
 }
 
 // TestServerConcurrentTraffic hammers the HTTP surface with interleaved
-// ingest, delete, k-NN, batch and range requests. Run under -race it
-// exercises the ConcurrentIndex through the full serving path.
+// ingest, delete, k-NN, batch and range requests. Run under -race it is the
+// check on the lock classes' guarded fields along the full serving path: the
+// shards' flat tiers (written under shardState.mu and the ConcurrentIndex
+// lock, searched under its shared lock), and bookMu's claims and series
+// length, which every query reads through seriesLen while ingests write them.
 func TestServerConcurrentTraffic(t *testing.T) {
 	const n = 48
 	s, hs := newTestServer(t, Config{M: 12, Workers: 2})
@@ -411,6 +415,82 @@ func TestServerConcurrentTraffic(t *testing.T) {
 
 	if got := s.Index().Len(); got != 12 {
 		t.Fatalf("final index size = %d, want 12", got)
+	}
+}
+
+// TestServerRacingIngestsOfOneID posts one explicit ID from eight goroutines
+// at once, half as single ingests and half in a two-ID batch whose other ID
+// lives on another shard (at four shards): the claim and the shard's
+// membership check together admit exactly one post per ID, every other post
+// answers 409 with nothing applied, and no claim outlives its request.
+func TestServerRacingIngestsOfOneID(t *testing.T) {
+	const n, rounds, posters = 32, 10, 8
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, hs := newTestServer(t, Config{M: 12, Shards: shards, Workers: 2})
+			client := hs.Client()
+			rng := rand.New(rand.NewSource(int64(31 + shards)))
+			size := 0
+			for round := 0; round < rounds; round++ {
+				id := 100 * round
+				other := id + 1
+				for shards > 1 && index.ShardOf(other, shards) == index.ShardOf(id, shards) {
+					other++
+				}
+				paths := []string{"/v1/ingest", "/v1/ingest/batch"}
+				bodies := make([][]byte, 2)
+				for i, body := range []any{
+					map[string]any{"id": id, "values": randWalk(rng, n)},
+					map[string]any{"series": []map[string]any{
+						{"id": id, "values": randWalk(rng, n)},
+						{"id": other, "values": randWalk(rng, n)},
+					}},
+				} {
+					var err error
+					if bodies[i], err = json.Marshal(body); err != nil {
+						t.Fatal(err)
+					}
+				}
+				codes := make([]int, posters) // even posters send the single ingest
+				var wg sync.WaitGroup
+				for p := range codes {
+					wg.Add(1)
+					go func(p int) {
+						defer wg.Done()
+						resp, err := client.Post(hs.URL+paths[p%2], "application/json", bytes.NewReader(bodies[p%2]))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						resp.Body.Close()
+						codes[p] = resp.StatusCode
+					}(p)
+				}
+				wg.Wait()
+				won := -1
+				for p, code := range codes {
+					switch {
+					case code == http.StatusCreated && won < 0:
+						won = p
+					case code != http.StatusConflict:
+						t.Fatalf("round %d: post %d answered %d (%v)", round, p, code, codes)
+					}
+				}
+				if won < 0 {
+					t.Fatalf("round %d: no post of id %d was admitted (%v)", round, id, codes)
+				}
+				size += 1 + won%2 // a winning batch also commits the other ID
+				if got := s.Index().Len(); got != size {
+					t.Fatalf("round %d: index size %d, want %d", round, got, size)
+				}
+				s.bookMu.Lock()
+				left := len(s.claimed)
+				s.bookMu.Unlock()
+				if left != 0 {
+					t.Fatalf("round %d: %d claims outlived their requests", round, left)
+				}
+			}
+		})
 	}
 }
 
