@@ -83,14 +83,15 @@ bench-check:
 # One iteration of the flat tier's kernel benchmarks (BenchmarkServedKNN,
 # BenchmarkServedRange, BenchmarkFlatFilter, BenchmarkBatchKNN), of the
 # request front end's (BenchmarkHandlerKNN, BenchmarkHandlerKNNBatch,
-# BenchmarkHandlerIngestBatch, BenchmarkDecodeBody and its wire-format rows)
+# BenchmarkHandlerIngestBatch, BenchmarkDecodeBody and its wire-format rows),
+# of recovery's (BenchmarkRecover, with and without logged representations)
 # and of the reducer's (BenchmarkReduce, BenchmarkReduceMix,
 # BenchmarkReduceByStage): `go test` compiles benchmarks but never runs them,
 # and these are the per-layer evidence perf PRs quote, so they must keep
 # running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Served|FlatFilter|BatchKNN' -benchtime 1x ./internal/index
-	$(GO) test -run '^$$' -bench 'Handler|DecodeBody' -benchtime 1x ./internal/server
+	$(GO) test -run '^$$' -bench 'Handler|DecodeBody|Recover' -benchtime 1x ./internal/server
 	$(GO) test -run '^$$' -bench 'Reduce' -benchtime 1x ./internal/core
 
 # Before believing an end-to-end pair: bench/loadgen links internal/index and

@@ -14,10 +14,15 @@ import (
 )
 
 // goldenHash pins the reducer's output over goldenCorpus × goldenBudgets ×
-// goldenConfigs. Every change to the reducer must leave it unchanged: a
-// representation that moves by one bit moves every stored row, every Dist_PAR
-// bound and every answer computed from them.
-const goldenHash = "1e3bbc3ca53a3c26c518ef6e979b6c32366237edb886062397ce7a63db212596"
+// goldenConfigs, and goldenGeneration the Generation it was pinned under. An
+// optimisation must leave the hash unchanged: a representation that moves by
+// one bit moves every stored row, every Dist_PAR bound and every answer
+// computed from them. A change that means to move it must bump Generation too,
+// or recovery would load representations logged by the old reducer as current.
+const (
+	goldenHash       = "1e3bbc3ca53a3c26c518ef6e979b6c32366237edb886062397ce7a63db212596"
+	goldenGeneration = 1
+)
 
 var goldenBudgets = []int{6, 12, 24}
 
@@ -101,7 +106,14 @@ func TestReduceGolden(t *testing.T) {
 			}
 		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != goldenHash {
-		t.Errorf("reducer output hash %s, pinned %s", got, goldenHash)
+	got := hex.EncodeToString(h.Sum(nil))
+	switch {
+	case got != goldenHash && Generation == goldenGeneration:
+		t.Errorf("reducer output hash %s, pinned %s under core.Generation %d: the output moved, so bump core.Generation "+
+			"(logged representations of generation %d would otherwise load as current), then pin the new hash and generation here",
+			got, goldenHash, goldenGeneration, goldenGeneration)
+	case got != goldenHash || Generation != goldenGeneration:
+		t.Errorf("reducer output hash %s under core.Generation %d, pinned %s under %d: pin the pair the reducer now has",
+			got, Generation, goldenHash, goldenGeneration)
 	}
 }

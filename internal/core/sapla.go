@@ -33,6 +33,13 @@ import (
 // iterates "while β does not grow".
 const improveEps = 1e-12
 
+// Generation names the reducer's output: two builds with the same Generation
+// reduce every series to the same bits. A representation persisted beside its
+// series (the service's write-ahead log) records it, and recovery trusts the
+// representation only under the running Generation. Bump it with any change
+// that moves an output bit; TestReduceGolden pins it beside its hash.
+const Generation = 1
+
 // SAPLA is the Self-Adaptive Piecewise Linear Approximation method. The zero
 // value is ready to use; the fields tune iteration budgets.
 type SAPLA struct {

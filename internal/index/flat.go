@@ -145,10 +145,10 @@ func (f *Flat) Lookup(id int) (*Entry, bool) {
 	return f.ents[s], true
 }
 
-// Each calls fn with the ID and raw series of every live entry.
-func (f *Flat) Each(fn func(id int, raw ts.Series)) {
+// Each calls fn with every live entry.
+func (f *Flat) Each(fn func(e *Entry)) {
 	for _, e := range f.ents {
-		fn(e.ID, e.Raw)
+		fn(e)
 	}
 }
 

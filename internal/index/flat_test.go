@@ -514,11 +514,11 @@ func TestFlatEdgeCases(t *testing.T) {
 		t.Fatal("Lookup found a deleted id")
 	}
 	seen := map[int]bool{}
-	f.Each(func(id int, raw ts.Series) {
-		if e, ok := f.Lookup(id); !ok || e != m.live[id] || &raw[0] != &e.Raw[0] {
-			t.Fatalf("Each visited id %d, which Lookup does not resolve to its live entry", id)
+	f.Each(func(e *Entry) {
+		if got, ok := f.Lookup(e.ID); !ok || got != e || e != m.live[e.ID] {
+			t.Fatalf("Each visited id %d, which Lookup does not resolve to its live entry", e.ID)
 		}
-		seen[id] = true
+		seen[e.ID] = true
 	})
 	if len(seen) != len(m.live) {
 		t.Fatalf("Each visited %d entries, %d live", len(seen), len(m.live))

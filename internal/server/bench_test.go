@@ -2,12 +2,16 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"sapla/internal/index"
+	"sapla/internal/wal"
 )
 
 // benchServer returns an in-memory server holding stored series of length n,
@@ -163,5 +167,72 @@ func benchDecode[T any](raw []byte) func(b *testing.B) {
 				b.Fatal(fast, err)
 			}
 		}
+	}
+}
+
+// BenchmarkRecover times New over a wal.MemFS holding rw_long_4shard's
+// index: 4 shards, 6000 random walks of 1024 points. On the reps row the log
+// is what a durable server's ingests write, every record carrying its
+// representation, and recovery loads them; on the raw row every record is op
+// 1, as a log from before representations were logged, and recovery reduces
+// all 6000 series. The difference is the reduction recovery no longer does.
+func BenchmarkRecover(b *testing.B) {
+	const shards, count, n = 4, 6000, 1024
+	for _, reps := range []bool{true, false} {
+		name := map[bool]string{true: "reps", false: "raw"}[reps]
+		b.Run(fmt.Sprintf("%s/%dx%dx%d", name, shards, count/shards, n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(8))
+			mem := wal.NewMemFS()
+			cfg := Config{WALFS: mem, Shards: shards, SnapshotEvery: -1}
+			if reps {
+				s, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for lo := 0; lo < count; lo += 250 {
+					items := make([]ingestRequest, 250)
+					for i := range items {
+						items[i].Values = randWalk(rng, n)
+					}
+					if _, _, rej := s.ingest(context.Background(), items); rej != nil {
+						b.Fatal(rej.err)
+					}
+				}
+				if err := s.Shutdown(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			} else {
+				recs, err := wal.OpenSharded(mem, shards, wal.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for id := 0; id < count; id++ {
+					st := recs[index.ShardOf(id, shards)].Store
+					if err := st.AppendIngestBatch([]wal.Series{{ID: int64(id), Values: randWalk(rng, n)}}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for _, r := range recs {
+					if err := r.Store.Close(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if s.Index().Len() != count {
+					b.Fatalf("recovered %d series, want %d", s.Index().Len(), count)
+				}
+				if err := s.Shutdown(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }

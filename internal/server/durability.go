@@ -10,6 +10,7 @@ import (
 
 	"sapla/internal/index"
 	"sapla/internal/par"
+	"sapla/internal/repr"
 	"sapla/internal/ts"
 	"sapla/internal/wal"
 )
@@ -59,24 +60,41 @@ func (s *Server) openStores() error {
 		return nil // purely in-memory
 	}
 
-	// Rebuild each shard's index from its recovered series. Reduction
-	// dominates recovery time, so the cores are split evenly over the shards
-	// and each shard reduces on its share: four shards on two cores stay at
-	// one goroutine each, one shard uses both.
+	// Rebuild each shard's index from its recovered series. A series whose
+	// log record carried its representation under this server's tag loads it:
+	// the bits the ingest computed, so the entry is the one the ingest built.
+	// Every other series — a short one, an op-1 log, another M or reducer
+	// generation — is reduced again. Reduction dominates what is left, so the
+	// cores are split evenly over the shards and each shard reduces on its
+	// share: four shards on two cores stay at one goroutine each, one shard
+	// uses both.
 	workers := max(1, runtime.GOMAXPROCS(0)/len(recs))
 	errs := make([]error, len(recs))
+	reduced := make([]int, len(recs))
 	par.Do(context.Background(), len(recs), len(recs), func(i int) {
-		values := make([]ts.Series, len(recs[i].Series))
-		for j, sr := range recs[i].Series {
-			values[j] = sr.Values
+		series := recs[i].Series
+		reps := make([]repr.Representation, len(series))
+		var todo []int // positions of the series to reduce
+		var values []ts.Series
+		for j, sr := range series {
+			if sr.Rep != nil && sr.Tag == s.repTag {
+				reps[j] = sr.Rep
+				continue
+			}
+			todo = append(todo, j)
+			values = append(values, sr.Values)
 		}
-		reps, bad, rerr := s.reduceAll(context.Background(), values, workers)
+		fresh, bad, rerr := s.reduceAll(context.Background(), values, workers)
 		if rerr != nil {
-			errs[i] = fmt.Errorf("server: recover series %d: %w", recs[i].Series[bad].ID, rerr)
+			errs[i] = fmt.Errorf("server: recover series %d: %w", series[todo[bad]].ID, rerr)
 			return
 		}
-		entries := make([]*index.Entry, len(values))
-		for j, sr := range recs[i].Series {
+		for k, j := range todo {
+			reps[j] = fresh[k]
+		}
+		reduced[i] = len(todo)
+		entries := make([]*index.Entry, len(series))
+		for j, sr := range series {
 			entries[j] = index.NewEntry(int(sr.ID), sr.Values, reps[j])
 		}
 		if err := s.shards[i].flat.InsertBatch(entries); err != nil {
@@ -94,11 +112,13 @@ func (s *Server) openStores() error {
 	// Aggregate what recovery did: counters sum across shards, the sequence
 	// floor and MaxID take the maximum. Auto IDs resume past every ID any
 	// shard has seen, and the series length is that of any recovered series.
-	for _, r := range recs {
+	for i, r := range recs {
 		s.nextID = max(s.nextID, int(r.Info.MaxID)+1)
 		if len(r.Series) > 0 {
 			s.n = len(r.Series[0].Values)
 		}
+		s.recoveryReduced += reduced[i]
+		s.recoveryLoaded += len(r.Series) - reduced[i]
 		s.recovery.SnapshotSeries += r.Info.SnapshotSeries
 		s.recovery.Segments += r.Info.Segments
 		s.recovery.Replayed += r.Info.Replayed
@@ -163,9 +183,11 @@ func (s *Server) snapshotNow() error {
 	}
 	for i, sh := range s.shards {
 		sh.mu.Lock()
+		// Every entry's representation is this server's reducer's: computed
+		// by its ingest, or loaded by recovery under the same tag.
 		series := make([]wal.Series, 0, sh.flat.Len())
-		sh.flat.Each(func(id int, raw ts.Series) {
-			series = append(series, wal.Series{ID: int64(id), Values: raw})
+		sh.flat.Each(func(e *index.Entry) {
+			series = append(series, wal.Series{ID: int64(e.ID), Values: e.Raw, Tag: s.repTag, Rep: e.Rep})
 		})
 		sealed, err := sh.store.Rotate()
 		sh.mu.Unlock()

@@ -7,11 +7,16 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
+	"sapla/internal/core"
+	"sapla/internal/index"
+	"sapla/internal/repr"
 	"sapla/internal/ts"
 	"sapla/internal/wal"
 )
@@ -50,7 +55,7 @@ func contents(s *Server) map[int][]uint64 {
 	out := map[int][]uint64{}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.flat.Each(func(id int, raw ts.Series) { out[id] = seriesBits(raw) })
+		sh.flat.Each(func(e *index.Entry) { out[e.ID] = seriesBits(e.Raw) })
 		sh.mu.Unlock()
 	}
 	return out
@@ -99,43 +104,8 @@ func TestServerCrashRecoveryProperty(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(500 + 100*shards + trial)))
 				mem := wal.NewMemFS()
 				s, hs := newTestServer(t, durableShardedConfig(mem, 1, shards))
-				client := hs.Client()
-
-				acked := map[int]ts.Series{}
-				deleted := -1 // the last acknowledged delete; auto IDs never reuse it
-				nextID := 0
-				nOps := 10 + rng.Intn(30)
-				for i := 0; i < nOps; i++ {
-					switch r := rng.Intn(10); {
-					case r < 7: // ingest
-						v := randWalk(rng, n)
-						resp := ingestOne(t, client, hs.URL, nil, v)
-						acked[resp.ID] = v
-						if resp.ID >= nextID {
-							nextID = resp.ID + 1
-						}
-					case r < 9: // delete (maybe missing)
-						if nextID == 0 {
-							continue
-						}
-						id := rng.Intn(nextID)
-						code := doJSON(t, client, "DELETE",
-							fmt.Sprintf("%s/v1/series/%d", hs.URL, id), nil, nil)
-						if _, ok := acked[id]; ok {
-							if code != http.StatusOK {
-								t.Fatalf("trial %d: delete %d: status %d", trial, id, code)
-							}
-							delete(acked, id)
-							deleted = id
-						} else if code != http.StatusNotFound {
-							t.Fatalf("trial %d: delete missing %d: status %d", trial, id, code)
-						}
-					default: // per-shard snapshots + rotations
-						if err := s.snapshotNow(); err != nil {
-							t.Fatalf("trial %d: snapshot: %v", trial, err)
-						}
-					}
-				}
+				out := crashTraffic(t, rng, s, hs, n, nil)
+				acked, deleted := out.acked, out.deleted
 
 				// Crash: the process dies, every byte the kernel had not
 				// fsync'd is gone. No Shutdown, no WAL flush.
@@ -162,36 +132,7 @@ func TestServerCrashRecoveryProperty(t *testing.T) {
 						trial, len(got), len(want), info)
 				}
 
-				// Reference: a purely in-memory single-shard server over
-				// exactly the acked set.
-				_, href := newTestServer(t, Config{Workers: 2})
-				for id, v := range acked {
-					idc := id
-					ingestOne(t, href.Client(), href.URL, &idc, v)
-				}
-
-				for qi := 0; qi < 4; qi++ {
-					q := randWalk(rng, n)
-					k := 1 + rng.Intn(5)
-					if k > len(acked) {
-						if len(acked) == 0 {
-							break
-						}
-						k = len(acked)
-					}
-					got := knnIDs(t, hrec.Client(), hrec.URL, q, k)
-					want := knnIDs(t, href.Client(), href.URL, q, k)
-					if len(got) != len(want) {
-						t.Fatalf("trial %d q%d: %d results, want %d", trial, qi, len(got), len(want))
-					}
-					for i := range want {
-						if got[i].ID != want[i].ID ||
-							math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
-							t.Fatalf("trial %d q%d result %d: got %+v, want %+v",
-								trial, qi, i, got[i], want[i])
-						}
-					}
-				}
+				answersLikeFresh(t, rng, hrec, Config{Workers: 2}, acked, n)
 
 				// Recovery claims nothing, so the shards alone must refuse an
 				// acknowledged ID — through either endpoint, with nothing
@@ -221,6 +162,272 @@ func TestServerCrashRecoveryProperty(t *testing.T) {
 				t.Fatal("no trial deleted a series, so none re-ingested one after the restart")
 			}
 		})
+	}
+}
+
+// crashOutcome is what crashTraffic's schedule left acknowledged.
+type crashOutcome struct {
+	acked     map[int]ts.Series
+	deleted   int // the last acknowledged delete, -1 if none; auto IDs never reuse it
+	snapshots int
+}
+
+// crashTraffic drives TestServerCrashRecoveryProperty's fault schedule
+// against s: 10 to 39 operations, seven in ten a single ingest of an n-point
+// random walk, two in ten a delete of an ID below the next auto ID (present
+// or not), one in ten a snapshot of every shard. A non-nil shadow receives
+// every acknowledged operation.
+func crashTraffic(t *testing.T, rng *rand.Rand, s *Server, hs *httptest.Server, n int, shadow *rawShadow) crashOutcome {
+	t.Helper()
+	client := hs.Client()
+	out := crashOutcome{acked: map[int]ts.Series{}, deleted: -1}
+	nextID := 0
+	nOps := 10 + rng.Intn(30)
+	for i := 0; i < nOps; i++ {
+		switch r := rng.Intn(10); {
+		case r < 7: // ingest
+			v := randWalk(rng, n)
+			resp := ingestOne(t, client, hs.URL, nil, v)
+			out.acked[resp.ID] = v
+			if resp.ID >= nextID {
+				nextID = resp.ID + 1
+			}
+			shadow.ingest(t, resp.ID, v)
+		case r < 9: // delete (maybe missing)
+			if nextID == 0 {
+				continue
+			}
+			id := rng.Intn(nextID)
+			code := doJSON(t, client, "DELETE",
+				fmt.Sprintf("%s/v1/series/%d", hs.URL, id), nil, nil)
+			if _, ok := out.acked[id]; ok {
+				if code != http.StatusOK {
+					t.Fatalf("delete %d: status %d", id, code)
+				}
+				delete(out.acked, id)
+				out.deleted = id
+				shadow.delete(t, id)
+			} else if code != http.StatusNotFound {
+				t.Fatalf("delete missing %d: status %d", id, code)
+			}
+		default: // per-shard snapshots + rotations
+			if err := s.snapshotNow(); err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+			out.snapshots++
+			shadow.snapshot(t)
+		}
+	}
+	return out
+}
+
+// answersLikeFresh requires four random k-NN queries to get from hs the
+// answers — IDs and distance bits — of a fresh in-memory single-shard server
+// under cfg holding exactly acked.
+func answersLikeFresh(t *testing.T, rng *rand.Rand, hs *httptest.Server, cfg Config, acked map[int]ts.Series, n int) {
+	t.Helper()
+	_, href := newTestServer(t, cfg)
+	for id, v := range acked {
+		idc := id
+		ingestOne(t, href.Client(), href.URL, &idc, v)
+	}
+	for qi := 0; qi < 4 && len(acked) > 0; qi++ {
+		q := randWalk(rng, n)
+		k := min(1+rng.Intn(5), len(acked))
+		got := knnIDs(t, hs.Client(), hs.URL, q, k)
+		want := knnIDs(t, href.Client(), href.URL, q, k)
+		if len(got) != len(want) {
+			t.Fatalf("q%d: %d results, want %d", qi, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID ||
+				math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+				t.Fatalf("q%d result %d: got %+v, want %+v", qi, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// rawShadow writes what a test acknowledges to a second data directory,
+// through the WAL calls the server makes but without representations: the
+// bytes a writer of op-1 records alone would leave. A nil shadow ignores
+// everything.
+type rawShadow struct {
+	mem  *wal.MemFS
+	recs []wal.ShardRecovery
+	live []map[int]ts.Series // per shard
+}
+
+func newRawShadow(t *testing.T, shards int) *rawShadow {
+	t.Helper()
+	mem := wal.NewMemFS()
+	recs, err := wal.OpenSharded(mem, shards, wal.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := make([]map[int]ts.Series, shards)
+	for i := range live {
+		live[i] = map[int]ts.Series{}
+	}
+	return &rawShadow{mem: mem, recs: recs, live: live}
+}
+
+func (r *rawShadow) ingest(t *testing.T, id int, v ts.Series) {
+	if r == nil {
+		return
+	}
+	si := index.ShardOf(id, len(r.recs))
+	if err := r.recs[si].Store.AppendIngestBatch([]wal.Series{{ID: int64(id), Values: v}}); err != nil {
+		t.Fatal(err)
+	}
+	r.live[si][id] = v
+}
+
+func (r *rawShadow) delete(t *testing.T, id int) {
+	if r == nil {
+		return
+	}
+	si := index.ShardOf(id, len(r.recs))
+	if err := r.recs[si].Store.AppendDelete(int64(id)); err != nil {
+		t.Fatal(err)
+	}
+	delete(r.live[si], id)
+}
+
+// snapshot seals and snapshots every shard in order, as snapshotNow does.
+func (r *rawShadow) snapshot(t *testing.T) {
+	if r == nil {
+		return
+	}
+	for si, rec := range r.recs {
+		sealed, err := rec.Store.Rotate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		series := make([]wal.Series, 0, len(r.live[si]))
+		for id, v := range r.live[si] {
+			series = append(series, wal.Series{ID: int64(id), Values: v})
+		}
+		sort.Slice(series, func(a, b int) bool { return series[a].ID < series[b].ID })
+		if err := rec.Store.WriteSnapshot(sealed, series); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// memFiles returns every file of mem with its bytes.
+func memFiles(t *testing.T, mem *wal.MemFS) map[string][]byte {
+	t.Helper()
+	names, err := mem.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, name := range names {
+		if out[name], err = mem.ReadFile(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestServerLongSeriesCrashRecovery runs TestServerCrashRecoveryProperty's
+// fault schedule at 1 and 4 shards on series either side of the WAL's size
+// rule. At n = 1024 every ingest and snapshot logs the representation, and
+// the restart loads every live one (none reduced); at n = 64 none is logged,
+// the data directory holds exactly the bytes an op-1-only writer leaves, and
+// the restart reduces everything. Either way every recovered representation
+// is bit-identical to a fresh reduction of its values, and the server answers
+// like a fresh one. A second restart under another M finds every tag stale:
+// it reduces everything and answers like a fresh server at that M.
+func TestServerLongSeriesCrashRecovery(t *testing.T) {
+	trials := 2
+	if testing.Short() {
+		trials = 1
+	}
+	for _, shards := range []int{1, 4} {
+		for _, n := range []int{64, 1024} {
+			t.Run(fmt.Sprintf("shards=%d/n=%d", shards, n), func(t *testing.T) {
+				snapshots := 0
+				for trial := 0; trial < trials; trial++ {
+					rng := rand.New(rand.NewSource(int64(900 + 100*shards + n + trial)))
+					mem := wal.NewMemFS()
+					s, hs := newTestServer(t, durableShardedConfig(mem, 1, shards))
+					shadow := newRawShadow(t, shards)
+					out := crashTraffic(t, rng, s, hs, n, shadow)
+					snapshots += out.snapshots
+					if n == 64 && !reflect.DeepEqual(memFiles(t, mem), memFiles(t, shadow.mem)) {
+						t.Fatalf("trial %d: the data directory of 64-point series differs from an op-1-only writer's", trial)
+					}
+					hs.Close()
+					mem.Crash(nil)
+
+					for _, m := range []int{12, 6} {
+						cfg := durableShardedConfig(mem, 1, shards)
+						cfg.M = m
+						rec, hrec := newTestServer(t, cfg)
+						loaded := 0
+						if n == 1024 && m == 12 {
+							loaded = len(out.acked)
+						}
+						recoveryCounts(t, hrec, loaded, len(out.acked)-loaded)
+						freshReps(t, rec, m)
+						answersLikeFresh(t, rng, hrec, Config{Workers: 2, M: m}, out.acked, n)
+						hrec.Close()
+						if err := rec.Shutdown(context.Background()); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if snapshots == 0 {
+					t.Fatal("no trial took a snapshot, so none recovered representations from one")
+				}
+			})
+		}
+	}
+}
+
+// recoveryCounts requires /metrics to report loaded series whose
+// representation came from the log and reduced ones that recovery reduced.
+func recoveryCounts(t *testing.T, hs *httptest.Server, loaded, reduced int) {
+	t.Helper()
+	var doc struct {
+		Durability map[string]any `json:"durability"`
+	}
+	if code := doJSON(t, hs.Client(), "GET", hs.URL+"/metrics", nil, &doc); code != http.StatusOK {
+		t.Fatalf("/metrics: %d", code)
+	}
+	d := doc.Durability
+	if d["recovery_loaded"] != float64(loaded) || d["recovery_reduced"] != float64(reduced) {
+		t.Fatalf("recovery loaded %v, reduced %v; want %d and %d", d["recovery_loaded"], d["recovery_reduced"], loaded, reduced)
+	}
+}
+
+// freshReps requires every entry of s to hold the representation a fresh
+// reducer computes from its values at budget m, bit for bit.
+func freshReps(t *testing.T, s *Server, m int) {
+	t.Helper()
+	red := core.NewReducer()
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.flat.Each(func(e *index.Entry) {
+			want, err := red.ReduceInto(repr.Linear{}, e.Raw, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok := e.Rep.(repr.Linear)
+			if !ok || got.N != want.N || len(got.Segs) != len(want.Segs) {
+				t.Fatalf("id %d: representation %+v, want %+v", e.ID, e.Rep, want)
+			}
+			for i, w := range want.Segs {
+				g := got.Segs[i]
+				if math.Float64bits(g.Line.A) != math.Float64bits(w.Line.A) ||
+					math.Float64bits(g.Line.B) != math.Float64bits(w.Line.B) || g.R != w.R {
+					t.Fatalf("id %d segment %d: %+v, a fresh reduction gives %+v", e.ID, i, g, w)
+				}
+			}
+		})
+		sh.mu.Unlock()
 	}
 }
 

@@ -142,7 +142,8 @@ func reduceRejection(bad int, err error) *rejection {
 
 // ingest is the one write commit: it validates, reduces and claims every
 // item, checks the explicit IDs against the committed series, then commits
-// them shard by shard — one WAL group append (one fsync at SyncEvery=1), one
+// them shard by shard — one WAL group append (one fsync at SyncEvery=1; each
+// record carries its representation when the WAL's size rule admits it), one
 // exclusive index lock acquisition and one epoch advance per touched shard —
 // and releases its claims once every shard has finished. It is atomic over
 // acknowledgement: any invalid series, duplicate ID, append or insert failure
@@ -275,7 +276,7 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []re
 		if sh.store != nil {
 			batch := make([]wal.Series, len(groups[si]))
 			for gi, pos := range groups[si] {
-				batch[gi] = wal.Series{ID: int64(ids[pos]), Values: values[pos]}
+				batch[gi] = wal.Series{ID: int64(ids[pos]), Values: values[pos], Tag: s.repTag, Rep: reps[pos]}
 			}
 			if c.err = sh.store.AppendIngestBatch(batch); c.err != nil {
 				return

@@ -37,6 +37,7 @@ import (
 	"sapla/internal/core"
 	"sapla/internal/index"
 	"sapla/internal/reduce"
+	"sapla/internal/tsio"
 	"sapla/internal/wal"
 )
 
@@ -187,6 +188,12 @@ type Server struct {
 	// reducers pools the allocation-free SAPLA reduction workspaces the
 	// ingest and query paths borrow (core.Reducer is single-goroutine).
 	reducers sync.Pool
+	// repTag names the reducer behind every representation this server
+	// computes: the tag it logs beside them, and the only one under which
+	// recovery loads a logged representation instead of reducing again. Zero
+	// (nothing logged, everything reduced) for the baselines, whose reducers
+	// carry no generation.
+	repTag tsio.RepTag
 
 	// state is the lifecycle (recovering → ready → draining) gate /readyz
 	// and the API middleware read.
@@ -207,6 +214,11 @@ type Server struct {
 	snapStop    chan struct{}
 	snapWG      sync.WaitGroup
 	stopOnce    sync.Once
+
+	// recoveryLoaded and recoveryReduced count, over every shard, the
+	// recovered series whose representation came from the log and those
+	// recovery reduced again.
+	recoveryLoaded, recoveryReduced int
 
 	// bookMu guards the cross-shard ingest bookkeeping: the IDs of in-flight
 	// ingests (committed ones are their shards' to refuse), the fixed series
@@ -253,6 +265,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.state.Store(stateRecovering)
 	s.reducers.New = func() any { return core.NewReducer() }
+	if cfg.Method == "SAPLA" {
+		s.repTag = tsio.RepTag{Method: tsio.RepSAPLA, Gen: core.Generation, M: uint32(cfg.M)}
+	}
 
 	err := s.openStores()
 	if err != nil {

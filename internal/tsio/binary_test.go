@@ -2,10 +2,28 @@ package tsio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
+
+	"sapla/internal/repr"
+	"sapla/internal/segment"
 )
+
+// testTag is a tag the codec accepts.
+var testTag = RepTag{Method: RepSAPLA, Gen: 3, M: 12}
+
+// repRecord returns an op-3 record of values 0..n-1 (plus a wiggle) carrying
+// their least-squares fit on the given right endpoints.
+func repRecord(id int64, n int, endpoints ...int) WALRecord {
+	values := make([]float64, n)
+	for i := range values {
+		values[i] = float64(i) + math.Sin(float64(i))
+	}
+	return WALRecord{Op: WALIngestRep, ID: id, Values: values, Tag: testTag, Rep: repr.FitLinear(values, endpoints)}
+}
 
 func TestWALRecordRoundTrip(t *testing.T) {
 	cases := []struct {
@@ -20,6 +38,11 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		{"ingest non-finite bits", WALRecord{Op: WALIngest, ID: 1,
 			Values: []float64{math.NaN(), math.Inf(1), math.Inf(-1)}}},
 		{"delete", WALRecord{Op: WALDelete, ID: 99}},
+		{"ingest rep one segment", repRecord(5, 1, 0)},
+		{"ingest rep", repRecord(-6, 64, 9, 30, 31, 63)},
+		{"ingest rep extreme tag", WALRecord{Op: WALIngestRep, ID: 1, Values: []float64{1, 2},
+			Tag: RepTag{Method: RepSAPLA, Gen: math.MaxUint16, M: math.MaxUint32},
+			Rep: repr.Linear{N: 2, Segs: []repr.LinearSeg{{Line: segment.Line{A: -math.MaxFloat64, B: math.Copysign(0, -1)}, R: 1}}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -34,7 +57,8 @@ func TestWALRecordRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if back.Op != tc.rec.Op || back.ID != tc.rec.ID || len(back.Values) != len(tc.rec.Values) {
+			if back.Op != tc.rec.Op || back.ID != tc.rec.ID || len(back.Values) != len(tc.rec.Values) ||
+				back.Tag != tc.rec.Tag || !reflect.DeepEqual(back.Rep, tc.rec.Rep) {
 				t.Fatalf("round trip %+v -> %+v", tc.rec, back)
 			}
 			for i := range back.Values {
@@ -64,6 +88,21 @@ func TestWALRecordEncodeRejects(t *testing.T) {
 	}
 	if _, err := AppendWALRecord(nil, WALRecord{Op: WALDelete, ID: 1, Values: []float64{1}}); err == nil {
 		t.Fatal("delete with values accepted")
+	}
+	good := repRecord(1, 8, 3, 7)
+	for name, mut := range map[string]func(*WALRecord){
+		"non-Linear representation": func(r *WALRecord) { r.Rep = repr.PAA{N: 8, Values: []float64{1, 2}} },
+		"no representation":         func(r *WALRecord) { r.Rep = nil },
+		"zero tag":                  func(r *WALRecord) { r.Tag = RepTag{} },
+		"length mismatch":           func(r *WALRecord) { r.Values = r.Values[:7] },
+		"invalid representation":    func(r *WALRecord) { r.Rep = repr.Linear{N: 8} },
+		"representation on op 1":    func(r *WALRecord) { r.Op = WALIngest },
+	} {
+		rec := good
+		mut(&rec)
+		if out, err := AppendWALRecord([]byte{0xEE}, rec); err == nil || len(out) != 1 {
+			t.Fatalf("%s: encoded (%d bytes out, err %v)", name, len(out), err)
+		}
 	}
 }
 
@@ -130,4 +169,60 @@ func TestWALRecordDecodeRejects(t *testing.T) {
 			t.Fatal("delete with count accepted")
 		}
 	})
+
+	// Op 3: each case edits a valid encoding of a 16-point series with
+	// segments ending at 4, 9 and 15. The representation starts at rep; its
+	// segment i at seg(i), with A, B and R at +0, +8 and +16.
+	rec := repRecord(3, 16, 4, 9, 15)
+	goodRep, err := AppendWALRecord(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeWALRecord(goodRep); err != nil {
+		t.Fatalf("valid op-3 record rejected: %v", err)
+	}
+	rep := walRecordHeader + 8*16
+	seg := func(i int) int { return rep + walRepHeader + walRepSeg*i }
+	putR := func(b []byte, i int, r uint32) { binary.LittleEndian.PutUint32(b[seg(i)+16:], r) }
+	for _, tc := range []struct {
+		name string
+		edit func([]byte) []byte
+		want error
+	}{
+		{"zero segments", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[rep+7:], 0)
+			return b[:seg(0)]
+		}, nil},
+		{"more segments than values", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[rep+7:], 17)
+			return b
+		}, nil},
+		{"equal endpoints", func(b []byte) []byte { putR(b, 1, 4); return b }, nil},
+		{"decreasing endpoints", func(b []byte) []byte { putR(b, 1, 3); return b }, nil},
+		{"endpoint past n-1", func(b []byte) []byte { putR(b, 2, 16); return b }, nil},
+		{"last endpoint short of n-1", func(b []byte) []byte { putR(b, 2, 14); return b }, nil},
+		{"NaN coefficient", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[seg(1):], math.Float64bits(math.NaN()))
+			return b
+		}, nil},
+		{"infinite coefficient", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[seg(2)+8:], math.Float64bits(math.Inf(-1)))
+			return b
+		}, nil},
+		{"trailing bytes", func(b []byte) []byte { return append(b, 0) }, ErrWALRecordShort},
+		{"missing segment bytes", func(b []byte) []byte { return b[:len(b)-1] }, ErrWALRecordShort},
+		{"no representation", func(b []byte) []byte { return b[:rep] }, ErrWALRecordShort},
+		{"unknown method code", func(b []byte) []byte { b[rep] = 2; return b }, ErrWALRepMethod},
+		{"zero method code", func(b []byte) []byte { b[rep] = 0; return b }, ErrWALRepMethod},
+	} {
+		t.Run("op3 "+tc.name, func(t *testing.T) {
+			_, err := DecodeWALRecord(tc.edit(append([]byte(nil), goodRep...)))
+			if err == nil {
+				t.Fatal("decoded")
+			}
+			if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("err %v, want %v", err, tc.want)
+			}
+		})
+	}
 }

@@ -37,10 +37,10 @@ func FuzzReadSeries(f *testing.F) {
 	})
 }
 
-// FuzzWALRecord feeds arbitrary bytes through the binary WAL-record codec:
-// decoding must never panic, and anything that decodes must re-encode
-// byte-identically (decode(encode(r)) == r is the replay-stability
-// contract).
+// FuzzWALRecord feeds arbitrary bytes through the binary WAL-record codec,
+// op 3's representation included: decoding must never panic, and anything
+// that decodes must re-encode byte-identically (decode(encode(r)) == r is
+// the replay-stability contract).
 func FuzzWALRecord(f *testing.F) {
 	seed, _ := AppendWALRecord(nil, WALRecord{Op: WALIngest, ID: 7, Values: []float64{1, -2.5, 3e9}})
 	f.Add(seed)
@@ -49,6 +49,9 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
 	f.Add(bytes.Repeat([]byte{0xFF}, 13))
+	withRep, _ := AppendWALRecord(nil, repRecord(9, 6, 1, 5))
+	f.Add(withRep)
+	f.Add(withRep[:len(withRep)-20])
 	f.Fuzz(func(t *testing.T, input []byte) {
 		rec, err := DecodeWALRecord(input)
 		if err != nil {

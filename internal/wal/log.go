@@ -13,10 +13,9 @@ import (
 const frameHeader = 8
 
 // maxFramePayload bounds one frame so a corrupt length prefix cannot drive
-// an enormous allocation or make replay skip the rest of the log. It is
-// comfortably above the largest record the codec itself permits (record
-// header plus MaxWALValues float64s).
-const maxFramePayload = 16 + 8*tsio.MaxWALValues
+// an enormous allocation or make replay skip the rest of the log: no frame
+// holds more than the largest record the codec permits.
+const maxFramePayload = tsio.MaxWALRecordSize
 
 // castagnoli is the CRC32C table (the checksum with hardware support on
 // both amd64 and arm64).

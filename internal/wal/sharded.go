@@ -31,8 +31,16 @@ import (
 // data directory.
 const manifestName = "shards.meta"
 
-// manifestMagic heads the manifest (7 name bytes + format version).
-const manifestMagic = "SAPLSHD1"
+// manifestMagic heads the manifest (7 name bytes + format version). Version
+// 2 marks a directory whose streams may hold op-3 records (an ingest with its
+// representation). A version-1 binary refuses the manifest, and with it the
+// directory: its replay takes any frame it cannot decode for a torn tail, so
+// it would silently truncate a final segment at the first op-3 record.
+// OpenSharded reads a version-1 manifest and rewrites it as version 2.
+const (
+	manifestMagic   = "SAPLSHD2"
+	manifestMagicV1 = "SAPLSHD1"
+)
 
 // maxShards bounds the manifest count: the namespace prefix is
 // fixed-width four digits, and four-digit shard counts already exceed any
@@ -116,35 +124,40 @@ func encodeManifest(shards int) []byte {
 	return []byte(fmt.Sprintf("%s count=%d\n", manifestMagic, shards))
 }
 
-// decodeManifest parses and validates manifest bytes.
-func decodeManifest(data []byte) (int, error) {
+// decodeManifest parses and validates manifest bytes; current is false for a
+// version-1 manifest.
+func decodeManifest(data []byte) (shards int, current bool, err error) {
 	s := strings.TrimSuffix(string(data), "\n")
-	rest, ok := strings.CutPrefix(s, manifestMagic+" count=")
+	rest, current := strings.CutPrefix(s, manifestMagic+" count=")
+	ok := current
+	if !ok {
+		rest, ok = strings.CutPrefix(s, manifestMagicV1+" count=")
+	}
 	if !ok || strings.ContainsAny(rest, "\n") {
-		return 0, fmt.Errorf("%w: %q", ErrCorruptManifest, s)
+		return 0, false, fmt.Errorf("%w: %q", ErrCorruptManifest, s)
 	}
-	shards, err := strconv.Atoi(rest)
+	shards, err = strconv.Atoi(rest)
 	if err != nil || shards < 1 || shards > maxShards {
-		return 0, fmt.Errorf("%w: shard count %q", ErrCorruptManifest, rest)
+		return 0, false, fmt.Errorf("%w: shard count %q", ErrCorruptManifest, rest)
 	}
-	return shards, nil
+	return shards, current, nil
 }
 
 // readManifest loads the shard count; found is false when no manifest
-// exists (a fresh or pre-sharding directory).
-func readManifest(fsys FS) (shards int, found bool, err error) {
+// exists (a fresh or pre-sharding directory), current when it is version 2.
+func readManifest(fsys FS) (shards int, found, current bool, err error) {
 	data, err := fsys.ReadFile(manifestName)
 	if errors.Is(err, fs.ErrNotExist) {
-		return 0, false, nil
+		return 0, false, false, nil
 	}
 	if err != nil {
-		return 0, false, fmt.Errorf("wal: read shard manifest: %w", err)
+		return 0, false, false, fmt.Errorf("wal: read shard manifest: %w", err)
 	}
-	shards, err = decodeManifest(data)
+	shards, current, err = decodeManifest(data)
 	if err != nil {
-		return 0, false, err
+		return 0, false, false, err
 	}
-	return shards, true, nil
+	return shards, true, current, nil
 }
 
 // writeManifest durably installs the shard count via temp + fsync + atomic
@@ -196,6 +209,8 @@ type ShardRecovery struct {
 //  3. a fresh directory adopts the requested count and pins it before any
 //     stream is created.
 //
+// A version-1 manifest is rewritten as version 2 before any stream opens.
+//
 // The returned slice has one entry per effective shard. On any shard's
 // failure every already-opened store is closed and the first error (by
 // shard order) is returned.
@@ -207,7 +222,7 @@ func OpenSharded(fsys FS, shards int, opts Options) ([]ShardRecovery, error) {
 		return nil, fmt.Errorf("wal: shard count %d exceeds %d", shards, maxShards)
 	}
 
-	effective, found, err := readManifest(fsys)
+	effective, found, current, err := readManifest(fsys)
 	if err != nil {
 		return nil, err
 	}
@@ -220,6 +235,8 @@ func OpenSharded(fsys FS, shards int, opts Options) ([]ShardRecovery, error) {
 		if legacy {
 			effective = 1
 		}
+	}
+	if !current {
 		if werr := writeManifest(fsys, effective); werr != nil {
 			return nil, werr
 		}

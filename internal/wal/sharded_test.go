@@ -118,9 +118,9 @@ func TestOpenShardedFreshWritesManifest(t *testing.T) {
 			t.Fatalf("shard %d fresh recovery not empty: %+v", i, r.Info)
 		}
 	}
-	count, found, err := readManifest(mem)
-	if err != nil || !found || count != 4 {
-		t.Fatalf("manifest after fresh open: count=%d found=%v err=%v", count, found, err)
+	count, found, current, err := readManifest(mem)
+	if err != nil || !found || !current || count != 4 {
+		t.Fatalf("manifest after fresh open: count=%d found=%v current=%v err=%v", count, found, current, err)
 	}
 	closeShards(t, recs)
 }
@@ -211,9 +211,9 @@ func TestOpenShardedAdoptsLegacyDir(t *testing.T) {
 	}
 	closeShards(t, recs)
 
-	count, found, err := readManifest(mem)
-	if err != nil || !found || count != 1 {
-		t.Fatalf("legacy adoption not pinned: count=%d found=%v err=%v", count, found, err)
+	count, found, current, err := readManifest(mem)
+	if err != nil || !found || !current || count != 1 {
+		t.Fatalf("legacy adoption not pinned: count=%d found=%v current=%v err=%v", count, found, current, err)
 	}
 }
 

@@ -24,7 +24,8 @@ var snapshotMagic = []byte("SAPLSNP1")
 //	magic [8] | count uint32 | count × (len uint32 | WAL ingest record) | crc32c uint32
 //
 // The trailing CRC32C covers everything before it, so any truncation or bit
-// flip anywhere in the file is caught by one footer check.
+// flip anywhere in the file is caught by one footer check. Each record is
+// ingestRecord's choice, op 1 or op 3, as in the log.
 
 // encodeSnapshot serializes series (which the caller provides sorted by ID
 // so snapshot bytes are deterministic for a given store state).
@@ -32,7 +33,7 @@ func encodeSnapshot(series []Series) ([]byte, error) {
 	buf := append([]byte(nil), snapshotMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(series)))
 	for _, s := range series {
-		rec := tsio.WALRecord{Op: tsio.WALIngest, ID: s.ID, Values: s.Values}
+		rec := ingestRecord(s)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(tsio.EncodedWALRecordSize(rec)))
 		var err error
 		buf, err = tsio.AppendWALRecord(buf, rec)
@@ -72,10 +73,10 @@ func decodeSnapshot(data []byte) ([]Series, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: series %d: %v", ErrCorruptSnapshot, i, err)
 		}
-		if rec.Op != tsio.WALIngest {
+		if rec.Op == tsio.WALDelete {
 			return nil, fmt.Errorf("%w: series %d has op %d", ErrCorruptSnapshot, i, rec.Op)
 		}
-		out = append(out, Series{ID: rec.ID, Values: rec.Values})
+		out = append(out, Series{ID: rec.ID, Values: rec.Values, Tag: rec.Tag, Rep: rec.Rep})
 		off += recLen
 	}
 	if off != len(body) {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"sapla/internal/repr"
 	"sapla/internal/tsio"
 )
 
@@ -41,6 +42,34 @@ var (
 type Series struct {
 	ID     int64
 	Values []float64
+	// Rep is the representation the ingest computed from Values, and Tag the
+	// reducer that computed it. An append logs them as an op-3 record when
+	// ingestRecord admits them and drops them otherwise; Open returns them
+	// when the live record carried them, and a nil Rep when it did not.
+	Tag tsio.RepTag
+	Rep repr.Representation
+}
+
+// repShare is the size rule for logging a representation: an ingest record
+// carries one only when its encoding (tag and segments) is at most 1/repShare
+// of the record's value bytes. Below that share a long series' log grows by
+// under 1.6 % and recovery skips its reduction, the most expensive step of a
+// restart; a short series' representation would cost more log than that, so
+// its record stays op 1, byte for byte, and recovery reduces it. At M = 12
+// (4 segments, 91 bytes) the cut falls at 728 points.
+const repShare = 64
+
+// ingestRecord is the log record of sr: op 3 with its representation when the
+// size rule admits it and tsio.ValidateWALRep accepts it, op 1 otherwise. It
+// never fails an append over the representation: op 1 recovers too, by
+// reduction.
+func ingestRecord(sr Series) tsio.WALRecord {
+	rec := tsio.WALRecord{Op: tsio.WALIngest, ID: sr.ID, Values: sr.Values}
+	if lin, ok := sr.Rep.(repr.Linear); ok && repShare*tsio.WALRepSize(len(lin.Segs)) <= 8*len(sr.Values) &&
+		tsio.ValidateWALRep(sr.Tag, lin, len(sr.Values)) == nil {
+		rec.Op, rec.Tag, rec.Rep = tsio.WALIngestRep, sr.Tag, lin
+	}
+	return rec
 }
 
 // Options tunes a Store.
@@ -163,7 +192,7 @@ func openOnce(fsys FS, opts Options) (*Store, []Series, RecoveryInfo, error) {
 	// fsync'd before rename, so failing to parse it is fatal — silently
 	// falling back to an older snapshot would resurrect deleted series and
 	// drop ingested ones.
-	state := make(map[int64][]float64)
+	state := make(map[int64]Series)
 	if len(snapSeqs) > 0 {
 		info.SnapshotSeq = snapSeqs[len(snapSeqs)-1]
 		data, err := fsys.ReadFile(snapFileName(info.SnapshotSeq))
@@ -176,7 +205,7 @@ func openOnce(fsys FS, opts Options) (*Store, []Series, RecoveryInfo, error) {
 		}
 		info.SnapshotSeries = len(series)
 		for _, s := range series {
-			state[s.ID] = s.Values
+			state[s.ID] = s
 			if s.ID > info.MaxID {
 				info.MaxID = s.ID
 			}
@@ -185,11 +214,12 @@ func openOnce(fsys FS, opts Options) (*Store, []Series, RecoveryInfo, error) {
 
 	// Replay every segment newer than the snapshot, in order. Only the
 	// final segment may have a torn tail; anything earlier was sealed with
-	// an fsync before its successor was created.
+	// an fsync before its successor was created. An ingest replaces the
+	// whole entry, so an op-1 re-ingest drops an earlier representation.
 	apply := func(rec tsio.WALRecord) error {
 		switch rec.Op {
-		case tsio.WALIngest:
-			state[rec.ID] = rec.Values
+		case tsio.WALIngest, tsio.WALIngestRep:
+			state[rec.ID] = Series{ID: rec.ID, Values: rec.Values, Tag: rec.Tag, Rep: rec.Rep}
 			if rec.ID > info.MaxID {
 				info.MaxID = rec.ID
 			}
@@ -263,8 +293,8 @@ func openOnce(fsys FS, opts Options) (*Store, []Series, RecoveryInfo, error) {
 	}
 
 	out := make([]Series, 0, len(state))
-	for id, values := range state {
-		out = append(out, Series{ID: id, Values: values})
+	for _, sr := range state {
+		out = append(out, sr)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return s, out, info, nil
@@ -281,9 +311,10 @@ func (s *Store) AppendIngest(id int64, values []float64) error {
 }
 
 // AppendIngestBatch durably records one ingest per series under a single
-// mutex hold. Every series is validated before any byte is written, so a bad
-// series rejects the whole batch instead of leaving a prefix in the log. The
-// batch counts as len(series) records toward group commit and is fsync'd
+// mutex hold, each with its representation when ingestRecord admits it.
+// Every series is validated before any byte is written, so a bad series
+// rejects the whole batch instead of leaving a prefix in the log. The batch
+// counts as len(series) records toward group commit and is fsync'd
 // before returning whenever it completes a batch — with SyncEvery 1 that is
 // one fsync for the whole call, the point of batching.
 func (s *Store) AppendIngestBatch(series []Series) error {
@@ -305,7 +336,7 @@ func (s *Store) AppendIngestBatch(series []Series) error {
 	// back to the pre-batch offset, never leaving a partial batch appended.
 	frames := []byte(nil)
 	for _, sr := range series {
-		payload, err := tsio.AppendWALRecord(s.buf[:0], tsio.WALRecord{Op: tsio.WALIngest, ID: sr.ID, Values: sr.Values})
+		payload, err := tsio.AppendWALRecord(s.buf[:0], ingestRecord(sr))
 		if err != nil {
 			return err
 		}
