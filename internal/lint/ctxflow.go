@@ -49,6 +49,16 @@ func funcTakesContext(info *types.Info, fd *ast.FuncDecl) bool {
 	return false
 }
 
+// isContextType reports whether t is context.Context.
+func isContextType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
+}
+
 // checkDroppedContext flags context.Background()/context.TODO() arguments
 // inside a function that has a context of its own.
 func checkDroppedContext(p *Pass, info *types.Info, call *ast.CallExpr) {
@@ -67,6 +77,33 @@ func checkDroppedContext(p *Pass, info *types.Info, call *ast.CallExpr) {
 			"context.%s passed to %s inside a function that has its own context; thread the caller's ctx so cancellation propagates",
 			name, callee)
 	}
+}
+
+// staticCallee resolves a call to the *types.Func it statically invokes:
+// package-level functions and concrete methods resolve; interface methods,
+// function values and builtins do not.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := info.Uses[fun].(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			fn, ok := sel.Obj().(*types.Func)
+			if !ok {
+				return nil
+			}
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				return nil
+			}
+			return fn
+		}
+		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
+			return fn // qualified cross-package call
+		}
+	}
+	return nil
 }
 
 // freshContextCall matches context.Background() / context.TODO(), returning

@@ -10,22 +10,27 @@ import (
 
 // FuzzLintSource drives the full loader/analyzer pipeline over arbitrary Go
 // source: whatever the fuzzer produces, the driver must either reject it
-// with a parse/typecheck error or analyze it without panicking. The seeds
-// steer the corpus toward the constructs the flow-sensitive walks have to
-// survive — closures, channel operations, directives, labeled jumps.
+// with a parse/typecheck error or analyze it without panicking. The source
+// lands in an eval package, inside the determinism analyzer's scope, so all
+// four analyzers see it; the seeds steer the corpus toward what each one and
+// the directive parser look at.
 func FuzzLintSource(f *testing.F) {
-	f.Add("package p\n\nfunc f() {}\n")
-	f.Add("package p\n\nfunc f() { go func() { for {} }() }\n")
-	f.Add("package p\n\n//sapla:bogus reason\nfunc f() {}\n")
-	f.Add("package p\n\nfunc f() { ch := make(chan int); ch <- 1; for range ch {} }\n")
-	f.Add("package p\n\nimport \"sync\"\n\nfunc f() { var wg sync.WaitGroup; wg.Add(1); go func() { wg.Done() }(); wg.Wait() }\n")
-	f.Add("package p\n\nfunc f(xs []int) {\nloop:\n\tfor _, x := range xs {\n\t\tif x == 0 {\n\t\t\tcontinue loop\n\t\t}\n\t\tgoto done\n\t}\ndone:\n}\n")
+	f.Add("package eval\n\nfunc f() {}\n")
+	f.Add("package eval\n\nfunc eq(a, b float64) bool { return a == b }\n")
+	f.Add("package eval\n\nimport \"errors\"\n\nfunc fail() error { return errors.New(\"x\") }\n\nfunc f() { fail() }\n")
+	f.Add("package eval\n\nimport \"context\"\n\nfunc g(ctx context.Context) {}\n\nfunc f(ctx context.Context) { g(context.Background()) }\n")
+	f.Add("package eval\n\n//sapla:bogus reason\nfunc f(a, b float64) bool {\n\treturn a == b //sapla:floateq\n}\n")
+	f.Add("package eval\n\nimport \"time\"\n\nfunc f(m map[int]float64) (xs []float64, s float64) {\n\t_ = time.Now()\n\tfor _, v := range m {\n\t\txs = append(xs, v)\n\t\ts += v\n\t}\n\treturn\n}\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module fuzzmod\n\ngo 1.22\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {
+		pkg := filepath.Join(dir, "eval")
+		if err := os.Mkdir(pkg, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(pkg, "eval.go"), []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		prog, err := lint.Load(dir, []string{"./..."})

@@ -1,15 +1,16 @@
 // Package lint is the repo's static-analysis driver: a stdlib-only
 // (go/parser, go/ast, go/types, go/token — no x/tools dependency) analysis
-// framework plus the repo-specific analyzers that turn the durability
-// contract — WAL append before acknowledge, deterministic evaluation output,
-// validated request data — into checks that run inside `go test ./...`
-// (TestRepoIsClean) instead of regression signals that fire after the fact.
-// Contracts a cheaper tool already holds are not repeated here: go vet guards
-// lock copies, testing.AllocsPerRun tests guard the zero-allocation hot
-// paths, goroutine lifetime is a reviewed list of go statements
-// (TestGoStatements) plus the runtime join tests of the packages that spawn
-// them, and locking is a reviewed list of lock classes (TestLockClasses) plus
-// the race detector over the packages that hold them.
+// framework plus four syntactic, per-function analyzers — exact float
+// comparison, deterministic evaluation output, dropped errors, detached
+// contexts — that run inside `go test ./...` (TestRepoIsClean) instead of
+// regression signals that fire after the fact. Contracts a cheaper tool
+// already holds are not repeated here: go vet guards lock copies,
+// testing.AllocsPerRun tests guard the zero-allocation hot paths, goroutine
+// lifetime is a reviewed list of go statements (TestGoStatements) plus the
+// runtime join tests of the packages that spawn them, locking is a reviewed
+// list of lock classes (TestLockClasses) plus the race detector, and the
+// server's WAL ordering and request bounds are its own runtime tests
+// (TestServerWriteInvisibleUntilLogged, FuzzHandlers).
 //
 // The driver loads and type-checks packages (see Load), runs each Analyzer
 // over every requested package, and reports findings as
@@ -19,14 +20,8 @@
 //	//sapla:floateq <reason>   suppresses a floatcmp finding on its line
 //	//sapla:nondet <reason>    suppresses a determinism finding on its line
 //	//sapla:errok <reason>     suppresses an errcheck finding on its line
-//	//sapla:volatile <reason>  suppresses a walorder finding on its line (a
-//	                           deliberately non-durable write, e.g. a
-//	                           best-effort compensation on an error path)
 //	//sapla:detach <reason>    suppresses a ctxflow finding on its line (a
 //	                           deliberately detached context)
-//	//sapla:untainted <reason> suppresses a taintflow finding on its line
-//	                           (request-derived data validated by a
-//	                           mechanism outside the recognized sanitizers)
 //
 // Suppression directives require a reason: an annotation that does not say
 // why the exception is sound is itself a finding. A directive trailing code
@@ -91,12 +86,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Directive names, each a per-line suppression.
 const (
-	DirFloatEq   = "floateq"
-	DirNonDet    = "nondet"
-	DirErrOK     = "errok"
-	DirVolatile  = "volatile"
-	DirDetach    = "detach"
-	DirUntainted = "untainted"
+	DirFloatEq = "floateq"
+	DirNonDet  = "nondet"
+	DirErrOK   = "errok"
+	DirDetach  = "detach"
 )
 
 // suppressDirective maps an analyzer to the directive that silences it.
@@ -104,20 +97,16 @@ var suppressDirective = map[string]string{
 	"floatcmp":    DirFloatEq,
 	"determinism": DirNonDet,
 	"errcheck":    DirErrOK,
-	"walorder":    DirVolatile,
 	"ctxflow":     DirDetach,
-	"taintflow":   DirUntainted,
 }
 
 // knownDirectives is every accepted //sapla: directive; each requires a
 // reason.
 var knownDirectives = map[string]bool{
-	DirFloatEq:   true,
-	DirNonDet:    true,
-	DirErrOK:     true,
-	DirVolatile:  true,
-	DirDetach:    true,
-	DirUntainted: true,
+	DirFloatEq: true,
+	DirNonDet:  true,
+	DirErrOK:   true,
+	DirDetach:  true,
 }
 
 // directive is one parsed //sapla: comment.
@@ -232,9 +221,7 @@ func Analyzers(names ...string) ([]*Analyzer, error) {
 		FloatcmpAnalyzer,
 		DeterminismAnalyzer,
 		ErrcheckAnalyzer,
-		WalorderAnalyzer,
 		CtxflowAnalyzer,
-		TaintflowAnalyzer,
 	}
 	if len(names) == 0 {
 		return all, nil
@@ -284,7 +271,8 @@ func (prog *Program) Run(analyzers []*Analyzer) []Diagnostic {
 		}
 		return a.Message < b.Message
 	})
-	// Drop exact duplicates (one construct can be reached by two walks).
+	// Drop exact duplicates (a write under nested map ranges is seen once per
+	// enclosing loop).
 	out := diags[:0]
 	for i, d := range diags {
 		if i > 0 && d == diags[i-1] {

@@ -109,9 +109,7 @@ func TestDeterminism(t *testing.T) { runFixture(t, "eval", "determinism") }
 // order package: /pqueue is under the same contract as /eval and /index.
 func TestDeterminismPqueue(t *testing.T) { runFixture(t, "pqueue", "determinism") }
 func TestErrcheck(t *testing.T)          { runFixture(t, "errcheck", "errcheck") }
-func TestWalorder(t *testing.T)          { runFixture(t, "walorder", "walorder") }
 func TestCtxflow(t *testing.T)           { runFixture(t, "ctxflow", "ctxflow") }
-func TestTaintflow(t *testing.T)         { runFixture(t, "taintflow", "taintflow") }
 
 // TestFindingsDeterministic is the byte-stability contract behind the golden
 // fixtures: the full analyzer suite over every fixture package (the packages
@@ -122,9 +120,7 @@ func TestFindingsDeterministic(t *testing.T) {
 		"./internal/lint/testdata/src/floatcmp",
 		"./internal/lint/testdata/src/eval",
 		"./internal/lint/testdata/src/errcheck",
-		"./internal/lint/testdata/src/walorder",
 		"./internal/lint/testdata/src/ctxflow",
-		"./internal/lint/testdata/src/taintflow",
 	}
 	analyzers, err := lint.Analyzers()
 	if err != nil {
@@ -176,7 +172,7 @@ func TestDirectiveValidation(t *testing.T) {
 		{17, "floatcmp", "floating-point == comparison"},
 		{17, "directive", "//sapla:floateq needs a reason"},
 		// A retired directive is an unknown one; the message lists what is left.
-		{21, "directive", "(known: detach, errok, floateq, nondet, untainted, volatile)"},
+		{21, "directive", "(known: detach, errok, floateq, nondet)"},
 	}
 	if len(diags) != len(expect) {
 		var got []string
@@ -427,11 +423,11 @@ func TestUnknownCheck(t *testing.T) {
 
 // TestDiagnosticString pins the canonical rendering of a finding.
 func TestDiagnosticString(t *testing.T) {
-	d := lint.Diagnostic{Check: "walorder", Message: "boom"}
+	d := lint.Diagnostic{Check: "errcheck", Message: "boom"}
 	d.Pos.Filename = "a.go"
 	d.Pos.Line = 3
 	d.Pos.Column = 7
-	if got, wantS := d.String(), "a.go:3:7: [walorder] boom"; got != wantS {
+	if got, wantS := d.String(), "a.go:3:7: [errcheck] boom"; got != wantS {
 		t.Fatalf("got %q, want %q", got, wantS)
 	}
 }

@@ -43,7 +43,6 @@ type Program struct {
 
 	sources  map[string][]byte // filename -> raw bytes (directive placement)
 	suppress map[suppressKey]bool
-	ip       *Interproc // lazily built interprocedural state (callgraph.go)
 }
 
 // Load parses and type-checks the packages matched by patterns, plus any

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -11,6 +13,8 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -525,47 +529,253 @@ func TestServerLoadShedding(t *testing.T) {
 }
 
 // TestServerWALAppendFailure: an fsync failure rejects the write with 503
-// and nothing becomes visible or stays claimed; the store fails stop, so later
-// writes also answer 503 while reads keep serving; restart recovers every
-// acknowledged series. The same through a single ingest and a batch of one.
+// and changes nothing a client can see — a rejected ingest is not visible and
+// keeps no claim, a rejected delete leaves its series served; the store fails
+// stop, so later writes also answer 503 while reads keep serving; restart
+// recovers exactly the acknowledged series. The same through a single ingest,
+// a batch of one and a delete.
 func TestServerWALAppendFailure(t *testing.T) {
-	for _, ep := range ingestEndpoints {
-		mem := wal.NewMemFS()
-		ffs := wal.NewFaultFS(mem)
-		s, hs := newTestServer(t, durableConfig(ffs, 1))
-		client := hs.Client()
-		rng := rand.New(rand.NewSource(9))
-		acked := map[int]ts.Series{}
-		for i := 0; i < 5; i++ {
-			v := randWalk(rng, 32)
-			resp := ingestOne(t, client, hs.URL, nil, v)
-			acked[resp.ID] = v
-		}
-
-		ffs.FailSyncAt(ffs.Ops() + 2) // next append: write, then the failing sync
+	const n = 32
+	type write struct {
+		name string
+		// do sends the write once and returns its status and error body.
+		do func(t *testing.T, hs *httptest.Server, rng *rand.Rand) (int, string)
+	}
+	const victim = 2 // the acknowledged series the delete targets
+	writes := []write{{"DELETE", func(t *testing.T, hs *httptest.Server, _ *rand.Rand) (int, string) {
 		var errBody errorResponse
-		code := doJSON(t, client, "POST", hs.URL+ep.path, ep.body(50, randWalk(rng, 32)), &errBody)
-		if code != http.StatusServiceUnavailable {
-			t.Fatalf("%s over failed fsync: status %d (%s)", ep.path, code, errBody.Error)
-		}
-		if s.idx.Len() != len(acked) {
-			t.Fatalf("%s: rejected ingest became visible in the index", ep.path)
-		}
-		// The same ID again: 503 from the broken store, not 409 from a kept claim.
-		if code := doJSON(t, client, "POST", hs.URL+ep.path, ep.body(50, randWalk(rng, 32)), &errBody); code != http.StatusServiceUnavailable {
-			t.Fatalf("%s on broken store: status %d (%s)", ep.path, code, errBody.Error)
-		}
-		if !errors.Is(s.shards[0].store.Sync(), wal.ErrStoreBroken) {
-			t.Fatal("store not fail-stopped after fsync error")
-		}
-		// Reads are unaffected by the broken write path.
-		knnIDs(t, client, hs.URL, randWalk(rng, 32), 3)
+		code := doJSON(t, hs.Client(), "DELETE", fmt.Sprintf("%s/v1/series/%d", hs.URL, victim), nil, &errBody)
+		return code, errBody.Error
+	}}}
+	for _, ep := range ingestEndpoints {
+		writes = append(writes, write{ep.path, func(t *testing.T, hs *httptest.Server, rng *rand.Rand) (int, string) {
+			var errBody errorResponse
+			code := doJSON(t, hs.Client(), "POST", hs.URL+ep.path, ep.body(50, randWalk(rng, n)), &errBody)
+			return code, errBody.Error
+		}})
+	}
+	for _, w := range writes {
+		t.Run(w.name, func(t *testing.T) {
+			mem := wal.NewMemFS()
+			ffs := wal.NewFaultFS(mem)
+			s, hs := newTestServer(t, durableConfig(ffs, 1))
+			client := hs.Client()
+			rng := rand.New(rand.NewSource(9))
+			acked := map[int]ts.Series{}
+			for i := 0; i < 5; i++ {
+				v := randWalk(rng, n)
+				resp := ingestOne(t, client, hs.URL, nil, v)
+				acked[resp.ID] = v
+			}
+			var before, after ingestOutcome
+			doJSON(t, client, "GET", hs.URL+"/healthz", nil, &before)
 
-		hs.Close()
-		mem.Crash(nil)
-		rec, _ := newTestServer(t, durableConfig(mem, 1))
-		if rec.idx.Len() != len(acked) {
-			t.Fatalf("%s: recovered %d series, acknowledged %d", ep.path, rec.idx.Len(), len(acked))
+			ffs.FailSyncAt(ffs.Ops() + 2) // next append: write, then the failing sync
+			if code, msg := w.do(t, hs, rng); code != http.StatusServiceUnavailable {
+				t.Fatalf("over failed fsync: status %d (%s)", code, msg)
+			}
+			doJSON(t, client, "GET", hs.URL+"/healthz", nil, &after)
+			if after != before {
+				t.Fatalf("rejected write moved the index: %+v, then %+v", before, after)
+			}
+			// The delete's series is still served, as the log still holds it.
+			if got := knnIDs(t, client, hs.URL, acked[victim], 1); got[0].ID != victim || got[0].Dist != 0 {
+				t.Fatalf("k-NN of series %d after the rejected write: %+v", victim, got)
+			}
+			// The same write again: 503 from the broken store, not 409 from a
+			// kept claim.
+			if code, msg := w.do(t, hs, rng); code != http.StatusServiceUnavailable {
+				t.Fatalf("on broken store: status %d (%s)", code, msg)
+			}
+			if !errors.Is(s.shards[0].store.Sync(), wal.ErrStoreBroken) {
+				t.Fatal("store not fail-stopped after fsync error")
+			}
+			// Reads are unaffected by the broken write path.
+			knnIDs(t, client, hs.URL, randWalk(rng, n), 3)
+
+			hs.Close()
+			mem.Crash(nil)
+			rec, _ := newTestServer(t, durableConfig(mem, 1))
+			if got := contents(rec); !reflect.DeepEqual(got, bitsOf(acked)) {
+				t.Fatalf("recovered %d series, acknowledged %d, contents differ", len(got), len(acked))
+			}
+		})
+	}
+}
+
+// syncGate wraps a wal.FS so a test can hold fsyncs: while armed, every
+// File.Sync reports itself on entered and then waits for the release.
+type syncGate struct {
+	wal.FS
+	// entered gets one token per held Sync. Its buffer exceeds the fsyncs of
+	// any one write (one per shard it touches), so reporting never blocks.
+	entered chan struct{}
+	held    atomic.Pointer[chan struct{}] // non-nil while armed
+}
+
+func newSyncGate(fsys wal.FS) *syncGate {
+	return &syncGate{FS: fsys, entered: make(chan struct{}, 64)}
+}
+
+// arm holds every later Sync until release is called; release is idempotent.
+func (g *syncGate) arm() (release func()) {
+	ch := make(chan struct{})
+	g.held.Store(&ch)
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			g.held.Store(nil)
+			close(ch)
+		})
+	}
+}
+
+func (g *syncGate) Create(name string) (wal.File, error) { return g.wrap(g.FS.Create(name)) }
+func (g *syncGate) Append(name string) (wal.File, error) { return g.wrap(g.FS.Append(name)) }
+
+func (g *syncGate) wrap(f wal.File, err error) (wal.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return gatedFile{File: f, gate: g}, nil
+}
+
+type gatedFile struct {
+	wal.File
+	gate *syncGate
+}
+
+func (f gatedFile) Sync() error {
+	if ch := f.gate.held.Load(); ch != nil {
+		f.gate.entered <- struct{}{}
+		<-*ch
+	}
+	return f.File.Sync()
+}
+
+// TestServerWriteInvisibleUntilLogged holds the WAL-before-visibility
+// contract at runtime. Every write's fsync is held at a syncGate; while it is
+// held the request has not been answered, /healthz's size and epoch have not
+// moved, and a k-NN still sees the index as it was — without the series
+// being ingested, with the series being deleted. Releasing the fsync answers
+// 201 or 200 and the change becomes visible. Each write path, at 1 and 4
+// shards; the batch's series are spread over every shard they hash to, and
+// the test waits for each of their fsyncs.
+func TestServerWriteInvisibleUntilLogged(t *testing.T) {
+	const n = 32
+	for _, shards := range []int{1, 4} {
+		for _, op := range []string{"/v1/ingest", "/v1/ingest/batch", "DELETE"} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, op), func(t *testing.T) {
+				gate := newSyncGate(wal.NewMemFS())
+				_, hs := newTestServer(t, durableShardedConfig(gate, 1, shards))
+				client := hs.Client()
+				rng := rand.New(rand.NewSource(int64(61 + shards)))
+				stored := map[int]ts.Series{}
+				for id := 0; id < 4; id++ {
+					stored[id] = randWalk(rng, n)
+					ingestOne(t, client, hs.URL, &id, stored[id])
+				}
+
+				// The write: the series it adds or removes, its request and
+				// the status it must answer once logged.
+				subject := map[int]ts.Series{}
+				var method, path string
+				var body any
+				want := http.StatusCreated
+				switch op {
+				case "/v1/ingest":
+					subject[10] = randWalk(rng, n)
+					method, path, body = "POST", op, map[string]any{"id": 10, "values": subject[10]}
+				case "/v1/ingest/batch":
+					var items []map[string]any
+					for id := 10; id < 13; id++ {
+						subject[id] = randWalk(rng, n)
+						items = append(items, map[string]any{"id": id, "values": subject[id]})
+					}
+					method, path, body = "POST", op, map[string]any{"series": items}
+				case "DELETE":
+					subject[2] = stored[2]
+					method, path, body, want = "DELETE", "/v1/series/2", nil, http.StatusOK
+				}
+				syncs := map[int]bool{}
+				for id := range subject {
+					syncs[index.ShardOf(id, shards)] = true
+				}
+				var raw []byte
+				if body != nil {
+					var err error
+					if raw, err = json.Marshal(body); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				var before ingestOutcome
+				doJSON(t, client, "GET", hs.URL+"/healthz", nil, &before)
+				release := gate.arm()
+				t.Cleanup(release) // runs before the server's Close, which waits for the request
+				answered := make(chan int, 1)
+				go func() {
+					req, err := http.NewRequest(method, hs.URL+path, bytes.NewReader(raw))
+					if err != nil {
+						t.Error(err)
+						answered <- 0
+						return
+					}
+					resp, err := client.Do(req)
+					if err != nil {
+						t.Error(err)
+						answered <- 0
+						return
+					}
+					resp.Body.Close()
+					answered <- resp.StatusCode
+				}()
+				for range syncs {
+					select {
+					case <-gate.entered:
+					case <-time.After(10 * time.Second):
+						t.Fatalf("the write's fsyncs never reached the gate (%d expected)", len(syncs))
+					}
+				}
+
+				// Held: nothing answered, nothing visible.
+				select {
+				case code := <-answered:
+					t.Fatalf("answered %d before its WAL fsync returned", code)
+				default:
+				}
+				var held ingestOutcome
+				doJSON(t, client, "GET", hs.URL+"/healthz", nil, &held)
+				if held != before {
+					t.Fatalf("index moved while the WAL fsync was held: %+v, then %+v", before, held)
+				}
+				for id, v := range subject {
+					got := knnIDs(t, client, hs.URL, v, 1)
+					if present := got[0].ID == id && got[0].Dist == 0; present != (op == "DELETE") {
+						t.Fatalf("k-NN of series %d while its write's fsync was held: %+v", id, got)
+					}
+				}
+
+				release()
+				if code := <-answered; code != want {
+					t.Fatalf("answered %d once logged, want %d", code, want)
+				}
+				var after ingestOutcome
+				doJSON(t, client, "GET", hs.URL+"/healthz", nil, &after)
+				delta := len(subject)
+				if op == "DELETE" {
+					delta = -delta
+				}
+				if after.IndexSize != before.IndexSize+delta || after.Epoch <= before.Epoch {
+					t.Fatalf("after the write: %+v, before it %+v", after, before)
+				}
+				for id, v := range subject {
+					got := knnIDs(t, client, hs.URL, v, 1)
+					if present := got[0].ID == id && got[0].Dist == 0; present == (op == "DELETE") {
+						t.Fatalf("k-NN of series %d once its write was logged: %+v", id, got)
+					}
+				}
+			})
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -152,15 +153,19 @@ func reduceRejection(bad int, err error) *rejection {
 func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []repr.Representation, *rejection) {
 	// Validate, then reduce, everything before taking a lock: reduction is
 	// the expensive part and needs no bookkeeping state. The validation loop is
-	// the taint barrier — values and reqIDs hold only items that passed
-	// checkSeries, and every phase below works from these extracts, never
-	// from the raw request again.
+	// the taint barrier — values and reqIDs hold only items that passed it,
+	// and every phase below works from these extracts, never from the raw
+	// request again; FuzzHandlers is the check that it holds.
 	n := s.seriesLen()
 	values := make([]ts.Series, len(items))
 	reqIDs := make([]*int, len(items))
 	for i, item := range items {
 		if err := checkSeries(item.Values, n); err != nil {
 			return nil, nil, &rejection{http.StatusBadRequest, i, err}
+		}
+		if item.ID != nil && *item.ID == math.MaxInt { // nextID would wrap
+			return nil, nil, &rejection{http.StatusBadRequest, i, fmt.Errorf(
+				"id %d is reserved: explicit IDs must be below it", *item.ID)}
 		}
 		values[i] = item.Values
 		reqIDs[i] = item.ID
@@ -308,7 +313,7 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []re
 			sh.mu.Lock()
 			for _, pos := range groups[si] {
 				if sh.store != nil {
-					_ = sh.store.AppendDelete(int64(ids[pos])) //sapla:volatile compensating append while rejecting the whole request: the ingest it undoes is never acknowledged, and a broken store refuses every later append anyway
+					_ = sh.store.AppendDelete(int64(ids[pos])) // compensating append while rejecting the whole request: the ingest it undoes is never acknowledged, and a broken store refuses every later append anyway
 				}
 				s.idx.Shard(si).Delete(ids[pos])
 			}

@@ -62,7 +62,7 @@ type Config struct {
 	Workers int
 	// MaxK caps k per query. Default 128.
 	MaxK int
-	// MaxBatch caps queries per batch request. Default 256.
+	// MaxBatch caps queries per /v1/knn/batch and series per /v1/ingest/batch. Default 256.
 	MaxBatch int
 	// MaxBodyBytes bounds request bodies. Default 8 MiB.
 	MaxBodyBytes int64
@@ -90,8 +90,8 @@ type Config struct {
 
 	// CompactEvery is ignored: the flat tier never fragments, so there is
 	// nothing to compact. The field (and sapla-serve's -compact-every) stays
-	// only because bench/ still sets it; it goes with the follow-up
-	// benchmark PR (ROADMAP, "One benchmark").
+	// only because bench/ still sets it; it goes once bench/ stops passing
+	// it (ROADMAP item 2a).
 	CompactEvery time.Duration
 
 	// MaxInflightSearch bounds concurrently admitted search requests
@@ -99,7 +99,7 @@ type Config struct {
 	// 429 + Retry-After instead of queueing without bound. Default 256.
 	MaxInflightSearch int
 	// MaxInflightWrite bounds concurrently admitted write requests
-	// (/v1/ingest, DELETE /v1/series). Default 256.
+	// (/v1/ingest, /v1/ingest/batch, DELETE /v1/series). Default 256.
 	MaxInflightWrite int
 }
 

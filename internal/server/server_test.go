@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -560,7 +561,10 @@ func TestRequestTimeout(t *testing.T) {
 // through the ingest handler: payloads over the body limit are rejected
 // with 413 before any decoding, non-finite values cannot even be expressed
 // in a JSON document, and a length-1 series passes validation but fails
-// reduction with a client error rather than a 500.
+// reduction with a client error rather than a 500. An explicit ID of
+// math.MaxInt is refused with 400 on both ingest endpoints: it would wrap the
+// auto-ID counter to math.MinInt, below committed IDs, and the next auto IDs
+// would collide with them.
 func TestServerIngestEdgeCases(t *testing.T) {
 	_, hs := newTestServer(t, Config{M: 12, MaxBodyBytes: 4096})
 	client := hs.Client()
@@ -621,6 +625,22 @@ func TestServerIngestEdgeCases(t *testing.T) {
 		code := doJSON(t, client, "POST", hs.URL+"/v1/ingest", map[string]any{"values": []float64{}}, nil)
 		if code != http.StatusBadRequest {
 			t.Fatalf("empty ingest returned %d, want 400", code)
+		}
+	})
+
+	t.Run("id math.MaxInt", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(41))
+		low := math.MinInt + 1
+		ingestOne(t, client, hs.URL, &low, randWalk(rng, 16))
+		for _, ep := range ingestEndpoints {
+			var got ingestOutcome
+			if code := doJSON(t, client, "POST", hs.URL+ep.path, ep.body(math.MaxInt, randWalk(rng, 16)), &got); code != http.StatusBadRequest {
+				t.Fatalf("%s of id math.MaxInt: status %d (%s), want 400", ep.path, code, got.Error)
+			}
+		}
+		// Auto IDs still never collide with a committed one.
+		for i := 0; i < 2; i++ {
+			ingestOne(t, client, hs.URL, nil, randWalk(rng, 16))
 		}
 	})
 }
