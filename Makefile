@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all ci build test race race-short crash cover bench bench-check bench-smoke bench-probe vet lint fmtcheck fuzz experiments report clean
+.PHONY: all ci build test race race-short crash cover bench bench-check bench-smoke bench-probe vet lint fmtcheck fuzz report clean
 
 all: build vet test race-short
 
@@ -116,13 +116,10 @@ bench-probe:
 fuzz:
 	GO="$(GO)" sh scripts/fuzz.sh $(FUZZTIME)
 
-# Regenerate every paper table/figure at the default reduced scale.
-experiments:
-	$(GO) run ./cmd/sapla-experiments
-
-# Full Markdown report.
+# Regenerate every paper table and figure at the default reduced scale as
+# one Markdown report.
 report:
-	$(GO) run ./cmd/sapla-report -out REPORT.md
+	$(GO) run ./cmd/sapla-experiments > REPORT.md
 
 clean:
 	$(GO) clean ./...

@@ -121,7 +121,7 @@ func BenchmarkFig12_Reduction(b *testing.B) {
 	var rows []eval.ReductionRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = eval.ReductionExperiment(opt)
+		rows, _, err = eval.ReductionExperiment(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func BenchmarkFig13to16_Index(b *testing.B) {
 	var rows []eval.IndexRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = eval.IndexExperiment(opt, 12)
+		rows, _, err = eval.IndexExperiment(opt, 12)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,11 +1,13 @@
-// Command sapla-experiments regenerates the paper's tables and figures.
+// Command sapla-experiments regenerates the paper's tables and figures and
+// writes them to stdout as one Markdown report (`make report` keeps it in
+// REPORT.md). Progress and per-section times go to stderr.
 //
 // Usage:
 //
-//	sapla-experiments [flags]
+//	sapla-experiments [flags] > REPORT.md
 //
-//	-fig string     which experiment to run: all, 1, 5, 10, 12, 13-16,
-//	                table1, classify, ksweep, perdataset (default "all")
+//	-fig string     which tables to print: all, 1, 5, 6, 8, 10, 12, 13, 14,
+//	                15, 16, ksweep, perdataset, classify, table1 (default "all")
 //	-full           run at the paper's full scale
 //	                (117 datasets × 100 series × length 1024)
 //	-datasets int   limit the number of datasets (0 = configuration default)
@@ -17,17 +19,22 @@
 //	-workers int    experiment worker pool size (default GOMAXPROCS)
 //	-csv dir        also write each experiment's rows as CSV into dir
 //
-// Figures 13–16 all come from the same index experiment, so "-fig 13" (or
-// 14/15/16) prints the combined table. "ksweep" and "perdataset" are the
-// verbose breakdowns and only run when requested explicitly.
+// Each experiment runs once and yields every table cut from it. The index
+// experiment gives Figures 13–16 ("-fig 13", 14, 15 or 16 prints the combined
+// table) and the K sweep; Figure 12's reduction experiment gives the
+// per-dataset breakdown at budget -m, which is printed only on request.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"time"
 
 	"sapla/internal/eval"
@@ -35,34 +42,54 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "experiment to run: all, 1, 5, 10, 12, 13, 14, 15, 16, table1, classify, perdataset, ksweep")
-	full := flag.Bool("full", false, "paper-scale run (117×100×1024)")
-	nDatasets := flag.Int("datasets", 0, "limit dataset count (0 = default)")
-	length := flag.Int("length", 0, "series length override")
-	count := flag.Int("count", 0, "series per dataset override")
-	queries := flag.Int("queries", 0, "queries per dataset override")
-	m := flag.Int("m", 12, "coefficient budget for index experiments")
-	workers := flag.Int("workers", 0, "experiment worker pool size (0 = GOMAXPROCS)")
-	csvDir := flag.String("csv", "", "also write each experiment's rows as CSV into this directory")
-	files := flag.String("files", "", "glob of real UCR text files to use instead of the synthetic archive")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	writeCSV := func(name string, write func(w io.Writer) error) error {
-		if *csvDir == "" {
-			return nil
+// writeCSV writes rows as dir/name through write; an empty dir writes nothing.
+func writeCSV[T any](dir, name string, write func(io.Writer, T) error, rows T) error {
+	if dir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, name))
+	if err != nil {
+		return err
+	}
+	if err := write(f, rows); err != nil {
+		f.Close() //sapla:errok the write error takes precedence over any close failure
+		return err
+	}
+	return f.Close()
+}
+
+// A section is one titled table of the report.
+type section struct {
+	title     string
+	figs      []string // the -fig values that select it
+	onRequest bool     // left out of -fig all
+	body      func() (string, error)
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sapla-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "tables to print: all, 1, 5, 6, 8, 10, 12, 13, 14, 15, 16, ksweep, perdataset, classify, table1")
+	full := fs.Bool("full", false, "paper-scale run (117×100×1024)")
+	nDatasets := fs.Int("datasets", 0, "limit dataset count (0 = default)")
+	length := fs.Int("length", 0, "series length override")
+	count := fs.Int("count", 0, "series per dataset override")
+	queries := fs.Int("queries", 0, "queries per dataset override")
+	m := fs.Int("m", 12, "coefficient budget for index experiments")
+	workers := fs.Int("workers", 0, "experiment worker pool size (0 = GOMAXPROCS)")
+	csvDir := fs.String("csv", "", "also write each experiment's rows as CSV into this directory")
+	files := fs.String("files", "", "glob of real UCR text files to use instead of the synthetic archive")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			return err
-		}
-		f, err := os.Create(filepath.Join(*csvDir, name))
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close() //sapla:errok the write error takes precedence over any close failure
-			return err
-		}
-		return f.Close()
+		return 2
 	}
 
 	opt := eval.DefaultOptions()
@@ -79,8 +106,8 @@ func main() {
 	if *files != "" {
 		paths, err := filepath.Glob(*files)
 		if err != nil || len(paths) == 0 {
-			fmt.Fprintf(os.Stderr, "no dataset files match %q (%v)\n", *files, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "no dataset files match %q (%v)\n", *files, err)
+			return 1
 		}
 		var srcs []ucr.Source
 		for _, p := range paths {
@@ -99,143 +126,139 @@ func main() {
 	}
 	opt.Workers = *workers
 
-	run := func(name string, fn func() error) {
-		start := time.Now()
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+	// The two experiments that feed more than one table run at most once.
+	var (
+		reduction []eval.ReductionRow
+		perDS     []eval.DatasetRow
+		index     []eval.IndexRow
+		kSweep    []eval.KRow
+	)
+	reductionExp := sync.OnceValue(func() (err error) {
+		if reduction, perDS, err = eval.ReductionExperiment(opt); err != nil {
+			return err
 		}
-		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	want := func(keys ...string) bool {
-		if *fig == "all" {
-			return true
+		if err := writeCSV(*csvDir, "fig12_reduction.csv", eval.WriteReductionCSV, reduction); err != nil {
+			return err
 		}
-		for _, k := range keys {
-			if *fig == k {
-				return true
-			}
+		return writeCSV(*csvDir, "perdataset.csv", eval.WriteDatasetCSV, perDS)
+	})
+	indexExp := sync.OnceValue(func() (err error) {
+		if index, kSweep, err = eval.IndexExperiment(opt, *m); err != nil {
+			return err
 		}
-		return false
-	}
+		if err := writeCSV(*csvDir, "fig13to16_index.csv", eval.WriteIndexCSV, index); err != nil {
+			return err
+		}
+		return writeCSV(*csvDir, "ksweep.csv", eval.WriteKCSV, kSweep)
+	})
 
-	fmt.Printf("SAPLA experiment harness — %d datasets, n=%d, %d series, %d queries, M=%v, K=%v\n\n",
-		len(opt.Datasets), opt.Cfg.Length, opt.Cfg.Count, opt.Cfg.Queries, opt.Ms, opt.Ks)
-
-	if want("1") {
-		run("Figure 1 (worked example, all methods)", func() error {
+	sections := []section{
+		{title: "Figure 1 — worked example", figs: []string{"1"}, body: func() (string, error) {
 			rows, err := eval.WorkedExample()
 			if err != nil {
-				return err
+				return "", err
 			}
-			fmt.Print(eval.FormatWorked(rows))
-			if plot, err := eval.PlotWorkedExample(12); err == nil {
-				fmt.Print(plot)
+			plot, err := eval.PlotWorkedExample(12)
+			if err != nil {
+				return "", err
 			}
-			return writeCSV("fig01_worked.csv", func(w io.Writer) error {
-				return eval.WriteWorkedCSV(w, rows)
-			})
-		})
-	}
-	if want("5", "6", "8") {
-		run("Figures 5/6/8 (SAPLA stages)", func() error {
+			return eval.FormatWorked(rows) + "\n" + plot, writeCSV(*csvDir, "fig01_worked.csv", eval.WriteWorkedCSV, rows)
+		}},
+		{title: "Figures 5/6/8 — SAPLA stages", figs: []string{"5", "6", "8"}, body: func() (string, error) {
 			rows, err := eval.WorkedStages()
 			if err != nil {
-				return err
+				return "", err
 			}
-			fmt.Print(eval.FormatWorked(rows))
-			return writeCSV("fig05_stages.csv", func(w io.Writer) error {
-				return eval.WriteWorkedCSV(w, rows)
-			})
-		})
-	}
-	if want("10") {
-		run("Figure 10 (lower-bound tightness)", func() error {
+			return eval.FormatWorked(rows), writeCSV(*csvDir, "fig05_stages.csv", eval.WriteWorkedCSV, rows)
+		}},
+		{title: "Figure 10 — lower-bound tightness", figs: []string{"10"}, body: func() (string, error) {
 			rows, err := eval.TightnessExperiment(opt, *m)
 			if err != nil {
-				return err
+				return "", err
 			}
-			fmt.Print(eval.FormatTightness(rows))
-			return writeCSV("fig10_tightness.csv", func(w io.Writer) error {
-				return eval.WriteTightnessCSV(w, rows)
-			})
-		})
-	}
-	if want("12") {
-		run("Figure 12 (max deviation & reduction time)", func() error {
-			rows, err := eval.ReductionExperiment(opt)
-			if err != nil {
-				return err
+			return eval.FormatTightness(rows), writeCSV(*csvDir, "fig10_tightness.csv", eval.WriteTightnessCSV, rows)
+		}},
+		{title: "Figure 12 — max deviation & reduction time", figs: []string{"12"}, body: func() (string, error) {
+			err := reductionExp()
+			return eval.FormatReduction(reduction), err
+		}},
+		{title: "Figures 13-16 — index quality and shape", figs: []string{"13", "14", "15", "16"}, body: func() (string, error) {
+			err := indexExp()
+			return eval.FormatIndex(index), err
+		}},
+		{title: "K sweep — pruning/accuracy vs K", figs: []string{"ksweep"}, body: func() (string, error) {
+			err := indexExp()
+			return eval.FormatKRows(kSweep), err
+		}},
+		{title: "Per-dataset breakdown (technical-report tables)", figs: []string{"perdataset"}, onRequest: true, body: func() (string, error) {
+			if err := reductionExp(); err != nil {
+				return "", err
 			}
-			fmt.Print(eval.FormatReduction(rows))
-			return writeCSV("fig12_reduction.csv", func(w io.Writer) error {
-				return eval.WriteReductionCSV(w, rows)
-			})
-		})
-	}
-	if want("13", "14", "15", "16") {
-		run("Figures 13-16 (pruning power, accuracy, times, tree shape)", func() error {
-			rows, err := eval.IndexExperiment(opt, *m)
-			if err != nil {
-				return err
+			var atM []eval.DatasetRow
+			for _, d := range perDS {
+				if d.M == *m {
+					atM = append(atM, d)
+				}
 			}
-			fmt.Print(eval.FormatIndex(rows))
-			return writeCSV("fig13to16_index.csv", func(w io.Writer) error {
-				return eval.WriteIndexCSV(w, rows)
-			})
-		})
-	}
-	if *fig == "ksweep" { // verbose: only on explicit request
-		run("K sweep (Figure 13 per-K curves)", func() error {
-			rows, err := eval.IndexByK(opt, *m)
-			if err != nil {
-				return err
+			if len(atM) == 0 {
+				return "", fmt.Errorf("-m %d is not one of the reduction budgets %v", *m, opt.Ms)
 			}
-			fmt.Print(eval.FormatKRows(rows))
-			return writeCSV("ksweep.csv", func(w io.Writer) error {
-				return eval.WriteKCSV(w, rows)
-			})
-		})
-	}
-	if *fig == "perdataset" { // verbose: only on explicit request
-		run("Per-dataset breakdown (technical-report tables)", func() error {
-			rows, err := eval.ReductionByDataset(opt, *m)
-			if err != nil {
-				return err
-			}
-			fmt.Print(eval.FormatDatasetRows(rows))
-			return writeCSV("perdataset.csv", func(w io.Writer) error {
-				return eval.WriteDatasetCSV(w, rows)
-			})
-		})
-	}
-	if want("classify") {
-		run("Classification application (1-NN over the archive)", func() error {
+			return eval.FormatDatasetRows(atM), nil
+		}},
+		{title: "Classification application", figs: []string{"classify"}, body: func() (string, error) {
 			rows, err := eval.ClassificationExperiment(opt, *m, 1)
 			if err != nil {
-				return err
+				return "", err
 			}
-			fmt.Print(eval.FormatClassification(rows))
-			return writeCSV("classification.csv", func(w io.Writer) error {
-				return eval.WriteClassificationCSV(w, rows)
-			})
-		})
-	}
-	if want("table1") {
-		run("Table 1 (complexity scaling)", func() error {
-			lengths := []int{128, 256, 512, 1024}
-			if !*full {
-				lengths = []int{64, 128, 256}
+			return eval.FormatClassification(rows), writeCSV(*csvDir, "classification.csv", eval.WriteClassificationCSV, rows)
+		}},
+		{title: "Table 1 — complexity scaling", figs: []string{"table1"}, body: func() (string, error) {
+			lengths := []int{64, 128, 256}
+			if *full {
+				lengths = []int{128, 256, 512, 1024}
 			}
 			rows, err := eval.ScalingExperiment(lengths, *m, 3)
 			if err != nil {
-				return err
+				return "", err
 			}
-			fmt.Print(eval.FormatScaling(rows))
-			return writeCSV("table1_scaling.csv", func(w io.Writer) error {
-				return eval.WriteScalingCSV(w, rows)
-			})
-		})
+			return eval.FormatScaling(rows), writeCSV(*csvDir, "table1_scaling.csv", eval.WriteScalingCSV, rows)
+		}},
 	}
+
+	valid := []string{"all"}
+	selected := func(s section) bool {
+		if *fig == "all" {
+			return !s.onRequest
+		}
+		return slices.Contains(s.figs, *fig)
+	}
+	known := *fig == "all"
+	for _, s := range sections {
+		valid = append(valid, s.figs...)
+		known = known || selected(s)
+	}
+	if !known {
+		fmt.Fprintf(stderr, "sapla-experiments: unknown -fig %q; valid values: %s\n", *fig, strings.Join(valid, ", "))
+		return 2
+	}
+
+	fmt.Fprintf(stdout, "# SAPLA reproduction report\n\n")
+	fmt.Fprintf(stdout, "Generated %s — %d datasets, n = %d, %d series/dataset, %d queries, M = %v, K = %v.\n\n",
+		time.Now().Format(time.RFC1123), len(opt.Datasets), opt.Cfg.Length,
+		opt.Cfg.Count, opt.Cfg.Queries, opt.Ms, opt.Ks)
+	for _, s := range sections {
+		if !selected(s) {
+			continue
+		}
+		start := time.Now()
+		fmt.Fprintf(stderr, "%-50s", s.title+"...")
+		body, err := s.body()
+		if err != nil {
+			fmt.Fprintf(stderr, "failed: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "## %s\n\n```\n%s```\n\n", s.title, body)
+	}
+	return 0
 }

@@ -117,7 +117,7 @@ func TestFullArchiveSmoke(t *testing.T) {
 	opt.Datasets = eval.Sources(ucr.Datasets())
 	opt.Cfg = ucr.Config{Length: 64, Count: 4, Queries: 1}
 	opt.Ms = []int{12}
-	rows, err := eval.ReductionExperiment(opt)
+	rows, _, err := eval.ReductionExperiment(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

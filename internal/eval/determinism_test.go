@@ -21,12 +21,12 @@ func detOptions(t *testing.T, workers int) Options {
 // byte-identical to Workers=1 on every non-timing field (Duration fields are
 // wall-clock measurements and legitimately vary run to run).
 func TestReductionExperimentDeterministic(t *testing.T) {
-	base, err := ReductionExperiment(detOptions(t, 1))
+	base, _, err := ReductionExperiment(detOptions(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5} {
-		got, err := ReductionExperiment(detOptions(t, workers))
+		got, _, err := ReductionExperiment(detOptions(t, workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,12 +45,12 @@ func TestReductionExperimentDeterministic(t *testing.T) {
 
 // TestIndexExperimentDeterministic: same contract for the index experiment.
 func TestIndexExperimentDeterministic(t *testing.T) {
-	base, err := IndexExperiment(detOptions(t, 1), 12)
+	base, _, err := IndexExperiment(detOptions(t, 1), 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{3} {
-		got, err := IndexExperiment(detOptions(t, workers), 12)
+		got, _, err := IndexExperiment(detOptions(t, workers), 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,14 +69,14 @@ func TestIndexExperimentDeterministic(t *testing.T) {
 	}
 }
 
-// TestIndexByKDeterministic: the K-sweep has no timing fields at all, so
-// rows must match exactly.
+// TestIndexByKDeterministic: the K-sweep rows have no timing fields at all,
+// so they must match exactly.
 func TestIndexByKDeterministic(t *testing.T) {
-	base, err := IndexByK(detOptions(t, 1), 12)
+	_, base, err := IndexExperiment(detOptions(t, 1), 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := IndexByK(detOptions(t, 4), 12)
+	_, got, err := IndexExperiment(detOptions(t, 4), 12)
 	if err != nil {
 		t.Fatal(err)
 	}

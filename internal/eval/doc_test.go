@@ -13,7 +13,7 @@ func TestOptionsWorkersBound(t *testing.T) {
 	opt.Datasets = opt.Datasets[:2]
 	opt.Cfg.Count = 6
 	opt.Workers = 1
-	rows, err := ReductionExperiment(opt)
+	rows, _, err := ReductionExperiment(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

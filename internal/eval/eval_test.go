@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func rowFor(rows []ReductionRow, method string, m int) *ReductionRow {
 
 func TestReductionExperiment(t *testing.T) {
 	opt := tinyOptions(t)
-	rows, err := ReductionExperiment(opt)
+	rows, _, err := ReductionExperiment(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestReductionExperiment(t *testing.T) {
 
 func TestIndexExperiment(t *testing.T) {
 	opt := tinyOptions(t)
-	rows, err := IndexExperiment(opt, 12)
+	rows, _, err := IndexExperiment(opt, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestIndexExperimentKLargerThanDataset(t *testing.T) {
 	opt.Datasets = opt.Datasets[:1]
 	opt.Cfg = ucr.Config{Length: 64, Count: 10, Queries: 1}
 	opt.Ks = []int{4, 64}
-	rows, err := IndexExperiment(opt, 12)
+	rows, _, err := IndexExperiment(opt, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestClassificationExperiment(t *testing.T) {
 
 func TestReductionByDataset(t *testing.T) {
 	opt := tinyOptions(t)
-	rows, err := ReductionByDataset(opt, 12)
+	_, rows, err := ReductionExperiment(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +405,7 @@ func TestIndexByK(t *testing.T) {
 	opt := tinyOptions(t)
 	opt.Datasets = opt.Datasets[:2]
 	opt.Ks = []int{2, 8}
-	rows, err := IndexByK(opt, 12)
+	_, rows, err := IndexExperiment(opt, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,5 +439,74 @@ func TestIndexByK(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "pruning_power") {
 		t.Fatal("CSV header missing")
+	}
+}
+
+// relClose reports whether got is within 1e-12 of want, relative.
+func relClose(got, want float64) bool {
+	return math.Abs(got-want) <= 1e-12*math.Max(math.Abs(want), 1e-300)
+}
+
+// TestFoldedTablesAgree: the K sweep and the per-dataset breakdown are folds
+// of the same slots as Figures 13–16 and Figure 12, so weighting them back
+// together must give the aggregate rows.
+func TestFoldedTablesAgree(t *testing.T) {
+	opt := detOptions(t, 2)
+	opt.Ms = []int{6, 12}
+
+	rows, kRows, err := IndexExperiment(opt, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type sum struct{ rho, acc, queries float64 }
+	byTree := map[string]*sum{}
+	for _, k := range kRows {
+		key := k.Method + "/" + k.Tree
+		if byTree[key] == nil {
+			byTree[key] = &sum{}
+		}
+		s, w := byTree[key], float64(k.Queries)
+		s.rho += w * k.PruningPower
+		s.acc += w * k.Accuracy
+		s.queries += w
+	}
+	for _, r := range rows {
+		if r.Tree == TreeLinear {
+			continue
+		}
+		s := byTree[r.Method+"/"+r.Tree]
+		if s == nil || s.queries != float64(r.Queries) {
+			t.Fatalf("%s/%s: K sweep covers %+v queries, want %d", r.Method, r.Tree, s, r.Queries)
+		}
+		if !relClose(s.rho/s.queries, r.PruningPower) || !relClose(s.acc/s.queries, r.Accuracy) {
+			t.Fatalf("%s/%s: K sweep folds to ρ %v accuracy %v, row has %v %v",
+				r.Method, r.Tree, s.rho/s.queries, s.acc/s.queries, r.PruningPower, r.Accuracy)
+		}
+	}
+
+	red, dRows, err := ReductionExperiment(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dRows) != len(opt.Datasets)*len(red) {
+		t.Fatalf("%d per-dataset rows for %d datasets × %d cells", len(dRows), len(opt.Datasets), len(red))
+	}
+	for _, r := range red {
+		var dev, segDev, series float64
+		for _, d := range dRows {
+			if d.Method == r.Method && d.M == r.M {
+				w := float64(opt.Cfg.Count) // every synthetic dataset holds Count series
+				dev += w * d.MaxDev
+				segDev += w * d.SumSegMaxDev
+				series += w
+			}
+		}
+		if series != float64(r.Series) {
+			t.Fatalf("%s M=%d: per-dataset rows cover %v series, want %d", r.Method, r.M, series, r.Series)
+		}
+		if !relClose(dev/series, r.MaxDev) || !relClose(segDev/series, r.SumSegMaxDev) {
+			t.Fatalf("%s M=%d: per-dataset rows fold to %v %v, row has %v %v",
+				r.Method, r.M, dev/series, segDev/series, r.MaxDev, r.SumSegMaxDev)
+		}
 	}
 }

@@ -39,6 +39,17 @@ type IndexRow struct {
 // TotalIngest is the paper's Figure 14a quantity: reduction plus tree build.
 func (r IndexRow) TotalIngest() time.Duration { return r.ReduceTime + r.IngestTime }
 
+// KRow is one (method, tree, K) point of the K-sweep behind Figure 13: how
+// pruning power and accuracy respond to the neighbourhood size.
+type KRow struct {
+	Method       string
+	Tree         string
+	K            int
+	PruningPower float64
+	Accuracy     float64
+	Queries      int
+}
+
 // indexAcc accumulates one method × tree cell.
 type indexAcc struct {
 	rho, accSum          float64
@@ -88,14 +99,16 @@ func (tc *truthCache) get(di int, data, queries []ts.Series, maxK int) [][]int {
 // IndexExperiment regenerates Figures 13, 14, 15 and 16 at one coefficient
 // budget M: for every dataset and method it builds an R-tree and a
 // DBCH-tree, runs every query at every K through both (plus the linear
-// scan), and aggregates pruning power, accuracy, times and tree shapes.
+// scan), and aggregates pruning power, accuracy, times and tree shapes. The
+// same searches also give the K sweep: pruning power and accuracy per
+// (method, tree, K) instead of averaged over K.
 // Work is stolen at (dataset × method) granularity — each unit builds its
 // two trees and answers its queries on a reusable search workspace — and the
 // per-unit slots are folded in order, so results are identical for any
 // Options.Workers.
-func IndexExperiment(opt Options, m int) ([]IndexRow, error) {
+func IndexExperiment(opt Options, m int) ([]IndexRow, []KRow, error) {
 	methods := opt.Methods()
-	nm, nd := len(methods), len(opt.Datasets)
+	nm, nd, nk := len(methods), len(opt.Datasets), len(opt.Ks)
 	maxK := 0
 	for _, k := range opt.Ks {
 		if k > maxK {
@@ -110,6 +123,8 @@ func IndexExperiment(opt Options, m int) ([]IndexRow, error) {
 	nUnits := nd * (nm + 1)
 	slots := make([][2]indexAcc, nUnits)
 	linSlots := make([]indexAcc, nUnits)
+	// Unit u owns K-sweep slots [u*2*nk, (u+1)*2*nk): tree-major, K-minor.
+	kSlots := make([]indexAcc, nUnits*2*nk)
 	errs := make([]error, nUnits)
 
 	par.Do(context.Background(), nUnits, opt.Workers, func(u int) {
@@ -212,7 +227,7 @@ func IndexExperiment(opt Options, m int) ([]IndexRow, error) {
 				return
 			}
 			query := dist.NewQuery(q, qrep)
-			for _, k := range opt.Ks {
+			for ki, k := range opt.Ks {
 				if k > len(data) {
 					k = len(data)
 				}
@@ -224,21 +239,28 @@ func IndexExperiment(opt Options, m int) ([]IndexRow, error) {
 						return
 					}
 					el := time.Since(startT)
+					rho := float64(st.Measured) / float64(len(data))
+					acc := overlapCount(res, truth[qi][:k]) / float64(k)
 					a := &local[tr.slot]
 					a.knnT += el
-					a.rho += float64(st.Measured) / float64(len(data))
-					a.accSum += overlapCount(res, truth[qi][:k]) / float64(k)
+					a.rho += rho
+					a.accSum += acc
 					a.queries++
+					ka := &kSlots[(u*2+tr.slot)*nk+ki]
+					ka.rho += rho
+					ka.accSum += acc
+					ka.queries++
 				}
 			}
 		}
 	})
 	if err := firstError(errs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Sequential fold: dataset-major unit order fixes the accumulation order.
 	accs := make([][2]indexAcc, nm)
+	kAccs := make([]indexAcc, nm*2*nk)
 	var linear indexAcc
 	for u := range slots {
 		mi := u % (nm + 1)
@@ -248,6 +270,9 @@ func IndexExperiment(opt Options, m int) ([]IndexRow, error) {
 		}
 		accs[mi][0].add(slots[u][0])
 		accs[mi][1].add(slots[u][1])
+		for j := 0; j < 2*nk; j++ {
+			kAccs[mi*2*nk+j].add(kSlots[u*2*nk+j])
+		}
 	}
 
 	var rows []IndexRow
@@ -282,7 +307,27 @@ func IndexExperiment(opt Options, m int) ([]IndexRow, error) {
 			Queries:      linear.queries,
 		})
 	}
-	return rows, nil
+
+	var kRows []KRow
+	for mi, meth := range methods {
+		for slot, tree := range []string{TreeR, TreeDBCH} {
+			for ki, k := range opt.Ks {
+				a := kAccs[(mi*2+slot)*nk+ki]
+				if a.queries == 0 {
+					continue
+				}
+				kRows = append(kRows, KRow{
+					Method:       meth.Name(),
+					Tree:         tree,
+					K:            k,
+					PruningPower: a.rho / float64(a.queries),
+					Accuracy:     a.accSum / float64(a.queries),
+					Queries:      a.queries,
+				})
+			}
+		}
+	}
+	return rows, kRows, nil
 }
 
 // exactKNNIDs returns the ids of the k exact nearest neighbours of q.

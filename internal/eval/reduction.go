@@ -1,7 +1,10 @@
 package eval
 
 import (
+	"cmp"
 	"context"
+	"slices"
+	"strings"
 	"time"
 
 	"sapla/internal/par"
@@ -20,18 +23,41 @@ type ReductionRow struct {
 	Series       int // series measured
 }
 
+// DatasetRow is one (dataset, method, M) cell of the per-dataset breakdown
+// the paper defers to its technical report: reduction quality and time
+// measured on that dataset alone.
+type DatasetRow struct {
+	Dataset      string
+	Method       string
+	M            int
+	MaxDev       float64
+	SumSegMaxDev float64
+	Time         time.Duration
+}
+
+// redAcc accumulates one (method, M) cell of Figure 12.
+type redAcc struct {
+	dev, segDev float64
+	elapsed     time.Duration
+	n           int
+}
+
+func (a *redAcc) add(b redAcc) {
+	a.dev += b.dev
+	a.segDev += b.segDev
+	a.elapsed += b.elapsed
+	a.n += b.n
+}
+
 // ReductionExperiment regenerates Figure 12 (a: max deviation, b:
 // dimensionality-reduction time): every method reduces every series of every
 // dataset at every M. Work is stolen at (dataset × series) granularity from
 // the shared pool; every series owns an accumulator slot and the slots are
 // folded in series order, so the result is identical for any Options.Workers.
-func ReductionExperiment(opt Options) ([]ReductionRow, error) {
+// The same slots folded per dataset give the per-dataset breakdown, sorted by
+// dataset, then method order, then M.
+func ReductionExperiment(opt Options) ([]ReductionRow, []DatasetRow, error) {
 	methods := opt.Methods()
-	type acc struct {
-		dev, segDev float64
-		elapsed     time.Duration
-		n           int
-	}
 	dc := newDatasetCache(opt)
 	dc.generateAll(opt.Workers)
 
@@ -45,7 +71,7 @@ func ReductionExperiment(opt Options) ([]ReductionRow, error) {
 		}
 	}
 	nm, nk := len(methods), len(opt.Ms)
-	slots := make([]acc, len(units)*nm*nk)
+	slots := make([]redAcc, len(units)*nm*nk)
 	errs := make([]error, len(units))
 	par.Do(context.Background(), len(units), opt.Workers, func(u int) {
 		data, _ := dc.get(units[u].di)
@@ -69,19 +95,17 @@ func ReductionExperiment(opt Options) ([]ReductionRow, error) {
 		}
 	})
 	if err := firstError(errs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	// Sequential fold in unit order.
-	accs := make([]acc, nm*nk)
-	for u := range units {
+	// Sequential fold in unit order, overall and per dataset.
+	accs := make([]redAcc, nm*nk)
+	byDataset := make([]redAcc, len(opt.Datasets)*nm*nk)
+	for u, un := range units {
 		base := u * nm * nk
 		for j := range accs {
-			s := slots[base+j]
-			accs[j].dev += s.dev
-			accs[j].segDev += s.segDev
-			accs[j].elapsed += s.elapsed
-			accs[j].n += s.n
+			accs[j].add(slots[base+j])
+			byDataset[un.di*nm*nk+j].add(slots[base+j])
 		}
 	}
 
@@ -102,5 +126,31 @@ func ReductionExperiment(opt Options) ([]ReductionRow, error) {
 			})
 		}
 	}
-	return rows, nil
+
+	var dRows []DatasetRow
+	for di, src := range opt.Datasets {
+		for mi, meth := range methods {
+			for ki, m := range opt.Ms {
+				a := byDataset[(di*nm+mi)*nk+ki]
+				if a.n == 0 {
+					continue
+				}
+				dRows = append(dRows, DatasetRow{
+					Dataset:      src.DatasetName(),
+					Method:       meth.Name(),
+					M:            m,
+					MaxDev:       a.dev / float64(a.n),
+					SumSegMaxDev: a.segDev / float64(a.n),
+					Time:         a.elapsed / time.Duration(a.n),
+				})
+			}
+		}
+	}
+	names := opt.MethodNames()
+	slices.SortStableFunc(dRows, func(a, b DatasetRow) int {
+		return cmp.Or(strings.Compare(a.Dataset, b.Dataset),
+			cmp.Compare(slices.Index(names, a.Method), slices.Index(names, b.Method)),
+			cmp.Compare(a.M, b.M))
+	})
+	return rows, dRows, nil
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"sapla/internal/core"
 	"sapla/internal/dist"
 	"sapla/internal/reduce"
 	"sapla/internal/repr"
@@ -684,6 +685,85 @@ func TestFlatGenericPath(t *testing.T) {
 	}
 	if p.stride != 0 || len(p.blocks) != 0 || p.generic != 10 {
 		t.Fatalf("PAA tier: stride %d, %d blocks, %d generic", p.stride, len(p.blocks), p.generic)
+	}
+}
+
+// TestFlatServedSAPLANeverGeneric: under SAPLA every entry gets a block row,
+// whatever the first entry (which fixes the stride) looks like, so the served
+// method never reaches the generic filter. It is the precondition for
+// dropping that path from the served tier.
+func TestFlatServedSAPLANeverGeneric(t *testing.T) {
+	meth := core.New()
+	for _, n := range []int{8, 16, 256, 1024} {
+		for _, m := range []int{6, 12, 24} {
+			if n < 2*(m/3) {
+				continue // SAPLA refuses a budget of more segments than n/2
+			}
+			for _, first := range []string{"mixed", "constant", "line"} {
+				rng := rand.New(rand.NewSource(int64(n*100 + m)))
+				raws := make([]ts.Series, 24)
+				for i := range raws {
+					raws[i] = mixedSeries(rng, i, n)
+				}
+				for i := range raws[0] {
+					switch first {
+					case "constant":
+						raws[0][i] = 1
+					case "line":
+						raws[0][i] = float64(i)
+					}
+				}
+				entries := func() []*Entry {
+					out := make([]*Entry, len(raws))
+					for id, raw := range raws {
+						rep, err := meth.Reduce(raw, m)
+						if err != nil {
+							t.Fatal(err)
+						}
+						out[id] = NewEntry(id, raw, rep)
+					}
+					return out
+				}
+				check := func(how string, f *Flat) {
+					t.Helper()
+					if f.generic != 0 {
+						t.Fatalf("n=%d M=%d first %s, after %s: stride %d, %d generic entries",
+							n, m, first, how, f.stride, f.generic)
+					}
+					for s := range f.ents {
+						if !f.occupied(s) {
+							t.Fatalf("n=%d M=%d first %s, after %s: slot %d vacant", n, m, first, how, s)
+						}
+					}
+				}
+
+				one := newFlat(t, "SAPLA")
+				for _, e := range entries() {
+					if err := one.Insert(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check("Insert", one)
+				batch := newFlat(t, "SAPLA")
+				if err := batch.InsertBatch(entries()); err != nil {
+					t.Fatal(err)
+				}
+				check("InsertBatch", batch)
+				// Every third entry, the stride-fixing first one included, goes
+				// out and back in: the re-insert flattens its representation
+				// afresh.
+				for id := 0; id < len(raws); id += 3 {
+					e, _ := one.Lookup(id)
+					if !one.Delete(id) {
+						t.Fatalf("Delete(%d) failed", id)
+					}
+					if err := one.Insert(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check("delete/re-insert", one)
+			}
+		}
 	}
 }
 

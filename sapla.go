@@ -333,11 +333,13 @@ var (
 // ReductionExperiment regenerates Figure 12 (max deviation and
 // dimensionality-reduction time).
 func ReductionExperiment(opt ExperimentOptions) ([]ReductionRow, error) {
-	return eval.ReductionExperiment(opt)
+	rows, _, err := eval.ReductionExperiment(opt)
+	return rows, err
 }
 
 // IndexExperiment regenerates Figures 13–16 (pruning power, accuracy,
 // ingest/k-NN time, tree shape) at coefficient budget m.
 func IndexExperiment(opt ExperimentOptions, m int) ([]IndexRow, error) {
-	return eval.IndexExperiment(opt, m)
+	rows, _, err := eval.IndexExperiment(opt, m)
+	return rows, err
 }
