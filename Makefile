@@ -84,14 +84,16 @@ bench-check:
 # BenchmarkServedRange, BenchmarkFlatFilter, BenchmarkBatchKNN), of the
 # request front end's (BenchmarkHandlerKNN, BenchmarkHandlerKNNBatch,
 # BenchmarkHandlerIngestBatch, BenchmarkDecodeBody and its wire-format rows),
-# of recovery's (BenchmarkRecover, with and without logged representations)
-# and of the reducer's (BenchmarkReduce, BenchmarkReduceMix,
+# of recovery's (BenchmarkRecover, with and without logged representations),
+# of the WAL record encoder's (BenchmarkAppendWALRecord, decimal and float64
+# values) and of the reducer's (BenchmarkReduce, BenchmarkReduceMix,
 # BenchmarkReduceByStage): `go test` compiles benchmarks but never runs them,
 # and these are the per-layer evidence perf PRs quote, so they must keep
 # running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Served|FlatFilter|BatchKNN' -benchtime 1x ./internal/index
 	$(GO) test -run '^$$' -bench 'Handler|DecodeBody|Recover' -benchtime 1x ./internal/server
+	$(GO) test -run '^$$' -bench 'AppendWALRecord' -benchtime 1x ./internal/tsio
 	$(GO) test -run '^$$' -bench 'Reduce' -benchtime 1x ./internal/core
 
 # Before believing an end-to-end pair: bench/loadgen links internal/index and

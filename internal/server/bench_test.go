@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sapla/internal/index"
+	"sapla/internal/ts"
 	"sapla/internal/wal"
 )
 
@@ -170,69 +171,92 @@ func benchDecode[T any](raw []byte) func(b *testing.B) {
 	}
 }
 
-// BenchmarkRecover times New over a wal.MemFS holding rw_long_4shard's
-// index: 4 shards, 6000 random walks of 1024 points. On the reps row the log
-// is what a durable server's ingests write, every record carrying its
-// representation, and recovery loads them; on the raw row every record is op
-// 1, as a log from before representations were logged, and recovery reduces
-// all 6000 series. The difference is the reduction recovery no longer does.
+// BenchmarkRecover times New over a wal.MemFS holding a benchmark index:
+// the 1x6000x256 rows are search_1shard's (one shard, 6000 series of 256
+// points), the 4x1500x1024 rows rw_long_4shard's (4 shards, 6000 of 1024).
+// The 256-point rows and the dec6 rows draw the wire format's six decimals
+// (wireSeries), the other 1024-point rows full-precision random walks. On a reps row the log is what a durable
+// server's ingests write — six decimals in decimal form, each record carrying
+// its representation, and float64 values with it from 728 points up — and
+// recovery loads them; on a raw row every record is op 1, as a log from
+// before representations were logged, and recovery reduces all 6000 series.
+// The difference is the reduction recovery no longer does.
 func BenchmarkRecover(b *testing.B) {
-	const shards, count, n = 4, 6000, 1024
-	for _, reps := range []bool{true, false} {
-		name := map[bool]string{true: "reps", false: "raw"}[reps]
-		b.Run(fmt.Sprintf("%s/%dx%dx%d", name, shards, count/shards, n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(8))
-			mem := wal.NewMemFS()
-			cfg := Config{WALFS: mem, Shards: shards, SnapshotEvery: -1}
-			if reps {
-				s, err := New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for lo := 0; lo < count; lo += 250 {
-					items := make([]ingestRequest, 250)
-					for i := range items {
-						items[i].Values = randWalk(rng, n)
-					}
-					if _, _, rej := s.ingest(context.Background(), items); rej != nil {
-						b.Fatal(rej.err)
-					}
-				}
-				if err := s.Shutdown(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			} else {
-				recs, err := wal.OpenSharded(mem, shards, wal.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for id := 0; id < count; id++ {
-					st := recs[index.ShardOf(id, shards)].Store
-					if err := st.AppendIngestBatch([]wal.Series{{ID: int64(id), Values: randWalk(rng, n)}}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for _, r := range recs {
-					if err := r.Store.Close(); err != nil {
-						b.Fatal(err)
-					}
-				}
+	const count = 6000
+	for _, row := range []struct {
+		shards, n int
+		form      string
+		gen       func(*rand.Rand, int) ts.Series
+	}{
+		{1, 256, "", wireSeries},
+		{4, 1024, "", randWalk},
+		{4, 1024, "dec6", wireSeries},
+	} {
+		for _, reps := range []bool{true, false} {
+			name := fmt.Sprintf("%s/%dx%dx%d", map[bool]string{true: "reps", false: "raw"}[reps], row.shards, count/row.shards, row.n)
+			if row.form != "" {
+				name += "/" + row.form
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s, err := New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if s.Index().Len() != count {
-					b.Fatalf("recovered %d series, want %d", s.Index().Len(), count)
-				}
-				if err := s.Shutdown(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
+			b.Run(name, func(b *testing.B) {
+				benchRecover(b, row.shards, count, row.n, reps, row.gen)
+			})
+		}
+	}
+}
+
+// benchRecover writes count series drawn by gen to shards WAL streams — with
+// representations when reps, as op-1 records otherwise — and times New over
+// them.
+func benchRecover(b *testing.B, shards, count, n int, reps bool, gen func(*rand.Rand, int) ts.Series) {
+	rng := rand.New(rand.NewSource(8))
+	mem := wal.NewMemFS()
+	cfg := Config{WALFS: mem, Shards: shards, SnapshotEvery: -1}
+	if reps {
+		s, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for lo := 0; lo < count; lo += 250 {
+			items := make([]ingestRequest, 250)
+			for i := range items {
+				items[i].Values = gen(rng, n)
 			}
-		})
+			if _, _, rej := s.ingest(context.Background(), items); rej != nil {
+				b.Fatal(rej.err)
+			}
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	} else {
+		recs, err := wal.OpenSharded(mem, shards, wal.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for id := 0; id < count; id++ {
+			if err := recs[index.ShardOf(id, shards)].Store.AppendIngest(int64(id), gen(rng, n)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, r := range recs {
+			if err := r.Store.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if s.Index().Len() != count {
+			b.Fatalf("recovered %d series, want %d", s.Index().Len(), count)
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

@@ -108,7 +108,7 @@ func TestServerCrashRecoveryProperty(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(500 + 100*shards + trial)))
 				mem := wal.NewMemFS()
 				s, hs := newTestServer(t, durableShardedConfig(mem, 1, shards))
-				out := crashTraffic(t, rng, s, hs, n, nil)
+				out := crashTraffic(t, rng, s, hs, n, randWalk, nil)
 				acked, deleted := out.acked, out.deleted
 
 				// Crash: the process dies, every byte the kernel had not
@@ -178,10 +178,10 @@ type crashOutcome struct {
 
 // crashTraffic drives TestServerCrashRecoveryProperty's fault schedule
 // against s: 10 to 39 operations, seven in ten a single ingest of an n-point
-// random walk, two in ten a delete of an ID below the next auto ID (present
-// or not), one in ten a snapshot of every shard. A non-nil shadow receives
-// every acknowledged operation.
-func crashTraffic(t *testing.T, rng *rand.Rand, s *Server, hs *httptest.Server, n int, shadow *rawShadow) crashOutcome {
+// series drawn by gen, two in ten a delete of an ID below the next auto ID
+// (present or not), one in ten a snapshot of every shard. A non-nil shadow
+// receives every acknowledged operation.
+func crashTraffic(t *testing.T, rng *rand.Rand, s *Server, hs *httptest.Server, n int, gen func(*rand.Rand, int) ts.Series, shadow *rawShadow) crashOutcome {
 	t.Helper()
 	client := hs.Client()
 	out := crashOutcome{acked: map[int]ts.Series{}, deleted: -1}
@@ -190,7 +190,7 @@ func crashTraffic(t *testing.T, rng *rand.Rand, s *Server, hs *httptest.Server, 
 	for i := 0; i < nOps; i++ {
 		switch r := rng.Intn(10); {
 		case r < 7: // ingest
-			v := randWalk(rng, n)
+			v := gen(rng, n)
 			resp := ingestOne(t, client, hs.URL, nil, v)
 			out.acked[resp.ID] = v
 			if resp.ID >= nextID {
@@ -337,28 +337,40 @@ func memFiles(t *testing.T, mem *wal.MemFS) map[string][]byte {
 
 // TestServerLongSeriesCrashRecovery runs TestServerCrashRecoveryProperty's
 // fault schedule at 1 and 4 shards on series either side of the WAL's size
-// rule. At n = 1024 every ingest and snapshot logs the representation, and
-// the restart loads every live one (none reduced); at n = 64 none is logged,
-// the data directory holds exactly the bytes an op-1-only writer leaves, and
-// the restart reduces everything. Either way every recovered representation
-// is bit-identical to a fresh reduction of its values, and the server answers
-// like a fresh one. A second restart under another M finds every tag stale:
-// it reduces everything and answers like a fresh server at that M.
+// rule. Full-precision series keep float64 values: at n = 1024 every ingest
+// and snapshot logs the representation, and the restart loads every live one
+// (none reduced); at n = 64 none is logged, the data directory holds exactly
+// the bytes an op-1-only writer leaves, and the restart reduces everything.
+// Six-decimal series, as the end-to-end benchmark sends them, take the
+// decimal value form, which pays for the representation at n = 256 as at
+// n = 1024: the restart loads every one. Either way every recovered
+// representation is bit-identical to a fresh reduction of its values, and the
+// server answers like a fresh one. A second restart under another M finds
+// every tag stale: it reduces everything and answers like a fresh server at
+// that M.
 func TestServerLongSeriesCrashRecovery(t *testing.T) {
 	trials := 2
 	if testing.Short() {
 		trials = 1
 	}
+	arms := []struct {
+		n       int
+		decimal bool
+	}{{64, false}, {1024, false}, {256, true}, {1024, true}}
 	for _, shards := range []int{1, 4} {
-		for _, n := range []int{64, 1024} {
-			t.Run(fmt.Sprintf("shards=%d/n=%d", shards, n), func(t *testing.T) {
+		for _, arm := range arms {
+			n, gen, name := arm.n, randWalk, fmt.Sprintf("shards=%d/n=%d", shards, arm.n)
+			if arm.decimal {
+				gen, name = wireSeries, name+"/six-decimals"
+			}
+			t.Run(name, func(t *testing.T) {
 				snapshots := 0
 				for trial := 0; trial < trials; trial++ {
 					rng := rand.New(rand.NewSource(int64(900 + 100*shards + n + trial)))
 					mem := wal.NewMemFS()
 					s, hs := newTestServer(t, durableShardedConfig(mem, 1, shards))
 					shadow := newRawShadow(t, shards)
-					out := crashTraffic(t, rng, s, hs, n, shadow)
+					out := crashTraffic(t, rng, s, hs, n, gen, shadow)
 					snapshots += out.snapshots
 					if n == 64 && !reflect.DeepEqual(memFiles(t, mem), memFiles(t, shadow.mem)) {
 						t.Fatalf("trial %d: the data directory of 64-point series differs from an op-1-only writer's", trial)
@@ -371,7 +383,7 @@ func TestServerLongSeriesCrashRecovery(t *testing.T) {
 						cfg.M = m
 						rec, hrec := newTestServer(t, cfg)
 						loaded := 0
-						if n == 1024 && m == 12 {
+						if (n == 1024 || arm.decimal) && m == 12 {
 							loaded = len(out.acked)
 						}
 						recoveryCounts(t, hrec, loaded, len(out.acked)-loaded)
@@ -404,6 +416,44 @@ func recoveryCounts(t *testing.T, hs *httptest.Server, loaded, reduced int) {
 	d := doc.Durability
 	if d["recovery_loaded"] != float64(loaded) || d["recovery_reduced"] != float64(reduced) {
 		t.Fatalf("recovery loaded %v, reduced %v; want %d and %d", d["recovery_loaded"], d["recovery_reduced"], loaded, reduced)
+	}
+}
+
+// TestServerWALRecordForms: /metrics counts the ingest records every shard's
+// log took in each value form. Six-decimal series, single or in a batch, are
+// decimal; full-precision ones are float64. Deletes and snapshots count for
+// nothing.
+func TestServerWALRecordForms(t *testing.T) {
+	const n = 32
+	mem := wal.NewMemFS()
+	s, hs := newTestServer(t, durableShardedConfig(mem, 1, 2))
+	client := hs.Client()
+	rng := rand.New(rand.NewSource(31))
+	items := make([]map[string]any, 3)
+	for i := range items {
+		items[i] = map[string]any{"values": wireSeries(rng, n)}
+	}
+	if code := doJSON(t, client, "POST", hs.URL+"/v1/ingest/batch", map[string]any{"series": items}, nil); code != http.StatusCreated {
+		t.Fatalf("batch ingest: status %d", code)
+	}
+	ingestOne(t, client, hs.URL, nil, wireSeries(rng, n))
+	for i := 0; i < 2; i++ {
+		ingestOne(t, client, hs.URL, nil, randWalk(rng, n))
+	}
+	if code := doJSON(t, client, "DELETE", hs.URL+"/v1/series/0", nil, nil); code != http.StatusOK {
+		t.Fatalf("delete: status %d", code)
+	}
+	if err := s.snapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Durability map[string]any `json:"durability"`
+	}
+	if code := doJSON(t, client, "GET", hs.URL+"/metrics", nil, &doc); code != http.StatusOK {
+		t.Fatalf("/metrics: %d", code)
+	}
+	if d := doc.Durability; d["wal_records_decimal"] != float64(4) || d["wal_records_f64"] != float64(2) {
+		t.Fatalf("wal records decimal %v, f64 %v; want 4 and 2", d["wal_records_decimal"], d["wal_records_f64"])
 	}
 }
 

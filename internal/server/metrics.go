@@ -271,16 +271,22 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 	if s.durable() {
 		unsynced := 0
 		var snapSeq uint64
+		var decimal, f64 int64
 		for _, shState := range s.shards {
 			unsynced += shState.store.Unsynced()
 			if seq := shState.store.SnapshotSeq(); seq > snapSeq {
 				snapSeq = seq
 			}
+			forms := shState.store.RecordForms()
+			decimal += forms.Decimal
+			f64 += forms.F64
 		}
 		doc["durability"] = mustJSON(map[string]any{
 			"wal_fsync":            json.RawMessage(m.walSync.String()),
 			"wal_streams":          len(s.shards),
 			"wal_unsynced":         unsynced,
+			"wal_records_decimal":  decimal,
+			"wal_records_f64":      f64,
 			"snapshot_seq":         snapSeq,
 			"snapshots":            m.snapshots.Value(),
 			"snapshot_errors":      m.snapshotErrors.Value(),

@@ -542,12 +542,21 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestRequestTimeout: a 1 ns budget fires the TimeoutHandler, proving the
+// timeout path is wired. The request is a valid ingest whose WAL fsync a
+// syncGate holds, so the handler cannot answer first: it either sees the
+// deadline while reducing, and answers 503 itself, or waits at the gate until
+// the TimeoutHandler has answered.
 func TestRequestTimeout(t *testing.T) {
-	// A 1ns budget forces the TimeoutHandler to fire even for a trivial
-	// request, proving the timeout path is wired.
-	_, hs := newTestServer(t, Config{M: 12, RequestTimeout: time.Nanosecond})
-	resp, err := hs.Client().Post(hs.URL+"/v1/knn", "application/json",
-		strings.NewReader(`{"values":[1,2,3],"k":1}`))
+	cfg := durableConfig(newSyncGate(wal.NewMemFS()), 1)
+	cfg.M, cfg.RequestTimeout = 12, time.Nanosecond
+	_, hs := newTestServer(t, cfg)
+	t.Cleanup(cfg.WALFS.(*syncGate).arm()) // runs before the server's Close, which waits for the handler
+	body, err := json.Marshal(map[string]any{"values": randWalk(rand.New(rand.NewSource(5)), 32)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := hs.Client().Post(hs.URL+"/v1/ingest", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,24 @@ func repRecord(id int64, n int, endpoints ...int) WALRecord {
 	return WALRecord{Op: WALIngestRep, ID: id, Values: values, Tag: testTag, Rep: repr.FitLinear(values, endpoints)}
 }
 
+// decimalRecord returns rec as op 4, its values rounded to six decimals and
+// its representation, if any, fitted to them again.
+func decimalRecord(rec WALRecord) WALRecord {
+	rec.Op = WALIngestDecimal
+	rec.Values = append([]float64(nil), rec.Values...)
+	for i, v := range rec.Values {
+		rec.Values[i] = math.Round(v*1e6) / 1e6
+	}
+	if lin, ok := rec.Rep.(repr.Linear); ok {
+		ends := make([]int, len(lin.Segs))
+		for i, s := range lin.Segs {
+			ends[i] = s.R
+		}
+		rec.Rep = repr.FitLinear(rec.Values, ends)
+	}
+	return rec
+}
+
 func TestWALRecordRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
@@ -43,6 +61,11 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		{"ingest rep extreme tag", WALRecord{Op: WALIngestRep, ID: 1, Values: []float64{1, 2},
 			Tag: RepTag{Method: RepSAPLA, Gen: math.MaxUint16, M: math.MaxUint32},
 			Rep: repr.Linear{N: 2, Segs: []repr.LinearSeg{{Line: segment.Line{A: -math.MaxFloat64, B: math.Copysign(0, -1)}, R: 1}}}}},
+		{"decimal", WALRecord{Op: WALIngestDecimal, ID: 8, Values: []float64{0.123456, -2.5, 3, 0}}},
+		{"decimal integers", WALRecord{Op: WALIngestDecimal, ID: -8, Values: []float64{1, -2, 3e9 / 2}}},
+		{"decimal no values", WALRecord{Op: WALIngestDecimal, ID: 2}},
+		{"decimal extreme mantissas", WALRecord{Op: WALIngestDecimal, ID: 1, Values: []float64{math.MaxInt32 / 1e22, -math.MaxInt32 / 1e22}}},
+		{"decimal rep", decimalRecord(repRecord(4, 64, 9, 30, 31, 63))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,12 +120,32 @@ func TestWALRecordEncodeRejects(t *testing.T) {
 		"length mismatch":           func(r *WALRecord) { r.Values = r.Values[:7] },
 		"invalid representation":    func(r *WALRecord) { r.Rep = repr.Linear{N: 8} },
 		"representation on op 1":    func(r *WALRecord) { r.Op = WALIngest },
+		"op 4, full precision":      func(r *WALRecord) { r.Op = WALIngestDecimal },
+		"op 4, invalid rep": func(r *WALRecord) {
+			*r = decimalRecord(*r)
+			r.Rep = repr.Linear{N: 8}
+		},
+		"op 4, zero tag": func(r *WALRecord) {
+			*r = decimalRecord(*r)
+			r.Tag = RepTag{}
+		},
+		"op 4, negative zero": func(r *WALRecord) {
+			*r = decimalRecord(*r)
+			r.Values[3] = math.Copysign(0, -1)
+		},
+		"op 4, mantissa 2^31": func(r *WALRecord) {
+			*r = decimalRecord(*r)
+			r.Values[0] = 1 << 31
+		},
 	} {
 		rec := good
 		mut(&rec)
 		if out, err := AppendWALRecord([]byte{0xEE}, rec); err == nil || len(out) != 1 {
 			t.Fatalf("%s: encoded (%d bytes out, err %v)", name, len(out), err)
 		}
+	}
+	if _, err := AppendWALRecord(nil, WALRecord{Op: WALIngestDecimal, Values: []float64{0.1, math.Pi}}); !errors.Is(err, ErrWALNotDecimal) {
+		t.Fatalf("op 4 of π: %v", err)
 	}
 }
 
@@ -217,6 +260,67 @@ func TestWALRecordDecodeRejects(t *testing.T) {
 	} {
 		t.Run("op3 "+tc.name, func(t *testing.T) {
 			_, err := DecodeWALRecord(tc.edit(append([]byte(nil), goodRep...)))
+			if err == nil {
+				t.Fatal("decoded")
+			}
+			if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("err %v, want %v", err, tc.want)
+			}
+		})
+	}
+
+	// Op 4: each case edits a valid encoding of a 16-point six-decimal
+	// series, with or without its representation. The exponent byte is at
+	// exp, mantissa i at man(i); the representation starts at dRep.
+	dec := decimalRecord(rec)
+	bare := dec
+	bare.Tag, bare.Rep = RepTag{}, nil
+	goodDec, err := AppendWALRecord(nil, dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodBare, err := AppendWALRecord(nil, bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const exp = walRecordHeader
+	man := func(i int) int { return exp + 1 + 4*i }
+	dRep := man(16)
+	if goodDec[exp] != 6 || len(goodBare) != dRep {
+		t.Fatalf("op-4 layout: exponent %d, %d bytes without the representation", goodDec[exp], len(goodBare))
+	}
+	for _, tc := range []struct {
+		name string
+		good []byte
+		edit func([]byte) []byte
+		want error
+	}{
+		{"exponent past the table", goodBare, func(b []byte) []byte { b[exp] = byte(len(pow10)); return b }, nil},
+		{"exponent not the smallest", goodBare, func(b []byte) []byte {
+			b[exp]++
+			for i := 0; i < 16; i++ {
+				m := int32(binary.LittleEndian.Uint32(b[man(i):]))
+				binary.LittleEndian.PutUint32(b[man(i):], uint32(10*m))
+			}
+			return b
+		}, nil},
+		{"mantissa -2^31", goodBare, func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[man(5):], 1<<31)
+			return b
+		}, nil},
+		{"no exponent", goodBare, func(b []byte) []byte { return b[:exp] }, ErrWALRecordShort},
+		{"mantissa bytes short", goodBare, func(b []byte) []byte { return b[:len(b)-1] }, ErrWALRecordShort},
+		{"mantissa bytes trailing", goodBare, func(b []byte) []byte { return append(b, 0) }, ErrWALRecordShort},
+		{"rep bytes short", goodDec, func(b []byte) []byte { return b[:len(b)-1] }, ErrWALRecordShort},
+		{"rep bytes trailing", goodDec, func(b []byte) []byte { return append(b, 0) }, ErrWALRecordShort},
+		{"invalid representation", goodDec, func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[dRep+walRepHeader+walRepSeg+16:], 4) // equal endpoints
+			return b
+		}, nil},
+		{"unknown method code", goodDec, func(b []byte) []byte { b[dRep] = 2; return b }, ErrWALRepMethod},
+	} {
+		t.Run("op4 "+tc.name, func(t *testing.T) {
+			_, err := DecodeWALRecord(tc.edit(append([]byte(nil), tc.good...)))
 			if err == nil {
 				t.Fatal("decoded")
 			}

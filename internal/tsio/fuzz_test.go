@@ -38,9 +38,9 @@ func FuzzReadSeries(f *testing.F) {
 }
 
 // FuzzWALRecord feeds arbitrary bytes through the binary WAL-record codec,
-// op 3's representation included: decoding must never panic, and anything
-// that decodes must re-encode byte-identically (decode(encode(r)) == r is
-// the replay-stability contract).
+// op 3's representation and op 4's decimal values included: decoding must
+// never panic, and anything that decodes must re-encode byte-identically
+// (decode(encode(r)) == r is the replay-stability contract).
 func FuzzWALRecord(f *testing.F) {
 	seed, _ := AppendWALRecord(nil, WALRecord{Op: WALIngest, ID: 7, Values: []float64{1, -2.5, 3e9}})
 	f.Add(seed)
@@ -52,6 +52,11 @@ func FuzzWALRecord(f *testing.F) {
 	withRep, _ := AppendWALRecord(nil, repRecord(9, 6, 1, 5))
 	f.Add(withRep)
 	f.Add(withRep[:len(withRep)-20])
+	dec, _ := AppendWALRecord(nil, WALRecord{Op: WALIngestDecimal, ID: 5, Values: []float64{0.25, -1.5, 3}})
+	f.Add(dec)
+	decRep, _ := AppendWALRecord(nil, decimalRecord(repRecord(9, 6, 1, 5)))
+	f.Add(decRep)
+	f.Add(decRep[:len(decRep)-20])
 	f.Fuzz(func(t *testing.T, input []byte) {
 		rec, err := DecodeWALRecord(input)
 		if err != nil {

@@ -31,16 +31,18 @@ import (
 // data directory.
 const manifestName = "shards.meta"
 
-// manifestMagic heads the manifest (7 name bytes + format version). Version
-// 2 marks a directory whose streams may hold op-3 records (an ingest with its
-// representation). A version-1 binary refuses the manifest, and with it the
+// manifestMagic heads the manifest (7 name bytes + format version). Each
+// version marks record ops its predecessors cannot read: version 2 op 3 (an
+// ingest with its representation), version 3 op 4 (an ingest whose values are
+// in decimal form). An older binary refuses the manifest, and with it the
 // directory: its replay takes any frame it cannot decode for a torn tail, so
-// it would silently truncate a final segment at the first op-3 record.
-// OpenSharded reads a version-1 manifest and rewrites it as version 2.
-const (
-	manifestMagic   = "SAPLSHD2"
-	manifestMagicV1 = "SAPLSHD1"
-)
+// it would silently truncate a final segment at the first record it does not
+// know. OpenSharded reads a version-1 or version-2 manifest and rewrites it
+// as version 3.
+const manifestMagic = "SAPLSHD3"
+
+// olderManifestMagics are the versions OpenSharded upgrades.
+var olderManifestMagics = []string{"SAPLSHD1", "SAPLSHD2"}
 
 // maxShards bounds the manifest count: the namespace prefix is
 // fixed-width four digits, and four-digit shard counts already exceed any
@@ -124,14 +126,16 @@ func encodeManifest(shards int) []byte {
 	return []byte(fmt.Sprintf("%s count=%d\n", manifestMagic, shards))
 }
 
-// decodeManifest parses and validates manifest bytes; current is false for a
-// version-1 manifest.
+// decodeManifest parses and validates manifest bytes; current is false for an
+// older version's manifest.
 func decodeManifest(data []byte) (shards int, current bool, err error) {
 	s := strings.TrimSuffix(string(data), "\n")
 	rest, current := strings.CutPrefix(s, manifestMagic+" count=")
 	ok := current
-	if !ok {
-		rest, ok = strings.CutPrefix(s, manifestMagicV1+" count=")
+	for _, magic := range olderManifestMagics {
+		if !ok {
+			rest, ok = strings.CutPrefix(s, magic+" count=")
+		}
 	}
 	if !ok || strings.ContainsAny(rest, "\n") {
 		return 0, false, fmt.Errorf("%w: %q", ErrCorruptManifest, s)
@@ -144,7 +148,7 @@ func decodeManifest(data []byte) (shards int, current bool, err error) {
 }
 
 // readManifest loads the shard count; found is false when no manifest
-// exists (a fresh or pre-sharding directory), current when it is version 2.
+// exists (a fresh or pre-sharding directory), current when it is version 3.
 func readManifest(fsys FS) (shards int, found, current bool, err error) {
 	data, err := fsys.ReadFile(manifestName)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -209,7 +213,7 @@ type ShardRecovery struct {
 //  3. a fresh directory adopts the requested count and pins it before any
 //     stream is created.
 //
-// A version-1 manifest is rewritten as version 2 before any stream opens.
+// An older manifest is rewritten as version 3 before any stream opens.
 //
 // The returned slice has one entry per effective shard. On any shard's
 // failure every already-opened store is closed and the first error (by

@@ -25,7 +25,7 @@ var snapshotMagic = []byte("SAPLSNP1")
 //
 // The trailing CRC32C covers everything before it, so any truncation or bit
 // flip anywhere in the file is caught by one footer check. Each record is
-// ingestRecord's choice, op 1 or op 3, as in the log.
+// appendIngestRecord's choice, op 1, 3 or 4, as in the log.
 
 // encodeSnapshot serializes series (which the caller provides sorted by ID
 // so snapshot bytes are deterministic for a given store state).
@@ -33,13 +33,13 @@ func encodeSnapshot(series []Series) ([]byte, error) {
 	buf := append([]byte(nil), snapshotMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(series)))
 	for _, s := range series {
-		rec := ingestRecord(s)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(tsio.EncodedWALRecordSize(rec)))
+		at := len(buf)
+		buf = binary.LittleEndian.AppendUint32(buf, 0) // the record's length, set below
 		var err error
-		buf, err = tsio.AppendWALRecord(buf, rec)
-		if err != nil {
+		if buf, _, err = appendIngestRecord(buf, s); err != nil {
 			return nil, fmt.Errorf("wal: encode snapshot series %d: %w", s.ID, err)
 		}
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli)), nil
 }

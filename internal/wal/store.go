@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sapla/internal/repr"
@@ -43,7 +44,7 @@ type Series struct {
 	ID     int64
 	Values []float64
 	// Rep is the representation the ingest computed from Values, and Tag the
-	// reducer that computed it. An append logs them as an op-3 record when
+	// reducer that computed it. An append logs them with the values when
 	// ingestRecord admits them and drops them otherwise; Open returns them
 	// when the live record carried them, and a nil Rep when it did not.
 	Tag tsio.RepTag
@@ -51,25 +52,54 @@ type Series struct {
 }
 
 // repShare is the size rule for logging a representation: an ingest record
-// carries one only when its encoding (tag and segments) is at most 1/repShare
-// of the record's value bytes. Below that share a long series' log grows by
-// under 1.6 % and recovery skips its reduction, the most expensive step of a
-// restart; a short series' representation would cost more log than that, so
-// its record stays op 1, byte for byte, and recovery reduces it. At M = 12
-// (4 segments, 91 bytes) the cut falls at 728 points.
+// may cost at most 1/repShare of its value bytes more than the plain op-1
+// record of its values would. Recovery skips the reduction of a series whose
+// record carries its representation, the most expensive step of a restart.
+// Values kept as float64 bits pay the whole representation, under 1.6 % more
+// log: at M = 12 (4 segments, 91 bytes) the cut falls at 728 points, and a
+// shorter series keeps its op-1 record, byte for byte, and is reduced on
+// recovery. Values in decimal form (op 4) take half the bytes, so the
+// representation rides free from 23 points up at M = 12.
 const repShare = 64
 
-// ingestRecord is the log record of sr: op 3 with its representation when the
-// size rule admits it and tsio.ValidateWALRep accepts it, op 1 otherwise. It
-// never fails an append over the representation: op 1 recovers too, by
-// reduction.
-func ingestRecord(sr Series) tsio.WALRecord {
+// ingestRecord is the log record of sr with its values in decimal form (op 4)
+// or as float64 bits (op 1 or 3). It carries sr's representation when the
+// size rule admits it and tsio.ValidateWALRep accepts it: a record without
+// one recovers too, by reduction.
+func ingestRecord(sr Series, decimal bool) tsio.WALRecord {
 	rec := tsio.WALRecord{Op: tsio.WALIngest, ID: sr.ID, Values: sr.Values}
-	if lin, ok := sr.Rep.(repr.Linear); ok && repShare*tsio.WALRepSize(len(lin.Segs)) <= 8*len(sr.Values) &&
+	if decimal {
+		rec.Op = tsio.WALIngestDecimal
+	}
+	lin, ok := sr.Rep.(repr.Linear)
+	if !ok {
+		return rec
+	}
+	with := rec
+	with.Tag, with.Rep = sr.Tag, lin
+	if !decimal {
+		with.Op = tsio.WALIngestRep
+	}
+	plain := tsio.EncodedWALRecordSize(tsio.WALRecord{Op: tsio.WALIngest, Values: sr.Values})
+	if repShare*(tsio.EncodedWALRecordSize(with)-plain) <= 8*len(sr.Values) &&
 		tsio.ValidateWALRep(sr.Tag, lin, len(sr.Values)) == nil {
-		rec.Op, rec.Tag, rec.Rep = tsio.WALIngestRep, sr.Tag, lin
+		return with
 	}
 	return rec
+}
+
+// appendIngestRecord appends sr's log record to dst and reports whether its
+// values took the decimal form. The decimal record is tried first: the
+// encoder's exponent search is the test of whether the values have that form,
+// and it gives up at the first value that has none, so a full-precision
+// series pays for about one value's search.
+func appendIngestRecord(dst []byte, sr Series) ([]byte, bool, error) {
+	out, err := tsio.AppendWALRecord(dst, ingestRecord(sr, true))
+	if !errors.Is(err, tsio.ErrWALNotDecimal) {
+		return out, err == nil, err
+	}
+	out, err = tsio.AppendWALRecord(dst, ingestRecord(sr, false))
+	return out, false, err
 }
 
 // Options tunes a Store.
@@ -82,6 +112,13 @@ type Options struct {
 	// ObserveSync, when set, receives the duration of every WAL fsync (the
 	// serving layer feeds its fsync-latency histogram with it).
 	ObserveSync func(time.Duration)
+}
+
+// RecordForms counts the ingest records a Store has appended to its log by
+// the form of their values.
+type RecordForms struct {
+	Decimal int64 // op 4: decimal mantissas under one exponent
+	F64     int64 // op 1 or 3: float64 bits
 }
 
 // RecoveryInfo reports what Open found on disk.
@@ -113,6 +150,10 @@ type Store struct {
 	broken   error
 	closed   bool
 	buf      []byte // scratch for frame encoding
+
+	// decimal and f64 count the ingest records appended by value form; they
+	// are atomic so a metrics read does not wait behind an fsync.
+	decimal, f64 atomic.Int64
 }
 
 // segName / snapName format sequence numbers into file names.
@@ -218,7 +259,7 @@ func openOnce(fsys FS, opts Options) (*Store, []Series, RecoveryInfo, error) {
 	// whole entry, so an op-1 re-ingest drops an earlier representation.
 	apply := func(rec tsio.WALRecord) error {
 		switch rec.Op {
-		case tsio.WALIngest, tsio.WALIngestRep:
+		case tsio.WALIngest, tsio.WALIngestRep, tsio.WALIngestDecimal:
 			state[rec.ID] = Series{ID: rec.ID, Values: rec.Values, Tag: rec.Tag, Rep: rec.Rep}
 			if rec.ID > info.MaxID {
 				info.MaxID = rec.ID
@@ -300,9 +341,10 @@ func openOnce(fsys FS, opts Options) (*Store, []Series, RecoveryInfo, error) {
 	return s, out, info, nil
 }
 
-// AppendIngest durably records "store values under id". The record is
-// fsync'd before returning whenever it completes a group-commit batch
-// (always, with SyncEvery 1) — only then may the caller acknowledge.
+// AppendIngest durably records "store values under id" as an op-1 record,
+// whatever the values' form. The record is fsync'd before returning whenever
+// it completes a group-commit batch (always, with SyncEvery 1) — only then may
+// the caller acknowledge.
 func (s *Store) AppendIngest(id int64, values []float64) error {
 	if err := tsio.ValidateSeries(values); err != nil {
 		return err
@@ -311,12 +353,12 @@ func (s *Store) AppendIngest(id int64, values []float64) error {
 }
 
 // AppendIngestBatch durably records one ingest per series under a single
-// mutex hold, each with its representation when ingestRecord admits it.
-// Every series is validated before any byte is written, so a bad series
-// rejects the whole batch instead of leaving a prefix in the log. The batch
-// counts as len(series) records toward group commit and is fsync'd
-// before returning whenever it completes a batch — with SyncEvery 1 that is
-// one fsync for the whole call, the point of batching.
+// mutex hold, each in appendIngestRecord's form. Every series is validated
+// before any byte is written, so a bad series rejects the whole batch instead
+// of leaving a prefix in the log. The batch counts as len(series) records
+// toward group commit and is fsync'd before returning whenever it completes a
+// batch — with SyncEvery 1 that is one fsync for the whole call, the point of
+// batching.
 func (s *Store) AppendIngestBatch(series []Series) error {
 	for _, sr := range series {
 		if err := tsio.ValidateSeries(sr.Values); err != nil {
@@ -335,13 +377,17 @@ func (s *Store) AppendIngestBatch(series []Series) error {
 	// segment as a single Write: a mid-batch write failure then truncates
 	// back to the pre-batch offset, never leaving a partial batch appended.
 	frames := []byte(nil)
+	decimal := 0
 	for _, sr := range series {
-		payload, err := tsio.AppendWALRecord(s.buf[:0], ingestRecord(sr))
+		payload, dec, err := appendIngestRecord(s.buf[:0], sr)
 		if err != nil {
 			return err
 		}
 		s.buf = payload[:0] // keep the grown scratch buffer
 		frames = appendFrame(frames, payload)
+		if dec {
+			decimal++
+		}
 	}
 	if _, err := s.seg.Write(frames); err != nil {
 		if terr := s.seg.Truncate(s.segSize); terr != nil {
@@ -350,6 +396,8 @@ func (s *Store) AppendIngestBatch(series []Series) error {
 		return fmt.Errorf("wal: append batch: %w", err)
 	}
 	s.segSize += int64(len(frames))
+	s.decimal.Add(int64(decimal))
+	s.f64.Add(int64(len(series) - decimal))
 	s.unsynced += len(series)
 	if s.unsynced >= s.opts.SyncEvery {
 		return s.syncLocked()
@@ -385,6 +433,9 @@ func (s *Store) append(rec tsio.WALRecord) error {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	s.segSize += int64(len(frame))
+	if rec.Op == tsio.WALIngest {
+		s.f64.Add(1)
+	}
 	s.unsynced++
 	if s.unsynced >= s.opts.SyncEvery {
 		return s.syncLocked()
@@ -508,6 +559,12 @@ func (s *Store) SnapshotSeq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.snapSeq
+}
+
+// RecordForms returns how many ingest records the store has appended since
+// Open, by value form. Snapshots are not counted.
+func (s *Store) RecordForms() RecordForms {
+	return RecordForms{Decimal: s.decimal.Load(), F64: s.f64.Load()}
 }
 
 // Unsynced returns how many appended records await the next group commit.
