@@ -102,35 +102,38 @@ func TestKNNWithMatchesKNN(t *testing.T) {
 // replaced never followed. It is eval-only (Figs. 13–15); lower the number
 // when that is fixed, never raise it.
 func TestKNNWithAllocs(t *testing.T) {
-	const n, m, k = 128, 12, 10
-	q := testQueries(t, 1, n, m)[0]
+	const m, k = 12, 10
 	flat := func(int) (Index, error) { return NewFlat("SAPLA") }
 	concurrent := func() (Index, error) {
 		f, err := NewFlat("SAPLA")
 		return NewConcurrent(f), err
 	}
-	knnWith := func(idx Index, ws *Workspace) error {
-		_, _, err := idx.(WorkspaceSearcher).KNNWith(ws, q, k)
-		return err
+	knnWith := func(idx Index, ws *Workspace, q dist.Query) (SearchStats, error) {
+		_, st, err := idx.(WorkspaceSearcher).KNNWith(ws, q, k)
+		return st, err
 	}
-	knnSnapshot := func(idx Index, ws *Workspace) error {
-		_, _, _, err := idx.(*ConcurrentIndex).KNNSnapshot(ws, q, k)
-		return err
+	knnSnapshot := func(idx Index, ws *Workspace, q dist.Query) (SearchStats, error) {
+		_, st, _, err := idx.(*ConcurrentIndex).KNNSnapshot(ws, q, k)
+		return st, err
 	}
 	rows := []struct {
 		name   string
+		n      int
 		build  func() (Index, error)
-		search func(Index, *Workspace) error
+		search func(Index, *Workspace, dist.Query) (SearchStats, error)
 		want   float64
 	}{
-		{"Flat", func() (Index, error) { return flat(0) }, knnWith, 0},
-		{"Concurrent", concurrent, knnWith, 0},
-		{"ConcurrentSnapshot", concurrent, knnSnapshot, 0},
-		{"Sharded1", func() (Index, error) { return NewSharded(1, flat) }, knnWith, 0},
-		{"Sharded4", func() (Index, error) { return NewSharded(4, flat) }, knnWith, 0},
-		{"DBCH", func() (Index, error) { return NewDBCH("SAPLA", 2, 5) }, knnWith, 0},
-		{"RTree", func() (Index, error) { return NewRTree("SAPLA", n, m, 2, 5) }, knnWith, 268},
-		{"LinearScan", func() (Index, error) { return NewLinearScan(), nil }, knnWith, 0},
+		{"Flat", 128, func() (Index, error) { return flat(0) }, knnWith, 0},
+		{"Concurrent", 128, concurrent, knnWith, 0},
+		{"ConcurrentSnapshot", 128, concurrent, knnSnapshot, 0},
+		{"Sharded1", 128, func() (Index, error) { return NewSharded(1, flat) }, knnWith, 0},
+		{"Sharded4", 128, func() (Index, error) { return NewSharded(4, flat) }, knnWith, 0},
+		// 1024 points: the rows keep chunk envelopes, and refinements end on them.
+		{"Flat/n1024", 1024, func() (Index, error) { return flat(0) }, knnWith, 0},
+		{"Sharded4/n1024", 1024, func() (Index, error) { return NewSharded(4, flat) }, knnWith, 0},
+		{"DBCH", 128, func() (Index, error) { return NewDBCH("SAPLA", 2, 5) }, knnWith, 0},
+		{"RTree", 128, func() (Index, error) { return NewRTree("SAPLA", 128, m, 2, 5) }, knnWith, 268},
+		{"LinearScan", 128, func() (Index, error) { return NewLinearScan(), nil }, knnWith, 0},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -138,20 +141,25 @@ func TestKNNWithAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range benchEntries(t, 2*flatRows+30, n, m) {
+			for _, e := range benchEntries(t, 2*flatRows+30, row.n, m) {
 				if err := idx.Insert(e); err != nil {
 					t.Fatal(err)
 				}
 			}
+			q := testQueries(t, 1, row.n, m)[0]
 			ws := NewWorkspace()
+			var st SearchStats
 			// AllocsPerRun's own warm-up run sizes the workspace.
 			allocs := testing.AllocsPerRun(50, func() {
-				if err := row.search(idx, ws); err != nil {
+				if st, err = row.search(idx, ws, q); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != row.want {
 				t.Fatalf("steady-state search allocates %v times, want %v", allocs, row.want)
+			}
+			if row.n >= 512 && st.Dismissed == 0 {
+				t.Fatalf("no refinement ended on the envelope (%+v): the row did not take its path", st)
 			}
 		})
 	}

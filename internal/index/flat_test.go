@@ -818,7 +818,7 @@ func TestFlatQueryErrors(t *testing.T) {
 // then every block's rows into out (one value per slot).
 func sweepRows(tb testing.TB, f *Flat, ws *Workspace, q dist.Query, out []float64) {
 	tb.Helper()
-	tab := f.queryTable(ws, q)
+	tab, _ := f.queryTable(ws, q)
 	if tab == nil {
 		tb.Fatal("query cannot use the block rows")
 	}

@@ -6,6 +6,7 @@ import (
 
 	"sapla/internal/dist"
 	"sapla/internal/pqueue"
+	"sapla/internal/ts"
 )
 
 // Workspace holds the scratch state of one k-NN search: the best-first node
@@ -32,9 +33,10 @@ type Workspace struct {
 	// distance per slot, and the slots of the k smallest of them, worst on top.
 	filt  []float64
 	seeds *pqueue.Heap[int32]
-	// tab is the flat tier's per-query table (Flat.queryTable), rebuilt by
-	// every search that sweeps block rows.
+	// tab and env are the flat tier's per-query table and chunk envelope
+	// (Flat.queryTable), rebuilt by every search that sweeps block rows.
 	tab parTable
+	env ts.Envelope
 }
 
 // NewWorkspace returns an empty search workspace.

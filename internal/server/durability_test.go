@@ -347,7 +347,8 @@ func memFiles(t *testing.T, mem *wal.MemFS) map[string][]byte {
 // representation is bit-identical to a fresh reduction of its values, and the
 // server answers like a fresh one. A second restart under another M finds
 // every tag stale: it reduces everything and answers like a fresh server at
-// that M.
+// that M. At n = 1024 every recovered row's chunk envelope is, bit for bit,
+// the one a fresh Insert of its series computes.
 func TestServerLongSeriesCrashRecovery(t *testing.T) {
 	trials := 2
 	if testing.Short() {
@@ -388,6 +389,9 @@ func TestServerLongSeriesCrashRecovery(t *testing.T) {
 						}
 						recoveryCounts(t, hrec, loaded, len(out.acked)-loaded)
 						freshReps(t, rec, m)
+						if n == 1024 {
+							freshEnvelopes(t, rec)
+						}
 						answersLikeFresh(t, rng, hrec, Config{Workers: 2, M: m}, out.acked, n)
 						hrec.Close()
 						if err := rec.Shutdown(context.Background()); err != nil {
@@ -478,6 +482,37 @@ func freshReps(t *testing.T, s *Server, m int) {
 				if math.Float64bits(g.Line.A) != math.Float64bits(w.Line.A) ||
 					math.Float64bits(g.Line.B) != math.Float64bits(w.Line.B) || g.R != w.R {
 					t.Fatalf("id %d segment %d: %+v, a fresh reduction gives %+v", e.ID, i, g, w)
+				}
+			}
+		})
+		sh.mu.Unlock()
+	}
+}
+
+// freshEnvelopes requires every row of s to keep a chunk envelope, and each
+// to hold the bits a fresh flat tier's Insert of the same entry computes.
+func freshEnvelopes(t *testing.T, s *Server) {
+	t.Helper()
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		fresh, err := index.NewFlat(s.cfg.Method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.flat.Each(func(e *index.Entry) {
+			if err := fresh.Insert(index.NewEntry(e.ID, e.Raw, e.Rep)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		sh.flat.Each(func(e *index.Entry) {
+			gm, gr, ok := sh.flat.Envelope(e.ID)
+			wm, wr, _ := fresh.Envelope(e.ID)
+			if !ok || len(gm) != len(wm) {
+				t.Fatalf("id %d: recovered row keeps envelope %v of %d chunks, a fresh insert %d", e.ID, ok, len(gm), len(wm))
+			}
+			for j := range gm {
+				if math.Float32bits(gm[j]) != math.Float32bits(wm[j]) || math.Float32bits(gr[j]) != math.Float32bits(wr[j]) {
+					t.Fatalf("id %d chunk %d: recovered envelope (%v, %v), a fresh insert (%v, %v)", e.ID, j, gm[j], gr[j], wm[j], wr[j])
 				}
 			}
 		})

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"sapla/internal/index"
 )
 
 // latencyBuckets are the histogram upper bounds. Exponential-ish spacing
@@ -158,6 +160,7 @@ type metrics struct {
 	// fraction of stored series a query had to fetch for exact distances.
 	queries      expvar.Int
 	measured     expvar.Int
+	dismissed    expvar.Int // of measured: ended by the chunk envelope before reading a raw value
 	filtered     expvar.Int
 	nodesVisited expvar.Int
 	candidates   expvar.Int // sum of index size at query time
@@ -194,13 +197,14 @@ func (m *metrics) observe(endpoint string, status int, d time.Duration) {
 	}
 }
 
-// addSearch accumulates the stats of nq queries run against an index of
-// size at query time.
-func (m *metrics) addSearch(nq, measured, filtered, nodes, size int) {
+// addSearch accumulates st, the summed stats of nq queries run against an
+// index of size at query time.
+func (m *metrics) addSearch(nq int, st index.SearchStats, size int) {
 	m.queries.Add(int64(nq))
-	m.measured.Add(int64(measured))
-	m.filtered.Add(int64(filtered))
-	m.nodesVisited.Add(int64(nodes))
+	m.measured.Add(int64(st.Measured))
+	m.dismissed.Add(int64(st.Dismissed))
+	m.filtered.Add(int64(st.Filtered))
+	m.nodesVisited.Add(int64(st.NodesVisited))
 	m.candidates.Add(int64(nq) * int64(size))
 }
 
@@ -232,6 +236,7 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 	doc["search"] = mustJSON(map[string]any{
 		"queries":       m.queries.Value(),
 		"measured":      m.measured.Value(),
+		"dismissed":     m.dismissed.Value(),
 		"filtered":      m.filtered.Value(),
 		"nodes_visited": m.nodesVisited.Value(),
 		"candidates":    m.candidates.Value(),

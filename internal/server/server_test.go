@@ -802,3 +802,56 @@ func TestServerIngestBatch(t *testing.T) {
 		})
 	}
 }
+
+// TestServerDismissedMetric: /metrics search.dismissed counts the
+// refinements the flat tier's chunk envelope ended before reading a raw
+// value — some of the measured ones on 1024-point series, none on 256-point
+// series, whose rows keep no envelope.
+func TestServerDismissedMetric(t *testing.T) {
+	for _, n := range []int{256, 1024} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			_, hs := newTestServer(t, Config{Workers: 1, Shards: 4})
+			client := hs.Client()
+			rng := rand.New(rand.NewSource(int64(n)))
+			stored := make([]ts.Series, 400)
+			for lo := 0; lo < len(stored); lo += 200 {
+				items := make([]map[string]any, 200)
+				for i := range items {
+					stored[lo+i] = wireSeries(rng, n)
+					items[i] = map[string]any{"values": stored[lo+i]}
+				}
+				if code := doJSON(t, client, "POST", hs.URL+"/v1/ingest/batch", map[string]any{"series": items}, nil); code != http.StatusCreated {
+					t.Fatalf("batch ingest: status %d", code)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				q := stored[rng.Intn(len(stored))].Clone()
+				for j := range q {
+					q[j] += 0.3 * rng.NormFloat64()
+				}
+				var knn knnResponse
+				if code := doJSON(t, client, "POST", hs.URL+"/v1/knn", map[string]any{"values": q, "k": 5}, &knn); code != http.StatusOK {
+					t.Fatalf("knn: status %d", code)
+				}
+				if code := doJSON(t, client, "POST", hs.URL+"/v1/range",
+					map[string]any{"values": q, "radius": knn.Results[4].Dist}, nil); code != http.StatusOK {
+					t.Fatalf("range: status %d", code)
+				}
+			}
+			var met struct {
+				Search struct {
+					Measured  int64 `json:"measured"`
+					Dismissed int64 `json:"dismissed"`
+				} `json:"search"`
+			}
+			if code := doJSON(t, client, "GET", hs.URL+"/metrics", nil, &met); code != http.StatusOK {
+				t.Fatalf("metrics: status %d", code)
+			}
+			s := met.Search
+			t.Logf("dismissed %d of %d measured", s.Dismissed, s.Measured)
+			if s.Dismissed > s.Measured || (n >= 512) != (s.Dismissed > 0) {
+				t.Fatalf("n=%d: dismissed %d of %d measured", n, s.Dismissed, s.Measured)
+			}
+		})
+	}
+}
