@@ -55,15 +55,16 @@ CRASH_COUNT ?= 3
 crash:
 	$(GO) test -race -count=$(CRASH_COUNT) -run 'CrashRecovery' ./internal/wal ./internal/server
 
-# Coverage gate for the index and durability cores: writes cover.out
+# Coverage gate for the index, durability and service cores: writes cover.out
 # (uploaded by CI as an artifact on every run) and fails when combined
 # statement coverage drops below COVER_MIN percent. The other packages are
-# covered by `make test`; these two carry the correctness-critical sharding
-# and recovery logic, so their coverage is an enforced floor, not a report.
+# covered by `make test`; these three carry the correctness-critical sharding,
+# recovery and request logic, so their coverage is an enforced floor, not a
+# report.
 COVER_MIN ?= 85
 COVER_PROFILE ?= cover.out
 cover:
-	$(GO) test -coverprofile=$(COVER_PROFILE) -covermode=atomic ./internal/index ./internal/wal
+	$(GO) test -coverprofile=$(COVER_PROFILE) -covermode=atomic ./internal/index ./internal/wal ./internal/server
 	@total=$$($(GO) tool cover -func=$(COVER_PROFILE) | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 	echo "combined coverage: $$total% (floor $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' || \

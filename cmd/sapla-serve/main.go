@@ -1,7 +1,7 @@
 // Command sapla-serve runs the similarity-search service: a long-running
-// HTTP server that ingests raw series (reduced under the configured method
-// and appended to a flat filter-and-refine tier per shard) while answering
-// k-NN, batch k-NN and ε-range queries.
+// HTTP server that ingests raw series (reduced by SAPLA and appended to a
+// flat filter-and-refine tier per shard) while answering k-NN, batch k-NN and
+// ε-range queries.
 //
 // Endpoints:
 //
@@ -44,7 +44,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		method   = flag.String("method", "SAPLA", "reduction method (SAPLA, APLA, APCA, PLA, PAA, PAALM, CHEBY, SAX)")
+		method   = flag.String("method", "SAPLA", "reduction method: only SAPLA is served, any other value fails startup")
 		m        = flag.Int("m", 12, "coefficient budget per series")
 		workers  = flag.Int("workers", 0, "batch k-NN workers (0 = GOMAXPROCS)")
 		shards   = flag.Int("shards", 1, "index shard count (stable-hash partitioned; a durable data dir pins the count it was created with)")

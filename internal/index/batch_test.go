@@ -103,11 +103,8 @@ func TestKNNWithMatchesKNN(t *testing.T) {
 // when that is fixed, never raise it.
 func TestKNNWithAllocs(t *testing.T) {
 	const m, k = 12, 10
-	flat := func(int) (Index, error) { return NewFlat("SAPLA") }
-	concurrent := func() (Index, error) {
-		f, err := NewFlat("SAPLA")
-		return NewConcurrent(f), err
-	}
+	flat := func(int) (Index, error) { return NewFlat(), nil }
+	concurrent := func() (Index, error) { return NewConcurrent(NewFlat()), nil }
 	knnWith := func(idx Index, ws *Workspace, q dist.Query) (SearchStats, error) {
 		_, st, err := idx.(WorkspaceSearcher).KNNWith(ws, q, k)
 		return st, err
@@ -301,7 +298,7 @@ func TestBatchKNNContextCanceled(t *testing.T) {
 	// Cancelled mid-batch over four flat shards: cancellation is per query, so
 	// a slot is either a whole answer — k results, every shard's rows
 	// filtered — or nil, never the merge of some shards.
-	sharded := newShardedFlat(t, "SAPLA", 4)
+	sharded := newShardedFlat(t, 4)
 	if err := sharded.InsertBatch(benchEntries(t, 100, 64, 12)); err != nil {
 		t.Fatal(err)
 	}

@@ -306,10 +306,7 @@ func BenchmarkFlatFilter(b *testing.B) {
 		entries := mixedEntries(b, rng, shape.count, shape.n, 12)
 		queries := mixedQueries(b, rng, entries, 64, 12)
 		flats := make([]*dist.FlatLinear, len(entries))
-		flat, err := NewFlat("SAPLA")
-		if err != nil {
-			b.Fatal(err)
-		}
+		flat := NewFlat()
 		for i, e := range entries {
 			flats[i] = dist.FlattenLinear(e.Rep)
 			if err := flat.Insert(e); err != nil {
@@ -352,10 +349,7 @@ func servedPair(b *testing.B) (map[string]Index, []dist.Query) {
 		b.Fatal(err)
 	}
 	tree.SafeBound = true
-	flat, err := NewFlat("SAPLA")
-	if err != nil {
-		b.Fatal(err)
-	}
+	flat := NewFlat()
 	for lo := 0; lo < len(entries); lo += 250 {
 		if err := tree.InsertBatch(entries[lo : lo+250]); err != nil {
 			b.Fatal(err)
@@ -402,7 +396,7 @@ func servedSharded4(b *testing.B, n int) *servedLong {
 	rng := rand.New(rand.NewSource(17))
 	entries := mixedEntries(b, rng, 4*1500, n, 12)
 	scan := &LinearScan{entries: entries}
-	sv := &servedLong{idx: newShardedFlat(b, "SAPLA", 4)}
+	sv := &servedLong{idx: newShardedFlat(b, 4)}
 	if err := sv.idx.InsertBatch(entries); err != nil {
 		b.Fatal(err)
 	}

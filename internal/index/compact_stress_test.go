@@ -55,7 +55,7 @@ func TestStressCompactInsertVsReaders(t *testing.T) {
 			tree.SafeBound = true
 			return tree, nil
 		}},
-		{"Flat", func(int) (Index, error) { return NewFlat("SAPLA") }},
+		{"Flat", func(int) (Index, error) { return NewFlat(), nil }},
 	}
 	for _, inner := range inners {
 		for _, shards := range []int{1, 4, 7} {

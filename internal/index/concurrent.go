@@ -1,11 +1,16 @@
 package index
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
 	"sapla/internal/dist"
 )
+
+// ErrNoRange is the range answer of a ConcurrentIndex (and so of a
+// ShardedIndex) over an index that cannot answer range queries.
+var ErrNoRange = errors.New("index: the wrapped index has no range search")
 
 // Deleter is implemented by indexes that can remove an entry by ID (the flat
 // tier and both trees; the linear scan opts out).
@@ -169,13 +174,13 @@ func (c *ConcurrentIndex) KNNSnapshot(ws *Workspace, q dist.Query, k int) ([]Res
 }
 
 // Range implements RangeSearcher under the shared lock when the wrapped
-// index does; otherwise it returns empty results.
+// index does; otherwise it returns ErrNoRange.
 func (c *ConcurrentIndex) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	r, ok := c.inner.(RangeSearcher)
 	if !ok {
-		return nil, SearchStats{}, nil
+		return nil, SearchStats{}, ErrNoRange
 	}
 	return r.Range(q, radius)
 }

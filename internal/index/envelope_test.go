@@ -91,7 +91,7 @@ func TestFlatEnvelopeAnswersIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("n=%d/shards=%d", n, shards), func(t *testing.T) {
 				m := newFlatModel(t, "SAPLA", int64(10*n+shards))
 				m.n = n
-				idx := newShardedFlat(t, "SAPLA", shards)
+				idx := newShardedFlat(t, shards)
 				flats := shardFlats(t, idx)
 				dismissed := 0
 				for round := 0; round < 24; round++ {

@@ -27,8 +27,8 @@ const envelopeMinChunks = 8
 // negative value cannot be one.
 const refined = -1
 
-// ErrQueryLength is returned by the flat tier when a query's raw length
-// differs from a stored series' — the exact distance is undefined there.
+// ErrQueryLength is returned by the flat tier when a query's length differs
+// from the stored series' — the exact distance is undefined there.
 var ErrQueryLength = fmt.Errorf("index: query and stored series lengths differ: %w", ts.ErrLengthMismatch)
 
 // parGuard is the relative floor under which the row kernel's d² = ‖q̂‖² +
@@ -47,10 +47,10 @@ const parGuard = 1e-4
 // the stride pads its endpoints with N−1 and its coefficients with 0: the
 // padding spans the empty range past the series' end, so it adds exactly 0 to
 // the row kernel's inner product (and PARFlat's merge loop stops at the first
-// N−1 without reading it). A negative first endpoint marks a vacant row.
+// N−1 without reading it).
 //
-// When the series are long enough (envelopeMinChunks), an occupied row also
-// keeps its raw series' chunk envelope — ts.ChunkEnvelope of every
+// When the series are long enough (envelopeMinChunks), a row also keeps its
+// raw series' chunk envelope — ts.ChunkEnvelope of every
 // ts.EnvelopeChunk-point chunk, rounded to float32 — which lets a refinement
 // stop before it reads the series (ts.EuclideanSqEnvelope).
 type flatBlock struct {
@@ -116,38 +116,26 @@ func sqNorm(fl *dist.FlatLinear) float64 {
 // that survive. Insert appends, Delete moves the last slot into the hole, so
 // storage never fragments and there is nothing to rebalance or compact.
 //
-// The block rows serve the Dist_PAR methods (SAPLA, APLA, APCA). An entry
-// without a flat form, with more segments than the stride (fixed by the first
-// flat entry), or of another series length keeps a vacant row and is filtered
-// through the method's generic FilterFunc instead — as is everything under
-// the other methods, which never allocate blocks.
+// Every entry has a block row, and the filter is Dist_PAR over the rows. The
+// first entry fixes the series length and the stride; Insert refuses an entry
+// the rows cannot hold. Dist_PAR is not a lower bound of the Euclidean
+// distance, so a search can dismiss a true neighbour whose Dist_PAR exceeds
+// its exact distance; one whose Dist_PAR does not is never dismissed.
 //
 // Not safe for concurrent use; wrap it in a ConcurrentIndex. The server's
 // writers mutate it only through that wrapper and under a mutex of their own,
 // which is then enough to read it (Lookup, Each) without the wrapper's lock.
 type Flat struct {
-	filter dist.FilterFunc
-	usePAR bool
-
-	n, stride int // series length and segments per row of the block rows; 0 until the first flat entry
+	n, stride int // series length and segments per row; 0 until the first entry
 	chunks    int // envelope chunks per row; 0 for series shorter than envelopeMinChunks chunks
 	ents      []*Entry
 	slot      map[int]int32 // entry ID → slot
-	blocks    []flatBlock   // cover every slot once stride is set
-	generic   int           // live entries with no occupied block row
+	blocks    []flatBlock   // cover every slot
 }
 
-// NewFlat builds an empty flat tier for the given method.
-func NewFlat(method string) (*Flat, error) {
-	f, err := dist.Filter(method)
-	if err != nil {
-		return nil, err
-	}
-	return &Flat{
-		filter: f,
-		usePAR: method == "SAPLA" || method == "APLA" || method == "APCA",
-		slot:   make(map[int]int32),
-	}, nil
+// NewFlat builds an empty flat tier.
+func NewFlat() *Flat {
+	return &Flat{slot: make(map[int]int32)}
 }
 
 // Len implements Index.
@@ -171,42 +159,46 @@ func (f *Flat) Each(fn func(e *Entry)) {
 
 // Insert implements Index. It takes ownership of e: the coefficients move
 // into block storage and the entry's own caches of them are dropped, so one
-// copy stays resident. A duplicate ID is an error — the ID is the delete key.
+// copy stays resident. It refuses, with the tier and e unchanged, a duplicate
+// ID (the ID is the delete key) and an entry the rows cannot hold: one with no
+// flat form (a representation that is not piecewise linear), of another series
+// length than the first entry's, or with more segments than its stride.
 func (f *Flat) Insert(e *Entry) error {
 	if _, dup := f.slot[e.ID]; dup {
 		return fmt.Errorf("index: duplicate entry id %d", e.ID)
 	}
-	s := len(f.ents)
-	f.ents = append(f.ents, e)
-	f.slot[e.ID] = int32(s)
-
 	fl := e.flat
-	if fl == nil && f.usePAR {
+	if fl == nil {
 		fl = dist.FlattenLinear(e.Rep) // an entry built by hand, or re-inserted after Insert dropped its cache
 	}
-	e.flat, e.vec = nil, nil
-	ok := f.usePAR && fl.Valid()
-	if ok && f.stride == 0 {
-		f.n, f.stride = fl.N, len(fl.R)
-		if nc := ts.EnvelopeChunks(f.n); nc >= envelopeMinChunks {
+	if !fl.Valid() {
+		return fmt.Errorf("index: entry id %d has no flat form: %w", e.ID, dist.ErrIncompatible)
+	}
+	n, stride := f.n, f.stride
+	if stride == 0 {
+		n, stride = fl.N, len(fl.R)
+	}
+	if fl.N != n || len(e.Raw) != n {
+		return fmt.Errorf("index: entry id %d: %d points, representation of %d, the tier holds %d: %w",
+			e.ID, len(e.Raw), fl.N, n, ts.ErrLengthMismatch)
+	}
+	if len(fl.R) > stride {
+		return fmt.Errorf("index: entry id %d has %d segments, the rows %d", e.ID, len(fl.R), stride)
+	}
+	if f.stride == 0 {
+		f.n, f.stride = n, stride
+		if nc := ts.EnvelopeChunks(n); nc >= envelopeMinChunks {
 			f.chunks = nc
 		}
 	}
-	ok = ok && fl.N == f.n && len(fl.R) <= f.stride
-	if !ok {
-		f.generic++
-	}
-	if f.stride == 0 {
-		return nil
-	}
+	s := len(f.ents)
+	f.ents = append(f.ents, e)
+	f.slot[e.ID] = int32(s)
+	e.flat, e.vec = nil, nil
 	for len(f.blocks)*flatRows <= s {
 		f.blocks = append(f.blocks, newFlatBlock(f.stride, f.chunks))
 	}
 	b, at := f.row(s)
-	if !ok {
-		b.r[at] = -1
-		return nil
-	}
 	used := copy(b.r[at:at+f.stride], fl.R)
 	copy(b.a[at:], fl.A)
 	copy(b.c[at:], fl.C)
@@ -222,16 +214,9 @@ func (f *Flat) Insert(e *Entry) error {
 }
 
 // setEnvelope writes the envelope of raw into row i of b, computed from the
-// values in ts.ChunkEnvelope's two passes. A series of another length than the
-// rows' gets zeros: no search reads them, because refining it is a length
-// error before the kernel runs.
+// values in ts.ChunkEnvelope's two passes.
 func (f *Flat) setEnvelope(b *flatBlock, i int, raw ts.Series) {
 	m, rho := b.em[i*f.chunks:(i+1)*f.chunks], b.er[i*f.chunks:(i+1)*f.chunks]
-	if len(raw) != f.n {
-		clear(m)
-		clear(rho)
-		return
-	}
 	for j := range m {
 		cm, cr := ts.ChunkEnvelope(raw[j*ts.EnvelopeChunk : min((j+1)*ts.EnvelopeChunk, len(raw))])
 		m[j], rho[j] = float32(cm), float32(cr)
@@ -240,10 +225,10 @@ func (f *Flat) setEnvelope(b *flatBlock, i int, raw ts.Series) {
 
 // Envelope returns the chunk envelope the row of the entry with the given ID
 // keeps, aliasing block storage: ok is false when the entry is not live or
-// its row keeps none (series under envelopeMinChunks chunks, vacant rows).
+// the rows keep none (series under envelopeMinChunks chunks).
 func (f *Flat) Envelope(id int) (m, rho []float32, ok bool) {
 	s, live := f.slot[id]
-	if !live || f.chunks == 0 || !f.occupied(int(s)) {
+	if !live || f.chunks == 0 {
 		return nil, nil, false
 	}
 	b, lo := &f.blocks[s/flatRows], int(s%flatRows)*f.chunks
@@ -255,7 +240,7 @@ func (f *Flat) row(s int) (*flatBlock, int) {
 	return &f.blocks[s/flatRows], (s % flatRows) * f.stride
 }
 
-// newFlatBlock allocates one block with every row vacant.
+// newFlatBlock allocates one zeroed block.
 func newFlatBlock(stride, chunks int) flatBlock {
 	b := flatBlock{
 		a:  make([]float64, flatRows*stride),
@@ -266,32 +251,26 @@ func newFlatBlock(stride, chunks int) flatBlock {
 	if chunks > 0 {
 		b.em, b.er = make([]float32, flatRows*chunks), make([]float32, flatRows*chunks)
 	}
-	for i := range b.r {
-		b.r[i] = -1
-	}
 	return b
 }
 
-// InsertBatch implements BatchInserter: all of entries or none.
+// InsertBatch implements BatchInserter: all of entries or none. A refused
+// batch into a tier that never held an entry leaves the length and stride
+// unset, as they were.
 func (f *Flat) InsertBatch(entries []*Entry) error {
+	fresh := f.stride == 0
 	for i, e := range entries {
 		if err := f.Insert(e); err != nil {
 			for _, u := range entries[:i] {
 				f.Delete(u.ID)
 			}
+			if fresh {
+				f.n, f.stride, f.chunks, f.blocks = 0, 0, 0, nil
+			}
 			return err
 		}
 	}
 	return nil
-}
-
-// occupied reports whether slot s has a block row.
-func (f *Flat) occupied(s int) bool {
-	if f.stride == 0 {
-		return false
-	}
-	b, at := f.row(s)
-	return b.r[at] >= 0
 }
 
 // Delete implements Deleter by swap-remove: the last slot's entry and row
@@ -302,24 +281,19 @@ func (f *Flat) Delete(id int) bool {
 		return false
 	}
 	s, last := int(s32), len(f.ents)-1
-	if !f.occupied(s) {
-		f.generic--
-	}
 	if s != last {
 		moved := f.ents[last]
 		f.ents[s] = moved
 		f.slot[moved.ID] = s32
-		if f.stride > 0 {
-			from, fa := f.row(last)
-			to, ta := f.row(s)
-			copy(to.a[ta:ta+f.stride], from.a[fa:])
-			copy(to.c[ta:ta+f.stride], from.c[fa:])
-			copy(to.r[ta:ta+f.stride], from.r[fa:])
-			to.nn[s%flatRows] = from.nn[last%flatRows]
-			fe, te := (last%flatRows)*f.chunks, (s%flatRows)*f.chunks
-			copy(to.em[te:te+f.chunks], from.em[fe:])
-			copy(to.er[te:te+f.chunks], from.er[fe:])
-		}
+		from, fa := f.row(last)
+		to, ta := f.row(s)
+		copy(to.a[ta:ta+f.stride], from.a[fa:])
+		copy(to.c[ta:ta+f.stride], from.c[fa:])
+		copy(to.r[ta:ta+f.stride], from.r[fa:])
+		to.nn[s%flatRows] = from.nn[last%flatRows]
+		fe, te := (last%flatRows)*f.chunks, (s%flatRows)*f.chunks
+		copy(to.em[te:te+f.chunks], from.em[fe:])
+		copy(to.er[te:te+f.chunks], from.er[fe:])
 	}
 	f.ents[last] = nil
 	f.ents = f.ents[:last]
@@ -333,74 +307,56 @@ func (f *Flat) Delete(id int) bool {
 	return true
 }
 
-// queryTable returns ws's table rebuilt for q when q can be filtered against
-// the block rows — it has a well-formed flat form of the rows' series length —
-// and nil when every slot must go through the generic measure. The envelope
-// is ws's, rebuilt for q's raw values, when the rows keep envelopes and q has
-// their length; nil otherwise, and then every refinement is plain.
-func (f *Flat) queryTable(ws *Workspace, q dist.Query) (*parTable, *ts.Envelope) {
-	if f.stride == 0 || !q.Flat.Valid() || q.Flat.N != f.n {
-		return nil, nil
+// queryTable returns ws's table rebuilt for q, and ws's envelope rebuilt for
+// q's raw values when the rows keep envelopes (nil otherwise: every refinement
+// is plain). A query with no flat form is dist.ErrIncompatible, one whose raw
+// values or representation have another length than the stored series is
+// ErrQueryLength. The tier must hold an entry.
+func (f *Flat) queryTable(ws *Workspace, q dist.Query) (*parTable, *ts.Envelope, error) {
+	if !q.Flat.Valid() {
+		return nil, nil, dist.ErrIncompatible
+	}
+	if q.Flat.N != f.n || len(q.Raw) != f.n {
+		return nil, nil, ErrQueryLength
 	}
 	ws.tab.reset(q.Flat)
-	if f.chunks == 0 || len(q.Raw) != f.n {
-		return &ws.tab, nil
+	if f.chunks == 0 {
+		return &ws.tab, nil, nil
 	}
 	ws.env.Reset(q.Raw)
-	return &ws.tab, &ws.env
+	return &ws.tab, &ws.env, nil
 }
 
-// filterSlots writes the filter distance from q to slots lo..lo+len(out)−1
-// (all within one block) into out: Dist_PAR over the occupied rows when tab is
-// q's table, the method's generic measure for everything else. A measure
-// error aborts.
+// filterSlots writes Dist_PAR from q, whose table is tab, to slots
+// lo..lo+len(out)−1 (all within one block) into out.
 //
 // Dist_PAR is the Euclidean distance between the reconstructions q̂ and ĉ, so
 // d² = ‖q̂‖² + ‖ĉ‖² − 2⟨q̂,ĉ⟩, and over one stored segment ⟨q̂,ĉ⟩ is
 // A·Σt·q̂(t) + C·Σq̂(t) — two differences of tab's running sums. A row costs
 // its stride in multiply-adds, with no merge against the query's endpoints.
-func (f *Flat) filterSlots(q dist.Query, tab *parTable, lo int, out []float64) error {
-	if tab != nil {
-		b, _ := f.row(lo)
-		p, qq, stride := tab.p, tab.qq, f.stride
-		row := dist.FlatLinear{N: f.n} // the guard's view of a row
-		for i := range out {
-			at, end := i*stride, (i+1)*stride
-			if b.r[at] < 0 {
-				continue
-			}
-			a, c, r := b.a[at:end], b.c[at:end], b.r[at:end]
-			var dot float64
-			var prev [2]float64
-			for j, e := range r {
-				cur := p[e+1]
-				dot += a[j]*(cur[1]-prev[1]) + c[j]*(cur[0]-prev[0])
-				prev = cur
-			}
-			norms := qq + b.nn[i]
-			d2 := norms - 2*dot
-			if d2 < parGuard*norms {
-				row.A, row.C, row.R = a, c, r
-				out[i] = dist.PARFlat(q.Flat, &row)
-				continue
-			}
-			out[i] = math.Sqrt(d2)
-		}
-		if f.generic == 0 {
-			return nil
-		}
-	}
+func (f *Flat) filterSlots(q dist.Query, tab *parTable, lo int, out []float64) {
+	b, _ := f.row(lo)
+	p, qq, stride := tab.p, tab.qq, f.stride
+	row := dist.FlatLinear{N: f.n} // the guard's view of a row
 	for i := range out {
-		if tab != nil && f.occupied(lo+i) {
+		at, end := i*stride, (i+1)*stride
+		a, c, r := b.a[at:end], b.c[at:end], b.r[at:end]
+		var dot float64
+		var prev [2]float64
+		for j, e := range r {
+			cur := p[e+1]
+			dot += a[j]*(cur[1]-prev[1]) + c[j]*(cur[0]-prev[0])
+			prev = cur
+		}
+		norms := qq + b.nn[i]
+		d2 := norms - 2*dot
+		if d2 < parGuard*norms {
+			row.A, row.C, row.R = a, c, r
+			out[i] = dist.PARFlat(q.Flat, &row)
 			continue
 		}
-		fd, err := f.filter(q, f.ents[lo+i].Rep)
-		if err != nil {
-			return err
-		}
-		out[i] = fd
+		out[i] = math.Sqrt(d2)
 	}
-	return nil
 }
 
 // abandonLimit is the squared-distance ceiling past which a candidate cannot
@@ -412,39 +368,34 @@ func abandonLimit(bound float64) float64 { return bound * bound * (1 + 1e-12) }
 
 // refine computes the exact squared distance from q to slot s, giving up once
 // it provably exceeds limit (ok false), and counts the refinement in stats.
-// With env — q's envelope, when the rows keep them — and an occupied row it
-// runs ts.EuclideanSqEnvelope, which may end it before reading the series
-// (counted as Dismissed); otherwise ts.EuclideanSqAbandon. Both return, when
+// With env — q's envelope, when the rows keep them — it runs
+// ts.EuclideanSqEnvelope, which may end it before reading the series (counted
+// as Dismissed); otherwise ts.EuclideanSqAbandon. Both return, when
 // they complete, the same sequential sum ts.EuclideanSq computes, so answers
 // stay bit-identical to every other index's.
-func (f *Flat) refine(q dist.Query, env *ts.Envelope, s int, limit float64, stats *SearchStats) (float64, bool, error) {
+func (f *Flat) refine(q dist.Query, env *ts.Envelope, s int, limit float64, stats *SearchStats) (float64, bool) {
 	e := f.ents[s]
-	if len(e.Raw) != len(q.Raw) {
-		return 0, false, ErrQueryLength
-	}
 	stats.Measured++
-	if env == nil || !f.occupied(s) {
-		sum, ok := ts.EuclideanSqAbandon(q.Raw, e.Raw, limit)
-		return sum, ok, nil
+	if env == nil {
+		return ts.EuclideanSqAbandon(q.Raw, e.Raw, limit)
 	}
 	b, lo := &f.blocks[s/flatRows], (s%flatRows)*f.chunks
 	sum, ok, dismissed := ts.EuclideanSqEnvelope(q.Raw, e.Raw, env, b.em[lo:lo+f.chunks], b.er[lo:lo+f.chunks], limit)
 	if dismissed {
 		stats.Dismissed++
 	}
-	return sum, ok, nil
+	return sum, ok
 }
 
 // measure refines slot s against the running k-th best distance and returns
 // the updated bound — never looser than the one it was given, so a search
 // handed a bound (Workspace.bound) keeps pruning against it while its own
 // heap fills.
-func (f *Flat) measure(ws *Workspace, q dist.Query, env *ts.Envelope, k, s int, kth float64, stats *SearchStats) (float64, error) {
-	sum, ok, err := f.refine(q, env, s, abandonLimit(kth), stats)
-	if ok {
+func (f *Flat) measure(ws *Workspace, q dist.Query, env *ts.Envelope, k, s int, kth float64, stats *SearchStats) float64 {
+	if sum, ok := f.refine(q, env, s, abandonLimit(kth), stats); ok {
 		kth = min(kth, ws.offerBest(k, math.Sqrt(sum), f.ents[s]))
 	}
-	return kth, err
+	return kth
 }
 
 // KNN implements Index.
@@ -468,18 +419,20 @@ func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 	if n == 0 || k <= 0 {
 		return nil, stats, nil
 	}
+	tab, env, err := f.queryTable(ws, q)
+	if err != nil {
+		return nil, stats, err
+	}
 	if cap(ws.filt) < n {
 		ws.filt = make([]float64, n+n/4)
 	}
 	filt := ws.filt[:n]
 	seeds := ws.seeds
 	seeds.Reset()
-	tab, env := f.queryTable(ws, q)
+	ws.best.Reset()
 	for lo := 0; lo < n; lo += flatRows {
 		out := filt[lo:min(lo+flatRows, n)]
-		if err := f.filterSlots(q, tab, lo, out); err != nil {
-			return nil, stats, err
-		}
+		f.filterSlots(q, tab, lo, out)
 		for i, fd := range out {
 			if !(fd >= 0) { // NaN from a rounded-negative sum: measure it rather than trust it
 				fd, out[i] = 0, 0
@@ -494,26 +447,20 @@ func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 	}
 	stats.Filtered = n
 
-	ws.best.Reset()
 	kth := ws.bound
-	var err error
 	for seeds.Len() > 0 {
 		fd, s := seeds.Pop()
 		filt[s] = refined
 		if fd > kth {
 			continue
 		}
-		if kth, err = f.measure(ws, q, env, k, int(s), kth, &stats); err != nil {
-			return nil, stats, err
-		}
+		kth = f.measure(ws, q, env, k, int(s), kth, &stats)
 	}
 	for s, fd := range filt {
 		if fd < 0 || fd > kth {
 			continue
 		}
-		if kth, err = f.measure(ws, q, env, k, s, kth, &stats); err != nil {
-			return nil, stats, err
-		}
+		kth = f.measure(ws, q, env, k, s, kth, &stats)
 	}
 	return ws.drainResults(), stats, nil
 }
@@ -532,21 +479,19 @@ func (f *Flat) Range(q dist.Query, radius float64) ([]Result, SearchStats, error
 	limit := abandonLimit(radius)
 	ws := wsPool.Get().(*Workspace) // for the query's table
 	defer wsPool.Put(ws)
-	tab, env := f.queryTable(ws, q)
+	tab, env, err := f.queryTable(ws, q)
+	if err != nil {
+		return nil, stats, err
+	}
 	for lo := 0; lo < n; lo += flatRows {
 		filt := buf[:min(flatRows, n-lo)]
-		if err := f.filterSlots(q, tab, lo, filt); err != nil {
-			return nil, stats, err
-		}
+		f.filterSlots(q, tab, lo, filt)
 		stats.Filtered += len(filt)
 		for i, fd := range filt {
 			if fd > radius {
 				continue
 			}
-			sum, ok, err := f.refine(q, env, lo+i, limit, &stats)
-			if err != nil {
-				return nil, stats, err
-			}
+			sum, ok := f.refine(q, env, lo+i, limit, &stats)
 			if !ok {
 				continue
 			}

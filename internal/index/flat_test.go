@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -25,18 +27,9 @@ type flatLike interface {
 	Deleter
 }
 
-func newFlat(t testing.TB, method string) *Flat {
+func newShardedFlat(t testing.TB, shards int) *ShardedIndex {
 	t.Helper()
-	f, err := NewFlat(method)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
-func newShardedFlat(t testing.TB, method string, shards int) *ShardedIndex {
-	t.Helper()
-	s, err := NewSharded(shards, func(int) (Index, error) { return NewFlat(method) })
+	s, err := NewSharded(shards, func(int) (Index, error) { return NewFlat(), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,13 +47,8 @@ type flatModel struct {
 	ids  []int // insertion-ordered candidates for deletion; may hold dead IDs
 	next int
 
-	// lowerBound makes every answer bit-identical to the scan — after the
-	// model has itself checked, pair by pair, that the filter never exceeds
-	// the exact distance. Without it answers are only required to be valid,
-	// and recall is accumulated.
-	lowerBound  bool
-	filter      dist.FilterFunc
-	hits, truth int
+	hits, truth int // k-NN recall: true neighbours returned, true neighbours
+	bounded     int // true neighbours and range members the filter lower-bounds
 }
 
 func (m *flatModel) entry(id int) *Entry {
@@ -122,17 +110,26 @@ func (m *flatModel) valid(label string, q dist.Query, got []Result) {
 	}
 }
 
-// checkLowerBound is the premise of the bit-identity claim, verified on the
-// very pairs the query will meet.
-func (m *flatModel) checkLowerBound(q dist.Query) {
+// keepsBounded is the contract Dist_PAR gives without being a lower bound: a
+// member of the true answer (want, the scan's) whose Dist_PAR does not exceed
+// its exact distance is never dismissed, at any shard count. The margin is a
+// thousand times the row kernel's deviation from dist.PARFlat
+// (TestFlatRowFilter); a Dist_PAR of exactly 0 (q̂ = ĉ, where the kernel takes
+// PARFlat's value) needs none, which makes exact ties at 0 part of the check.
+func (m *flatModel) keepsBounded(label string, q dist.Query, got, want []Result) {
 	m.t.Helper()
-	for _, e := range m.live {
-		fd, err := m.filter(q, e.Rep)
-		if err != nil {
-			m.t.Fatal(err)
+	in := make(map[int]bool, len(got))
+	for _, r := range got {
+		in[r.Entry.ID] = true
+	}
+	for _, r := range want {
+		fd := dist.PARFlat(q.Flat, dist.FlattenLinear(r.Entry.Rep))
+		if fd != 0 && fd+1e-6*(1+fd) > r.Dist {
+			continue
 		}
-		if exact := math.Sqrt(ts.EuclideanSq(q.Raw, e.Raw)); fd > exact {
-			m.t.Fatalf("filter %v exceeds exact distance %v for id %d: not a lower bound", fd, exact, e.ID)
+		m.bounded++
+		if !in[r.Entry.ID] {
+			m.t.Fatalf("%s: id %d (Dist_PAR %v, exact %v) dismissed", label, r.Entry.ID, fd, r.Dist)
 		}
 	}
 }
@@ -154,11 +151,7 @@ func (m *flatModel) checkKNN(idx flatLike, step int) {
 		m.t.Fatalf("%s: stats %+v", label, stats)
 	}
 	m.valid(label, q, got)
-	if m.lowerBound {
-		m.checkLowerBound(q)
-		identicalResults(m.t, label, got, want)
-		return
-	}
+	m.keepsBounded(label, q, got, want)
 	if k >= len(m.live) {
 		return // everything is returned: no dismissal to count
 	}
@@ -190,11 +183,7 @@ func (m *flatModel) checkRange(idx flatLike, step int) {
 	}
 	m.valid(label, q, got)
 	want, _, _ := scan.Range(q, radius)
-	if m.lowerBound {
-		m.checkLowerBound(q)
-		identicalResults(m.t, label, got, want)
-		return
-	}
+	m.keepsBounded(label, q, got, want)
 	if len(got) > len(want) {
 		m.t.Fatalf("%s: %d results, only %d within the radius", label, len(got), len(want))
 	}
@@ -266,38 +255,37 @@ func (m *flatModel) run(idx flatLike, ops int) {
 }
 
 func newFlatModel(t *testing.T, method string, seed int64) *flatModel {
-	f, err := dist.Filter(method)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return &flatModel{
 		t: t, meth: buildMethod(t, method), rng: rand.New(rand.NewSource(seed)),
-		n: 128, m: 12, live: make(map[int]*Entry), filter: f,
+		n: 128, m: 12, live: make(map[int]*Entry),
 	}
 }
 
 // flatTargets is the matrix every model run covers: the bare tier, and the
 // tier behind the scatter-gather at one, an even and a prime shard count.
-func flatTargets(t *testing.T, method string) map[string]func() flatLike {
+func flatTargets(t *testing.T) map[string]func() flatLike {
 	return map[string]func() flatLike{
-		"flat":     func() flatLike { return newFlat(t, method) },
-		"sharded1": func() flatLike { return newShardedFlat(t, method, 1) },
-		"sharded4": func() flatLike { return newShardedFlat(t, method, 4) },
-		"sharded7": func() flatLike { return newShardedFlat(t, method, 7) },
+		"flat":     func() flatLike { return NewFlat() },
+		"sharded1": func() flatLike { return newShardedFlat(t, 1) },
+		"sharded4": func() flatLike { return newShardedFlat(t, 4) },
+		"sharded7": func() flatLike { return newShardedFlat(t, 7) },
 	}
 }
 
-// TestFlatModelLowerBound: under a filter that lower-bounds the exact
-// distance (PAA — checked pair by pair as the run goes) the flat tier's
-// answers are the linear scan's, bit for bit, whatever the order entries
-// arrived in and however many shards hold them.
+// TestFlatModelLowerBound: wherever Dist_PAR lower-bounds the exact distance
+// the flat tier answers as the linear scan does — no k-NN neighbour and no
+// range member whose Dist_PAR does not exceed its exact distance is missing
+// (keepsBounded, on every answer of every model run) — whatever the order
+// entries arrived in and however many shards hold them.
 func TestFlatModelLowerBound(t *testing.T) {
-	for name, build := range flatTargets(t, "PAA") {
+	for name, build := range flatTargets(t) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				m := newFlatModel(t, "PAA", seed)
-				m.lowerBound = true
+				m := newFlatModel(t, "SAPLA", seed)
 				m.run(build(), 400)
+				if m.bounded == 0 {
+					t.Fatal("no answer member was lower-bounded: the check ran on nothing")
+				}
 			})
 		}
 	}
@@ -308,7 +296,7 @@ func TestFlatModelLowerBound(t *testing.T) {
 // distance in canonical order, the count is min(k, live), and on
 // z-normalised mixed-family data recall stays at or above 0.97.
 func TestFlatModelSAPLA(t *testing.T) {
-	for name, build := range flatTargets(t, "SAPLA") {
+	for name, build := range flatTargets(t) {
 		t.Run(name, func(t *testing.T) {
 			m := newFlatModel(t, "SAPLA", 11)
 			m.run(build(), 900)
@@ -324,60 +312,28 @@ func TestFlatModelSAPLA(t *testing.T) {
 	}
 }
 
-// TestFlatHandOffSAPLA: Dist_PAR is not a lower bound, so the bound handed
-// from shard to shard may dismiss what four independent searches would keep —
-// but every answer is still k live entries with their exact distances in
-// canonical order, and no query measures more than its shards would on their
-// own.
-func TestFlatHandOffSAPLA(t *testing.T) {
-	for _, shards := range []int{2, 4, 7} {
-		m := newFlatModel(t, "SAPLA", 71)
-		idx := newShardedFlat(t, "SAPLA", shards)
-		for i := 0; i < 400; i++ {
-			m.next++
-			m.insert(idx, m.entry(m.next))
-		}
-		ws := NewWorkspace()
-		var measured, independent int
-		for qi := 0; qi < 20; qi++ {
-			q := m.query()
-			label := testLabel("hand-off", qi, shards, 0)
-			res, got, ind := handOffKNN(t, label, idx, ws, q, 10)
-			if len(res) != 10 {
-				t.Fatalf("%s: %d results", label, len(res))
-			}
-			m.valid(label, q, res)
-			measured, independent = measured+got, independent+ind
-		}
-		if measured >= independent {
-			t.Fatalf("shards=%d: measured %d, the shards on their own %d: the bound saved nothing", shards, measured, independent)
-		}
-	}
-}
-
 // TestFlatHandOffLeavesWorkspaceClean: a scatter-gather search that fails on
 // a later shard — after earlier ones have earned a finite bound — must not
 // leave that bound in the workspace: the next search on it, of any index,
 // returns what a fresh workspace returns and measures as much.
 func TestFlatHandOffLeavesWorkspaceClean(t *testing.T) {
 	const shards, k = 4, 5
-	idx := newShardedFlat(t, "SAPLA", shards)
+	idx := newShardedFlat(t, shards)
 	m := newFlatModel(t, "SAPLA", 73)
-	for i := 0; i < 200; i++ {
-		m.next++
-		m.insert(idx, m.entry(m.next))
+	short := *m
+	short.n = 64
+	// Shard 2 holds only 64-point series: the 128-point query is a length
+	// error there, after shards 0 and 1 have earned a bound.
+	for id := 1; id <= 200; id++ {
+		if ShardOf(id, shards) == 2 {
+			if err := idx.Insert(short.entry(id)); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		m.insert(idx, m.entry(id))
 	}
 	q := m.query()
-	// On shard 2, a series of another length behind the query's own
-	// representation: the filter puts it first among the seeds, the exact
-	// distance is undefined.
-	id := m.next + 1
-	for ShardOf(id, shards) != 2 {
-		id++
-	}
-	if err := idx.Insert(NewEntry(id, q.Raw[:64], q.Rep)); err != nil {
-		t.Fatal(err)
-	}
 	ws := NewWorkspace()
 	if res, _, err := idx.KNNWith(ws, q, k); !errors.Is(err, ErrQueryLength) || res != nil {
 		t.Fatalf("search over a shard with a 64-point series: %v %v", res, err)
@@ -404,7 +360,7 @@ func TestFlatHandOffLeavesWorkspaceClean(t *testing.T) {
 // sharded flat tier (the lock arm of ConcurrentIndex): whatever state a
 // reader lands on, its answer is internally consistent.
 func TestFlatConcurrentReaders(t *testing.T) {
-	idx := newShardedFlat(t, "SAPLA", 4)
+	idx := newShardedFlat(t, 4)
 	m := newFlatModel(t, "SAPLA", 5)
 	for i := 0; i < 300; i++ {
 		m.next++
@@ -468,7 +424,7 @@ func TestFlatConcurrentReaders(t *testing.T) {
 // TestFlatEdgeCases pins the corners: nothing stored, k out of range, k at
 // and past the live count, deleting the last slot, and an ID coming back.
 func TestFlatEdgeCases(t *testing.T) {
-	f := newFlat(t, "SAPLA")
+	f := NewFlat()
 	m := newFlatModel(t, "SAPLA", 21)
 	q := m.query()
 	ws := NewWorkspace()
@@ -557,7 +513,7 @@ func TestFlatEdgeCases(t *testing.T) {
 
 // TestFlatInsertBatchAtomic: a batch with a duplicate ID applies nothing.
 func TestFlatInsertBatchAtomic(t *testing.T) {
-	f := newFlat(t, "SAPLA")
+	f := NewFlat()
 	m := newFlatModel(t, "SAPLA", 31)
 	m.insert(f, m.entry(1))
 	for name, batch := range map[string][]*Entry{
@@ -581,14 +537,14 @@ func TestFlatInsertBatchAtomic(t *testing.T) {
 // stored series stays its own nearest neighbour, so every row moved with its
 // entry, and spare blocks are handed back.
 func TestFlatBlocksGrowAndShrink(t *testing.T) {
-	f := newFlat(t, "SAPLA")
+	f := NewFlat()
 	m := newFlatModel(t, "SAPLA", 41)
 	const total = 3*flatRows + 7
 	for id := 0; id < total; id++ {
 		m.insert(f, m.entry(id))
 	}
-	if len(f.blocks) != 4 || f.generic != 0 {
-		t.Fatalf("%d blocks, %d generic entries for %d rows", len(f.blocks), f.generic, total)
+	if len(f.blocks) != 4 {
+		t.Fatalf("%d blocks for %d rows", len(f.blocks), total)
 	}
 	selfNearest := func(label string) {
 		t.Helper()
@@ -616,83 +572,74 @@ func TestFlatBlocksGrowAndShrink(t *testing.T) {
 	selfNearest("shrunk")
 }
 
-// TestFlatGenericPath: an entry with more segments than the stride keeps a
-// vacant row and is still found, through the method's generic filter, next to
-// entries that sit in rows — a narrower one among them, padded. A method
-// with no flat form runs on the generic filter alone.
-func TestFlatGenericPath(t *testing.T) {
-	f := newFlat(t, "SAPLA")
+// TestFlatInsertRefuses: an entry the rows cannot hold — no representation,
+// one with no flat form, another series length, more segments than the
+// stride — is refused by Insert and, in the middle of a batch, by InsertBatch,
+// and the tier is as it was: Len, Lookup, every row and every envelope. A
+// refused batch into a fresh tier fixes no length.
+func TestFlatInsertRefuses(t *testing.T) {
 	m := newFlatModel(t, "SAPLA", 51)
+	m.n = 1024 // the rows keep envelopes
+	f := NewFlat()
 	for id := 1; id <= 20; id++ {
-		m.insert(f, m.entry(id)) // stride 4
+		m.insert(f, m.entry(id)) // stride 4, all in the first block
 	}
-	wide := *m
-	wide.m = 18 // six segments: over the stride
-	e := wide.entry(100)
-	m.insert(f, e)
-	narrow := *m
-	narrow.m = 6 // two segments: fits a padded row
-	m.insert(f, narrow.entry(101))
-	if f.stride != 4 || f.generic != 1 {
-		t.Fatalf("stride %d, %d generic entries; want 4 and 1", f.stride, f.generic)
+	state := func() []any {
+		b, rows := f.blocks[0], f.Len()
+		return []any{len(f.blocks), f.n, f.stride, slices.Clone(f.ents),
+			slices.Clone(b.a[:rows*f.stride]), slices.Clone(b.c[:rows*f.stride]), slices.Clone(b.r[:rows*f.stride]),
+			slices.Clone(b.nn[:rows]), slices.Clone(b.em[:rows*f.chunks]), slices.Clone(b.er[:rows*f.chunks])}
 	}
-	for _, id := range []int{100, 101, 7} {
-		x := m.live[id]
-		res, st, err := f.KNN(dist.NewQuery(x.Raw, x.Rep), 3)
-		if err != nil || res[0].Entry != x || res[0].Dist != 0 || st.Filtered != 22 {
-			t.Fatalf("id %d: %+v %+v %v", id, res, st, err)
+	paa, short, wide := *m, *m, *m
+	paa.meth, short.n, wide.m = buildMethod(t, "PAA"), 512, 18 // 512 points; six segments
+	other := m.entry(0)
+	for _, tc := range []struct {
+		name string
+		e    *Entry
+		want error // nil: any error
+	}{
+		{"nil representation", NewEntry(100, other.Raw, nil), dist.ErrIncompatible},
+		{"PAA representation", paa.entry(100), dist.ErrIncompatible},
+		{"another length", short.entry(100), ts.ErrLengthMismatch},
+		{"raw of another length", NewEntry(100, other.Raw[:512], other.Rep), ts.ErrLengthMismatch},
+		{"wider than the stride", wide.entry(100), nil},
+	} {
+		before := state()
+		for how, err := range map[string]error{
+			"Insert":      f.Insert(tc.e),
+			"InsertBatch": f.InsertBatch([]*Entry{m.entry(200), tc.e, m.entry(201)}),
+		} {
+			if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+				t.Fatalf("%s, %s: err %v, want %v", tc.name, how, err, tc.want)
+			}
 		}
-		m.valid(fmt.Sprintf("id %d", id), dist.NewQuery(x.Raw, x.Rep), res)
-	}
-	// The row sweep gives PARFlat's value to rounding — padded row included —
-	// and hands the vacant row to the generic measure, bit for bit.
-	q := m.query()
-	out := make([]float64, f.Len())
-	sweepRows(t, f, NewWorkspace(), q, out)
-	for s, x := range f.ents {
-		want, tol := dist.PARFlat(q.Flat, dist.FlattenLinear(x.Rep)), 1e-9
-		if !f.occupied(s) {
-			want, _ = f.filter(q, x.Rep)
-			tol = 0
+		if _, ok := f.Lookup(200); ok || !reflect.DeepEqual(state(), before) {
+			t.Fatalf("%s: the tier changed", tc.name)
 		}
-		if math.Abs(out[s]-want) > tol*(1+want) {
-			t.Fatalf("slot %d (id %d): filter %v, want %v", s, x.ID, out[s], want)
+		for id, e := range m.live {
+			if got, ok := f.Lookup(id); !ok || got != e {
+				t.Fatalf("%s: id %d lost", tc.name, id)
+			}
 		}
 	}
 
-	// Moving the generic entry into a hole keeps it generic and findable.
-	if !f.Delete(3) || f.generic != 1 {
-		t.Fatalf("generic count %d after an unrelated delete", f.generic)
+	g := NewFlat()
+	if err := g.InsertBatch([]*Entry{short.entry(1), m.entry(2)}); !errors.Is(err, ts.ErrLengthMismatch) {
+		t.Fatalf("mixed-length batch into a fresh tier: %v", err)
 	}
-	delete(m.live, 3)
-	if !f.Delete(101) { // the wide entry, last by now, moves into the hole
-		t.Fatal("Delete(101) failed")
+	if g.Len() != 0 || g.n != 0 || g.stride != 0 || len(g.blocks) != 0 {
+		t.Fatalf("refused batch left Len %d, n %d, stride %d, %d blocks", g.Len(), g.n, g.stride, len(g.blocks))
 	}
-	delete(m.live, 101)
-	res, _, err := f.KNN(dist.NewQuery(e.Raw, e.Rep), 1)
-	if err != nil || res[0].Entry != e {
-		t.Fatalf("wide entry lost after swap-removes: %+v %v", res, err)
-	}
-	if !f.Delete(100) || f.generic != 0 {
-		t.Fatalf("generic count %d after deleting the only generic entry", f.generic)
-	}
-
-	// A method with no flat form at all never allocates rows.
-	p := newFlat(t, "PAA")
-	pm := newFlatModel(t, "PAA", 52)
-	for id := 1; id <= 10; id++ {
-		pm.insert(p, pm.entry(id))
-	}
-	if p.stride != 0 || len(p.blocks) != 0 || p.generic != 10 {
-		t.Fatalf("PAA tier: stride %d, %d blocks, %d generic", p.stride, len(p.blocks), p.generic)
+	if err := g.Insert(m.entry(3)); err != nil || g.n != m.n {
+		t.Fatalf("after the refused batch: %v, n %d", err, g.n)
 	}
 }
 
-// TestFlatServedSAPLANeverGeneric: under SAPLA every entry gets a block row,
-// whatever the first entry (which fixes the stride) looks like, so the served
-// method never reaches the generic filter. It is the precondition for
-// dropping that path from the served tier.
-func TestFlatServedSAPLANeverGeneric(t *testing.T) {
+// TestFlatNeverRefusesSAPLA: the rows hold every SAPLA entry, whatever the
+// first entry (which fixes the stride) looks like — a narrower one padded —
+// through Insert, InsertBatch and a delete/re-insert, so the served tier
+// never refuses what the server reduced.
+func TestFlatNeverRefusesSAPLA(t *testing.T) {
 	meth := core.New()
 	for _, n := range []int{8, 16, 256, 1024} {
 		for _, m := range []int{6, 12, 24} {
@@ -724,60 +671,54 @@ func TestFlatServedSAPLANeverGeneric(t *testing.T) {
 					}
 					return out
 				}
-				check := func(how string, f *Flat) {
+				check := func(how string, f *Flat, err error) {
 					t.Helper()
-					if f.generic != 0 {
-						t.Fatalf("n=%d M=%d first %s, after %s: stride %d, %d generic entries",
-							n, m, first, how, f.stride, f.generic)
+					if err != nil || f.Len() != len(raws) {
+						t.Fatalf("n=%d M=%d first %s, %s: %v, Len %d", n, m, first, how, err, f.Len())
 					}
-					for s := range f.ents {
-						if !f.occupied(s) {
-							t.Fatalf("n=%d M=%d first %s, after %s: slot %d vacant", n, m, first, how, s)
+					for id := range raws {
+						e, _ := f.Lookup(id)
+						res, _, err := f.KNN(dist.NewQuery(e.Raw, e.Rep), 1)
+						if err != nil || res[0].Entry != e || res[0].Dist != 0 {
+							t.Fatalf("n=%d M=%d first %s, %s: id %d not its own nearest: %+v %v", n, m, first, how, id, res, err)
 						}
 					}
 				}
 
-				one := newFlat(t, "SAPLA")
+				one := NewFlat()
+				var err error
 				for _, e := range entries() {
-					if err := one.Insert(e); err != nil {
-						t.Fatal(err)
-					}
+					err = errors.Join(err, one.Insert(e))
 				}
-				check("Insert", one)
-				batch := newFlat(t, "SAPLA")
-				if err := batch.InsertBatch(entries()); err != nil {
-					t.Fatal(err)
-				}
-				check("InsertBatch", batch)
+				check("Insert", one, err)
+				batch := NewFlat()
+				check("InsertBatch", batch, batch.InsertBatch(entries()))
 				// Every third entry, the stride-fixing first one included, goes
 				// out and back in: the re-insert flattens its representation
 				// afresh.
 				for id := 0; id < len(raws); id += 3 {
 					e, _ := one.Lookup(id)
-					if !one.Delete(id) {
-						t.Fatalf("Delete(%d) failed", id)
-					}
-					if err := one.Insert(e); err != nil {
-						t.Fatal(err)
-					}
+					one.Delete(id)
+					err = errors.Join(err, one.Insert(e))
 				}
-				check("delete/re-insert", one)
+				check("delete/re-insert", one, err)
 			}
 		}
 	}
 }
 
-// TestFlatQueryErrors: a filter error aborts the query, and a query of
-// another length than the stored series is an error, not a panic.
+// TestFlatQueryErrors: a query with no flat form is dist.ErrIncompatible, one
+// of another length than the stored series ErrQueryLength — an error, not a
+// panic — and the workspace survives both.
 func TestFlatQueryErrors(t *testing.T) {
-	f := newFlat(t, "SAPLA")
+	f := NewFlat()
 	m := newFlatModel(t, "SAPLA", 61)
 	for id := 1; id <= 10; id++ {
 		m.insert(f, m.entry(id))
 	}
 	ws := NewWorkspace()
 
-	// A query reduced under another method: the generic measure refuses it.
+	// A query reduced under a method with no flat form.
 	paa := newFlatModel(t, "PAA", 62)
 	alien := paa.query()
 	if _, _, err := f.KNNWith(ws, alien, 3); !errors.Is(err, dist.ErrIncompatible) {
@@ -787,17 +728,17 @@ func TestFlatQueryErrors(t *testing.T) {
 		t.Fatalf("range with an incompatible query: %v", err)
 	}
 
-	// A shorter query: the representation-level measure rejects the pair.
+	// A shorter query.
 	short := *m
 	short.n, short.live = 64, nil // nothing stored to perturb: a fresh 64-point draw
 	sq := short.query()
-	if _, _, err := f.KNNWith(ws, sq, 3); err == nil {
-		t.Fatal("k-NN with a shorter query succeeded")
+	if _, _, err := f.KNNWith(ws, sq, 3); !errors.Is(err, ErrQueryLength) {
+		t.Fatalf("k-NN with a shorter query: %v", err)
 	}
-	if _, _, err := f.Range(sq, 3); err == nil {
-		t.Fatal("range with a shorter query succeeded")
+	if _, _, err := f.Range(sq, 3); !errors.Is(err, ErrQueryLength) {
+		t.Fatalf("range with a shorter query: %v", err)
 	}
-	// Same, where the filter cannot tell: the raw lengths are what differ.
+	// Same, where the representation cannot tell: the raw lengths differ.
 	lying := dist.NewQuery(sq.Raw, m.query().Rep)
 	if _, _, err := f.KNNWith(ws, lying, 3); !errors.Is(err, ErrQueryLength) {
 		t.Fatalf("k-NN with mismatched raw length: %v", err)
@@ -818,14 +759,12 @@ func TestFlatQueryErrors(t *testing.T) {
 // then every block's rows into out (one value per slot).
 func sweepRows(tb testing.TB, f *Flat, ws *Workspace, q dist.Query, out []float64) {
 	tb.Helper()
-	tab, _ := f.queryTable(ws, q)
-	if tab == nil {
-		tb.Fatal("query cannot use the block rows")
+	tab, _, err := f.queryTable(ws, q)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	for lo := 0; lo < len(out); lo += flatRows {
-		if err := f.filterSlots(q, tab, lo, out[lo:min(lo+flatRows, len(out))]); err != nil {
-			tb.Fatal(err)
-		}
+		f.filterSlots(q, tab, lo, out[lo:min(lo+flatRows, len(out))])
 	}
 }
 
@@ -858,7 +797,7 @@ func checkRowFilter(tb testing.TB, seed int64, n, stride int, scale, offset, bud
 		}
 		return raw
 	}
-	f := newFlat(tb, "SAPLA")
+	f := NewFlat()
 	for id := 0; id < 60; id++ {
 		segs := stride // the first entry fixes the stride
 		if id > 0 {
@@ -869,8 +808,8 @@ func checkRowFilter(tb testing.TB, seed int64, n, stride int, scale, offset, bud
 			tb.Fatal(err)
 		}
 	}
-	if f.stride != stride || f.generic != 0 {
-		tb.Fatalf("stride %d, %d generic entries; want %d and 0", f.stride, f.generic, stride)
+	if f.stride != stride {
+		tb.Fatalf("stride %d, want %d", f.stride, stride)
 	}
 	ws := NewWorkspace()
 	out := make([]float64, f.Len())
@@ -959,7 +898,7 @@ func FuzzFlatRowFilter(f *testing.F) {
 // hand-built entry — the server's are validated) turns the new tenant's
 // filter distance into NaN for as long as it lives.
 func TestFlatReusedSlotPadding(t *testing.T) {
-	f := newFlat(t, "SAPLA")
+	f := NewFlat()
 	m := newFlatModel(t, "SAPLA", 81)
 	m.insert(f, m.entry(1)) // four segments: the stride
 	rng := rand.New(rand.NewSource(82))
@@ -977,7 +916,7 @@ func TestFlatReusedSlotPadding(t *testing.T) {
 	e := narrow.entry(3)
 	m.insert(f, e)
 	b, at := f.row(1)
-	if f.ents[1] != e || !f.occupied(1) {
+	if f.ents[1] != e {
 		t.Fatal("the narrow entry did not take the freed slot's row")
 	}
 	for i := at + 2; i < at+f.stride; i++ {
@@ -1001,7 +940,7 @@ func TestFlatReusedSlotPadding(t *testing.T) {
 // Dist_PAR exceeds the radius while its exact distance does not is the range's
 // to dismiss — at the parent commit as much as here.)
 func TestFlatRangeCoversKNN(t *testing.T) {
-	f := newFlat(t, "SAPLA")
+	f := NewFlat()
 	m := newFlatModel(t, "SAPLA", 91)
 	for id := 0; id < flatRows+40; id++ {
 		m.insert(f, m.entry(id))

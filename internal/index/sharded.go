@@ -38,10 +38,11 @@ func ShardOf(id, shards int) int {
 // for the flat-tier shards sapla-serve runs, the writer a search can queue
 // behind holds the lock for one append or swap. The gather runs through the
 // canonical (distance, ID) merge: whenever each shard returns its true top-k
-// — any index whose filter lower-bounds the exact distance — the merged k-NN
-// and range answers are byte-identical to the single-shard answer for any
-// shard count. Under Dist_PAR, which is not a lower bound, a k-NN answer is a
-// function of the stored data and the shard count: shards are visited in
+// — a tree or the linear scan under a filter that lower-bounds the exact
+// distance — the merged k-NN and range answers are byte-identical to the
+// single-shard answer for any shard count. The flat tier filters on Dist_PAR,
+// which is not a lower bound, so there a k-NN answer is a function of the
+// stored data and the shard count: shards are visited in
 // order and each flat shard prunes from the bound the ones before it earned
 // (KNNWith), so a sharded index dismisses nearly what one shard would — more
 // than shards searched independently, never by worker count or timing.
@@ -199,9 +200,9 @@ func (s *ShardedIndex) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 // results are held their k-th distance is the bound the next shard starts
 // pruning from (ws.bound; the flat tier honours it, the trees start from
 // +Inf). That bound is an exact distance already measured, so it is never
-// below the global k-th: under a lower-bounding filter a shard's answer
-// within it is a superset of its contribution to the global top-k, and the
-// fold loses nothing. ws.bound is back at +Inf on every return. Every shard
+// below the global k-th: a true neighbour whose filter distance does not
+// exceed its exact distance is never pruned against it, and the fold loses
+// only the neighbours whose Dist_PAR does. ws.bound is back at +Inf on every return. Every shard
 // search sees one consistent state of that shard. There is no per-query
 // fan-out: BatchKNN fills the cores with queries.
 func (s *ShardedIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
@@ -229,7 +230,8 @@ func (s *ShardedIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, Se
 
 // Range implements RangeSearcher by scatter-gather: per-shard answers are
 // concatenated and sorted under the canonical (distance, ID) order, which is
-// exactly the order a single tree would return.
+// exactly the order a single tree would return. A shard's error — ErrNoRange
+// from one whose index has no range search — is the answer.
 func (s *ShardedIndex) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {
 	var stats SearchStats
 	var out []Result

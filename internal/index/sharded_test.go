@@ -139,15 +139,22 @@ func handOffKNN(t *testing.T, label string, s *ShardedIndex, ws *Workspace, q di
 	return res, stats.Measured, independent
 }
 
-// TestShardedFlatHandOffLowerBound: under a lower-bounding filter (PAA) the
-// bound handed from flat shard to flat shard costs nothing — answers are the
-// single shard's, bit for bit and tie for tie, at every shard count — and it
-// saves: no query measures more than its shards would independently, and over
-// the run a multi-shard index measures strictly less.
+// TestShardedFlatHandOffLowerBound: the bound handed from flat shard to flat
+// shard dismisses no neighbour whose Dist_PAR lower-bounds its exact distance
+// (keepsBounded), ties included — a stored series' query hands the next shard
+// a bound of exactly 0, which its duplicate there ties with a Dist_PAR of 0
+// too, and the lower ID must win. Every answer is k live entries with their
+// exact distances in canonical order, and the bound saves: no query measures
+// more than its shards would independently, and over the run a multi-shard
+// index measures strictly less.
 func TestShardedFlatHandOffLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	meth := buildMethod(t, "PAA")
+	meth := buildMethod(t, "SAPLA")
+	model := &flatModel{t: t, live: make(map[int]*Entry)}
 	entries := duplicatedEntries(t, meth, rng)
+	for _, e := range entries {
+		model.live[e.ID] = e
+	}
 	queries := make([]dist.Query, 12)
 	for qi := range queries {
 		raw := randWalk(rng, 128)
@@ -161,33 +168,32 @@ func TestShardedFlatHandOffLowerBound(t *testing.T) {
 		queries[qi] = dist.NewQuery(raw, rep)
 	}
 	ws := NewWorkspace()
-	// At k = 1 a stored series' query hands the next shard a bound of exactly
-	// 0, which its duplicate there ties — with a filter distance of 0 too.
 	for _, k := range []int{1, 10} {
-		var want [][]Result
 		for _, shards := range []int{1, 2, 4, 7} {
-			s := newShardedFlat(t, "PAA", shards)
-			for _, e := range entries {
-				if err := s.Insert(NewEntry(e.ID, e.Raw, e.Rep)); err != nil {
-					t.Fatal(err)
-				}
+			s := newShardedFlat(t, shards)
+			if err := s.InsertBatch(entries); err != nil {
+				t.Fatal(err)
 			}
 			var measured, independent int
 			for qi, q := range queries {
 				label := testLabel(fmt.Sprintf("hand-off k=%d", k), qi, shards, 0)
 				res, m, ind := handOffKNN(t, label, s, ws, q, k)
 				measured, independent = measured+m, independent+ind
-				if shards == 1 {
-					want = append(want, res)
-					continue
+				want, _, _ := model.scan().KNN(q, k)
+				if len(res) != k {
+					t.Fatalf("%s: %d results", label, len(res))
 				}
-				identicalResults(t, label, res, want[qi])
+				model.valid(label, q, res)
+				model.keepsBounded(label, q, res, want)
 			}
 			if shards > 1 && measured >= independent {
 				t.Fatalf("k=%d shards=%d: measured %d, the shards on their own %d: the bound saved nothing",
 					k, shards, measured, independent)
 			}
 		}
+	}
+	if model.bounded == 0 {
+		t.Fatal("no answer member was lower-bounded: the check ran on nothing")
 	}
 }
 

@@ -50,11 +50,7 @@ func (s *Server) openStores() error {
 		s.shards[i] = &shardState{store: r.Store}
 	}
 	for _, sh := range s.shards {
-		var err error
-		if sh.flat, err = index.NewFlat(s.cfg.Method); err != nil {
-			s.closeStores()
-			return err
-		}
+		sh.flat = index.NewFlat()
 	}
 	if fsys == nil {
 		return nil // purely in-memory

@@ -495,10 +495,7 @@ func freshEnvelopes(t *testing.T, s *Server) {
 	t.Helper()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		fresh, err := index.NewFlat(s.cfg.Method)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fresh := index.NewFlat()
 		sh.flat.Each(func(e *index.Entry) {
 			if err := fresh.Insert(index.NewEntry(e.ID, e.Raw, e.Rep)); err != nil {
 				t.Fatal(err)

@@ -38,21 +38,13 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// reduce runs the configured reduction on one series, on a reducer that is
-// the calling goroutine's alone for the call: SAPLA borrows one from the pool
-// of allocation-free Reducers; a baseline method gets a fresh instance (their
-// constructors are cheap and their scratch state is not goroutine-safe).
+// reduce runs SAPLA on one series, on a Reducer borrowed from the pool of
+// allocation-free ones for the call.
 func (s *Server) reduce(values ts.Series) (repr.Representation, error) {
-	if s.cfg.Method == "SAPLA" {
-		red := s.reducers.Get().(*core.Reducer)
-		defer s.reducers.Put(red)
-		return red.Reduce(values, s.cfg.M)
-	}
-	m, err := methodFor(s.cfg.Method)
-	if err != nil {
-		return nil, err
-	}
-	return m.Reduce(values, s.cfg.M)
+	red := s.reducers.Get().(*core.Reducer)
+	rep, err := red.Reduce(values, s.cfg.M)
+	s.reducers.Put(red)
+	return rep, err
 }
 
 // reduceAll reduces every series on up to workers goroutines (par.Do; ≤ 0

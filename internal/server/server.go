@@ -26,7 +26,7 @@ package server
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -36,7 +36,6 @@ import (
 
 	"sapla/internal/core"
 	"sapla/internal/index"
-	"sapla/internal/reduce"
 	"sapla/internal/tsio"
 	"sapla/internal/wal"
 )
@@ -44,8 +43,9 @@ import (
 // Config tunes one Server. The zero value is usable: every field falls back
 // to the default documented on it.
 type Config struct {
-	// Method is the reduction method indexed ("SAPLA", "APCA", ...).
-	// Default "SAPLA".
+	// Method names the reduction method. Only "SAPLA" (the default, also
+	// spelled "") is served; New refuses every other name. The field (and
+	// sapla-serve's -method) stays only because bench/ still sets it.
 	Method string
 	// M is the per-series coefficient budget. Default 12 (4 segments).
 	M int
@@ -190,9 +190,7 @@ type Server struct {
 	reducers sync.Pool
 	// repTag names the reducer behind every representation this server
 	// computes: the tag it logs beside them, and the only one under which
-	// recovery loads a logged representation instead of reducing again. Zero
-	// (nothing logged, everything reduced) for the baselines, whose reducers
-	// carry no generation.
+	// recovery loads a logged representation instead of reducing again.
 	repTag tsio.RepTag
 
 	// state is the lifecycle (recovering → ready → draining) gate /readyz
@@ -242,7 +240,7 @@ func (s *Server) shardFor(id int) *shardState {
 // durable reports whether the server runs with a WAL.
 func (s *Server) durable() bool { return s.shards[0].store != nil }
 
-// New builds a Server over one empty flat tier per shard for cfg.Method.
+// New builds a Server over one empty flat tier per shard.
 // With durability configured (DataDir or WALFS) it first recovers the
 // persisted state — every shard's newest snapshot plus WAL replay, shards in
 // parallel — batch-inserts it into the tiers, and only then reports ready; a
@@ -251,12 +249,11 @@ func (s *Server) durable() bool { return s.shards[0].store != nil }
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Method != "SAPLA" {
-		if _, err := methodFor(cfg.Method); err != nil {
-			return nil, err
-		}
+		return nil, errors.New("server: only the SAPLA method is served")
 	}
 	s := &Server{
 		cfg:       cfg,
+		repTag:    tsio.RepTag{Method: tsio.RepSAPLA, Gen: core.Generation, M: uint32(cfg.M)},
 		metrics:   nil, // sized after the effective shard count is known
 		claimed:   make(map[int]bool),
 		searchSem: make(chan struct{}, cfg.MaxInflightSearch),
@@ -265,9 +262,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.state.Store(stateRecovering)
 	s.reducers.New = func() any { return core.NewReducer() }
-	if cfg.Method == "SAPLA" {
-		s.repTag = tsio.RepTag{Method: tsio.RepSAPLA, Gen: core.Generation, M: uint32(cfg.M)}
-	}
 
 	err := s.openStores()
 	if err != nil {
@@ -288,18 +282,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.state.Store(stateReady)
 	return s, nil
-}
-
-// methodFor returns a fresh instance of a non-SAPLA reduction method.
-// Fresh per call: baseline methods carry scratch state and are not safe for
-// concurrent use, and their constructors are cheap.
-func methodFor(name string) (reduce.Method, error) {
-	for _, m := range reduce.Baselines() {
-		if m.Name() == name {
-			return m, nil
-		}
-	}
-	return nil, fmt.Errorf("server: unknown method %q", name)
 }
 
 // Handler returns the root handler: API routes wrapped with metrics, body

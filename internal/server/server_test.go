@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"sapla/internal/index"
+	"sapla/internal/reduce"
 	"sapla/internal/ts"
 	"sapla/internal/wal"
 )
@@ -311,10 +312,25 @@ func TestServerValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body returned %d, want 413", resp.StatusCode)
 	}
+}
 
-	// Unknown method is rejected at construction.
-	if _, err := New(Config{Method: "NOPE"}); err == nil {
-		t.Fatal("New accepted unknown method")
+// TestServerServesSAPLAOnly: Config.Method accepts "" and "SAPLA"; every
+// baseline name, and a name that is no method, fails New with an error that
+// names SAPLA.
+func TestServerServesSAPLAOnly(t *testing.T) {
+	for _, name := range []string{"", "SAPLA"} {
+		if _, err := New(Config{Method: name}); err != nil {
+			t.Fatalf("method %q: %v", name, err)
+		}
+	}
+	refused := []string{"NOPE"}
+	for _, m := range reduce.Baselines() {
+		refused = append(refused, m.Name())
+	}
+	for _, name := range refused {
+		if _, err := New(Config{Method: name}); err == nil || !strings.Contains(err.Error(), "SAPLA") {
+			t.Fatalf("method %q: err %v, want a refusal naming SAPLA", name, err)
+		}
 	}
 }
 

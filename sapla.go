@@ -141,6 +141,10 @@ type ConcurrentIndex = index.ConcurrentIndex
 // using inner directly.
 func NewConcurrentIndex(inner Index) *ConcurrentIndex { return index.NewConcurrent(inner) }
 
+// ErrNoRange is what Range on a ConcurrentIndex or ShardedIndex returns when
+// the wrapped index has no range search of its own.
+var ErrNoRange = index.ErrNoRange
+
 // ShardedIndex partitions entries across N independently locked shards by a
 // stable hash of the entry ID. Writes to different shards proceed
 // concurrently; k-NN and range answers are byte-identical to the
