@@ -312,6 +312,37 @@ func TestFlatModelSAPLA(t *testing.T) {
 	}
 }
 
+// TestFlatHandOffSAPLA: Dist_PAR is not a lower bound, so the bound handed
+// from shard to shard may dismiss what independent searches would keep — but
+// every answer is still k live entries with their exact distances in
+// canonical order, and no query measures more than its shards would on their
+// own.
+func TestFlatHandOffSAPLA(t *testing.T) {
+	for _, shards := range []int{2, 4, 7} {
+		m := newFlatModel(t, "SAPLA", 71)
+		idx := newShardedFlat(t, shards)
+		for i := 0; i < 400; i++ {
+			m.next++
+			m.insert(idx, m.entry(m.next))
+		}
+		ws := NewWorkspace()
+		var measured, independent int
+		for qi := 0; qi < 20; qi++ {
+			q := m.query()
+			label := testLabel("hand-off", qi, shards, 0)
+			res, got, ind := handOffKNN(t, label, idx, ws, q, 10)
+			if len(res) != 10 {
+				t.Fatalf("%s: %d results", label, len(res))
+			}
+			m.valid(label, q, res)
+			measured, independent = measured+got, independent+ind
+		}
+		if measured >= independent {
+			t.Fatalf("shards=%d: measured %d, the shards on their own %d: the bound saved nothing", shards, measured, independent)
+		}
+	}
+}
+
 // TestFlatHandOffLeavesWorkspaceClean: a scatter-gather search that fails on
 // a later shard — after earlier ones have earned a finite bound — must not
 // leave that bound in the workspace: the next search on it, of any index,
