@@ -79,7 +79,9 @@ func (c *ConcurrentIndex) Insert(e *Entry) error {
 // advancing the epoch once per batch: no reader can observe the
 // intermediate states, so they get no epoch of their own. It falls back to
 // per-entry Insert calls (still under the single lock hold) when the wrapped
-// index has no batch path.
+// index has no batch path. That fallback is not atomic: an entry refused
+// mid-batch returns its error with the entries before it inserted, and the
+// epoch then still advances, since the index changed.
 func (c *ConcurrentIndex) InsertBatch(entries []*Entry) error {
 	if len(entries) == 0 {
 		return nil
@@ -90,11 +92,15 @@ func (c *ConcurrentIndex) InsertBatch(entries []*Entry) error {
 		if err := b.InsertBatch(entries); err != nil {
 			return err
 		}
-	} else {
-		for _, e := range entries {
-			if err := c.inner.Insert(e); err != nil {
-				return err
+		c.commitLocked()
+		return nil
+	}
+	for i, e := range entries {
+		if err := c.inner.Insert(e); err != nil {
+			if i > 0 {
+				c.commitLocked()
 			}
+			return err
 		}
 	}
 	c.commitLocked()

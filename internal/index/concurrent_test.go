@@ -95,18 +95,24 @@ func TestConcurrentIndexBasics(t *testing.T) {
 }
 
 // TestConcurrentIndexEpochContract pins the single-counter invariant for
-// both inner types: every committed mutation advances Epoch by exactly one,
+// every inner type: every committed mutation advances Epoch by exactly one,
 // a failed one leaves it where it was, and on a quiescent index KNNSnapshot
-// reports the same epoch Epoch does.
+// reports the same epoch Epoch does. An inner index without a batch path
+// (RTree) takes a batch one entry at a time, which is not atomic: a batch
+// refused at its third entry has changed the index, so it advances the epoch.
 func TestConcurrentIndexEpochContract(t *testing.T) {
-	flat := NewFlat()
+	rtree, err := NewRTree("SAPLA", 64, 12, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name     string
 		ci       *ConcurrentIndex
 		compacts bool // inner is a Compactor
 	}{
 		{"DBCH", newConcurrentDBCH(t), true},
-		{"Flat", NewConcurrent(flat), false},
+		{"Flat", NewConcurrent(NewFlat()), false},
+		{"RTree", NewConcurrent(rtree), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
@@ -124,6 +130,17 @@ func TestConcurrentIndexEpochContract(t *testing.T) {
 			}
 
 			step("construction", false)
+			if tc.name == "RTree" {
+				other := makeEntries(t, meth, rng, 1, 64, 6)[0] // another dimension
+				if err := ci.InsertBatch([]*Entry{entries[0], entries[1], other}); err == nil {
+					t.Fatal("InsertBatch with an entry of another dimension succeeded")
+				}
+				step("InsertBatch refused at its third entry", true)
+				if ci.Len() != 2 {
+					t.Fatalf("Len = %d after the refused batch, want 2", ci.Len())
+				}
+				return
+			}
 			if err := ci.Insert(entries[0]); err != nil {
 				t.Fatal(err)
 			}
@@ -198,213 +215,142 @@ func TestConcurrentIndexDeleteOnNonDeleter(t *testing.T) {
 	}
 }
 
-// TestConcurrentIndexStress interleaves Insert/Delete/KNN/BatchKNN under the
-// race detector and asserts every k-NN answer corresponds to SOME consistent
-// snapshot of the index:
-//
-//   - a fixed "core" set of entries is never deleted, so a query for
-//     k >= core+churn must always return every core ID;
-//   - every returned distance must equal the exact Euclidean distance
-//     recomputed from the entry it names, and results must be sorted;
-//   - the epoch stamped on the search must not move backwards between
-//     consecutive reads on one goroutine (snapshots are monotonic).
-//
-// Torn reads (a search observing a mid-split node) would either trip the
-// race detector, panic, or drop a core entry from the answer set.
-func TestConcurrentIndexStress(t *testing.T) {
-	const (
-		n     = 64 // series length
-		m     = 12 // coefficient budget
-		coreN = 24
-		chrnN = 16
-	)
-	rng := rand.New(rand.NewSource(99))
+// churnIndex is what churnStress drives: a bare ConcurrentIndex and a
+// ShardedIndex both satisfy it.
+type churnIndex interface {
+	Index
+	BatchInserter
+	Deleter
+}
+
+// churnStress holds a core-plus-churn stress to one contract under the race
+// detector. idx starts with 24 core entries that are never deleted; two
+// writers cycle disjoint halves of chrnN churn entries (IDs from firstChurn)
+// through Insert and Delete, so no ID is ever double-inserted; two readers
+// run read — one k-NN, and the epochs it observed, one per shard — and one
+// runs BatchKNN over every query, for 800 ms (150 ms with
+// -short). Every answer with k covering core and churn must be canonically
+// ordered, duplicate-free, carry exact recomputed distances and hold every
+// core ID (a torn read would drop or corrupt one), and the epochs each reader
+// observes never decrease. After the dust settles only the core remains.
+func churnStress(t *testing.T, seed int64, chrnN, firstChurn, nq int, idx churnIndex,
+	read func(ws *Workspace, q dist.Query, k int) ([]Result, []uint64, error)) {
+	const n, m, coreN = 64, 12, 24
+	rng := rand.New(rand.NewSource(seed))
 	meth := buildMethod(t, "SAPLA")
-
 	core := makeEntries(t, meth, rng, coreN, n, m)
-	churn := make([]*Entry, chrnN)
-	for i := range churn {
-		raw := randWalk(rng, n)
-		rep, err := meth.Reduce(raw, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		churn[i] = NewEntry(1000+i, raw, rep)
+	churn := makeEntries(t, meth, rng, chrnN, n, m)
+	for i, e := range churn {
+		e.ID = firstChurn + i
 	}
-
-	ci := newConcurrentDBCH(t)
-	for _, e := range core {
-		if err := ci.Insert(e); err != nil {
-			t.Fatal(err)
-		}
+	queries := make([]dist.Query, nq)
+	for i, e := range makeEntries(t, meth, rng, nq, n, m) {
+		queries[i] = dist.NewQuery(e.Raw, e.Rep)
 	}
-
-	queries := make([]dist.Query, 8)
-	for i := range queries {
-		raw := randWalk(rng, n)
-		rep, err := meth.Reduce(raw, m)
-		if err != nil {
-			t.Fatal(err)
+	if err := idx.InsertBatch(core); err != nil {
+		t.Fatal(err)
+	}
+	check := func(q dist.Query, res []Result) bool {
+		checkSound(t, q, res)
+		seen := make(map[int]bool, len(res))
+		for _, r := range res {
+			seen[r.Entry.ID] = true
 		}
-		queries[i] = dist.NewQuery(raw, rep)
+		for _, e := range core {
+			if !seen[e.ID] {
+				t.Errorf("core id %d missing from a k-NN over everything (inconsistent snapshot)", e.ID)
+				return false
+			}
+		}
+		return !t.Failed()
 	}
 
 	dur := 800 * time.Millisecond
 	if testing.Short() {
 		dur = 150 * time.Millisecond
 	}
-	deadline := time.Now().Add(dur)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-
-	// Writers: each owns a disjoint slice of churn entries and cycles
-	// insert -> delete so no ID is ever double-inserted.
+	run := func(f func() bool) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() && f() {
+			}
+		}()
+	}
 	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(mine []*Entry) {
-			defer wg.Done()
-			for !stop.Load() {
-				for _, e := range mine {
-					if err := ci.Insert(e); err != nil {
-						t.Errorf("insert: %v", err)
-						return
-					}
-				}
-				for _, e := range mine {
-					if !ci.Delete(e.ID) {
-						t.Errorf("delete %d: not found", e.ID)
-						return
-					}
+		mine := churn[w*chrnN/2 : (w+1)*chrnN/2]
+		run(func() bool {
+			for _, e := range mine {
+				if err := idx.Insert(e); err != nil {
+					t.Errorf("insert: %v", err)
+					return false
 				}
 			}
-		}(churn[w*chrnN/2 : (w+1)*chrnN/2])
+			for _, e := range mine {
+				if !idx.Delete(e.ID) {
+					t.Errorf("delete %d: not found", e.ID)
+					return false
+				}
+			}
+			return true
+		})
 	}
-
-	checkResults := func(res []Result) {
-		seen := make(map[int]bool, len(res))
-		prev := math.Inf(-1)
-		for _, r := range res {
-			if r.Dist < prev {
-				t.Errorf("results not sorted: %g after %g", r.Dist, prev)
-				return
-			}
-			prev = r.Dist
-			if seen[r.Entry.ID] {
-				t.Errorf("duplicate id %d in results", r.Entry.ID)
-				return
-			}
-			seen[r.Entry.ID] = true
-		}
-	}
-	// checkSnapshot additionally verifies that a k >= everything query holds
-	// the complete never-deleted core set and exact recomputed distances.
-	checkSnapshot := func(q dist.Query, res []Result) {
-		checkResults(res)
-		if len(res) < coreN {
-			t.Errorf("k-NN returned %d results, fewer than the %d core entries", len(res), coreN)
-			return
-		}
-		got := make(map[int]bool, len(res))
-		for _, r := range res {
-			got[r.Entry.ID] = true
-			exact := math.Sqrt(ts.EuclideanSq(q.Raw, r.Entry.Raw))
-			if math.Abs(exact-r.Dist) > 1e-9 {
-				t.Errorf("id %d: reported dist %g, exact %g (torn read?)", r.Entry.ID, r.Dist, exact)
-				return
-			}
-		}
-		for _, e := range core {
-			if !got[e.ID] {
-				t.Errorf("core id %d missing from full k-NN (inconsistent snapshot)", e.ID)
-				return
-			}
-		}
-	}
-
-	// Readers: single-query KNNSnapshot path with monotone epochs.
 	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(q dist.Query) {
-			defer wg.Done()
-			ws := NewWorkspace()
-			var lastEpoch uint64
-			for !stop.Load() {
-				res, _, epoch, err := ci.KNNSnapshot(ws, q, coreN+chrnN)
-				if err != nil {
-					t.Errorf("knn: %v", err)
-					return
-				}
-				if epoch < lastEpoch {
-					t.Errorf("epoch moved backwards: %d -> %d", lastEpoch, epoch)
-					return
-				}
-				lastEpoch = epoch
-				checkSnapshot(q, res)
-			}
-		}(queries[r])
-	}
-
-	// Batch reader: the BatchKNN pool over the shared index.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for !stop.Load() {
-			out, _, err := BatchKNN(ci, queries, coreN+chrnN, 4)
+		q, ws, last := queries[r], NewWorkspace(), []uint64(nil)
+		run(func() bool {
+			res, epochs, err := read(ws, q, coreN+chrnN)
 			if err != nil {
-				t.Errorf("batch knn: %v", err)
-				return
+				t.Errorf("knn: %v", err)
+				return false
 			}
-			for i, res := range out {
-				checkSnapshot(queries[i], res)
+			for i, e := range epochs {
+				if last != nil && e < last[i] {
+					t.Errorf("epoch %d moved backwards: %d -> %d", i, last[i], e)
+					return false
+				}
+			}
+			last = epochs
+			return check(q, res)
+		})
+	}
+	run(func() bool {
+		out, _, err := BatchKNN(idx, queries, coreN+chrnN, 4)
+		if err != nil {
+			t.Errorf("batch knn: %v", err)
+			return false
+		}
+		for i, res := range out {
+			if !check(queries[i], res) {
+				return false
 			}
 		}
-	}()
-
-	for time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+		return true
+	})
+	time.Sleep(dur)
 	stop.Store(true)
 	wg.Wait()
-
-	// After the dust settles only the core set remains.
-	if got := ci.Len(); got != coreN {
+	if got := idx.Len(); got != coreN {
 		t.Fatalf("final Len = %d, want %d", got, coreN)
 	}
 }
 
-// TestShardedEpochMonotonicStress extends the epoch-monotonicity contract to
-// the sharded scatter-gather path: under concurrent per-shard mutation,
-//
-//   - each shard's epoch, sampled repeatedly from reader goroutines, never
-//     moves backwards (per-shard snapshots are monotonic);
-//   - concurrent ShardedIndex.KNNWith answers stay sorted, duplicate-free,
-//     hold the complete never-deleted core set, and carry exact recomputed
-//     distances — a torn cross-shard gather would drop or corrupt entries.
-//
-// The shard count is 3 so the churn IDs spread unevenly (ShardOf hashes),
-// and writers own disjoint ID ranges so no ID is double-inserted.
+// TestConcurrentIndexStress is churnStress over a bare ConcurrentIndex of a
+// DBCH tree, read through KNNSnapshot and the epoch it stamps.
+func TestConcurrentIndexStress(t *testing.T) {
+	ci := newConcurrentDBCH(t)
+	churnStress(t, 99, 16, 1000, 8, ci, func(ws *Workspace, q dist.Query, k int) ([]Result, []uint64, error) {
+		res, _, epoch, err := ci.KNNSnapshot(ws, q, k)
+		return res, []uint64{epoch}, err
+	})
+}
+
+// TestShardedEpochMonotonicStress is churnStress over three DBCH shards (the
+// churn IDs spread unevenly), read through the scatter-gather KNNWith, each
+// read followed by every shard's epoch.
 func TestShardedEpochMonotonicStress(t *testing.T) {
-	const (
-		n      = 64
-		m      = 12
-		coreN  = 24
-		chrnN  = 18
-		shards = 3
-	)
-	rng := rand.New(rand.NewSource(77))
-	meth := buildMethod(t, "SAPLA")
-
-	core := makeEntries(t, meth, rng, coreN, n, m)
-	churn := make([]*Entry, chrnN)
-	for i := range churn {
-		raw := randWalk(rng, n)
-		rep, err := meth.Reduce(raw, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		churn[i] = NewEntry(3000+i, raw, rep)
-	}
-
+	const shards = 3
 	si, err := NewSharded(shards, func(int) (Index, error) {
 		tree, err := NewDBCH("SAPLA", 2, 5)
 		if err != nil {
@@ -416,129 +362,14 @@ func TestShardedEpochMonotonicStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := si.InsertBatch(core); err != nil {
-		t.Fatal(err)
-	}
-
-	queries := make([]dist.Query, 4)
-	for i := range queries {
-		raw := randWalk(rng, n)
-		rep, err := meth.Reduce(raw, m)
-		if err != nil {
-			t.Fatal(err)
+	churnStress(t, 77, 18, 3000, 4, si, func(ws *Workspace, q dist.Query, k int) ([]Result, []uint64, error) {
+		res, _, err := si.KNNWith(ws, q, k)
+		epochs := make([]uint64, shards)
+		for i := range epochs {
+			epochs[i] = si.Shard(i).Epoch()
 		}
-		queries[i] = dist.NewQuery(raw, rep)
-	}
-
-	checkAnswer := func(q dist.Query, res []Result) {
-		seen := make(map[int]bool, len(res))
-		prev := math.Inf(-1)
-		for _, r := range res {
-			if r.Dist < prev {
-				t.Errorf("sharded results not sorted: %g after %g", r.Dist, prev)
-				return
-			}
-			prev = r.Dist
-			if seen[r.Entry.ID] {
-				t.Errorf("duplicate id %d in sharded gather", r.Entry.ID)
-				return
-			}
-			seen[r.Entry.ID] = true
-			exact := math.Sqrt(ts.EuclideanSq(q.Raw, r.Entry.Raw))
-			if math.Abs(exact-r.Dist) > 1e-9 {
-				t.Errorf("id %d: reported dist %g, exact %g (torn cross-shard read?)", r.Entry.ID, r.Dist, exact)
-				return
-			}
-		}
-		if len(res) < coreN {
-			t.Errorf("sharded k-NN returned %d results, fewer than the %d core entries", len(res), coreN)
-			return
-		}
-		for _, e := range core {
-			if !seen[e.ID] {
-				t.Errorf("core id %d missing from sharded k-NN (inconsistent shard snapshot)", e.ID)
-				return
-			}
-		}
-	}
-
-	dur := 800 * time.Millisecond
-	if testing.Short() {
-		dur = 150 * time.Millisecond
-	}
-	deadline := time.Now().Add(dur)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-
-	// Writers: disjoint churn halves, cycled insert -> delete through the
-	// sharded router so every shard sees mutation traffic.
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(mine []*Entry) {
-			defer wg.Done()
-			for !stop.Load() {
-				for _, e := range mine {
-					if err := si.Insert(e); err != nil {
-						t.Errorf("sharded insert: %v", err)
-						return
-					}
-				}
-				for _, e := range mine {
-					if !si.Delete(e.ID) {
-						t.Errorf("sharded delete %d: not found", e.ID)
-						return
-					}
-				}
-			}
-		}(churn[w*chrnN/2 : (w+1)*chrnN/2])
-	}
-
-	// Epoch watchers: each samples every shard's epoch in a tight loop and
-	// asserts per-shard monotonicity.
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			last := make([]uint64, shards)
-			for !stop.Load() {
-				for i := 0; i < shards; i++ {
-					epoch := si.Shard(i).Epoch()
-					if epoch < last[i] {
-						t.Errorf("shard %d epoch moved backwards: %d -> %d", i, last[i], epoch)
-						return
-					}
-					last[i] = epoch
-				}
-			}
-		}()
-	}
-
-	// Scatter-gather readers: full-coverage KNNWith under mutation.
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(q dist.Query) {
-			defer wg.Done()
-			ws := NewWorkspace()
-			for !stop.Load() {
-				res, _, err := si.KNNWith(ws, q, coreN+chrnN)
-				if err != nil {
-					t.Errorf("sharded knn: %v", err)
-					return
-				}
-				checkAnswer(q, res)
-			}
-		}(queries[r])
-	}
-
-	for time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	stop.Store(true)
-	wg.Wait()
-
-	if got := si.Len(); got != coreN {
-		t.Fatalf("final sharded Len = %d, want %d", got, coreN)
-	}
+		return res, epochs, err
+	})
 }
 
 // TestConcurrentCompactionDuringQueries interleaves arena compaction with

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -80,176 +79,6 @@ func seriesBits(v ts.Series) []uint64 {
 		bits[i] = math.Float64bits(x)
 	}
 	return bits
-}
-
-// TestServerCrashRecoveryProperty drives random ingest/delete traffic (with
-// occasional snapshots) against a durable server on an in-memory filesystem,
-// crashes it — no shutdown, page cache lost — restarts from the surviving
-// bytes, and requires the recovered index to answer k-NN queries
-// byte-identically to a fresh in-memory single-shard server holding exactly
-// the acknowledged series. SyncEvery=1 means acknowledged == durable, so the
-// equality is exact, not merely prefix-consistent. The property runs at
-// shard counts 1, 4 and 7: the crash takes down every per-shard WAL stream
-// at once, and parallel recovery across the streams must still reproduce the
-// single-shard answers bit-for-bit — with one core or four to reduce on. The
-// recovered contents must equal the acknowledged series exactly, and the
-// recovered server must refuse an acknowledged ID and admit a deleted one.
-func TestServerCrashRecoveryProperty(t *testing.T) {
-	trials := 4
-	if testing.Short() {
-		trials = 2
-	}
-	const n = 64
-	for _, shards := range []int{1, 4, 7} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			reingested := 0
-			for trial := 0; trial < trials; trial++ {
-				rng := rand.New(rand.NewSource(int64(500 + 100*shards + trial)))
-				mem := wal.NewMemFS()
-				s, hs := newTestServer(t, durableShardedConfig(mem, 1, shards))
-				out := crashTraffic(t, rng, s, hs, n, randWalk, nil)
-				acked, deleted := out.acked, out.deleted
-
-				// Crash: the process dies, every byte the kernel had not
-				// fsync'd is gone. No Shutdown, no WAL flush.
-				hs.Close()
-				mem.Crash(nil)
-
-				// Reopen with a deliberately wrong shard request: the
-				// manifest must pin the original count. Recovery splits
-				// GOMAXPROCS over the shards (one core: every shard reduces
-				// serially; four: one shard gets four workers, four shards
-				// one each), and what it rebuilds must not depend on it.
-				prevProcs := runtime.GOMAXPROCS([]int{1, 4}[trial%2])
-				rec, hrec := newTestServer(t, durableShardedConfig(mem, 1, shards%3+1))
-				runtime.GOMAXPROCS(prevProcs)
-				info, _, ok := rec.Recovery()
-				if !ok {
-					t.Fatalf("trial %d: recovered server reports no durability", trial)
-				}
-				if got := len(rec.shards); got != shards {
-					t.Fatalf("trial %d: recovered %d shards, manifest pins %d", trial, got, shards)
-				}
-				if got, want := contents(rec), bitsOf(acked); !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d: recovered %d series, acknowledged %d, contents differ (info %+v)",
-						trial, len(got), len(want), info)
-				}
-
-				answersLikeFresh(t, rng, hrec, Config{Workers: 2}, acked, n)
-
-				// Recovery claims nothing, so the shards alone must refuse an
-				// acknowledged ID — through either endpoint, with nothing
-				// applied — and admit a deleted one again.
-				var before, after ingestOutcome
-				doJSON(t, hrec.Client(), "GET", hrec.URL+"/healthz", nil, &before)
-				for id := range acked {
-					for _, ep := range ingestEndpoints {
-						var got ingestOutcome
-						if code := doJSON(t, hrec.Client(), "POST", hrec.URL+ep.path, ep.body(id, randWalk(rng, n)), &got); code != http.StatusConflict {
-							t.Fatalf("trial %d: %s of acknowledged id %d after restart: status %d (%s), want 409",
-								trial, ep.path, id, code, got.Error)
-						}
-					}
-					break
-				}
-				doJSON(t, hrec.Client(), "GET", hrec.URL+"/healthz", nil, &after)
-				if after != before {
-					t.Fatalf("trial %d: rejected re-ingests moved the index: %+v, then %+v", trial, before, after)
-				}
-				if deleted >= 0 {
-					ingestOne(t, hrec.Client(), hrec.URL, &deleted, randWalk(rng, n))
-					reingested++
-				}
-			}
-			if reingested == 0 {
-				t.Fatal("no trial deleted a series, so none re-ingested one after the restart")
-			}
-		})
-	}
-}
-
-// crashOutcome is what crashTraffic's schedule left acknowledged.
-type crashOutcome struct {
-	acked     map[int]ts.Series
-	deleted   int // the last acknowledged delete, -1 if none; auto IDs never reuse it
-	snapshots int
-}
-
-// crashTraffic drives TestServerCrashRecoveryProperty's fault schedule
-// against s: 10 to 39 operations, seven in ten a single ingest of an n-point
-// series drawn by gen, two in ten a delete of an ID below the next auto ID
-// (present or not), one in ten a snapshot of every shard. A non-nil shadow
-// receives every acknowledged operation.
-func crashTraffic(t *testing.T, rng *rand.Rand, s *Server, hs *httptest.Server, n int, gen func(*rand.Rand, int) ts.Series, shadow *rawShadow) crashOutcome {
-	t.Helper()
-	client := hs.Client()
-	out := crashOutcome{acked: map[int]ts.Series{}, deleted: -1}
-	nextID := 0
-	nOps := 10 + rng.Intn(30)
-	for i := 0; i < nOps; i++ {
-		switch r := rng.Intn(10); {
-		case r < 7: // ingest
-			v := gen(rng, n)
-			resp := ingestOne(t, client, hs.URL, nil, v)
-			out.acked[resp.ID] = v
-			if resp.ID >= nextID {
-				nextID = resp.ID + 1
-			}
-			shadow.ingest(t, resp.ID, v)
-		case r < 9: // delete (maybe missing)
-			if nextID == 0 {
-				continue
-			}
-			id := rng.Intn(nextID)
-			code := doJSON(t, client, "DELETE",
-				fmt.Sprintf("%s/v1/series/%d", hs.URL, id), nil, nil)
-			if _, ok := out.acked[id]; ok {
-				if code != http.StatusOK {
-					t.Fatalf("delete %d: status %d", id, code)
-				}
-				delete(out.acked, id)
-				out.deleted = id
-				shadow.delete(t, id)
-			} else if code != http.StatusNotFound {
-				t.Fatalf("delete missing %d: status %d", id, code)
-			}
-		default: // per-shard snapshots + rotations
-			if err := s.snapshotNow(); err != nil {
-				t.Fatalf("snapshot: %v", err)
-			}
-			out.snapshots++
-			shadow.snapshot(t)
-		}
-	}
-	return out
-}
-
-// answersLikeFresh requires four random k-NN queries to get from hs the
-// answers — IDs and distance bits — of a fresh in-memory single-shard server
-// under cfg holding exactly acked.
-func answersLikeFresh(t *testing.T, rng *rand.Rand, hs *httptest.Server, cfg Config, acked map[int]ts.Series, n int) {
-	t.Helper()
-	_, href := newTestServer(t, cfg)
-	for id, v := range acked {
-		idc := id
-		ingestOne(t, href.Client(), href.URL, &idc, v)
-	}
-	for qi := 0; qi < 4 && len(acked) > 0; qi++ {
-		q := randWalk(rng, n)
-		k := min(1+rng.Intn(5), len(acked))
-		got := knnIDs(t, hs.Client(), hs.URL, q, k)
-		want := knnIDs(t, href.Client(), href.URL, q, k)
-		if len(got) != len(want) {
-			t.Fatalf("q%d: %d results, want %d", qi, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].ID != want[i].ID ||
-				math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
-				t.Fatalf("q%d result %d: got %+v, want %+v", qi, i, got[i], want[i])
-			}
-		}
-	}
 }
 
 // rawShadow writes what a test acknowledges to a second data directory,
@@ -335,86 +164,14 @@ func memFiles(t *testing.T, mem *wal.MemFS) map[string][]byte {
 	return out
 }
 
-// TestServerLongSeriesCrashRecovery runs TestServerCrashRecoveryProperty's
-// fault schedule at 1 and 4 shards on series either side of the WAL's size
-// rule. Full-precision series keep float64 values: at n = 1024 every ingest
-// and snapshot logs the representation, and the restart loads every live one
-// (none reduced); at n = 64 none is logged, the data directory holds exactly
-// the bytes an op-1-only writer leaves, and the restart reduces everything.
-// Six-decimal series, as the end-to-end benchmark sends them, take the
-// decimal value form, which pays for the representation at n = 256 as at
-// n = 1024: the restart loads every one. Either way every recovered
-// representation is bit-identical to a fresh reduction of its values, and the
-// server answers like a fresh one. A second restart under another M finds
-// every tag stale: it reduces everything and answers like a fresh server at
-// that M. At n = 1024 every recovered row's chunk envelope is, bit for bit,
-// the one a fresh Insert of its series computes.
-func TestServerLongSeriesCrashRecovery(t *testing.T) {
-	trials := 2
-	if testing.Short() {
-		trials = 1
-	}
-	arms := []struct {
-		n       int
-		decimal bool
-	}{{64, false}, {1024, false}, {256, true}, {1024, true}}
-	for _, shards := range []int{1, 4} {
-		for _, arm := range arms {
-			n, gen, name := arm.n, randWalk, fmt.Sprintf("shards=%d/n=%d", shards, arm.n)
-			if arm.decimal {
-				gen, name = wireSeries, name+"/six-decimals"
-			}
-			t.Run(name, func(t *testing.T) {
-				snapshots := 0
-				for trial := 0; trial < trials; trial++ {
-					rng := rand.New(rand.NewSource(int64(900 + 100*shards + n + trial)))
-					mem := wal.NewMemFS()
-					s, hs := newTestServer(t, durableShardedConfig(mem, 1, shards))
-					shadow := newRawShadow(t, shards)
-					out := crashTraffic(t, rng, s, hs, n, gen, shadow)
-					snapshots += out.snapshots
-					if n == 64 && !reflect.DeepEqual(memFiles(t, mem), memFiles(t, shadow.mem)) {
-						t.Fatalf("trial %d: the data directory of 64-point series differs from an op-1-only writer's", trial)
-					}
-					hs.Close()
-					mem.Crash(nil)
-
-					for _, m := range []int{12, 6} {
-						cfg := durableShardedConfig(mem, 1, shards)
-						cfg.M = m
-						rec, hrec := newTestServer(t, cfg)
-						loaded := 0
-						if (n == 1024 || arm.decimal) && m == 12 {
-							loaded = len(out.acked)
-						}
-						recoveryCounts(t, hrec, loaded, len(out.acked)-loaded)
-						freshReps(t, rec, m)
-						if n == 1024 {
-							freshEnvelopes(t, rec)
-						}
-						answersLikeFresh(t, rng, hrec, Config{Workers: 2, M: m}, out.acked, n)
-						hrec.Close()
-						if err := rec.Shutdown(context.Background()); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				if snapshots == 0 {
-					t.Fatal("no trial took a snapshot, so none recovered representations from one")
-				}
-			})
-		}
-	}
-}
-
 // recoveryCounts requires /metrics to report loaded series whose
 // representation came from the log and reduced ones that recovery reduced.
-func recoveryCounts(t *testing.T, hs *httptest.Server, loaded, reduced int) {
+func recoveryCounts(t *testing.T, hd http.Handler, loaded, reduced int) {
 	t.Helper()
 	var doc struct {
 		Durability map[string]any `json:"durability"`
 	}
-	if code := doJSON(t, hs.Client(), "GET", hs.URL+"/metrics", nil, &doc); code != http.StatusOK {
+	if code := call(t, hd, "GET", "/metrics", nil, &doc); code != http.StatusOK {
 		t.Fatalf("/metrics: %d", code)
 	}
 	d := doc.Durability

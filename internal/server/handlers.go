@@ -205,6 +205,9 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []re
 				s.nextID = ids[i] + 1
 			}
 		} else {
+			for inBatch[s.nextID] { // an explicit ID later in this request
+				s.nextID++
+			}
 			ids[i] = s.nextID
 			s.nextID++
 		}

@@ -11,8 +11,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -111,150 +109,6 @@ type ingestOutcome struct {
 	Error     string `json:"error"`
 }
 
-func TestServerEndToEnd(t *testing.T) {
-	const n, count = 64, 40
-	_, hs := newTestServer(t, Config{M: 12})
-	client := hs.Client()
-	rng := rand.New(rand.NewSource(5))
-
-	series := make([]ts.Series, count)
-	for i := range series {
-		series[i] = randWalk(rng, n)
-		resp := ingestOne(t, client, hs.URL, nil, series[i])
-		if resp.ID != i {
-			t.Fatalf("auto id = %d, want %d", resp.ID, i)
-		}
-	}
-
-	// Self-query: the ingested series is its own nearest neighbour.
-	var knn knnResponse
-	if code := doJSON(t, client, "POST", hs.URL+"/v1/knn",
-		map[string]any{"values": series[3], "k": 5}, &knn); code != http.StatusOK {
-		t.Fatalf("knn returned %d", code)
-	}
-	if len(knn.Results) != 5 {
-		t.Fatalf("knn returned %d results, want 5", len(knn.Results))
-	}
-	if knn.Results[0].ID != 3 || knn.Results[0].Dist != 0 {
-		t.Fatalf("self query top hit = %+v, want id 3 dist 0", knn.Results[0])
-	}
-	// Served from the flat tier: every live series is filtered, no tree node
-	// is visited, and the filter spares most of them the exact distance.
-	if knn.Stats.Filtered != count || knn.Stats.NodesVisited != 0 {
-		t.Fatalf("knn stats %+v, want %d filtered and no nodes", knn.Stats, count)
-	}
-	if knn.Stats.Measured < 5 || knn.Stats.Measured >= count {
-		t.Fatalf("knn measured %d of %d series", knn.Stats.Measured, count)
-	}
-
-	// Batch: every query's own series leads its answer slot.
-	batch := map[string]any{"k": 3, "queries": []map[string]any{
-		{"values": series[0]}, {"values": series[7]}, {"values": series[19]},
-	}}
-	var bresp batchResponse
-	if code := doJSON(t, client, "POST", hs.URL+"/v1/knn/batch", batch, &bresp); code != http.StatusOK {
-		t.Fatalf("batch returned %d", code)
-	}
-	wantTop := []int{0, 7, 19}
-	if len(bresp.Answers) != 3 {
-		t.Fatalf("batch returned %d answers", len(bresp.Answers))
-	}
-	for i, ans := range bresp.Answers {
-		if len(ans.Results) != 3 || ans.Results[0].ID != wantTop[i] {
-			t.Fatalf("batch answer %d: %+v, want top id %d", i, ans.Results, wantTop[i])
-		}
-	}
-
-	// Range with the radius of the 3rd neighbour returns at least 3 hits.
-	var rresp knnResponse
-	if code := doJSON(t, client, "POST", hs.URL+"/v1/range",
-		map[string]any{"values": series[3], "radius": knn.Results[2].Dist}, &rresp); code != http.StatusOK {
-		t.Fatalf("range returned %d", code)
-	}
-	if len(rresp.Results) < 3 {
-		t.Fatalf("range returned %d results, want >= 3", len(rresp.Results))
-	}
-
-	// Delete, then confirm the id is gone from k-NN answers.
-	var dresp deleteResponse
-	if code := doJSON(t, client, "DELETE", hs.URL+"/v1/series/3", nil, &dresp); code != http.StatusOK {
-		t.Fatalf("delete returned %d", code)
-	}
-	if !dresp.Deleted || dresp.IndexSize != count-1 {
-		t.Fatalf("delete response %+v", dresp)
-	}
-	if code := doJSON(t, client, "DELETE", hs.URL+"/v1/series/3", nil, nil); code != http.StatusNotFound {
-		t.Fatalf("second delete returned %d, want 404", code)
-	}
-	if code := doJSON(t, client, "POST", hs.URL+"/v1/knn",
-		map[string]any{"values": series[3], "k": 5}, &knn); code != http.StatusOK {
-		t.Fatalf("knn after delete returned %d", code)
-	}
-	for _, r := range knn.Results {
-		if r.ID == 3 {
-			t.Fatal("deleted id 3 still appears in k-NN results")
-		}
-	}
-
-	// Health and metrics.
-	var health map[string]any
-	if code := doJSON(t, client, "GET", hs.URL+"/healthz", nil, &health); code != http.StatusOK {
-		t.Fatalf("healthz returned %d", code)
-	}
-	if health["status"] != "ok" {
-		t.Fatalf("healthz = %v", health)
-	}
-	var met struct {
-		Requests map[string]int64 `json:"requests"`
-		Search   struct {
-			Queries      int64   `json:"queries"`
-			Measured     int64   `json:"measured"`
-			PruningRatio float64 `json:"pruning_ratio"`
-		} `json:"search"`
-		Index struct {
-			Size     int64 `json:"size"`
-			Ingested int64 `json:"ingested"`
-			Deleted  int64 `json:"deleted"`
-			// Gone with the tree, COW/EBR and compaction.
-			Tree        any `json:"tree"`
-			Compactions any `json:"compactions"`
-			ReclaimLag  any `json:"reclaim_lag_slots"`
-		} `json:"index"`
-		Latency map[string]histSnapshot `json:"latency"`
-	}
-	if code := doJSON(t, client, "GET", hs.URL+"/metrics", nil, &met); code != http.StatusOK {
-		t.Fatalf("metrics returned %d", code)
-	}
-	if met.Requests["ingest"] != count {
-		t.Fatalf("metrics ingest count = %d, want %d", met.Requests["ingest"], count)
-	}
-	if met.Search.Queries != 6 { // 2 knn + 3 batch + 1 range
-		t.Fatalf("metrics queries = %d, want 6", met.Search.Queries)
-	}
-	if met.Search.PruningRatio <= 0 || met.Search.PruningRatio > 1 {
-		t.Fatalf("pruning ratio = %g", met.Search.PruningRatio)
-	}
-	if met.Index.Size != count-1 || met.Index.Ingested != count || met.Index.Deleted != 1 {
-		t.Fatalf("metrics index = %+v", met.Index)
-	}
-	if met.Index.Tree != nil || met.Index.Compactions != nil || met.Index.ReclaimLag != nil {
-		t.Fatalf("metrics still report tree maintenance: %+v", met.Index)
-	}
-	if met.Latency["knn"].Count != 2 {
-		t.Fatalf("knn latency count = %d, want 2", met.Latency["knn"].Count)
-	}
-
-	// pprof index is mounted.
-	resp, err := client.Get(hs.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pprof returned %d", resp.StatusCode)
-	}
-}
-
 func TestServerValidation(t *testing.T) {
 	_, hs := newTestServer(t, Config{M: 12, MaxK: 8, MaxBatch: 2, MaxBodyBytes: 1 << 16})
 	client := hs.Client()
@@ -331,107 +185,6 @@ func TestServerServesSAPLAOnly(t *testing.T) {
 		if _, err := New(Config{Method: name}); err == nil || !strings.Contains(err.Error(), "SAPLA") {
 			t.Fatalf("method %q: err %v, want a refusal naming SAPLA", name, err)
 		}
-	}
-}
-
-// TestServerConcurrentTraffic hammers the HTTP surface with interleaved
-// ingest, delete, k-NN, batch and range requests. Run under -race it is the
-// check on the lock classes' guarded fields along the full serving path: the
-// shards' flat tiers (written under shardState.mu and the ConcurrentIndex
-// lock, searched under its shared lock), and bookMu's claims and series
-// length, which every query reads through seriesLen while ingests write them.
-func TestServerConcurrentTraffic(t *testing.T) {
-	const n = 48
-	s, hs := newTestServer(t, Config{M: 12, Workers: 2})
-	client := hs.Client()
-	rng := rand.New(rand.NewSource(77))
-
-	// Core entries never deleted; churn ids cycle.
-	for i := 0; i < 12; i++ {
-		ingestOne(t, client, hs.URL, nil, randWalk(rng, n))
-	}
-	queries := make([]ts.Series, 4)
-	for i := range queries {
-		queries[i] = randWalk(rng, n)
-	}
-	churn := make([]ts.Series, 8)
-	for i := range churn {
-		churn[i] = randWalk(rng, n)
-	}
-
-	iters := 30
-	if testing.Short() {
-		iters = 8
-	}
-	var wg sync.WaitGroup
-	// Writer: ingest churn ids 1000.. then delete them, repeatedly.
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				for j, vals := range churn[w*4 : w*4+4] {
-					id := 1000 + w*4 + j
-					var resp ingestResponse
-					code := doJSON(t, client, "POST", hs.URL+"/v1/ingest",
-						map[string]any{"id": id, "values": vals}, &resp)
-					if code != http.StatusCreated {
-						t.Errorf("churn ingest %d returned %d", id, code)
-						return
-					}
-				}
-				for j := range churn[w*4 : w*4+4] {
-					id := 1000 + w*4 + j
-					if code := doJSON(t, client, "DELETE",
-						fmt.Sprintf("%s/v1/series/%d", hs.URL, id), nil, nil); code != http.StatusOK {
-						t.Errorf("churn delete %d returned %d", id, code)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	// Readers: knn + batch + range; every answer must include all 12 core ids
-	// when k covers the whole index.
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(q ts.Series) {
-			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				var knn knnResponse
-				if code := doJSON(t, client, "POST", hs.URL+"/v1/knn",
-					map[string]any{"values": q, "k": 30}, &knn); code != http.StatusOK {
-					t.Errorf("knn returned %d", code)
-					return
-				}
-				core := 0
-				for _, res := range knn.Results {
-					if res.ID < 12 {
-						core++
-					}
-				}
-				if core != 12 {
-					t.Errorf("knn saw %d of 12 core entries (inconsistent snapshot)", core)
-					return
-				}
-				var bresp batchResponse
-				if code := doJSON(t, client, "POST", hs.URL+"/v1/knn/batch",
-					map[string]any{"k": 5, "queries": []map[string]any{{"values": q}}}, &bresp); code != http.StatusOK {
-					t.Errorf("batch returned %d", code)
-					return
-				}
-				if code := doJSON(t, client, "POST", hs.URL+"/v1/range",
-					map[string]any{"values": q, "radius": 10.0}, nil); code != http.StatusOK {
-					t.Errorf("range returned %d", code)
-					return
-				}
-			}
-		}(queries[r])
-	}
-	wg.Wait()
-
-	if got := s.Index().Len(); got != 12 {
-		t.Fatalf("final index size = %d, want 12", got)
 	}
 }
 
@@ -668,155 +421,6 @@ func TestServerIngestEdgeCases(t *testing.T) {
 			ingestOne(t, client, hs.URL, nil, randWalk(rng, 16))
 		}
 	})
-}
-
-// TestServerIngestBatch drives the batched ingest endpoint: mixed
-// auto/explicit IDs commit atomically under one epoch, invalid batches reject
-// wholesale with nothing applied, and the WAL group append recovers the whole
-// batch after a restart.
-func TestServerIngestBatch(t *testing.T) {
-	mem := wal.NewMemFS()
-	s, hs := newTestServer(t, durableConfig(mem, 1))
-	client := hs.Client()
-	rng := rand.New(rand.NewSource(77))
-
-	series := func() ts.Series { return randWalk(rng, 64) }
-	explicit := 100
-	body := map[string]any{"series": []map[string]any{
-		{"values": series()},
-		{"id": explicit, "values": series()},
-		{"values": series()},
-	}}
-	var resp ingestBatchResponse
-	if code := doJSON(t, client, "POST", hs.URL+"/v1/ingest/batch", body, &resp); code != http.StatusCreated {
-		t.Fatalf("batch ingest: status %d", code)
-	}
-	if len(resp.IDs) != 3 || resp.IndexSize != 3 {
-		t.Fatalf("batch response: ids %v, size %d", resp.IDs, resp.IndexSize)
-	}
-	if resp.IDs[1] != explicit {
-		t.Fatalf("explicit id not honoured: got %d", resp.IDs[1])
-	}
-	if resp.Epoch != 1 {
-		t.Fatalf("batch advanced epoch to %d, want 1 (one epoch per batch)", resp.Epoch)
-	}
-	// Auto IDs continue past the explicit one.
-	if resp.IDs[2] != explicit+1 {
-		t.Fatalf("auto id after explicit = %d, want %d", resp.IDs[2], explicit+1)
-	}
-
-	// A duplicate inside the batch rejects the whole request atomically.
-	dup := map[string]any{"series": []map[string]any{
-		{"id": 200, "values": series()},
-		{"id": 200, "values": series()},
-	}}
-	var errResp errorResponse
-	if code := doJSON(t, client, "POST", hs.URL+"/v1/ingest/batch", dup, &errResp); code != http.StatusConflict {
-		t.Fatalf("duplicate batch: status %d (%s)", code, errResp.Error)
-	}
-	// A mid-batch invalid series (length differing from the first) rejects
-	// wholesale too.
-	bad := map[string]any{"series": []map[string]any{
-		{"values": series()},
-		{"values": randWalk(rng, 32)},
-	}}
-	if code := doJSON(t, client, "POST", hs.URL+"/v1/ingest/batch", bad, &errResp); code != http.StatusBadRequest {
-		t.Fatalf("invalid batch: status %d", code)
-	}
-	// An empty batch is a client error, not a no-op 201.
-	if code := doJSON(t, client, "POST", hs.URL+"/v1/ingest/batch",
-		map[string]any{"series": []map[string]any{}}, &errResp); code != http.StatusBadRequest {
-		t.Fatalf("empty batch: status %d", code)
-	}
-	if got := s.Index().Len(); got != 3 {
-		t.Fatalf("rejected batches leaked entries: Len = %d, want 3", got)
-	}
-
-	// The group-appended batch survives a clean restart.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := New(durableConfig(mem, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Shutdown(context.Background())
-	if got := s2.Index().Len(); got != 3 {
-		t.Fatalf("recovered Len = %d, want 3", got)
-	}
-
-	// A single ingest is a batch of one: the same series with the same IDs
-	// through either endpoint leave the same bytes in every WAL file, the same
-	// size and epoch after every step, the same answers and the same
-	// rejections.
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("batch of one/shards=%d", shards), func(t *testing.T) {
-			fsys := make([]*wal.MemFS, len(ingestEndpoints))
-			urls := make([]string, len(ingestEndpoints))
-			for e := range ingestEndpoints {
-				fsys[e] = wal.NewMemFS()
-				_, hs := newTestServer(t, durableShardedConfig(fsys[e], 1, shards))
-				urls[e] = hs.URL
-			}
-			// post sends one ingest to both servers and requires the same
-			// verdict, size and epoch from both.
-			post := func(id int, values ts.Series, want int) {
-				t.Helper()
-				var got [2]ingestOutcome
-				for e, ep := range ingestEndpoints {
-					if code := doJSON(t, client, "POST", urls[e]+ep.path, ep.body(id, values), &got[e]); code != want {
-						t.Fatalf("%s id %d: status %d (%s), want %d", ep.path, id, code, got[e].Error, want)
-					}
-				}
-				if got[0].IndexSize != got[1].IndexSize || got[0].Epoch != got[1].Epoch {
-					t.Fatalf("id %d: single %+v, batch of one %+v", id, got[0], got[1])
-				}
-			}
-			state := func() (out [2]ingestOutcome) {
-				for e := range out {
-					doJSON(t, client, "GET", urls[e]+"/healthz", nil, &out[e])
-				}
-				return out
-			}
-			stored := []ts.Series{series(), series(), series()}
-			for i, v := range stored {
-				post(10+7*i, v, http.StatusCreated)
-			}
-			before := state()
-			post(17, series(), http.StatusConflict)            // duplicate explicit ID
-			post(99, randWalk(rng, 32), http.StatusBadRequest) // wrong length
-			if after := state(); after != before || before[0] != before[1] || before[0].IndexSize != 3 {
-				t.Fatalf("rejections applied something: %+v, then %+v", before, after)
-			}
-			post(99, series(), http.StatusCreated) // the rejected ID was not claimed
-
-			names, err := fsys[0].List()
-			if err != nil {
-				t.Fatal(err)
-			}
-			other, _ := fsys[1].List()
-			sort.Strings(names)
-			sort.Strings(other)
-			if !reflect.DeepEqual(names, other) || len(names) == 0 {
-				t.Fatalf("files differ: single %v, batch of one %v", names, other)
-			}
-			for _, name := range names {
-				a, _ := fsys[0].ReadFile(name)
-				b, _ := fsys[1].ReadFile(name)
-				if !bytes.Equal(a, b) {
-					t.Errorf("%s: %d bytes after single ingests, %d after batches of one, not identical", name, len(a), len(b))
-				}
-			}
-			for i, v := range stored {
-				a, b := knnIDs(t, client, urls[0], v, 3), knnIDs(t, client, urls[1], v, 3)
-				if !reflect.DeepEqual(a, b) || a[0].ID != 10+7*i {
-					t.Errorf("k-NN for series %d: single %v, batch of one %v", i, a, b)
-				}
-			}
-		})
-	}
 }
 
 // TestServerDismissedMetric: /metrics search.dismissed counts the
