@@ -362,10 +362,6 @@ func TestFilterDispatch(t *testing.T) {
 		if d < 0 || math.IsNaN(d) {
 			t.Fatalf("%s: bad distance %v", meth.Name(), d)
 		}
-		// No filtering measure reads the prefix sums NewFilterQuery leaves out.
-		if lean, err := f(NewFilterQuery(q, qr), cr); err != nil || lean != d {
-			t.Fatalf("%s: %v (%v) without prefix sums, %v with", meth.Name(), lean, err, d)
-		}
 	}
 	// SAPLA dispatch.
 	f, err := Filter("SAPLA")

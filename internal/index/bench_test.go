@@ -297,9 +297,10 @@ func mixedQueries(tb testing.TB, rng *rand.Rand, entries []*Entry, count, m int)
 }
 
 // BenchmarkFlatFilter times the filter stage of the flat tier alone, at the
-// two shapes the end-to-end benchmark serves per shard (M = 12): "rows" is
-// Flat.filterSlots' table kernel, query table build included; "parflat" is
-// the merge loop it replaced, dist.PARFlat once per row, as the reference.
+// two shapes the end-to-end benchmark serves per shard: "rows" is
+// Flat.filterSlots' envelope kernel (ts.Envelope.LowerBounds), the query's
+// envelope included; "parflat" is Dist_PAR (M = 12) by dist.PARFlat's merge
+// loop once per row, the filter the tier served before it, as the reference.
 func BenchmarkFlatFilter(b *testing.B) {
 	for _, shape := range []struct{ count, n int }{{6000, 256}, {1500, 1024}} {
 		rng := rand.New(rand.NewSource(17))
@@ -420,7 +421,8 @@ func servedSharded4(b *testing.B, n int) *servedLong {
 // the refinements the chunk envelope ended unread. The sharded4 rows run
 // through ShardedIndex.KNNWith, so their refine/op is what the bound handed
 // from shard to shard saves over four independent searches; 4x1500x512 is the
-// shortest length whose rows keep an envelope (envelopeMinChunks).
+// shortest length whose refinements abandon on the envelope
+// (envelopeAbandonMin), and flat (6000 × 256) the longest below it.
 func BenchmarkServedKNN(b *testing.B) {
 	idxs, queries := servedPair(b)
 	run := func(name string, idx WorkspaceSearcher, queries []dist.Query) {

@@ -23,23 +23,26 @@ func shardFlats(t *testing.T, idx *ShardedIndex) []*Flat {
 	return flats
 }
 
-// checkEnvelopes requires every live row that keeps an envelope to hold
-// exactly the float32 rounding of its own series' ts.ChunkEnvelope values —
-// after inserts, swap-remove deletes and slot reuse — and returns how many
-// rows keep one.
+// checkEnvelopes requires every live row to hold exactly its own series'
+// ts.EnvelopeRow vector and slack — after inserts, swap-remove deletes and
+// slot reuse — and returns how many rows it checked.
 func checkEnvelopes(t *testing.T, f *Flat) int {
 	t.Helper()
 	rows := 0
+	want := make([]float32, ts.EnvelopeWidth)
 	f.Each(func(e *Entry) {
-		m, rho, ok := f.Envelope(e.ID)
+		v, slack, ok := f.Envelope(e.ID)
 		if !ok {
-			return
+			t.Fatalf("id %d is live but keeps no envelope", e.ID)
 		}
 		rows++
-		for j := range m {
-			wm, wr := ts.ChunkEnvelope(e.Raw[j*ts.EnvelopeChunk : min((j+1)*ts.EnvelopeChunk, len(e.Raw))])
-			if math.Float32bits(m[j]) != math.Float32bits(float32(wm)) || math.Float32bits(rho[j]) != math.Float32bits(float32(wr)) {
-				t.Fatalf("id %d chunk %d: envelope (%v, %v), its series gives (%v, %v)", e.ID, j, m[j], rho[j], float32(wm), float32(wr))
+		ws := ts.EnvelopeRow(e.Raw, want)
+		if math.Float32bits(slack) != math.Float32bits(ws) {
+			t.Fatalf("id %d: slack %v, its series gives %v", e.ID, slack, ws)
+		}
+		for j := range v {
+			if math.Float32bits(v[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("id %d value %d: envelope %v, its series gives %v", e.ID, j, v[j], want[j])
 			}
 		}
 	})
@@ -77,23 +80,24 @@ func searchAll(t *testing.T, idx *ShardedIndex, queries []dist.Query, k int, rad
 	return run
 }
 
-// TestFlatEnvelopeAnswersIdentical: the chunk envelope only ends
-// refinements that could not enter an answer. Over random insert / delete
-// sequences — swap-remove carries envelope rows from slot to slot — every
-// k-NN (the shard hand-off), batch and range answer, its distance bits and
-// its Measured count equal what the same index returns with its envelopes
-// switched off, i.e. every refinement on today's ts.EuclideanSqAbandon. At
-// 256 points no row keeps an envelope and nothing is dismissed; at 512, 1000
-// (a 40-point last chunk) and 1024 the envelope dismisses.
+// TestFlatEnvelopeAnswersIdentical: the flat tier answers as the linear scan
+// does, and the chunk envelope only ends refinements that could not enter an
+// answer. Over random insert / delete sequences — swap-remove carries
+// envelope rows from slot to slot — every k-NN (the shard hand-off), batch
+// and range answer equals the scan's to the distance bit, and it, its
+// Measured count and the scan identity hold with the envelope abandon
+// switched off too (every refinement on ts.EuclideanSqAbandon). The filter
+// prunes at every length; below envelopeAbandonMin nothing is dismissed, and
+// 17 points leave most of the 16 chunks empty.
 func TestFlatEnvelopeAnswersIdentical(t *testing.T) {
-	for _, n := range []int{256, 512, 1000, 1024} {
+	for _, n := range []int{17, 256, 512, 1000, 1024} {
 		for _, shards := range []int{1, 4, 7} {
 			t.Run(fmt.Sprintf("n=%d/shards=%d", n, shards), func(t *testing.T) {
 				m := newFlatModel(t, "SAPLA", int64(10*n+shards))
 				m.n = n
 				idx := newShardedFlat(t, shards)
 				flats := shardFlats(t, idx)
-				dismissed := 0
+				filtered, measured, dismissed := 0, 0, 0
 				for round := 0; round < 24; round++ {
 					batch := make([]*Entry, 8+m.rng.Intn(10))
 					for i := range batch {
@@ -121,12 +125,8 @@ func TestFlatEnvelopeAnswersIdentical(t *testing.T) {
 					for _, f := range flats {
 						rows += checkEnvelopes(t, f)
 					}
-					want := len(m.live)
-					if n < 512 {
-						want = 0
-					}
-					if rows != want {
-						t.Fatalf("round %d: %d rows keep an envelope, want %d", round, rows, want)
+					if rows != len(m.live) {
+						t.Fatalf("round %d: %d rows keep an envelope, %d live", round, rows, len(m.live))
 					}
 					queries := make([]dist.Query, 6)
 					radii := make([]float64, len(queries))
@@ -137,40 +137,44 @@ func TestFlatEnvelopeAnswersIdentical(t *testing.T) {
 					}
 					k := []int{1, 5, 10}[round%3]
 					got := searchAll(t, idx, queries, k, radii)
-					saved := make([]int, len(flats))
+					saved := make([]bool, len(flats))
 					for i, f := range flats {
-						saved[i], f.chunks = f.chunks, 0
+						saved[i], f.abandon = f.abandon, false
 					}
 					plain := searchAll(t, idx, queries, k, radii)
 					for i, f := range flats {
-						f.chunks = saved[i]
+						f.abandon = saved[i]
 					}
 					for qi, q := range queries {
 						label := fmt.Sprintf("round %d query %d", round, qi)
-						identicalResults(t, label+" knn", got.knn[qi], plain.knn[qi])
-						identicalResults(t, label+" batch", got.batch[qi], plain.batch[qi])
-						identicalResults(t, label+" range", got.rng[qi], plain.rng[qi])
-						m.valid(label, q, got.knn[qi])
+						scanKNN, _, _ := m.scan().KNN(q, k)
+						scanRange, _, _ := m.scan().Range(q, radii[qi])
+						for _, run := range []envelopeRun{got, plain} {
+							identicalResults(t, label+" knn", run.knn[qi], scanKNN)
+							identicalResults(t, label+" batch", run.batch[qi], scanKNN)
+							identicalResults(t, label+" range", run.rng[qi], scanRange)
+						}
 						for _, pair := range [][2]SearchStats{
 							{got.knnStats[qi], plain.knnStats[qi]},
 							{got.batchStats[qi], plain.batchStats[qi]},
 							{got.rngStats[qi], plain.rngStats[qi]},
 						} {
 							g, w := pair[0], pair[1]
-							if w.Dismissed != 0 || g.Dismissed > g.Measured {
-								t.Fatalf("%s: dismissed %d of %d measured, %d without envelopes", label, g.Dismissed, g.Measured, w.Dismissed)
+							if w.Dismissed != 0 || g.Dismissed > g.Measured || (n < envelopeAbandonMin && g.Dismissed != 0) {
+								t.Fatalf("%s: dismissed %d of %d measured, %d without the envelope abandon", label, g.Dismissed, g.Measured, w.Dismissed)
 							}
 							g.Dismissed = 0
 							if g != w {
-								t.Fatalf("%s: stats %+v, without envelopes %+v", label, g, w)
+								t.Fatalf("%s: stats %+v, without the envelope abandon %+v", label, g, w)
 							}
+							filtered, measured = filtered+g.Filtered, measured+g.Measured
 						}
 						dismissed += got.knnStats[qi].Dismissed + got.rngStats[qi].Dismissed
 					}
 				}
-				t.Logf("%d refinements dismissed", dismissed)
-				if (n >= 512) != (dismissed > 0) {
-					t.Fatalf("%d refinements dismissed at n = %d", dismissed, n)
+				t.Logf("%d of %d filtered rows refined, %d refinements dismissed", measured, filtered, dismissed)
+				if measured >= filtered {
+					t.Fatalf("the filter pruned nothing: %d of %d rows refined", measured, filtered)
 				}
 			})
 		}

@@ -7,14 +7,12 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 
 	"sapla/internal/core"
 	"sapla/internal/dist"
 	"sapla/internal/reduce"
-	"sapla/internal/repr"
 	"sapla/internal/ts"
 )
 
@@ -47,8 +45,8 @@ type flatModel struct {
 	ids  []int // insertion-ordered candidates for deletion; may hold dead IDs
 	next int
 
-	hits, truth int // k-NN recall: true neighbours returned, true neighbours
-	bounded     int // true neighbours and range members the filter lower-bounds
+	knns               int // k-NN queries checked against the scan
+	filtered, measured int // their rows filtered and refined
 }
 
 func (m *flatModel) entry(id int) *Entry {
@@ -110,30 +108,6 @@ func (m *flatModel) valid(label string, q dist.Query, got []Result) {
 	}
 }
 
-// keepsBounded is the contract Dist_PAR gives without being a lower bound: a
-// member of the true answer (want, the scan's) whose Dist_PAR does not exceed
-// its exact distance is never dismissed, at any shard count. The margin is a
-// thousand times the row kernel's deviation from dist.PARFlat
-// (TestFlatRowFilter); a Dist_PAR of exactly 0 (q̂ = ĉ, where the kernel takes
-// PARFlat's value) needs none, which makes exact ties at 0 part of the check.
-func (m *flatModel) keepsBounded(label string, q dist.Query, got, want []Result) {
-	m.t.Helper()
-	in := make(map[int]bool, len(got))
-	for _, r := range got {
-		in[r.Entry.ID] = true
-	}
-	for _, r := range want {
-		fd := dist.PARFlat(q.Flat, dist.FlattenLinear(r.Entry.Rep))
-		if fd != 0 && fd+1e-6*(1+fd) > r.Dist {
-			continue
-		}
-		m.bounded++
-		if !in[r.Entry.ID] {
-			m.t.Fatalf("%s: id %d (Dist_PAR %v, exact %v) dismissed", label, r.Entry.ID, fd, r.Dist)
-		}
-	}
-}
-
 func (m *flatModel) checkKNN(idx flatLike, step int) {
 	m.t.Helper()
 	q := m.query()
@@ -151,20 +125,9 @@ func (m *flatModel) checkKNN(idx flatLike, step int) {
 		m.t.Fatalf("%s: stats %+v", label, stats)
 	}
 	m.valid(label, q, got)
-	m.keepsBounded(label, q, got, want)
-	if k >= len(m.live) {
-		return // everything is returned: no dismissal to count
-	}
-	in := make(map[int]bool, len(want))
-	for _, r := range want {
-		in[r.Entry.ID] = true
-	}
-	for _, r := range got {
-		if in[r.Entry.ID] {
-			m.hits++
-		}
-	}
-	m.truth += len(want)
+	identicalResults(m.t, label, got, want)
+	m.knns++
+	m.filtered, m.measured = m.filtered+stats.Filtered, m.measured+stats.Measured
 }
 
 func (m *flatModel) checkRange(idx flatLike, step int) {
@@ -183,15 +146,7 @@ func (m *flatModel) checkRange(idx flatLike, step int) {
 	}
 	m.valid(label, q, got)
 	want, _, _ := scan.Range(q, radius)
-	m.keepsBounded(label, q, got, want)
-	if len(got) > len(want) {
-		m.t.Fatalf("%s: %d results, only %d within the radius", label, len(got), len(want))
-	}
-	for _, r := range got {
-		if r.Dist > radius {
-			m.t.Fatalf("%s: id %d at %v lies beyond the radius", label, r.Entry.ID, r.Dist)
-		}
-	}
+	identicalResults(m.t, label, got, want)
 }
 
 func (m *flatModel) insert(idx flatLike, e *Entry) {
@@ -272,51 +227,42 @@ func flatTargets(t *testing.T) map[string]func() flatLike {
 	}
 }
 
-// TestFlatModelLowerBound: wherever Dist_PAR lower-bounds the exact distance
-// the flat tier answers as the linear scan does — no k-NN neighbour and no
-// range member whose Dist_PAR does not exceed its exact distance is missing
-// (keepsBounded, on every answer of every model run) — whatever the order
-// entries arrived in and however many shards hold them.
+// TestFlatModelLowerBound: the filter is a lower bound of the computed
+// distance, so every k-NN and range answer of every model run is the linear
+// scan's — IDs, order and distance bits — whatever the order entries arrived
+// in and however many shards hold them, and the filter still prunes.
 func TestFlatModelLowerBound(t *testing.T) {
 	for name, build := range flatTargets(t) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
 				m := newFlatModel(t, "SAPLA", seed)
 				m.run(build(), 400)
-				if m.bounded == 0 {
-					t.Fatal("no answer member was lower-bounded: the check ran on nothing")
+				if m.knns == 0 || m.measured >= m.filtered {
+					t.Fatalf("%d k-NN queries refined %d of %d filtered rows: the check ran on nothing", m.knns, m.measured, m.filtered)
 				}
 			})
 		}
 	}
 }
 
-// TestFlatModelSAPLA: Dist_PAR is not a lower bound, so a true neighbour can
-// be dismissed — but everything returned is a live entry with its exact
-// distance in canonical order, the count is min(k, live), and on
-// z-normalised mixed-family data recall stays at or above 0.97.
+// TestFlatModelSAPLA: a longer run of the model on SAPLA entries, whose
+// representations the tier ignores: every answer is the scan's (recall 1).
 func TestFlatModelSAPLA(t *testing.T) {
 	for name, build := range flatTargets(t) {
 		t.Run(name, func(t *testing.T) {
 			m := newFlatModel(t, "SAPLA", 11)
 			m.run(build(), 900)
-			if m.truth == 0 {
+			if m.knns == 0 {
 				t.Fatal("no k-NN query ran")
 			}
-			recall := float64(m.hits) / float64(m.truth)
-			t.Logf("recall %.4f over %d true neighbours, %d live at the end", recall, m.truth, len(m.live))
-			if recall < 0.97 {
-				t.Fatalf("recall %.4f, want >= 0.97", recall)
-			}
+			t.Logf("%d k-NN queries refined %d of %d rows, %d live at the end", m.knns, m.measured, m.filtered, len(m.live))
 		})
 	}
 }
 
-// TestFlatHandOffSAPLA: Dist_PAR is not a lower bound, so the bound handed
-// from shard to shard may dismiss what independent searches would keep — but
-// every answer is still k live entries with their exact distances in
-// canonical order, and no query measures more than its shards would on their
-// own.
+// TestFlatHandOffSAPLA: the bound handed from shard to shard dismisses
+// nothing a scan would return, and no query measures more than its shards
+// would on their own.
 func TestFlatHandOffSAPLA(t *testing.T) {
 	for _, shards := range []int{2, 4, 7} {
 		m := newFlatModel(t, "SAPLA", 71)
@@ -331,10 +277,9 @@ func TestFlatHandOffSAPLA(t *testing.T) {
 			q := m.query()
 			label := testLabel("hand-off", qi, shards, 0)
 			res, got, ind := handOffKNN(t, label, idx, ws, q, 10)
-			if len(res) != 10 {
-				t.Fatalf("%s: %d results", label, len(res))
-			}
+			want, _, _ := m.scan().KNN(q, 10)
 			m.valid(label, q, res)
+			identicalResults(t, label, res, want)
 			measured, independent = measured+got, independent+ind
 		}
 		if measured >= independent {
@@ -603,45 +548,42 @@ func TestFlatBlocksGrowAndShrink(t *testing.T) {
 	selfNearest("shrunk")
 }
 
-// TestFlatInsertRefuses: an entry the rows cannot hold — no representation,
-// one with no flat form, another series length, more segments than the
-// stride — is refused by Insert and, in the middle of a batch, by InsertBatch,
-// and the tier is as it was: Len, Lookup, every row and every envelope. A
-// refused batch into a fresh tier fixes no length.
+// TestFlatInsertRefuses: an entry the rows cannot hold — one of another
+// series length, or with no values — is refused by Insert and, in the middle
+// of a batch, by InsertBatch, and the tier is as it was: Len, Lookup, every
+// envelope row. A refused batch into a fresh tier fixes no length. The rows
+// read the raw values only, so an entry with no representation, or one that
+// is not piecewise linear, is held and answered like any other.
 func TestFlatInsertRefuses(t *testing.T) {
 	m := newFlatModel(t, "SAPLA", 51)
-	m.n = 1024 // the rows keep envelopes
+	m.n = 1024
 	f := NewFlat()
 	for id := 1; id <= 20; id++ {
-		m.insert(f, m.entry(id)) // stride 4, all in the first block
+		m.insert(f, m.entry(id)) // all in the first block
 	}
 	state := func() []any {
 		b, rows := f.blocks[0], f.Len()
-		return []any{len(f.blocks), f.n, f.stride, slices.Clone(f.ents),
-			slices.Clone(b.a[:rows*f.stride]), slices.Clone(b.c[:rows*f.stride]), slices.Clone(b.r[:rows*f.stride]),
-			slices.Clone(b.nn[:rows]), slices.Clone(b.em[:rows*f.chunks]), slices.Clone(b.er[:rows*f.chunks])}
+		return []any{len(f.blocks), f.n, f.abandon, slices.Clone(f.ents),
+			slices.Clone(b.env[:rows*ts.EnvelopeWidth]), slices.Clone(b.slack[:rows])}
 	}
-	paa, short, wide := *m, *m, *m
-	paa.meth, short.n, wide.m = buildMethod(t, "PAA"), 512, 18 // 512 points; six segments
+	short := *m
+	short.n = 512
 	other := m.entry(0)
 	for _, tc := range []struct {
 		name string
 		e    *Entry
-		want error // nil: any error
 	}{
-		{"nil representation", NewEntry(100, other.Raw, nil), dist.ErrIncompatible},
-		{"PAA representation", paa.entry(100), dist.ErrIncompatible},
-		{"another length", short.entry(100), ts.ErrLengthMismatch},
-		{"raw of another length", NewEntry(100, other.Raw[:512], other.Rep), ts.ErrLengthMismatch},
-		{"wider than the stride", wide.entry(100), nil},
+		{"another length", short.entry(100)},
+		{"raw of another length", NewEntry(100, other.Raw[:512], other.Rep)},
+		{"no values", NewEntry(100, nil, nil)},
 	} {
 		before := state()
 		for how, err := range map[string]error{
 			"Insert":      f.Insert(tc.e),
 			"InsertBatch": f.InsertBatch([]*Entry{m.entry(200), tc.e, m.entry(201)}),
 		} {
-			if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
-				t.Fatalf("%s, %s: err %v, want %v", tc.name, how, err, tc.want)
+			if !errors.Is(err, ts.ErrLengthMismatch) {
+				t.Fatalf("%s, %s: err %v, want a length mismatch", tc.name, how, err)
 			}
 		}
 		if _, ok := f.Lookup(200); ok || !reflect.DeepEqual(state(), before) {
@@ -655,21 +597,33 @@ func TestFlatInsertRefuses(t *testing.T) {
 	}
 
 	g := NewFlat()
-	if err := g.InsertBatch([]*Entry{short.entry(1), m.entry(2)}); !errors.Is(err, ts.ErrLengthMismatch) {
-		t.Fatalf("mixed-length batch into a fresh tier: %v", err)
+	for name, batch := range map[string][]*Entry{
+		"mixed-length batch": {short.entry(1), m.entry(2)},
+		"empty series":       {NewEntry(1, ts.Series{}, nil)},
+	} {
+		if err := g.InsertBatch(batch); !errors.Is(err, ts.ErrLengthMismatch) {
+			t.Fatalf("%s into a fresh tier: %v", name, err)
+		}
+		if g.Len() != 0 || g.n != 0 || g.abandon || len(g.blocks) != 0 {
+			t.Fatalf("refused %s left Len %d, n %d, %d blocks", name, g.Len(), g.n, len(g.blocks))
+		}
 	}
-	if g.Len() != 0 || g.n != 0 || g.stride != 0 || len(g.blocks) != 0 {
-		t.Fatalf("refused batch left Len %d, n %d, stride %d, %d blocks", g.Len(), g.n, g.stride, len(g.blocks))
+	if err := g.Insert(m.entry(3)); err != nil || g.n != m.n || !g.abandon {
+		t.Fatalf("after the refused batches: %v, n %d", err, g.n)
 	}
-	if err := g.Insert(m.entry(3)); err != nil || g.n != m.n {
-		t.Fatalf("after the refused batch: %v, n %d", err, g.n)
+
+	paa := *m
+	paa.meth = buildMethod(t, "PAA")
+	m.insert(f, NewEntry(300, other.Raw, nil))
+	m.insert(f, paa.entry(301))
+	for i := 0; i < 4; i++ {
+		m.checkKNN(f, i)
 	}
 }
 
 // TestFlatNeverRefusesSAPLA: the rows hold every SAPLA entry, whatever the
-// first entry (which fixes the stride) looks like — a narrower one padded —
-// through Insert, InsertBatch and a delete/re-insert, so the served tier
-// never refuses what the server reduced.
+// first entry looks like, through Insert, InsertBatch and a delete/re-insert,
+// so the served tier never refuses what the server reduced.
 func TestFlatNeverRefusesSAPLA(t *testing.T) {
 	meth := core.New()
 	for _, n := range []int{8, 16, 256, 1024} {
@@ -724,9 +678,8 @@ func TestFlatNeverRefusesSAPLA(t *testing.T) {
 				check("Insert", one, err)
 				batch := NewFlat()
 				check("InsertBatch", batch, batch.InsertBatch(entries()))
-				// Every third entry, the stride-fixing first one included, goes
-				// out and back in: the re-insert flattens its representation
-				// afresh.
+				// Every third entry, the length-fixing first one included, goes
+				// out and back in.
 				for id := 0; id < len(raws); id += 3 {
 					e, _ := one.Lookup(id)
 					one.Delete(id)
@@ -738,9 +691,10 @@ func TestFlatNeverRefusesSAPLA(t *testing.T) {
 	}
 }
 
-// TestFlatQueryErrors: a query with no flat form is dist.ErrIncompatible, one
-// of another length than the stored series ErrQueryLength — an error, not a
-// panic — and the workspace survives both.
+// TestFlatQueryErrors: a query of another length than the stored series is
+// ErrQueryLength — an error, not a panic — whatever its representation says,
+// and the workspace survives it. The representation is not read: a query
+// reduced under a method with no flat form is answered as the scan answers.
 func TestFlatQueryErrors(t *testing.T) {
 	f := NewFlat()
 	m := newFlatModel(t, "SAPLA", 61)
@@ -748,16 +702,6 @@ func TestFlatQueryErrors(t *testing.T) {
 		m.insert(f, m.entry(id))
 	}
 	ws := NewWorkspace()
-
-	// A query reduced under a method with no flat form.
-	paa := newFlatModel(t, "PAA", 62)
-	alien := paa.query()
-	if _, _, err := f.KNNWith(ws, alien, 3); !errors.Is(err, dist.ErrIncompatible) {
-		t.Fatalf("k-NN with an incompatible query: %v", err)
-	}
-	if _, _, err := f.Range(alien, 3); !errors.Is(err, dist.ErrIncompatible) {
-		t.Fatalf("range with an incompatible query: %v", err)
-	}
 
 	// A shorter query.
 	short := *m
@@ -769,7 +713,7 @@ func TestFlatQueryErrors(t *testing.T) {
 	if _, _, err := f.Range(sq, 3); !errors.Is(err, ErrQueryLength) {
 		t.Fatalf("range with a shorter query: %v", err)
 	}
-	// Same, where the representation cannot tell: the raw lengths differ.
+	// Same, where the representation has the stored length.
 	lying := dist.NewQuery(sq.Raw, m.query().Rep)
 	if _, _, err := f.KNNWith(ws, lying, 3); !errors.Is(err, ErrQueryLength) {
 		t.Fatalf("k-NN with mismatched raw length: %v", err)
@@ -784,42 +728,42 @@ func TestFlatQueryErrors(t *testing.T) {
 		t.Fatalf("after the errors: %d results, %v", len(res), err)
 	}
 	m.valid("after errors", good, res)
+
+	// A query reduced under PAA, and one with no representation at all.
+	paa := newFlatModel(t, "PAA", 62)
+	for _, q := range []dist.Query{paa.query(), {Raw: good.Raw}} {
+		res, _, err := f.KNNWith(ws, q, 3)
+		want, _, _ := m.scan().KNN(q, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		identicalResults(t, "unreduced query", res, want)
+	}
 }
 
-// sweepRows runs the filter stage alone, as KNNWith's pass 1 does: q's table,
-// then every block's rows into out (one value per slot).
+// sweepRows runs the filter stage alone, as KNNWith's pass 1 does: q's
+// envelope, then every block's rows into out (one value per slot).
 func sweepRows(tb testing.TB, f *Flat, ws *Workspace, q dist.Query, out []float64) {
 	tb.Helper()
-	tab, _, err := f.queryTable(ws, q)
+	env, err := f.queryEnvelope(ws, q)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	for lo := 0; lo < len(out); lo += flatRows {
-		f.filterSlots(q, tab, lo, out[lo:min(lo+flatRows, len(out))])
+		f.filterSlots(env, lo, out[lo:min(lo+flatRows, len(out))])
 	}
 }
 
-// randomLinear fits raw over segs segments cut at random points: a valid
-// segmentation no reducer would choose, so the row kernel is checked on more
-// than what SAPLA happens to emit.
-func randomLinear(rng *rand.Rand, raw ts.Series, segs int) repr.Linear {
-	ends := append(rng.Perm(len(raw) - 1)[:segs-1], len(raw)-1)
-	sort.Ints(ends)
-	return repr.FitLinear(raw, ends)
-}
-
-// checkRowFilter fills a tier of the given stride with random segmentations
-// (1..stride segments a row, so most rows are padded) of series at the given
-// scale and offset — scale 0 draws the z-normalised mixture — and compares
-// the row sweep with dist.PARFlat, row by row, for queries near to and far
-// from the stored series: every value must lie within budget·(1+d). It returns
-// how many values it compared and how many were PARFlat's bit for bit, which
-// is what the guard's fallback produces and the kernel, to rounding, does not.
-func checkRowFilter(tb testing.TB, seed int64, n, stride int, scale, offset, budget float64) (rows, exact int) {
+// checkRowFilter fills a tier with 300 series of n points — more than one
+// block — at the given scale and offset (scale 0 draws the z-normalised
+// mixture), and sweeps the rows for queries near to and far from them: every
+// filter value must be finite, at least 0 and at most the computed distance.
+// It returns how many values it checked and how many were above 0.
+func checkRowFilter(tb testing.TB, seed int64, n int, scale, offset float64) (rows, pruning int) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	draw := func(family int) ts.Series {
-		if scale == 0 {
+		if scale == 0 && n >= 8 {
 			return mixedSeries(rng, family, n)
 		}
 		raw := randWalk(rng, n)
@@ -829,18 +773,10 @@ func checkRowFilter(tb testing.TB, seed int64, n, stride int, scale, offset, bud
 		return raw
 	}
 	f := NewFlat()
-	for id := 0; id < 60; id++ {
-		segs := stride // the first entry fixes the stride
-		if id > 0 {
-			segs = 1 + rng.Intn(stride)
-		}
-		raw := draw(id)
-		if err := f.Insert(NewEntry(id, raw, randomLinear(rng, raw, segs))); err != nil {
+	for id := 0; id < flatRows+44; id++ {
+		if err := f.Insert(NewEntry(id, draw(id), nil)); err != nil {
 			tb.Fatal(err)
 		}
-	}
-	if f.stride != stride {
-		tb.Fatalf("stride %d, want %d", f.stride, stride)
 	}
 	ws := NewWorkspace()
 	out := make([]float64, f.Len())
@@ -853,38 +789,34 @@ func checkRowFilter(tb testing.TB, seed int64, n, stride int, scale, offset, bud
 				raw[i] += noise * rng.NormFloat64()
 			}
 		}
-		q := dist.NewQuery(raw, randomLinear(rng, raw, 1+rng.Intn(stride)))
+		q := dist.Query{Raw: raw}
 		sweepRows(tb, f, ws, q, out)
 		for s, e := range f.ents {
-			want := dist.PARFlat(q.Flat, dist.FlattenLinear(e.Rep))
-			if !(math.Abs(out[s]-want) <= budget*(1+want)) {
-				tb.Fatalf("n=%d scale=%g offset=%g query %d slot %d (%d segments): filter %v, PARFlat %v",
-					n, scale, offset, qi, s, len(e.Rep.(repr.Linear).Segs), out[s], want)
+			exact := math.Sqrt(ts.EuclideanSq(raw, e.Raw))
+			if !(out[s] >= 0 && out[s] <= exact) || math.IsInf(out[s], 0) {
+				tb.Fatalf("n=%d scale=%g offset=%g query %d slot %d: filter %v, distance %v",
+					n, scale, offset, qi, s, out[s], exact)
 			}
 			rows++
-			if math.Float64bits(out[s]) == math.Float64bits(want) {
-				exact++
+			if out[s] > 0 {
+				pruning++
 			}
 		}
 	}
-	return rows, exact
+	return rows, pruning
 }
 
-// TestFlatRowFilter: the table kernel is Dist_PAR — dist.PARFlat's value to
-// 1e-9·(1+d) — on z-normalised and raw-scale data at every served length, and
-// without an offset it is the kernel that ran, not the guard's fallback. The
-// offsets in between walk d²/(‖q̂‖²+‖ĉ‖²) down through parGuard, and they are
-// what sets it: the test holds the kernel to a tenth of the budget so that
-// the budget survives the draws it does not make, and rows just above a guard
-// of 1e-6 land at 0.5–1.7× the budget, of 1e-5 at 0.16×, of 1e-4 at 0.014×.
+// TestFlatRowFilter: the row kernel is a lower bound of the computed distance
+// on z-normalised and raw-scale data at lengths from one point to the served
+// ones, on the first block and the partial second, and it is not a vacuous
+// one: without an offset most rows get a positive bound.
 func TestFlatRowFilter(t *testing.T) {
-	for _, n := range []int{64, 256, 1024} {
+	for _, n := range []int{1, 17, 100, 256, 1024} {
 		for _, scale := range []float64{0, 0.01, 1, 50} {
 			for _, offset := range []float64{0, 100, 3e3, 1e4, 1e5} {
-				rows, exact := checkRowFilter(t, int64(n)+int64(offset), n, 6, scale, offset, 1e-10)
-				if offset == 0 && exact*2 > rows {
-					t.Fatalf("n=%d scale=%g: %d of %d values are PARFlat's own: the kernel did not run",
-						n, scale, exact, rows)
+				rows, pruning := checkRowFilter(t, int64(n)+int64(offset), n, scale, offset)
+				if offset == 0 && n > 1 && pruning*2 < rows {
+					t.Fatalf("n=%d scale=%g: %d of %d values above 0", n, scale, pruning, rows)
 				}
 				if scale == 0 {
 					break // the z-normalised mixture carries no offset
@@ -894,82 +826,86 @@ func TestFlatRowFilter(t *testing.T) {
 	}
 }
 
-// TestFlatRowFilterGuard: under a common offset of 1e6 the norms dwarf the
-// distance, d² cancels to noise, and every row must come from the fallback —
-// PARFlat's value exactly.
+// TestFlatRowFilterGuard: where the slack dwarfs the distances (a common
+// offset of 1e6 and up), where float32 chunk sums overflow (1e38) or the
+// squares of float64 ones do (1e300), and where the values are subnormal, the
+// bound stays sound; past the float32 range it is 0 on every row.
 func TestFlatRowFilterGuard(t *testing.T) {
-	for _, n := range []int{64, 256, 1024} {
-		rows, exact := checkRowFilter(t, int64(n), n, 6, 1, 1e6, 0)
-		if exact != rows {
-			t.Fatalf("n=%d: %d of %d rows bypassed the guard", n, rows-exact, rows)
+	for _, n := range []int{17, 256, 1024} {
+		for _, c := range []struct{ scale, offset float64 }{
+			{1, 1e6}, {1e20, 1e25}, {1, 1e38}, {1e38, 0}, {1e290, 1e300}, {1e-40, 0}, {1e-310, 1e-309},
+		} {
+			rows, pruning := checkRowFilter(t, int64(n), n, c.scale, c.offset)
+			if c.offset >= 1e38 && pruning != 0 {
+				t.Fatalf("n=%d offset %g: %d of %d rows bounded past the float32 range", n, c.offset, pruning, rows)
+			}
 		}
 	}
 }
 
-// FuzzFlatRowFilter lets the fuzzer pick length, stride, scale and offset —
-// in particular the offsets around which rows start to take the guard.
+// FuzzFlatRowFilter lets the fuzzer pick length, scale and offset.
 func FuzzFlatRowFilter(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(4), 0.0, 0.0)
-	f.Add(int64(2), uint8(1), uint8(1), 1.0, 1e6)
-	f.Add(int64(3), uint8(2), uint8(9), 30.0, 2500.0)
-	f.Add(int64(4), uint8(1), uint8(6), 1e-3, 0.1)
-	f.Fuzz(func(t *testing.T, seed int64, length, stride uint8, scale, offset float64) {
+	f.Add(int64(1), uint8(3), 0.0, 0.0)
+	f.Add(int64(2), uint8(1), 1.0, 1e6)
+	f.Add(int64(3), uint8(4), 30.0, 2500.0)
+	f.Add(int64(4), uint8(0), 1e-3, 0.1)
+	f.Fuzz(func(t *testing.T, seed int64, length uint8, scale, offset float64) {
 		scale, offset = math.Abs(scale), math.Abs(offset)
-		if !(scale <= 1e3) || !(offset <= 1e7) || (scale > 0 && scale < 1e-3) {
-			t.Skip("outside the range a float64 series can carry nine digits through")
+		if !(scale <= 1e296) || !(offset <= 1e300) {
+			t.Skip("a random walk at this scale can leave the float64 range")
 		}
-		n := []int{64, 256, 1024}[length%3]
-		checkRowFilter(t, seed, n, 1+int(stride%12), scale, offset, 1e-9)
+		n := []int{1, 17, 100, 256, 1024}[length%5]
+		checkRowFilter(t, seed, n, scale, offset)
 	})
 }
 
-// TestFlatReusedSlotPadding: a two-segment entry moving into the slot a
-// four-segment one left must not inherit its coefficients. A finite leftover
-// would be multiplied by the empty range and vanish; a non-finite one (a
-// hand-built entry — the server's are validated) turns the new tenant's
-// filter distance into NaN for as long as it lives.
+// TestFlatReusedSlotPadding: an entry moving into the slot a deleted one left
+// — here one whose envelope overflowed to ±Inf — holds exactly its own
+// envelope row and slack, and the row filter bounds it soundly, as it does
+// the entry a swap-remove moved.
 func TestFlatReusedSlotPadding(t *testing.T) {
 	f := NewFlat()
 	m := newFlatModel(t, "SAPLA", 81)
-	m.insert(f, m.entry(1)) // four segments: the stride
-	rng := rand.New(rand.NewSource(82))
-	raw := mixedSeries(rng, 0, m.n)
-	wild := randomLinear(rng, raw, 4)
-	wild.Segs[2].Line.A, wild.Segs[3].Line.B = math.Inf(1), math.Inf(-1)
-	if err := f.Insert(NewEntry(2, raw, wild)); err != nil {
+	m.insert(f, m.entry(1))
+	m.insert(f, m.entry(3))
+	wild := make(ts.Series, m.n)
+	for i := range wild {
+		wild[i] = 1e38 * float64(1-2*(i%2))
+	}
+	wild[0] = 3e38
+	if err := f.Insert(NewEntry(2, wild, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Delete(2) {
+	if v, _, _ := f.Envelope(2); !math.IsInf(float64(v[0]), 0) && !math.IsInf(float64(v[ts.EnvelopeChunks]), 0) {
+		t.Fatalf("the wild row did not overflow: %v", v)
+	}
+	if !f.Delete(2) { // the last slot: its row stays behind in the block
 		t.Fatal("Delete(2) failed")
 	}
-	narrow := *m
-	narrow.m = 6 // two segments
-	e := narrow.entry(3)
+	e := m.entry(4)
 	m.insert(f, e)
-	b, at := f.row(1)
-	if f.ents[1] != e {
-		t.Fatal("the narrow entry did not take the freed slot's row")
+	if f.ents[2] != e || checkEnvelopes(t, f) != 3 {
+		t.Fatal("the new entry did not take the freed slot's row")
 	}
-	for i := at + 2; i < at+f.stride; i++ {
-		if b.a[i] != 0 || b.c[i] != 0 || b.r[i] != int32(m.n-1) {
-			t.Fatalf("padding at %d: a=%v c=%v r=%d", i-at, b.a[i], b.c[i], b.r[i])
+	if !f.Delete(1) || f.ents[0] != e || checkEnvelopes(t, f) != 2 { // entry 4 moves into slot 0
+		t.Fatal("the swap-remove did not carry entry 4's row")
+	}
+	delete(m.live, 1)
+	for i := 0; i < 5; i++ {
+		q := m.query()
+		out := make([]float64, f.Len())
+		sweepRows(t, f, NewWorkspace(), q, out)
+		for s, c := range f.ents {
+			if exact := math.Sqrt(ts.EuclideanSq(q.Raw, c.Raw)); !(out[s] >= 0 && out[s] <= exact) {
+				t.Fatalf("query %d slot %d: filter %v, distance %v", i, s, out[s], exact)
+			}
 		}
-	}
-	q := m.query()
-	out := make([]float64, f.Len())
-	sweepRows(t, f, NewWorkspace(), q, out)
-	want := dist.PARFlat(q.Flat, dist.FlattenLinear(e.Rep))
-	if !(math.Abs(out[1]-want) <= 1e-9*(1+want)) {
-		t.Fatalf("reused slot: filter %v, PARFlat %v", out[1], want)
 	}
 }
 
-// TestFlatRangeCoversKNN: k-NN and range share the row kernel and its guard,
-// so a range query at a k-NN answer's k-th distance returns every element of
-// that answer the filter admits at that radius. (Dist_PAR is not a lower
-// bound: k-NN measures its seeds whatever their filter distance, and one whose
-// Dist_PAR exceeds the radius while its exact distance does not is the range's
-// to dismiss — at the parent commit as much as here.)
+// TestFlatRangeCoversKNN: k-NN and range share the row kernel, a lower
+// bound, so a range query at a k-NN answer's k-th distance returns every
+// element of that answer, and both are the scan's.
 func TestFlatRangeCoversKNN(t *testing.T) {
 	f := NewFlat()
 	m := newFlatModel(t, "SAPLA", 91)
@@ -986,19 +922,63 @@ func TestFlatRangeCoversKNN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.valid(fmt.Sprintf("query %d range", i), q, within)
+		want, _, _ := m.scan().Range(q, near[9].Dist)
+		identicalResults(t, fmt.Sprintf("query %d range", i), within, want)
 		in := make(map[int]bool, len(within))
 		for _, r := range within {
 			in[r.Entry.ID] = true
 		}
 		for _, r := range near {
-			if in[r.Entry.ID] {
-				continue
-			}
-			if fd := dist.PARFlat(q.Flat, dist.FlattenLinear(r.Entry.Rep)); fd <= near[9].Dist*(1-1e-9) {
-				t.Fatalf("query %d: k-NN answer id %d (filter %v, exact %v) missing from the range at %v",
-					i, r.Entry.ID, fd, r.Dist, near[9].Dist)
+			if !in[r.Entry.ID] {
+				t.Fatalf("query %d: k-NN answer id %d (exact %v) missing from the range at %v", i, r.Entry.ID, r.Dist, near[9].Dist)
 			}
 		}
+	}
+}
+
+// TestFlatOverflowingEnvelope: two stored series at levels −1e38 and +1e38,
+// whose 16-point chunk sums overflow a float32, and a query at 5e37. The
+// nearer one, the second inserted, is the answer: a row whose envelope does
+// not fit a float32 gets a filter distance of 0 and is refined, never pruned
+// on an infinite bound.
+func TestFlatOverflowingEnvelope(t *testing.T) {
+	const n = 256
+	level := func(v float64) ts.Series {
+		s := make(ts.Series, n)
+		for i := range s {
+			s[i] = v
+		}
+		return s
+	}
+	q := dist.Query{Raw: level(5e37)}
+	for name, build := range map[string]func() flatLike{
+		"flat":     func() flatLike { return NewFlat() },
+		"shards=1": func() flatLike { return newShardedFlat(t, 1) },
+		"shards=4": func() flatLike { return newShardedFlat(t, 4) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			idx := build()
+			scan := NewLinearScan()
+			for id, v := range []float64{-1e38, 1e38} {
+				for _, x := range []Index{idx, scan} {
+					if err := x.Insert(NewEntry(id, level(v), nil)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			got, _, err := idx.KNN(q, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, _ := scan.KNN(q, 1)
+			identicalResults(t, "k=1", got, want)
+			if got[0].Entry.ID != 1 {
+				t.Fatalf("answered id %d at %v", got[0].Entry.ID, got[0].Dist)
+			}
+			within, _, err := idx.Range(q, want[0].Dist)
+			if err != nil || len(within) != 1 || within[0].Entry.ID != 1 {
+				t.Fatalf("range at the nearest distance: %+v %v", within, err)
+			}
+		})
 	}
 }

@@ -38,14 +38,12 @@ func ShardOf(id, shards int) int {
 // for the flat-tier shards sapla-serve runs, the writer a search can queue
 // behind holds the lock for one append or swap. The gather runs through the
 // canonical (distance, ID) merge: whenever each shard returns its true top-k
-// — a tree or the linear scan under a filter that lower-bounds the exact
-// distance — the merged k-NN and range answers are byte-identical to the
-// single-shard answer for any shard count. The flat tier filters on Dist_PAR,
-// which is not a lower bound, so there a k-NN answer is a function of the
-// stored data and the shard count: shards are visited in
-// order and each flat shard prunes from the bound the ones before it earned
-// (KNNWith), so a sharded index dismisses nearly what one shard would — more
-// than shards searched independently, never by worker count or timing.
+// — the flat tier, whose chunk-envelope filter lower-bounds the computed
+// distance, or a tree or the linear scan under such a filter — the merged
+// k-NN and range answers are byte-identical to the single-shard answer, and
+// to a linear scan's, for any shard count. Shards are visited in order and
+// each flat shard prunes from the bound the ones before it earned (KNNWith),
+// which changes the work a query does, never its answer.
 type ShardedIndex struct {
 	shards []*ConcurrentIndex
 }
@@ -200,9 +198,9 @@ func (s *ShardedIndex) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 // results are held their k-th distance is the bound the next shard starts
 // pruning from (ws.bound; the flat tier honours it, the trees start from
 // +Inf). That bound is an exact distance already measured, so it is never
-// below the global k-th: a true neighbour whose filter distance does not
-// exceed its exact distance is never pruned against it, and the fold loses
-// only the neighbours whose Dist_PAR does. ws.bound is back at +Inf on every return. Every shard
+// below the global k-th, and the flat tier prunes only an entry whose filter
+// distance — never above its computed distance — exceeds it: no true
+// neighbour is lost. ws.bound is back at +Inf on every return. Every shard
 // search sees one consistent state of that shard. There is no per-query
 // fan-out: BatchKNN fills the cores with queries.
 func (s *ShardedIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {

@@ -140,13 +140,12 @@ func handOffKNN(t *testing.T, label string, s *ShardedIndex, ws *Workspace, q di
 }
 
 // TestShardedFlatHandOffLowerBound: the bound handed from flat shard to flat
-// shard dismisses no neighbour whose Dist_PAR lower-bounds its exact distance
-// (keepsBounded), ties included — a stored series' query hands the next shard
-// a bound of exactly 0, which its duplicate there ties with a Dist_PAR of 0
-// too, and the lower ID must win. Every answer is k live entries with their
-// exact distances in canonical order, and the bound saves: no query measures
-// more than its shards would independently, and over the run a multi-shard
-// index measures strictly less.
+// shard dismisses no neighbour — the answer is the linear scan's to the
+// distance bit at every shard count, ties included: a stored series' query
+// hands the next shard a bound of exactly 0, which its duplicate there ties
+// with a filter distance of 0, and the lower ID must win. And the bound
+// saves: no query measures more than its shards would independently, and
+// over the run a multi-shard index measures strictly less.
 func TestShardedFlatHandOffLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	meth := buildMethod(t, "SAPLA")
@@ -184,16 +183,13 @@ func TestShardedFlatHandOffLowerBound(t *testing.T) {
 					t.Fatalf("%s: %d results", label, len(res))
 				}
 				model.valid(label, q, res)
-				model.keepsBounded(label, q, res, want)
+				identicalResults(t, label, res, want)
 			}
 			if shards > 1 && measured >= independent {
 				t.Fatalf("k=%d shards=%d: measured %d, the shards on their own %d: the bound saved nothing",
 					k, shards, measured, independent)
 			}
 		}
-	}
-	if model.bounded == 0 {
-		t.Fatal("no answer member was lower-bounded: the check ran on nothing")
 	}
 }
 

@@ -33,9 +33,8 @@ type Workspace struct {
 	// distance per slot, and the slots of the k smallest of them, worst on top.
 	filt  []float64
 	seeds *pqueue.Heap[int32]
-	// tab and env are the flat tier's per-query table and chunk envelope
-	// (Flat.queryTable), rebuilt by every search that sweeps block rows.
-	tab parTable
+	// env is the flat tier's per-query chunk envelope (Flat.queryEnvelope),
+	// rebuilt by every search that sweeps block rows.
 	env ts.Envelope
 }
 

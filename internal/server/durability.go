@@ -91,7 +91,7 @@ func (s *Server) openStores() error {
 		reduced[i] = len(todo)
 		entries := make([]*index.Entry, len(series))
 		for j, sr := range series {
-			entries[j] = index.NewEntry(int(sr.ID), sr.Values, reps[j])
+			entries[j] = &index.Entry{ID: int(sr.ID), Raw: sr.Values, Rep: reps[j]} // as ingest builds them
 		}
 		if err := s.shards[i].flat.InsertBatch(entries); err != nil {
 			errs[i] = fmt.Errorf("server: rebuild shard %d: %w", i, err)

@@ -259,14 +259,14 @@ func freshEnvelopes(t *testing.T, s *Server) {
 			}
 		})
 		sh.flat.Each(func(e *index.Entry) {
-			gm, gr, ok := sh.flat.Envelope(e.ID)
-			wm, wr, _ := fresh.Envelope(e.ID)
-			if !ok || len(gm) != len(wm) {
-				t.Fatalf("id %d: recovered row keeps envelope %v of %d chunks, a fresh insert %d", e.ID, ok, len(gm), len(wm))
+			gv, gs, ok := sh.flat.Envelope(e.ID)
+			wv, ws, _ := fresh.Envelope(e.ID)
+			if !ok || len(gv) != len(wv) || math.Float32bits(gs) != math.Float32bits(ws) {
+				t.Fatalf("id %d: recovered row keeps envelope %v of %d values with slack %v, a fresh insert %d values with %v", e.ID, ok, len(gv), gs, len(wv), ws)
 			}
-			for j := range gm {
-				if math.Float32bits(gm[j]) != math.Float32bits(wm[j]) || math.Float32bits(gr[j]) != math.Float32bits(wr[j]) {
-					t.Fatalf("id %d chunk %d: recovered envelope (%v, %v), a fresh insert (%v, %v)", e.ID, j, gm[j], gr[j], wm[j], wr[j])
+			for j := range gv {
+				if math.Float32bits(gv[j]) != math.Float32bits(wv[j]) {
+					t.Fatalf("id %d value %d: recovered envelope %v, a fresh insert %v", e.ID, j, gv[j], wv[j])
 				}
 			}
 		})

@@ -112,14 +112,13 @@ type rejection struct {
 	err        error
 }
 
-// write answers the rejection, naming the item at fault as a "series" or a
-// "query" of the batch.
-func (rej *rejection) write(w http.ResponseWriter, item string) {
+// write answers the rejection, naming the series of the batch at fault.
+func (rej *rejection) write(w http.ResponseWriter) {
 	if rej.item < 0 {
 		writeErr(w, rej.code, "%v", rej.err)
 		return
 	}
-	writeErr(w, rej.code, "%s %d: %v", item, rej.item, rej.err)
+	writeErr(w, rej.code, "series %d: %v", rej.item, rej.err)
 }
 
 // reduceRejection is the rejection for a failed reduceAll: item bad could not
@@ -283,9 +282,11 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []re
 			}
 		}
 		c.logged = true
+		// The flat tier reads the raw values only: the entries carry none of
+		// the coefficient caches index.NewEntry builds.
 		entries := make([]*index.Entry, len(groups[si]))
 		for gi, pos := range groups[si] {
-			entries[gi] = index.NewEntry(ids[pos], values[pos], reps[pos])
+			entries[gi] = &index.Entry{ID: ids[pos], Raw: values[pos], Rep: reps[pos]}
 		}
 		c.err = s.idx.Shard(si).InsertBatch(entries)
 	})
@@ -374,7 +375,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ids, _, rej := s.ingest(r.Context(), req.Series)
 	if rej != nil {
-		rej.write(w, "series")
+		rej.write(w)
 		return
 	}
 	writeJSON(w, http.StatusCreated, ingestBatchResponse{
@@ -420,16 +421,13 @@ type knnResponse struct {
 	Stats   statsJSON    `json:"stats"`
 }
 
-// prepareQuery validates and reduces one query series.
+// prepareQuery validates one query series. The flat tier filters on the raw
+// values' chunk envelope, so a query is not reduced.
 func (s *Server) prepareQuery(values ts.Series) (dist.Query, error) {
 	if err := checkSeries(values, s.seriesLen()); err != nil {
 		return dist.Query{}, err
 	}
-	rep, err := s.reduce(values)
-	if err != nil {
-		return dist.Query{}, fmt.Errorf("reduce: %w", err)
-	}
-	return dist.NewFilterQuery(values, rep), nil
+	return dist.Query{Raw: values}, nil
 }
 
 // knnStatus maps a batch search error to a status code: a cancellation
@@ -529,22 +527,13 @@ func (s *Server) handleKNNBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := s.seriesLen()
-	values := make([]ts.Series, len(req.Queries))
+	queries := make([]dist.Query, len(req.Queries))
 	for i, rq := range req.Queries {
 		if err := checkSeries(rq.Values, n); err != nil {
 			writeErr(w, http.StatusBadRequest, "query %d: %v", i, err)
 			return
 		}
-		values[i] = rq.Values
-	}
-	reps, bad, err := s.reduceAll(r.Context(), values, s.cfg.Workers)
-	if err != nil {
-		reduceRejection(bad, err).write(w, "query")
-		return
-	}
-	queries := make([]dist.Query, len(values))
-	for i := range values {
-		queries[i] = dist.NewFilterQuery(values[i], reps[i])
+		queries[i] = dist.Query{Raw: rq.Values}
 	}
 	size := s.idx.Len()
 	out, stats, err := index.BatchKNNContext(r.Context(), s.idx, queries, req.K, s.cfg.Workers)

@@ -67,17 +67,24 @@ func TestReduceAllErrorOrder(t *testing.T) {
 		}
 	}
 
-	// The same through the handlers: item 3 is the one named.
+	// Through the handlers, an ingest batch names the first series that
+	// cannot be reduced. A k-NN batch is not reduced: the same values are
+	// answered, by an empty index (nothing has fixed the series length).
 	_, hs := newTestServer(t, Config{M: 12, Workers: 2})
-	queries := make([]map[string]any, len(values))
+	items := make([]map[string]any, len(values))
 	for i, v := range values {
-		queries[i] = map[string]any{"values": v}
+		items[i] = map[string]any{"values": v}
 	}
 	var errResp errorResponse
+	if code := doJSON(t, hs.Client(), "POST", hs.URL+"/v1/ingest/batch",
+		map[string]any{"series": []map[string]any{items[3], items[7]}}, &errResp); code != http.StatusBadRequest ||
+		!strings.HasPrefix(errResp.Error, "series 0: reduce: ") {
+		t.Errorf("ingest batch: %d %q, want 400 naming series 0", code, errResp.Error)
+	}
+	var batch batchResponse
 	if code := doJSON(t, hs.Client(), "POST", hs.URL+"/v1/knn/batch",
-		map[string]any{"k": 1, "queries": queries}, &errResp); code != http.StatusBadRequest ||
-		!strings.HasPrefix(errResp.Error, "query 3: reduce: ") {
-		t.Errorf("knn batch: %d %q, want 400 naming query 3", code, errResp.Error)
+		map[string]any{"k": 1, "queries": items}, &batch); code != http.StatusOK || len(batch.Answers) != len(values) {
+		t.Errorf("knn batch: %d with %d answers, want 200 with %d", code, len(batch.Answers), len(values))
 	}
 }
 

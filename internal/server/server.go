@@ -12,8 +12,10 @@
 // counter and — with durability enabled — its own WAL segment stream and
 // snapshot cadence, so writes to different shards commit concurrently and a
 // snapshotting shard never stalls the rest. Queries scatter across every
-// shard and gather under the canonical (distance, ID) order, so every answer
-// is a set of live series with their exact distances in that order.
+// shard and gather under the canonical (distance, ID) order; the flat tier
+// filters on a proven lower bound of the exact distance, so every answer is
+// the one a linear scan over the live series gives, exact distances and ties
+// included.
 //
 // With a data directory configured the service is durable: every
 // ingest/delete is appended to its shard's checksummed write-ahead log
@@ -186,7 +188,7 @@ type Server struct {
 	handler http.Handler
 
 	// reducers pools the allocation-free SAPLA reduction workspaces the
-	// ingest and query paths borrow (core.Reducer is single-goroutine).
+	// ingest and recovery paths borrow (core.Reducer is single-goroutine).
 	reducers sync.Pool
 	// repTag names the reducer behind every representation this server
 	// computes: the tag it logs beside them, and the only one under which

@@ -423,10 +423,12 @@ func TestServerIngestEdgeCases(t *testing.T) {
 	})
 }
 
-// TestServerDismissedMetric: /metrics search.dismissed counts the
-// refinements the flat tier's chunk envelope ended before reading a raw
-// value — some of the measured ones on 1024-point series, none on 256-point
-// series, whose rows keep no envelope.
+// TestServerDismissedMetric: /metrics search counts the flat tier's work.
+// The filter prunes (measured below candidates), and dismissed — the
+// refinements the chunk envelope ended before reading a raw value — is part
+// of measured: none on 256-point series, whose refinements abandon on the
+// partial sum alone, and at most a few on 1024-point ones, since the filter
+// has already applied the same bound.
 func TestServerDismissedMetric(t *testing.T) {
 	for _, n := range []int{256, 1024} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
@@ -460,17 +462,18 @@ func TestServerDismissedMetric(t *testing.T) {
 			}
 			var met struct {
 				Search struct {
-					Measured  int64 `json:"measured"`
-					Dismissed int64 `json:"dismissed"`
+					Measured   int64 `json:"measured"`
+					Candidates int64 `json:"candidates"`
+					Dismissed  int64 `json:"dismissed"`
 				} `json:"search"`
 			}
 			if code := doJSON(t, client, "GET", hs.URL+"/metrics", nil, &met); code != http.StatusOK {
 				t.Fatalf("metrics: status %d", code)
 			}
 			s := met.Search
-			t.Logf("dismissed %d of %d measured", s.Dismissed, s.Measured)
-			if s.Dismissed > s.Measured || (n >= 512) != (s.Dismissed > 0) {
-				t.Fatalf("n=%d: dismissed %d of %d measured", n, s.Dismissed, s.Measured)
+			t.Logf("measured %d of %d candidates, dismissed %d", s.Measured, s.Candidates, s.Dismissed)
+			if s.Dismissed > s.Measured || (n < 512 && s.Dismissed != 0) || s.Measured >= s.Candidates {
+				t.Fatalf("n=%d: measured %d of %d candidates, dismissed %d", n, s.Measured, s.Candidates, s.Dismissed)
 			}
 		})
 	}
