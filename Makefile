@@ -84,8 +84,9 @@ bench-check:
 # One iteration of the flat tier's kernel benchmarks (BenchmarkServedKNN,
 # BenchmarkServedRange, BenchmarkFlatFilter, BenchmarkBatchKNN), of the
 # request front end's (BenchmarkHandlerKNN, BenchmarkHandlerKNNBatch,
-# BenchmarkHandlerIngestBatch, BenchmarkDecodeBody and its wire-format rows),
-# of recovery's (BenchmarkRecover, with and without logged representations),
+# BenchmarkHandlerIngestBatch, BenchmarkHandlerIngest, BenchmarkDecodeBody and
+# its wire-format rows), of recovery's (BenchmarkRecover, over logs with and
+# without representations),
 # of the WAL record encoder's (BenchmarkAppendWALRecord, decimal and float64
 # values) and of the reducer's (BenchmarkReduce, BenchmarkReduceMix,
 # BenchmarkReduceByStage): `go test` compiles benchmarks but never runs them,

@@ -1,11 +1,11 @@
 // Command sapla-serve runs the similarity-search service: a long-running
-// HTTP server that ingests raw series (reduced by SAPLA and appended to a
-// flat filter-and-refine tier per shard) while answering k-NN, batch k-NN and
-// ε-range queries.
+// HTTP server that ingests raw series (appended to a flat filter-and-refine
+// tier per shard, unreduced) while answering k-NN, batch k-NN and ε-range
+// queries.
 //
 // Endpoints:
 //
-//	POST   /v1/ingest        {"values":[...], "id":7?}          -> store a series
+//	POST   /v1/ingest        {"values":[...], "id":7?}          -> store a series (?include_rep=1: and return its SAPLA representation at -m)
 //	POST   /v1/ingest/batch  {"series":[{"values":..}, ...]}    -> store many atomically
 //	POST   /v1/knn           {"values":[...], "k":5}            -> k nearest neighbours
 //	POST   /v1/knn/batch     {"k":5, "queries":[{"values":..}]} -> many queries, one pool
@@ -45,7 +45,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		method   = flag.String("method", "SAPLA", "reduction method: only SAPLA is served, any other value fails startup")
-		m        = flag.Int("m", 12, "coefficient budget per series")
+		m        = flag.Int("m", 12, "coefficient budget of the SAPLA representation ?include_rep=1 returns")
 		workers  = flag.Int("workers", 0, "batch k-NN workers (0 = GOMAXPROCS)")
 		shards   = flag.Int("shards", 1, "index shard count (stable-hash partitioned; a durable data dir pins the count it was created with)")
 		maxK     = flag.Int("max-k", 128, "largest k accepted per query")

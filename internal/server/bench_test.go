@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"sapla/internal/index"
 	"sapla/internal/ts"
 	"sapla/internal/wal"
 )
@@ -62,7 +61,7 @@ func ingestBatchBody(rng *rand.Rand, count, n int) []byte {
 }
 
 // BenchmarkHandlerKNN serves POST /v1/knn through the full handler chain —
-// decode, validate, reduce, search, encode — with no socket in between:
+// decode, validate, search, encode — with no socket in between:
 // 1000 stored series at the two lengths the end-to-end benchmark uses, so
 // B/op and allocs/op are what one served query costs outside the index.
 func BenchmarkHandlerKNN(b *testing.B) {
@@ -85,7 +84,7 @@ func BenchmarkHandlerKNN(b *testing.B) {
 
 // BenchmarkHandlerKNNBatch serves the end-to-end benchmark's batch shape, 32
 // queries per POST /v1/knn/batch. Run at -cpu 1,2: decode is serial, the
-// reduction in front of the search spreads over the workers.
+// searches spread over the workers, one query a task.
 func BenchmarkHandlerKNNBatch(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
@@ -107,7 +106,8 @@ func BenchmarkHandlerKNNBatch(b *testing.B) {
 
 // BenchmarkHandlerIngestBatch serves the bulk-load shape, 250 series per POST
 // /v1/ingest/batch with server-assigned IDs, into an in-memory index (no
-// WAL): what is left is decode, validate, reduce and insert. Run at -cpu 1,2.
+// WAL): what is left is decode, validate and insert, whose chunk envelopes
+// are the one per-series computation. Run at -cpu 1,2.
 func BenchmarkHandlerIngestBatch(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
@@ -118,6 +118,44 @@ func BenchmarkHandlerIngestBatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				post("/v1/ingest/batch", raw, http.StatusCreated)
+			}
+		})
+	}
+}
+
+// BenchmarkHandlerIngest serves the single-ingest shape the end-to-end
+// benchmark's ingest_p90_ms times: one six-decimal series with an explicit ID
+// per POST /v1/ingest onto a durable server, through decode, validate, the
+// WAL append and its fsync (on a wal.MemFS, so the fsync is a copy, not a
+// disk flush) and the insert. Every 512 ingests the server is replaced by an
+// empty one, off the clock, so the log and the index stay small.
+func BenchmarkHandlerIngest(b *testing.B) {
+	const round = 512
+	for _, n := range []int{256, 1024} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(9))
+			bodies := make([][]byte, round)
+			for i := range bodies {
+				bodies[i] = append(wireValues(fmt.Appendf(nil, `{"id":%d,`, i), wireSeries(rng, n)), '}')
+			}
+			var hd http.Handler
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%round == 0 {
+					b.StopTimer()
+					s, err := New(Config{WALFS: wal.NewMemFS(), SnapshotEvery: -1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					hd = s.Handler()
+					b.StartTimer()
+				}
+				rec := httptest.NewRecorder()
+				hd.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(bodies[i%round])))
+				if rec.Code != http.StatusCreated {
+					b.Fatalf("ingest: %d %s", rec.Code, rec.Body)
+				}
 			}
 		})
 	}
@@ -175,12 +213,13 @@ func benchDecode[T any](raw []byte) func(b *testing.B) {
 // the 1x6000x256 rows are search_1shard's (one shard, 6000 series of 256
 // points), the 4x1500x1024 rows rw_long_4shard's (4 shards, 6000 of 1024).
 // The 256-point rows and the dec6 rows draw the wire format's six decimals
-// (wireSeries), the other 1024-point rows full-precision random walks. On a reps row the log is what a durable
-// server's ingests write — six decimals in decimal form, each record carrying
-// its representation, and float64 values with it from 728 points up — and
-// recovery loads them; on a raw row every record is op 1, as a log from
-// before representations were logged, and recovery reduces all 6000 series.
-// The difference is the reduction recovery no longer does.
+// (wireSeries), the other 1024-point rows full-precision random walks. The
+// first path element is the log's form: on a replog row each record is what
+// a server that logged representations wrote (writeRepLog: six decimals in
+// op 4 and 1024-point float64 values in op 3, each carrying its SAPLA
+// representation), on a log row what a server writes now, the bare values in
+// op 4 or op 1. Neither reduces on recovery: replay drops a logged
+// representation, so the rows differ by the bytes decoded.
 func BenchmarkRecover(b *testing.B) {
 	const count = 6000
 	for _, row := range []struct {
@@ -192,26 +231,32 @@ func BenchmarkRecover(b *testing.B) {
 		{4, 1024, "", randWalk},
 		{4, 1024, "dec6", wireSeries},
 	} {
-		for _, reps := range []bool{true, false} {
-			name := fmt.Sprintf("%s/%dx%dx%d", map[bool]string{true: "reps", false: "raw"}[reps], row.shards, count/row.shards, row.n)
+		for _, log := range []string{"replog", "log"} {
+			name := fmt.Sprintf("%s/%dx%dx%d", log, row.shards, count/row.shards, row.n)
 			if row.form != "" {
 				name += "/" + row.form
 			}
 			b.Run(name, func(b *testing.B) {
-				benchRecover(b, row.shards, count, row.n, reps, row.gen)
+				benchRecover(b, row.shards, count, row.n, log == "replog", row.gen)
 			})
 		}
 	}
 }
 
-// benchRecover writes count series drawn by gen to shards WAL streams — with
-// representations when reps, as op-1 records otherwise — and times New over
-// them.
+// benchRecover writes count series drawn by gen to shards WAL streams — as a
+// server that logged representations did when reps, through a server's
+// ingests otherwise — and times New over them.
 func benchRecover(b *testing.B, shards, count, n int, reps bool, gen func(*rand.Rand, int) ts.Series) {
 	rng := rand.New(rand.NewSource(8))
 	mem := wal.NewMemFS()
 	cfg := Config{WALFS: mem, Shards: shards, SnapshotEvery: -1}
 	if reps {
+		logged := make(map[int]ts.Series, count)
+		for id := 0; id < count; id++ {
+			logged[id] = gen(rng, n)
+		}
+		writeRepLog(b, mem, shards, nil, logged, nil)
+	} else {
 		s, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -221,27 +266,12 @@ func benchRecover(b *testing.B, shards, count, n int, reps bool, gen func(*rand.
 			for i := range items {
 				items[i].Values = gen(rng, n)
 			}
-			if _, _, rej := s.ingest(context.Background(), items); rej != nil {
+			if _, rej := s.ingest(context.Background(), items); rej != nil {
 				b.Fatal(rej.err)
 			}
 		}
 		if err := s.Shutdown(context.Background()); err != nil {
 			b.Fatal(err)
-		}
-	} else {
-		recs, err := wal.OpenSharded(mem, shards, wal.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for id := 0; id < count; id++ {
-			if err := recs[index.ShardOf(id, shards)].Store.AppendIngest(int64(id), gen(rng, n)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for _, r := range recs {
-			if err := r.Store.Close(); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 	b.ResetTimer()

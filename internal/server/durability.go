@@ -4,14 +4,11 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sort"
 	"time"
 
 	"sapla/internal/index"
 	"sapla/internal/par"
-	"sapla/internal/repr"
-	"sapla/internal/ts"
 	"sapla/internal/wal"
 )
 
@@ -56,46 +53,18 @@ func (s *Server) openStores() error {
 		return nil // purely in-memory
 	}
 
-	// Rebuild each shard's index from its recovered series. A series whose
-	// log record carried its representation under this server's tag loads it:
-	// the bits the ingest computed, so the entry is the one the ingest built.
-	// Every other series — a short one, an op-1 log, another M or reducer
-	// generation — is reduced again. Reduction dominates what is left, so the
-	// cores are split evenly over the shards and each shard reduces on its
-	// share: four shards on two cores stay at one goroutine each, one shard
-	// uses both.
-	workers := max(1, runtime.GOMAXPROCS(0)/len(recs))
+	// Rebuild each shard's flat tier from its recovered series, shards in
+	// parallel: the entries are the ones ingest builds, raw values only, and
+	// the insert computes each row's chunk envelope. Nothing is reduced; a
+	// representation an older log carries was dropped on replay.
 	errs := make([]error, len(recs))
-	reduced := make([]int, len(recs))
 	par.Do(context.Background(), len(recs), len(recs), func(i int) {
-		series := recs[i].Series
-		reps := make([]repr.Representation, len(series))
-		var todo []int // positions of the series to reduce
-		var values []ts.Series
-		for j, sr := range series {
-			if sr.Rep != nil && sr.Tag == s.repTag {
-				reps[j] = sr.Rep
-				continue
-			}
-			todo = append(todo, j)
-			values = append(values, sr.Values)
-		}
-		fresh, bad, rerr := s.reduceAll(context.Background(), values, workers)
-		if rerr != nil {
-			errs[i] = fmt.Errorf("server: recover series %d: %w", series[todo[bad]].ID, rerr)
-			return
-		}
-		for k, j := range todo {
-			reps[j] = fresh[k]
-		}
-		reduced[i] = len(todo)
-		entries := make([]*index.Entry, len(series))
-		for j, sr := range series {
-			entries[j] = &index.Entry{ID: int(sr.ID), Raw: sr.Values, Rep: reps[j]} // as ingest builds them
+		entries := make([]*index.Entry, len(recs[i].Series))
+		for j, sr := range recs[i].Series {
+			entries[j] = &index.Entry{ID: int(sr.ID), Raw: sr.Values}
 		}
 		if err := s.shards[i].flat.InsertBatch(entries); err != nil {
 			errs[i] = fmt.Errorf("server: rebuild shard %d: %w", i, err)
-			return
 		}
 	})
 	for _, rerr := range errs {
@@ -108,13 +77,11 @@ func (s *Server) openStores() error {
 	// Aggregate what recovery did: counters sum across shards, the sequence
 	// floor and MaxID take the maximum. Auto IDs resume past every ID any
 	// shard has seen, and the series length is that of any recovered series.
-	for i, r := range recs {
+	for _, r := range recs {
 		s.nextID = max(s.nextID, int(r.Info.MaxID)+1)
 		if len(r.Series) > 0 {
 			s.n = len(r.Series[0].Values)
 		}
-		s.recoveryReduced += reduced[i]
-		s.recoveryLoaded += len(r.Series) - reduced[i]
 		s.recovery.SnapshotSeries += r.Info.SnapshotSeries
 		s.recovery.Segments += r.Info.Segments
 		s.recovery.Replayed += r.Info.Replayed
@@ -179,11 +146,9 @@ func (s *Server) snapshotNow() error {
 	}
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		// Every entry's representation is this server's reducer's: computed
-		// by its ingest, or loaded by recovery under the same tag.
 		series := make([]wal.Series, 0, sh.flat.Len())
 		sh.flat.Each(func(e *index.Entry) {
-			series = append(series, wal.Series{ID: int64(e.ID), Values: e.Raw, Tag: s.repTag, Rep: e.Rep})
+			series = append(series, wal.Series{ID: int64(e.ID), Values: e.Raw})
 		})
 		sealed, err := sh.store.Rotate()
 		sh.mu.Unlock()

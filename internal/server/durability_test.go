@@ -3,15 +3,18 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,6 +24,7 @@ import (
 	"sapla/internal/index"
 	"sapla/internal/repr"
 	"sapla/internal/ts"
+	"sapla/internal/tsio"
 	"sapla/internal/wal"
 )
 
@@ -81,10 +85,10 @@ func seriesBits(v ts.Series) []uint64 {
 	return bits
 }
 
-// rawShadow writes what a test acknowledges to a second data directory,
-// through the WAL calls the server makes but without representations: the
-// bytes a writer of op-1 records alone would leave. A nil shadow ignores
-// everything.
+// rawShadow writes what a test acknowledges to a second data directory
+// through the store's own calls, with nothing but IDs and values: the bytes a
+// writer of bare values leaves. A server's data directory must equal it. A
+// nil shadow ignores everything.
 type rawShadow struct {
 	mem  *wal.MemFS
 	recs []wal.ShardRecovery
@@ -164,22 +168,6 @@ func memFiles(t *testing.T, mem *wal.MemFS) map[string][]byte {
 	return out
 }
 
-// recoveryCounts requires /metrics to report loaded series whose
-// representation came from the log and reduced ones that recovery reduced.
-func recoveryCounts(t *testing.T, hd http.Handler, loaded, reduced int) {
-	t.Helper()
-	var doc struct {
-		Durability map[string]any `json:"durability"`
-	}
-	if code := call(t, hd, "GET", "/metrics", nil, &doc); code != http.StatusOK {
-		t.Fatalf("/metrics: %d", code)
-	}
-	d := doc.Durability
-	if d["recovery_loaded"] != float64(loaded) || d["recovery_reduced"] != float64(reduced) {
-		t.Fatalf("recovery loaded %v, reduced %v; want %d and %d", d["recovery_loaded"], d["recovery_reduced"], loaded, reduced)
-	}
-}
-
 // TestServerWALRecordForms: /metrics counts the ingest records every shard's
 // log took in each value form. Six-decimal series, single or in a batch, are
 // decimal; full-precision ones are float64. Deletes and snapshots count for
@@ -216,33 +204,277 @@ func TestServerWALRecordForms(t *testing.T) {
 	if d := doc.Durability; d["wal_records_decimal"] != float64(4) || d["wal_records_f64"] != float64(2) {
 		t.Fatalf("wal records decimal %v, f64 %v; want 4 and 2", d["wal_records_decimal"], d["wal_records_f64"])
 	}
+	noRepresentation(t, mem)
 }
 
-// freshReps requires every entry of s to hold the representation a fresh
-// reducer computes from its values at budget m, bit for bit.
-func freshReps(t *testing.T, s *Server, m int) {
+// walRecords decodes every record of mem's segments and snapshots, failing
+// the test on a byte that does not parse.
+func walRecords(t *testing.T, mem *wal.MemFS) []tsio.WALRecord {
+	t.Helper()
+	var out []tsio.WALRecord
+	decode := func(name string, payload []byte) {
+		rec, err := tsio.DecodeWALRecord(payload)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out = append(out, rec)
+	}
+	for name, data := range memFiles(t, mem) {
+		switch {
+		case strings.HasSuffix(name, ".log"):
+			for off := 0; off < len(data); {
+				n := int(binary.LittleEndian.Uint32(data[off:]))
+				decode(name, data[off+8:off+8+n])
+				off += 8 + n
+			}
+		case strings.HasSuffix(name, ".snap"):
+			for off := 12; off < len(data)-4; {
+				n := int(binary.LittleEndian.Uint32(data[off:]))
+				decode(name, data[off+4:off+4+n])
+				off += 4 + n
+			}
+		}
+	}
+	return out
+}
+
+// noRepresentation requires every record in mem to be op 1, 2 or 4, none
+// carrying a representation.
+func noRepresentation(t *testing.T, mem *wal.MemFS) {
+	t.Helper()
+	for _, rec := range walRecords(t, mem) {
+		if rec.Op == tsio.WALIngestRep || rec.Rep != nil {
+			t.Fatalf("id %d: logged as op %d with representation %v", rec.ID, rec.Op, rec.Rep)
+		}
+	}
+}
+
+// writeRepLog writes a data directory of shards streams the way a server
+// that logged representations wrote it: a version-3 manifest; per shard,
+// snapshot 1 holding the shard's series of snap (no snapshot when snap is
+// nil), and segment 2 holding its series of logged followed by a delete of
+// each ID of gone. Every ingest record is that server's: the SAPLA
+// representation at M = 12 under its tag rides on six-decimal values in op 4
+// and on float64 values of 728 points or more in op 3, and float64 values
+// below that are op 1.
+func writeRepLog(t testing.TB, mem *wal.MemFS, shards int, snap, logged map[int]ts.Series, gone []int) {
 	t.Helper()
 	red := core.NewReducer()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.flat.Each(func(e *index.Entry) {
-			want, err := red.ReduceInto(repr.Linear{}, e.Raw, m)
-			if err != nil {
-				t.Fatal(err)
+	record := func(id int, v ts.Series) []byte {
+		rep, err := red.ReduceInto(repr.Linear{}, v, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := tsio.WALRecord{Op: tsio.WALIngestDecimal, ID: int64(id), Values: v,
+			Tag: tsio.RepTag{Method: tsio.RepSAPLA, Gen: core.Generation, M: 12}, Rep: rep}
+		b, err := tsio.AppendWALRecord(nil, rec)
+		if errors.Is(err, tsio.ErrWALNotDecimal) {
+			rec.Op = tsio.WALIngestRep
+			if len(v) < 728 {
+				rec = tsio.WALRecord{Op: tsio.WALIngest, ID: int64(id), Values: v}
 			}
-			got, ok := e.Rep.(repr.Linear)
-			if !ok || got.N != want.N || len(got.Segs) != len(want.Segs) {
-				t.Fatalf("id %d: representation %+v, want %+v", e.ID, e.Rep, want)
+			b, err = tsio.AppendWALRecord(nil, rec)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	put := func(name string, data []byte) {
+		f, err := mem.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	put("shards.meta", []byte(fmt.Sprintf("SAPLSHD3 count=%d\n", shards)))
+	for si := 0; si < shards; si++ {
+		ns := ""
+		if si > 0 {
+			ns = fmt.Sprintf("s%04d-", si)
+		}
+		var ids []int
+		for id := range snap {
+			if index.ShardOf(id, shards) == si {
+				ids = append(ids, id)
 			}
-			for i, w := range want.Segs {
-				g := got.Segs[i]
-				if math.Float64bits(g.Line.A) != math.Float64bits(w.Line.A) ||
-					math.Float64bits(g.Line.B) != math.Float64bits(w.Line.B) || g.R != w.R {
-					t.Fatalf("id %d segment %d: %+v, a fresh reduction gives %+v", e.ID, i, g, w)
+		}
+		sort.Ints(ids)
+		if snap != nil {
+			image := binary.LittleEndian.AppendUint32([]byte("SAPLSNP1"), uint32(len(ids)))
+			for _, id := range ids {
+				b := record(id, snap[id])
+				image = append(binary.LittleEndian.AppendUint32(image, uint32(len(b))), b...)
+			}
+			put(ns+"snap-0000000000000001.snap", binary.LittleEndian.AppendUint32(image, crc32.Checksum(image, castagnoli)))
+		}
+
+		var frames []byte
+		frame := func(payload []byte) {
+			frames = binary.LittleEndian.AppendUint32(frames, uint32(len(payload)))
+			frames = binary.LittleEndian.AppendUint32(frames, crc32.Checksum(payload, castagnoli))
+			frames = append(frames, payload...)
+		}
+		ids = ids[:0]
+		for id := range logged {
+			if index.ShardOf(id, shards) == si {
+				ids = append(ids, id)
+			}
+		}
+		sort.Ints(ids)
+		for _, id := range ids {
+			frame(record(id, logged[id]))
+		}
+		for _, id := range gone {
+			if index.ShardOf(id, shards) == si {
+				b, err := tsio.AppendWALRecord(nil, tsio.WALRecord{Op: tsio.WALDelete, ID: int64(id)})
+				if err != nil {
+					t.Fatal(err)
 				}
+				frame(b)
 			}
-		})
-		sh.mu.Unlock()
+		}
+		put(ns+"wal-0000000000000002.log", frames)
+	}
+}
+
+// TestServerRecoversRepresentationLogs: a data directory written by a server
+// that logged every ingest's representation — op 3 and op 4 records carrying
+// one, in its log and its snapshots — recovers exactly, at 1 and 4 shards and
+// at 256 and 1024 points: the same IDs and values bit for bit, every row's
+// chunk envelope a fresh insert's, a fresh server's answers, and no entry with
+// a representation, since recovery neither loads nor computes one. The
+// server then writes into that directory only op 1, 2 and 4 records without
+// representations, and the manifest stays version 3.
+func TestServerRecoversRepresentationLogs(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, n := range []int{256, 1024} {
+			t.Run(fmt.Sprintf("shards=%d/n=%d", shards, n), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(shards*n + 3)))
+				snap, logged, live := map[int]ts.Series{}, map[int]ts.Series{}, map[int]ts.Series{}
+				for id := 0; id < 48; id++ {
+					v := randWalk(rng, n)
+					if id%2 == 0 {
+						v = wireSeries(rng, n)
+					}
+					if id < 24 {
+						snap[id] = v
+					} else {
+						logged[id] = v
+					}
+					live[id] = v
+				}
+				gone := []int{1, 2, 30}
+				for _, id := range gone {
+					delete(live, id)
+				}
+				mem := wal.NewMemFS()
+				writeRepLog(t, mem, shards, snap, logged, gone)
+				ops := map[tsio.WALOp]int{}
+				for _, rec := range walRecords(t, mem) {
+					if rec.Rep != nil {
+						ops[rec.Op]++
+					}
+				}
+				if ops[tsio.WALIngestDecimal] != 24 || (n >= 728) != (ops[tsio.WALIngestRep] == 24) {
+					t.Fatalf("the fixture carries representations in %v records by op", ops)
+				}
+
+				cfg := durableShardedConfig(mem, 1, shards)
+				s, hs := newTestServer(t, cfg)
+				if info, _, _ := s.Recovery(); info.SnapshotSeries != len(snap) || info.Replayed != len(logged)+len(gone) {
+					t.Fatalf("recovery %+v: want %d snapshot series and %d replayed", info, len(snap), len(logged)+len(gone))
+				}
+				if got := contents(s); !reflect.DeepEqual(got, bitsOf(live)) {
+					t.Fatalf("recovered %d series, the directory holds %d, contents differ", len(got), len(live))
+				}
+				for _, sh := range s.shards {
+					sh.flat.Each(func(e *index.Entry) {
+						if e.Rep != nil {
+							t.Fatalf("id %d recovered with a representation", e.ID)
+						}
+					})
+				}
+				freshEnvelopes(t, s)
+				ref, err := New(Config{Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var items []ingestRequest
+				for _, id := range sortedIDs(live) {
+					items = append(items, ingestRequest{ID: &id, Values: live[id]})
+				}
+				if _, rej := ref.ingest(context.Background(), items); rej != nil {
+					t.Fatal(rej.err)
+				}
+				for qi := 0; qi < 6; qi++ {
+					q := wireSeries(rng, n)
+					var got, want knnResponse
+					call(t, s.Handler(), "POST", "/v1/knn", map[string]any{"values": q, "k": 5}, &got)
+					call(t, ref.Handler(), "POST", "/v1/knn", map[string]any{"values": q, "k": 5}, &want)
+					if len(got.Results) != 5 || !reflect.DeepEqual(got.Results, want.Results) {
+						t.Fatalf("query %d: recovered server answers %+v, a fresh one %+v", qi, got.Results, want.Results)
+					}
+					body := map[string]any{"values": q, "radius": got.Results[2].Dist}
+					call(t, s.Handler(), "POST", "/v1/range", body, &got)
+					call(t, ref.Handler(), "POST", "/v1/range", body, &want)
+					if len(got.Results) != 3 || !reflect.DeepEqual(got.Results, want.Results) {
+						t.Fatalf("range %d: recovered server answers %+v, a fresh one %+v", qi, got.Results, want.Results)
+					}
+				}
+
+				// New writes, one asking for its representation, then a
+				// snapshot that supersedes every file the older server wrote.
+				client := hs.Client()
+				for i := 0; i < 2; i++ {
+					v := wireSeries(rng, n)
+					var resp ingestResponse
+					if code := doJSON(t, client, "POST", hs.URL+"/v1/ingest?include_rep=1", map[string]any{"values": v}, &resp); code != http.StatusCreated || resp.Representation == nil {
+						t.Fatalf("ingest: status %d, representation %s", code, resp.Representation)
+					}
+					live[resp.ID] = v
+				}
+				var batch []map[string]any
+				for id := 100; id < 102; id++ {
+					live[id] = randWalk(rng, n)
+					batch = append(batch, map[string]any{"id": id, "values": live[id]})
+				}
+				if code := doJSON(t, client, "POST", hs.URL+"/v1/ingest/batch", map[string]any{"series": batch}, nil); code != http.StatusCreated {
+					t.Fatalf("batch ingest: status %d", code)
+				}
+				if code := doJSON(t, client, "DELETE", hs.URL+"/v1/series/0", nil, nil); code != http.StatusOK {
+					t.Fatalf("delete: status %d", code)
+				}
+				delete(live, 0)
+				if err := s.snapshotNow(); err != nil {
+					t.Fatal(err)
+				}
+				late := 102
+				live[late] = wireSeries(rng, n)
+				ingestOne(t, client, hs.URL, &late, live[late])
+				noRepresentation(t, mem)
+				if got, err := mem.ReadFile("shards.meta"); err != nil || string(got) != fmt.Sprintf("SAPLSHD3 count=%d\n", shards) {
+					t.Fatalf("manifest %q (%v)", got, err)
+				}
+				hs.Close()
+				if err := s.Shutdown(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				again, _ := newTestServer(t, cfg)
+				if got := contents(again); !reflect.DeepEqual(got, bitsOf(live)) {
+					t.Fatalf("after the restart: %d series, acknowledged %d, contents differ", len(got), len(live))
+				}
+			})
+		}
 	}
 }
 
@@ -254,7 +486,7 @@ func freshEnvelopes(t *testing.T, s *Server) {
 		sh.mu.Lock()
 		fresh := index.NewFlat()
 		sh.flat.Each(func(e *index.Entry) {
-			if err := fresh.Insert(index.NewEntry(e.ID, e.Raw, e.Rep)); err != nil {
+			if err := fresh.Insert(&index.Entry{ID: e.ID, Raw: e.Raw}); err != nil {
 				t.Fatal(err)
 			}
 		})

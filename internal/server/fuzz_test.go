@@ -27,6 +27,7 @@ var fuzzEndpoints = []struct{ method, path string }{
 	{"POST", "/v1/knn/batch"},
 	{"POST", "/v1/range"},
 	{"DELETE", "/v1/series/"},
+	{"POST", "/v1/ingest?include_rep=1"},
 }
 
 // FuzzHandlers' server bounds, tight so the seeds reach each boundary with
@@ -64,7 +65,7 @@ func FuzzHandlers(f *testing.F) {
 		}
 		return out
 	}
-	const ingest, ingestBatch, knn, knnBatch, rangeQ, del = 0, 1, 2, 3, 4, 5
+	const ingest, ingestBatch, knn, knnBatch, rangeQ, del, ingestRep = 0, 1, 2, 3, 4, 5, 6
 	// One valid body per endpoint.
 	f.Add(uint8(ingest), fuzzBody(map[string]any{"id": 40, "values": series(fuzzN)}))
 	f.Add(uint8(ingestBatch), fuzzBody(map[string]any{"series": items(fuzzMaxBatch, fuzzN)}))
@@ -89,6 +90,10 @@ func FuzzHandlers(f *testing.F) {
 	for _, size := range []int{fuzzMaxBody, fuzzMaxBody + 1} {
 		f.Add(uint8(ingest), append(full[:len(full):len(full)], bytes.Repeat([]byte(" "), size-len(full))...))
 	}
+	// A single ingest asking for its representation, and one too short to
+	// reduce.
+	f.Add(uint8(ingestRep), fuzzBody(map[string]any{"values": series(fuzzN)}))
+	f.Add(uint8(ingestRep), fuzzBody(map[string]any{"values": series(3)}))
 
 	f.Fuzz(func(t *testing.T, ep uint8, body []byte) {
 		s, err := New(Config{
@@ -100,7 +105,7 @@ func FuzzHandlers(f *testing.F) {
 		}
 		seed := rand.New(rand.NewSource(3))
 		for i := 0; i < 3; i++ {
-			if _, _, rej := s.ingest(context.Background(), []ingestRequest{{Values: randWalk(seed, fuzzN)}}); rej != nil {
+			if _, rej := s.ingest(context.Background(), []ingestRequest{{Values: randWalk(seed, fuzzN)}}); rej != nil {
 				t.Fatal(rej.err)
 			}
 		}
@@ -180,7 +185,7 @@ func outOfBounds(path string, body []byte) string {
 		return ""
 	}
 	switch path {
-	case "/v1/ingest":
+	case "/v1/ingest", "/v1/ingest?include_rep=1":
 		var req ingestRequest
 		if !decode(&req) {
 			return "an undecodable body"

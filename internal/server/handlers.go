@@ -9,13 +9,11 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"sync/atomic"
 
 	"sapla/internal/core"
 	"sapla/internal/dist"
 	"sapla/internal/index"
 	"sapla/internal/par"
-	"sapla/internal/repr"
 	"sapla/internal/ts"
 	"sapla/internal/tsio"
 	"sapla/internal/wal"
@@ -38,45 +36,6 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// reduce runs SAPLA on one series, on a Reducer borrowed from the pool of
-// allocation-free ones for the call.
-func (s *Server) reduce(values ts.Series) (repr.Representation, error) {
-	red := s.reducers.Get().(*core.Reducer)
-	rep, err := red.Reduce(values, s.cfg.M)
-	s.reducers.Put(red)
-	return rep, err
-}
-
-// reduceAll reduces every series on up to workers goroutines (par.Do; ≤ 0
-// selects GOMAXPROCS), each item on a reducer borrowed for that item. A
-// failure reports the lowest failing index with its error — the one a serial
-// loop stops at — and stops further work: an item runs unless a lower one has
-// already failed, so everything below the reported index ran to its own
-// verdict. A cancelled ctx costs at most one more reduction per worker and
-// returns ctx's error with index -1.
-func (s *Server) reduceAll(ctx context.Context, values []ts.Series, workers int) ([]repr.Representation, int, error) {
-	reps := make([]repr.Representation, len(values))
-	errs := make([]error, len(values))
-	var failed atomic.Int64 // lowest failing index so far; len(values) while none
-	failed.Store(int64(len(values)))
-	par.Do(ctx, len(values), workers, func(i int) {
-		if int64(i) > failed.Load() {
-			return
-		}
-		reps[i], errs[i] = s.reduce(values[i])
-		for f := failed.Load(); errs[i] != nil && int64(i) < f; f = failed.Load() {
-			failed.CompareAndSwap(f, int64(i))
-		}
-	})
-	if bad := int(failed.Load()); bad < len(values) {
-		return nil, bad, errs[bad]
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, -1, err
-	}
-	return reps, -1, nil
-}
-
 // checkSeries validates values against n, the index's fixed series length as
 // seriesLen read it for this request. A zero n (nothing ingested yet) admits
 // any valid series.
@@ -97,7 +56,8 @@ type ingestRequest struct {
 	Values ts.Series `json:"values"`
 }
 
-// ingestResponse reports the stored entry.
+// ingestResponse reports the stored entry; Representation is set only under
+// ?include_rep=1.
 type ingestResponse struct {
 	ID             int             `json:"id"`
 	IndexSize      int             `json:"index_size"`
@@ -121,53 +81,37 @@ func (rej *rejection) write(w http.ResponseWriter) {
 	writeErr(w, rej.code, "series %d: %v", rej.item, rej.err)
 }
 
-// reduceRejection is the rejection for a failed reduceAll: item bad could not
-// be reduced, or — bad < 0 — the request was cancelled first, which is the
-// client's doing (see knnStatus).
-func reduceRejection(bad int, err error) *rejection {
-	code := http.StatusBadRequest
-	if bad < 0 {
-		code = http.StatusServiceUnavailable
-	}
-	return &rejection{code, bad, fmt.Errorf("reduce: %w", err)}
-}
-
-// ingest is the one write commit: it validates, reduces and claims every
-// item, checks the explicit IDs against the committed series, then commits
-// them shard by shard — one WAL group append (one fsync at SyncEvery=1; each
-// record carries its representation when the WAL's size rule admits it), one
-// exclusive index lock acquisition and one epoch advance per touched shard —
-// and releases its claims once every shard has finished. It is atomic over
-// acknowledgement: any invalid series, duplicate ID, append or insert failure
-// rejects all of items with nothing applied. A single ingest is a batch of
-// one.
-func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []repr.Representation, *rejection) {
-	// Validate, then reduce, everything before taking a lock: reduction is
-	// the expensive part and needs no bookkeeping state. The validation loop is
-	// the taint barrier — values and reqIDs hold only items that passed it,
-	// and every phase below works from these extracts, never from the raw
-	// request again; FuzzHandlers is the check that it holds.
+// ingest is the one write commit: it validates and claims every item, checks
+// the explicit IDs against the committed series, then commits them shard by
+// shard — one WAL group append of the bare values (one fsync at
+// SyncEvery=1), one exclusive index lock acquisition and one epoch advance
+// per touched shard — and releases its claims once every shard has finished.
+// Nothing is reduced: the flat tier filters on the raw values' chunk
+// envelope. It is atomic over acknowledgement: any invalid series, duplicate
+// ID, append or insert failure rejects all of items with nothing applied. A
+// single ingest is a batch of one.
+func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, *rejection) {
+	// Validate everything before taking a lock. The validation loop is the
+	// taint barrier — values and reqIDs hold only items that passed it, and
+	// every phase below works from these extracts, never from the raw request
+	// again; FuzzHandlers is the check that it holds.
 	n := s.seriesLen()
 	values := make([]ts.Series, len(items))
 	reqIDs := make([]*int, len(items))
 	for i, item := range items {
 		if err := checkSeries(item.Values, n); err != nil {
-			return nil, nil, &rejection{http.StatusBadRequest, i, err}
+			return nil, &rejection{http.StatusBadRequest, i, err}
 		}
 		if item.ID != nil && *item.ID == math.MaxInt { // nextID would wrap
-			return nil, nil, &rejection{http.StatusBadRequest, i, fmt.Errorf(
+			return nil, &rejection{http.StatusBadRequest, i, fmt.Errorf(
 				"id %d is reserved: explicit IDs must be below it", *item.ID)}
 		}
 		values[i] = item.Values
 		reqIDs[i] = item.ID
 		if len(values[i]) != len(values[0]) {
-			return nil, nil, &rejection{http.StatusBadRequest, -1, fmt.Errorf(
+			return nil, &rejection{http.StatusBadRequest, -1, fmt.Errorf(
 				"series %d length %d does not match series 0 length %d", i, len(values[i]), len(values[0]))}
 		}
-	}
-	reps, bad, err := s.reduceAll(ctx, values, s.cfg.Workers)
-	if err != nil {
-		return nil, nil, reduceRejection(bad, err)
 	}
 
 	// The series length and the claims are cross-shard, so every ID resolves
@@ -178,7 +122,7 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []re
 	if s.n != 0 && len(values[0]) != s.n {
 		n := s.n
 		s.bookMu.Unlock()
-		return nil, nil, &rejection{http.StatusBadRequest, -1, fmt.Errorf(
+		return nil, &rejection{http.StatusBadRequest, -1, fmt.Errorf(
 			"series length %d does not match index series length %d", len(values[0]), n)}
 	}
 	// Every explicit ID must be free of in-flight claims and of the request
@@ -193,7 +137,7 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []re
 		id := *rid
 		if s.claimed[id] || inBatch[id] {
 			s.bookMu.Unlock()
-			return nil, nil, &rejection{http.StatusConflict, -1, fmt.Errorf("id %d already exists", id)}
+			return nil, &rejection{http.StatusConflict, -1, fmt.Errorf("id %d already exists", id)}
 		}
 		inBatch[id] = true
 	}
@@ -253,7 +197,7 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []re
 			})
 			sh.mu.Unlock()
 			if dup >= 0 {
-				return nil, nil, &rejection{http.StatusConflict, -1, fmt.Errorf("id %d already exists", ids[groups[si][dup]])}
+				return nil, &rejection{http.StatusConflict, -1, fmt.Errorf("id %d already exists", ids[groups[si][dup]])}
 			}
 		}
 	}
@@ -275,18 +219,18 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []re
 		if sh.store != nil {
 			batch := make([]wal.Series, len(groups[si]))
 			for gi, pos := range groups[si] {
-				batch[gi] = wal.Series{ID: int64(ids[pos]), Values: values[pos], Tag: s.repTag, Rep: reps[pos]}
+				batch[gi] = wal.Series{ID: int64(ids[pos]), Values: values[pos]}
 			}
 			if c.err = sh.store.AppendIngestBatch(batch); c.err != nil {
 				return
 			}
 		}
 		c.logged = true
-		// The flat tier reads the raw values only: the entries carry none of
-		// the coefficient caches index.NewEntry builds.
+		// The flat tier reads the raw values only: the entries carry no
+		// representation.
 		entries := make([]*index.Entry, len(groups[si]))
 		for gi, pos := range groups[si] {
-			entries[gi] = &index.Entry{ID: ids[pos], Raw: values[pos], Rep: reps[pos]}
+			entries[gi] = &index.Entry{ID: ids[pos], Raw: values[pos]}
 		}
 		c.err = s.idx.Shard(si).InsertBatch(entries)
 	})
@@ -316,32 +260,44 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, []re
 			sh.mu.Unlock()
 		}
 		if c := commits[failed]; c.logged {
-			return nil, nil, &rejection{http.StatusInternalServerError, -1, fmt.Errorf("insert: %w", c.err)}
+			return nil, &rejection{http.StatusInternalServerError, -1, fmt.Errorf("insert: %w", c.err)}
 		}
-		return nil, nil, &rejection{http.StatusServiceUnavailable, -1, fmt.Errorf("wal append: %w", commits[failed].err)}
+		return nil, &rejection{http.StatusServiceUnavailable, -1, fmt.Errorf("wal append: %w", commits[failed].err)}
 	}
 	s.metrics.ingested.Add(int64(len(ids)))
-	return ids, reps, nil
+	return ids, nil
 }
 
-// handleIngest reduces one raw series and inserts it into the index.
+// handleIngest inserts one raw series into the index. With ?include_rep=1 it
+// first reduces the series under SAPLA at Config.M for the response alone —
+// nothing of it is logged or stored — and a series that cannot be reduced is
+// refused with 400 before anything is claimed.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req ingestRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	ids, reps, rej := s.ingest(r.Context(), []ingestRequest{req})
+	var rep json.RawMessage
+	if r.URL.Query().Get("include_rep") == "1" {
+		red := s.reducers.Get().(*core.Reducer)
+		lin, err := red.Reduce(req.Values, s.cfg.M)
+		s.reducers.Put(red)
+		if err == nil {
+			rep, err = tsio.MarshalRepresentation(lin)
+		}
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, "reduce: %v", err)
+			return
+		}
+	}
+	ids, rej := s.ingest(r.Context(), []ingestRequest{req})
 	if rej != nil {
 		writeErr(w, rej.code, "%v", rej.err)
 		return
 	}
-	resp := ingestResponse{ID: ids[0], IndexSize: s.idx.Len(), Epoch: s.idx.Epoch()}
-	if r.URL.Query().Get("include_rep") == "1" {
-		if raw, err := tsio.MarshalRepresentation(reps[0]); err == nil {
-			resp.Representation = raw
-		}
-	}
-	writeJSON(w, http.StatusCreated, resp)
+	writeJSON(w, http.StatusCreated, ingestResponse{
+		ID: ids[0], IndexSize: s.idx.Len(), Epoch: s.idx.Epoch(), Representation: rep,
+	})
 }
 
 // ingestBatchRequest is the POST /v1/ingest/batch body. Items reuse the
@@ -357,8 +313,8 @@ type ingestBatchResponse struct {
 	Epoch     uint64 `json:"epoch"`
 }
 
-// handleIngestBatch reduces many raw series and inserts them as one atomic
-// batch (see ingest).
+// handleIngestBatch inserts many raw series as one atomic batch (see
+// ingest).
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	var req ingestBatchRequest
 	if !s.decodeBody(w, r, &req) {
@@ -373,7 +329,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 			"batch of %d exceeds limit %d", len(req.Series), s.cfg.MaxBatch)
 		return
 	}
-	ids, _, rej := s.ingest(r.Context(), req.Series)
+	ids, rej := s.ingest(r.Context(), req.Series)
 	if rej != nil {
 		rej.write(w)
 		return

@@ -297,8 +297,6 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 			"snapshot_errors":      m.snapshotErrors.Value(),
 			"snapshot_write":       json.RawMessage(m.snapshotTime.String()),
 			"recovery_replayed":    s.recovery.Replayed,
-			"recovery_loaded":      s.recoveryLoaded,
-			"recovery_reduced":     s.recoveryReduced,
 			"recovery_snapshot":    s.recovery.SnapshotSeries,
 			"recovery_torn_bytes":  s.recovery.TornBytes,
 			"recovery_duration_ms": float64(s.recoveryDur.Nanoseconds()) / 1e6,

@@ -14,12 +14,15 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"sapla/internal/core"
 	"sapla/internal/index"
+	"sapla/internal/repr"
 	"sapla/internal/ts"
+	"sapla/internal/tsio"
 	"sapla/internal/wal"
 )
 
@@ -40,7 +43,7 @@ type op struct {
 type opKind uint8
 
 const (
-	opIngest   opKind = iota // arg%3: an auto ID, an explicit fresh or deleted ID, a live ID
+	opIngest   opKind = iota // arg%3: an auto ID, an explicit fresh or deleted ID, a live ID; includeRep(arg)
 	opBatch                  // arg%8: mixed IDs (0–3), an in-batch duplicate, a wrong-length item, a live ID, empty
 	opDelete                 // arg%2: a live ID, an absent one
 	opKNN                    // k = {1, 5, 10, live + 3}[arg%4]
@@ -48,7 +51,7 @@ const (
 	opRange                  // the radius is a stored series' exact distance
 	opSnapshot               // snapshotNow
 	opCrash                  // arg%2: MemFS.Crash(nil) now, or FaultFS.CrashAt a few FS ops on
-	opRestart                // arg%2: a clean restart at M = 12, or at M = 6
+	opRestart                // arg%2: a clean restart at M = 12, or at M = 6 (M shapes include_rep only)
 	opRace                   // readers against writers on disjoint ID sets
 	numOpKinds
 )
@@ -95,8 +98,7 @@ type modelConfig struct {
 	fs      fsKind
 	n       int
 	decimal bool  // six-decimal values, as the end-to-end benchmark sends them
-	reps    bool  // the WAL's size rule logs every series' representation at this n and value form
-	shadow  bool  // an op-1-only writer mirrors the log: the data directories must be equal
+	shadow  bool  // a writer of bare values mirrors the log: the data directories must be equal
 	twin    bool  // a twin takes every single ingest as a batch of one: the WAL bytes must be equal
 	seed    int64 // the values, queries and IDs
 }
@@ -125,12 +127,13 @@ func batchBody(items []item) map[string]any {
 
 // writeReply decodes every write's answer.
 type writeReply struct {
-	ID        int    `json:"id"`
-	IDs       []int  `json:"ids"`
-	Deleted   bool   `json:"deleted"`
-	IndexSize int    `json:"index_size"`
-	Epoch     uint64 `json:"epoch"`
-	Error     string `json:"error"`
+	ID             int             `json:"id"`
+	IDs            []int           `json:"ids"`
+	Deleted        bool            `json:"deleted"`
+	IndexSize      int             `json:"index_size"`
+	Epoch          uint64          `json:"epoch"`
+	Representation json.RawMessage `json:"representation"`
+	Error          string          `json:"error"`
 }
 
 // hit is one live series at its exact distance from a query.
@@ -143,10 +146,10 @@ type harness struct {
 	t    *testing.T
 	cfg  modelConfig
 	rng  *rand.Rand
-	red  *core.Reducer
+	red  *core.Reducer // reduces the series an include_rep=1 ingest sends
 	step int
 
-	m       int // the serving coefficient budget
+	m       int // the coefficient budget of include_rep=1
 	s       *Server
 	h       http.Handler
 	mem     *wal.MemFS // nil in memory
@@ -158,11 +161,10 @@ type harness struct {
 
 	// The model.
 	live    map[int]ts.Series
-	dead    []int       // deleted IDs, for re-admission; may hold live ones again
-	tagM    map[int]int // per live ID: the M of the record recovery reads
-	maxID   int         // the largest ID recovery will have seen, -1 for none
-	nextID  int         // the server's auto-ID counter
-	n       int         // the pinned series length, 0 before the first claim
+	dead    []int // deleted IDs, for re-admission; may hold live ones again
+	maxID   int   // the largest ID recovery will have seen, -1 for none
+	nextID  int   // the server's auto-ID counter
+	n       int   // the pinned series length, 0 before the first claim
 	epoch   uint64
 	inDoubt map[int]ts.Series // IDs of writes a crash answered 5xx, with their values
 
@@ -181,7 +183,7 @@ func modelRun(t *testing.T, cfg modelConfig, tape []op) *harness {
 	t.Helper()
 	h := &harness{
 		t: t, cfg: cfg, rng: rand.New(rand.NewSource(cfg.seed)), red: core.NewReducer(), m: 12,
-		live: map[int]ts.Series{}, tagM: map[int]int{}, maxID: -1, inDoubt: map[int]ts.Series{}, reqs: map[string]int{},
+		live: map[int]ts.Series{}, maxID: -1, inDoubt: map[int]ts.Series{}, reqs: map[string]int{},
 	}
 	if cfg.fs != inMemory {
 		h.mem = wal.NewMemFS()
@@ -236,7 +238,8 @@ var endpoints = map[string]string{"/v1/ingest": "ingest", "/v1/ingest/batch": "i
 
 // call sends one request through the server's handler, counting it.
 func (h *harness) call(method, path string, body, out any) int {
-	name := endpoints[path]
+	route, _, _ := strings.Cut(path, "?")
+	name := endpoints[route]
 	if method == "DELETE" {
 		name = "delete"
 	}
@@ -285,7 +288,13 @@ func (h *harness) play(o op) {
 				it.id = id
 			}
 		}
-		h.write([]item{it}, true)
+		rep := includeRep(o.arg)
+		// Too short for M/3 segments at M = 6 or 12. Not beside a twin, whose
+		// batch of one asks for no representation and would store it.
+		if rep && h.n == 0 && h.twin == nil && o.arg/12%2 == 1 {
+			it.v = it.v[:3]
+		}
+		h.write([]item{it}, true, rep)
 	case opBatch:
 		h.batch(o.arg % 8)
 	case opDelete:
@@ -374,9 +383,16 @@ func (h *harness) freshID(taken map[int]bool) int {
 	}
 }
 
+// includeRep reports whether a single ingest of variant arg asks for its
+// representation (?include_rep=1). Before anything pins the series length,
+// half of those send a 3-point series, which no M the harness serves can
+// reduce: it answers 400 and pins nothing, where the same series without the
+// parameter would be stored.
+func includeRep(arg uint8) bool { return arg/3%4 == 3 }
+
 func (h *harness) batch(kind uint8) {
 	if kind == 7 {
-		h.write(nil, false)
+		h.write(nil, false, false)
 		return
 	}
 	items := make([]item, 2+h.rng.Intn(8))
@@ -402,26 +418,34 @@ func (h *harness) batch(kind uint8) {
 			items[j].id = id
 		}
 	}
-	h.write(items, false)
+	h.write(items, false, false)
 }
 
 // verdict is the status the server must answer items with and the IDs its
-// claim assigns. Like the claim, it advances the auto-ID counter — past the
-// explicit IDs of the request — and pins the series length once a request
-// gets that far.
-func (h *harness) verdict(items []item) (int, []int) {
+// claim assigns, and — when rep asks for it — the representation of the one
+// item, which a failed reduction refuses before anything else. Like the
+// claim, it advances the auto-ID counter — past the explicit IDs of the
+// request — and pins the series length once a request gets that far.
+func (h *harness) verdict(items []item, rep bool) (int, []int, repr.Representation) {
+	var want repr.Representation
+	if rep {
+		var err error
+		if want, err = h.red.Reduce(items[0].v, h.m); err != nil {
+			return http.StatusBadRequest, nil, nil
+		}
+	}
 	if len(items) == 0 {
-		return http.StatusBadRequest, nil
+		return http.StatusBadRequest, nil, nil
 	}
 	for _, it := range items {
 		if len(it.v) != len(items[0].v) || (h.n != 0 && len(it.v) != h.n) {
-			return http.StatusBadRequest, nil
+			return http.StatusBadRequest, nil, nil
 		}
 	}
 	explicit := map[int]bool{}
 	for _, it := range items {
 		if it.id >= 0 && explicit[it.id] {
-			return http.StatusConflict, nil
+			return http.StatusConflict, nil, nil
 		}
 		explicit[it.id] = it.id >= 0
 	}
@@ -440,29 +464,42 @@ func (h *harness) verdict(items []item) (int, []int) {
 	h.n = len(items[0].v)
 	for _, id := range ids {
 		if _, ok := h.live[id]; ok {
-			return http.StatusConflict, ids
+			return http.StatusConflict, ids, nil
 		}
 	}
-	return http.StatusCreated, ids
+	return http.StatusCreated, ids, want
 }
 
 func (h *harness) commit(id int, v ts.Series) {
-	h.live[id], h.tagM[id], h.maxID = v, h.m, max(h.maxID, id)
+	h.live[id], h.maxID = v, max(h.maxID, id)
 }
 
-// write sends items as one ingest — POST /v1/ingest when single, a batch
-// otherwise — and holds the answer to the model's verdict.
-func (h *harness) write(items []item, single bool) {
+// write sends items as one ingest — POST /v1/ingest when single, with
+// ?include_rep=1 when rep, a batch otherwise — and holds the answer to the
+// model's verdict. An ingest's representation is the harness reducer's at the
+// current M, and nothing else of the answer or the log depends on rep.
+func (h *harness) write(items []item, single, rep bool) {
 	h.t.Helper()
 	path, body := "/v1/ingest/batch", any(batchBody(items))
 	if single {
 		path, body = "/v1/ingest", items[0].body()
 	}
-	want, ids := h.verdict(items)
+	if rep {
+		path += "?include_rep=1"
+	}
+	want, ids, wantRep := h.verdict(items, rep)
 	var got writeReply
 	code := h.call("POST", path, body, &got)
 	if single {
 		got.IDs = []int{got.ID}
+	}
+	if code < 300 && (wantRep == nil) != (got.Representation == nil) {
+		h.fail("%s answered representation %s", path, got.Representation)
+	}
+	if code < 300 && wantRep != nil {
+		if gotRep, err := tsio.UnmarshalRepresentation(got.Representation); err != nil || !reflect.DeepEqual(gotRep, wantRep) {
+			h.fail("%s answered representation %+v (%v), a fresh reduction at M = %d gives %+v", path, gotRep, err, h.m, wantRep)
+		}
 	}
 	h.twinAgrees(code, got, "POST", "/v1/ingest/batch", batchBody(items))
 	h.settle(fmt.Sprintf("%s of %d", path, len(items)), code, want, got, func() {
@@ -479,7 +516,7 @@ func (h *harness) write(items []item, single bool) {
 		}
 	}, func() {
 		for i, id := range ids {
-			h.inDoubt[id], h.tagM[id] = items[i].v, h.m
+			h.inDoubt[id] = items[i].v
 		}
 	})
 }
@@ -735,7 +772,7 @@ func (h *harness) snapshot() {
 func (h *harness) restart(crash bool, m int) {
 	h.t.Helper()
 	if h.shadow != nil && !reflect.DeepEqual(memFiles(h.t, h.mem), memFiles(h.t, h.shadow.mem)) {
-		h.fail("the data directory of %d-point series differs from an op-1-only writer's", h.cfg.n)
+		h.fail("the data directory of %d-point series differs from a bare-values writer's", h.cfg.n)
 	}
 	shards := h.cfg.shards
 	if crash {
@@ -773,36 +810,38 @@ func (h *harness) restart(crash bool, m int) {
 	if len(h.live) > 0 {
 		h.n = h.cfg.n
 	}
-	loaded := 0
-	for id := range h.live {
-		if h.cfg.reps && h.tagM[id] == m {
-			loaded++
-		}
+	// Recovery neither loads nor computes a representation, whatever the log
+	// holds and whatever M the server restarts at.
+	for _, sh := range h.s.shards {
+		sh.flat.Each(func(e *index.Entry) {
+			if e.Rep != nil {
+				h.fail("id %d recovered with a representation", e.ID)
+			}
+		})
 	}
-	recoveryCounts(h.t, h.h, loaded, len(h.live)-loaded)
-	freshReps(h.t, h.s, m)
 	if h.cfg.n >= 1024 {
 		freshEnvelopes(h.t, h.s)
 	}
 	h.likeFresh()
 	// Recovery claims nothing: the shards alone refuse an acknowledged ID on
-	// both ingest endpoints, and a deleted one is admitted again.
+	// both ingest endpoints, and a deleted one is admitted again — asking for
+	// its representation at the new M.
 	if id, ok := h.anyLive(); ok {
-		h.write([]item{{id, h.series(h.cfg.n)}}, true)
-		h.write([]item{{id, h.series(h.cfg.n)}}, false)
+		h.write([]item{{id, h.series(h.cfg.n)}}, true, false)
+		h.write([]item{{id, h.series(h.cfg.n)}}, false, false)
 	}
 	if id, ok := h.deadID(); ok {
-		h.write([]item{{id, h.series(h.cfg.n)}}, true)
+		h.write([]item{{id, h.series(h.cfg.n)}}, true, true)
 		h.readmitted++
 	}
 }
 
 // likeFresh requires four random k-NN queries to get the answers — IDs and
-// distance bits — of a fresh in-memory single-shard server at the same M
+// distance bits — of a fresh in-memory server at the same shard count
 // holding exactly the model.
 func (h *harness) likeFresh() {
 	h.t.Helper()
-	ref, err := New(Config{Workers: 2, M: h.m, Shards: h.cfg.shards})
+	ref, err := New(Config{Workers: 2, Shards: h.cfg.shards})
 	if err != nil {
 		h.fail("%v", err)
 	}
@@ -813,7 +852,7 @@ func (h *harness) likeFresh() {
 	if len(items) == 0 {
 		return
 	}
-	if _, _, rej := ref.ingest(context.Background(), items); rej != nil {
+	if _, rej := ref.ingest(context.Background(), items); rej != nil {
 		h.fail("reference ingest: %v", rej.err)
 	}
 	for qi := 0; qi < 4; qi++ {
@@ -1077,15 +1116,15 @@ func TestServerCrashRecoveryProperty(t *testing.T) {
 }
 
 // TestServerLongSeriesCrashRecovery runs crash tapes at 1 and 4 shards on
-// series either side of the WAL's size rule, then restarts at M = 12 and at
-// M = 6. Full-precision series keep float64 values: at n = 1024 every ingest
-// and snapshot logs the representation and a restart loads every live one;
-// at n = 64 none is logged, the data directory holds exactly the bytes an
-// op-1-only writer leaves, and a restart reduces everything. Six-decimal
-// series take the decimal value form, which pays for the representation at
-// n = 256 as at n = 1024. A restart under another M finds those tags stale and
-// reduces. At n = 1024 every recovered row's chunk envelope is a fresh
-// Insert's, bit for bit.
+// series of 64, 256 and 1024 points, full-precision and six-decimal, then
+// restarts at M = 12 and at M = 6. Whatever the length and value form, an
+// op-for-op writer of the bare values mirrors every acknowledged write: before
+// every restart the data directory must hold exactly its bytes — op 4 for
+// six-decimal values, op 1 for the others, no representation (the sizes at
+// which an earlier server logged one: 1024-point float64 values, and
+// six-decimal values at any of these lengths). M changes nothing but the
+// representation include_rep=1 returns. At n = 1024 every recovered row's
+// chunk envelope is a fresh Insert's, bit for bit.
 func TestServerLongSeriesCrashRecovery(t *testing.T) {
 	length := 22
 	if testing.Short() {
@@ -1097,8 +1136,8 @@ func TestServerLongSeriesCrashRecovery(t *testing.T) {
 			n       int
 			decimal bool
 		}{{64, false}, {1024, false}, {256, true}, {1024, true}} {
-			cfg := modelConfig{shards: shards, fs: memFS, n: arm.n, decimal: arm.decimal,
-				reps: arm.n == 1024 || arm.decimal, shadow: arm.n == 64, seed: int64(900 + 100*shards + arm.n)}
+			cfg := modelConfig{shards: shards, fs: memFS, n: arm.n, decimal: arm.decimal, shadow: true,
+				seed: int64(900 + 100*shards + arm.n)}
 			name := fmt.Sprintf("shards=%d/n=%d", shards, arm.n)
 			if arm.decimal {
 				name += "/six-decimals"
@@ -1117,6 +1156,9 @@ func FuzzServerModel(f *testing.F) {
 	for k := range numOpKinds {
 		f.Add([]byte{byte(opIngest), 0, byte(opBatch), 0, byte(opIngest), 1, byte(k), 1, byte(opKNN), 3, byte(k), 0})
 	}
+	// A first ingest asking for the representation of a series too short to
+	// reduce (400, nothing pinned), then one that can be.
+	f.Add([]byte{byte(opIngest), 45, byte(opIngest), 9, byte(opKNN), 0, byte(opRestart), 1, byte(opIngest), 9})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var tape []op
 		for i := 0; i+1 < len(raw) && len(tape) < 64; i += 2 {

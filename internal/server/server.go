@@ -1,11 +1,13 @@
-// Package server exposes the SAPLA similarity-search engine as a
-// long-running HTTP service: series are ingested (reduced and appended to a
-// flat filter-and-refine tier, index.Flat, behind a ShardedIndex) while
-// k-NN, batch k-NN and ε-range queries are answered concurrently, every
-// fan-out on par.Do. The service is the north-star serving path: reads
-// take shared locks and reuse pooled workspaces (no per-request index
-// rebuild, allocation-free search hot path), writes serialize per shard, and
-// shutdown drains in-flight requests.
+// Package server exposes the similarity-search engine as a long-running HTTP
+// service: series are ingested (validated, logged and appended to a flat
+// filter-and-refine tier, index.Flat, behind a ShardedIndex; nothing is
+// reduced) while k-NN, batch k-NN and ε-range queries are answered
+// concurrently, every fan-out on par.Do. SAPLA runs only when a single ingest
+// asks for its series' representation (?include_rep=1); the paper's
+// reduction, Dist_PAR and trees are reproduced in the library. The service
+// is the north-star serving path: reads take shared locks and reuse pooled
+// workspaces (no per-request index rebuild, allocation-free search hot path),
+// writes serialize per shard, and shutdown drains in-flight requests.
 //
 // The index is partitioned across Config.Shards shards by a stable hash of
 // the series ID. Each shard owns its own flat tier, write lock, epoch
@@ -38,7 +40,6 @@ import (
 
 	"sapla/internal/core"
 	"sapla/internal/index"
-	"sapla/internal/tsio"
 	"sapla/internal/wal"
 )
 
@@ -49,7 +50,9 @@ type Config struct {
 	// spelled "") is served; New refuses every other name. The field (and
 	// sapla-serve's -method) stays only because bench/ still sets it.
 	Method string
-	// M is the per-series coefficient budget. Default 12 (4 segments).
+	// M is the coefficient budget of the SAPLA representation a single
+	// ingest returns under ?include_rep=1. Default 12 (4 segments). Nothing
+	// stored or searched depends on it.
 	M int
 	// Shards partitions the index (and, with durability, the WAL) across
 	// this many independent shards keyed by a stable hash of the series ID.
@@ -58,9 +61,8 @@ type Config struct {
 	// under the persisted count, and reopening under another would replay
 	// them into the wrong shards.
 	Shards int
-	// Workers bounds every request's par.Do fan-out: the queries of
-	// /v1/knn/batch (a query is one task, whatever the shard count) and the
-	// reductions of batch ingest and batch k-NN. Default 0 = GOMAXPROCS.
+	// Workers bounds /v1/knn/batch's par.Do fan-out over its queries (a
+	// query is one task, whatever the shard count). Default 0 = GOMAXPROCS.
 	Workers int
 	// MaxK caps k per query. Default 128.
 	MaxK int
@@ -187,13 +189,9 @@ type Server struct {
 	metrics *metrics
 	handler http.Handler
 
-	// reducers pools the allocation-free SAPLA reduction workspaces the
-	// ingest and recovery paths borrow (core.Reducer is single-goroutine).
+	// reducers pools the allocation-free SAPLA reduction workspaces that
+	// ?include_rep=1 borrows (core.Reducer is single-goroutine).
 	reducers sync.Pool
-	// repTag names the reducer behind every representation this server
-	// computes: the tag it logs beside them, and the only one under which
-	// recovery loads a logged representation instead of reducing again.
-	repTag tsio.RepTag
 
 	// state is the lifecycle (recovering → ready → draining) gate /readyz
 	// and the API middleware read.
@@ -214,11 +212,6 @@ type Server struct {
 	snapStop    chan struct{}
 	snapWG      sync.WaitGroup
 	stopOnce    sync.Once
-
-	// recoveryLoaded and recoveryReduced count, over every shard, the
-	// recovered series whose representation came from the log and those
-	// recovery reduced again.
-	recoveryLoaded, recoveryReduced int
 
 	// bookMu guards the cross-shard ingest bookkeeping: the IDs of in-flight
 	// ingests (committed ones are their shards' to refuse), the fixed series
@@ -255,7 +248,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
-		repTag:    tsio.RepTag{Method: tsio.RepSAPLA, Gen: core.Generation, M: uint32(cfg.M)},
 		metrics:   nil, // sized after the effective shard count is known
 		claimed:   make(map[int]bool),
 		searchSem: make(chan struct{}, cfg.MaxInflightSearch),

@@ -11,14 +11,17 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"sapla/internal/core"
 	"sapla/internal/index"
 	"sapla/internal/reduce"
 	"sapla/internal/ts"
+	"sapla/internal/tsio"
 	"sapla/internal/wal"
 )
 
@@ -338,8 +341,9 @@ func TestRequestTimeout(t *testing.T) {
 // TestServerIngestEdgeCases drives the tsio.ValidateSeries edge cases
 // through the ingest handler: payloads over the body limit are rejected
 // with 413 before any decoding, non-finite values cannot even be expressed
-// in a JSON document, and a length-1 series passes validation but fails
-// reduction with a client error rather than a 500. An explicit ID of
+// in a JSON document, and a length-1 series passes validation and is stored
+// — it fails reduction with a client error rather than a 500 only when
+// ?include_rep=1 asks for its representation. An explicit ID of
 // math.MaxInt is refused with 400 on both ingest endpoints: it would wrap the
 // auto-ID counter to math.MinInt, below committed IDs, and the next auto IDs
 // would collide with them.
@@ -378,15 +382,13 @@ func TestServerIngestEdgeCases(t *testing.T) {
 	})
 
 	t.Run("length-1 series", func(t *testing.T) {
-		for _, ep := range ingestEndpoints {
-			var got ingestOutcome
-			code := doJSON(t, client, "POST", hs.URL+ep.path, ep.body(7, ts.Series{1}), &got)
-			if code != http.StatusBadRequest {
-				t.Fatalf("%s: length-1 ingest returned %d, want 400", ep.path, code)
-			}
-			if !strings.Contains(got.Error, "reduce:") {
-				t.Errorf("%s: length-1 rejection %q should come from the reducer, not validation", ep.path, got.Error)
-			}
+		var got ingestOutcome
+		code := doJSON(t, client, "POST", hs.URL+"/v1/ingest?include_rep=1", map[string]any{"id": 7, "values": ts.Series{1}}, &got)
+		if code != http.StatusBadRequest {
+			t.Fatalf("length-1 ingest with include_rep=1 returned %d, want 400", code)
+		}
+		if !strings.HasPrefix(got.Error, "reduce: ") {
+			t.Errorf("length-1 rejection %q should come from the reducer, not validation", got.Error)
 		}
 		// Nothing was applied: no entry, no epoch, no pinned length, no claim on
 		// the ID.
@@ -397,6 +399,15 @@ func TestServerIngestEdgeCases(t *testing.T) {
 		}
 		id := 7
 		ingestOne(t, client, hs.URL, &id, randWalk(rand.New(rand.NewSource(10)), 16))
+
+		// Without the parameter nothing is reduced: both endpoints store the
+		// series, each on a server of its own, since it pins the length at 1.
+		for _, ep := range ingestEndpoints {
+			_, one := newTestServer(t, Config{M: 12})
+			if code := doJSON(t, one.Client(), "POST", one.URL+ep.path, ep.body(7, ts.Series{1}), &got); code != http.StatusCreated || got.IndexSize != 1 {
+				t.Fatalf("%s: length-1 ingest returned %d %+v, want 201", ep.path, code, got)
+			}
+		}
 	})
 
 	t.Run("empty values object", func(t *testing.T) {
@@ -476,5 +487,114 @@ func TestServerDismissedMetric(t *testing.T) {
 				t.Fatalf("n=%d: measured %d of %d candidates, dismissed %d", n, s.Measured, s.Candidates, s.Dismissed)
 			}
 		})
+	}
+}
+
+// TestServerIncludeRep: POST /v1/ingest?include_rep=1 answers with the SAPLA
+// representation a fresh reducer computes from the values at the server's M,
+// and otherwise ingests exactly as a request without the parameter: the same
+// answers, and a data directory equal to the other server's, with no
+// representation in it. A series too short for M/3 segments is refused with
+// 400 and nothing applied when the parameter asks for its representation.
+func TestServerIncludeRep(t *testing.T) {
+	for _, m := range []int{6, 12} {
+		t.Run(fmt.Sprintf("M=%d", m), func(t *testing.T) {
+			mems := [2]*wal.MemFS{wal.NewMemFS(), wal.NewMemFS()}
+			var hds [2]http.Handler
+			for i, mem := range mems {
+				cfg := durableShardedConfig(mem, 1, 2)
+				cfg.M = m
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hds[i] = s.Handler()
+			}
+			var got writeReply
+			if code := call(t, hds[0], "POST", "/v1/ingest?include_rep=1", map[string]any{"values": ts.Series{1, 2, 3}}, &got); code != http.StatusBadRequest ||
+				!strings.HasPrefix(got.Error, "reduce: ") {
+				t.Fatalf("a 3-point series with include_rep=1: %d %q, want 400 from the reducer", code, got.Error)
+			}
+			if code := call(t, hds[0], "GET", "/healthz", nil, &got); code != http.StatusOK || got.IndexSize != 0 || got.Epoch != 0 {
+				t.Fatalf("the refused ingest left %+v", got)
+			}
+
+			red := core.NewReducer()
+			rng := rand.New(rand.NewSource(int64(m)))
+			for i := 0; i < 6; i++ {
+				v := randWalk(rng, 64)
+				if i%2 == 0 {
+					v = wireSeries(rng, 64)
+				}
+				want, err := red.Reduce(v, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var with, without writeReply
+				if code := call(t, hds[0], "POST", "/v1/ingest?include_rep=1", map[string]any{"values": v}, &with); code != http.StatusCreated {
+					t.Fatalf("ingest %d with include_rep=1: %d %s", i, code, with.Error)
+				}
+				if code := call(t, hds[1], "POST", "/v1/ingest", map[string]any{"values": v}, &without); code != http.StatusCreated {
+					t.Fatalf("ingest %d: %d %s", i, code, without.Error)
+				}
+				rep, err := tsio.UnmarshalRepresentation(with.Representation)
+				if err != nil || !reflect.DeepEqual(rep, want) {
+					t.Fatalf("ingest %d answered representation %+v (%v), a fresh reduction at M = %d %+v", i, rep, err, m, want)
+				}
+				if with.Representation, without.Representation = nil, nil; !reflect.DeepEqual(with, without) {
+					t.Fatalf("ingest %d answered %+v with include_rep=1, %+v without", i, with, without)
+				}
+			}
+			if !reflect.DeepEqual(memFiles(t, mems[0]), memFiles(t, mems[1])) {
+				t.Fatal("include_rep=1 changed what the WAL holds")
+			}
+			noRepresentation(t, mems[0])
+		})
+	}
+}
+
+// TestBatchWorkersByteIdentical: how many workers serve a batch must not
+// show in the answers — the same requests against Workers 1, 2 and 8 servers
+// return the same bytes.
+func TestBatchWorkersByteIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	bodies := wireBodies(rng, 64, wireSeries)
+	bulk, batch := bodies[3], bodies[4]
+	more := bytes.ReplaceAll(wireBodies(rng, 64, wireSeries)[3], []byte(`"id":`), []byte(`"id":10`))
+
+	var want []string
+	for _, workers := range []int{1, 2, 8} {
+		_, hs := newTestServer(t, Config{M: 12, Workers: workers, Shards: 2})
+		var got []string
+		for _, req := range []struct {
+			path string
+			body []byte
+		}{
+			{"/v1/ingest/batch", bulk},
+			{"/v1/ingest/batch", more},
+			{"/v1/knn/batch", batch},
+			{"/v1/ingest/batch", bulk}, // duplicate IDs: 409, byte-identical too
+		} {
+			resp, err := hs.Client().Post(hs.URL+req.path, "application/json", bytes.NewReader(req.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, fmt.Sprintf("%d %s", resp.StatusCode, raw))
+		}
+		if want == nil {
+			want = got
+			if !strings.HasPrefix(got[0], "201 ") || !strings.HasPrefix(got[2], "200 ") || !strings.HasPrefix(got[3], "409 ") {
+				t.Fatalf("reference answers: %q", got)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d answers\n%q\nworkers=1 answers\n%q", workers, got, want)
+		}
 	}
 }

@@ -57,7 +57,9 @@ type RepTag struct {
 // bit for bit (DecimalExponent), so a series has one op-4 encoding and
 // decode(encode(r)) stays byte-identical. The tag and representation follow
 // as in op 3 when Rep is set; the record's length tells the decoder whether
-// they are there.
+// they are there. internal/wal writes ops 1, 2 and 4 without a
+// representation; it reads op 3, and op 4 with one, from logs written while
+// ingests logged their representation.
 type WALRecord struct {
 	Op     WALOp
 	ID     int64
@@ -155,18 +157,6 @@ func exactPrefix(values []float64, e int) (int, bool) {
 // and for any other the division that follows fails whatever m is.
 func roundMantissa(x float64) int32 {
 	return int32(x + math.Copysign(0.5, x))
-}
-
-// EncodedWALRecordSize returns the exact encoded size of r.
-func EncodedWALRecordSize(r WALRecord) int {
-	size := walRecordHeader + 8*len(r.Values)
-	if r.Op == WALIngestDecimal {
-		size = walRecordHeader + 1 + 4*len(r.Values)
-	}
-	if lin, ok := r.Rep.(repr.Linear); ok && (r.Op == WALIngestRep || r.Op == WALIngestDecimal) {
-		size += WALRepSize(len(lin.Segs))
-	}
-	return size
 }
 
 // WALRepSize returns how many bytes an op-3 or op-4 record spends on the tag

@@ -2,147 +2,240 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
-	"reflect"
+	"strings"
 	"testing"
 
 	"sapla/internal/repr"
 	"sapla/internal/tsio"
 )
 
-var repTag = tsio.RepTag{Method: tsio.RepSAPLA, Gen: 1, M: 12}
+// Older directories. Until ingest stopped reducing, an ingest record could
+// carry the SAPLA representation the ingest computed — op 3 with float64
+// values, op 4 with decimal ones — whenever that cost at most 1/64 of the
+// value bytes more than the bare op-1 record. The store writes neither any
+// more. These tests write such records as the older store did, framed by
+// hand, and hold replay to the values alone.
 
-// withRep returns the series (id, v) carrying a four-segment fit of v.
-func withRep(id int64, v []float64) Series {
-	n := len(v)
-	return Series{ID: id, Values: v, Tag: repTag, Rep: repr.FitLinear(v, []int{n/4 - 1, n/2 - 1, 3*n/4 - 1, n - 1})}
-}
-
-// sameReps asserts got carries exactly want's tags and representations.
-func sameReps(t *testing.T, got, want []Series) {
+// oldRecord returns the ingest record of (id, v) as the older store logged it:
+// with a representation on segs segments of about equal length, in op 4 when
+// v has the decimal form and op 3 otherwise.
+func oldRecord(t *testing.T, id int64, v []float64, segs int) tsio.WALRecord {
 	t.Helper()
-	sameSeries(t, got, want)
-	for i := range want {
-		if got[i].Tag != want[i].Tag || !reflect.DeepEqual(got[i].Rep, want[i].Rep) {
-			t.Fatalf("series id %d: tag %+v rep %+v, want %+v %+v", got[i].ID, got[i].Tag, got[i].Rep, want[i].Tag, want[i].Rep)
-		}
+	ends := make([]int, segs)
+	for k := range ends {
+		ends[k] = (k+1)*len(v)/segs - 1
 	}
+	rec := tsio.WALRecord{Op: tsio.WALIngestDecimal, ID: id, Values: v,
+		Tag: tsio.RepTag{Method: tsio.RepSAPLA, Gen: 1, M: uint32(3 * segs)}, Rep: repr.FitLinear(v, ends)}
+	if _, err := tsio.AppendWALRecord(nil, rec); errors.Is(err, tsio.ErrWALNotDecimal) {
+		rec.Op = tsio.WALIngestRep
+	}
+	return rec
 }
 
-// TestStoreReplaysRepresentations: a log that mixes ops 1, 3 and 4 replays to
-// each live series with the representation its last ingest carried — none
-// after an op-1 re-ingest of a deleted ID — and a snapshot keeps them.
-func TestStoreReplaysRepresentations(t *testing.T) {
-	mem := NewMemFS()
-	st, _, _, err := Open(mem, Options{})
+// encodeRecord returns rec's payload.
+func encodeRecord(t *testing.T, rec tsio.WALRecord) []byte {
+	t.Helper()
+	b, err := tsio.AppendWALRecord(nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(11))
-	ref := map[int64]Series{}
-	var batch []Series
-	for id := int64(0); id < 6; id++ {
-		v := walk(rng, 1024)
-		if id%3 == 1 {
-			v = sixDecimals(v) // op 4
-		}
-		sr := withRep(id, v)
-		if id%3 == 2 {
-			sr.Tag, sr.Rep = tsio.RepTag{}, nil // op 1 inside the batch
-		}
-		batch = append(batch, sr)
-		ref[id] = sr
-	}
-	if err := st.AppendIngestBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	plain := walk(rng, 1024)
-	if err := st.AppendIngest(6, plain); err != nil {
-		t.Fatal(err)
-	}
-	ref[6] = Series{ID: 6, Values: plain}
-	// Deleted, then re-ingested through op 1: the old representation goes.
-	if err := st.AppendDelete(1); err != nil {
-		t.Fatal(err)
-	}
-	again := walk(rng, 1024)
-	if err := st.AppendIngest(1, again); err != nil {
-		t.Fatal(err)
-	}
-	ref[1] = Series{ID: 1, Values: again}
+	return b
+}
 
-	want := make([]Series, 0, len(ref))
-	for id := int64(0); id < 7; id++ {
-		want = append(want, ref[id])
+// writeOldDir writes an older store's directory into mem: snapshot 1 holding
+// snap (nil for none) and segment 2 holding logged, in the frame and snapshot
+// layouts, which did not change.
+func writeOldDir(t *testing.T, mem *MemFS, snap, logged []tsio.WALRecord) {
+	t.Helper()
+	if snap != nil {
+		data := binary.LittleEndian.AppendUint32([]byte("SAPLSNP1"), uint32(len(snap)))
+		for _, rec := range snap {
+			payload := encodeRecord(t, rec)
+			data = append(binary.LittleEndian.AppendUint32(data, uint32(len(payload))), payload...)
+		}
+		data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, castagnoli))
+		if err := writeSnapshotFile(mem, snapFileName(1), data); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := st.Close(); err != nil {
+	var frames []byte
+	for _, rec := range logged {
+		payload := encodeRecord(t, rec)
+		frames = binary.LittleEndian.AppendUint32(frames, uint32(len(payload)))
+		frames = binary.LittleEndian.AppendUint32(frames, crc32.Checksum(payload, castagnoli))
+		frames = append(frames, payload...)
+	}
+	f, err := mem.Create(segFileName(2))
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := f.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writtenRecords decodes every ingest or delete record in mem's segments and
+// snapshots.
+func writtenRecords(t *testing.T, mem *MemFS) []tsio.WALRecord {
+	t.Helper()
+	var out []tsio.WALRecord
+	for name, data := range memFiles(t, mem) {
+		switch {
+		case strings.HasSuffix(name, segSuffix):
+			valid, _, err := replaySegment(data, func(rec tsio.WALRecord) error {
+				out = append(out, rec)
+				return nil
+			})
+			if err != nil || valid != int64(len(data)) {
+				t.Fatalf("%s: %d of %d bytes replay (%v)", name, valid, len(data), err)
+			}
+		case strings.HasSuffix(name, snapSuffix):
+			if _, err := decodeSnapshot(data); err != nil {
+				t.Fatal(err)
+			}
+			for off := len(snapshotMagic) + 4; off < len(data)-4; {
+				n := int(binary.LittleEndian.Uint32(data[off:]))
+				rec, err := tsio.DecodeWALRecord(data[off+4 : off+4+n])
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, rec)
+				off += 4 + n
+			}
+		}
+	}
+	return out
+}
+
+// noRepresentation requires every record the store wrote into mem to be op
+// 1, 2 or 4 with no representation.
+func noRepresentation(t *testing.T, mem *MemFS) {
+	t.Helper()
+	for _, rec := range writtenRecords(t, mem) {
+		if rec.Op == tsio.WALIngestRep || rec.Rep != nil {
+			t.Fatalf("id %d: the store wrote op %d with representation %v", rec.ID, rec.Op, rec.Rep)
+		}
+	}
+}
+
+// TestStoreReplaysRepresentations: an older directory whose snapshot holds op-3
+// and op-4 records with representations, and whose log mixes them with op 1,
+// op 4 without one, a delete and a re-ingest, recovers every live series with
+// its values bit for bit. A store opened on it then writes no representation
+// into it, in the log or in its next snapshot.
+func TestStoreReplaysRepresentations(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ref := map[int64][]float64{}
+	var snap, logged []tsio.WALRecord
+	for id := int64(0); id < 8; id++ {
+		v := walk(rng, 1024)
+		if id%2 == 1 {
+			v = sixDecimals(v)
+		}
+		rec := oldRecord(t, id, v, 4)
+		switch {
+		case id < 4:
+			snap = append(snap, rec)
+		case id == 6:
+			logged = append(logged, tsio.WALRecord{Op: tsio.WALIngest, ID: id, Values: v})
+		default:
+			logged = append(logged, rec)
+		}
+		ref[id] = v
+	}
+	// Series 1 goes; series 2 comes back with other values in op 4 without a
+	// representation, series 3 in op 3.
+	ref[2], ref[3] = sixDecimals(walk(rng, 1024)), walk(rng, 1024)
+	logged = append(logged, tsio.WALRecord{Op: tsio.WALDelete, ID: 1},
+		tsio.WALRecord{Op: tsio.WALIngestDecimal, ID: 2, Values: ref[2]}, oldRecord(t, 3, ref[3], 4))
+	delete(ref, 1)
+	ops := map[tsio.WALOp]int{}
+	for _, rec := range append(snap, logged...) {
+		if rec.Rep != nil {
+			ops[rec.Op]++
+		}
+	}
+	if ops[tsio.WALIngestRep] != 4 || ops[tsio.WALIngestDecimal] != 4 {
+		t.Fatalf("the fixture carries representations in %v records by op, want 4 of op 3 and 4 of op 4", ops)
+	}
+	mem := NewMemFS()
+	writeOldDir(t, mem, snap, logged)
+
 	st, got, info, err := Open(mem, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Replayed != 9 {
-		t.Fatalf("replayed %d records, want 9", info.Replayed)
+	if info.SnapshotSeries != 4 || info.Replayed != len(logged) {
+		t.Fatalf("info = %+v, want 4 snapshot series and %d replayed", info, len(logged))
 	}
-	sameReps(t, got, want)
+	sameSeries(t, got, toSorted(ref))
 
-	// The same state through a snapshot, then a replay on top of it.
+	// The store carries on in the older directory without representations.
+	ref[9], ref[10] = sixDecimals(walk(rng, 1024)), walk(rng, 1024)
+	late := []Series{{ID: 9, Values: ref[9]}, {ID: 10, Values: ref[10]}}
+	if err := st.AppendIngestBatch(late); err != nil {
+		t.Fatal(err)
+	}
 	sealed, err := st.Rotate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteSnapshot(sealed, got); err != nil {
-		t.Fatal(err)
-	}
-	late := withRep(7, walk(rng, 1024))
-	if err := st.AppendIngestBatch([]Series{late}); err != nil {
+	if err := st.WriteSnapshot(sealed, append(got, late...)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, got, info, err = Open(mem, Options{})
+	noRepresentation(t, mem)
+	_, got, _, err = Open(mem, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.SnapshotSeries != 7 || info.Replayed != 1 {
-		t.Fatalf("info = %+v, want 7 snapshot series and 1 replayed", info)
-	}
-	sameReps(t, got, append(want, late))
+	sameSeries(t, got, toSorted(ref))
 }
 
-// TestStoreSizeRule: a representation is logged only when the record costs at
-// most 1/repShare of its value bytes more than the plain op-1 record, or when
-// the codec would refuse it. A record without one is the record of the bare
-// values, byte for byte, in the log and in a snapshot: op 1 for
-// full-precision values.
+// TestStoreSizeRule holds the cases of the older store's size rule, which
+// decided whether an ingest record carried its representation, to what is
+// left of it: nothing. Whatever the length and value form, the store writes
+// the bare values — op 4 when they have the decimal form, op 1 otherwise — in
+// the log and in a snapshot; and where the older store did log a
+// representation, a directory holding that record recovers the values alone.
 func TestStoreSizeRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	cut := repShare * tsio.WALRepSize(4) / 8 // the shortest full-precision series that carries four segments
+	const cut = 728 // the older rule's shortest full-precision series with four segments, at M = 12
 	for _, tc := range []struct {
-		name   string
-		series Series
-		logged bool
+		name string
+		v    []float64
+		segs int // the segments the older store logged with v; 0 for none
 	}{
-		{"long", withRep(1, walk(rng, 1024)), true},
-		{"at the cut", withRep(2, walk(rng, cut)), true},
-		{"below the cut", withRep(3, walk(rng, cut-4)), false},
-		{"short", withRep(4, walk(rng, 256)), false},
-		{"zero tag", Series{ID: 5, Values: walk(rng, 1024), Rep: withRep(5, walk(rng, 1024)).Rep}, false},
-		{"not linear", Series{ID: 6, Values: walk(rng, 1024), Tag: repTag, Rep: repr.PAA{N: 1024, Values: []float64{1}}}, false},
+		{"long", walk(rng, 1024), 4},
+		{"at the cut", walk(rng, cut), 4},
+		{"below the cut", walk(rng, cut-4), 0},
+		{"short", walk(rng, 256), 0},
+		// The older store refused a representation under a zero tag, or one
+		// that was not linear, and wrote op 1.
+		{"zero tag", walk(rng, 1024), 0},
+		{"not linear", walk(rng, 1024), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sizeRuleCase(t, tc.series, tc.logged)
+			sizeRuleCase(t, Series{ID: 1, Values: tc.v}, tc.segs)
 		})
 	}
 
-	// The cut per coefficient budget M (M/3 segments) and value form. Full
-	// precision pays 11 + 20·N bytes of representation on 8n bytes of values;
-	// six decimals pay it out of the 4n bytes the decimal form saves.
+	// The older cut per coefficient budget M (M/3 segments) and value form.
 	for _, tc := range []struct {
 		m       int
 		decimal bool
@@ -158,34 +251,45 @@ func TestStoreSizeRule(t *testing.T) {
 				if tc.decimal {
 					v = sixDecimals(v)
 				}
-				return withSegs(int64(n), v, tc.m/3)
+				return Series{ID: int64(n), Values: v}
 			}
-			if rec := loggedRecord(t, series(tc.cut)); rec.Op != map[bool]tsio.WALOp{false: tsio.WALIngestRep, true: tsio.WALIngestDecimal}[tc.decimal] {
-				t.Fatalf("op %d at the cut", rec.Op)
-			}
-			sizeRuleCase(t, series(tc.cut), true)
-			sizeRuleCase(t, series(tc.cut-1), false)
+			sizeRuleCase(t, series(tc.cut), tc.m/3)
+			sizeRuleCase(t, series(tc.cut-1), 0)
 			if tc.decimal {
-				sizeRuleCase(t, series(64), true)
+				sizeRuleCase(t, series(64), tc.m/3)
 			}
 		})
 	}
 }
 
-// sizeRuleCase requires sr's representation to be logged or not, and a
-// record without one to write the bytes of sr's bare values.
-func sizeRuleCase(t *testing.T, sr Series, logged bool) {
+// sizeRuleCase requires the store to write sr's bare values in the form they
+// take, and — when segs > 0 — the older store's record of sr with a
+// representation on segs segments to recover as sr, from the log and from a
+// snapshot.
+func sizeRuleCase(t *testing.T, sr Series, segs int) {
 	t.Helper()
-	if got := loggedRecord(t, sr).Rep != nil; got != logged {
-		t.Fatalf("%d points: logged = %v, want %v", len(sr.Values), got, logged)
+	_, decimal := tsio.DecimalExponent(sr.Values)
+	want := map[bool]tsio.WALOp{false: tsio.WALIngest, true: tsio.WALIngestDecimal}[decimal]
+	if rec := loggedRecord(t, sr); rec.Op != want || rec.Rep != nil {
+		t.Fatalf("%d points: logged op %d with representation %v, want op %d without", len(sr.Values), rec.Op, rec.Rep, want)
 	}
-	raw := Series{ID: sr.ID, Values: sr.Values}
-	a, b := storeBytes(t, sr), storeBytes(t, raw)
-	if !logged && !reflect.DeepEqual(a, b) {
-		t.Fatalf("%d points: a series without a logged representation wrote other bytes than its bare values", len(sr.Values))
+	mem := storeFiles(t, sr)
+	noRepresentation(t, mem)
+	if recs := writtenRecords(t, mem); len(recs) != 2 { // the snapshot's and the kept segment's
+		t.Fatalf("%d points: %d records written, want 2", len(sr.Values), len(recs))
 	}
-	if logged && reflect.DeepEqual(a, b) {
-		t.Fatalf("%d points: the logged representation left the bytes unchanged", len(sr.Values))
+	if segs == 0 {
+		return
+	}
+	old := oldRecord(t, sr.ID, sr.Values, segs)
+	for _, snap := range [][]tsio.WALRecord{nil, {old}} {
+		mem := NewMemFS()
+		writeOldDir(t, mem, snap, []tsio.WALRecord{old})
+		_, got, _, err := Open(mem, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSeries(t, got, []Series{sr})
 	}
 }
 
@@ -201,16 +305,6 @@ func loggedRecord(t *testing.T, sr Series) tsio.WALRecord {
 		t.Fatal(err)
 	}
 	return rec
-}
-
-// withSegs returns the series (id, v) carrying a fit of v on segs segments
-// of about equal length.
-func withSegs(id int64, v []float64, segs int) Series {
-	ends := make([]int, segs)
-	for k := range ends {
-		ends[k] = (k+1)*len(v)/segs - 1
-	}
-	return Series{ID: id, Values: v, Tag: repTag, Rep: repr.FitLinear(v, ends)}
 }
 
 // sixDecimals rounds every value of v to six decimals in place, as a sensor
@@ -233,9 +327,9 @@ func TestStoreRecordForms(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(13))
 	batch := []Series{
-		withRep(0, sixDecimals(walk(rng, 256))),
+		{ID: 0, Values: sixDecimals(walk(rng, 256))},
 		{ID: 1, Values: sixDecimals(walk(rng, 256))},
-		withRep(2, walk(rng, 256)),
+		{ID: 2, Values: walk(rng, 256)},
 		{ID: 3, Values: []float64{1, math.Copysign(0, -1)}},
 	}
 	if err := st.AppendIngestBatch(batch); err != nil {
@@ -264,14 +358,12 @@ func TestStoreRecordForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := append([]Series(nil), batch...)
-	want[2].Tag, want[2].Rep = tsio.RepTag{}, nil // full precision below the cut
-	sameReps(t, got, want)
+	sameSeries(t, got, batch)
 }
 
-// storeBytes writes sr to a fresh store, through the log and then a
-// snapshot, and returns every file's bytes.
-func storeBytes(t *testing.T, sr Series) map[string][]byte {
+// storeFiles writes sr to a fresh store, through the log and then a
+// snapshot, and returns the store's filesystem.
+func storeFiles(t *testing.T, sr Series) *MemFS {
 	t.Helper()
 	mem := NewMemFS()
 	st, _, _, err := Open(mem, Options{})
@@ -294,7 +386,7 @@ func storeBytes(t *testing.T, sr Series) map[string][]byte {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return memFiles(t, mem)
+	return mem
 }
 
 // memFiles returns every file of mem with its bytes.

@@ -38,7 +38,9 @@ const manifestName = "shards.meta"
 // directory: its replay takes any frame it cannot decode for a torn tail, so
 // it would silently truncate a final segment at the first record it does not
 // know. OpenSharded reads a version-1 or version-2 manifest and rewrites it
-// as version 3.
+// as version 3. The store now writes ops 1, 2 and 4 only (op 4 without a
+// representation), a subset of version 3's, so a version-3 reader of any age
+// reads a directory this one writes.
 const manifestMagic = "SAPLSHD3"
 
 // olderManifestMagics are the versions OpenSharded upgrades.

@@ -25,7 +25,9 @@ var snapshotMagic = []byte("SAPLSNP1")
 //
 // The trailing CRC32C covers everything before it, so any truncation or bit
 // flip anywhere in the file is caught by one footer check. Each record is
-// appendIngestRecord's choice, op 1, 3 or 4, as in the log.
+// appendIngestRecord's choice, op 1 or 4, as in the log; an older snapshot's
+// records may carry a representation (op 3, or op 4 with one), which
+// decodeSnapshot drops.
 
 // encodeSnapshot serializes series (which the caller provides sorted by ID
 // so snapshot bytes are deterministic for a given store state).
@@ -76,7 +78,7 @@ func decodeSnapshot(data []byte) ([]Series, error) {
 		if rec.Op == tsio.WALDelete {
 			return nil, fmt.Errorf("%w: series %d has op %d", ErrCorruptSnapshot, i, rec.Op)
 		}
-		out = append(out, Series{ID: rec.ID, Values: rec.Values, Tag: rec.Tag, Rep: rec.Rep})
+		out = append(out, Series{ID: rec.ID, Values: rec.Values})
 		off += recLen
 	}
 	if off != len(body) {

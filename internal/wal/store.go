@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sapla/internal/repr"
 	"sapla/internal/tsio"
 )
 
@@ -39,66 +38,28 @@ var (
 	ErrStoreClosed = errors.New("wal: store closed")
 )
 
-// Series is one live series in the recovered store.
+// Series is one live series in the recovered store. A log or snapshot
+// written before ingest stopped reducing may hold records that also carry a
+// SAPLA representation (op 3, or op 4 with one); Open reads them as their
+// values alone.
 type Series struct {
 	ID     int64
 	Values []float64
-	// Rep is the representation the ingest computed from Values, and Tag the
-	// reducer that computed it. An append logs them with the values when
-	// ingestRecord admits them and drops them otherwise; Open returns them
-	// when the live record carried them, and a nil Rep when it did not.
-	Tag tsio.RepTag
-	Rep repr.Representation
-}
-
-// repShare is the size rule for logging a representation: an ingest record
-// may cost at most 1/repShare of its value bytes more than the plain op-1
-// record of its values would. Recovery skips the reduction of a series whose
-// record carries its representation, the most expensive step of a restart.
-// Values kept as float64 bits pay the whole representation, under 1.6 % more
-// log: at M = 12 (4 segments, 91 bytes) the cut falls at 728 points, and a
-// shorter series keeps its op-1 record, byte for byte, and is reduced on
-// recovery. Values in decimal form (op 4) take half the bytes, so the
-// representation rides free from 23 points up at M = 12.
-const repShare = 64
-
-// ingestRecord is the log record of sr with its values in decimal form (op 4)
-// or as float64 bits (op 1 or 3). It carries sr's representation when the
-// size rule admits it and tsio.ValidateWALRep accepts it: a record without
-// one recovers too, by reduction.
-func ingestRecord(sr Series, decimal bool) tsio.WALRecord {
-	rec := tsio.WALRecord{Op: tsio.WALIngest, ID: sr.ID, Values: sr.Values}
-	if decimal {
-		rec.Op = tsio.WALIngestDecimal
-	}
-	lin, ok := sr.Rep.(repr.Linear)
-	if !ok {
-		return rec
-	}
-	with := rec
-	with.Tag, with.Rep = sr.Tag, lin
-	if !decimal {
-		with.Op = tsio.WALIngestRep
-	}
-	plain := tsio.EncodedWALRecordSize(tsio.WALRecord{Op: tsio.WALIngest, Values: sr.Values})
-	if repShare*(tsio.EncodedWALRecordSize(with)-plain) <= 8*len(sr.Values) &&
-		tsio.ValidateWALRep(sr.Tag, lin, len(sr.Values)) == nil {
-		return with
-	}
-	return rec
 }
 
 // appendIngestRecord appends sr's log record to dst and reports whether its
-// values took the decimal form. The decimal record is tried first: the
-// encoder's exponent search is the test of whether the values have that form,
-// and it gives up at the first value that has none, so a full-precision
-// series pays for about one value's search.
+// values took the decimal form (op 4) rather than float64 bits (op 1). The
+// decimal record is tried first: the encoder's exponent search is the test of
+// whether the values have that form, and it gives up at the first value that
+// has none, so a full-precision series pays for about one value's search.
 func appendIngestRecord(dst []byte, sr Series) ([]byte, bool, error) {
-	out, err := tsio.AppendWALRecord(dst, ingestRecord(sr, true))
+	rec := tsio.WALRecord{Op: tsio.WALIngestDecimal, ID: sr.ID, Values: sr.Values}
+	out, err := tsio.AppendWALRecord(dst, rec)
 	if !errors.Is(err, tsio.ErrWALNotDecimal) {
 		return out, err == nil, err
 	}
-	out, err = tsio.AppendWALRecord(dst, ingestRecord(sr, false))
+	rec.Op = tsio.WALIngest
+	out, err = tsio.AppendWALRecord(dst, rec)
 	return out, false, err
 }
 
@@ -118,7 +79,7 @@ type Options struct {
 // the form of their values.
 type RecordForms struct {
 	Decimal int64 // op 4: decimal mantissas under one exponent
-	F64     int64 // op 1 or 3: float64 bits
+	F64     int64 // op 1: float64 bits
 }
 
 // RecoveryInfo reports what Open found on disk.
@@ -131,7 +92,7 @@ type RecoveryInfo struct {
 	MaxID          int64  // largest ID ever seen (snapshot or any ingest); -1 when none
 }
 
-// Store is the durable record of the representation store: an append-only
+// Store is the durable record of the series store: an append-only
 // segmented WAL plus periodic snapshots. One Store owns one directory.
 // Append/Sync/Rotate serialize on an internal mutex; WriteSnapshot runs its
 // file writes outside that mutex so ingest only stalls for the rotation,
@@ -255,12 +216,12 @@ func openOnce(fsys FS, opts Options) (*Store, []Series, RecoveryInfo, error) {
 
 	// Replay every segment newer than the snapshot, in order. Only the
 	// final segment may have a torn tail; anything earlier was sealed with
-	// an fsync before its successor was created. An ingest replaces the
-	// whole entry, so an op-1 re-ingest drops an earlier representation.
+	// an fsync before its successor was created. An older directory's op-3
+	// record is an ingest like the others: its representation is dropped.
 	apply := func(rec tsio.WALRecord) error {
 		switch rec.Op {
 		case tsio.WALIngest, tsio.WALIngestRep, tsio.WALIngestDecimal:
-			state[rec.ID] = Series{ID: rec.ID, Values: rec.Values, Tag: rec.Tag, Rep: rec.Rep}
+			state[rec.ID] = Series{ID: rec.ID, Values: rec.Values}
 			if rec.ID > info.MaxID {
 				info.MaxID = rec.ID
 			}
