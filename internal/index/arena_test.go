@@ -10,9 +10,9 @@ import (
 )
 
 // liveEnts counts the non-nil slots of the entry arena.
-func liveEnts(t *DBCH) int {
+func liveEnts(ents []*Entry) int {
 	n := 0
-	for _, e := range t.ents {
+	for _, e := range ents {
 		if e != nil {
 			n++
 		}
@@ -22,28 +22,29 @@ func liveEnts(t *DBCH) int {
 
 // checkArenaAccounting asserts the free-list invariants: every arena slot is
 // either live or on the free list, and the entry arena agrees with Len().
-func checkArenaAccounting(t *testing.T, tree *DBCH) {
+func checkArenaAccounting[C any](t *testing.T, tree *tree[C]) {
 	t.Helper()
 	if got := tree.ar.live() + len(tree.ar.free); got != tree.ar.len() {
 		t.Fatalf("node arena leak: live %d + free %d != len %d",
 			tree.ar.live(), len(tree.ar.free), tree.ar.len())
 	}
-	if got := liveEnts(tree) + len(tree.entFree); got != len(tree.ents) {
+	if got := liveEnts(tree.ents) + len(tree.entFree); got != len(tree.ents) {
 		t.Fatalf("entry arena leak: live %d + free %d != len %d",
-			liveEnts(tree), len(tree.entFree), len(tree.ents))
+			liveEnts(tree.ents), len(tree.entFree), len(tree.ents))
 	}
-	if liveEnts(tree) != tree.Len() {
-		t.Fatalf("entry arena holds %d live entries, Len() = %d", liveEnts(tree), tree.Len())
+	if liveEnts(tree.ents) != tree.Len() {
+		t.Fatalf("entry arena holds %d live entries, Len() = %d", liveEnts(tree.ents), tree.Len())
 	}
 }
 
 // checkArenaModel checks the tree against the model of what it stores: the
-// entries reachable from the root are exactly live, each once; every leaf
-// keeps the hull invariant; and SafeBound k-NN answers like a linear scan
-// over live. A write through a slotsOf slice held across a call that moved
-// the slot arrays (alloc, reserve, reset) is lost, so entries vanish from the
-// tree or appear twice — the first check.
-func checkArenaModel(t *testing.T, tree *DBCH, live []int, byID map[int]*Entry, queries []dist.Query) {
+// entries reachable from the root are exactly live, each once; checkCovers
+// holds every node's cover to its contents (the DBCH hull invariant, or R-tree
+// MBRs containing their entries); and k-NN answers like a linear scan over
+// live. A write through a slotsOf slice held across a call that moved the slot
+// arrays (alloc, reserve, reset) is lost, so entries vanish from the tree or
+// appear twice — the first check.
+func checkArenaModel[C any](t *testing.T, tree *tree[C], checkCovers func(), live []int, byID map[int]*Entry, queries []dist.Query) {
 	t.Helper()
 	var reached []int
 	var walk func(nd int32)
@@ -67,7 +68,7 @@ func checkArenaModel(t *testing.T, tree *DBCH, live []int, byID map[int]*Entry, 
 	if !slices.Equal(reached, want) {
 		t.Fatalf("entries reachable from the root differ from the live set:\n got %v\nwant %v", reached, want)
 	}
-	checkHullInvariant(t, tree)
+	checkCovers()
 
 	entries := make([]*Entry, len(live))
 	for i, id := range live {
@@ -80,41 +81,90 @@ func checkArenaModel(t *testing.T, tree *DBCH, live []int, byID map[int]*Entry, 
 			t.Fatal(err)
 		}
 		if ov := overlap(res, trueKNN(entries, q.Raw, k)); len(res) != k || ov != k {
-			t.Fatalf("query %d: SafeBound k-NN has %d results, %d/%d against a linear scan over live", qi, len(res), ov, k)
+			t.Fatalf("query %d: k-NN has %d results, %d/%d against a linear scan over live", qi, len(res), ov, k)
 		}
 	}
 }
 
-// TestArenaFreeListReuse churns a tree through many delete/insert/compact
-// cycles of constant live size. Freed node and entry slots must be reused, so
-// the arenas stay bounded by their early high-water mark instead of growing
-// with the total number of operations. Each cycle runs every arena primitive
-// (alloc and freeNode on the incremental paths, reserve on InsertBatch, reset
-// on Compact), and checkArenaModel holds the tree to what it stores after the
-// build and after every cycle.
+// checkRectsContain asserts that every R-tree leaf MBR contains its entries'
+// vectors and every child MBR lies inside its parent's.
+func checkRectsContain(t *testing.T, tree *RTree) {
+	t.Helper()
+	var walk func(nd int32)
+	walk = func(nd int32) {
+		r := tree.ar.covers[nd]
+		for _, s := range tree.ar.slotsOf(nd) {
+			var in Rect
+			if tree.ar.isLeaf[nd] {
+				v := tree.ents[s].Vec()
+				in = Rect{Lo: v, Hi: v}
+			} else {
+				in = tree.ar.covers[s]
+			}
+			if !r.contains(in.Lo) || !r.contains(in.Hi) {
+				t.Fatalf("node %d: slot %d escapes the MBR", nd, s)
+			}
+			if !tree.ar.isLeaf[nd] {
+				walk(s)
+			}
+		}
+	}
+	walk(tree.root)
+}
+
+// TestArenaFreeListReuse churns each tree through many delete/insert cycles
+// of constant live size (the DBCH-tree also through InsertBatch and Compact).
+// Freed node and entry slots must be reused, so the arenas stay bounded by
+// their early high-water mark instead of growing with the total number of
+// operations. Each cycle runs every arena primitive the tree uses (alloc and
+// freeNode on the incremental paths, and for the DBCH-tree reserve on
+// InsertBatch and reset on Compact), and checkArenaModel holds the tree to
+// what it stores after the build and after every cycle.
 func TestArenaFreeListReuse(t *testing.T) {
+	const n, m = 64, 12
+	t.Run("DBCH", func(t *testing.T) {
+		tree, err := NewDBCH("SAPLA", 2, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree.SafeBound = true
+		churnArena(t, tree, &tree.tree, func() { checkHullInvariant(t, tree) }, n, m)
+	})
+	t.Run("RTree", func(t *testing.T) {
+		tree, err := NewRTree("SAPLA", n, m, 2, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		churnArena(t, tree, &tree.tree, func() { checkRectsContain(t, tree) }, n, m)
+	})
+}
+
+// churnArena is TestArenaFreeListReuse for one tree: idx is the tree and sk
+// its skeleton.
+func churnArena[C any](t *testing.T, idx Index, sk *tree[C], checkCovers func(), n, m int) {
+	type compacter interface {
+		InsertBatch([]*Entry) error
+		Fragmentation() float64
+		Compact()
+	}
+	cp, compacts := idx.(compacter)
 	rng := rand.New(rand.NewSource(60))
 	meth := buildMethod(t, "SAPLA")
-	const n, m, count, churn = 64, 12, 200, 50
+	const count, churn = 200, 50
 	var queries []dist.Query
 	for _, e := range makeEntries(t, meth, rand.New(rand.NewSource(61)), 3, n, m) {
 		queries = append(queries, dist.NewQuery(e.Raw, e.Rep))
 	}
-	tree, err := NewDBCH("SAPLA", 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree.SafeBound = true
 	live := make([]int, 0, count)
 	byID := make(map[int]*Entry, count)
 	for _, e := range makeEntries(t, meth, rng, count, n, m) {
-		if err := tree.Insert(e); err != nil {
+		if err := idx.Insert(e); err != nil {
 			t.Fatal(err)
 		}
 		live = append(live, e.ID)
 		byID[e.ID] = e
 	}
-	checkArenaModel(t, tree, live, byID, queries)
+	checkArenaModel(t, sk, checkCovers, live, byID, queries)
 	nextID := count
 
 	var maxNodes, maxEnts int
@@ -123,23 +173,24 @@ func TestArenaFreeListReuse(t *testing.T) {
 			id := live[0]
 			live = live[1:]
 			delete(byID, id)
-			if !tree.Delete(id) {
+			if !sk.Delete(id) {
 				t.Fatalf("cycle %d: entry %d not found", cycle, id)
 			}
 		}
 		// Compact between the deletes and the reinserts: that is when the
 		// free lists are at their fullest (reinserting first would drain
 		// them and hide the fragmentation).
-		if cycle%4 == 3 {
-			if tree.Fragmentation() == 0 {
+		if compacts && cycle%4 == 3 {
+			if cp.Fragmentation() == 0 {
 				t.Fatalf("cycle %d: no fragmentation after %d deletes", cycle, churn)
 			}
-			tree.Compact()
-			if f := tree.Fragmentation(); f != 0 {
+			cp.Compact()
+			if f := cp.Fragmentation(); f != 0 {
 				t.Fatalf("cycle %d: fragmentation %v after compaction", cycle, f)
 			}
 		}
-		// Half the reinserts one at a time, the other half as one batch.
+		// Half the reinserts one at a time, the other half as one batch
+		// where the tree has InsertBatch.
 		var batch []*Entry
 		for i := 0; i < churn; i++ {
 			raw := randWalk(rng, n)
@@ -148,8 +199,8 @@ func TestArenaFreeListReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := NewEntry(nextID, raw, rep)
-			if i < churn/2 {
-				if err := tree.Insert(e); err != nil {
+			if i < churn/2 || !compacts {
+				if err := idx.Insert(e); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -159,13 +210,15 @@ func TestArenaFreeListReuse(t *testing.T) {
 			byID[nextID] = e
 			nextID++
 		}
-		if err := tree.InsertBatch(batch); err != nil {
-			t.Fatal(err)
+		if compacts {
+			if err := cp.InsertBatch(batch); err != nil {
+				t.Fatal(err)
+			}
 		}
-		checkArenaAccounting(t, tree)
-		checkArenaModel(t, tree, live, byID, queries)
-		if tree.Len() != count {
-			t.Fatalf("cycle %d: Len = %d, want %d", cycle, tree.Len(), count)
+		checkArenaAccounting(t, sk)
+		checkArenaModel(t, sk, checkCovers, live, byID, queries)
+		if idx.Len() != count {
+			t.Fatalf("cycle %d: Len = %d, want %d", cycle, idx.Len(), count)
 		}
 		// The first half establishes the high-water mark (one full compact
 		// period plus the post-compaction regrowth, whose shape legitimately
@@ -173,21 +226,17 @@ func TestArenaFreeListReuse(t *testing.T) {
 		// stay near it: a leak — freed slots never reused — would grow the
 		// node arena by ~churn/2 slots every cycle and blow far past 150%.
 		if cycle < 6 {
-			if tree.ar.len() > maxNodes {
-				maxNodes = tree.ar.len()
-			}
-			if len(tree.ents) > maxEnts {
-				maxEnts = len(tree.ents)
-			}
+			maxNodes = max(maxNodes, sk.ar.len())
+			maxEnts = max(maxEnts, len(sk.ents))
 			continue
 		}
-		if limit := maxNodes + maxNodes/2; tree.ar.len() > limit {
+		if limit := maxNodes + maxNodes/2; sk.ar.len() > limit {
 			t.Fatalf("cycle %d: node arena grew to %d, past 150%% of high-water %d (slot leak)",
-				cycle, tree.ar.len(), maxNodes)
+				cycle, sk.ar.len(), maxNodes)
 		}
-		if len(tree.ents) > maxEnts {
+		if len(sk.ents) > maxEnts {
 			t.Fatalf("cycle %d: entry arena grew past high-water %d to %d (slot leak)",
-				cycle, maxEnts, len(tree.ents))
+				cycle, maxEnts, len(sk.ents))
 		}
 	}
 }
@@ -227,7 +276,7 @@ func TestCompactMatchesBulkLoad(t *testing.T) {
 	}
 
 	tree.Compact()
-	checkArenaAccounting(t, tree)
+	checkArenaAccounting(t, &tree.tree)
 
 	fresh, err := NewDBCH("SAPLA", 2, 5)
 	if err != nil {
@@ -252,12 +301,13 @@ func TestCompactMatchesBulkLoad(t *testing.T) {
 				t.Fatalf("node %d slot %d: %d != %d", nd, i, a[i], b[i])
 			}
 		}
-		if tree.ar.hullU[nd] != fresh.ar.hullU[nd] || tree.ar.hullL[nd] != fresh.ar.hullL[nd] {
+		ha, hb := tree.ar.covers[nd], fresh.ar.covers[nd]
+		if ha.hullU != hb.hullU || ha.hullL != hb.hullL {
 			t.Fatalf("node %d: hull mismatch", nd)
 		}
-		if math.Float64bits(tree.ar.volume[nd]) != math.Float64bits(fresh.ar.volume[nd]) ||
-			math.Float64bits(tree.ar.coverU[nd]) != math.Float64bits(fresh.ar.coverU[nd]) ||
-			math.Float64bits(tree.ar.coverL[nd]) != math.Float64bits(fresh.ar.coverL[nd]) {
+		if math.Float64bits(ha.volume) != math.Float64bits(hb.volume) ||
+			math.Float64bits(ha.coverU) != math.Float64bits(hb.coverU) ||
+			math.Float64bits(ha.coverL) != math.Float64bits(hb.coverL) {
 			t.Fatalf("node %d: volume/cover bits differ", nd)
 		}
 	}
@@ -322,7 +372,7 @@ func TestInsertBatchMatchesIncremental(t *testing.T) {
 	if batched.Len() != count {
 		t.Fatalf("Len = %d, want %d", batched.Len(), count)
 	}
-	checkArenaAccounting(t, batched)
+	checkArenaAccounting(t, &batched.tree)
 
 	// An empty tree takes the bulk-load path.
 	bulk, err := NewDBCH("SAPLA", 2, 5)

@@ -95,12 +95,6 @@ func TestKNNWithMatchesKNN(t *testing.T) {
 // search does not touch the heap. Each row builds its index from fresh
 // entries (Flat.Insert drops an entry's cached flat form), over
 // more than two flat blocks so the sweep crosses a block boundary.
-//
-// The R-tree row is the exception, held at what it measures today: its node
-// bound calls q.Rep.Coeffs() through the nodeDistFunc value, one slice per
-// node bounded (268 here) — a call the syntactic noalloc walk this table
-// replaced never followed. It is eval-only (Figs. 13–15); lower the number
-// when that is fixed, never raise it.
 func TestKNNWithAllocs(t *testing.T) {
 	const m, k = 12, 10
 	flat := func(int) (Index, error) { return NewFlat(), nil }
@@ -129,7 +123,7 @@ func TestKNNWithAllocs(t *testing.T) {
 		{"Flat/n1024", 1024, func() (Index, error) { return flat(0) }, knnWith, 0},
 		{"Sharded4/n1024", 1024, func() (Index, error) { return NewSharded(4, flat) }, knnWith, 0},
 		{"DBCH", 128, func() (Index, error) { return NewDBCH("SAPLA", 2, 5) }, knnWith, 0},
-		{"RTree", 128, func() (Index, error) { return NewRTree("SAPLA", 128, m, 2, 5) }, knnWith, 268},
+		{"RTree", 128, func() (Index, error) { return NewRTree("SAPLA", 128, m, 2, 5) }, knnWith, 0},
 		{"LinearScan", 128, func() (Index, error) { return NewLinearScan(), nil }, knnWith, 0},
 	}
 	for _, row := range rows {

@@ -417,8 +417,8 @@ func servedSharded4(b *testing.B, n int) *servedLong {
 }
 
 // BenchmarkServedKNN is the search-kernel delta without the HTTP harness:
-// filter/op and refine/op are the two counts a k-NN change moves, dismiss/op
-// the refinements the chunk envelope ended unread. The sharded4 rows run
+// filter/op and refine/op are the two counts a k-NN change moves. The
+// sharded4 rows run
 // through ShardedIndex.KNNWith, so their refine/op is what the bound handed
 // from shard to shard saves over four independent searches; 4x1500x512 is the
 // shortest length whose refinements abandon on the envelope
@@ -439,7 +439,6 @@ func BenchmarkServedKNN(b *testing.B) {
 			}
 			b.ReportMetric(float64(st.Filtered)/float64(b.N), "filter/op")
 			b.ReportMetric(float64(st.Measured)/float64(b.N), "refine/op")
-			b.ReportMetric(float64(st.Dismissed)/float64(b.N), "dismiss/op")
 		})
 	}
 	for _, name := range []string{"dbch", "flat"} {
@@ -485,7 +484,6 @@ func BenchmarkServedRange(b *testing.B) {
 				st.Add(s)
 			}
 			b.ReportMetric(float64(st.Measured)/float64(b.N), "refine/op")
-			b.ReportMetric(float64(st.Dismissed)/float64(b.N), "dismiss/op")
 		})
 	}
 }

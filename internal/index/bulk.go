@@ -1,90 +1,19 @@
 package index
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
+import "errors"
 
 // ErrNotEmpty is returned when bulk-loading into a non-empty tree.
 var ErrNotEmpty = errors.New("index: bulk load requires an empty tree")
 
-// BulkLoad packs entries into the R-tree bottom-up with a two-level
-// Sort-Tile-Recursive layout: entries are sorted along the highest-variance
-// coefficient dimension, tiled into slabs, each slab sorted along the
-// second-highest-variance dimension, and packed into full leaves; upper
-// levels pack consecutive nodes. Compared with one-by-one insertion it
-// builds faster and packs tighter (an ingest-time ablation for Figure 14a).
-func (t *RTree) BulkLoad(entries []*Entry) error {
-	if t.root != nil {
-		return ErrNotEmpty
-	}
-	if len(entries) == 0 {
-		return nil
-	}
-	t.dim = len(entries[0].Vec())
-	for _, e := range entries {
-		if len(e.Vec()) != t.dim {
-			return errDim(t.dim, len(e.Vec()))
-		}
-	}
-	d1, d2 := topVarianceDims(entries, t.dim)
-
-	sorted := append([]*Entry(nil), entries...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Vec()[d1] < sorted[j].Vec()[d1] })
-
-	leafCount := (len(sorted) + t.maxFill - 1) / t.maxFill
-	slabCount := int(math.Ceil(math.Sqrt(float64(leafCount))))
-	slabSize := (len(sorted) + slabCount - 1) / slabCount
-
-	var leaves []*rnode
-	for lo := 0; lo < len(sorted); lo += slabSize {
-		hi := lo + slabSize
-		if hi > len(sorted) {
-			hi = len(sorted)
-		}
-		slab := sorted[lo:hi]
-		sort.SliceStable(slab, func(i, j int) bool { return slab[i].Vec()[d2] < slab[j].Vec()[d2] })
-		for s := 0; s < len(slab); s += t.maxFill {
-			e := s + t.maxFill
-			if e > len(slab) {
-				e = len(slab)
-			}
-			leaf := &rnode{isLeaf: true, entries: append([]*Entry(nil), slab[s:e]...)}
-			leaf.rect = rectOfEntries(leaf.entries)
-			leaves = append(leaves, leaf)
-		}
-	}
-
-	level := leaves
-	for len(level) > 1 {
-		var next []*rnode
-		for lo := 0; lo < len(level); lo += t.maxFill {
-			hi := lo + t.maxFill
-			if hi > len(level) {
-				hi = len(level)
-			}
-			parent := &rnode{isLeaf: false, children: append([]*rnode(nil), level[lo:hi]...)}
-			parent.rect = rectOfNodes(parent.children)
-			next = append(next, parent)
-		}
-		level = next
-	}
-	t.root = level[0]
-	t.size = len(entries)
-	return nil
-}
-
-// BulkLoad packs entries into the DBCH-tree bottom-up. STR's coordinate
-// tiling has no analogue for distance-based covers, so entries are instead
-// ordered by their representation distance to a pivot (the first entry) —
-// the metric-space counterpart of a coordinate sort — and consecutive runs
-// are packed into full leaves, then consecutive nodes into parents, with the
-// exact hull/cover rebuild routines the incremental insert path uses. This
-// skips every split and branch-pick, so rebuilding an index from a recovered
-// snapshot costs O(n log n) distances instead of insertion's repeated
-// farthest-pair scans.
-func (t *DBCH) BulkLoad(entries []*Entry) error {
+// BulkLoad packs entries into the tree bottom-up: the cover orders them (the
+// R-tree by two-level Sort-Tile-Recursive slabs, the DBCH-tree by distance to
+// a pivot), consecutive runs fill whole leaves, and consecutive nodes fill
+// their parents, with the covers rebuilt by the routines the incremental
+// path uses. This skips every split and branch pick, so it builds faster and
+// packs tighter than one-by-one insertion (an ingest-time ablation for
+// Figure 14a), and rebuilding an index from a recovered snapshot costs
+// O(n log n) distances instead of insertion's repeated farthest-pair scans.
+func (t *tree[C]) BulkLoad(entries []*Entry) error {
 	if t.root != nilNode {
 		return ErrNotEmpty
 	}
@@ -105,44 +34,33 @@ func (t *DBCH) BulkLoad(entries []*Entry) error {
 // by Compact). Given the same entry-id ordering it is fully deterministic,
 // which is what makes a compacted tree bit-identical to a freshly
 // bulk-loaded one.
-func (t *DBCH) bulkLoad(ids []int32) {
-	pivot := ids[0]
-	type keyed struct {
-		id  int32
-		key float64
+func (t *tree[C]) bulkLoad(ids []int32) {
+	runs := t.cov.bulkOrder(ids)
+	if runs == nil {
+		runs = []int{len(ids)}
 	}
-	sorted := make([]keyed, len(ids))
-	for i, id := range ids {
-		sorted[i] = keyed{id: id, key: t.dEnt(id, pivot)}
-	}
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].key < sorted[j].key })
-
 	t.ar.reserve(nodesForBulk(len(ids), t.maxFill))
-	level := make([]int32, 0, (len(sorted)+t.maxFill-1)/t.maxFill)
-	for lo := 0; lo < len(sorted); lo += t.maxFill {
-		hi := lo + t.maxFill
-		if hi > len(sorted) {
-			hi = len(sorted)
+	level := make([]int32, 0, (len(ids)+t.maxFill-1)/t.maxFill+len(runs))
+	lo := 0
+	for _, end := range runs {
+		for ; lo < end; lo += t.maxFill {
+			leaf := t.ar.alloc(true)
+			for _, id := range ids[lo:min(lo+t.maxFill, end)] {
+				t.ar.push(leaf, id)
+			}
+			t.cov.rebuild(leaf)
+			level = append(level, leaf)
 		}
-		leaf := t.ar.alloc(true)
-		for i := lo; i < hi; i++ {
-			t.ar.push(leaf, sorted[i].id)
-		}
-		t.rebuildLeafHull(leaf)
-		level = append(level, leaf)
+		lo = end
 	}
 	for len(level) > 1 {
 		next := level[:0]
 		for lo := 0; lo < len(level); lo += t.maxFill {
-			hi := lo + t.maxFill
-			if hi > len(level) {
-				hi = len(level)
-			}
 			parent := t.ar.alloc(false)
-			for _, c := range level[lo:hi] {
+			for _, c := range level[lo:min(lo+t.maxFill, len(level))] {
 				t.ar.push(parent, c)
 			}
-			t.rebuildInternalHull(parent)
+			t.cov.rebuild(parent)
 			next = append(next, parent)
 		}
 		level = next
@@ -162,37 +80,4 @@ func nodesForBulk(n, maxFill int) int {
 		}
 		level = (level + maxFill - 1) / maxFill
 	}
-}
-
-// topVarianceDims returns the two coefficient dimensions with the largest
-// variance across the entries.
-func topVarianceDims(entries []*Entry, dim int) (int, int) {
-	variance := make([]float64, dim)
-	n := float64(len(entries))
-	for d := 0; d < dim; d++ {
-		var sum, sum2 float64
-		for _, e := range entries {
-			v := e.Vec()[d]
-			sum += v
-			sum2 += v * v
-		}
-		variance[d] = sum2/n - (sum/n)*(sum/n)
-	}
-	d1, d2 := 0, 0
-	for d := 1; d < dim; d++ {
-		if variance[d] > variance[d1] {
-			d1 = d
-		}
-	}
-	if dim > 1 {
-		if d1 == 0 {
-			d2 = 1
-		}
-		for d := 0; d < dim; d++ {
-			if d != d1 && variance[d] > variance[d2] {
-				d2 = d
-			}
-		}
-	}
-	return d1, d2
 }

@@ -24,18 +24,18 @@ func TestBulkLoadBasics(t *testing.T) {
 		t.Fatalf("stats %+v", s)
 	}
 	// Rects must cover their contents.
-	var walk func(nd *rnode) int
-	walk = func(nd *rnode) int {
-		if nd.isLeaf {
-			for _, e := range nd.entries {
-				if !nd.rect.contains(e.Vec()) {
+	var walk func(nd int32) int
+	walk = func(nd int32) int {
+		if tree.ar.isLeaf[nd] {
+			for _, eid := range tree.ar.slotsOf(nd) {
+				if !tree.ar.covers[nd].contains(tree.ents[eid].Vec()) {
 					t.Fatal("leaf rect does not contain entry")
 				}
 			}
-			return len(nd.entries)
+			return int(tree.ar.count[nd])
 		}
 		var total int
-		for _, c := range nd.children {
+		for _, c := range tree.ar.slotsOf(nd) {
 			total += walk(c)
 		}
 		return total
@@ -143,10 +143,10 @@ func TestDBCHBulkLoadMatchesKNN(t *testing.T) {
 	var walk func(nd int32) int
 	walk = func(nd int32) int {
 		if bulk.ar.isLeaf[nd] {
-			ss := bulk.ar.slotsOf(nd)
+			ss, h := bulk.ar.slotsOf(nd), bulk.ar.covers[nd]
 			for _, eid := range ss {
-				if bulk.dEnt(eid, bulk.ar.hullU[nd]) > bulk.ar.coverU[nd]+1e-9 ||
-					bulk.dEnt(eid, bulk.ar.hullL[nd]) > bulk.ar.coverL[nd]+1e-9 {
+				if bulk.dEnt(eid, h.hullU) > h.coverU+1e-9 ||
+					bulk.dEnt(eid, h.hullL) > h.coverL+1e-9 {
 					t.Fatal("leaf cover radius does not contain entry")
 				}
 			}

@@ -60,17 +60,17 @@ func TestRTreeDelete(t *testing.T) {
 		}
 	}
 	// Rect containment still holds everywhere.
-	var walk func(nd *rnode)
-	walk = func(nd *rnode) {
-		if nd.isLeaf {
-			for _, e := range nd.entries {
-				if !nd.rect.contains(e.Vec()) {
+	var walk func(nd int32)
+	walk = func(nd int32) {
+		if tree.ar.isLeaf[nd] {
+			for _, eid := range tree.ar.slotsOf(nd) {
+				if !tree.ar.covers[nd].contains(tree.ents[eid].Vec()) {
 					t.Fatal("leaf rect broken after delete")
 				}
 			}
 			return
 		}
-		for _, c := range nd.children {
+		for _, c := range tree.ar.slotsOf(nd) {
 			walk(c)
 		}
 	}
@@ -92,7 +92,7 @@ func TestRTreeDeleteAll(t *testing.T) {
 			t.Fatalf("entry %d missing", e.ID)
 		}
 	}
-	if tree.Len() != 0 || tree.root != nil {
+	if tree.Len() != 0 || tree.root != nilNode {
 		t.Fatalf("tree not empty: len=%d", tree.Len())
 	}
 	// Reusable after emptying.
@@ -143,7 +143,7 @@ func TestDBCHDelete(t *testing.T) {
 				if removed[tree.ents[eid].ID] {
 					t.Fatalf("deleted entry %d still present", tree.ents[eid].ID)
 				}
-				if d := tree.dEnt(eid, tree.ar.hullU[nd]); d > tree.ar.volume[nd]+1e-6 {
+				if d := tree.dEnt(eid, tree.ar.covers[nd].hullU); d > tree.ar.covers[nd].volume+1e-6 {
 					t.Fatal("hull invariant broken after delete")
 				}
 			}

@@ -87,8 +87,7 @@ func searchAll(t *testing.T, idx *ShardedIndex, queries []dist.Query, k int, rad
 // and range answer equals the scan's to the distance bit, and it, its
 // Measured count and the scan identity hold with the envelope abandon
 // switched off too (every refinement on ts.EuclideanSqAbandon). The filter
-// prunes at every length; below envelopeAbandonMin nothing is dismissed, and
-// 17 points leave most of the 16 chunks empty.
+// prunes at every length, and 17 points leave most of the 16 chunks empty.
 func TestFlatEnvelopeAnswersIdentical(t *testing.T) {
 	for _, n := range []int{17, 256, 512, 1000, 1024} {
 		for _, shards := range []int{1, 4, 7} {
@@ -97,7 +96,7 @@ func TestFlatEnvelopeAnswersIdentical(t *testing.T) {
 				m.n = n
 				idx := newShardedFlat(t, shards)
 				flats := shardFlats(t, idx)
-				filtered, measured, dismissed := 0, 0, 0
+				filtered, measured := 0, 0
 				for round := 0; round < 24; round++ {
 					batch := make([]*Entry, 8+m.rng.Intn(10))
 					for i := range batch {
@@ -160,19 +159,14 @@ func TestFlatEnvelopeAnswersIdentical(t *testing.T) {
 							{got.rngStats[qi], plain.rngStats[qi]},
 						} {
 							g, w := pair[0], pair[1]
-							if w.Dismissed != 0 || g.Dismissed > g.Measured || (n < envelopeAbandonMin && g.Dismissed != 0) {
-								t.Fatalf("%s: dismissed %d of %d measured, %d without the envelope abandon", label, g.Dismissed, g.Measured, w.Dismissed)
-							}
-							g.Dismissed = 0
 							if g != w {
 								t.Fatalf("%s: stats %+v, without the envelope abandon %+v", label, g, w)
 							}
 							filtered, measured = filtered+g.Filtered, measured+g.Measured
 						}
-						dismissed += got.knnStats[qi].Dismissed + got.rngStats[qi].Dismissed
 					}
 				}
-				t.Logf("%d of %d filtered rows refined, %d refinements dismissed", measured, filtered, dismissed)
+				t.Logf("%d of %d filtered rows refined", measured, filtered)
 				if measured >= filtered {
 					t.Fatalf("the filter pruned nothing: %d of %d rows refined", measured, filtered)
 				}

@@ -215,8 +215,7 @@ func abandonLimit(bound float64) float64 { return bound * bound * (1 + 1e-12) }
 // refine computes the exact squared distance from q, whose envelope is env,
 // to slot s, giving up once it provably exceeds limit (ok false), and counts
 // the refinement in stats. On series of at least envelopeAbandonMin points it
-// runs ts.EuclideanSqEnvelope against the row's envelope, which may end it
-// before reading the series (counted as Dismissed); otherwise
+// runs ts.EuclideanSqEnvelope against the row's envelope; otherwise
 // ts.EuclideanSqAbandon. Both return, when they complete, the same sequential
 // sum ts.EuclideanSq computes, so answers stay bit-identical to every other
 // index's.
@@ -227,11 +226,7 @@ func (f *Flat) refine(q dist.Query, env *ts.Envelope, s int, limit float64, stat
 		return ts.EuclideanSqAbandon(q.Raw, e.Raw, limit)
 	}
 	row, _ := f.row(s)
-	sum, ok, dismissed := ts.EuclideanSqEnvelope(q.Raw, e.Raw, env, row, limit)
-	if dismissed {
-		stats.Dismissed++
-	}
-	return sum, ok
+	return ts.EuclideanSqEnvelope(q.Raw, e.Raw, env, row, limit)
 }
 
 // measure refines slot s against the running k-th best distance and returns

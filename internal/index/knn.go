@@ -7,44 +7,29 @@ import (
 	"sapla/internal/ts"
 )
 
-// treeNode is the traversal surface both trees expose to the shared GEMINI
-// best-first k-NN search. Children are addressed by index rather than
-// returned as a slice so traversal never materialises a copy of the child
-// list — the k-NN and range searches visit thousands of nodes per query and
-// must not allocate while doing so.
-type treeNode interface {
-	IsLeaf() bool
-	NumChildren() int
-	Child(i int) treeNode
-	Entries() []*Entry
+// KNN implements Index.
+func (t *tree[C]) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
+	return pooledKNN(t, q, k)
 }
 
-// searcher is the tree side of the shared k-NN search: a query-to-node lower
-// bound. It is an interface method rather than a closure so each KNN call
-// does not allocate a bound capture.
-type searcher interface {
-	boundOf(q dist.Query, nd treeNode) float64
-}
-
-// knnSearch is the GEMINI branch-and-bound k-NN: nodes are visited in
-// increasing bound order; leaf entries are filtered with the method's
-// representation-space distance, and only entries whose filter distance
-// beats the current k-th best are fetched for an exact Euclidean distance
-// (those fetches are the paper's "time series which have to be measured").
-// All scratch state lives in ws; the returned slice aliases ws and stays
-// valid until its next use.
-func knnSearch(ws *Workspace, s searcher, root treeNode, q dist.Query, k int,
-	filter dist.FilterFunc) ([]Result, SearchStats, error) {
-
+// KNNWith implements WorkspaceSearcher: the GEMINI branch-and-bound k-NN.
+// Nodes are visited in increasing bound order off an int32 frontier, so
+// traversal never boxes a node into an interface; leaf entries are filtered
+// with the tree's representation-space distance, and only entries whose
+// filter distance beats the current k-th best are fetched for an exact
+// Euclidean distance (those fetches are the paper's "time series which have
+// to be measured"). All scratch state lives in ws; the returned slice aliases
+// ws and stays valid until its next use.
+func (t *tree[C]) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
 	var stats SearchStats
-	if root == nil || k <= 0 {
+	if t.root == nilNode || k <= 0 {
 		return nil, stats, nil
 	}
-	nodes := ws.nodes
+	ws.qvec = appendCoeffs(ws.qvec[:0], q.Rep)
+	nodes := ws.ids
 	nodes.Reset()
-	nodes.Push(0, root)
-	best := ws.best // k current best, worst on top
-	best.Reset()
+	nodes.Push(0, t.root)
+	ws.best.Reset() // k current best, worst on top
 	kth := math.Inf(1)
 
 	for nodes.Len() > 0 {
@@ -53,18 +38,18 @@ func knnSearch(ws *Workspace, s searcher, root treeNode, q dist.Query, k int,
 			break // every remaining node is at least this far
 		}
 		stats.NodesVisited++
-		if !nd.IsLeaf() {
-			for i, nc := 0, nd.NumChildren(); i < nc; i++ {
-				ch := nd.Child(i)
-				if b := s.boundOf(q, ch); b <= kth {
-					nodes.Push(b, ch)
+		if !t.ar.isLeaf[nd] {
+			for _, c := range t.ar.slotsOf(nd) {
+				if b := t.cov.nodeBound(q, ws.qvec, c); b <= kth {
+					nodes.Push(b, c)
 				}
 			}
 			continue
 		}
-		for _, e := range nd.Entries() {
+		for _, eid := range t.ar.slotsOf(nd) {
+			e := t.ents[eid]
 			stats.Filtered++
-			fd, err := filter(q, e.Rep)
+			fd, err := t.cov.filterEntry(q, e)
 			if err != nil {
 				return nil, stats, err
 			}

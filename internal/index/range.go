@@ -29,67 +29,15 @@ type RangeSearcher interface {
 	Range(q dist.Query, radius float64) ([]Result, SearchStats, error)
 }
 
-// rangeSearch is the GEMINI range query over a tree: prune nodes whose
-// bound exceeds the radius, filter leaf entries with the method's
+// Range implements RangeSearcher: the GEMINI range query — prune nodes whose
+// bound exceeds the radius, filter leaf entries with the tree's
 // representation-space distance, and verify survivors exactly.
-func rangeSearch(root treeNode, bound func(treeNode) float64, q dist.Query,
-	radius float64, filter dist.FilterFunc) ([]Result, SearchStats, error) {
-
-	var stats SearchStats
-	var out []Result
-	if root == nil || radius < 0 {
-		return nil, stats, nil
-	}
-	stack := []treeNode{root}
-	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		stats.NodesVisited++
-		if !nd.IsLeaf() {
-			for i, nc := 0, nd.NumChildren(); i < nc; i++ {
-				if ch := nd.Child(i); bound(ch) <= radius {
-					stack = append(stack, ch)
-				}
-			}
-			continue
-		}
-		for _, e := range nd.Entries() {
-			stats.Filtered++
-			fd, err := filter(q, e.Rep)
-			if err != nil {
-				return nil, stats, err
-			}
-			if fd > radius {
-				continue
-			}
-			stats.Measured++
-			exact := math.Sqrt(ts.EuclideanSq(q.Raw, e.Raw))
-			if exact <= radius {
-				out = append(out, Result{Entry: e, Dist: exact})
-			}
-		}
-	}
-	sortResults(out)
-	return out, stats, nil
-}
-
-// Range implements RangeSearcher for the R-tree.
-func (t *RTree) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {
-	if t.root == nil {
-		return nil, SearchStats{}, nil
-	}
-	bound := func(nd treeNode) float64 { return t.nodeDist(q, nd.(*rnode).rect) }
-	return rangeSearch(t.root, bound, q, radius, t.filter)
-}
-
-// Range implements RangeSearcher for the DBCH-tree: the GEMINI range query
-// over the arena — prune nodes whose bound exceeds the radius, filter leaf
-// entries, verify survivors exactly.
-func (t *DBCH) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {
+func (t *tree[C]) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {
 	var stats SearchStats
 	if t.root == nilNode || radius < 0 {
 		return nil, stats, nil
 	}
+	qv := appendCoeffs(nil, q.Rep)
 	var out []Result
 	stack := make([]int32, 1, 64)
 	stack[0] = t.root
@@ -99,7 +47,7 @@ func (t *DBCH) Range(q dist.Query, radius float64) ([]Result, SearchStats, error
 		stats.NodesVisited++
 		if !t.ar.isLeaf[nd] {
 			for _, c := range t.ar.slotsOf(nd) {
-				if t.boundID(q, c) <= radius {
+				if t.cov.nodeBound(q, qv, c) <= radius {
 					stack = append(stack, c)
 				}
 			}
@@ -108,7 +56,7 @@ func (t *DBCH) Range(q dist.Query, radius float64) ([]Result, SearchStats, error
 		for _, eid := range t.ar.slotsOf(nd) {
 			e := t.ents[eid]
 			stats.Filtered++
-			fd, err := t.filterEntry(q, e)
+			fd, err := t.cov.filterEntry(q, e)
 			if err != nil {
 				return nil, stats, err
 			}

@@ -9,28 +9,28 @@ type Rect struct {
 	Lo, Hi []float64
 }
 
-// pointRect returns the degenerate rectangle covering a single vector.
-func pointRect(v []float64) Rect {
-	lo := append([]float64(nil), v...)
-	hi := append([]float64(nil), v...)
-	return Rect{Lo: lo, Hi: hi}
+// set makes r a copy of o, reusing r's arrays when they fit.
+func (r *Rect) set(o Rect) {
+	if len(r.Lo) != len(o.Lo) {
+		buf := make([]float64, 2*len(o.Lo))
+		r.Lo, r.Hi = buf[:len(o.Lo):len(o.Lo)], buf[len(o.Lo):]
+	}
+	copy(r.Lo, o.Lo)
+	copy(r.Hi, o.Hi)
 }
 
-// clone deep-copies the rectangle.
-func (r Rect) clone() Rect {
-	return Rect{Lo: append([]float64(nil), r.Lo...), Hi: append([]float64(nil), r.Hi...)}
-}
-
-// extend grows r to cover o.
-func (r *Rect) extend(o Rect) {
+// extend grows r to cover o and reports whether r moved.
+func (r *Rect) extend(o Rect) bool {
+	moved := false
 	for d := range r.Lo {
 		if o.Lo[d] < r.Lo[d] {
-			r.Lo[d] = o.Lo[d]
+			r.Lo[d], moved = o.Lo[d], true
 		}
 		if o.Hi[d] > r.Hi[d] {
-			r.Hi[d] = o.Hi[d]
+			r.Hi[d], moved = o.Hi[d], true
 		}
 	}
+	return moved
 }
 
 // margin is the sum of the extents over all dimensions.
@@ -58,11 +58,20 @@ func (r Rect) enlargement(o Rect) float64 {
 	return inc
 }
 
-// union returns the bounding rectangle of r and o.
-func (r Rect) union(o Rect) Rect {
-	u := r.clone()
-	u.extend(o)
-	return u
+// unionMargin is the margin of the rectangle bounding r and o.
+func (r Rect) unionMargin(o Rect) float64 {
+	var m float64
+	for d := range r.Lo {
+		lo, hi := r.Lo[d], r.Hi[d]
+		if o.Lo[d] < lo {
+			lo = o.Lo[d]
+		}
+		if o.Hi[d] > hi {
+			hi = o.Hi[d]
+		}
+		m += hi - lo
+	}
+	return m
 }
 
 // contains reports whether v lies inside r.

@@ -160,7 +160,6 @@ type metrics struct {
 	// fraction of stored series a query had to fetch for exact distances.
 	queries      expvar.Int
 	measured     expvar.Int
-	dismissed    expvar.Int // of measured: ended by the chunk envelope before reading a raw value
 	filtered     expvar.Int
 	nodesVisited expvar.Int
 	candidates   expvar.Int // sum of index size at query time
@@ -202,7 +201,6 @@ func (m *metrics) observe(endpoint string, status int, d time.Duration) {
 func (m *metrics) addSearch(nq int, st index.SearchStats, size int) {
 	m.queries.Add(int64(nq))
 	m.measured.Add(int64(st.Measured))
-	m.dismissed.Add(int64(st.Dismissed))
 	m.filtered.Add(int64(st.Filtered))
 	m.nodesVisited.Add(int64(st.NodesVisited))
 	m.candidates.Add(int64(nq) * int64(size))
@@ -236,7 +234,6 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 	doc["search"] = mustJSON(map[string]any{
 		"queries":       m.queries.Value(),
 		"measured":      m.measured.Value(),
-		"dismissed":     m.dismissed.Value(),
 		"filtered":      m.filtered.Value(),
 		"nodes_visited": m.nodesVisited.Value(),
 		"candidates":    m.candidates.Value(),

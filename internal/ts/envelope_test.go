@@ -38,25 +38,25 @@ func checkRowBound(t *testing.T, a, b Series) {
 // checkEnvelope holds EuclideanSqEnvelope to EuclideanSqAbandon's contract: a
 // completed sum is bit-identical to EuclideanSq, a sum given up on — read or
 // not — proves that the full sum exceeds the limit. It reports whether the
-// kernel gave up and whether it did so without reading.
-func checkEnvelope(t *testing.T, a, b Series, limit float64) (abandoned, dismissed bool) {
+// kernel gave up.
+func checkEnvelope(t *testing.T, a, b Series, limit float64) (abandoned bool) {
 	t.Helper()
 	checkRowBound(t, a, b)
 	var qe Envelope
 	qe.Reset(a)
 	row := envelopeOf(b)
 	full := EuclideanSq(a, b)
-	sum, ok, dismissed := EuclideanSqEnvelope(a, b, &qe, row, limit)
+	sum, ok := EuclideanSqEnvelope(a, b, &qe, row, limit)
 	if ok {
-		if dismissed || math.Float64bits(sum) != math.Float64bits(full) {
-			t.Fatalf("n=%d limit=%g: completed with %v (dismissed %v), EuclideanSq says %v", len(a), limit, sum, dismissed, full)
+		if math.Float64bits(sum) != math.Float64bits(full) {
+			t.Fatalf("n=%d limit=%g: completed with %v, EuclideanSq says %v", len(a), limit, sum, full)
 		}
-		return false, false
+		return false
 	}
 	if !(sum > limit) || !(full > limit) {
-		t.Fatalf("n=%d limit=%g: gave up at %v (dismissed %v) with full sum %v", len(a), limit, sum, dismissed, full)
+		t.Fatalf("n=%d limit=%g: gave up at %v with full sum %v", len(a), limit, sum, full)
 	}
-	return true, dismissed
+	return true
 }
 
 // envelopeCase derives a query a and a candidate b from a seed, chunk by
@@ -120,36 +120,34 @@ func envelopeCase(seed int64, n int) (a, b Series) {
 // complete. Lengths cover sub-chunk series, multiples of 64 and ragged last
 // chunks.
 func TestEuclideanSqEnvelope(t *testing.T) {
-	var abandoned, dismissed int
+	abandoned := 0
 	for seed := int64(0); seed < 1500; seed++ {
 		n := []int{1, 17, 64, 100, 512, 1000, 1024}[seed%7]
 		a, b := envelopeCase(seed, n)
 		full := EuclideanSq(a, b)
 		for _, limit := range []float64{0, math.Inf(1), full, math.Nextafter(full, 0), full / 2, full * 0.999, full * 2} {
-			ab, dis := checkEnvelope(t, a, b, limit)
-			if ab {
+			if checkEnvelope(t, a, b, limit) {
 				abandoned++
-			}
-			if dis {
-				dismissed++
 			}
 		}
 		// The bound at its own distance: nothing is given up.
 		var qe Envelope
 		qe.Reset(a)
 		row := envelopeOf(b)
-		if _, ok, _ := EuclideanSqEnvelope(a, b, &qe, row, full); !ok {
+		if _, ok := EuclideanSqEnvelope(a, b, &qe, row, full); !ok {
 			t.Fatalf("seed %d n=%d: gave up on a candidate at exactly the limit %v", seed, n, full)
 		}
 	}
-	if abandoned == 0 || dismissed == 0 {
-		t.Fatalf("abandoned %d, dismissed %d: the property was not checked on both ways of giving up", abandoned, dismissed)
+	if abandoned == 0 {
+		t.Fatal("no candidate was abandoned: the property was not checked on giving up")
 	}
 }
 
 // TestEnvelopeBoundIsTight: on affine copies the bound is the exact distance
-// up to the slack, so a limit a hair below it is dismissed unread — the
-// slack is not so wide that the kernel reads what it could have skipped.
+// up to the slack, so at a limit a hair below it the kernel gives up once it
+// has read the first chunk — the slack is not so wide that the kernel reads
+// what it could have skipped. Every value past the first chunk is NaN, which
+// a completed sum would carry.
 func TestEnvelopeBoundIsTight(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a, b := make(Series, 1024), make(Series, 1024)
@@ -161,14 +159,17 @@ func TestEnvelopeBoundIsTight(t *testing.T) {
 	qe.Reset(a)
 	row := envelopeOf(b)
 	full := EuclideanSq(a, b)
-	if _, ok, dismissed := EuclideanSqEnvelope(a, b, &qe, row, full*(1-1e-5)); ok || !dismissed {
-		t.Fatalf("limit 1e-5 below the distance of an affine copy: ok %v, dismissed %v; want dismissed", ok, dismissed)
+	for i := envelopeChunkLen(len(b)); i < len(b); i++ {
+		b[i] = math.NaN()
+	}
+	if sum, ok := EuclideanSqEnvelope(a, b, &qe, row, full*(1-1e-5)); ok || !(sum > full*(1-1e-5)) {
+		t.Fatalf("limit 1e-5 below the distance of an affine copy: (%v, %v); want a give-up after the first chunk", sum, ok)
 	}
 }
 
 // TestEnvelopeOverflowDismissesNothing: a chunk whose float32 envelope
 // overflows makes the bound NaN, and the kernel falls back to plain
-// abandoning rather than trusting it.
+// abandoning rather than trusting it: it completes at the full sum.
 func TestEnvelopeOverflowDismissesNothing(t *testing.T) {
 	a, b := make(Series, 512), make(Series, 512)
 	for i := range a {
@@ -179,11 +180,11 @@ func TestEnvelopeOverflowDismissesNothing(t *testing.T) {
 	qe.Reset(a)
 	row := envelopeOf(b)
 	full := EuclideanSq(a, b)
-	if sum, ok, dismissed := EuclideanSqEnvelope(a, b, &qe, row, full); !ok || dismissed || sum != full {
-		t.Fatalf("overflowed envelope: (%v, %v, %v), want (%v, true, false)", sum, ok, dismissed, full)
+	if sum, ok := EuclideanSqEnvelope(a, b, &qe, row, full); !ok || sum != full {
+		t.Fatalf("overflowed envelope: (%v, %v), want (%v, true)", sum, ok, full)
 	}
-	if _, ok, dismissed := EuclideanSqEnvelope(a, b, &qe, row, 1); ok || dismissed {
-		t.Fatalf("overflowed envelope at limit 1: ok %v, dismissed %v; want a plain abandon", ok, dismissed)
+	if _, ok := EuclideanSqEnvelope(a, b, &qe, row, 1); ok {
+		t.Fatalf("overflowed envelope at limit 1: ok %v; want a plain abandon", ok)
 	}
 	for name, call := range map[string]func(){
 		"a short row":                    func() { EuclideanSqEnvelope(a, b, &qe, row[:EnvelopeWidth-2], 1) },
