@@ -70,6 +70,7 @@ type section struct {
 	figs      []string // the -fig values that select it
 	onRequest bool     // left out of -fig all
 	body      func() (string, error)
+	note      string // printed below the table
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -185,7 +186,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{title: "Figures 13-16 — index quality and shape", figs: []string{"13", "14", "15", "16"}, body: func() (string, error) {
 			err := indexExp()
 			return eval.FormatIndex(index), err
-		}},
+		}, note: "Both trees run on one storage and search engine (one arena skeleton, DESIGN §6) " +
+			"and differ only in their node covers, so the R-tree and DBCH-tree Build and kNN/query " +
+			"times compare an MBR cover with a distance hull, not two storage engines."},
 		{title: "K sweep — pruning/accuracy vs K", figs: []string{"ksweep"}, body: func() (string, error) {
 			err := indexExp()
 			return eval.FormatKRows(kSweep), err
@@ -259,6 +262,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
 		fmt.Fprintf(stdout, "## %s\n\n```\n%s```\n\n", s.title, body)
+		if s.note != "" {
+			fmt.Fprintf(stdout, "%s\n\n", s.note)
+		}
 	}
 	return 0
 }
