@@ -38,15 +38,16 @@ func BatchKNN(idx Index, queries []dist.Query, k, workers int) ([][]Result, []Se
 func BatchKNNContext(ctx context.Context, idx Index, queries []dist.Query, k, workers int) ([][]Result, []SearchStats, error) {
 	out := make([][]Result, len(queries))
 	stats := make([]SearchStats, len(queries))
-	ran := make([]struct {
-		done bool
+	type outcome struct {
+		done bool // the task ran
 		err  error
-	}, len(queries))
+	}
+	ran := make([]outcome, len(queries))
 	par.Do(ctx, len(queries), workers, func(qi int) {
 		// A WorkspaceSearcher's KNN borrows a Workspace from wsPool for this
 		// one search and returns a copy of the answer (pooledKNN).
-		out[qi], stats[qi], ran[qi].err = idx.KNN(queries[qi], k)
-		ran[qi].done = true
+		res, st, err := idx.KNN(queries[qi], k)
+		out[qi], stats[qi], ran[qi] = res, st, outcome{true, err}
 	})
 	answered := 0
 	var firstErr error

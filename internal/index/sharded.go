@@ -208,6 +208,9 @@ func (s *ShardedIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, Se
 		return s.shards[0].KNNWith(ws, q, k)
 	}
 	var stats SearchStats
+	if k <= 0 {
+		return nil, stats, nil
+	}
 	ws.cand = ws.cand[:0]
 	for _, sh := range s.shards {
 		res, st, err := sh.KNNWith(ws, q, k)
@@ -218,7 +221,7 @@ func (s *ShardedIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, Se
 		stats.Add(st)
 		ws.cand = append(ws.cand, res...)
 		ws.cand = append(ws.cand[:0], mergeTopK(ws, k, ws.cand)...)
-		if k > 0 && len(ws.cand) == k {
+		if len(ws.cand) == k {
 			ws.bound = ws.cand[k-1].Dist
 		}
 	}
