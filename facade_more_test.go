@@ -165,13 +165,6 @@ func TestFacadePerformanceAPIs(t *testing.T) {
 		}
 	}
 
-	// Distance workspace query matches a fresh query.
-	dw := sapla.NewDistWorkspace()
-	q := dw.NewQuery(c, dst)
-	if q.Prefix.Len() != len(c) {
-		t.Fatalf("workspace query prefix length %d", q.Prefix.Len())
-	}
-
 	// BatchKNN agrees with serial KNN through a SearchWorkspace.
 	tree, err := sapla.NewDBCH("SAPLA")
 	if err != nil {
@@ -202,7 +195,7 @@ func TestFacadePerformanceAPIs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := sapla.NewSearchWorkspace()
-	var _ sapla.WorkspaceSearcher = tree
+	var _ sapla.Index = tree
 	for qi, q := range queries {
 		res, _, err := tree.KNNWith(ws, q, 4)
 		if err != nil {

@@ -136,3 +136,22 @@ func itoa(n int) string {
 	}
 	return string(buf[i:])
 }
+
+// BenchmarkOnline streams a 1024-point series into an Online and snapshots
+// it: Algorithm 4.2 point by point, then the finishing passes.
+func BenchmarkOnline(b *testing.B) {
+	c := randWalk(44, 1024)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		on, err := NewOnline(4, SAPLA{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, v := range c {
+			on.Append(v)
+		}
+		if _, err := on.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -114,3 +114,24 @@ func TestOnlineExactBounds(t *testing.T) {
 		t.Fatalf("segments = %d", rep.Segments())
 	}
 }
+
+// TestOnlineSnapshotAllocs holds Snapshot to the Reducer's reuse: once its
+// buffers have grown, a snapshot allocates only the returned representation.
+func TestOnlineSnapshotAllocs(t *testing.T) {
+	on, err := NewOnline(4, SAPLA{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range randWalk(12, 1024) {
+		on.Append(v)
+	}
+	// AllocsPerRun's own warm-up run grows the buffers.
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := on.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("Snapshot allocates %v times, want ≤ 1", allocs)
+	}
+}

@@ -71,11 +71,33 @@ func (r *Reducer) reduce(dst repr.Linear, c ts.Series, m int, stages *[2]repr.Li
 	if err != nil {
 		return repr.Linear{}, err
 	}
+	st := r.load(c)
+	st.initialize(nSeg, r.eta)
+	r.finish(nSeg, stages)
+	out := st.appendRepr(dst)
+	// Release the caller's series so the workspace does not pin it.
+	st.c = nil
+	return out, nil
+}
+
+// load points the working state at c, with c's prefix sums and an empty
+// split memo, and returns it.
+func (r *Reducer) load(c ts.Series) *state {
 	r.prefix.Reset(c)
 	r.splits.reset()
 	st := &r.st
 	st.c, st.p, st.exact, st.splits = c, &r.prefix, r.cfg.ExactBounds, &r.splits
-	st.initialize(nSeg, r.eta)
+	return st
+}
+
+// finish takes the initialization in the working state through the rest of
+// the pipeline: the exact β of every segment in ExactBounds mode, the split &
+// merge iteration (Algorithm 4.3) and the endpoint movement (Algorithms
+// 4.4–4.5), under the config's pass budgets. A non-nil stages receives
+// freshly allocated copies of the segmentation after initialization and
+// after the split & merge iteration.
+func (r *Reducer) finish(nSeg int, stages *[2]repr.Linear) {
+	st := &r.st
 	if st.exact {
 		for i := range st.segs {
 			g := &st.segs[i]
@@ -109,10 +131,6 @@ func (r *Reducer) reduce(dst repr.Linear, c ts.Series, m int, stages *[2]repr.Li
 			}
 		}
 	}
-	out := st.appendRepr(dst)
-	// Release the caller's series so the workspace does not pin it.
-	st.c = nil
-	return out, nil
 }
 
 // reducerPool backs SAPLA.Reduce: every facade-level reduction borrows a

@@ -17,6 +17,12 @@
 // deviation etc.) are computed exactly by the evaluation harness, while the
 // β bounds here are the paper's cheap conditional bounds used only to drive
 // the search.
+//
+// Each step exists once. Reducer runs the pipeline on a stored series; Online
+// is the same pipeline fed one point at a time: stage 1 is a single
+// left-to-right scan (scan.extend), so a stream takes it point by point, and a
+// snapshot hands the streamed segments to its own Reducer, which runs stages 2
+// and 3 exactly as for a stored series.
 package core
 
 import (
@@ -129,32 +135,41 @@ type state struct {
 	splits *splitMemo // outcomes of splitSeg for this series
 }
 
-// initialize is Algorithm 4.2: scan once, growing the current segment and
-// cutting whenever the Increment Area ranks among the N−1 largest seen.
-// st.c and st.p must already describe the series; the segment buffer and the
-// η queue are reset and reused.
+// initialize is Algorithm 4.2 over the whole series. st.c and st.p must
+// already describe the series; the segment buffer and the η queue are reset
+// and reused.
 func (st *state) initialize(nSeg int, eta *pqueue.Heap[struct{}]) {
-	st.segs = st.segs[:0]
 	eta.Reset()
-	c := st.c
-	n := len(c)
-	// η holds the N−1 largest increment areas seen; its minimum is the
-	// increment threshold.
-	capacity := nSeg - 1
+	var sc scan
+	st.segs = st.segs[:0]
+	sc.extend(st.c, 0, eta, nSeg-1, &st.segs)
+	st.segs = append(st.segs, sc.open(len(st.c)-1))
+}
 
-	start := 0
-	for start < n {
-		if start == n-1 {
-			// A single trailing point becomes a one-point segment.
-			st.push(seg{line: segment.Line{A: 0, B: c[start]}, start: start, end: start})
-			break
-		}
-		line := segment.Line{A: c[start+1] - c[start], B: c[start]}
-		l := 2
-		var maxD, beta float64
-		pos := start + 2
-		cut := false
-		for pos < n {
+// scan is Algorithm 4.2's open segment: its first point, its line and the
+// running max deviation and upper bound β of the points it holds. The batch
+// reducer drives it over a stored series, Online one point at a time.
+type scan struct {
+	start      int
+	line       segment.Line
+	maxD, beta float64
+}
+
+// extend takes points c[from:] into the scan, appending every segment a cut
+// closes to closed. A segment's first two points only seed its line (the
+// scan resumes two positions after a cut); from the third on, each point's
+// Increment Area enters η, which keeps the capacity largest areas seen, and
+// an area that ranks among them cuts: the open segment closes before the
+// point, and the next opens at it.
+func (sc *scan) extend(c ts.Series, from int, eta *pqueue.Heap[struct{}], capacity int, closed *[]seg) {
+	start, line, maxD, beta := sc.start, sc.line, sc.maxD, sc.beta
+	for pos := from; pos < len(c); pos++ {
+		switch l := pos - start; l {
+		case 0:
+			line, maxD, beta = segment.Line{A: 0, B: c[pos]}, 0, 0
+		case 1:
+			line = segment.Line{A: c[pos] - c[start], B: c[start]}
+		default:
 			inc := segment.Append(line, l, c[pos])
 			area := segment.IncrementArea(inc, line, l)
 			if capacity > 0 && (eta.Len() < capacity || area > eta.PeekPriority()) {
@@ -162,24 +177,21 @@ func (st *state) initialize(nSeg int, eta *pqueue.Heap[struct{}]) {
 					eta.Pop()
 				}
 				eta.Push(area, struct{}{})
-				cut = true
-				break
+				*closed = append(*closed, seg{line: line, start: start, end: pos - 1, beta: beta})
+				start, line, maxD, beta = pos, segment.Line{A: 0, B: c[pos]}, 0, 0
+				continue
 			}
 			beta, maxD = segment.BetaInit(c[start:pos+1], inc, line, l, maxD)
 			line = inc
-			l++
-			pos++
 		}
-		end := pos - 1
-		if !cut {
-			end = n - 1
-		}
-		st.push(seg{line: line, start: start, end: end, beta: beta})
-		start = end + 1
 	}
+	sc.start, sc.line, sc.maxD, sc.beta = start, line, maxD, beta
 }
 
-func (st *state) push(g seg) { st.segs = append(st.segs, g) }
+// open returns the open segment as it stands, ending at point end.
+func (sc *scan) open(end int) seg {
+	return seg{line: sc.line, start: sc.start, end: end, beta: sc.beta}
+}
 
 func (st *state) size() int { return len(st.segs) }
 
@@ -553,9 +565,9 @@ func (st *state) moveEndpoints(order *pqueue.Heap[int]) bool {
 }
 
 // toRepr converts the working segmentation to a freshly allocated
-// repr.Linear.
+// repr.Linear, in one allocation.
 func (st *state) toRepr() repr.Linear {
-	return st.appendRepr(repr.Linear{})
+	return st.appendRepr(repr.Linear{Segs: make([]repr.LinearSeg, 0, len(st.segs))})
 }
 
 // appendRepr writes the working segmentation into dst, reusing dst's segment

@@ -46,25 +46,6 @@ func FlattenLinear(r repr.Representation) *FlatLinear {
 	return f
 }
 
-// Valid reports whether f is a well-formed segmentation of a length-N series:
-// one slope and intercept per endpoint, endpoints strictly increasing from a
-// non-negative first one to N−1. PARFlat's merge loop indexes by endpoint
-// without further checks, so anything stored for repeated evaluation (the
-// rows of index.Flat) is validated once, on the way in.
-func (f *FlatLinear) Valid() bool {
-	if f == nil || f.N <= 0 || len(f.R) == 0 || len(f.A) != len(f.R) || len(f.C) != len(f.R) {
-		return false
-	}
-	prev := int32(-1)
-	for _, r := range f.R {
-		if r <= prev {
-			return false
-		}
-		prev = r
-	}
-	return prev == int32(f.N-1)
-}
-
 // PARFlat is Dist_PAR (Definition 5.1) over two flattened representations:
 // the merge loop over the union of right endpoints with the closed-form
 // Dist_S (Eq. 12) per aligned sub-segment, 4-way unrolled onto independent

@@ -18,7 +18,7 @@ func TestPARFlatMatchesPAR(t *testing.T) {
 	seed := int64(700)
 	for _, tc := range cases {
 		for trial := 0; trial < 4; trial++ {
-			a := wsReps(t, []int64{seed, seed + 1}, tc.n, tc.m)
+			a := linearReps(t, []int64{seed, seed + 1}, tc.n, tc.m)
 			seed += 2
 			want, err := PAR(a[0], a[1])
 			if err != nil {
@@ -39,7 +39,7 @@ func TestPARFlatMatchesPAR(t *testing.T) {
 // TestPARFlatSelfZero: distance to itself is exactly zero (every da and db
 // cancels before any rounding).
 func TestPARFlatSelfZero(t *testing.T) {
-	reps := wsReps(t, []int64{900}, 256, 12)
+	reps := linearReps(t, []int64{900}, 256, 12)
 	f := FlattenLinear(reps[0])
 	if d := PARFlat(f, f); d != 0 {
 		t.Fatalf("self distance = %v", d)
@@ -49,9 +49,9 @@ func TestPARFlatSelfZero(t *testing.T) {
 // TestPARFlatIncompatible: every malformed pairing answers +Inf instead of
 // a wrong finite distance.
 func TestPARFlatIncompatible(t *testing.T) {
-	reps := wsReps(t, []int64{901, 902}, 128, 12)
+	reps := linearReps(t, []int64{901, 902}, 128, 12)
 	f := FlattenLinear(reps[0])
-	short := FlattenLinear(wsReps(t, []int64{903}, 64, 12)[0])
+	short := FlattenLinear(linearReps(t, []int64{903}, 64, 12)[0])
 	torn := FlattenLinear(reps[1])
 	torn.R[len(torn.R)-1] = 100 // no longer covers [0, N)
 	for name, pair := range map[string][2]*FlatLinear{
@@ -87,7 +87,7 @@ func TestFlattenLinearNil(t *testing.T) {
 // evaluating segment i's line at global position p via A[i]*p + C[i] must
 // equal the repr.Linear evaluation in local time.
 func TestFlattenLinearIntercepts(t *testing.T) {
-	reps := wsReps(t, []int64{910}, 256, 12)
+	reps := linearReps(t, []int64{910}, 256, 12)
 	l, ok := AsLinear(reps[0])
 	if !ok {
 		t.Fatal("not linear")
@@ -103,36 +103,5 @@ func TestFlattenLinearIntercepts(t *testing.T) {
 			}
 		}
 		start = s.R + 1
-	}
-}
-
-// TestFlatLinearValid: what a flattened reduction yields is valid; every way
-// of breaking the endpoint sequence the merge loop relies on is not.
-func TestFlatLinearValid(t *testing.T) {
-	good := FlattenLinear(wsReps(t, []int64{920}, 128, 12)[0])
-	if !good.Valid() {
-		t.Fatalf("flattened reduction invalid: %+v", good)
-	}
-	mutate := func(f func(*FlatLinear)) *FlatLinear {
-		c := &FlatLinear{N: good.N,
-			A: append([]float64(nil), good.A...),
-			C: append([]float64(nil), good.C...),
-			R: append([]int32(nil), good.R...)}
-		f(c)
-		return c
-	}
-	for name, bad := range map[string]*FlatLinear{
-		"nil":             nil,
-		"empty":           {N: 128},
-		"zero length":     mutate(func(c *FlatLinear) { c.N = 0 }),
-		"short of N-1":    mutate(func(c *FlatLinear) { c.R[len(c.R)-1]-- }),
-		"not increasing":  mutate(func(c *FlatLinear) { c.R[1] = c.R[0] }),
-		"negative first":  mutate(func(c *FlatLinear) { c.R[0] = -1 }),
-		"ragged slopes":   mutate(func(c *FlatLinear) { c.A = c.A[1:] }),
-		"ragged constant": mutate(func(c *FlatLinear) { c.C = c.C[1:] }),
-	} {
-		if bad.Valid() {
-			t.Fatalf("%s: reported valid", name)
-		}
 	}
 }

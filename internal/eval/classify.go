@@ -33,11 +33,11 @@ func ClassificationExperiment(opt Options, m, k int) ([]ClassificationRow, error
 	nm, nd := len(methods), len(opt.Datasets)
 	slots := make([]acc, nd*nm)
 	errs := make([]error, nd*nm)
-	gens := newLabelledCache(opt)
+	gens := newDatasetCache(opt)
 
 	par.Do(context.Background(), nd*nm, opt.Workers, func(u int) {
 		di, mi := u/nm, u%nm
-		train, test := gens.get(di)
+		train, test := gens.instances(di)
 		if len(test) == 0 {
 			return
 		}

@@ -196,7 +196,7 @@ func IndexExperiment(opt Options, m int) ([]IndexRow, []KRow, error) {
 			return
 		}
 		trees := []struct {
-			idx   index.WorkspaceSearcher
+			idx   index.Index
 			stats func() index.TreeStats
 			slot  int
 		}{

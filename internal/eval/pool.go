@@ -11,13 +11,15 @@ import (
 
 // datasetCache generates each dataset at most once, on demand, whichever
 // unit touches it first — the piece that lets experiments parallelise below
-// dataset granularity without regenerating data per unit. Safe for
-// concurrent use.
+// dataset granularity without regenerating data per unit. It keeps the
+// labelled instances (classification) and their bare series (every other
+// experiment). Safe for concurrent use.
 type datasetCache struct {
-	opt     Options
-	once    []sync.Once
-	data    [][]ts.Series
-	queries [][]ts.Series
+	opt         Options
+	once        []sync.Once
+	train, test [][]ucr.Instance
+	data        [][]ts.Series
+	queries     [][]ts.Series
 }
 
 func newDatasetCache(opt Options) *datasetCache {
@@ -25,53 +27,39 @@ func newDatasetCache(opt Options) *datasetCache {
 	return &datasetCache{
 		opt:     opt,
 		once:    make([]sync.Once, n),
+		train:   make([][]ucr.Instance, n),
+		test:    make([][]ucr.Instance, n),
 		data:    make([][]ts.Series, n),
 		queries: make([][]ts.Series, n),
 	}
 }
 
-// get returns dataset di's stored series and held-out queries, generating
-// them on first use.
-func (dc *datasetCache) get(di int) (data, queries []ts.Series) {
+// generate fills dataset di's slots on first use.
+func (dc *datasetCache) generate(di int) {
 	dc.once[di].Do(func() {
-		insts, qinsts := dc.opt.Datasets[di].Generate(dc.opt.Cfg)
-		dc.data[di] = seriesOf(insts)
-		dc.queries[di] = seriesOf(qinsts)
+		dc.train[di], dc.test[di] = dc.opt.Datasets[di].Generate(dc.opt.Cfg)
+		dc.data[di] = seriesOf(dc.train[di])
+		dc.queries[di] = seriesOf(dc.test[di])
 	})
+}
+
+// get returns dataset di's stored series and held-out queries.
+func (dc *datasetCache) get(di int) (data, queries []ts.Series) {
+	dc.generate(di)
 	return dc.data[di], dc.queries[di]
+}
+
+// instances returns dataset di's labelled training and test instances.
+func (dc *datasetCache) instances(di int) (train, test []ucr.Instance) {
+	dc.generate(di)
+	return dc.train[di], dc.test[di]
 }
 
 // generateAll forces every dataset into the cache, in parallel. Experiments
 // that need the generated shapes up front (to lay out work units) call this
 // instead of generating lazily.
 func (dc *datasetCache) generateAll(workers int) {
-	par.Do(context.Background(), len(dc.opt.Datasets), workers, func(di int) { dc.get(di) })
-}
-
-// labelledCache is the datasetCache analogue for experiments that need the
-// labelled instances (classification), not bare series.
-type labelledCache struct {
-	opt   Options
-	once  []sync.Once
-	train [][]ucr.Instance
-	test  [][]ucr.Instance
-}
-
-func newLabelledCache(opt Options) *labelledCache {
-	n := len(opt.Datasets)
-	return &labelledCache{
-		opt:   opt,
-		once:  make([]sync.Once, n),
-		train: make([][]ucr.Instance, n),
-		test:  make([][]ucr.Instance, n),
-	}
-}
-
-func (lc *labelledCache) get(di int) (train, test []ucr.Instance) {
-	lc.once[di].Do(func() {
-		lc.train[di], lc.test[di] = lc.opt.Datasets[di].Generate(lc.opt.Cfg)
-	})
-	return lc.train[di], lc.test[di]
+	par.Do(context.Background(), len(dc.opt.Datasets), workers, dc.generate)
 }
 
 func seriesOf(insts []ucr.Instance) []ts.Series {

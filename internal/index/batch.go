@@ -44,7 +44,7 @@ func BatchKNNContext(ctx context.Context, idx Index, queries []dist.Query, k, wo
 	}
 	ran := make([]outcome, len(queries))
 	par.Do(ctx, len(queries), workers, func(qi int) {
-		// A WorkspaceSearcher's KNN borrows a Workspace from wsPool for this
+		// An index's KNN borrows a Workspace from wsPool for this
 		// one search and returns a copy of the answer (pooledKNN).
 		res, st, err := idx.KNN(queries[qi], k)
 		out[qi], stats[qi], ran[qi] = res, st, outcome{true, err}

@@ -65,13 +65,12 @@ func TestKNNWithMatchesKNN(t *testing.T) {
 	queries := testQueries(t, 10, 128, 12)
 	for name, idx := range testIndexes(t, entries, 128, 12) {
 		ws := NewWorkspace()
-		s := idx.(WorkspaceSearcher)
 		for qi, q := range queries {
 			want, wantStats, err := idx.KNN(q, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotStats, err := s.KNNWith(ws, q, 8)
+			got, gotStats, err := idx.KNNWith(ws, q, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +99,7 @@ func TestKNNWithAllocs(t *testing.T) {
 	flat := func(int) (Index, error) { return NewFlat(), nil }
 	concurrent := func() (Index, error) { return NewConcurrent(NewFlat()), nil }
 	knnWith := func(idx Index, ws *Workspace, q dist.Query) (SearchStats, error) {
-		_, st, err := idx.(WorkspaceSearcher).KNNWith(ws, q, k)
+		_, st, err := idx.KNNWith(ws, q, k)
 		return st, err
 	}
 	knnSnapshot := func(idx Index, ws *Workspace, q dist.Query) (SearchStats, error) {
@@ -356,9 +355,10 @@ func TestBatchKNNContextCanceled(t *testing.T) {
 	}
 }
 
-// stackProbe is an Index (and deliberately not a WorkspaceSearcher) that
-// records, per KNN call, whether the calling goroutine's stack passes through
-// the named function, and cancels a context after a set number of calls.
+// stackProbe is an Index that records, per KNN call, whether the calling
+// goroutine's stack passes through the named function, and cancels a context
+// after a set number of calls. KNNWith and Range go to the scan unrecorded:
+// BatchKNN calls KNN.
 type stackProbe struct {
 	scan     Index
 	through  string
@@ -381,6 +381,12 @@ func (p *stackProbe) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 	}
 	p.mu.Unlock()
 	return p.scan.KNN(q, k)
+}
+func (p *stackProbe) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
+	return p.scan.KNNWith(ws, q, k)
+}
+func (p *stackProbe) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {
+	return p.scan.Range(q, radius)
 }
 
 // TestBatchKNNSerialOnCaller: with one worker — asked for, or all a single

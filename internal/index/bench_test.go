@@ -425,7 +425,7 @@ func servedSharded4(b *testing.B, n int) *servedLong {
 // (envelopeAbandonMin), and flat (6000 × 256) the longest below it.
 func BenchmarkServedKNN(b *testing.B) {
 	idxs, queries := servedPair(b)
-	run := func(name string, idx WorkspaceSearcher, queries []dist.Query) {
+	run := func(name string, idx Index, queries []dist.Query) {
 		b.Run(name, func(b *testing.B) {
 			ws := NewWorkspace()
 			var st SearchStats
@@ -442,7 +442,7 @@ func BenchmarkServedKNN(b *testing.B) {
 		})
 	}
 	for _, name := range []string{"dbch", "flat"} {
-		run(name, idxs[name].(WorkspaceSearcher), queries)
+		run(name, idxs[name], queries)
 	}
 	long := servedSharded4(b, 1024)
 	run("sharded4/1500x1024", long.idx, long.queries)
@@ -457,7 +457,7 @@ func BenchmarkServedKNN(b *testing.B) {
 func BenchmarkServedRange(b *testing.B) {
 	idxs, queries := servedPair(b)
 	for _, name := range []string{"dbch", "flat"} {
-		idx := idxs[name].(RangeSearcher)
+		idx := idxs[name]
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -1,16 +1,11 @@
 package index
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 
 	"sapla/internal/dist"
 )
-
-// ErrNoRange is the range answer of a ConcurrentIndex (and so of a
-// ShardedIndex) over an index that cannot answer range queries.
-var ErrNoRange = errors.New("index: the wrapped index has no range search")
 
 // Deleter is implemented by indexes that can remove an entry by ID (the flat
 // tier and both trees; the linear scan opts out).
@@ -156,7 +151,7 @@ func (c *ConcurrentIndex) KNN(q dist.Query, k int) ([]Result, SearchStats, error
 	return pooledKNN(c, q, k)
 }
 
-// KNNWith implements WorkspaceSearcher. The results correspond to one
+// KNNWith implements Index. The results correspond to one
 // consistent state of the index: the one the shared lock holds still.
 func (c *ConcurrentIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
 	res, stats, _, err := c.KNNSnapshot(ws, q, k)
@@ -171,24 +166,15 @@ func (c *ConcurrentIndex) KNNSnapshot(ws *Workspace, q dist.Query, k int) ([]Res
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	epoch := c.epoch.Load()
-	if s, ok := c.inner.(WorkspaceSearcher); ok {
-		res, stats, err := s.KNNWith(ws, q, k)
-		return res, stats, epoch, err
-	}
-	res, stats, err := c.inner.KNN(q, k)
+	res, stats, err := c.inner.KNNWith(ws, q, k)
 	return res, stats, epoch, err
 }
 
-// Range implements RangeSearcher under the shared lock when the wrapped
-// index does; otherwise it returns ErrNoRange.
+// Range implements Index under the shared lock.
 func (c *ConcurrentIndex) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	r, ok := c.inner.(RangeSearcher)
-	if !ok {
-		return nil, SearchStats{}, ErrNoRange
-	}
-	return r.Range(q, radius)
+	return c.inner.Range(q, radius)
 }
 
 // View runs f with the wrapped index under the shared lock — for read-only

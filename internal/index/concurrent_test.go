@@ -1,7 +1,6 @@
 package index
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -21,26 +20,6 @@ func newConcurrentDBCH(t *testing.T) *ConcurrentIndex {
 	}
 	tree.SafeBound = true
 	return NewConcurrent(tree)
-}
-
-// TestConcurrentRangeWithoutRange: over an index with no range search, Range
-// is ErrNoRange — bare, and behind one and four shards — not an empty answer.
-func TestConcurrentRangeWithoutRange(t *testing.T) {
-	type knnOnly struct{ Index } // hides the scan's Range
-	entries := makeEntries(t, buildMethod(t, "SAPLA"), rand.New(rand.NewSource(8)), 20, 64, 12)
-	q := dist.NewQuery(entries[0].Raw, entries[0].Rep)
-	inner := func(int) (Index, error) { return knnOnly{NewLinearScan()}, nil }
-	s1, _ := NewSharded(1, inner)
-	s4, _ := NewSharded(4, inner)
-	for name, idx := range map[string]flatLike{"bare": NewConcurrent(knnOnly{NewLinearScan()}), "sharded1": s1, "sharded4": s4} {
-		if err := idx.InsertBatch(entries); err != nil {
-			t.Fatal(err)
-		}
-		res, _, err := idx.Range(q, math.Inf(1))
-		if !errors.Is(err, ErrNoRange) || res != nil {
-			t.Fatalf("%s: range %d results, err %v; want ErrNoRange", name, len(res), err)
-		}
-	}
 }
 
 func TestConcurrentIndexBasics(t *testing.T) {

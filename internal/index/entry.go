@@ -44,14 +44,22 @@ func NewEntry(id int, raw ts.Series, rep repr.Representation) *Entry {
 // Vec returns the entry's coefficient vector.
 func (e *Entry) Vec() []float64 { return e.vec }
 
-// Index is a searchable collection of entries. Both trees and the linear
-// scan implement it.
+// Index is a searchable collection of entries. Every index in this package
+// implements it: the flat tier, both trees, the linear scan and the
+// concurrent and sharded wrappers.
 type Index interface {
 	// Insert adds an entry.
 	Insert(e *Entry) error
 	// KNN returns the k nearest entries to the query under the index's
 	// search strategy, along with search statistics.
 	KNN(q dist.Query, k int) ([]Result, SearchStats, error)
+	// KNNWith is KNN on a caller-supplied Workspace. The returned slice
+	// aliases the workspace and stays valid only until the workspace's next
+	// search.
+	KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error)
+	// Range is the GEMINI framework's other query type: every stored series
+	// within Euclidean distance radius of the query.
+	Range(q dist.Query, radius float64) ([]Result, SearchStats, error)
 	// Len returns the number of stored entries.
 	Len() int
 }

@@ -245,7 +245,7 @@ func (f *Flat) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 	return pooledKNN(f, q, k)
 }
 
-// KNNWith implements WorkspaceSearcher in two passes over a workspace-owned
+// KNNWith implements Index in two passes over a workspace-owned
 // buffer of filter distances. Pass 1 filters every live entry and keeps the k
 // smallest filter distances; those entries are measured first, which seeds
 // the k-th best distance close to its final value. Pass 2 walks the buffer
@@ -305,7 +305,7 @@ func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 	return ws.drainResults(), stats, nil
 }
 
-// Range implements RangeSearcher: the one-pass twin of KNNWith against a
+// Range implements Index: the one-pass twin of KNNWith against a
 // fixed bound — filter a block, measure what the filter lets through,
 // abandoning past radius².
 func (f *Flat) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {

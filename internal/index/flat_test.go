@@ -20,7 +20,6 @@ import (
 // ShardedIndex of Flat shards both satisfy it.
 type flatLike interface {
 	Index
-	RangeSearcher
 	BatchInserter
 	Deleter
 }

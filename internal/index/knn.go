@@ -12,7 +12,7 @@ func (t *tree[C]) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 	return pooledKNN(t, q, k)
 }
 
-// KNNWith implements WorkspaceSearcher: the GEMINI branch-and-bound k-NN.
+// KNNWith implements Index: the GEMINI branch-and-bound k-NN.
 // Nodes are visited in increasing bound order off an int32 frontier, so
 // traversal never boxes a node into an interface; leaf entries are filtered
 // with the tree's representation-space distance, and only entries whose
@@ -86,7 +86,7 @@ func (s *LinearScan) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 	return pooledKNN(s, q, k)
 }
 
-// KNNWith implements WorkspaceSearcher: exhaustive search through a
+// KNNWith implements Index: exhaustive search through a
 // k-bounded heap, so a scan over n entries costs O(n log k) and zero
 // allocations instead of the sort-everything O(n log n).
 func (s *LinearScan) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {

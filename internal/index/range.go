@@ -22,14 +22,7 @@ func sortResults(out []Result) {
 	})
 }
 
-// RangeSearcher is implemented by indexes that support ε-range queries —
-// the other query type of the GEMINI framework: return every stored series
-// within Euclidean distance radius of the query.
-type RangeSearcher interface {
-	Range(q dist.Query, radius float64) ([]Result, SearchStats, error)
-}
-
-// Range implements RangeSearcher: the GEMINI range query — prune nodes whose
+// Range implements Index: the GEMINI range query — prune nodes whose
 // bound exceeds the radius, filter leaf entries with the tree's
 // representation-space distance, and verify survivors exactly.
 func (t *tree[C]) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {
@@ -74,7 +67,7 @@ func (t *tree[C]) Range(q dist.Query, radius float64) ([]Result, SearchStats, er
 	return out, stats, nil
 }
 
-// Range implements RangeSearcher for the linear scan (exact).
+// Range implements Index for the linear scan (exact).
 func (s *LinearScan) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {
 	stats := SearchStats{Measured: len(s.entries)}
 	var out []Result

@@ -92,7 +92,7 @@ func hashTreeState(t *testing.T, s shapeHash, idx Index, queries []dist.Query) {
 	for _, q := range queries {
 		var radii []float64
 		for _, k := range []int{1, 8} {
-			res, sst, err := idx.(WorkspaceSearcher).KNNWith(ws, q, k)
+			res, sst, err := idx.KNNWith(ws, q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func hashTreeState(t *testing.T, s shapeHash, idx Index, queries []dist.Query) {
 			radii = append(radii, radii[1]*1.25)
 		}
 		for _, r := range radii {
-			res, sst, err := idx.(RangeSearcher).Range(q, r)
+			res, sst, err := idx.Range(q, r)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -192,7 +192,7 @@ func (s *ShardedIndex) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 	return pooledKNN(s, q, k)
 }
 
-// KNNWith implements WorkspaceSearcher by visiting the shards in order on one
+// KNNWith implements Index by visiting the shards in order on one
 // workspace and keeping one running top-k across them (ws.cand): each shard's
 // answer is folded in under the canonical (distance, ID) order, and once k
 // results are held their k-th distance is the bound the next shard starts
@@ -229,10 +229,10 @@ func (s *ShardedIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, Se
 	return ws.cand, stats, nil
 }
 
-// Range implements RangeSearcher by scatter-gather: per-shard answers are
+// Range implements Index by scatter-gather: per-shard answers are
 // concatenated and sorted under the canonical (distance, ID) order, which is
-// exactly the order a single tree would return. A shard's error — ErrNoRange
-// from one whose index has no range search — is the answer.
+// exactly the order a single tree would return. A shard's error is the
+// answer.
 func (s *ShardedIndex) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {
 	var stats SearchStats
 	var out []Result

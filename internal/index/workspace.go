@@ -86,14 +86,6 @@ func (ws *Workspace) drainResults() []Result {
 	return ws.results
 }
 
-// WorkspaceSearcher is implemented by indexes whose k-NN search can run on a
-// caller-supplied Workspace. The returned slice aliases the workspace and
-// stays valid only until the workspace's next search.
-type WorkspaceSearcher interface {
-	Index
-	KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error)
-}
-
 // wsPool backs the plain Index.KNN entry points: they borrow a workspace,
 // search, and copy the answers out, so even the convenience path allocates
 // only its returned slice.
@@ -101,7 +93,7 @@ var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
 
 // pooledKNN runs a workspace search on a pooled workspace and returns a
 // caller-owned copy of the results.
-func pooledKNN(s WorkspaceSearcher, q dist.Query, k int) ([]Result, SearchStats, error) {
+func pooledKNN(s Index, q dist.Query, k int) ([]Result, SearchStats, error) {
 	ws := wsPool.Get().(*Workspace)
 	res, stats, err := s.KNNWith(ws, q, k)
 	var out []Result

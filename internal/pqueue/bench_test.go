@@ -7,25 +7,12 @@ import (
 
 func BenchmarkPushPop(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	q := NewMin[int]()
+	h := NewMinHeap[int]()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Push(rng.Float64(), i)
-		if q.Len() > 1024 {
-			q.Pop()
+		h.Push(rng.Float64(), i)
+		if h.Len() > 1024 {
+			h.Pop()
 		}
-	}
-}
-
-func BenchmarkUpdate(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	q := NewMax[int]()
-	items := make([]*Item[int], 1024)
-	for i := range items {
-		items[i] = q.Push(rng.Float64(), i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Update(items[i%len(items)], rng.Float64())
 	}
 }

@@ -1,10 +1,13 @@
+// Package pqueue provides the value-based binary heaps behind SAPLA's
+// bookkeeping (the paper's η queue of increment areas and the endpoint
+// movement's β order) and the k-NN searches: Heap orders by a float64
+// priority, TieHeap by a priority and an integer tie key. Both are reusable.
 package pqueue
 
-// Heap is a value-based binary-heap priority queue without the handle
-// bookkeeping of Queue: items are stored inline in one slice, so Push/Pop
-// perform no per-item allocations and Reset lets a long-lived Heap be reused
-// across searches with zero steady-state heap traffic. It is the hot-path
-// sibling of Queue, used by the reduction and k-NN workspaces.
+// Heap is a binary-heap priority queue over a float64 priority: items are
+// stored inline in one slice, so Push/Pop perform no per-item allocations and
+// Reset lets a long-lived Heap be reused across reductions and searches with
+// zero steady-state heap traffic.
 type Heap[T any] struct {
 	items []heapItem[T]
 	min   bool

@@ -279,9 +279,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	var rep json.RawMessage
 	if r.URL.Query().Get("include_rep") == "1" {
-		red := s.reducers.Get().(*core.Reducer)
-		lin, err := red.Reduce(req.Values, s.cfg.M)
-		s.reducers.Put(red)
+		var method core.SAPLA // the paper's defaults, reduced on core's pooled Reducers
+		lin, err := method.Reduce(req.Values, s.cfg.M)
 		if err == nil {
 			rep, err = tsio.MarshalRepresentation(lin)
 		}

@@ -38,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sapla/internal/core"
 	"sapla/internal/index"
 	"sapla/internal/wal"
 )
@@ -182,16 +181,12 @@ type shardState struct {
 }
 
 // Server is the similarity-search HTTP service. Create with New, mount via
-// Handler, run with Serve/ListenAndServe, stop with Shutdown.
+// Handler, run with Serve, stop with Shutdown.
 type Server struct {
 	cfg     Config
 	idx     *index.ShardedIndex
 	metrics *metrics
 	handler http.Handler
-
-	// reducers pools the allocation-free SAPLA reduction workspaces that
-	// ?include_rep=1 borrows (core.Reducer is single-goroutine).
-	reducers sync.Pool
 
 	// state is the lifecycle (recovering → ready → draining) gate /readyz
 	// and the API middleware read.
@@ -255,20 +250,19 @@ func New(cfg Config) (*Server, error) {
 		snapStop:  make(chan struct{}),
 	}
 	s.state.Store(stateRecovering)
-	s.reducers.New = func() any { return core.NewReducer() }
 
-	err := s.openStores()
-	if err != nil {
+	if err := s.openStores(); err != nil {
 		return nil, err
 	}
 	s.metrics = newMetrics(len(s.shards))
-	s.idx, err = index.NewSharded(len(s.shards), func(i int) (index.Index, error) {
+	idx, err := index.NewSharded(len(s.shards), func(i int) (index.Index, error) {
 		return s.shards[i].flat, nil
 	})
 	if err != nil {
 		s.closeStores()
 		return nil, err
 	}
+	s.idx = idx
 	s.handler = s.buildHandler()
 	if s.durable() && cfg.SnapshotEvery > 0 {
 		s.snapWG.Add(1)
@@ -370,22 +364,14 @@ func (w *statusWriter) WriteHeader(code int) {
 // seriesLen returns the fixed series length (0 before the first ingest).
 func (s *Server) seriesLen() int {
 	s.bookMu.Lock()
-	defer s.bookMu.Unlock()
-	return s.n
+	n := s.n
+	s.bookMu.Unlock()
+	return n
 }
 
 // Index exposes the sharded index (read-mostly; used by tests and the CLI
 // for diagnostics).
 func (s *Server) Index() *index.ShardedIndex { return s.idx }
-
-// ListenAndServe serves on addr until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
 
 // Serve blocks serving l until Shutdown. http.ErrServerClosed signals a
 // clean stop.

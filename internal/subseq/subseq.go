@@ -180,11 +180,7 @@ func (ix *Index) RangeMatch(query ts.Series, radius float64) ([]Match, index.Sea
 	if err != nil {
 		return nil, index.SearchStats{}, err
 	}
-	rs, ok := ix.idx.(index.RangeSearcher)
-	if !ok {
-		return nil, index.SearchStats{}, fmt.Errorf("subseq: index does not support range search")
-	}
-	res, stats, err := rs.Range(q, radius)
+	res, stats, err := ix.idx.Range(q, radius)
 	if err != nil {
 		return nil, stats, err
 	}

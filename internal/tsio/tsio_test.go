@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"sapla/internal/core"
-	"sapla/internal/index"
 	"sapla/internal/reduce"
 	"sapla/internal/repr"
 	"sapla/internal/ts"
@@ -183,68 +182,3 @@ func (fakeRep) Segments() int          { return 0 }
 func (fakeRep) Len() int               { return 0 }
 
 var _ repr.Representation = fakeRep{}
-
-func TestEntriesRoundTrip(t *testing.T) {
-	meth := core.New()
-	var entries []*index.Entry
-	for id := 0; id < 8; id++ {
-		raw := randWalk(int64(id+40), 80)
-		rep, err := meth.Reduce(raw, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries = append(entries, index.NewEntry(id, raw, rep))
-	}
-	var buf bytes.Buffer
-	if err := WriteEntries(&buf, entries); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadEntries(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(entries) {
-		t.Fatalf("got %d entries", len(back))
-	}
-	for i, e := range back {
-		if e.ID != entries[i].ID {
-			t.Fatalf("entry %d id mismatch", i)
-		}
-		for j := range e.Raw {
-			if e.Raw[j] != entries[i].Raw[j] {
-				t.Fatalf("entry %d raw mismatch", i)
-			}
-		}
-		a, b := e.Rep.Reconstruct(), entries[i].Rep.Reconstruct()
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("entry %d rep mismatch", i)
-			}
-		}
-	}
-	// A rebuilt index answers queries identically.
-	tree, err := index.NewDBCH("SAPLA", 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range back {
-		if err := tree.Insert(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tree.Len() != len(entries) {
-		t.Fatal("rebuild lost entries")
-	}
-}
-
-func TestReadEntriesErrors(t *testing.T) {
-	if _, err := ReadEntries(strings.NewReader("")); err != ErrEmptyInput {
-		t.Fatalf("empty: %v", err)
-	}
-	if _, err := ReadEntries(strings.NewReader("{bad")); err == nil {
-		t.Fatal("bad JSON accepted")
-	}
-	if _, err := ReadEntries(strings.NewReader(`{"id":1,"raw":[1],"rep":{"kind":"nope"}}`)); err == nil {
-		t.Fatal("bad envelope accepted")
-	}
-}

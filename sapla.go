@@ -104,14 +104,6 @@ type Reducer = core.Reducer
 // configuration.
 func NewReducer() *Reducer { return core.NewReducer() }
 
-// DistWorkspace is a reusable scratch area for the distance hot paths:
-// query prefix sums and the PairwisePAR batch matrix. Not safe for
-// concurrent use.
-type DistWorkspace = dist.Workspace
-
-// NewDistWorkspace returns an empty distance workspace.
-func NewDistWorkspace() *DistWorkspace { return dist.NewWorkspace() }
-
 // SearchWorkspace holds one k-NN search's reusable scratch state (node
 // frontier, result heap, result buffer). Pass it to an index's KNNWith for
 // allocation-free steady-state search. Not safe for concurrent use.
@@ -119,10 +111,6 @@ type SearchWorkspace = index.Workspace
 
 // NewSearchWorkspace returns an empty search workspace.
 func NewSearchWorkspace() *SearchWorkspace { return index.NewWorkspace() }
-
-// WorkspaceSearcher is implemented by every index in this package: k-NN
-// search on a caller-supplied workspace.
-type WorkspaceSearcher = index.WorkspaceSearcher
 
 // BatchKNN answers many k-NN queries over one index concurrently on a
 // work-stealing worker pool with per-worker reusable workspaces. Results
@@ -140,10 +128,6 @@ type ConcurrentIndex = index.ConcurrentIndex
 // NewConcurrentIndex wraps inner for concurrent use. The caller must stop
 // using inner directly.
 func NewConcurrentIndex(inner Index) *ConcurrentIndex { return index.NewConcurrent(inner) }
-
-// ErrNoRange is what Range on a ConcurrentIndex or ShardedIndex returns when
-// the wrapped index has no range search of its own.
-var ErrNoRange = index.ErrNoRange
 
 // ShardedIndex partitions entries across N independently locked shards by a
 // stable hash of the entry ID. Writes to different shards proceed
@@ -258,10 +242,6 @@ func NewDBCH(method string) (*index.DBCH, error) {
 
 // NewLinearScan builds the exact linear-scan baseline.
 func NewLinearScan() *index.LinearScan { return index.NewLinearScan() }
-
-// RangeSearcher is implemented by every index in this package: ε-range
-// queries returning all series within a Euclidean radius of the query.
-type RangeSearcher = index.RangeSearcher
 
 // Datasets returns the 117-dataset synthetic UCR2018 archive.
 func Datasets() []Dataset { return ucr.Datasets() }

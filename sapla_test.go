@@ -185,7 +185,7 @@ func TestPublicAPIRangeSearch(t *testing.T) {
 			t.Fatalf("false positive %d", r.Entry.ID)
 		}
 	}
-	var searchers []sapla.RangeSearcher
+	var searchers []sapla.Index
 	searchers = append(searchers, db, scan)
 	_ = searchers
 }
