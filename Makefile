@@ -3,13 +3,13 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all ci build test race race-short crash cover bench bench-check bench-smoke bench-probe vet lint fmtcheck fuzz report clean
+.PHONY: all ci build test test-v3 cross race race-short crash cover bench bench-check bench-smoke bench-probe vet lint fmtcheck fuzz report clean
 
 all: build vet test race-short
 
 # ci mirrors .github/workflows/ci.yml step for step: the workflow shells out
 # to exactly these targets, so what passes here passes there.
-ci: build vet fmtcheck test cover race-short crash bench-check bench-smoke
+ci: build vet fmtcheck test test-v3 cross cover race-short crash bench-check bench-smoke
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,18 @@ fmtcheck:
 
 test:
 	$(GO) test ./...
+
+# The envelope filter's SSE kernel (internal/ts/envelope_amd64.s) must give
+# the pure-Go loop's bits whatever GOAMD64 level that loop is compiled at: at
+# v3 a compiler may fuse a multiply and an add (FMA), which the loop's
+# float32(d*d) forbids, and the identity tests would see it.
+test-v3:
+	GOAMD64=v3 $(GO) test ./internal/ts ./internal/index
+
+# Everywhere but amd64 the pure-Go loop is the kernel (envelope_other.go):
+# vet and build the tree for arm64 so that fallback keeps compiling.
+cross:
+	GOARCH=arm64 $(GO) vet ./internal/ts && GOARCH=arm64 $(GO) build ./...
 
 race:
 	$(GO) test -race ./...

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"sapla/internal/pqueue"
@@ -74,6 +75,9 @@ func (r *Reducer) reduce(dst repr.Linear, c ts.Series, m int, stages *[2]repr.Li
 	st := r.load(c)
 	st.initialize(nSeg, r.eta)
 	r.finish(nSeg, stages)
+	// One sized slice, not appendRepr's doubling, for a dst that is empty
+	// (Reduce) or too small.
+	dst.Segs = slices.Grow(dst.Segs[:0], nSeg)
 	out := st.appendRepr(dst)
 	// Release the caller's series so the workspace does not pin it.
 	st.c = nil

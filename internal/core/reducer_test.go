@@ -71,6 +71,33 @@ func TestReduceIntoAllocs(t *testing.T) {
 	}
 }
 
+// TestReduceAllocs holds the allocating entry points to what they return: a
+// warm Reducer.Reduce or SAPLA.Reduce (whose pool keeps its Reducer)
+// allocates the segment slice, sized once, and the Representation's box —
+// not a slice grown by doubling.
+func TestReduceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are the detector's")
+	}
+	c := randWalk(45, 1024)
+	r := NewReducer()
+	for _, m := range []int{12, 24} {
+		for name, reduce := range map[string]func(ts.Series, int) (repr.Representation, error){
+			"Reducer.Reduce": r.Reduce,
+			"SAPLA.Reduce":   New().Reduce,
+		} {
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := reduce(c, m); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 2 {
+				t.Errorf("%s m=%d: a warm 1024-point reduction allocates %v times, want at most 2", name, m, allocs)
+			}
+		}
+	}
+}
+
 // TestReducerConfigVariants: the pooled SAPLA.Reduce path must honour every
 // configuration knob exactly as a dedicated Reducer does.
 func TestReducerConfigVariants(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"sapla/internal/core"
 	"sapla/internal/dist"
@@ -296,11 +297,20 @@ func mixedQueries(tb testing.TB, rng *rand.Rand, entries []*Entry, count, m int)
 	return out
 }
 
+// lowerBoundsGo is ts's pure-Go envelope loop: the kernel LowerBounds runs
+// where no assembly one exists, and the reference the amd64 kernel is held
+// to bit for bit. BenchmarkFlatFilter's rows/go row times it.
+//
+//go:linkname lowerBoundsGo sapla/internal/ts.lowerBoundsGo
+func lowerBoundsGo(e *ts.Envelope, rows, slack []float32, out []float64)
+
 // BenchmarkFlatFilter times the filter stage of the flat tier alone, at the
 // two shapes the end-to-end benchmark serves per shard: "rows" is
 // Flat.filterSlots' envelope kernel (ts.Envelope.LowerBounds), the query's
-// envelope included; "parflat" is Dist_PAR (M = 12) by dist.PARFlat's merge
-// loop once per row, the filter the tier served before it, as the reference.
+// envelope included; "rows/go" the same sweep through ts's pure-Go loop,
+// which the kernel replaces on amd64; "parflat" is Dist_PAR (M = 12) by
+// dist.PARFlat's merge loop once per row, the filter the tier served before
+// the envelope, as the reference.
 func BenchmarkFlatFilter(b *testing.B) {
 	for _, shape := range []struct{ count, n int }{{6000, 256}, {1500, 1024}} {
 		rng := rand.New(rand.NewSource(17))
@@ -323,6 +333,20 @@ func BenchmarkFlatFilter(b *testing.B) {
 			ws := NewWorkspace()
 			for i := 0; i < b.N; i++ {
 				sweepRows(b, flat, ws, queries[i%len(queries)], out)
+			}
+			perRow(b)
+		})
+		b.Run(name+"/rows/go", func(b *testing.B) {
+			ws := NewWorkspace()
+			for i := 0; i < b.N; i++ {
+				env, err := flat.queryEnvelope(ws, queries[i%len(queries)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				for lo := 0; lo < len(out); lo += flatRows {
+					blk := &flat.blocks[lo/flatRows]
+					lowerBoundsGo(env, blk.env, blk.slack, out[lo:min(lo+flatRows, len(out))])
+				}
 			}
 			perRow(b)
 		})

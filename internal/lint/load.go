@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -19,7 +20,8 @@ type Package struct {
 	Path string
 	// Dir is the package directory, relative to the module root.
 	Dir string
-	// Files are the package's non-test source files.
+	// Files are the package's non-test source files that build for the
+	// host platform.
 	Files []*ast.File
 	// Types and Info are the go/types results.
 	Types *types.Package
@@ -249,8 +251,10 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
-// parseDir parses the non-test Go files of one module-relative directory.
-// Returns nil when the directory has no non-test Go files.
+// parseDir parses the non-test Go files of one module-relative directory
+// that build for the host's GOOS and GOARCH (file-name suffixes and
+// //go:build lines, as go build selects them). Returns nil when the
+// directory has no non-test Go files.
 func (prog *Program) parseDir(rel string) (*Package, error) {
 	abs := filepath.Join(prog.Root, filepath.FromSlash(rel))
 	entries, err := os.ReadDir(abs)
@@ -266,6 +270,13 @@ func (prog *Program) parseDir(rel string) (*Package, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		ok, err := build.Default.MatchFile(abs, name)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		}
+		if !ok {
 			continue
 		}
 		names = append(names, name)

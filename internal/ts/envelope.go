@@ -167,7 +167,20 @@ func (e *Envelope) Reset(q Series) {
 // above 2⁶⁴ overflows its float32 square: either way the sum is not finite
 // and the row's lb is 0, whatever the slacks. Such rows are refined, never
 // pruned.
+//
+// On amd64 the float32 sums come from an SSE kernel (envelope_amd64.s) whose
+// bits equal lowerBoundsGo's, the pure-Go loop it replaces and the kernel
+// everywhere else (DESIGN §11, "The filter kernel").
 func (e *Envelope) LowerBounds(rows, slack []float32, out []float64) {
+	lowerBounds(e, rows, slack, out)
+}
+
+// lowerBoundsGo is LowerBounds in Go: per row, the squared differences
+// summed in four float32 accumulators, lane i taking terms i, i+4, … — the
+// order the SSE kernel's four lanes add in — and reduced as
+// (s0+s1)+(s2+s3). Each square is rounded to float32 on its own
+// (float32(d*d)), which forbids fusing it into the add.
+func lowerBoundsGo(e *Envelope, rows, slack []float32, out []float64) {
 	q := &e.v
 	rows = rows[:len(out)*EnvelopeWidth]
 	slack = slack[:len(out)]
@@ -176,17 +189,24 @@ func (e *Envelope) LowerBounds(rows, slack []float32, out []float64) {
 		var s0, s1, s2, s3 float32
 		for j := 0; j < EnvelopeWidth; j += 4 {
 			d0, d1, d2, d3 := q[j]-c[j], q[j+1]-c[j+1], q[j+2]-c[j+2], q[j+3]-c[j+3]
-			s0 += d0 * d0
-			s1 += d1 * d1
-			s2 += d2 * d2
-			s3 += d3 * d3
+			s0 += float32(d0 * d0)
+			s1 += float32(d1 * d1)
+			s2 += float32(d2 * d2)
+			s3 += float32(d3 * d3)
 		}
-		lb := 0.0
-		if s := (s0 + s1) + (s2 + s3); s <= math.MaxFloat32 {
-			lb = max(math.Sqrt(float64(s))*rowShrink-e.eps-float64(slack[i]), 0)
-		}
-		out[i] = lb
+		out[i] = e.rowLB((s0+s1)+(s2+s3), slack[i])
 	}
+}
+
+// rowLB is the float64 tail of LowerBounds for a row whose squared
+// envelope distance summed to s and whose slack is slack: 0 unless s is
+// finite, else max(0, √s·(1 − δ) − ε_q − ε_c), the product rounded on its
+// own so that no step is fused.
+func (e *Envelope) rowLB(s, slack float32) float64 {
+	if s <= math.MaxFloat32 {
+		return max(float64(math.Sqrt(float64(s))*rowShrink)-e.eps-float64(slack), 0)
+	}
+	return 0
 }
 
 // EuclideanSqEnvelope is EuclideanSqAbandon for a query a whose envelope is

@@ -295,3 +295,130 @@ func FuzzEnvelopeLowerBound(f *testing.F) {
 		}
 	})
 }
+
+// kernelSpecials are the float32 values that put LowerBounds' sums at their
+// edges: infinities and NaN, values whose square or difference overflows,
+// signed zeros and subnormals.
+var kernelSpecials = []float32{
+	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	math.MaxFloat32, -math.MaxFloat32, 1e38, -1e38, 1.9e19, -1.9e19,
+	0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, 1.1754942e-38,
+}
+
+// kernelCase derives from a seed a query envelope and count rows with their
+// slacks, the rows starting offset floats into their backing array. The
+// query comes from wildCase at magnitude 10^exp, one in eight with some of
+// its values replaced by kernelSpecials; each row is one of: the envelope of
+// another wildCase series, the query's vector a few ulps off, values at a
+// random magnitude from the float32 subnormals to 1e38, the query's vector
+// plus noise at such a magnitude, or the query's vector with some values
+// replaced by kernelSpecials.
+func kernelCase(seed int64, count, offset, exp int) (e *Envelope, rows, slack []float32) {
+	rng := rand.New(rand.NewSource(seed))
+	ns := []int{1, 17, 100, 256, 1024}
+	a, _ := wildCase(seed, ns[rng.Intn(len(ns))], exp)
+	e = new(Envelope)
+	e.Reset(a)
+	if rng.Intn(8) == 0 {
+		for j := range e.v {
+			if rng.Intn(4) == 0 {
+				e.v[j] = kernelSpecials[rng.Intn(len(kernelSpecials))]
+			}
+		}
+	}
+	rows = make([]float32, offset+count*EnvelopeWidth)[offset:]
+	slack = make([]float32, count)
+	for i := range slack {
+		row := rows[i*EnvelopeWidth:][:EnvelopeWidth]
+		switch rng.Intn(5) {
+		case 0:
+			_, b := wildCase(seed+int64(i)+1, 1+rng.Intn(256), exp+rng.Intn(21)-10)
+			slack[i] = EnvelopeRow(b, row)
+			continue
+		case 1:
+			for j := range row {
+				row[j] = e.v[j]
+				for k := rng.Intn(3); k > 0; k-- {
+					row[j] = math.Nextafter32(row[j], float32(rng.NormFloat64()))
+				}
+			}
+		case 2:
+			mag := math.Pow(10, float64(rng.Intn(84)-45))
+			for j := range row {
+				row[j] = float32(mag * rng.NormFloat64())
+			}
+		case 3:
+			mag := math.Pow(10, float64(rng.Intn(64)-45))
+			for j := range row {
+				row[j] = e.v[j] + float32(mag*rng.NormFloat64())
+			}
+		default:
+			for j := range row {
+				row[j] = e.v[j] + float32(rng.NormFloat64())
+				if rng.Intn(8) == 0 {
+					row[j] = kernelSpecials[rng.Intn(len(kernelSpecials))]
+				}
+			}
+		}
+		slack[i] = float32(math.Abs(rng.NormFloat64()) * math.Pow(10, float64(rng.Intn(80)-40)))
+	}
+	return e, rows, slack
+}
+
+// checkKernel holds LowerBounds to lowerBoundsGo, bit for bit, on every row:
+// once with the given slacks and once with every slack 0, where a row's
+// bound is √s·(1 − δ) for every finite sum s and so shows the sum's bits.
+func checkKernel(t *testing.T, e *Envelope, rows, slack []float32) {
+	t.Helper()
+	bare := *e
+	bare.eps = 0
+	for _, c := range []struct {
+		e     *Envelope
+		slack []float32
+	}{{e, slack}, {&bare, make([]float32, len(slack))}} {
+		got, want := make([]float64, len(slack)), make([]float64, len(slack))
+		for i := range got {
+			got[i], want[i] = -1, -2
+		}
+		c.e.LowerBounds(rows, c.slack, got)
+		lowerBoundsGo(c.e, rows, c.slack, want)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("row %d of %d (query slack %v, row slack %v): LowerBounds %v (%#x), reference %v (%#x)\nquery %v\nrow %v",
+					i, len(got), c.e.eps, c.slack[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]),
+					e.v, rows[i*EnvelopeWidth:][:EnvelopeWidth])
+			}
+		}
+	}
+}
+
+// TestLowerBoundsMatchesReference: the kernel LowerBounds runs gives the Go
+// loop's bits on every row, for row counts on both sides of the kernel's
+// 256-row piece, rows starting at every float offset within 16 bytes, and
+// queries and rows at every magnitude wildCase and kernelCase draw —
+// overflowing, subnormal and 1e±38 values, infinities and NaN included.
+func TestLowerBoundsMatchesReference(t *testing.T) {
+	counts := []int{0, 1, 2, 3, 5, 31, 255, 256, 257, 300, 511, 512, 513, 600}
+	exps := []int{0, 38, -38, 150, 300, -40, -160, -320}
+	for seed := int64(0); seed < int64(len(counts)*4*len(exps)); seed++ {
+		count := counts[seed%int64(len(counts))]
+		offset := int(seed / int64(len(counts)) % 4)
+		exp := exps[seed/int64(len(counts)*4)]
+		e, rows, slack := kernelCase(seed, count, offset, exp)
+		checkKernel(t, e, rows, slack)
+	}
+}
+
+// FuzzLowerBoundsKernel lets the fuzzer pick the row count, the rows' float
+// offset and the magnitudes TestLowerBoundsMatchesReference checks at.
+func FuzzLowerBoundsKernel(f *testing.F) {
+	f.Add(int64(1), uint16(600), uint8(1), int16(0))
+	f.Add(int64(2), uint16(257), uint8(3), int16(38))
+	f.Add(int64(3), uint16(256), uint8(0), int16(-38))
+	f.Add(int64(4), uint16(17), uint8(2), int16(300))
+	f.Add(int64(5), uint16(0), uint8(1), int16(-320))
+	f.Fuzz(func(t *testing.T, seed int64, count uint16, offset uint8, exp int16) {
+		e, rows, slack := kernelCase(seed, int(count%601), int(offset%4), int(exp)%330)
+		checkKernel(t, e, rows, slack)
+	})
+}
