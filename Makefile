@@ -3,16 +3,21 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all ci build test test-v3 cross race race-short crash cover bench bench-check bench-smoke bench-probe vet lint fmtcheck fuzz report clean
+.PHONY: all ci build examples test test-v3 cross race race-short crash cover bench bench-check bench-smoke bench-probe vet lint fmtcheck fuzz report clean
 
 all: build vet test race-short
 
 # ci mirrors .github/workflows/ci.yml step for step: the workflow shells out
 # to exactly these targets, so what passes here passes there.
-ci: build vet fmtcheck test test-v3 cross cover race-short crash bench-check bench-smoke
+ci: build vet fmtcheck test examples test-v3 cross cover race-short crash bench-check bench-smoke
 
 build:
 	$(GO) build ./...
+
+# Run every program under examples/: they have no tests, and `go build`
+# alone passes an example that compiles but fails when it runs.
+examples:
+	@set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run "./$$d" > /dev/null; done
 
 vet:
 	$(GO) vet ./...

@@ -209,11 +209,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return eval.FormatDatasetRows(atM), nil
 		}},
 		{title: "Classification application", figs: []string{"classify"}, body: func() (string, error) {
-			rows, err := eval.ClassificationExperiment(opt, *m, 1)
+			row, err := eval.ClassificationExperiment(opt, 1)
 			if err != nil {
 				return "", err
 			}
-			return eval.FormatClassification(rows), writeCSV(*csvDir, "classification.csv", eval.WriteClassificationCSV, rows)
+			return eval.FormatClassification(row), writeCSV(*csvDir, "classification.csv", eval.WriteClassificationCSV, row)
 		}},
 		{title: "Table 1 — complexity scaling", figs: []string{"table1"}, body: func() (string, error) {
 			lengths := []int{64, 128, 256}

@@ -1,6 +1,6 @@
 // Motifs & discords: the data-mining tasks the paper's introduction
 // motivates, plus subsequence search over one long stream — all through the
-// public API with lower-bound pruning statistics.
+// public API, exact, with lower-bound pruning statistics.
 //
 //	go run ./examples/motifs
 package main
@@ -16,9 +16,8 @@ import (
 
 func main() {
 	const (
-		count   = 60
-		n       = 128
-		budgetM = 12
+		count = 60
+		n     = 128
 	)
 	// A mixed collection: two signal families plus one planted near-duplicate
 	// pair and one planted outlier.
@@ -49,9 +48,7 @@ func main() {
 	}
 	data[29] = noise
 
-	meth := sapla.SAPLA()
-
-	motif, err := sapla.Motif(data, meth, budgetM)
+	motif, err := sapla.Motif(data)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +56,7 @@ func main() {
 	fmt.Printf("              verified %d of %d candidate pairs exactly (%.1f%% pruned)\n\n",
 		motif.Measured, motif.Pairs, 100*(1-float64(motif.Measured)/float64(motif.Pairs)))
 
-	discord, err := sapla.Discord(data, meth, budgetM)
+	discord, err := sapla.Discord(data)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +73,7 @@ func main() {
 		clean = append(clean, s)
 		family = append(family, i%2)
 	}
-	clusters, err := sapla.KMedoids(clean, meth, budgetM, 2, 20)
+	clusters, err := sapla.KMedoids(clean, 2, 20)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,7 +105,7 @@ func main() {
 			long[off+j] = p + rng.NormFloat64()*0.05
 		}
 	}
-	ix, err := sapla.NewSubseqIndex(long, 64, budgetM, meth)
+	ix, err := sapla.NewSubseqIndex(long, 64)
 	if err != nil {
 		log.Fatal(err)
 	}

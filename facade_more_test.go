@@ -49,16 +49,15 @@ func TestFacadeMiningTasks(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		data = append(data, randWalk(int64(i+60), 80))
 	}
-	meth := sapla.SAPLA()
-	motif, err := sapla.Motif(data, meth, 12)
+	motif, err := sapla.Motif(data)
 	if err != nil || motif.I < 0 {
 		t.Fatalf("motif: %v %+v", err, motif)
 	}
-	discord, err := sapla.Discord(data, meth, 12)
+	discord, err := sapla.Discord(data)
 	if err != nil || discord.Index < 0 {
 		t.Fatalf("discord: %v %+v", err, discord)
 	}
-	clusters, err := sapla.KMedoids(data, meth, 12, 3, 10)
+	clusters, err := sapla.KMedoids(data, 3, 10)
 	if err != nil || len(clusters.Medoids) != 3 {
 		t.Fatalf("kmedoids: %v %+v", err, clusters)
 	}
@@ -67,7 +66,7 @@ func TestFacadeMiningTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	train, test := d.Generate(sapla.DataConfig{Length: 64, Count: 30, Queries: 5})
-	clf, err := sapla.NewClassifier(meth, 12, 1)
+	clf, err := sapla.NewClassifier(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestFacadeMiningTasks(t *testing.T) {
 
 func TestFacadeSubseq(t *testing.T) {
 	long := randWalk(3, 600)
-	ix, err := sapla.NewSubseqIndex(long, 48, 12, sapla.SAPLA())
+	ix, err := sapla.NewSubseqIndex(long, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +92,31 @@ func TestFacadeSubseq(t *testing.T) {
 	}
 	if ms[0].Offset != 100 || ms[0].Dist > 1e-9 {
 		t.Fatalf("self-match = %+v", ms[0])
+	}
+}
+
+// The subsequence options are reachable through the facade: a stride-2,
+// z-normalised index holds every other window and finds a scaled, shifted
+// copy of an indexed window at z-normalised distance ≈ 0.
+func TestFacadeSubseqOptions(t *testing.T) {
+	long := randWalk(5, 600)
+	ix, err := sapla.NewSubseqIndex(long, 48, sapla.SubseqWithStride(2), sapla.SubseqWithZNormalize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (600-48)/2 + 1; ix.Windows() != want {
+		t.Fatalf("windows = %d, want %d", ix.Windows(), want)
+	}
+	query := long[200:248].Clone()
+	for i := range query {
+		query[i] = 3*query[i] + 40
+	}
+	ms, _, err := ix.Match(query, 1)
+	if err != nil || len(ms) != 1 {
+		t.Fatalf("match: %v %v", err, ms)
+	}
+	if ms[0].Offset != 200 || ms[0].Dist > 1e-6 {
+		t.Fatalf("z-normalised self-match = %+v", ms[0])
 	}
 }
 

@@ -7,83 +7,55 @@ import (
 	"sapla/internal/par"
 )
 
-// ClassificationRow is one method's k-NN classification quality over the
-// archive — the paper's motivating application (Section 1: "k-Nearest
-// Neighbor is popularly used for classification").
+// ClassificationRow is the k-NN classification quality over the archive —
+// the paper's motivating application (Section 1: "k-Nearest Neighbor is
+// popularly used for classification"). The classifier's search is exact, so
+// the accuracy is the exact k-NN's.
 type ClassificationRow struct {
-	Method   string
 	K        int
 	Accuracy float64 // mean over datasets
 	MeanRho  float64 // mean pruning power of the classification queries
 	Datasets int
 }
 
-// ClassificationExperiment trains a k-NN classifier per method on every
-// dataset's stored series and classifies the held-out queries. Work is
-// stolen at (dataset × method) granularity from the shared pool — instead
-// of the old unbounded goroutine-per-dataset fan-out — and folded in order,
-// so results are identical for any Options.Workers.
-func ClassificationExperiment(opt Options, m, k int) ([]ClassificationRow, error) {
-	methods := opt.Methods()
-	type acc struct {
-		accSum, rhoSum float64
-		datasets       int
-	}
-
-	nm, nd := len(methods), len(opt.Datasets)
-	slots := make([]acc, nd*nm)
-	errs := make([]error, nd*nm)
-	gens := newDatasetCache(opt)
-
-	par.Do(context.Background(), nd*nm, opt.Workers, func(u int) {
-		di, mi := u/nm, u%nm
-		train, test := gens.instances(di)
+// ClassificationExperiment trains a k-NN classifier on every dataset's stored
+// series and classifies the held-out queries, one dataset per unit of the
+// shared pool. The units fold in dataset order, so the row is identical for
+// any Options.Workers.
+func ClassificationExperiment(opt Options, k int) (ClassificationRow, error) {
+	nd := len(opt.Datasets)
+	accuracy, rho := make([]float64, nd), make([]float64, nd)
+	tested := make([]bool, nd)
+	errs := make([]error, nd)
+	par.Do(context.Background(), nd, opt.Workers, func(di int) {
+		train, test := opt.Datasets[di].Generate(opt.Cfg)
 		if len(test) == 0 {
 			return
 		}
-		meth := methods[mi]
-		clf, err := mining.NewClassifier(meth, m, k)
+		clf, err := mining.NewClassifier(k)
 		if err == nil {
 			err = clf.Train(train)
 		}
-		var accuracy, rho float64
 		if err == nil {
-			accuracy, rho, err = clf.Evaluate(test)
+			accuracy[di], rho[di], err = clf.Evaluate(test)
 		}
-		if err != nil {
-			errs[u] = err
-			return
-		}
-		a := &slots[u]
-		a.accSum += accuracy
-		a.rhoSum += rho
-		a.datasets++
+		errs[di], tested[di] = err, err == nil
 	})
 	if err := firstError(errs); err != nil {
-		return nil, err
+		return ClassificationRow{}, err
 	}
 
-	accs := make([]acc, nm)
-	for u := range slots {
-		mi := u % nm
-		accs[mi].accSum += slots[u].accSum
-		accs[mi].rhoSum += slots[u].rhoSum
-		accs[mi].datasets += slots[u].datasets
-	}
-
-	rows := make([]ClassificationRow, 0, nm)
-	for mi, meth := range methods {
-		a := accs[mi]
-		if a.datasets == 0 {
-			continue
+	row := ClassificationRow{K: k}
+	for di, ok := range tested {
+		if ok {
+			row.Accuracy += accuracy[di]
+			row.MeanRho += rho[di]
+			row.Datasets++
 		}
-		rows = append(rows, ClassificationRow{
-			Method:   meth.Name(),
-			K:        k,
-			Accuracy: a.accSum / float64(a.datasets),
-			MeanRho:  a.rhoSum / float64(a.datasets),
-			Datasets: a.datasets,
-		})
 	}
-	return rows, nil
+	if row.Datasets > 0 {
+		row.Accuracy /= float64(row.Datasets)
+		row.MeanRho /= float64(row.Datasets)
+	}
+	return row, nil
 }

@@ -76,14 +76,10 @@ func WriteScalingCSV(w io.Writer, rows []ScalingRow) error {
 	return writeCSV(w, []string{"method", "n", "time_ns"}, out)
 }
 
-// WriteClassificationCSV exports the classification-application rows.
-func WriteClassificationCSV(w io.Writer, rows []ClassificationRow) error {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{r.Method, strconv.Itoa(r.K), f(r.Accuracy), f(r.MeanRho),
-			strconv.Itoa(r.Datasets)}
-	}
-	return writeCSV(w, []string{"method", "k", "accuracy", "mean_rho", "datasets"}, out)
+// WriteClassificationCSV exports the classification-application row.
+func WriteClassificationCSV(w io.Writer, r ClassificationRow) error {
+	return writeCSV(w, []string{"k", "accuracy", "mean_rho", "datasets"}, [][]string{{
+		strconv.Itoa(r.K), f(r.Accuracy), f(r.MeanRho), strconv.Itoa(r.Datasets)}})
 }
 
 // WriteDatasetCSV exports the per-dataset breakdown.

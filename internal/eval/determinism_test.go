@@ -110,20 +110,15 @@ func TestTightnessExperimentDeterministic(t *testing.T) {
 // TestClassificationExperimentDeterministic: the classification fan-out now
 // runs through the shared pool with per-unit slots.
 func TestClassificationExperimentDeterministic(t *testing.T) {
-	base, err := ClassificationExperiment(detOptions(t, 1), 12, 1)
+	base, err := ClassificationExperiment(detOptions(t, 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ClassificationExperiment(detOptions(t, 4), 12, 1)
+	got, err := ClassificationExperiment(detOptions(t, 4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(base) {
-		t.Fatalf("%d rows, want %d", len(got), len(base))
-	}
-	for i := range got {
-		if got[i] != base[i] {
-			t.Fatalf("row %d: %+v != %+v", i, got[i], base[i])
-		}
+	if got != base {
+		t.Fatalf("%+v != %+v", got, base)
 	}
 }

@@ -301,26 +301,21 @@ func TestMethodNames(t *testing.T) {
 func TestClassificationExperiment(t *testing.T) {
 	opt := tinyOptions(t)
 	opt.Cfg = ucr.Config{Length: 64, Count: 24, Queries: 4}
-	rows, err := ClassificationExperiment(opt, 12, 1)
+	row, err := ClassificationExperiment(opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 8 {
-		t.Fatalf("got %d rows", len(rows))
+	if row.K != 1 || row.Datasets != 3 {
+		t.Fatalf("row %+v, want k 1 over 3 datasets", row)
 	}
-	for _, r := range rows {
-		if r.Datasets != 3 {
-			t.Fatalf("%s: datasets = %d", r.Method, r.Datasets)
-		}
-		if r.Accuracy < 0 || r.Accuracy > 1 || r.MeanRho <= 0 || r.MeanRho > 1 {
-			t.Fatalf("%s: row %+v", r.Method, r)
-		}
+	if row.Accuracy < 0 || row.Accuracy > 1 || row.MeanRho <= 0 || row.MeanRho > 1 {
+		t.Fatalf("row %+v", row)
 	}
-	if s := FormatClassification(rows); !strings.Contains(s, "Accuracy") {
+	if s := FormatClassification(row); !strings.Contains(s, "Accuracy") {
 		t.Fatal("FormatClassification missing content")
 	}
 	var buf bytes.Buffer
-	if err := WriteClassificationCSV(&buf, rows); err != nil {
+	if err := WriteClassificationCSV(&buf, row); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "mean_rho") {

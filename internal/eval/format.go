@@ -70,14 +70,11 @@ func FormatScaling(rows []ScalingRow) string {
 	})
 }
 
-// FormatClassification renders the classification-application rows.
-func FormatClassification(rows []ClassificationRow) string {
+// FormatClassification renders the classification-application row.
+func FormatClassification(r ClassificationRow) string {
 	return table(func(w *tabwriter.Writer) {
-		fmt.Fprintln(w, "Method\tk\tAccuracy\tMean ρ\tDatasets")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s\t%d\t%.4f\t%.4f\t%d\n",
-				r.Method, r.K, r.Accuracy, r.MeanRho, r.Datasets)
-		}
+		fmt.Fprintln(w, "k\tAccuracy\tMean ρ\tDatasets")
+		fmt.Fprintf(w, "%d\t%.4f\t%.4f\t%d\n", r.K, r.Accuracy, r.MeanRho, r.Datasets)
 	})
 }
 

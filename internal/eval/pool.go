@@ -11,15 +11,13 @@ import (
 
 // datasetCache generates each dataset at most once, on demand, whichever
 // unit touches it first — the piece that lets experiments parallelise below
-// dataset granularity without regenerating data per unit. It keeps the
-// labelled instances (classification) and their bare series (every other
-// experiment). Safe for concurrent use.
+// dataset granularity without regenerating data per unit. It keeps each
+// dataset's stored series and held-out queries. Safe for concurrent use.
 type datasetCache struct {
-	opt         Options
-	once        []sync.Once
-	train, test [][]ucr.Instance
-	data        [][]ts.Series
-	queries     [][]ts.Series
+	opt     Options
+	once    []sync.Once
+	data    [][]ts.Series
+	queries [][]ts.Series
 }
 
 func newDatasetCache(opt Options) *datasetCache {
@@ -27,8 +25,6 @@ func newDatasetCache(opt Options) *datasetCache {
 	return &datasetCache{
 		opt:     opt,
 		once:    make([]sync.Once, n),
-		train:   make([][]ucr.Instance, n),
-		test:    make([][]ucr.Instance, n),
 		data:    make([][]ts.Series, n),
 		queries: make([][]ts.Series, n),
 	}
@@ -37,9 +33,8 @@ func newDatasetCache(opt Options) *datasetCache {
 // generate fills dataset di's slots on first use.
 func (dc *datasetCache) generate(di int) {
 	dc.once[di].Do(func() {
-		dc.train[di], dc.test[di] = dc.opt.Datasets[di].Generate(dc.opt.Cfg)
-		dc.data[di] = seriesOf(dc.train[di])
-		dc.queries[di] = seriesOf(dc.test[di])
+		train, test := dc.opt.Datasets[di].Generate(dc.opt.Cfg)
+		dc.data[di], dc.queries[di] = seriesOf(train), seriesOf(test)
 	})
 }
 
@@ -47,12 +42,6 @@ func (dc *datasetCache) generate(di int) {
 func (dc *datasetCache) get(di int) (data, queries []ts.Series) {
 	dc.generate(di)
 	return dc.data[di], dc.queries[di]
-}
-
-// instances returns dataset di's labelled training and test instances.
-func (dc *datasetCache) instances(di int) (train, test []ucr.Instance) {
-	dc.generate(di)
-	return dc.train[di], dc.test[di]
 }
 
 // generateAll forces every dataset into the cache, in parallel. Experiments

@@ -1,19 +1,18 @@
 // Package mining implements the downstream tasks the paper's introduction
 // motivates similarity search with — k-NN classification, k-medoids
-// clustering, motif discovery and discord (anomaly) detection — all built
-// on the reduced representations and the lower-bounding distances, so each
-// task reports how much exact-distance work the bounds saved.
+// clustering, motif discovery and discord (anomaly) detection. The searches
+// run on the flat tier (index.Flat), whose envelope filter is a proven lower
+// bound of the Euclidean distance, so every answer is exact and each task
+// reports how much exact-distance work the bound saved.
 package mining
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"sapla/internal/dist"
 	"sapla/internal/index"
-	"sapla/internal/reduce"
 	"sapla/internal/ts"
 	"sapla/internal/ucr"
 )
@@ -21,60 +20,49 @@ import (
 // ErrNoData is returned when a task receives an empty collection.
 var ErrNoData = errors.New("mining: no data")
 
-// Classifier is a k-NN majority-vote classifier over an index.
+// Classifier is a k-NN majority-vote classifier over an exact flat index.
 type Classifier struct {
-	method reduce.Method
-	m      int
 	k      int
-	idx    index.Index
-	labels []int
-	size   int
+	idx    *index.Flat
+	labels []int // by entry ID
 }
 
-// NewClassifier builds a classifier using the given reduction method,
-// coefficient budget m and neighbourhood size k, indexed by a DBCH-tree.
-func NewClassifier(method reduce.Method, m, k int) (*Classifier, error) {
+// NewClassifier builds a classifier with neighbourhood size k.
+func NewClassifier(k int) (*Classifier, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("mining: k must be positive, got %d", k)
 	}
-	idx, err := index.NewDBCH(method.Name(), 2, 5)
-	if err != nil {
-		return nil, err
-	}
-	return &Classifier{method: method, m: m, k: k, idx: idx}, nil
+	return &Classifier{k: k, idx: index.NewFlat()}, nil
 }
 
-// Train indexes the labelled training set.
+// Train indexes the labelled training set. Every series must have the
+// length of the first one trained.
 func (c *Classifier) Train(data []ucr.Instance) error {
 	if len(data) == 0 {
 		return ErrNoData
 	}
 	for _, inst := range data {
-		rep, err := c.method.Reduce(inst.Values, c.m)
-		if err != nil {
+		if err := inst.Values.Validate(); err != nil {
+			return fmt.Errorf("mining: training series %d: %w", len(c.labels), err)
+		}
+		if err := c.idx.Insert(index.NewEntry(len(c.labels), inst.Values, nil)); err != nil {
 			return err
 		}
-		id := len(c.labels)
 		c.labels = append(c.labels, inst.Class)
-		if err := c.idx.Insert(index.NewEntry(id, inst.Values, rep)); err != nil {
-			return err
-		}
 	}
-	c.size = len(c.labels)
 	return nil
 }
 
 // Classify predicts the class of s by majority vote among its k nearest
 // indexed neighbours, breaking ties toward the nearer class.
 func (c *Classifier) Classify(s ts.Series) (int, index.SearchStats, error) {
-	if c.size == 0 {
+	if len(c.labels) == 0 {
 		return 0, index.SearchStats{}, ErrNoData
 	}
-	rep, err := c.method.Reduce(s, c.m)
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return 0, index.SearchStats{}, err
 	}
-	res, stats, err := c.idx.KNN(dist.NewQuery(s, rep), c.k)
+	res, stats, err := c.idx.KNN(dist.Query{Raw: s}, c.k)
 	if err != nil || len(res) == 0 {
 		return 0, stats, err
 	}
@@ -112,47 +100,30 @@ func (c *Classifier) Evaluate(test []ucr.Instance) (accuracy, meanRho float64, e
 		if pred == inst.Class {
 			correct++
 		}
-		rho += float64(stats.Measured) / float64(c.size)
+		rho += float64(stats.Measured) / float64(len(c.labels))
 	}
 	return float64(correct) / float64(len(test)), rho / float64(len(test)), nil
 }
 
-// pairDistances reduces every series and returns the representation-space
-// distance matrix entries needed by the batch tasks, plus the exact distance
-// evaluator.
-type collection struct {
-	data   []ts.Series
-	reps   []dist.Query
-	filter dist.FilterFunc
-}
-
-func newCollection(data []ts.Series, method reduce.Method, m int) (*collection, error) {
+// checkCollection returns an error unless data holds at least least series,
+// each finite and of the first one's length.
+func checkCollection(data []ts.Series, least int) error {
 	if len(data) == 0 {
-		return nil, ErrNoData
+		return ErrNoData
 	}
-	filter, err := dist.Filter(method.Name())
-	if err != nil {
-		return nil, err
+	if len(data) < least {
+		return fmt.Errorf("mining: %d series, the task needs at least %d", len(data), least)
 	}
-	col := &collection{data: data, filter: filter, reps: make([]dist.Query, len(data))}
-	reps, err := reduce.Batch(method, data, m, 0)
-	if err != nil {
-		return nil, err
+	for i, s := range data {
+		if err := s.Validate(); err != nil {
+			return fmt.Errorf("mining: series %d: %w", i, err)
+		}
+		if len(s) != len(data[0]) {
+			return fmt.Errorf("mining: series %d has %d points, series 0 has %d: %w",
+				i, len(s), len(data[0]), ts.ErrLengthMismatch)
+		}
 	}
-	for i, rep := range reps {
-		col.reps[i] = dist.NewQuery(data[i], rep)
-	}
-	return col, nil
-}
-
-// lb returns the representation-space (lower-bound) distance between items.
-func (c *collection) lb(i, j int) (float64, error) {
-	return c.filter(c.reps[i], c.reps[j].Rep)
-}
-
-// exact returns the Euclidean distance between items.
-func (c *collection) exact(i, j int) float64 {
-	return math.Sqrt(ts.EuclideanSq(c.data[i], c.data[j]))
+	return nil
 }
 
 // MotifResult is the closest pair in a collection.
@@ -164,43 +135,28 @@ type MotifResult struct {
 }
 
 // Motif finds the top-1 motif — the pair of series with the smallest
-// Euclidean distance — using the GEMINI pattern: order all pairs by their
-// representation-space lower bound and verify exactly only while a pair's
-// bound beats the best exact distance found.
-func Motif(data []ts.Series, method reduce.Method, m int) (MotifResult, error) {
-	col, err := newCollection(data, method, m)
-	if err != nil {
+// Euclidean distance. Series i is a range query, within the best distance
+// found so far, against a flat index holding series 0…i−1, and is then
+// inserted: each pair is considered once, and only pairs whose lower bound
+// does not exceed the running best are measured.
+func Motif(data []ts.Series) (MotifResult, error) {
+	if err := checkCollection(data, 2); err != nil {
 		return MotifResult{}, err
 	}
 	n := len(data)
-	if n < 2 {
-		return MotifResult{}, fmt.Errorf("mining: motif needs at least 2 series")
-	}
-	type pair struct {
-		i, j int
-		lb   float64
-	}
-	pairs := make([]pair, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			lb, err := col.lb(i, j)
-			if err != nil {
-				return MotifResult{}, err
-			}
-			pairs = append(pairs, pair{i, j, lb})
+	idx := index.NewFlat()
+	res := MotifResult{I: -1, J: -1, Dist: math.Inf(1), Pairs: n * (n - 1) / 2}
+	for i, s := range data {
+		nn, stats, err := idx.Range(dist.Query{Raw: s}, res.Dist)
+		if err != nil {
+			return MotifResult{}, err
 		}
-	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].lb < pairs[b].lb })
-
-	res := MotifResult{I: -1, J: -1, Dist: math.Inf(1), Pairs: len(pairs)}
-	for _, p := range pairs {
-		if p.lb >= res.Dist {
-			break // every later pair's bound is at least this large
+		res.Measured += stats.Measured
+		if len(nn) > 0 && nn[0].Dist < res.Dist {
+			res.I, res.J, res.Dist = nn[0].Entry.ID, i, nn[0].Dist
 		}
-		d := col.exact(p.i, p.j)
-		res.Measured++
-		if d < res.Dist {
-			res.I, res.J, res.Dist = p.i, p.j, d
+		if err := idx.Insert(index.NewEntry(i, s, nil)); err != nil {
+			return MotifResult{}, err
 		}
 	}
 	return res, nil
@@ -214,53 +170,33 @@ type DiscordResult struct {
 }
 
 // Discord finds the top-1 discord — the series whose nearest-neighbour
-// distance is largest — with lower-bound pruning: for each candidate,
-// neighbours are visited in increasing bound order and the scan of a
-// candidate aborts early once its NN distance provably falls below the best
-// discord found so far.
-func Discord(data []ts.Series, method reduce.Method, m int) (DiscordResult, error) {
-	col, err := newCollection(data, method, m)
-	if err != nil {
+// distance is largest. Every series is a 2-NN query against a flat index of
+// the whole collection: one answer is the series itself, the other its
+// nearest neighbour.
+func Discord(data []ts.Series) (DiscordResult, error) {
+	if err := checkCollection(data, 2); err != nil {
 		return DiscordResult{}, err
 	}
-	n := len(data)
-	if n < 2 {
-		return DiscordResult{}, fmt.Errorf("mining: discord needs at least 2 series")
+	idx := index.NewFlat()
+	for i, s := range data {
+		if err := idx.Insert(index.NewEntry(i, s, nil)); err != nil {
+			return DiscordResult{}, err
+		}
 	}
 	best := DiscordResult{Index: -1, NNDist: -1}
-	for i := 0; i < n; i++ {
-		type cand struct {
-			j  int
-			lb float64
+	for i, s := range data {
+		nn, stats, err := idx.KNN(dist.Query{Raw: s}, 2)
+		if err != nil {
+			return DiscordResult{}, err
 		}
-		cands := make([]cand, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			lb, err := col.lb(i, j)
-			if err != nil {
-				return DiscordResult{}, err
-			}
-			cands = append(cands, cand{j, lb})
+		best.Measured += stats.Measured
+		// A duplicate of s ties it at distance 0 and may come first.
+		r := nn[0]
+		if r.Entry.ID == i {
+			r = nn[1]
 		}
-		sort.Slice(cands, func(a, b int) bool { return cands[a].lb < cands[b].lb })
-		nn := math.Inf(1)
-		for _, cd := range cands {
-			if cd.lb >= nn {
-				break // NN distance settled
-			}
-			d := col.exact(i, cd.j)
-			best.Measured++
-			if d < nn {
-				nn = d
-			}
-			if nn <= best.NNDist {
-				break // cannot beat the current discord
-			}
-		}
-		if nn > best.NNDist && !math.IsInf(nn, 1) {
-			best.Index, best.NNDist = i, nn
+		if r.Dist > best.NNDist {
+			best.Index, best.NNDist = i, r.Dist
 		}
 	}
 	return best, nil
@@ -275,11 +211,9 @@ type KMedoidsResult struct {
 }
 
 // KMedoids clusters the collection into k groups with a PAM-style
-// alternating refinement, using exact distances to medoids only (candidate
-// medoid swaps are screened with the representation-space distance first).
-func KMedoids(data []ts.Series, method reduce.Method, m, k, maxIter int) (KMedoidsResult, error) {
-	col, err := newCollection(data, method, m)
-	if err != nil {
+// alternating refinement on exact distances.
+func KMedoids(data []ts.Series, k, maxIter int) (KMedoidsResult, error) {
+	if err := checkCollection(data, 1); err != nil {
 		return KMedoidsResult{}, err
 	}
 	n := len(data)
@@ -289,6 +223,7 @@ func KMedoids(data []ts.Series, method reduce.Method, m, k, maxIter int) (KMedoi
 	if maxIter < 1 {
 		maxIter = 10
 	}
+	exact := func(i, j int) float64 { return math.Sqrt(ts.EuclideanSq(data[i], data[j])) }
 	// Deterministic farthest-first seeding.
 	medoids := []int{0}
 	for len(medoids) < k {
@@ -300,7 +235,7 @@ func KMedoids(data []ts.Series, method reduce.Method, m, k, maxIter int) (KMedoi
 					dmin = 0
 					break
 				}
-				if d := col.exact(i, md); d < dmin {
+				if d := exact(i, md); d < dmin {
 					dmin = d
 				}
 			}
@@ -320,7 +255,7 @@ func KMedoids(data []ts.Series, method reduce.Method, m, k, maxIter int) (KMedoi
 		for i := 0; i < n; i++ {
 			bestC, bestD := 0, math.Inf(1)
 			for ci, md := range medoids {
-				if d := col.exact(i, md); d < bestD {
+				if d := exact(i, md); d < bestD {
 					bestC, bestD = ci, d
 				}
 			}
@@ -338,7 +273,7 @@ func KMedoids(data []ts.Series, method reduce.Method, m, k, maxIter int) (KMedoi
 				var c float64
 				for j := 0; j < n; j++ {
 					if assign[j] == ci {
-						c += col.exact(i, j)
+						c += exact(i, j)
 					}
 				}
 				if c < bestCost {

@@ -1,17 +1,16 @@
 package mining
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
-	"sapla/internal/core"
-	"sapla/internal/reduce"
 	"sapla/internal/ts"
 	"sapla/internal/ucr"
 )
 
-func dataset(t *testing.T, name string, n, count, queries int) ([]ucr.Instance, []ucr.Instance) {
+func dataset(t testing.TB, name string, n, count, queries int) ([]ucr.Instance, []ucr.Instance) {
 	t.Helper()
 	d, err := ucr.ByName(name)
 	if err != nil {
@@ -30,7 +29,7 @@ func values(insts []ucr.Instance) []ts.Series {
 
 func TestClassifierOnCBF(t *testing.T) {
 	train, test := dataset(t, "CBF", 128, 90, 30)
-	c, err := NewClassifier(core.New(), 12, 1)
+	c, err := NewClassifier(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +50,7 @@ func TestClassifierOnCBF(t *testing.T) {
 
 func TestClassifierKGreaterThanOne(t *testing.T) {
 	train, test := dataset(t, "TwoPatterns", 128, 60, 12)
-	c, err := NewClassifier(core.New(), 12, 3)
+	c, err := NewClassifier(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +67,10 @@ func TestClassifierKGreaterThanOne(t *testing.T) {
 }
 
 func TestClassifierErrors(t *testing.T) {
-	if _, err := NewClassifier(core.New(), 12, 0); err == nil {
+	if _, err := NewClassifier(0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	c, _ := NewClassifier(core.New(), 12, 1)
+	c, _ := NewClassifier(1)
 	if err := c.Train(nil); err != ErrNoData {
 		t.Fatalf("empty train: %v", err)
 	}
@@ -103,7 +102,7 @@ func TestMotifFindsPlantedPair(t *testing.T) {
 	}
 	data[17] = dup
 
-	res, err := Motif(data, core.New(), 12)
+	res, err := Motif(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestMotifPrunes(t *testing.T) {
 	ecg, _ := dataset(t, "ECG200", 128, 20, 0)
 	eog, _ := dataset(t, "EOGHorizontalSignal", 128, 20, 0)
 	data := append(values(ecg), values(eog)...)
-	res, err := Motif(data, core.New(), 12)
+	res, err := Motif(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +143,14 @@ func TestMotifPrunes(t *testing.T) {
 }
 
 func TestMotifErrors(t *testing.T) {
-	if _, err := Motif(nil, core.New(), 12); err == nil {
+	if _, err := Motif(nil); err == nil {
 		t.Fatal("empty accepted")
 	}
 	one := []ts.Series{make(ts.Series, 32)}
 	for i := range one[0] {
 		one[0][i] = float64(i)
 	}
-	if _, err := Motif(one, core.New(), 12); err == nil {
+	if _, err := Motif(one); err == nil {
 		t.Fatal("single series accepted")
 	}
 }
@@ -168,7 +167,7 @@ func TestDiscordFindsPlantedOutlier(t *testing.T) {
 	data = append(data, out.ZNormalize())
 	outIdx := len(data) - 1
 
-	res, err := Discord(data, core.New(), 12)
+	res, err := Discord(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +199,7 @@ func TestDiscordFindsPlantedOutlier(t *testing.T) {
 }
 
 func TestDiscordErrors(t *testing.T) {
-	if _, err := Discord(nil, core.New(), 12); err == nil {
+	if _, err := Discord(nil); err == nil {
 		t.Fatal("empty accepted")
 	}
 }
@@ -222,7 +221,7 @@ func TestKMedoidsRecoverableClusters(t *testing.T) {
 		data = append(data, s)
 		truth = append(truth, i%2)
 	}
-	res, err := KMedoids(data, core.New(), 12, 2, 20)
+	res, err := KMedoids(data, 2, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,27 +248,131 @@ func TestKMedoidsRecoverableClusters(t *testing.T) {
 func TestKMedoidsErrors(t *testing.T) {
 	insts, _ := dataset(t, "Coffee", 64, 6, 0)
 	data := values(insts)
-	if _, err := KMedoids(data, core.New(), 12, 0, 5); err == nil {
+	if _, err := KMedoids(data, 0, 5); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := KMedoids(data, core.New(), 12, 7, 5); err == nil {
+	if _, err := KMedoids(data, 7, 5); err == nil {
 		t.Fatal("k>n accepted")
 	}
-	if _, err := KMedoids(nil, core.New(), 12, 2, 5); err == nil {
+	if _, err := KMedoids(nil, 2, 5); err == nil {
 		t.Fatal("empty accepted")
 	}
 }
 
-// The tasks work with any reduction method, not only SAPLA.
-func TestTasksWithBaselineMethods(t *testing.T) {
-	insts, _ := dataset(t, "GunPoint", 96, 16, 0)
-	data := values(insts)
-	for _, meth := range []reduce.Method{reduce.NewPAA(), reduce.NewAPCA(), reduce.NewPLA()} {
-		if _, err := Motif(data, meth, 12); err != nil {
-			t.Fatalf("%s motif: %v", meth.Name(), err)
+// bruteNN returns the index of data's nearest series to q other than skip
+// (−1 for none) and its distance; ties go to the lower index.
+func bruteNN(data []ts.Series, q ts.Series, skip int) (int, float64) {
+	bi, bd := -1, math.Inf(1)
+	for j, s := range data {
+		if j == skip {
+			continue
 		}
-		if _, err := Discord(data, meth, 12); err != nil {
-			t.Fatalf("%s discord: %v", meth.Name(), err)
+		if d := math.Sqrt(ts.EuclideanSq(q, s)); d < bd {
+			bi, bd = j, d
 		}
+	}
+	return bi, bd
+}
+
+// harmonics is a homogeneous harmonic family: many pairs sit close together,
+// where a filter that is not a lower bound dismisses the true motif and
+// misjudges nearest neighbours.
+func harmonics(t testing.TB) []ts.Series {
+	insts, _ := dataset(t, "InsectWingbeatSound", 128, 200, 0)
+	return values(insts)
+}
+
+func TestMotifExactOnHarmonics(t *testing.T) {
+	data := harmonics(t)
+	motif, err := Motif(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bi, bj, bd := -1, -1, math.Inf(1)
+	for j := range data {
+		if i, d := bruteNN(data[:j], data[j], -1); d < bd {
+			bi, bj, bd = i, j, d
+		}
+	}
+	if motif.I != bi || motif.J != bj || math.Abs(motif.Dist-bd) > 1e-9 {
+		t.Fatalf("motif (%d,%d,%v) != brute force (%d,%d,%v)", motif.I, motif.J, motif.Dist, bi, bj, bd)
+	}
+	if motif.Measured >= motif.Pairs {
+		t.Fatalf("motif did no pruning: measured %d of %d", motif.Measured, motif.Pairs)
+	}
+}
+
+func TestDiscordExactOnHarmonics(t *testing.T) {
+	data := harmonics(t)
+	discord, err := Discord(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	di, dd := -1, -1.0
+	for i := range data {
+		if _, nn := bruteNN(data, data[i], i); nn > dd {
+			di, dd = i, nn
+		}
+	}
+	if discord.Index != di || math.Abs(discord.NNDist-dd) > 1e-9 {
+		t.Fatalf("discord (%d,%v) != brute force (%d,%v)", discord.Index, discord.NNDist, di, dd)
+	}
+}
+
+// TestClassifierMatchesBruteForce1NN: every 1-NN prediction comes from the
+// scan's nearest training series. Each training series is its own class, so
+// a prediction names the neighbour the classifier found.
+func TestClassifierMatchesBruteForce1NN(t *testing.T) {
+	train, test := dataset(t, "CBF", 128, 300, 100)
+	for i := range train {
+		train[i].Class = i
+	}
+	c, err := NewClassifier(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Train(train); err != nil {
+		t.Fatal(err)
+	}
+	trainValues := values(train)
+	wrong := 0
+	for _, inst := range test {
+		got, _, err := c.Classify(inst.Values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nn, _ := bruteNN(trainValues, inst.Values, -1); got != nn {
+			wrong++
+		}
+	}
+	if wrong > 0 {
+		t.Fatalf("%d of %d queries found another neighbour than the brute-force 1-NN", wrong, len(test))
+	}
+}
+
+// TestTasksRejectMixedLengths: a collection whose series differ in length
+// is an error, not a panic.
+func TestTasksRejectMixedLengths(t *testing.T) {
+	data := []ts.Series{make(ts.Series, 32), make(ts.Series, 64), make(ts.Series, 32)}
+	for i, s := range data {
+		for j := range s {
+			s[j] = float64((i + 1) * j)
+		}
+	}
+	if _, err := Motif(data); !errors.Is(err, ts.ErrLengthMismatch) {
+		t.Fatalf("motif: %v", err)
+	}
+	if _, err := Discord(data); !errors.Is(err, ts.ErrLengthMismatch) {
+		t.Fatalf("discord: %v", err)
+	}
+	if _, err := KMedoids(data, 2, 5); !errors.Is(err, ts.ErrLengthMismatch) {
+		t.Fatalf("kmedoids: %v", err)
+	}
+	c, _ := NewClassifier(1)
+	if err := c.Train([]ucr.Instance{{Values: data[0]}, {Values: data[1]}}); err == nil {
+		t.Fatal("classifier trained on mixed lengths")
+	}
+	if _, _, err := c.Classify(data[1]); err == nil {
+		t.Fatal("classifier answered a query of another length")
 	}
 }

@@ -1,11 +1,9 @@
 package reduce
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
-	"sapla/internal/repr"
 	"sapla/internal/ts"
 )
 
@@ -215,75 +213,5 @@ func TestSegmentsForValidation(t *testing.T) {
 	n, err := segmentsFor("X", 12, 100, 3, 2)
 	if err != nil || n != 4 {
 		t.Fatalf("segmentsFor = %d, %v", n, err)
-	}
-}
-
-func TestBatchMatchesSequential(t *testing.T) {
-	data := make([]ts.Series, 30)
-	for i := range data {
-		data[i] = randWalk(int64(i), 100)
-	}
-	meth := NewAPCA()
-	batch, err := Batch(meth, data, 12, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(data) {
-		t.Fatalf("got %d results", len(batch))
-	}
-	for i, c := range data {
-		seq, err := meth.Reduce(c, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b := seq.Coeffs(), batch[i].Coeffs()
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("series %d: batch differs from sequential", i)
-			}
-		}
-	}
-}
-
-func TestBatchPropagatesError(t *testing.T) {
-	data := []ts.Series{randWalk(1, 100), {1, math.NaN()}}
-	if _, err := Batch(NewPAA(), data, 12, 2); err == nil {
-		t.Fatal("batch swallowed an error")
-	}
-}
-
-// failOn fails, naming the series, on every series whose first value is
-// negative.
-type failOn struct{ Method }
-
-func (f failOn) Reduce(c ts.Series, m int) (repr.Representation, error) {
-	if c[0] < 0 {
-		return nil, fmt.Errorf("series %v", c[0])
-	}
-	return f.Method.Reduce(c, m)
-}
-
-// TestBatchFirstErrorInOrder: with two failing series the lower one's error
-// is returned at every worker count, not whichever goroutine failed first.
-func TestBatchFirstErrorInOrder(t *testing.T) {
-	data := make([]ts.Series, 12)
-	for i := range data {
-		data[i] = randWalk(int64(i), 60)
-		data[i][0] = 1
-	}
-	data[3][0], data[9][0] = -3, -9
-	for _, workers := range []int{1, 2, 8} {
-		out, err := Batch(failOn{NewPAA()}, data, 12, workers)
-		if out != nil || err == nil || err.Error() != "series -3" {
-			t.Errorf("workers=%d: (%v, %v), want series -3's error", workers, out != nil, err)
-		}
-	}
-}
-
-func TestBatchDefaultWorkers(t *testing.T) {
-	data := []ts.Series{randWalk(2, 50)}
-	out, err := Batch(NewPLA(), data, 8, 0)
-	if err != nil || len(out) != 1 {
-		t.Fatalf("%v, %d", err, len(out))
 	}
 }

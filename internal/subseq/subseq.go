@@ -1,18 +1,16 @@
 // Package subseq implements subsequence similarity search over one long
 // sequence — the original GEMINI use case (Faloutsos et al., the framework
-// the paper's indexing builds on): sliding windows of the long sequence are
-// reduced and indexed, and pattern queries run through the lower-bounding
-// k-NN/range machinery with exact verification.
+// the paper's indexing builds on): the sliding windows of the long sequence
+// are indexed on the flat tier (index.Flat), whose envelope filter is a
+// proven lower bound, so pattern queries return exactly a scan's answers.
 package subseq
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"sapla/internal/dist"
 	"sapla/internal/index"
-	"sapla/internal/reduce"
 	"sapla/internal/ts"
 )
 
@@ -28,13 +26,10 @@ type Match struct {
 
 // Index is a subsequence-search index over one long sequence.
 type Index struct {
-	long   ts.Series
 	w      int
 	stride int
-	m      int
 	znorm  bool
-	method reduce.Method
-	idx    index.Index
+	idx    *index.Flat
 }
 
 // Option configures the index.
@@ -42,7 +37,6 @@ type Option func(*config)
 
 type config struct {
 	stride int
-	useR   bool
 	znorm  bool
 }
 
@@ -53,21 +47,16 @@ func WithStride(s int) Option {
 	return func(c *config) { c.stride = s }
 }
 
-// WithRTree uses the R-tree instead of the default DBCH-tree.
-func WithRTree() Option {
-	return func(c *config) { c.useR = true }
-}
-
-// WithZNormalize z-normalises every window and every query before reduction
-// and matching — the UCR-suite convention for amplitude/offset-invariant
-// subsequence search. Reported distances are z-normalised distances.
+// WithZNormalize z-normalises every window and every query before matching —
+// the UCR-suite convention for amplitude/offset-invariant subsequence
+// search. Reported distances are z-normalised distances.
 func WithZNormalize() Option {
 	return func(c *config) { c.znorm = true }
 }
 
-// New builds a subsequence index over long with window length w, reducing
-// each window to m coefficients under method.
-func New(long ts.Series, w, m int, method reduce.Method, opts ...Option) (*Index, error) {
+// New builds a subsequence index over long with window length w. A window's
+// entry aliases long; a z-normalised window keeps its own copy.
+func New(long ts.Series, w int, opts ...Option) (*Index, error) {
 	if err := long.Validate(); err != nil {
 		return nil, err
 	}
@@ -81,35 +70,13 @@ func New(long ts.Series, w, m int, method reduce.Method, opts ...Option) (*Index
 	if cfg.stride < 1 {
 		cfg.stride = 1
 	}
-	var idx index.Index
-	var err error
-	if cfg.useR {
-		idx, err = index.NewRTree(method.Name(), w, m, 2, 5)
-	} else {
-		// Overlapping windows are near-duplicates of each other — exactly
-		// the regime where the paper's Section 5.3 node rule over-prunes —
-		// so subsequence search uses the triangle-safe DBCH bound.
-		var db *index.DBCH
-		db, err = index.NewDBCH(method.Name(), 2, 5)
-		if db != nil {
-			db.SafeBound = true
-			idx = db
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{long: long, w: w, stride: cfg.stride, m: m, znorm: cfg.znorm, method: method, idx: idx}
+	ix := &Index{w: w, stride: cfg.stride, znorm: cfg.znorm, idx: index.NewFlat()}
 	for off := 0; off+w <= len(long); off += cfg.stride {
 		win := long[off : off+w]
 		if cfg.znorm {
 			win = win.ZNormalize()
 		}
-		rep, err := method.Reduce(win, m)
-		if err != nil {
-			return nil, err
-		}
-		if err := idx.Insert(index.NewEntry(off, win, rep)); err != nil {
+		if err := ix.idx.Insert(index.NewEntry(off, win, nil)); err != nil {
 			return nil, err
 		}
 	}
@@ -119,19 +86,18 @@ func New(long ts.Series, w, m int, method reduce.Method, opts ...Option) (*Index
 // Windows returns how many windows are indexed.
 func (ix *Index) Windows() int { return ix.idx.Len() }
 
-// prepare reduces a query and validates its length.
+// prepare validates a query and z-normalises it when the index does.
 func (ix *Index) prepare(query ts.Series) (dist.Query, error) {
 	if len(query) != ix.w {
 		return dist.Query{}, ErrQueryLength
 	}
+	if err := query.Validate(); err != nil {
+		return dist.Query{}, err
+	}
 	if ix.znorm {
 		query = query.ZNormalize()
 	}
-	rep, err := ix.method.Reduce(query, ix.m)
-	if err != nil {
-		return dist.Query{}, err
-	}
-	return dist.NewQuery(query, rep), nil
+	return dist.Query{Raw: query}, nil
 }
 
 // Match returns the k nearest indexed windows, including overlapping ones.
@@ -169,12 +135,6 @@ func (ix *Index) TopK(query ts.Series, k int) ([]Match, index.SearchStats, error
 }
 
 // RangeMatch returns every indexed window within radius, overlaps included.
-// No-false-dismissal holds only for methods whose filter distance is a
-// guaranteed lower bound (PAA, PLA); with adaptive methods (SAPLA, APLA,
-// APCA) Dist_PAR can exceed the Euclidean distance when the representation
-// error dominates it, so matches whose distance is far below the reduction
-// error scale may be missed — prefer Match/TopK there, which self-correct
-// through exact refinement.
 func (ix *Index) RangeMatch(query ts.Series, radius float64) ([]Match, index.SearchStats, error) {
 	q, err := ix.prepare(query)
 	if err != nil {
@@ -196,10 +156,9 @@ func toMatches(res []index.Result) []Match {
 	return out
 }
 
-// suppress keeps at most k matches, dropping any match within w positions
-// of an already-kept better one.
+// suppress keeps at most k of ms, which is sorted by distance, dropping any
+// match within w positions of an already-kept better one.
 func suppress(ms []Match, w, k int) []Match {
-	sort.Slice(ms, func(i, j int) bool { return ms[i].Dist < ms[j].Dist })
 	var kept []Match
 	for _, m := range ms {
 		ok := true

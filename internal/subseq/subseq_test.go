@@ -3,10 +3,9 @@ package subseq
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
-	"sapla/internal/core"
-	"sapla/internal/reduce"
 	"sapla/internal/ts"
 )
 
@@ -40,7 +39,7 @@ func TestMatchFindsPlantedPattern(t *testing.T) {
 	const n, w = 2000, 64
 	pattern := sinePattern(w)
 	long := makeLong(1, n, pattern, 500)
-	ix, err := New(long, w, 12, core.New())
+	ix, err := New(long, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestTopKSuppressesTrivialMatches(t *testing.T) {
 	const n, w = 3000, 64
 	pattern := sinePattern(w)
 	long := makeLong(2, n, pattern, 400, 1500, 2500)
-	ix, err := New(long, w, 12, core.New())
+	ix, err := New(long, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +101,10 @@ func TestTopKSuppressesTrivialMatches(t *testing.T) {
 }
 
 func TestRangeMatchFindsAllOccurrences(t *testing.T) {
-	// Range exactness requires a guaranteed-lower-bound filter (see the
-	// RangeMatch doc); PAA provides one.
 	const n, w = 2000, 64
 	pattern := sinePattern(w)
 	long := makeLong(3, n, pattern, 300, 900)
-	ix, err := New(long, w, 12, reduce.NewPAA())
+	ix, err := New(long, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +133,7 @@ func TestStrideMisses(t *testing.T) {
 	const n, w = 1000, 64
 	pattern := sinePattern(w)
 	long := makeLong(4, n, pattern, 501) // offset NOT divisible by the stride
-	ix, err := New(long, w, 12, core.New(), WithStride(4))
+	ix, err := New(long, w, WithStride(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,35 +150,18 @@ func TestStrideMisses(t *testing.T) {
 	}
 }
 
-func TestRTreeBackend(t *testing.T) {
-	const n, w = 1200, 64
-	pattern := sinePattern(w)
-	long := makeLong(5, n, pattern, 700)
-	ix, err := New(long, w, 8, reduce.NewPAA(), WithRTree())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, _, err := ix.Match(pattern, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms[0].Offset != 700 {
-		t.Fatalf("match at %d, want 700", ms[0].Offset)
-	}
-}
-
 func TestValidation(t *testing.T) {
 	long := makeLong(6, 300, nil)
-	if _, err := New(long, 1, 12, core.New()); err == nil {
+	if _, err := New(long, 1); err == nil {
 		t.Fatal("w=1 accepted")
 	}
-	if _, err := New(long, 400, 12, core.New()); err == nil {
+	if _, err := New(long, 400); err == nil {
 		t.Fatal("w>n accepted")
 	}
-	if _, err := New(ts.Series{}, 10, 12, core.New()); err == nil {
+	if _, err := New(ts.Series{}, 10); err == nil {
 		t.Fatal("empty sequence accepted")
 	}
-	ix, err := New(long, 64, 12, core.New())
+	ix, err := New(long, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,28 +176,93 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// bruteForce returns every stride-1 window of long (z-normalised when znorm)
+// with its exact distance to query, sorted by (distance, offset) — the
+// answer order of a linear scan.
+func bruteForce(long, query ts.Series, w int, znorm bool) []Match {
+	if znorm {
+		query = query.ZNormalize()
+	}
+	var all []Match
+	for off := 0; off+w <= len(long); off++ {
+		win := long[off : off+w]
+		if znorm {
+			win = win.ZNormalize()
+		}
+		all = append(all, Match{Offset: off, Dist: math.Sqrt(ts.EuclideanSq(win, query))})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Dist != all[j].Dist {
+			return all[i].Dist < all[j].Dist
+		}
+		return all[i].Offset < all[j].Offset
+	})
+	return all
+}
+
+// TestMatchIsExactAgainstBruteForce: every query form returns exactly a
+// linear scan's answer, including at ranks a lower bound that is not one
+// would get wrong.
 func TestMatchIsExactAgainstBruteForce(t *testing.T) {
 	const n, w = 1500, 48
 	long := makeLong(7, n, nil)
-	query := sinePattern(w)
-	ix, err := New(long, w, 8, reduce.NewPAA()) // guaranteed LB filter
-	if err != nil {
-		t.Fatal(err)
+	query := long[600 : 600+w].Clone()
+	for i := range query {
+		query[i] += 0.3 * math.Sin(float64(i))
 	}
-	ms, _, err := ix.Match(query, 1)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		znorm bool
+		run   func(ix *Index, all []Match) ([]Match, []Match, error)
+	}{
+		{"Match/k=10", false, func(ix *Index, all []Match) ([]Match, []Match, error) {
+			ms, _, err := ix.Match(query, 10)
+			return ms, all[:10], err
+		}},
+		{"TopK/k=3", false, func(ix *Index, all []Match) ([]Match, []Match, error) {
+			ms, _, err := ix.TopK(query, 3)
+			return ms, suppress(all, w, 3), err
+		}},
+		{"RangeMatch", false, func(ix *Index, all []Match) ([]Match, []Match, error) {
+			radius := all[25].Dist
+			ms, _, err := ix.RangeMatch(query, radius)
+			var want []Match
+			for _, m := range all {
+				if m.Dist <= radius {
+					want = append(want, m)
+				}
+			}
+			return ms, want, err
+		}},
+		{"Match/k=10/znorm", true, func(ix *Index, all []Match) ([]Match, []Match, error) {
+			ms, _, err := ix.Match(query, 10)
+			return ms, all[:10], err
+		}},
 	}
-	// Brute force best window.
-	best, bestD := -1, math.Inf(1)
-	for off := 0; off+w <= n; off++ {
-		d := math.Sqrt(ts.EuclideanSq(long[off:off+w], query))
-		if d < bestD {
-			best, bestD = off, d
-		}
-	}
-	if ms[0].Offset != best || math.Abs(ms[0].Dist-bestD) > 1e-9 {
-		t.Fatalf("index best (%d,%v) != brute force (%d,%v)", ms[0].Offset, ms[0].Dist, best, bestD)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var opts []Option
+			if tc.znorm {
+				opts = append(opts, WithZNormalize())
+			}
+			ix, err := New(long, w, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want, err := tc.run(ix, bruteForce(long, query, w, tc.znorm))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) || len(want) == 0 {
+				t.Fatalf("%d matches, brute force has %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Offset != want[i].Offset || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
+					t.Fatalf("rank %d: index (%d,%v) != brute force (%d,%v)",
+						i, got[i].Offset, got[i].Dist, want[i].Offset, want[i].Dist)
+				}
+			}
+		})
 	}
 }
 
@@ -230,7 +275,7 @@ func TestZNormalizedMatching(t *testing.T) {
 	for j, p := range pattern {
 		long[800+j] = 0.3*p + 50 // heavy rescale + offset
 	}
-	zix, err := New(long, w, 12, core.New(), WithZNormalize())
+	zix, err := New(long, w, WithZNormalize())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,5 +285,40 @@ func TestZNormalizedMatching(t *testing.T) {
 	}
 	if abs(ms[0].Offset-800) > 2 {
 		t.Fatalf("z-normalised match at %d, want ≈800", ms[0].Offset)
+	}
+}
+
+// TestMatchExactOnLongWalk: ROADMAP measurement 6's protocol — 20 noisy
+// windows of a 40 000-point walk at w = 256, k = 10. On these seeds a DBCH
+// tree filtering with Dist_PAR, which is not a lower bound, answered query 16
+// with a wrong ninth neighbour.
+func TestMatchExactOnLongWalk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("40 000 windows")
+	}
+	const n, w, k = 40000, 256, 10
+	long := makeLong(18, n, nil)
+	ix, err := New(long, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(19))
+	for qi := 0; qi < 20; qi++ {
+		off := rng.Intn(n - w)
+		query := long[off : off+w].Clone()
+		for i := range query {
+			query[i] += 0.5 * rng.NormFloat64()
+		}
+		got, _, err := ix.Match(query, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bruteForce(long, query, w, false)[:k]
+		for i := range want {
+			if got[i].Offset != want[i].Offset || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
+				t.Fatalf("query %d (window %d), rank %d: index (%d,%v) != brute force (%d,%v)",
+					qi, off, i, got[i].Offset, got[i].Dist, want[i].Offset, want[i].Dist)
+			}
+		}
 	}
 }

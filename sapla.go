@@ -11,6 +11,7 @@
 //     Dist_AE) and the baselines' own measures;
 //   - two memory-resident indexes — a Guttman R-tree over coefficient MBRs
 //     and the paper's DBCH-tree — with GEMINI branch-and-bound k-NN search;
+//   - exact k-NN classification, motifs, discords, k-medoids and subsequences;
 //   - a deterministic synthetic stand-in for the UCR2018 archive
 //     (117 named datasets) and the experiment harness that regenerates every
 //     figure and table of the paper's evaluation.
@@ -249,9 +250,10 @@ func Datasets() []Dataset { return ucr.Datasets() }
 // DatasetByName returns one archive dataset by its UCR2018 name.
 func DatasetByName(name string) (Dataset, error) { return ucr.ByName(name) }
 
-// Data-mining tasks (the paper's motivating applications).
+// Data-mining tasks (the paper's motivating applications) and subsequence
+// search over one long sequence (the GEMINI use case), exact on the flat tier.
 type (
-	// Classifier is a k-NN majority-vote classifier over a DBCH-tree.
+	// Classifier is a k-NN majority-vote classifier over an exact flat index.
 	Classifier = mining.Classifier
 	// MotifResult is the closest pair in a collection.
 	MotifResult = mining.MotifResult
@@ -259,42 +261,38 @@ type (
 	DiscordResult = mining.DiscordResult
 	// KMedoidsResult is a clustering of a collection.
 	KMedoidsResult = mining.KMedoidsResult
-)
-
-// NewClassifier builds a k-NN classifier using the given method,
-// coefficient budget m and neighbourhood size k.
-func NewClassifier(method Method, m, k int) (*Classifier, error) {
-	return mining.NewClassifier(method, m, k)
-}
-
-// Motif finds the closest pair of series using lower-bound pruning.
-func Motif(data []Series, method Method, m int) (MotifResult, error) {
-	return mining.Motif(data, method, m)
-}
-
-// Discord finds the series with the largest nearest-neighbour distance
-// (the top-1 anomaly) using lower-bound pruning.
-func Discord(data []Series, method Method, m int) (DiscordResult, error) {
-	return mining.Discord(data, method, m)
-}
-
-// KMedoids clusters the collection into k groups (PAM-style).
-func KMedoids(data []Series, method Method, m, k, maxIter int) (KMedoidsResult, error) {
-	return mining.KMedoids(data, method, m, k, maxIter)
-}
-
-// Subsequence search over one long sequence (the GEMINI use case).
-type (
 	// SubseqIndex indexes the sliding windows of a long sequence.
 	SubseqIndex = subseq.Index
 	// SubseqMatch is one matching window.
 	SubseqMatch = subseq.Match
+	// SubseqOption configures a SubseqIndex.
+	SubseqOption = subseq.Option
 )
 
-// NewSubseqIndex builds a subsequence index over long with window length w
-// and coefficient budget m. Options: subseq.WithStride, subseq.WithRTree.
-func NewSubseqIndex(long Series, w, m int, method Method, opts ...subseq.Option) (*SubseqIndex, error) {
-	return subseq.New(long, w, m, method, opts...)
+// NewClassifier builds a k-NN classifier with neighbourhood size k.
+func NewClassifier(k int) (*Classifier, error) { return mining.NewClassifier(k) }
+
+// Motif finds the closest pair of series.
+func Motif(data []Series) (MotifResult, error) { return mining.Motif(data) }
+
+// Discord finds the top-1 anomaly: the series farthest from its nearest neighbour.
+func Discord(data []Series) (DiscordResult, error) { return mining.Discord(data) }
+
+// KMedoids clusters the collection into k groups (PAM-style).
+func KMedoids(data []Series, k, maxIter int) (KMedoidsResult, error) {
+	return mining.KMedoids(data, k, maxIter)
+}
+
+// Subsequence options: index every s-th window only (a match may then be off
+// by up to s−1 positions), or z-normalise every window, query and distance.
+var (
+	SubseqWithStride     = subseq.WithStride
+	SubseqWithZNormalize = subseq.WithZNormalize
+)
+
+// NewSubseqIndex builds an exact subsequence index over long's windows of length w.
+func NewSubseqIndex(long Series, w int, opts ...SubseqOption) (*SubseqIndex, error) {
+	return subseq.New(long, w, opts...)
 }
 
 // Experiment harness re-exports (see internal/eval for row semantics).
