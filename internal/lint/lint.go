@@ -12,9 +12,11 @@
 // server's WAL ordering and request bounds are its own runtime tests
 // (TestServerWriteInvisibleUntilLogged, FuzzHandlers).
 //
-// The driver loads and type-checks packages (see Load), runs each Analyzer
-// over every requested package, and reports findings as
-// "file:line:col: [check] message". Intentional exceptions are annotated in
+// The driver takes its packages from `go list` (see Load): the go command
+// resolves the patterns, selects each package's files and compiles the
+// export data its imports are read from, and the driver parses and
+// type-checks only the named packages. It runs each Analyzer over every one
+// of them and reports findings as "file:line:col: [check] message". Intentional exceptions are annotated in
 // the source with //sapla: directives:
 //
 //	//sapla:floateq <reason>   suppresses a floatcmp finding on its line
@@ -49,7 +51,7 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// Analyzer is one named check, invoked once per analyzed package.
+// Analyzer is one named check, invoked once per loaded package.
 type Analyzer struct {
 	Name string
 	Run  func(*Pass)
@@ -245,14 +247,12 @@ func Analyzers(names ...string) ([]*Analyzer, error) {
 }
 
 // Run validates //sapla: directives and runs each analyzer over every
-// requested package, returning findings sorted by position.
+// package, returning findings sorted by position.
 func (prog *Program) Run(analyzers []*Analyzer) []Diagnostic {
 	diags := prog.indexDirectives()
 	for _, a := range analyzers {
 		for _, pkg := range prog.Pkgs {
-			if pkg.Analyze {
-				a.Run(&Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &diags})
-			}
+			a.Run(&Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &diags})
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {

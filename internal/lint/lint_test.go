@@ -69,14 +69,15 @@ func parseWants(t *testing.T, dir string) []*want {
 
 // runFixture loads one testdata package, runs the named checks and matches
 // the diagnostics against the fixture's // want comments: every diagnostic
-// must match a want on its line, and every want must be matched.
-func runFixture(t *testing.T, fixture string, checks ...string) {
+// must match a want on its line, and every want must be matched. It returns
+// the program and its diagnostics for further assertions.
+func runFixture(t *testing.T, fixture string, checks ...string) (*lint.Program, []lint.Diagnostic) {
 	t.Helper()
 	analyzers, err := lint.Analyzers(checks...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := lint.Load(".", []string{"./internal/lint/testdata/src/" + fixture})
+	prog, err := lint.Load(".", []string{"./testdata/src/" + fixture})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +101,7 @@ func runFixture(t *testing.T, fixture string, checks ...string) {
 			t.Errorf("%s:%d: no diagnostic matched want %q", w.file, w.line, w.raw)
 		}
 	}
+	return prog, diags
 }
 
 func TestFloatcmp(t *testing.T)    { runFixture(t, "floatcmp", "floatcmp") }
@@ -111,16 +113,26 @@ func TestDeterminismPqueue(t *testing.T) { runFixture(t, "pqueue", "determinism"
 func TestErrcheck(t *testing.T)          { runFixture(t, "errcheck", "errcheck") }
 func TestCtxflow(t *testing.T)           { runFixture(t, "ctxflow", "ctxflow") }
 
+// TestBuildConstraints pins the loader to the go command's file selection:
+// the buildtag fixture's second file repeats its float comparison under
+// //go:build ignore, and must be neither loaded nor analyzed.
+func TestBuildConstraints(t *testing.T) {
+	prog, diags := runFixture(t, "buildtag", "floatcmp")
+	if len(diags) != 1 || len(prog.Pkgs) != 1 || len(prog.Pkgs[0].Files) != 1 {
+		t.Fatalf("got %d diagnostics and %d packages, expected 1 diagnostic from 1 package of 1 file", len(diags), len(prog.Pkgs))
+	}
+}
+
 // TestFindingsDeterministic is the byte-stability contract behind the golden
 // fixtures: the full analyzer suite over every fixture package (the packages
 // with findings) must render identically run after run, regardless of map
 // iteration order anywhere in the framework.
 func TestFindingsDeterministic(t *testing.T) {
 	fixtures := []string{
-		"./internal/lint/testdata/src/floatcmp",
-		"./internal/lint/testdata/src/eval",
-		"./internal/lint/testdata/src/errcheck",
-		"./internal/lint/testdata/src/ctxflow",
+		"./testdata/src/floatcmp",
+		"./testdata/src/eval",
+		"./testdata/src/errcheck",
+		"./testdata/src/ctxflow",
 	}
 	analyzers, err := lint.Analyzers()
 	if err != nil {
@@ -157,7 +169,7 @@ func TestDirectiveValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := lint.Load(".", []string{"./internal/lint/testdata/src/directive"})
+	prog, err := lint.Load(".", []string{"./testdata/src/directive"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +202,35 @@ func TestDirectiveValidation(t *testing.T) {
 	}
 }
 
-// loadRepo loads every package of the repo (bench/ included) once for the
-// tests that walk the whole tree.
-var loadRepo = sync.OnceValues(func() (*lint.Program, error) {
-	return lint.Load(".", []string{"./..."})
+// loadRepo loads every package of the repo once for the tests that walk the
+// whole tree: one program for the root module and one for bench/, a module of
+// its own that `go list ./...` at the root does not reach.
+var loadRepo = sync.OnceValues(func() ([]*lint.Program, error) {
+	var progs []*lint.Program
+	for _, dir := range []string{"../..", "../../bench"} {
+		prog, err := lint.Load(dir, []string{"./..."})
+		if err != nil {
+			return nil, err
+		}
+		progs = append(progs, prog)
+	}
+	return progs, nil
 })
+
+// repoRel names path relative to the repo root, with forward slashes, as
+// goStatements and lockClasses do.
+func repoRel(t *testing.T, path string) string {
+	t.Helper()
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := filepath.Rel(root, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return filepath.ToSlash(rel)
+}
 
 // TestRepoIsClean is the contract the repo itself must keep: every analyzer
 // over every package, zero findings. A failure here is a genuine regression
@@ -204,13 +240,14 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := loadRepo()
+	progs, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := prog.Run(analyzers)
-	for _, d := range diags {
-		t.Errorf("%s", d)
+	for _, prog := range progs {
+		for _, d := range prog.Run(analyzers) {
+			t.Errorf("%s", d)
+		}
 	}
 }
 
@@ -233,7 +270,7 @@ var goStatements = []struct{ site, why string }{
 // statements in the tree, counted per function, must be exactly those of
 // goStatements.
 func TestGoStatements(t *testing.T) {
-	prog, err := loadRepo()
+	progs, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,26 +278,22 @@ func TestGoStatements(t *testing.T) {
 	for _, g := range goStatements {
 		count[g.site]--
 	}
-	for _, pkg := range prog.Pkgs {
-		if !pkg.Analyze {
-			continue
-		}
-		for _, file := range pkg.Files {
-			rel, err := filepath.Rel(prog.Root, prog.Fset.Position(file.Pos()).Filename)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if _, ok := n.(*ast.GoStmt); ok {
-						count[filepath.ToSlash(rel)+":"+funcName(fd)]++
+	for _, prog := range progs {
+		for _, pkg := range prog.Pkgs {
+			for _, file := range pkg.Files {
+				rel := repoRel(t, prog.Fset.Position(file.Pos()).Filename)
+				for _, decl := range file.Decls {
+					fd, ok := decl.(*ast.FuncDecl)
+					if !ok || fd.Body == nil {
+						continue
 					}
-					return true
-				})
+					ast.Inspect(fd.Body, func(n ast.Node) bool {
+						if _, ok := n.(*ast.GoStmt); ok {
+							count[rel+":"+funcName(fd)]++
+						}
+						return true
+					})
+				}
 			}
 		}
 	}
@@ -306,44 +339,44 @@ var lockClasses = []struct {
 // in the tree must be exactly those of lockClasses, every class a holder may
 // take must be listed, and the may-take graph must have no cycle.
 func TestLockClasses(t *testing.T) {
-	prog, err := loadRepo()
+	progs, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := map[string]bool{}
-	for _, pkg := range prog.Pkgs {
-		if !pkg.Analyze {
-			continue
-		}
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				spec, ok := n.(*ast.TypeSpec)
-				if !ok {
-					return true
-				}
-				st, ok := spec.Type.(*ast.StructType)
-				if !ok {
-					return false
-				}
-				for _, field := range st.Fields.List {
-					switch types.TypeString(pkg.Info.TypeOf(field.Type), nil) {
-					case "sync.Mutex", "sync.RWMutex", "*sync.Mutex", "*sync.RWMutex":
-					default:
-						continue
+	for _, prog := range progs {
+		for _, pkg := range prog.Pkgs {
+			dir := repoRel(t, pkg.Dir)
+			for _, file := range pkg.Files {
+				ast.Inspect(file, func(n ast.Node) bool {
+					spec, ok := n.(*ast.TypeSpec)
+					if !ok {
+						return true
 					}
-					names := []string{"Mutex"} // an embedded mutex is named after its type
-					if len(field.Names) > 0 {
-						names = names[:0]
-						for _, name := range field.Names {
-							names = append(names, name.Name)
+					st, ok := spec.Type.(*ast.StructType)
+					if !ok {
+						return false
+					}
+					for _, field := range st.Fields.List {
+						switch types.TypeString(pkg.Info.TypeOf(field.Type), nil) {
+						case "sync.Mutex", "sync.RWMutex", "*sync.Mutex", "*sync.RWMutex":
+						default:
+							continue
+						}
+						names := []string{"Mutex"} // an embedded mutex is named after its type
+						if len(field.Names) > 0 {
+							names = names[:0]
+							for _, name := range field.Names {
+								names = append(names, name.Name)
+							}
+						}
+						for _, name := range names {
+							found[dir+"."+spec.Name.Name+"."+name] = true
 						}
 					}
-					for _, name := range names {
-						found[pkg.Dir+"."+spec.Name.Name+"."+name] = true
-					}
-				}
-				return false
-			})
+					return false
+				})
+			}
 		}
 	}
 
@@ -432,10 +465,14 @@ func TestDiagnosticString(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsMissingDir pins the explicit-pattern error path.
+// TestLoadRejectsMissingDir pins the error paths of a pattern that names no
+// package: a missing directory, and a tree pattern that matches nothing (the
+// go command skips testdata directories under "...").
 func TestLoadRejectsMissingDir(t *testing.T) {
-	if _, err := lint.Load(".", []string{"./internal/lint/testdata/src/definitely-absent"}); err == nil {
-		t.Fatal("expected an error for a pattern with no Go files")
+	for _, pattern := range []string{"./testdata/src/definitely-absent", "./testdata/..."} {
+		if _, err := lint.Load(".", []string{pattern}); err == nil {
+			t.Errorf("%s: expected an error for a pattern that names no package", pattern)
+		}
 	}
 }
 

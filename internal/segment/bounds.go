@@ -14,9 +14,6 @@ type PointFn func(t int) float64
 // SlicePoints adapts a slice of original points to a PointFn.
 func SlicePoints(c ts.Series) PointFn { return func(t int) float64 { return c[t] } }
 
-// LinePoints adapts a fitted line to a PointFn.
-func LinePoints(ln Line) PointFn { return ln.Eval }
-
 // GetMax is Algorithm 4.1: the maximum absolute pairwise difference between
 // the three suppliers at the given local positions.
 func GetMax(ids []int, f, g, h PointFn) float64 {
@@ -77,17 +74,6 @@ func BetaInit(c ts.Series, inc, ext Line, l int, maxD float64) (beta, newMaxD fl
 		m = maxD
 	}
 	return m * float64(l), m
-}
-
-// pairPoints evaluates the concatenation Čᵢ + Č_{i+1}: left over local
-// [0, l1), right over [l1, l1+l2) with its own local time.
-func pairPoints(left Line, l1 int, right Line) PointFn {
-	return func(t int) float64 {
-		if t < l1 {
-			return left.Eval(t)
-		}
-		return right.Eval(t - l1)
-	}
 }
 
 // BetaMerge computes the segment upper bound of Section 4.1.4 for a merge of
