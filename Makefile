@@ -67,9 +67,9 @@ race-short:
 # Crash-recovery property tests under the race detector, repeated: random
 # ingest/delete/snapshot interleavings are crashed (fault-injected in-memory
 # filesystem, torn tails, lost page cache) and recovered, at the WAL layer
-# and end-to-end through the HTTP service. The properties run at shard
-# counts 1, 4 and 7 (one/even/prime), so every recovery covers legacy
-# single-stream dirs and multiplexed per-shard streams. Nightly bumps
+# (TestShardedCrashRecoveryProperty) and end-to-end through the HTTP service.
+# The properties run at shard counts 1, 4 and 7 (one/even/prime); one shard
+# is the single-stream layout and runs the most trials. Nightly bumps
 # CRASH_COUNT for a longer soak.
 CRASH_COUNT ?= 3
 crash:
@@ -105,16 +105,17 @@ bench-check:
 # BenchmarkServedRange, BenchmarkFlatFilter, BenchmarkBatchKNN), of the
 # request front end's (BenchmarkHandlerKNN, BenchmarkHandlerKNNBatch,
 # BenchmarkHandlerIngestBatch, BenchmarkHandlerIngest, BenchmarkDecodeBody and
-# its wire-format rows), of recovery's (BenchmarkRecover, over logs with and
-# without representations),
-# of the WAL record encoder's (BenchmarkAppendWALRecord, decimal and float64
-# values) and of the reducer's (BenchmarkReduce, BenchmarkReduceMix,
+# its wire-format rows), of recovery's (BenchmarkRecover, over the logs a
+# server writes), of the WAL's (BenchmarkStoreAppend: a single ingest, a
+# 32-series batch and a delete; BenchmarkAppendWALRecord, the record encoder
+# on decimal and float64 values) and of the reducer's (BenchmarkReduce, BenchmarkReduceMix,
 # BenchmarkReduceByStage): `go test` compiles benchmarks but never runs them,
 # and these are the per-layer evidence perf PRs quote, so they must keep
 # running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Served|FlatFilter|BatchKNN' -benchtime 1x ./internal/index
 	$(GO) test -run '^$$' -bench 'Handler|DecodeBody|Recover' -benchtime 1x ./internal/server
+	$(GO) test -run '^$$' -bench 'StoreAppend' -benchtime 1x ./internal/wal
 	$(GO) test -run '^$$' -bench 'AppendWALRecord' -benchtime 1x ./internal/tsio
 	$(GO) test -run '^$$' -bench 'Reduce' -benchtime 1x ./internal/core
 

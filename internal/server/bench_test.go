@@ -210,16 +210,11 @@ func benchDecode[T any](raw []byte) func(b *testing.B) {
 }
 
 // BenchmarkRecover times New over a wal.MemFS holding a benchmark index:
-// the 1x6000x256 rows are search_1shard's (one shard, 6000 series of 256
+// the 1x6000x256 row is search_1shard's (one shard, 6000 series of 256
 // points), the 4x1500x1024 rows rw_long_4shard's (4 shards, 6000 of 1024).
 // The 256-point rows and the dec6 rows draw the wire format's six decimals
-// (wireSeries), the other 1024-point rows full-precision random walks. The
-// first path element is the log's form: on a replog row each record is what
-// a server that logged representations wrote (writeRepLog: six decimals in
-// op 4 and 1024-point float64 values in op 3, each carrying its SAPLA
-// representation), on a log row what a server writes now, the bare values in
-// op 4 or op 1. Neither reduces on recovery: replay drops a logged
-// representation, so the rows differ by the bytes decoded.
+// (wireSeries), logged in op 4; the other 1024-point rows full-precision
+// random walks, logged in op 1. Recovery reduces nothing.
 func BenchmarkRecover(b *testing.B) {
 	const count = 6000
 	for _, row := range []struct {
@@ -231,48 +226,37 @@ func BenchmarkRecover(b *testing.B) {
 		{4, 1024, "", randWalk},
 		{4, 1024, "dec6", wireSeries},
 	} {
-		for _, log := range []string{"replog", "log"} {
-			name := fmt.Sprintf("%s/%dx%dx%d", log, row.shards, count/row.shards, row.n)
-			if row.form != "" {
-				name += "/" + row.form
-			}
-			b.Run(name, func(b *testing.B) {
-				benchRecover(b, row.shards, count, row.n, log == "replog", row.gen)
-			})
+		name := fmt.Sprintf("%dx%dx%d", row.shards, count/row.shards, row.n)
+		if row.form != "" {
+			name += "/" + row.form
 		}
+		b.Run(name, func(b *testing.B) {
+			benchRecover(b, row.shards, count, row.n, row.gen)
+		})
 	}
 }
 
-// benchRecover writes count series drawn by gen to shards WAL streams — as a
-// server that logged representations did when reps, through a server's
-// ingests otherwise — and times New over them.
-func benchRecover(b *testing.B, shards, count, n int, reps bool, gen func(*rand.Rand, int) ts.Series) {
+// benchRecover writes count series drawn by gen to shards WAL streams through
+// a server's ingests and times New over them.
+func benchRecover(b *testing.B, shards, count, n int, gen func(*rand.Rand, int) ts.Series) {
 	rng := rand.New(rand.NewSource(8))
 	mem := wal.NewMemFS()
 	cfg := Config{WALFS: mem, Shards: shards, SnapshotEvery: -1}
-	if reps {
-		logged := make(map[int]ts.Series, count)
-		for id := 0; id < count; id++ {
-			logged[id] = gen(rng, n)
+	s, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for lo := 0; lo < count; lo += 250 {
+		items := make([]ingestRequest, 250)
+		for i := range items {
+			items[i].Values = gen(rng, n)
 		}
-		writeRepLog(b, mem, shards, nil, logged, nil)
-	} else {
-		s, err := New(cfg)
-		if err != nil {
-			b.Fatal(err)
+		if _, rej := s.ingest(context.Background(), items); rej != nil {
+			b.Fatal(rej.err)
 		}
-		for lo := 0; lo < count; lo += 250 {
-			items := make([]ingestRequest, 250)
-			for i := range items {
-				items[i].Values = gen(rng, n)
-			}
-			if _, rej := s.ingest(context.Background(), items); rej != nil {
-				b.Fatal(rej.err)
-			}
-		}
-		if err := s.Shutdown(context.Background()); err != nil {
-			b.Fatal(err)
-		}
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

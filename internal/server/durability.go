@@ -184,16 +184,29 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"durable":    s.durable(),
 	}
 	if s.durable() {
-		unsynced := 0
-		var snapSeq uint64
-		for _, sh := range s.shards {
-			unsynced += sh.store.Unsynced()
-			if seq := sh.store.SnapshotSeq(); seq > snapSeq {
-				snapSeq = seq
-			}
-		}
-		body["wal_unsynced"] = unsynced
-		body["snapshot_seq"] = snapSeq
+		t := s.walTotals()
+		body["wal_unsynced"] = t.unsynced
+		body["snapshot_seq"] = t.snapSeq
 	}
 	writeJSON(w, code, body)
+}
+
+// walTotals is the WAL state of every shard together.
+type walTotals struct {
+	unsynced int             // records awaiting group commit
+	snapSeq  uint64          // the newest snapshot of any shard
+	forms    wal.RecordForms // ingest records appended, by form
+}
+
+// walTotals sums the shards' WAL state; the server must be durable.
+func (s *Server) walTotals() walTotals {
+	var t walTotals
+	for _, sh := range s.shards {
+		t.unsynced += sh.store.Unsynced()
+		t.snapSeq = max(t.snapSeq, sh.store.SnapshotSeq())
+		forms := sh.store.RecordForms()
+		t.forms.Decimal += forms.Decimal
+		t.forms.F64 += forms.F64
+	}
+	return t
 }

@@ -204,11 +204,12 @@ func TestServerWALRecordForms(t *testing.T) {
 	if d := doc.Durability; d["wal_records_decimal"] != float64(4) || d["wal_records_f64"] != float64(2) {
 		t.Fatalf("wal records decimal %v, f64 %v; want 4 and 2", d["wal_records_decimal"], d["wal_records_f64"])
 	}
-	noRepresentation(t, mem)
+	walRecords(t, mem)
 }
 
 // walRecords decodes every record of mem's segments and snapshots, failing
-// the test on a byte that does not parse.
+// the test on a byte that does not parse — an op-3 record or a
+// representation tail among them.
 func walRecords(t *testing.T, mem *wal.MemFS) []tsio.WALRecord {
 	t.Helper()
 	var out []tsio.WALRecord
@@ -238,45 +239,42 @@ func walRecords(t *testing.T, mem *wal.MemFS) []tsio.WALRecord {
 	return out
 }
 
-// noRepresentation requires every record in mem to be op 1, 2 or 4, none
-// carrying a representation.
-func noRepresentation(t *testing.T, mem *wal.MemFS) {
-	t.Helper()
-	for _, rec := range walRecords(t, mem) {
-		if rec.Op == tsio.WALIngestRep || rec.Rep != nil {
-			t.Fatalf("id %d: logged as op %d with representation %v", rec.ID, rec.Op, rec.Rep)
-		}
-	}
-}
-
 // writeRepLog writes a data directory of shards streams the way a server
 // that logged representations wrote it: a version-3 manifest; per shard,
 // snapshot 1 holding the shard's series of snap (no snapshot when snap is
 // nil), and segment 2 holding its series of logged followed by a delete of
 // each ID of gone. Every ingest record is that server's: the SAPLA
-// representation at M = 12 under its tag rides on six-decimal values in op 4
-// and on float64 values of 728 points or more in op 3, and float64 values
-// below that are op 1.
+// representation at M = 12 rides on six-decimal values in op 4 and on float64
+// values of 728 points or more in op 3, and float64 values below that are op
+// 1. The representation follows the values: its tag (method 1, generation
+// 1, M), its segment count, and per segment A and B as float64 bits and R as
+// uint32.
 func writeRepLog(t testing.TB, mem *wal.MemFS, shards int, snap, logged map[int]ts.Series, gone []int) {
 	t.Helper()
 	red := core.NewReducer()
 	record := func(id int, v ts.Series) []byte {
+		b, err := tsio.AppendWALRecord(nil, tsio.WALRecord{Op: tsio.WALIngestDecimal, ID: int64(id), Values: v})
+		if errors.Is(err, tsio.ErrWALNotDecimal) {
+			b, err = tsio.AppendWALRecord(nil, tsio.WALRecord{Op: tsio.WALIngest, ID: int64(id), Values: v})
+			if len(v) < 728 {
+				return b
+			}
+			b[0] = 3
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 		rep, err := red.ReduceInto(repr.Linear{}, v, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := tsio.WALRecord{Op: tsio.WALIngestDecimal, ID: int64(id), Values: v,
-			Tag: tsio.RepTag{Method: tsio.RepSAPLA, Gen: core.Generation, M: 12}, Rep: rep}
-		b, err := tsio.AppendWALRecord(nil, rec)
-		if errors.Is(err, tsio.ErrWALNotDecimal) {
-			rec.Op = tsio.WALIngestRep
-			if len(v) < 728 {
-				rec = tsio.WALRecord{Op: tsio.WALIngest, ID: int64(id), Values: v}
-			}
-			b, err = tsio.AppendWALRecord(nil, rec)
-		}
-		if err != nil {
-			t.Fatal(err)
+		b = append(b, 1, 1, 0)
+		b = binary.LittleEndian.AppendUint32(b, 12)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(rep.Segs)))
+		for _, s := range rep.Segs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Line.A))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Line.B))
+			b = binary.LittleEndian.AppendUint32(b, uint32(s.R))
 		}
 		return b
 	}
@@ -347,20 +345,18 @@ func writeRepLog(t testing.TB, mem *wal.MemFS, shards int, snap, logged map[int]
 	}
 }
 
-// TestServerRecoversRepresentationLogs: a data directory written by a server
+// TestServerRefusesRepresentationLogs: a data directory written by a server
 // that logged every ingest's representation — op 3 and op 4 records carrying
-// one, in its log and its snapshots — recovers exactly, at 1 and 4 shards and
-// at 256 and 1024 points: the same IDs and values bit for bit, every row's
-// chunk envelope a fresh insert's, a fresh server's answers, and no entry with
-// a representation, since recovery neither loads nor computes one. The
-// server then writes into that directory only op 1, 2 and 4 records without
-// representations, and the manifest stays version 3.
-func TestServerRecoversRepresentationLogs(t *testing.T) {
+// one, in its log and its snapshots — is refused at 1 and 4 shards and at 256
+// and 1024 points: New returns ErrCorruptSnapshot naming the op, or, from the
+// log alone, ErrCorruptWAL, and leaves every byte of the directory as it was,
+// so a server that still reads it can migrate it with one snapshot.
+func TestServerRefusesRepresentationLogs(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, n := range []int{256, 1024} {
 			t.Run(fmt.Sprintf("shards=%d/n=%d", shards, n), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(shards*n + 3)))
-				snap, logged, live := map[int]ts.Series{}, map[int]ts.Series{}, map[int]ts.Series{}
+				snap, logged := map[int]ts.Series{}, map[int]ts.Series{}
 				for id := 0; id < 48; id++ {
 					v := randWalk(rng, n)
 					if id%2 == 0 {
@@ -371,107 +367,24 @@ func TestServerRecoversRepresentationLogs(t *testing.T) {
 					} else {
 						logged[id] = v
 					}
-					live[id] = v
 				}
-				gone := []int{1, 2, 30}
-				for _, id := range gone {
-					delete(live, id)
-				}
-				mem := wal.NewMemFS()
-				writeRepLog(t, mem, shards, snap, logged, gone)
-				ops := map[tsio.WALOp]int{}
-				for _, rec := range walRecords(t, mem) {
-					if rec.Rep != nil {
-						ops[rec.Op]++
+				for _, tc := range []struct {
+					snap map[int]ts.Series
+					want error
+				}{{snap, wal.ErrCorruptSnapshot}, {nil, wal.ErrCorruptWAL}} {
+					mem := wal.NewMemFS()
+					writeRepLog(t, mem, shards, tc.snap, logged, []int{1, 2, 30})
+					before := memFiles(t, mem)
+					s, err := New(durableShardedConfig(mem, 1, shards))
+					if err == nil {
+						_ = s.Shutdown(context.Background())
 					}
-				}
-				if ops[tsio.WALIngestDecimal] != 24 || (n >= 728) != (ops[tsio.WALIngestRep] == 24) {
-					t.Fatalf("the fixture carries representations in %v records by op", ops)
-				}
-
-				cfg := durableShardedConfig(mem, 1, shards)
-				s, hs := newTestServer(t, cfg)
-				if info, _, _ := s.Recovery(); info.SnapshotSeries != len(snap) || info.Replayed != len(logged)+len(gone) {
-					t.Fatalf("recovery %+v: want %d snapshot series and %d replayed", info, len(snap), len(logged)+len(gone))
-				}
-				if got := contents(s); !reflect.DeepEqual(got, bitsOf(live)) {
-					t.Fatalf("recovered %d series, the directory holds %d, contents differ", len(got), len(live))
-				}
-				for _, sh := range s.shards {
-					sh.flat.Each(func(e *index.Entry) {
-						if e.Rep != nil {
-							t.Fatalf("id %d recovered with a representation", e.ID)
-						}
-					})
-				}
-				freshEnvelopes(t, s)
-				ref, err := New(Config{Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var items []ingestRequest
-				for _, id := range sortedIDs(live) {
-					items = append(items, ingestRequest{ID: &id, Values: live[id]})
-				}
-				if _, rej := ref.ingest(context.Background(), items); rej != nil {
-					t.Fatal(rej.err)
-				}
-				for qi := 0; qi < 6; qi++ {
-					q := wireSeries(rng, n)
-					var got, want knnResponse
-					call(t, s.Handler(), "POST", "/v1/knn", map[string]any{"values": q, "k": 5}, &got)
-					call(t, ref.Handler(), "POST", "/v1/knn", map[string]any{"values": q, "k": 5}, &want)
-					if len(got.Results) != 5 || !reflect.DeepEqual(got.Results, want.Results) {
-						t.Fatalf("query %d: recovered server answers %+v, a fresh one %+v", qi, got.Results, want.Results)
+					if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), "op 4") && !strings.Contains(err.Error(), "op: 3") {
+						t.Fatalf("New: %v, want %v naming op 3 or 4", err, tc.want)
 					}
-					body := map[string]any{"values": q, "radius": got.Results[2].Dist}
-					call(t, s.Handler(), "POST", "/v1/range", body, &got)
-					call(t, ref.Handler(), "POST", "/v1/range", body, &want)
-					if len(got.Results) != 3 || !reflect.DeepEqual(got.Results, want.Results) {
-						t.Fatalf("range %d: recovered server answers %+v, a fresh one %+v", qi, got.Results, want.Results)
+					if !reflect.DeepEqual(memFiles(t, mem), before) {
+						t.Fatal("the refused directory changed")
 					}
-				}
-
-				// New writes, one asking for its representation, then a
-				// snapshot that supersedes every file the older server wrote.
-				client := hs.Client()
-				for i := 0; i < 2; i++ {
-					v := wireSeries(rng, n)
-					var resp ingestResponse
-					if code := doJSON(t, client, "POST", hs.URL+"/v1/ingest?include_rep=1", map[string]any{"values": v}, &resp); code != http.StatusCreated || resp.Representation == nil {
-						t.Fatalf("ingest: status %d, representation %s", code, resp.Representation)
-					}
-					live[resp.ID] = v
-				}
-				var batch []map[string]any
-				for id := 100; id < 102; id++ {
-					live[id] = randWalk(rng, n)
-					batch = append(batch, map[string]any{"id": id, "values": live[id]})
-				}
-				if code := doJSON(t, client, "POST", hs.URL+"/v1/ingest/batch", map[string]any{"series": batch}, nil); code != http.StatusCreated {
-					t.Fatalf("batch ingest: status %d", code)
-				}
-				if code := doJSON(t, client, "DELETE", hs.URL+"/v1/series/0", nil, nil); code != http.StatusOK {
-					t.Fatalf("delete: status %d", code)
-				}
-				delete(live, 0)
-				if err := s.snapshotNow(); err != nil {
-					t.Fatal(err)
-				}
-				late := 102
-				live[late] = wireSeries(rng, n)
-				ingestOne(t, client, hs.URL, &late, live[late])
-				noRepresentation(t, mem)
-				if got, err := mem.ReadFile("shards.meta"); err != nil || string(got) != fmt.Sprintf("SAPLSHD3 count=%d\n", shards) {
-					t.Fatalf("manifest %q (%v)", got, err)
-				}
-				hs.Close()
-				if err := s.Shutdown(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				again, _ := newTestServer(t, cfg)
-				if got := contents(again); !reflect.DeepEqual(got, bitsOf(live)) {
-					t.Fatalf("after the restart: %d series, acknowledged %d, contents differ", len(got), len(live))
 				}
 			})
 		}

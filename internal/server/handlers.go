@@ -236,8 +236,9 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, *rej
 	})
 	if failed := slices.IndexFunc(commits, func(c shardCommit) bool { return c.err != nil }); failed >= 0 {
 		// Reject wholesale: undo every shard whose records reached its log —
-		// a compensating delete record per ID, then the index removal, so
-		// replay converges to the served state. That includes a shard whose
+		// a compensating delete record per ID, all of a shard's in one
+		// append, then the index removals, so replay converges to the served
+		// state. That includes a shard whose
 		// InsertBatch failed: the flat tier has already rolled that batch
 		// back, so its index delete is a no-op and its delete records replay
 		// onto absent IDs, which wal replay tolerates. During the unwind
@@ -250,11 +251,15 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, *rej
 			}
 			si := touched[ti]
 			sh := s.shards[si]
+			undo := make([]int64, len(groups[si]))
+			for gi, pos := range groups[si] {
+				undo[gi] = int64(ids[pos])
+			}
 			sh.mu.Lock()
+			if sh.store != nil {
+				_ = sh.store.AppendDelete(undo...) // compensating append while rejecting the whole request: the ingests it undoes are never acknowledged, and a broken store refuses every later append anyway
+			}
 			for _, pos := range groups[si] {
-				if sh.store != nil {
-					_ = sh.store.AppendDelete(int64(ids[pos])) // compensating append while rejecting the whole request: the ingest it undoes is never acknowledged, and a broken store refuses every later append anyway
-				}
 				s.idx.Shard(si).Delete(ids[pos])
 			}
 			sh.mu.Unlock()

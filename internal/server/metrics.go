@@ -271,25 +271,14 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 	doc["shards"] = mustJSON(shardDocs)
 
 	if s.durable() {
-		unsynced := 0
-		var snapSeq uint64
-		var decimal, f64 int64
-		for _, shState := range s.shards {
-			unsynced += shState.store.Unsynced()
-			if seq := shState.store.SnapshotSeq(); seq > snapSeq {
-				snapSeq = seq
-			}
-			forms := shState.store.RecordForms()
-			decimal += forms.Decimal
-			f64 += forms.F64
-		}
+		t := s.walTotals()
 		doc["durability"] = mustJSON(map[string]any{
 			"wal_fsync":            json.RawMessage(m.walSync.String()),
 			"wal_streams":          len(s.shards),
-			"wal_unsynced":         unsynced,
-			"wal_records_decimal":  decimal,
-			"wal_records_f64":      f64,
-			"snapshot_seq":         snapSeq,
+			"wal_unsynced":         t.unsynced,
+			"wal_records_decimal":  t.forms.Decimal,
+			"wal_records_f64":      t.forms.F64,
+			"snapshot_seq":         t.snapSeq,
 			"snapshots":            m.snapshots.Value(),
 			"snapshot_errors":      m.snapshotErrors.Value(),
 			"snapshot_write":       json.RawMessage(m.snapshotTime.String()),

@@ -545,7 +545,7 @@ func TestServerIncludeRep(t *testing.T) {
 			if !reflect.DeepEqual(memFiles(t, mems[0]), memFiles(t, mems[1])) {
 				t.Fatal("include_rep=1 changed what the WAL holds")
 			}
-			noRepresentation(t, mems[0])
+			walRecords(t, mems[0])
 		})
 	}
 }

@@ -5,79 +5,43 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"sapla/internal/repr"
-	"sapla/internal/segment"
 )
 
 // WALOp identifies one write-ahead-log record type.
 type WALOp uint8
 
 // WAL record operations. The zero value is invalid so an all-zero buffer
-// never decodes as a record.
+// never decodes as a record. Op 3 is reserved: older servers logged an ingest
+// with its SAPLA representation under it, and the codec refuses it.
 const (
-	WALIngest    WALOp = 1 // store Values under ID
-	WALDelete    WALOp = 2 // remove ID; Values must be empty
-	WALIngestRep WALOp = 3 // WALIngest plus Rep, Values' representation by the reducer Tag names
+	WALIngest WALOp = 1 // store Values under ID
+	WALDelete WALOp = 2 // remove ID; Values must be empty
 	// WALIngestDecimal is WALIngest with Values in decimal form (see
-	// DecimalExponent), followed by op 3's Tag and Rep when Rep is set.
+	// DecimalExponent).
 	WALIngestDecimal WALOp = 4
 )
 
-// RepMethod is the one-byte code of the reduction method behind a logged
-// representation.
-type RepMethod uint8
-
-// RepSAPLA is the one method whose representations are logged: its reducer
-// carries a generation (core.Generation) that changes whenever its output
-// does. Every other code is refused.
-const RepSAPLA RepMethod = 1
-
-// RepTag names the reducer that produced a logged representation: the method,
-// the reducer's generation and the coefficient budget M. A reader uses the
-// representation only when the tag equals its own reducer's; the zero tag
-// names none.
-type RepTag struct {
-	Method RepMethod
-	Gen    uint16
-	M      uint32
-}
-
-// WALRecord is one durable mutation of the representation store: an ingest
-// carrying the raw series, or a delete. The binary form is fixed-width
-// little-endian — op byte, int64 ID, uint32 value count, then the values as
-// IEEE-754 bits — so encode(decode(b)) is byte-identical and replay never
-// depends on platform formatting. An op-3 ingest continues with its tag
-// (method byte, uint16 generation, uint32 M) and its repr.Linear: a uint32
-// segment count, then per segment A and B as float64 bits and R as uint32.
+// WALRecord is one durable mutation of the series store: an ingest carrying
+// the raw series, or a delete. The binary form is fixed-width little-endian —
+// op byte, int64 ID, uint32 value count, then the values as IEEE-754 bits —
+// so encode(decode(b)) is byte-identical and replay never depends on platform
+// formatting.
 //
 // An op-4 ingest stores the values in half the bytes: after the count one
 // exponent byte e, then per value an int32 mantissa m, the value being
 // float64(m)/10^e. e is the smallest exponent that gives back every value
 // bit for bit (DecimalExponent), so a series has one op-4 encoding and
-// decode(encode(r)) stays byte-identical. The tag and representation follow
-// as in op 3 when Rep is set; the record's length tells the decoder whether
-// they are there. internal/wal writes ops 1, 2 and 4 without a
-// representation; it reads op 3, and op 4 with one, from logs written while
-// ingests logged their representation.
+// decode(encode(r)) stays byte-identical. A record ends with its values: the
+// representation tail older servers appended to op 4 is refused.
 type WALRecord struct {
 	Op     WALOp
 	ID     int64
 	Values []float64
-	Tag    RepTag              // op 3, and op 4 with a Rep
-	Rep    repr.Representation // op 3, or op 4 optionally: a repr.Linear over Values
 }
 
 // walRecordHeader is the encoded size of the fixed fields: 1 (op) + 8 (id)
 // + 4 (count).
 const walRecordHeader = 1 + 8 + 4
-
-// walRepHeader is the encoded size of an op-3 record's tag and segment count
-// (1 + 2 + 4 + 4), and walRepSeg that of each segment after them.
-const (
-	walRepHeader = 1 + 2 + 4 + 4
-	walRepSeg    = 8 + 8 + 4
-)
 
 // pow10 holds the powers of ten that a float64 represents exactly: the
 // exponents an op-4 record may use.
@@ -93,15 +57,14 @@ const maxMantissa = 1 << 31
 // service accepts.
 const MaxWALValues = 1 << 24
 
-// MaxWALRecordSize is the largest record the codec encodes or decodes: an op-3
-// record of MaxWALValues values and as many segments.
-const MaxWALRecordSize = walRecordHeader + 8*MaxWALValues + walRepHeader + walRepSeg*MaxWALValues
+// MaxWALRecordSize is the largest record the codec encodes or decodes: an op-1
+// record of MaxWALValues values.
+const MaxWALRecordSize = walRecordHeader + 8*MaxWALValues
 
 // Errors returned by the WAL record codec.
 var (
-	ErrWALRecordShort = errors.New("tsio: wal record truncated")
+	ErrWALRecordShort = errors.New("tsio: wal record has the wrong length")
 	ErrWALRecordOp    = errors.New("tsio: wal record has invalid op")
-	ErrWALRepMethod   = errors.New("tsio: wal record has unknown representation method")
 	ErrWALNotDecimal  = errors.New("tsio: wal record values have no decimal form")
 )
 
@@ -159,64 +122,19 @@ func roundMantissa(x float64) int32 {
 	return int32(x + math.Copysign(0.5, x))
 }
 
-// WALRepSize returns how many bytes an op-3 or op-4 record spends on the tag
-// and a representation of segs segments.
-func WALRepSize(segs int) int { return walRepHeader + walRepSeg*segs }
-
-// ValidateWALRep reports whether rep may be logged under tag beside a series
-// of n values: the tag names a known method, and rep is a repr.Linear over n
-// points with at least one segment, strictly increasing endpoints, the last
-// one n−1, and finite coefficients. The encoder and the decoder both apply it,
-// so the log never holds a record its replay would refuse.
-func ValidateWALRep(tag RepTag, rep repr.Representation, n int) error {
-	if tag.Method != RepSAPLA {
-		return fmt.Errorf("%w: %d", ErrWALRepMethod, tag.Method)
-	}
-	lin, ok := rep.(repr.Linear)
-	if !ok {
-		return fmt.Errorf("tsio: cannot log representation %T", rep)
-	}
-	if lin.N != n {
-		return fmt.Errorf("tsio: representation over %d points beside %d values", lin.N, n)
-	}
-	if err := lin.Validate(); err != nil {
-		return fmt.Errorf("tsio: %w", err)
-	}
-	for i, s := range lin.Segs {
-		if math.IsNaN(s.Line.A) || math.IsInf(s.Line.A, 0) || math.IsNaN(s.Line.B) || math.IsInf(s.Line.B, 0) {
-			return fmt.Errorf("tsio: representation segment %d has a non-finite coefficient", i)
-		}
-	}
-	return nil
-}
-
 // AppendWALRecord appends r's binary encoding to dst and returns the
-// extended slice. Delete records must not carry values, only ops 3 and 4
-// carry a representation, and it must pass ValidateWALRep; op 3 must carry
-// one. Op 4's values must have a decimal form (ErrWALNotDecimal). On error
-// dst is returned unextended.
+// extended slice. Delete records must not carry values, and op 4's values
+// must have a decimal form (ErrWALNotDecimal). On error dst is returned
+// unextended.
 func AppendWALRecord(dst []byte, r WALRecord) ([]byte, error) {
 	switch r.Op {
-	case WALIngest:
-	case WALIngestRep:
-		if err := ValidateWALRep(r.Tag, r.Rep, len(r.Values)); err != nil {
-			return dst, err
-		}
-	case WALIngestDecimal:
-		if r.Rep != nil {
-			if err := ValidateWALRep(r.Tag, r.Rep, len(r.Values)); err != nil {
-				return dst, err
-			}
-		}
+	case WALIngest, WALIngestDecimal:
 	case WALDelete:
 		if len(r.Values) != 0 {
 			return dst, fmt.Errorf("tsio: delete record carries %d values", len(r.Values))
 		}
 	default:
 		return dst, fmt.Errorf("%w: %d", ErrWALRecordOp, r.Op)
-	}
-	if (r.Op == WALIngest || r.Op == WALDelete) && r.Rep != nil {
-		return dst, fmt.Errorf("tsio: op %d record carries a representation", r.Op)
 	}
 	if len(r.Values) > MaxWALValues {
 		return dst, fmt.Errorf("tsio: wal record has %d values, limit %d", len(r.Values), MaxWALValues)
@@ -237,111 +155,56 @@ func AppendWALRecord(dst []byte, r WALRecord) ([]byte, error) {
 		for _, v := range r.Values {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(roundMantissa(v*p)))
 		}
-	} else {
-		for _, v := range r.Values {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
-	}
-	lin, ok := r.Rep.(repr.Linear)
-	if !ok {
 		return dst, nil
 	}
-	dst = append(dst, byte(r.Tag.Method))
-	dst = binary.LittleEndian.AppendUint16(dst, r.Tag.Gen)
-	dst = binary.LittleEndian.AppendUint32(dst, r.Tag.M)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(lin.Segs)))
-	for _, s := range lin.Segs {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Line.A))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.Line.B))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(s.R))
+	for _, v := range r.Values {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
 	return dst, nil
 }
 
 // DecodeWALRecord decodes exactly one record from b. The whole buffer must
 // be consumed: trailing bytes mean the frame length and the record disagree,
-// which is corruption, not concatenation. A representation must pass
-// ValidateWALRep, and op 4's exponent must be the one its encoder picks: in
-// the table, and the smallest (some mantissa is not a multiple of ten).
+// which is corruption, not concatenation. Op 4's exponent must be the one its
+// encoder picks: in the table, and the smallest (some mantissa is not a
+// multiple of ten). Every error names the op.
 func DecodeWALRecord(b []byte) (WALRecord, error) {
 	var r WALRecord
 	if len(b) < walRecordHeader {
 		return r, fmt.Errorf("%w: %d bytes", ErrWALRecordShort, len(b))
 	}
 	r.Op = WALOp(b[0])
-	if r.Op != WALIngest && r.Op != WALDelete && r.Op != WALIngestRep && r.Op != WALIngestDecimal {
+	if r.Op != WALIngest && r.Op != WALDelete && r.Op != WALIngestDecimal {
 		return r, fmt.Errorf("%w: %d", ErrWALRecordOp, b[0])
 	}
 	r.ID = int64(binary.LittleEndian.Uint64(b[1:9]))
 	count := binary.LittleEndian.Uint32(b[9:13])
 	if count > MaxWALValues {
-		return r, fmt.Errorf("tsio: wal record claims %d values, limit %d", count, MaxWALValues)
+		return r, fmt.Errorf("tsio: op %d record claims %d values, limit %d", r.Op, count, MaxWALValues)
 	}
 	if r.Op == WALDelete && count != 0 {
 		return r, fmt.Errorf("tsio: delete record claims %d values", count)
 	}
 	decimal := r.Op == WALIngestDecimal
-	valuesEnd := walRecordHeader + 8*int(count)
+	want := walRecordHeader + 8*int(count)
 	if decimal {
-		valuesEnd = walRecordHeader + 1 + 4*int(count)
-	}
-	if len(b) < valuesEnd {
-		return r, fmt.Errorf("%w: %d bytes for %d values (want %d)", ErrWALRecordShort, len(b), count, valuesEnd)
-	}
-	hasRep := r.Op == WALIngestRep || decimal && len(b) > valuesEnd
-	want := valuesEnd
-	var segs uint32
-	if hasRep {
-		if len(b) < valuesEnd+walRepHeader {
-			return r, fmt.Errorf("%w: %d bytes for %d values and a representation", ErrWALRecordShort, len(b), count)
-		}
-		// Strictly increasing endpoints below count allow at most count
-		// segments; checking that first bounds the allocation below.
-		if segs = binary.LittleEndian.Uint32(b[valuesEnd+7:]); segs > count {
-			return r, fmt.Errorf("tsio: wal record claims %d segments for %d values", segs, count)
-		}
-		want += WALRepSize(int(segs))
+		want = walRecordHeader + 1 + 4*int(count)
 	}
 	if len(b) != want {
-		return r, fmt.Errorf("%w: %d bytes for %d values (want %d)", ErrWALRecordShort, len(b), count, want)
+		return r, fmt.Errorf("%w: op %d record of %d values has %d bytes, want %d", ErrWALRecordShort, r.Op, count, len(b), want)
 	}
 	if decimal {
 		e := int(b[walRecordHeader])
 		if e >= len(pow10) {
-			return r, fmt.Errorf("tsio: wal record has decimal exponent %d, limit %d", e, len(pow10)-1)
+			return r, fmt.Errorf("tsio: op 4 record has decimal exponent %d, limit %d", e, len(pow10)-1)
 		}
-		if err := decodeDecimal(&r, b[walRecordHeader+1:valuesEnd], e); err != nil {
-			return r, err
-		}
-	} else if count > 0 {
+		return r, decodeDecimal(&r, b[walRecordHeader+1:], e)
+	}
+	if count > 0 {
 		r.Values = make([]float64, count)
 		for i := range r.Values {
 			r.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[walRecordHeader+8*i:]))
 		}
-	}
-	if !hasRep {
-		return r, nil
-	}
-	rb := b[valuesEnd:]
-	r.Tag = RepTag{
-		Method: RepMethod(rb[0]),
-		Gen:    binary.LittleEndian.Uint16(rb[1:]),
-		M:      binary.LittleEndian.Uint32(rb[3:]),
-	}
-	lin := repr.Linear{N: int(count), Segs: make([]repr.LinearSeg, segs)}
-	for i := range lin.Segs {
-		sb := rb[walRepHeader+walRepSeg*i:]
-		lin.Segs[i] = repr.LinearSeg{
-			Line: segment.Line{
-				A: math.Float64frombits(binary.LittleEndian.Uint64(sb)),
-				B: math.Float64frombits(binary.LittleEndian.Uint64(sb[8:])),
-			},
-			R: int(binary.LittleEndian.Uint32(sb[16:])),
-		}
-	}
-	r.Rep = lin
-	if err := ValidateWALRep(r.Tag, r.Rep, int(count)); err != nil {
-		return r, err
 	}
 	return r, nil
 }
@@ -358,13 +221,13 @@ func decodeDecimal(r *WALRecord, mb []byte, e int) error {
 	for i := range r.Values {
 		m := int32(binary.LittleEndian.Uint32(mb[4*i:]))
 		if m == math.MinInt32 {
-			return fmt.Errorf("tsio: wal record value %d has mantissa %d, out of range", i, m)
+			return fmt.Errorf("tsio: op 4 record value %d has mantissa %d, out of range", i, m)
 		}
 		smallest = smallest || m%10 != 0
 		r.Values[i] = float64(m) / p
 	}
 	if !smallest {
-		return fmt.Errorf("tsio: wal record's decimal exponent %d is not the smallest", e)
+		return fmt.Errorf("tsio: op 4 record's decimal exponent %d is not the smallest", e)
 	}
 	return nil
 }

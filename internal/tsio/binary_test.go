@@ -5,42 +5,52 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"reflect"
+	"strings"
 	"testing"
 
 	"sapla/internal/repr"
-	"sapla/internal/segment"
 )
 
-// testTag is a tag the codec accepts.
-var testTag = RepTag{Method: RepSAPLA, Gen: 3, M: 12}
+// legacyRecord returns what an older server logged for values under op: the
+// op-1 encoding with its op byte set to 3 when op is 3, op 4's otherwise,
+// followed by the representation tail — method 1 (SAPLA), generation 1, M,
+// the segment count, and per segment A and B as float64 bits and R as uint32
+// — of values' least-squares fit on the given right endpoints.
+func legacyRecord(op WALOp, id int64, values []float64, endpoints ...int) []byte {
+	enc := WALIngestDecimal
+	if op == 3 {
+		enc = WALIngest
+	}
+	b, err := AppendWALRecord(nil, WALRecord{Op: enc, ID: id, Values: values})
+	if err != nil {
+		panic(err)
+	}
+	b[0] = byte(op)
+	b = append(b, 1, 1, 0)
+	b = binary.LittleEndian.AppendUint32(b, uint32(3*len(endpoints)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(endpoints)))
+	for _, s := range repr.FitLinear(values, endpoints).Segs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Line.A))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Line.B))
+		b = binary.LittleEndian.AppendUint32(b, uint32(s.R))
+	}
+	return b
+}
 
-// repRecord returns an op-3 record of values 0..n-1 (plus a wiggle) carrying
-// their least-squares fit on the given right endpoints.
-func repRecord(id int64, n int, endpoints ...int) WALRecord {
+// legacyRepHeader is the size of a representation tail's tag and segment
+// count, and legacyRepSeg that of each segment after them.
+const legacyRepHeader, legacyRepSeg = 11, 20
+
+// wiggle returns n values i + sin(i), rounded to six decimals when decimal.
+func wiggle(n int, decimal bool) []float64 {
 	values := make([]float64, n)
 	for i := range values {
 		values[i] = float64(i) + math.Sin(float64(i))
-	}
-	return WALRecord{Op: WALIngestRep, ID: id, Values: values, Tag: testTag, Rep: repr.FitLinear(values, endpoints)}
-}
-
-// decimalRecord returns rec as op 4, its values rounded to six decimals and
-// its representation, if any, fitted to them again.
-func decimalRecord(rec WALRecord) WALRecord {
-	rec.Op = WALIngestDecimal
-	rec.Values = append([]float64(nil), rec.Values...)
-	for i, v := range rec.Values {
-		rec.Values[i] = math.Round(v*1e6) / 1e6
-	}
-	if lin, ok := rec.Rep.(repr.Linear); ok {
-		ends := make([]int, len(lin.Segs))
-		for i, s := range lin.Segs {
-			ends[i] = s.R
+		if decimal {
+			values[i] = math.Round(values[i]*1e6) / 1e6
 		}
-		rec.Rep = repr.FitLinear(rec.Values, ends)
 	}
-	return rec
+	return values
 }
 
 func TestWALRecordRoundTrip(t *testing.T) {
@@ -56,16 +66,10 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		{"ingest non-finite bits", WALRecord{Op: WALIngest, ID: 1,
 			Values: []float64{math.NaN(), math.Inf(1), math.Inf(-1)}}},
 		{"delete", WALRecord{Op: WALDelete, ID: 99}},
-		{"ingest rep one segment", repRecord(5, 1, 0)},
-		{"ingest rep", repRecord(-6, 64, 9, 30, 31, 63)},
-		{"ingest rep extreme tag", WALRecord{Op: WALIngestRep, ID: 1, Values: []float64{1, 2},
-			Tag: RepTag{Method: RepSAPLA, Gen: math.MaxUint16, M: math.MaxUint32},
-			Rep: repr.Linear{N: 2, Segs: []repr.LinearSeg{{Line: segment.Line{A: -math.MaxFloat64, B: math.Copysign(0, -1)}, R: 1}}}}},
 		{"decimal", WALRecord{Op: WALIngestDecimal, ID: 8, Values: []float64{0.123456, -2.5, 3, 0}}},
 		{"decimal integers", WALRecord{Op: WALIngestDecimal, ID: -8, Values: []float64{1, -2, 3e9 / 2}}},
 		{"decimal no values", WALRecord{Op: WALIngestDecimal, ID: 2}},
 		{"decimal extreme mantissas", WALRecord{Op: WALIngestDecimal, ID: 1, Values: []float64{math.MaxInt32 / 1e22, -math.MaxInt32 / 1e22}}},
-		{"decimal rep", decimalRecord(repRecord(4, 64, 9, 30, 31, 63))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,8 +81,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if back.Op != tc.rec.Op || back.ID != tc.rec.ID || len(back.Values) != len(tc.rec.Values) ||
-				back.Tag != tc.rec.Tag || !reflect.DeepEqual(back.Rep, tc.rec.Rep) {
+			if back.Op != tc.rec.Op || back.ID != tc.rec.ID || len(back.Values) != len(tc.rec.Values) {
 				t.Fatalf("round trip %+v -> %+v", tc.rec, back)
 			}
 			for i := range back.Values {
@@ -109,33 +112,15 @@ func TestWALRecordEncodeRejects(t *testing.T) {
 	if _, err := AppendWALRecord(nil, WALRecord{Op: WALDelete, ID: 1, Values: []float64{1}}); err == nil {
 		t.Fatal("delete with values accepted")
 	}
-	good := repRecord(1, 8, 3, 7)
+	good := WALRecord{Op: WALIngestDecimal, ID: 1, Values: wiggle(8, true)}
 	for name, mut := range map[string]func(*WALRecord){
-		"non-Linear representation": func(r *WALRecord) { r.Rep = repr.PAA{N: 8, Values: []float64{1, 2}} },
-		"no representation":         func(r *WALRecord) { r.Rep = nil },
-		"zero tag":                  func(r *WALRecord) { r.Tag = RepTag{} },
-		"length mismatch":           func(r *WALRecord) { r.Values = r.Values[:7] },
-		"invalid representation":    func(r *WALRecord) { r.Rep = repr.Linear{N: 8} },
-		"representation on op 1":    func(r *WALRecord) { r.Op = WALIngest },
-		"op 4, full precision":      func(r *WALRecord) { r.Op = WALIngestDecimal },
-		"op 4, invalid rep": func(r *WALRecord) {
-			*r = decimalRecord(*r)
-			r.Rep = repr.Linear{N: 8}
-		},
-		"op 4, zero tag": func(r *WALRecord) {
-			*r = decimalRecord(*r)
-			r.Tag = RepTag{}
-		},
-		"op 4, negative zero": func(r *WALRecord) {
-			*r = decimalRecord(*r)
-			r.Values[3] = math.Copysign(0, -1)
-		},
-		"op 4, mantissa 2^31": func(r *WALRecord) {
-			*r = decimalRecord(*r)
-			r.Values[0] = 1 << 31
-		},
+		"op 3":                 func(r *WALRecord) { r.Op = 3 },
+		"op 4, full precision": func(r *WALRecord) { r.Values = wiggle(8, false) },
+		"op 4, negative zero":  func(r *WALRecord) { r.Values[3] = math.Copysign(0, -1) },
+		"op 4, mantissa 2^31":  func(r *WALRecord) { r.Values[0] = 1 << 31 },
 	} {
 		rec := good
+		rec.Values = append([]float64(nil), good.Values...)
 		mut(&rec)
 		if out, err := AppendWALRecord([]byte{0xEE}, rec); err == nil || len(out) != 1 {
 			t.Fatalf("%s: encoded (%d bytes out, err %v)", name, len(out), err)
@@ -210,80 +195,67 @@ func TestWALRecordDecodeRejects(t *testing.T) {
 		}
 	})
 
-	// Op 3: each case edits a valid encoding of a 16-point series with
-	// segments ending at 4, 9 and 15. The representation starts at rep; its
+	// Op 3 is reserved. Each case edits an older server's op-3 record of a
+	// 16-point series with segments ending at 4, 9 and 15 — the older codec
+	// accepted the unedited record and refused every edit — and the codec
+	// refuses them all by their op. The representation starts at rep; its
 	// segment i at seg(i), with A, B and R at +0, +8 and +16.
-	rec := repRecord(3, 16, 4, 9, 15)
-	goodRep, err := AppendWALRecord(nil, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeWALRecord(goodRep); err != nil {
-		t.Fatalf("valid op-3 record rejected: %v", err)
-	}
+	goodRep := legacyRecord(3, 3, wiggle(16, false), 4, 9, 15)
 	rep := walRecordHeader + 8*16
-	seg := func(i int) int { return rep + walRepHeader + walRepSeg*i }
+	seg := func(i int) int { return rep + legacyRepHeader + legacyRepSeg*i }
 	putR := func(b []byte, i int, r uint32) { binary.LittleEndian.PutUint32(b[seg(i)+16:], r) }
 	for _, tc := range []struct {
 		name string
 		edit func([]byte) []byte
-		want error
 	}{
+		{"well-formed", func(b []byte) []byte { return b }},
 		{"zero segments", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[rep+7:], 0)
 			return b[:seg(0)]
-		}, nil},
+		}},
 		{"more segments than values", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[rep+7:], 17)
 			return b
-		}, nil},
-		{"equal endpoints", func(b []byte) []byte { putR(b, 1, 4); return b }, nil},
-		{"decreasing endpoints", func(b []byte) []byte { putR(b, 1, 3); return b }, nil},
-		{"endpoint past n-1", func(b []byte) []byte { putR(b, 2, 16); return b }, nil},
-		{"last endpoint short of n-1", func(b []byte) []byte { putR(b, 2, 14); return b }, nil},
+		}},
+		{"equal endpoints", func(b []byte) []byte { putR(b, 1, 4); return b }},
+		{"decreasing endpoints", func(b []byte) []byte { putR(b, 1, 3); return b }},
+		{"endpoint past n-1", func(b []byte) []byte { putR(b, 2, 16); return b }},
+		{"last endpoint short of n-1", func(b []byte) []byte { putR(b, 2, 14); return b }},
 		{"NaN coefficient", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[seg(1):], math.Float64bits(math.NaN()))
 			return b
-		}, nil},
+		}},
 		{"infinite coefficient", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[seg(2)+8:], math.Float64bits(math.Inf(-1)))
 			return b
-		}, nil},
-		{"trailing bytes", func(b []byte) []byte { return append(b, 0) }, ErrWALRecordShort},
-		{"missing segment bytes", func(b []byte) []byte { return b[:len(b)-1] }, ErrWALRecordShort},
-		{"no representation", func(b []byte) []byte { return b[:rep] }, ErrWALRecordShort},
-		{"unknown method code", func(b []byte) []byte { b[rep] = 2; return b }, ErrWALRepMethod},
-		{"zero method code", func(b []byte) []byte { b[rep] = 0; return b }, ErrWALRepMethod},
+		}},
+		{"trailing bytes", func(b []byte) []byte { return append(b, 0) }},
+		{"missing segment bytes", func(b []byte) []byte { return b[:len(b)-1] }},
+		{"no representation", func(b []byte) []byte { return b[:rep] }},
+		{"unknown method code", func(b []byte) []byte { b[rep] = 2; return b }},
+		{"zero method code", func(b []byte) []byte { b[rep] = 0; return b }},
 	} {
 		t.Run("op3 "+tc.name, func(t *testing.T) {
 			_, err := DecodeWALRecord(tc.edit(append([]byte(nil), goodRep...)))
-			if err == nil {
-				t.Fatal("decoded")
-			}
-			if tc.want != nil && !errors.Is(err, tc.want) {
-				t.Fatalf("err %v, want %v", err, tc.want)
+			if !errors.Is(err, ErrWALRecordOp) || !strings.Contains(err.Error(), ": 3") {
+				t.Fatalf("err %v, want %v naming op 3", err, ErrWALRecordOp)
 			}
 		})
 	}
 
 	// Op 4: each case edits a valid encoding of a 16-point six-decimal
-	// series, with or without its representation. The exponent byte is at
-	// exp, mantissa i at man(i); the representation starts at dRep.
-	dec := decimalRecord(rec)
-	bare := dec
-	bare.Tag, bare.Rep = RepTag{}, nil
-	goodDec, err := AppendWALRecord(nil, dec)
+	// series, or an older server's record of it with the representation
+	// tail, which the codec refuses as bytes past the values. The exponent
+	// byte is at exp, mantissa i at man(i); the tail starts at dRep.
+	goodBare, err := AppendWALRecord(nil, WALRecord{Op: WALIngestDecimal, ID: 3, Values: wiggle(16, true)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodBare, err := AppendWALRecord(nil, bare)
-	if err != nil {
-		t.Fatal(err)
-	}
+	goodDec := legacyRecord(WALIngestDecimal, 3, wiggle(16, true), 4, 9, 15)
 	const exp = walRecordHeader
 	man := func(i int) int { return exp + 1 + 4*i }
 	dRep := man(16)
-	if goodDec[exp] != 6 || len(goodBare) != dRep {
+	if goodDec[exp] != 6 || len(goodBare) != dRep || !bytes.Equal(goodDec[:dRep], goodBare) {
 		t.Fatalf("op-4 layout: exponent %d, %d bytes without the representation", goodDec[exp], len(goodBare))
 	}
 	for _, tc := range []struct {
@@ -308,13 +280,14 @@ func TestWALRecordDecodeRejects(t *testing.T) {
 		{"no exponent", goodBare, func(b []byte) []byte { return b[:exp] }, ErrWALRecordShort},
 		{"mantissa bytes short", goodBare, func(b []byte) []byte { return b[:len(b)-1] }, ErrWALRecordShort},
 		{"mantissa bytes trailing", goodBare, func(b []byte) []byte { return append(b, 0) }, ErrWALRecordShort},
+		{"representation tail", goodDec, func(b []byte) []byte { return b }, ErrWALRecordShort},
 		{"rep bytes short", goodDec, func(b []byte) []byte { return b[:len(b)-1] }, ErrWALRecordShort},
 		{"rep bytes trailing", goodDec, func(b []byte) []byte { return append(b, 0) }, ErrWALRecordShort},
 		{"invalid representation", goodDec, func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[dRep+walRepHeader+walRepSeg+16:], 4) // equal endpoints
+			binary.LittleEndian.PutUint32(b[dRep+legacyRepHeader+legacyRepSeg+16:], 4) // equal endpoints
 			return b
-		}, nil},
-		{"unknown method code", goodDec, func(b []byte) []byte { b[dRep] = 2; return b }, ErrWALRepMethod},
+		}, ErrWALRecordShort},
+		{"unknown method code", goodDec, func(b []byte) []byte { b[dRep] = 2; return b }, ErrWALRecordShort},
 	} {
 		t.Run("op4 "+tc.name, func(t *testing.T) {
 			_, err := DecodeWALRecord(tc.edit(append([]byte(nil), tc.good...)))
@@ -323,6 +296,9 @@ func TestWALRecordDecodeRejects(t *testing.T) {
 			}
 			if tc.want != nil && !errors.Is(err, tc.want) {
 				t.Fatalf("err %v, want %v", err, tc.want)
+			}
+			if !strings.Contains(err.Error(), "op 4") {
+				t.Fatalf("err %v does not name op 4", err)
 			}
 		})
 	}

@@ -168,6 +168,9 @@ func EncodeRepresentation(w io.Writer, rep repr.Representation) error {
 	var env envelope
 	switch v := rep.(type) {
 	case repr.Linear:
+		if err := v.Validate(); err != nil { // DecodeRepresentation refuses it too
+			return fmt.Errorf("tsio: %w", err)
+		}
 		env.Kind, env.N = kindLinear, v.N
 		for _, s := range v.Segs {
 			env.A = append(env.A, s.Line.A)

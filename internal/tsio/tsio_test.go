@@ -174,6 +174,21 @@ func TestEncodeRejectsUnknownType(t *testing.T) {
 	}
 }
 
+// TestEncodeRejectsInvalidLinear: the encoder refuses a linear
+// representation the decoder would refuse, and writes nothing.
+func TestEncodeRejectsInvalidLinear(t *testing.T) {
+	var buf bytes.Buffer
+	for _, lin := range []repr.Linear{
+		{N: 8},
+		{N: 8, Segs: []repr.LinearSeg{{R: 4}, {R: 4}, {R: 7}}},
+		{N: 8, Segs: []repr.LinearSeg{{R: 6}}},
+	} {
+		if err := EncodeRepresentation(&buf, lin); err == nil || buf.Len() != 0 {
+			t.Fatalf("encoded %+v: %v, %d bytes", lin, err, buf.Len())
+		}
+	}
+}
+
 type fakeRep struct{}
 
 func (fakeRep) Reconstruct() ts.Series { return nil }

@@ -12,6 +12,10 @@ import (
 // Length covers the payload only; an 8-byte header precedes it.
 const frameHeader = 8
 
+// recordHeader is the size of a record's op, ID and value count, which the
+// appends use to size their frame buffers.
+const recordHeader = 1 + 8 + 4
+
 // maxFramePayload bounds one frame so a corrupt length prefix cannot drive
 // an enormous allocation or make replay skip the rest of the log: no frame
 // holds more than the largest record the codec permits.
@@ -21,20 +25,30 @@ const maxFramePayload = tsio.MaxWALRecordSize
 // both amd64 and arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame appends one checksummed frame carrying payload to dst.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
+// beginFrame reserves a frame header at the end of dst and returns the
+// extended slice with the header's offset; the caller appends the record
+// after it and then calls endFrame, so a payload is encoded once, in place.
+func beginFrame(dst []byte) ([]byte, int) {
+	return append(dst, make([]byte, frameHeader)...), len(dst)
+}
+
+// endFrame fills in the length and checksum of frame, a header followed by
+// its payload.
+func endFrame(frame []byte) {
+	payload := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
 }
 
 // replaySegment scans data frame by frame, calling apply for every intact
-// record. It stops at the first torn or corrupt frame — a frame header that
-// runs past the data, an absurd length, a checksum mismatch, or a payload
-// the record codec rejects — and returns the byte offset of the valid
-// prefix. A replay error from apply aborts immediately and is returned
-// as-is (that is state-application failure, not log corruption).
-func replaySegment(data []byte, apply func(tsio.WALRecord) error) (valid int64, records int, err error) {
+// record, and returns the byte offset of the valid prefix. It stops without
+// an error at the first torn frame — a frame header that runs past the data,
+// an absurd length, or a checksum mismatch — which only the final segment's
+// tail may hold. A frame whose checksum holds but whose record the codec
+// refuses (an op-3 record, or op 4 with a representation tail, from a server
+// that logged representations) was written whole, so it is ErrCorruptWAL,
+// never a tail to truncate.
+func replaySegment(data []byte, apply func(tsio.WALRecord)) (valid int64, records int, err error) {
 	off := 0
 	for {
 		if off+frameHeader > len(data) {
@@ -54,11 +68,9 @@ func replaySegment(data []byte, apply func(tsio.WALRecord) error) (valid int64, 
 		}
 		rec, decErr := tsio.DecodeWALRecord(payload)
 		if decErr != nil {
-			return int64(off), records, nil // framed garbage
+			return int64(off), records, fmt.Errorf("%w: record %d at byte %d: %v", ErrCorruptWAL, records, off, decErr)
 		}
-		if err := apply(rec); err != nil {
-			return int64(off), records, fmt.Errorf("wal: replay record %d: %w", records, err)
-		}
+		apply(rec)
 		off += frameHeader + length
 		records++
 	}

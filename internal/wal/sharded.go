@@ -215,7 +215,9 @@ type ShardRecovery struct {
 //  3. a fresh directory adopts the requested count and pins it before any
 //     stream is created.
 //
-// An older manifest is rewritten as version 3 before any stream opens.
+// An older manifest is rewritten as version 3 once every stream has opened —
+// before any record can be appended, and not at all when a stream is
+// refused, so a refused directory keeps every byte.
 //
 // The returned slice has one entry per effective shard. On any shard's
 // failure every already-opened store is closed and the first error (by
@@ -241,8 +243,6 @@ func OpenSharded(fsys FS, shards int, opts Options) ([]ShardRecovery, error) {
 		if legacy {
 			effective = 1
 		}
-	}
-	if !current {
 		if werr := writeManifest(fsys, effective); werr != nil {
 			return nil, werr
 		}
@@ -260,14 +260,20 @@ func OpenSharded(fsys FS, shards int, opts Options) ([]ShardRecovery, error) {
 		recs[i] = ShardRecovery{Store: st, Series: series, Info: info}
 	})
 	for _, oerr := range errs {
-		if oerr != nil {
-			for _, r := range recs {
-				if r.Store != nil {
-					_ = r.Store.Close() //sapla:errok unwinding a failed multi-shard open; the first shard error is the one reported
-				}
-			}
-			return nil, oerr
+		if oerr != nil && err == nil {
+			err = oerr
 		}
+	}
+	if err == nil && found && !current {
+		err = writeManifest(fsys, effective)
+	}
+	if err != nil {
+		for _, r := range recs {
+			if r.Store != nil {
+				_ = r.Store.Close() //sapla:errok unwinding a failed multi-shard open; the open error is the one reported
+			}
+		}
+		return nil, err
 	}
 	return recs, nil
 }

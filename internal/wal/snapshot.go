@@ -25,9 +25,9 @@ var snapshotMagic = []byte("SAPLSNP1")
 //
 // The trailing CRC32C covers everything before it, so any truncation or bit
 // flip anywhere in the file is caught by one footer check. Each record is
-// appendIngestRecord's choice, op 1 or 4, as in the log; an older snapshot's
-// records may carry a representation (op 3, or op 4 with one), which
-// decodeSnapshot drops.
+// appendIngestRecord's choice, op 1 or 4, as in the log; a record the codec
+// refuses — an older server's op 3, or op 4 with a representation — makes the
+// snapshot corrupt.
 
 // encodeSnapshot serializes series (which the caller provides sorted by ID
 // so snapshot bytes are deterministic for a given store state).
@@ -96,23 +96,18 @@ func writeSnapshotFile(fsys FS, name string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("wal: create snapshot temp: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		_ = fsys.Remove(tmp) // best-effort cleanup of a temp file
-		return fmt.Errorf("wal: write snapshot: %w", err)
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = fsys.Remove(tmp) // best-effort cleanup of a temp file
-		return fmt.Errorf("wal: sync snapshot: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		_ = fsys.Remove(tmp) // best-effort cleanup of a temp file
-		return fmt.Errorf("wal: close snapshot: %w", err)
+	if err == nil {
+		err = fsys.Rename(tmp, name)
 	}
-	if err := fsys.Rename(tmp, name); err != nil {
+	if err != nil {
 		_ = fsys.Remove(tmp) // best-effort cleanup of a temp file
-		return fmt.Errorf("wal: install snapshot: %w", err)
+		return fmt.Errorf("wal: install snapshot %s: %w", name, err)
 	}
 	return nil
 }

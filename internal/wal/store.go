@@ -38,10 +38,7 @@ var (
 	ErrStoreClosed = errors.New("wal: store closed")
 )
 
-// Series is one live series in the recovered store. A log or snapshot
-// written before ingest stopped reducing may hold records that also carry a
-// SAPLA representation (op 3, or op 4 with one); Open reads them as their
-// values alone.
+// Series is one live series in the recovered store.
 type Series struct {
 	ID     int64
 	Values []float64
@@ -103,21 +100,19 @@ type Store struct {
 
 	mu       sync.Mutex
 	seg      File // active segment (nil after Close)
-	segName  string
 	segSeq   uint64
 	segSize  int64 // bytes successfully framed into the active segment
 	unsynced int   // records appended since the last fsync
 	snapSeq  uint64
 	broken   error
 	closed   bool
-	buf      []byte // scratch for frame encoding
 
 	// decimal and f64 count the ingest records appended by value form; they
 	// are atomic so a metrics read does not wait behind an fsync.
 	decimal, f64 atomic.Int64
 }
 
-// segName / snapName format sequence numbers into file names.
+// segFileName / snapFileName format sequence numbers into file names.
 func segFileName(seq uint64) string {
 	return fmt.Sprintf("%s%016d%s", segPrefix, seq, segSuffix)
 }
@@ -216,19 +211,14 @@ func openOnce(fsys FS, opts Options) (*Store, []Series, RecoveryInfo, error) {
 
 	// Replay every segment newer than the snapshot, in order. Only the
 	// final segment may have a torn tail; anything earlier was sealed with
-	// an fsync before its successor was created. An older directory's op-3
-	// record is an ingest like the others: its representation is dropped.
-	apply := func(rec tsio.WALRecord) error {
-		switch rec.Op {
-		case tsio.WALIngest, tsio.WALIngestRep, tsio.WALIngestDecimal:
-			state[rec.ID] = Series{ID: rec.ID, Values: rec.Values}
-			if rec.ID > info.MaxID {
-				info.MaxID = rec.ID
-			}
-		case tsio.WALDelete:
+	// an fsync before its successor was created.
+	apply := func(rec tsio.WALRecord) {
+		if rec.Op == tsio.WALDelete {
 			delete(state, rec.ID)
+			return
 		}
-		return nil
+		state[rec.ID] = Series{ID: rec.ID, Values: rec.Values}
+		info.MaxID = max(info.MaxID, rec.ID)
 	}
 	var lastSeg uint64
 	var lastValid, lastSize int64
@@ -242,7 +232,7 @@ func openOnce(fsys FS, opts Options) (*Store, []Series, RecoveryInfo, error) {
 		}
 		valid, records, err := replaySegment(data, apply)
 		if err != nil {
-			return nil, nil, info, err
+			return nil, nil, info, fmt.Errorf("%w (%s)", err, segFileName(seq))
 		}
 		if valid != int64(len(data)) && i != len(segSeqs)-1 {
 			return nil, nil, info, fmt.Errorf("%w: %s has %d bad bytes before a newer segment",
@@ -258,15 +248,13 @@ func openOnce(fsys FS, opts Options) (*Store, []Series, RecoveryInfo, error) {
 		// Fresh directory (or everything folded into the snapshot): start
 		// the segment after the snapshot.
 		s.segSeq = info.SnapshotSeq + 1
-		s.segName = segFileName(s.segSeq)
-		s.seg, err = fsys.Create(s.segName)
+		s.seg, err = fsys.Create(segFileName(s.segSeq))
 		if err != nil {
 			return nil, nil, info, fmt.Errorf("wal: create segment: %w", err)
 		}
 	} else {
 		s.segSeq = lastSeg
-		s.segName = segFileName(lastSeg)
-		s.seg, err = fsys.Append(s.segName)
+		s.seg, err = fsys.Append(segFileName(lastSeg))
 		if err != nil {
 			return nil, nil, info, fmt.Errorf("wal: open segment: %w", err)
 		}
@@ -280,19 +268,13 @@ func openOnce(fsys FS, opts Options) (*Store, []Series, RecoveryInfo, error) {
 	}
 
 	// Garbage left by a crash mid-snapshot or mid-GC: temp files, segments
-	// folded into the snapshot, superseded snapshots. Best effort — a
-	// leftover file costs disk, not correctness.
+	// folded into the snapshot, superseded snapshots.
 	for _, name := range names {
 		if strings.HasSuffix(name, ".tmp") {
-			_ = fsys.Remove(name)
-		}
-		if seq, ok := parseSeq(name, segPrefix, segSuffix); ok && seq <= info.SnapshotSeq {
-			_ = fsys.Remove(name)
-		}
-		if seq, ok := parseSeq(name, snapPrefix, snapSuffix); ok && seq < info.SnapshotSeq {
-			_ = fsys.Remove(name)
+			_ = fsys.Remove(name) // best effort: a leftover temp file costs disk, not correctness
 		}
 	}
+	removeSuperseded(fsys, names, info.SnapshotSeq)
 
 	out := make([]Series, 0, len(state))
 	for _, sr := range state {
@@ -302,31 +284,67 @@ func openOnce(fsys FS, opts Options) (*Store, []Series, RecoveryInfo, error) {
 	return s, out, info, nil
 }
 
-// AppendIngest durably records "store values under id" as an op-1 record,
-// whatever the values' form. The record is fsync'd before returning whenever
-// it completes a group-commit batch (always, with SyncEvery 1) — only then may
-// the caller acknowledge.
+// AppendIngest durably records "store values under id": it is
+// AppendIngestBatch of one series.
 func (s *Store) AppendIngest(id int64, values []float64) error {
-	if err := tsio.ValidateSeries(values); err != nil {
-		return err
-	}
-	return s.append(tsio.WALRecord{Op: tsio.WALIngest, ID: id, Values: values})
+	return s.AppendIngestBatch([]Series{{ID: id, Values: values}})
 }
 
-// AppendIngestBatch durably records one ingest per series under a single
-// mutex hold, each in appendIngestRecord's form. Every series is validated
-// before any byte is written, so a bad series rejects the whole batch instead
-// of leaving a prefix in the log. The batch counts as len(series) records
+// AppendIngestBatch durably records one ingest per series in one write, each
+// in appendIngestRecord's form. Every series is validated and framed before
+// any byte is written, so a bad series rejects the whole batch instead of
+// leaving a prefix in the log. The batch counts as len(series) records
 // toward group commit and is fsync'd before returning whenever it completes a
 // batch — with SyncEvery 1 that is one fsync for the whole call, the point of
-// batching.
+// batching; only then may the caller acknowledge.
 func (s *Store) AppendIngestBatch(series []Series) error {
+	size := 0
 	for _, sr := range series {
 		if err := tsio.ValidateSeries(sr.Values); err != nil {
 			return err
 		}
+		size += frameHeader + recordHeader + 1 + 4*len(sr.Values) // op 4's bytes: op 1's grow the buffer
 	}
-	if len(series) == 0 {
+	frames := make([]byte, 0, size)
+	var forms RecordForms
+	for _, sr := range series {
+		var at int
+		var decimal bool
+		var err error
+		frames, at = beginFrame(frames)
+		if frames, decimal, err = appendIngestRecord(frames, sr); err != nil {
+			return err
+		}
+		endFrame(frames[at:])
+		if decimal {
+			forms.Decimal++
+		} else {
+			forms.F64++
+		}
+	}
+	return s.write(frames, len(series), forms)
+}
+
+// AppendDelete durably records "remove id" for every id, in one write under
+// the same group-commit rule as AppendIngestBatch.
+func (s *Store) AppendDelete(ids ...int64) error {
+	frames := make([]byte, 0, len(ids)*(frameHeader+recordHeader))
+	for _, id := range ids {
+		var at int
+		frames, at = beginFrame(frames)
+		frames, _ = tsio.AppendWALRecord(frames, tsio.WALRecord{Op: tsio.WALDelete, ID: id}) // a delete record always encodes
+		endFrame(frames[at:])
+	}
+	return s.write(frames, len(ids), RecordForms{})
+}
+
+// write appends frames — records whole records, the ingests among them
+// counted by form in forms — to the active segment in a single Write. A failed write may leave
+// part of the frames behind, so it truncates the segment back to its last good
+// offset; if even that fails the store is broken until reopened. A write that
+// completes a group-commit batch is fsync'd before write returns.
+func (s *Store) write(frames []byte, records int, forms RecordForms) error {
+	if records == 0 {
 		return nil
 	}
 	s.mu.Lock()
@@ -334,70 +352,16 @@ func (s *Store) AppendIngestBatch(series []Series) error {
 	if err := s.usableLocked(); err != nil {
 		return err
 	}
-	// Frame every record into one contiguous buffer so the batch hits the
-	// segment as a single Write: a mid-batch write failure then truncates
-	// back to the pre-batch offset, never leaving a partial batch appended.
-	frames := []byte(nil)
-	decimal := 0
-	for _, sr := range series {
-		payload, dec, err := appendIngestRecord(s.buf[:0], sr)
-		if err != nil {
-			return err
-		}
-		s.buf = payload[:0] // keep the grown scratch buffer
-		frames = appendFrame(frames, payload)
-		if dec {
-			decimal++
-		}
-	}
 	if _, err := s.seg.Write(frames); err != nil {
-		if terr := s.seg.Truncate(s.segSize); terr != nil {
-			s.broken = fmt.Errorf("%w: write: %v, truncate: %v", ErrStoreBroken, err, terr)
-		}
-		return fmt.Errorf("wal: append batch: %w", err)
-	}
-	s.segSize += int64(len(frames))
-	s.decimal.Add(int64(decimal))
-	s.f64.Add(int64(len(series) - decimal))
-	s.unsynced += len(series)
-	if s.unsynced >= s.opts.SyncEvery {
-		return s.syncLocked()
-	}
-	return nil
-}
-
-// AppendDelete durably records "remove id".
-func (s *Store) AppendDelete(id int64) error {
-	return s.append(tsio.WALRecord{Op: tsio.WALDelete, ID: id})
-}
-
-// append frames rec into the active segment under the store mutex.
-func (s *Store) append(rec tsio.WALRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.usableLocked(); err != nil {
-		return err
-	}
-	payload, err := tsio.AppendWALRecord(s.buf[:0], rec)
-	if err != nil {
-		return err
-	}
-	s.buf = payload[:0] // keep the grown scratch buffer
-	frame := appendFrame(nil, payload)
-	if _, err := s.seg.Write(frame); err != nil {
-		// The segment may now hold a partial frame. Cut it back to the last
-		// good offset so the log stays appendable; if even that fails the
-		// store is broken until reopened.
 		if terr := s.seg.Truncate(s.segSize); terr != nil {
 			s.broken = fmt.Errorf("%w: write: %v, truncate: %v", ErrStoreBroken, err, terr)
 		}
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	s.segSize += int64(len(frame))
-	if rec.Op == tsio.WALIngest {
-		s.f64.Add(1)
-	}
-	s.unsynced++
+	s.segSize += int64(len(frames))
+	s.decimal.Add(forms.Decimal)
+	s.f64.Add(forms.F64)
+	s.unsynced += records
 	if s.unsynced >= s.opts.SyncEvery {
 		return s.syncLocked()
 	}
@@ -465,8 +429,7 @@ func (s *Store) Rotate() (uint64, error) {
 	}
 	sealed := s.segSeq
 	s.segSeq++
-	s.segName = segFileName(s.segSeq)
-	seg, err := s.fsys.Create(s.segName)
+	seg, err := s.fsys.Create(segFileName(s.segSeq))
 	if err != nil {
 		s.broken = fmt.Errorf("%w: create segment: %v", ErrStoreBroken, err)
 		return 0, fmt.Errorf("wal: create segment: %w", err)
@@ -496,23 +459,26 @@ func (s *Store) WriteSnapshot(seq uint64, series []Series) error {
 	}
 	s.mu.Unlock()
 
-	// GC everything the snapshot supersedes. Best effort: a failed remove
-	// leaves garbage that the next Open clears.
-	names, err := s.fsys.List()
-	if err != nil {
-		// The snapshot itself is durable; GC is advisory, the next Open
-		// clears leftovers.
-		return nil
-	}
-	for _, name := range names {
-		if sseq, ok := parseSeq(name, segPrefix, segSuffix); ok && sseq <= seq {
-			_ = s.fsys.Remove(name)
-		}
-		if sseq, ok := parseSeq(name, snapPrefix, snapSuffix); ok && sseq < seq {
-			_ = s.fsys.Remove(name)
-		}
+	// GC everything the snapshot supersedes. The snapshot itself is
+	// durable; GC is advisory, and the next Open clears leftovers.
+	if names, err := s.fsys.List(); err == nil {
+		removeSuperseded(s.fsys, names, seq)
 	}
 	return nil
+}
+
+// removeSuperseded removes, of names, the segments folded into snapshot seq
+// and the snapshots older than it. Best effort: a failed remove leaves
+// garbage that the next Open clears.
+func removeSuperseded(fsys FS, names []string, seq uint64) {
+	for _, name := range names {
+		if sseq, ok := parseSeq(name, segPrefix, segSuffix); ok && sseq <= seq {
+			_ = fsys.Remove(name)
+		}
+		if sseq, ok := parseSeq(name, snapPrefix, snapSuffix); ok && sseq < seq {
+			_ = fsys.Remove(name)
+		}
+	}
 }
 
 // SnapshotSeq returns the sequence of the newest durable snapshot.
