@@ -67,9 +67,10 @@ race-short:
 # Crash-recovery property tests under the race detector, repeated: random
 # ingest/delete/snapshot interleavings are crashed (fault-injected in-memory
 # filesystem, torn tails, lost page cache) and recovered, at the WAL layer
-# (TestShardedCrashRecoveryProperty) and end-to-end through the HTTP service.
-# The properties run at shard counts 1, 4 and 7 (one/even/prime); one shard
-# is the single-stream layout and runs the most trials. Nightly bumps
+# (TestCrashRecoveryProperty on one stream, TestShardedCrashRecoveryProperty
+# on the multiplexed layout) and end-to-end through the HTTP service. The
+# sharded properties run at shard counts 1, 4 and 7 (one/even/prime), so every
+# recovery covers legacy single-stream dirs and multiplexed per-shard streams. Nightly bumps
 # CRASH_COUNT for a longer soak.
 CRASH_COUNT ?= 3
 crash:
