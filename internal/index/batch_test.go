@@ -155,6 +155,46 @@ func TestKNNWithAllocs(t *testing.T) {
 	}
 }
 
+// TestRangeAllocs: a range query is a k-NN search on a pooled workspace, so
+// once the pool holds a warm one its only allocation is the caller's copy of
+// the answer — on the bare flat tier and behind four shards alike.
+func TestRangeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are the detector's")
+	}
+	const n, m = 128, 12
+	for _, row := range []struct {
+		name string
+		idx  Index
+	}{{"Flat", NewFlat()}, {"Sharded4", newShardedFlat(t, 4)}} {
+		t.Run(row.name, func(t *testing.T) {
+			for _, e := range benchEntries(t, 2*flatRows+30, n, m) {
+				if err := row.idx.Insert(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			q := testQueries(t, 1, n, m)[0]
+			near, _, err := row.idx.KNN(q, 10)
+			if err != nil || len(near) != 10 {
+				t.Fatalf("k-NN: %d results, %v", len(near), err)
+			}
+			var res []Result
+			// AllocsPerRun's own warm-up run sizes the pooled workspace.
+			allocs := testing.AllocsPerRun(50, func() {
+				if res, _, err = row.idx.Range(q, near[9].Dist); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if len(res) != 10 {
+				t.Fatalf("range at the 10th distance: %d results", len(res))
+			}
+			if allocs > 1 {
+				t.Fatalf("range allocates %v times, want at most 1", allocs)
+			}
+		})
+	}
+}
+
 // TestLinearScanKNNExact: the heap-based scan must return the true k
 // smallest exact distances, in ascending order.
 func TestLinearScanKNNExact(t *testing.T) {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -148,7 +149,7 @@ func (c *ConcurrentIndex) Epoch() uint64 {
 
 // KNN implements Index by borrowing a pooled workspace around KNNWith.
 func (c *ConcurrentIndex) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
-	return pooledKNN(c, q, k)
+	return pooledKNN(c, q, k, math.Inf(1))
 }
 
 // KNNWith implements Index. The results correspond to one

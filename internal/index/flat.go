@@ -242,7 +242,7 @@ func (f *Flat) measure(ws *Workspace, q dist.Query, env *ts.Envelope, k, s int, 
 
 // KNN implements Index.
 func (f *Flat) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
-	return pooledKNN(f, q, k)
+	return pooledKNN(f, q, k, math.Inf(1))
 }
 
 // KNNWith implements Index in two passes over a workspace-owned
@@ -251,11 +251,13 @@ func (f *Flat) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 // the k-th best distance close to its final value. Pass 2 walks the buffer
 // and measures only entries whose filter distance does not exceed the running
 // bound, abandoning each exact distance as soon as it cannot beat it. The
-// bound starts at ws.bound: +Inf, or inside a scatter-gather search the k-th
-// best distance the shards before this one earned, which the seeds must beat
-// too. Pruning is strict and the filter never exceeds a computed distance, so
-// an entry tying that distance is still measured and the canonical merge
-// decides the tie by ID: the answer is the linear scan's.
+// bound starts at ws.bound: +Inf, inside a scatter-gather search the k-th
+// best distance the shards before this one earned, or a range query's radius,
+// which the seeds must beat too. With k >= n there are no seeds: the best heap
+// cannot fill, and pass 2 measures in slot order every entry the handed bound
+// lets through. Pruning is strict and the filter never exceeds a computed
+// distance, so an entry tying that distance is still measured and the
+// canonical merge decides the tie by ID: the answer is the linear scan's.
 func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
 	var stats SearchStats
 	n := len(f.ents)
@@ -276,6 +278,9 @@ func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 	for lo := 0; lo < n; lo += flatRows {
 		out := filt[lo:min(lo+flatRows, n)]
 		f.filterSlots(env, lo, out)
+		if k >= n {
+			continue // the best heap cannot fill, so no seed could tighten the bound
+		}
 		for i, fd := range out {
 			if seeds.Len() < k {
 				seeds.Push(fd, int32(lo+i))
@@ -305,41 +310,8 @@ func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 	return ws.drainResults(), stats, nil
 }
 
-// Range implements Index: the one-pass twin of KNNWith against a
-// fixed bound — filter a block, measure what the filter lets through,
-// abandoning past radius².
+// Range implements Index: the k-NN search under the fixed bound radius
+// (rangeSearch).
 func (f *Flat) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {
-	var stats SearchStats
-	n := len(f.ents)
-	if n == 0 || radius < 0 {
-		return nil, stats, nil
-	}
-	var out []Result
-	var buf [flatRows]float64
-	limit := abandonLimit(radius)
-	ws := wsPool.Get().(*Workspace) // for the query's envelope
-	defer wsPool.Put(ws)
-	env, err := f.queryEnvelope(ws, q)
-	if err != nil {
-		return nil, stats, err
-	}
-	for lo := 0; lo < n; lo += flatRows {
-		filt := buf[:min(flatRows, n-lo)]
-		f.filterSlots(env, lo, filt)
-		stats.Filtered += len(filt)
-		for i, fd := range filt {
-			if fd > radius {
-				continue
-			}
-			sum, ok := f.refine(q, env, lo+i, limit, &stats)
-			if !ok {
-				continue
-			}
-			if exact := math.Sqrt(sum); exact <= radius {
-				out = append(out, Result{Entry: f.ents[lo+i], Dist: exact})
-			}
-		}
-	}
-	sortResults(out)
-	return out, stats, nil
+	return rangeSearch(f, q, radius)
 }

@@ -396,8 +396,9 @@ func TestFlatConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestFlatEdgeCases pins the corners: nothing stored, k out of range, k at
-// and past the live count, deleting the last slot, and an ID coming back.
+// TestFlatEdgeCases pins the corners: nothing stored, k out of range, the
+// radius corners (checkRadiusCorners), k at and past the live count, deleting
+// the last slot, and an ID coming back.
 func TestFlatEdgeCases(t *testing.T) {
 	f := NewFlat()
 	m := newFlatModel(t, "SAPLA", 21)
@@ -422,11 +423,9 @@ func TestFlatEdgeCases(t *testing.T) {
 			t.Fatalf("k=%d: %v %+v %v", k, res, st, err)
 		}
 	}
-	if res, _, err := f.Range(q, -1); err != nil || res != nil {
-		t.Fatalf("negative radius: %v %v", res, err)
-	}
-	// k at and past the live count: the running bound never leaves +Inf, and
-	// the seeds — here every entry — must not be measured a second time.
+	checkRadiusCorners(t, "flat", f, m.scan(), q, dist.Query{Raw: f.ents[2].Raw})
+	// k at and past the live count: there are no seeds, the running bound
+	// never leaves +Inf, and every entry is measured once.
 	for _, k := range []int{5, 6, 50} {
 		res, st, err := f.KNNWith(ws, q, k)
 		if err != nil || len(res) != 5 || st.Measured != 5 {
@@ -981,3 +980,60 @@ func TestFlatOverflowingEnvelope(t *testing.T) {
 		})
 	}
 }
+
+// FuzzFlatRange holds the flat tier's range query, bare and behind four
+// shards, to LinearScan.Range — IDs, order and distance bits — on fuzzed
+// values and radius bits. The first flatRangePoints bytes are the query, each
+// further run of them a stored series; a byte is a value in quarter steps, so
+// exact distance ties are common. The seeds carry the NaN, ±0, +Inf and tie
+// radii.
+func FuzzFlatRange(f *testing.F) {
+	// The query is all zeros; entries 1 and 2 lie at distance 1 (a tie), entry
+	// 3 at 2 and entry 4 on the query.
+	ties := make([]byte, 5*flatRangePoints)
+	ties[1*flatRangePoints] = 4
+	ties[2*flatRangePoints+3] = 0xfc // −4
+	ties[3*flatRangePoints+7] = 8
+	for _, r := range []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), 1, 2, -1} {
+		f.Add(ties, math.Float64bits(r))
+	}
+	f.Add([]byte("the query, then a stored series and another one"), math.Float64bits(30))
+	f.Fuzz(func(t *testing.T, data []byte, radiusBits uint64) {
+		series := func(b []byte) ts.Series {
+			s := make(ts.Series, flatRangePoints)
+			for i, v := range b {
+				s[i] = float64(int8(v)) / 4
+			}
+			return s
+		}
+		if len(data) < 2*flatRangePoints {
+			t.Skip("no stored series")
+		}
+		q := dist.Query{Raw: series(data[:flatRangePoints])}
+		tiers := []struct {
+			name string
+			idx  Index
+		}{{"flat", NewFlat()}, {"sharded4", newShardedFlat(t, 4)}}
+		scan := NewLinearScan()
+		for id := 1; (id+1)*flatRangePoints <= len(data) && id <= 3*flatRows; id++ {
+			e := NewEntry(id, series(data[id*flatRangePoints:(id+1)*flatRangePoints]), nil)
+			for _, idx := range []Index{tiers[0].idx, tiers[1].idx, scan} {
+				if err := idx.Insert(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		radius := math.Float64frombits(radiusBits)
+		want, _, _ := scan.Range(q, radius)
+		for _, tier := range tiers {
+			got, _, err := tier.idx.Range(q, radius)
+			if err != nil {
+				t.Fatalf("%s: %v", tier.name, err)
+			}
+			identicalResults(t, fmt.Sprintf("%s radius %v", tier.name, radius), got, want)
+		}
+	})
+}
+
+// flatRangePoints is the series length FuzzFlatRange stores.
+const flatRangePoints = 8

@@ -9,7 +9,7 @@ import (
 
 // KNN implements Index.
 func (t *tree[C]) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
-	return pooledKNN(t, q, k)
+	return pooledKNN(t, q, k, math.Inf(1))
 }
 
 // KNNWith implements Index: the GEMINI branch-and-bound k-NN.
@@ -18,8 +18,10 @@ func (t *tree[C]) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 // with the tree's representation-space distance, and only entries whose
 // filter distance beats the current k-th best are fetched for an exact
 // Euclidean distance (those fetches are the paper's "time series which have
-// to be measured"). All scratch state lives in ws; the returned slice aliases
-// ws and stays valid until its next use.
+// to be measured"). The bound starts at ws.bound (+Inf, the k-th distance
+// earlier shards earned, or a range query's radius) and never loosens. All
+// scratch state lives in ws; the returned slice aliases ws and stays valid
+// until its next use.
 func (t *tree[C]) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
 	var stats SearchStats
 	if t.root == nilNode || k <= 0 {
@@ -30,7 +32,7 @@ func (t *tree[C]) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchS
 	nodes.Reset()
 	nodes.Push(0, t.root)
 	ws.best.Reset() // k current best, worst on top
-	kth := math.Inf(1)
+	kth := ws.bound
 
 	for nodes.Len() > 0 {
 		prio, nd := nodes.Pop()
@@ -58,7 +60,7 @@ func (t *tree[C]) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchS
 			}
 			stats.Measured++
 			exact := math.Sqrt(ts.EuclideanSq(q.Raw, e.Raw))
-			kth = ws.offerBest(k, exact, e)
+			kth = min(kth, ws.offerBest(k, exact, e))
 		}
 	}
 	return ws.drainResults(), stats, nil
@@ -83,7 +85,7 @@ func (s *LinearScan) Len() int { return len(s.entries) }
 
 // KNN implements Index by exact exhaustive search.
 func (s *LinearScan) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
-	return pooledKNN(s, q, k)
+	return pooledKNN(s, q, k, math.Inf(1))
 }
 
 // KNNWith implements Index: exhaustive search through a

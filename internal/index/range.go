@@ -8,18 +8,28 @@ import (
 	"sapla/internal/ts"
 )
 
+// rangeSearch answers a range query as idx's own k-NN search with no k and a
+// bound that never moves from radius (pooledKNN), which every searching tier
+// prunes and abandons against. A radius that is not >= 0 (negative or NaN)
+// has no answer.
+func rangeSearch(idx Index, q dist.Query, radius float64) ([]Result, SearchStats, error) {
+	return pooledKNN(idx, q, math.MaxInt, radius)
+}
+
 // sortResults orders range answers by the canonical (distance, entry ID)
 // key. Distance alone would leave exact ties in traversal order, which
-// differs between tree shapes — the ID tie-break is what lets a sharded
-// range query concatenate per-shard answers and still produce byte-identical
-// output for any shard count.
+// differs between tree shapes; the ID tie-break makes the answer a pure
+// function of the stored entries, as the k-NN heap's does.
 func sortResults(out []Result) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist { //sapla:floateq exact tie: the ID tie-break must fire only on bit-equal distances
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].Entry.ID < out[j].Entry.ID
-	})
+	sort.Slice(out, func(i, j int) bool { return before(out[i], out[j]) })
+}
+
+// before reports whether a precedes b in the canonical (distance, ID) order.
+func before(a, b Result) bool {
+	if a.Dist != b.Dist { //sapla:floateq exact tie: the ID tie-break must fire only on bit-equal distances
+		return a.Dist < b.Dist
+	}
+	return a.Entry.ID < b.Entry.ID
 }
 
 // Range implements Index: the GEMINI range query — prune nodes whose

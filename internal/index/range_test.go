@@ -172,6 +172,70 @@ func TestRangeSearchEdgeCases(t *testing.T) {
 	if err != nil || len(res) != 30 {
 		t.Fatalf("huge radius: %v, %d", err, len(res))
 	}
+
+	// The radius corners on every tier that answers ranges: the flat tier,
+	// bare and behind four shards, the DBCH tree under a lower-bounding method,
+	// and the linear scan they are all held to.
+	paa := buildMethod(t, "PAA")
+	db, _ := NewDBCH("PAA", 2, 5)
+	db.SafeBound = true
+	scan := NewLinearScan()
+	tiers := []struct {
+		name string
+		idx  Index
+	}{{"flat", NewFlat()}, {"sharded4", newShardedFlat(t, 4)}, {"dbch", db}, {"scan", scan}}
+	entries := makeEntries(t, paa, rng, 40, 64, 8)
+	for _, e := range entries {
+		for _, tier := range tiers {
+			if err := tier.idx.Insert(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	qr, _ = paa.Reduce(q, 8)
+	self := dist.NewQuery(entries[7].Raw, entries[7].Rep)
+	for _, tier := range tiers {
+		checkRadiusCorners(t, tier.name, tier.idx, scan, dist.NewQuery(q, qr), self)
+	}
+}
+
+// checkRadiusCorners holds idx's range answers to scan's, which holds the same
+// entries, at the radius corners: NaN and negative radii have no answer (nil);
+// −0 is a radius of zero, which holds the entry self, a query equal to a
+// stored series, is; +Inf holds every entry; and a radius equal to a stored
+// distance holds that entry — the boundary is inclusive.
+func checkRadiusCorners(t *testing.T, label string, idx Index, scan *LinearScan, q, self dist.Query) {
+	t.Helper()
+	near, _, err := scan.KNN(q, 3)
+	if err != nil || len(near) != 3 {
+		t.Fatalf("%s: reference k-NN: %d results, %v", label, len(near), err)
+	}
+	for _, c := range []struct {
+		name   string
+		q      dist.Query
+		radius float64
+		want   int
+	}{
+		{"NaN", q, math.NaN(), 0},
+		{"-1", q, -1, 0},
+		{"-0", self, math.Copysign(0, -1), 1},
+		{"+Inf", q, math.Inf(1), scan.Len()},
+		{"tie", q, near[2].Dist, 3},
+	} {
+		name := label + " radius " + c.name
+		want, _, _ := scan.Range(c.q, c.radius)
+		if len(want) != c.want {
+			t.Fatalf("%s: the scan answers %d, want %d", name, len(want), c.want)
+		}
+		got, _, err := idx.Range(c.q, c.radius)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if c.want == 0 && got != nil {
+			t.Fatalf("%s: answered %v, want nil", name, got)
+		}
+		identicalResults(t, name, got, want)
+	}
 }
 
 func TestRangeRTreePrunesNodes(t *testing.T) {

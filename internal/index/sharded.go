@@ -42,8 +42,9 @@ func ShardOf(id, shards int) int {
 // distance, or a tree or the linear scan under such a filter — the merged
 // k-NN and range answers are byte-identical to the single-shard answer, and
 // to a linear scan's, for any shard count. Shards are visited in order and
-// each flat shard prunes from the bound the ones before it earned (KNNWith),
-// which changes the work a query does, never its answer.
+// each shard prunes from the bound the ones before it earned or the caller
+// handed (KNNWith; a range query is that search under its radius), which
+// changes the work a query does, never its answer.
 type ShardedIndex struct {
 	shards []*ConcurrentIndex
 }
@@ -175,34 +176,40 @@ func (s *ShardedIndex) Fragmentation() float64 {
 	return frag / weight
 }
 
-// mergeTopK selects the k best candidates under the canonical
-// (distance, ID) order. The k-bounded tie heap keeps exactly the k smallest
-// candidates seen regardless of feed order, so the merged answer equals what
-// one tree holding every entry would return. The returned slice aliases ws.
-func mergeTopK(ws *Workspace, k int, cand []Result) []Result {
-	ws.best.Reset()
-	for i := range cand {
-		ws.offerBest(k, cand[i].Dist, cand[i].Entry)
+// mergeTopK folds res, one shard's answer, into the running top-k ws.cand:
+// both are sorted under the canonical (distance, ID) order, so one linear
+// merge keeps the k best, at a cost of their lengths whatever k is. An entry
+// lives in one shard, so no key repeats, and the merged answer equals what
+// one index holding every entry would return.
+func mergeTopK(ws *Workspace, k int, res []Result) {
+	cand, out := ws.cand, ws.merged[:0]
+	for len(out) < k && len(cand)+len(res) > 0 {
+		if len(res) == 0 || (len(cand) > 0 && before(cand[0], res[0])) {
+			out, cand = append(out, cand[0]), cand[1:]
+		} else {
+			out, res = append(out, res[0]), res[1:]
+		}
 	}
-	return ws.drainResults()
+	ws.cand, ws.merged = out, ws.cand
 }
 
 // KNN implements Index over all shards.
 func (s *ShardedIndex) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
-	return pooledKNN(s, q, k)
+	return pooledKNN(s, q, k, math.Inf(1))
 }
 
 // KNNWith implements Index by visiting the shards in order on one
 // workspace and keeping one running top-k across them (ws.cand): each shard's
 // answer is folded in under the canonical (distance, ID) order, and once k
-// results are held their k-th distance is the bound the next shard starts
-// pruning from (ws.bound; the flat tier honours it, the trees start from
-// +Inf). That bound is an exact distance already measured, so it is never
-// below the global k-th, and the flat tier prunes only an entry whose filter
-// distance — never above its computed distance — exceeds it: no true
-// neighbour is lost. ws.bound is back at +Inf on every return. Every shard
-// search sees one consistent state of that shard. There is no per-query
-// fan-out: BatchKNN fills the cores with queries.
+// results are held their k-th distance tightens the bound the next shard
+// starts pruning from (ws.bound, which every searching tier honours; a handed
+// bound, a range query's radius, never loosens). That k-th distance is an
+// exact distance already measured, so it is never below the global k-th, and
+// a shard prunes only an entry whose filter distance — never above its
+// computed distance — exceeds it: no true neighbour is lost. ws.bound is back
+// at +Inf on every return. Every shard search sees one consistent state of
+// that shard. There is no per-query fan-out: BatchKNN fills the cores with
+// queries.
 func (s *ShardedIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
 	if len(s.shards) == 1 {
 		return s.shards[0].KNNWith(ws, q, k)
@@ -219,31 +226,17 @@ func (s *ShardedIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, Se
 			return nil, stats, err
 		}
 		stats.Add(st)
-		ws.cand = append(ws.cand, res...)
-		ws.cand = append(ws.cand[:0], mergeTopK(ws, k, ws.cand)...)
+		mergeTopK(ws, k, res)
 		if len(ws.cand) == k {
-			ws.bound = ws.cand[k-1].Dist
+			ws.bound = min(ws.bound, ws.cand[k-1].Dist)
 		}
 	}
 	ws.bound = math.Inf(1)
 	return ws.cand, stats, nil
 }
 
-// Range implements Index by scatter-gather: per-shard answers are
-// concatenated and sorted under the canonical (distance, ID) order, which is
-// exactly the order a single tree would return. A shard's error is the
-// answer.
+// Range implements Index: the k-NN scatter-gather under the fixed bound
+// radius (rangeSearch).
 func (s *ShardedIndex) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {
-	var stats SearchStats
-	var out []Result
-	for _, sh := range s.shards {
-		res, st, err := sh.Range(q, radius)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Add(st)
-		out = append(out, res...)
-	}
-	sortResults(out)
-	return out, stats, nil
+	return rangeSearch(s, q, radius)
 }

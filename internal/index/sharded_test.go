@@ -273,6 +273,40 @@ func TestShardedRangeByteIdenticalAcrossShardCounts(t *testing.T) {
 	}
 }
 
+// TestShardedTreeRangeHonoursRadius: a sharded range over tree shards is each
+// tree's best-first k-NN search under the radius, and a tree honours that
+// handed bound from its first node — so it visits, filters and measures
+// exactly what the tree's own depth-first Range does, and answers the same.
+func TestShardedTreeRangeHonoursRadius(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	meth := buildMethod(t, "SAPLA")
+	entries, indexes := shardedFixture(t, meth, rng)
+	one := indexes[0]
+	for qi := 0; qi < 8; qi++ {
+		raw := entries[qi*7%len(entries)].Raw
+		rep, err := meth.Reduce(raw, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := dist.NewQuery(raw, rep)
+		for _, radius := range []float64{0, 5, 20} {
+			got, st, err := one.Range(q, radius)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, dfs, err := one.Shard(0).Range(q, radius)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("query %d radius %v", qi, radius)
+			identicalResults(t, label, got, want)
+			if st != dfs {
+				t.Fatalf("%s: best-first work %+v, depth-first %+v", label, st, dfs)
+			}
+		}
+	}
+}
+
 // TestShardedBatchKNNMatchesSequential pins the batch engine — one task per
 // query, each the whole scatter-gather — to the same searches run one after
 // the other on one workspace, for every worker count.

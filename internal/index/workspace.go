@@ -27,10 +27,11 @@ type Workspace struct {
 	// entries live in one tree or are scattered across shards.
 	best    *pqueue.TieHeap[*Entry]
 	results []Result
-	// cand and bound carry a scatter-gather search from shard to shard
-	// (ShardedIndex.KNNWith): the running global top-k, and its k-th distance —
-	// the bound Flat.KNNWith starts pruning from. Outside such a search bound
-	// is +Inf.
+	// cand carries a scatter-gather search's running global top-k from shard
+	// to shard (ShardedIndex.KNNWith). bound is what every searching tier's
+	// KNNWith starts pruning from: a range query's radius (rangeSearch), or
+	// the k-th distance the shards so far earned if that is smaller. Outside
+	// such a search it is +Inf.
 	cand  []Result
 	bound float64
 	// filt and seeds belong to the flat tier (Flat.KNNWith): one filter
@@ -40,6 +41,9 @@ type Workspace struct {
 	// env is the flat tier's per-query chunk envelope (Flat.queryEnvelope),
 	// rebuilt by every search that sweeps block rows.
 	env ts.Envelope
+	// merged is where mergeTopK builds the next running top-k; it and cand
+	// swap.
+	merged []Result
 }
 
 // NewWorkspace returns an empty search workspace.
@@ -86,16 +90,29 @@ func (ws *Workspace) drainResults() []Result {
 	return ws.results
 }
 
-// wsPool backs the plain Index.KNN entry points: they borrow a workspace,
-// search, and copy the answers out, so even the convenience path allocates
-// only its returned slice.
+// wsPool backs the plain Index.KNN entry points and the range searches built
+// on them: they borrow a workspace, search, and copy the answers out, so even
+// the convenience path allocates only its returned slice.
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
 
-// pooledKNN runs a workspace search on a pooled workspace and returns a
-// caller-owned copy of the results.
-func pooledKNN(s Index, q dist.Query, k int) ([]Result, SearchStats, error) {
+// pooledKNN runs a workspace search handed bound (ws.bound; +Inf for a plain
+// k-NN) on a pooled workspace and returns a caller-owned copy of the results
+// within it: the sorted tail above bound, which the abandon margin
+// (abandonLimit) can admit, is trimmed, and a bound that is not >= 0
+// (negative or NaN) admits nothing.
+func pooledKNN(s Index, q dist.Query, k int, bound float64) ([]Result, SearchStats, error) {
+	if !(bound >= 0) {
+		return nil, SearchStats{}, nil
+	}
 	ws := wsPool.Get().(*Workspace)
+	ws.bound = bound
 	res, stats, err := s.KNNWith(ws, q, k)
+	ws.bound = math.Inf(1)
+	n := len(res)
+	for n > 0 && res[n-1].Dist > bound {
+		n--
+	}
+	res = res[:n]
 	var out []Result
 	if len(res) > 0 {
 		out = slices.Clone(res)

@@ -94,7 +94,7 @@ type Config struct {
 	// CompactEvery is ignored: the flat tier never fragments, so there is
 	// nothing to compact. The field (and sapla-serve's -compact-every) stays
 	// only because bench/ still sets it; it goes once bench/ stops passing
-	// it (ROADMAP item 2a).
+	// it (ROADMAP item 3b).
 	CompactEvery time.Duration
 
 	// MaxInflightSearch bounds concurrently admitted search requests
