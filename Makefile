@@ -43,7 +43,10 @@ test:
 # The envelope filter's SSE kernel (internal/ts/envelope_amd64.s) must give
 # the pure-Go loop's bits whatever GOAMD64 level that loop is compiled at: at
 # v3 a compiler may fuse a multiply and an add (FMA), which the loop's
-# float32(d*d) forbids, and the identity tests would see it.
+# float32(d*d) forbids, and the identity tests would see it. The grouped
+# refine kernel (ts.RefineGroup) is Go adds the compiler may fuse at v3 too:
+# its identity tests (TestRefineGroupBits, FuzzRefineGroup's seeds) hold every
+# lane to ts.EuclideanSq's bits there as well.
 test-v3:
 	GOAMD64=v3 $(GO) test ./internal/ts ./internal/index
 
@@ -103,7 +106,9 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of the flat tier's kernel benchmarks (BenchmarkServedKNN,
-# BenchmarkServedRange, BenchmarkFlatFilter, BenchmarkBatchKNN), of the
+# BenchmarkServedRange, BenchmarkFlatFilter, BenchmarkBatchKNN, and
+# BenchmarkRefineGroup: four refinements one after the other against one
+# group of four, at 256 and 1024 points), of the
 # request front end's (BenchmarkHandlerKNN, BenchmarkHandlerKNNBatch,
 # BenchmarkHandlerIngestBatch, BenchmarkHandlerIngest, BenchmarkDecodeBody and
 # its wire-format rows), of recovery's (BenchmarkRecover, over the logs a
@@ -115,6 +120,7 @@ bench-check:
 # running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Served|FlatFilter|BatchKNN' -benchtime 1x ./internal/index
+	$(GO) test -run '^$$' -bench 'RefineGroup' -benchtime 1x ./internal/ts
 	$(GO) test -run '^$$' -bench 'Handler|DecodeBody|Recover' -benchtime 1x ./internal/server
 	$(GO) test -run '^$$' -bench 'StoreAppend' -benchtime 1x ./internal/wal
 	$(GO) test -run '^$$' -bench 'AppendWALRecord' -benchtime 1x ./internal/tsio

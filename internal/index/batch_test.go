@@ -157,16 +157,22 @@ func TestKNNWithAllocs(t *testing.T) {
 
 // TestRangeAllocs: a range query is a k-NN search on a pooled workspace, so
 // once the pool holds a warm one its only allocation is the caller's copy of
-// the answer — on the bare flat tier and behind four shards alike.
+// the answer — on the bare flat tier and behind four shards alike. The
+// DBCH-tree's depth-first range borrows the same pool for its stack, query
+// coefficients and answers, and allocates only that copy too.
 func TestRangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are the detector's")
 	}
 	const n, m = 128, 12
+	dbch, err := NewDBCH("SAPLA", 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, row := range []struct {
 		name string
 		idx  Index
-	}{{"Flat", NewFlat()}, {"Sharded4", newShardedFlat(t, 4)}} {
+	}{{"Flat", NewFlat()}, {"Sharded4", newShardedFlat(t, 4)}, {"DBCH", dbch}} {
 		t.Run(row.name, func(t *testing.T) {
 			for _, e := range benchEntries(t, 2*flatRows+30, n, m) {
 				if err := row.idx.Insert(e); err != nil {

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"sapla/internal/dist"
 	"sapla/internal/ts"
@@ -14,13 +15,17 @@ import (
 const flatRows = 256
 
 // envelopeAbandonMin is the shortest series whose refinements abandon on the
-// chunk envelope (ts.EuclideanSqEnvelope) rather than on the partial sum alone
-// (ts.EuclideanSqAbandon). The filter has already applied the bound, so what
-// the envelope adds at refine time is the suffix bound over the chunks a
-// refinement has not reached: worth it on long series, dearer than the plain
-// loop on short ones (BenchmarkServedKNN's flat, 4x1500x512 and
-// sharded4/1500x1024 rows).
-const envelopeAbandonMin = 512
+// chunk envelope (ts.EuclideanSqEnvelope's bound) rather than on the partial
+// sum alone (ts.EuclideanSqAbandon's). The filter has already applied the
+// bound, so what the envelope adds at refine time is the suffix bound over
+// the chunks a refinement has not reached, at 16 chunk bounds a candidate:
+// worth it on long series, dearer than the plain abandon on short ones. With
+// four candidates refined at once the plain loop got cheaper, and the cut
+// moved up from 512: the envelope abandon, against the plain one query by
+// query, took 6–9 % longer at 6000 × 256, 4–7 % at 4 × 1500 × 512 and 2–4 %
+// at 4 × 1500 × 768, and 1–3 % less at 4 × 1500 × 1024 (BenchmarkServedKNN's
+// indexes, -cpu 1; DESIGN §11).
+const envelopeAbandonMin = 1024
 
 // refined marks a filter-buffer slot whose entry has already been measured
 // (the seeds of KNNWith). Filter distances are at least 0, so a negative
@@ -212,30 +217,59 @@ func (f *Flat) filterSlots(env *ts.Envelope, lo int, out []float64) {
 // offerBest (or a range test) would have rejected anyway.
 func abandonLimit(bound float64) float64 { return bound * bound * (1 + 1e-12) }
 
-// refine computes the exact squared distance from q, whose envelope is env,
-// to slot s, giving up once it provably exceeds limit (ok false), and counts
-// the refinement in stats. On series of at least envelopeAbandonMin points it
-// runs ts.EuclideanSqEnvelope against the row's envelope; otherwise
-// ts.EuclideanSqAbandon. Both return, when they complete, the same sequential
-// sum ts.EuclideanSq computes, so answers stay bit-identical to every other
-// index's.
-func (f *Flat) refine(q dist.Query, env *ts.Envelope, s int, limit float64, stats *SearchStats) (float64, bool) {
-	e := f.ents[s]
-	stats.Measured++
+// refineSlots refines, four at a time (ts.RefineGroup), the slots of seeds —
+// or, when seeds is nil, every slot in slot order — whose filter distance is
+// at least 0 and at most the running k-th best distance kth, and returns kth
+// updated; it is never looser than the one given, so a search handed a bound
+// (Workspace.bound) keeps pruning against it while its own heap fills. A
+// group takes the next four such slots under kth as it stands when the group
+// forms, counts them in stats, and runs until every lane has finished, under
+// the limit kth gives before each kernel call; a finished lane is not
+// refilled, so which candidates are refined never depends on where a lane
+// gave up, and the envelope abandon measures exactly what the plain one does.
+// On series of at least envelopeAbandonMin points the lanes abandon on the
+// row's envelope (ts.EuclideanSqEnvelope's bound); otherwise on the partial
+// sum (ts.EuclideanSqAbandon's). A completed lane's sum is the sequential sum
+// ts.EuclideanSq computes, and offerBest's (distance, ID) order decides ties
+// as a scan does, so answers stay bit-identical to every other index's.
+func (f *Flat) refineSlots(ws *Workspace, q dist.Query, env *ts.Envelope, k int, seeds []int32, kth float64, stats *SearchStats) float64 {
 	if !f.abandon {
-		return ts.EuclideanSqAbandon(q.Raw, e.Raw, limit)
+		env = nil
 	}
-	row, _ := f.row(s)
-	return ts.EuclideanSqEnvelope(q.Raw, e.Raw, env, row, limit)
-}
-
-// measure refines slot s against the running k-th best distance and returns
-// the updated bound — never looser than the one it was given, so a search
-// handed a bound (Workspace.bound) keeps pruning against it while its own
-// heap fills.
-func (f *Flat) measure(ws *Workspace, q dist.Query, env *ts.Envelope, k, s int, kth float64, stats *SearchStats) float64 {
-	if sum, ok := f.refine(q, env, s, abandonLimit(kth), stats); ok {
-		kth = min(kth, ws.offerBest(k, math.Sqrt(sum), f.ents[s]))
+	filt := ws.filt[:len(f.ents)]
+	end := len(filt)
+	if seeds != nil {
+		end = len(seeds)
+	}
+	g := &ws.group
+	var lane [ts.GroupLanes]int32 // the slot each lane refines
+	for at := 0; at < end; {
+		g.Reset(q.Raw, env)
+		lanes := 0
+		for ; at < end && lanes < ts.GroupLanes; at++ {
+			s := int32(at)
+			if seeds != nil {
+				s = seeds[at]
+			}
+			if fd := filt[s]; fd < 0 || fd > kth {
+				continue
+			}
+			var row []float32
+			if env != nil {
+				row, _ = f.row(int(s))
+			}
+			lane[g.Add(f.ents[s].Raw, row)] = s
+			lanes++
+		}
+		stats.Measured += lanes
+		for g.Live() != 0 {
+			for done := g.Refine(abandonLimit(kth)); done != 0; done &= done - 1 {
+				j := bits.TrailingZeros8(done)
+				if sum, ok := g.Result(j); ok {
+					kth = min(kth, ws.offerBest(k, math.Sqrt(sum), f.ents[lane[j]]))
+				}
+			}
+		}
 	}
 	return kth
 }
@@ -250,7 +284,8 @@ func (f *Flat) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 // smallest filter distances; those entries are measured first, which seeds
 // the k-th best distance close to its final value. Pass 2 walks the buffer
 // and measures only entries whose filter distance does not exceed the running
-// bound, abandoning each exact distance as soon as it cannot beat it. The
+// bound, abandoning each exact distance as soon as it cannot beat it. Both
+// measure four entries at a time (refineSlots). The
 // bound starts at ws.bound: +Inf, inside a scatter-gather search the k-th
 // best distance the shards before this one earned, or a range query's radius,
 // which the seeds must beat too. With k >= n there are no seeds: the best heap
@@ -292,21 +327,23 @@ func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 	}
 	stats.Filtered = n
 
+	// The seeds go through the same groups first, in the order the heap
+	// gives them up; until the last of them completes the best heap holds
+	// fewer than k, so the bound they are refined under is the one handed in.
 	kth := ws.bound
-	for seeds.Len() > 0 {
-		fd, s := seeds.Pop()
-		filt[s] = refined
-		if fd > kth {
-			continue
+	if seeds.Len() > 0 {
+		order := ws.order[:0]
+		for seeds.Len() > 0 {
+			_, s := seeds.Pop()
+			order = append(order, s)
 		}
-		kth = f.measure(ws, q, env, k, int(s), kth, &stats)
-	}
-	for s, fd := range filt {
-		if fd < 0 || fd > kth {
-			continue
+		ws.order = order
+		kth = f.refineSlots(ws, q, env, k, order, kth, &stats)
+		for _, s := range order {
+			filt[s] = refined
 		}
-		kth = f.measure(ws, q, env, k, s, kth, &stats)
 	}
+	kth = f.refineSlots(ws, q, env, k, nil, kth, &stats)
 	return ws.drainResults(), stats, nil
 }
 

@@ -2,7 +2,7 @@ package index
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"sapla/internal/dist"
 	"sapla/internal/ts"
@@ -21,7 +21,15 @@ func rangeSearch(idx Index, q dist.Query, radius float64) ([]Result, SearchStats
 // differs between tree shapes; the ID tie-break makes the answer a pure
 // function of the stored entries, as the k-NN heap's does.
 func sortResults(out []Result) {
-	sort.Slice(out, func(i, j int) bool { return before(out[i], out[j]) })
+	slices.SortFunc(out, func(a, b Result) int {
+		if before(a, b) {
+			return -1
+		}
+		if before(b, a) {
+			return 1
+		}
+		return 0
+	})
 }
 
 // before reports whether a precedes b in the canonical (distance, ID) order.
@@ -34,23 +42,27 @@ func before(a, b Result) bool {
 
 // Range implements Index: the GEMINI range query — prune nodes whose
 // bound exceeds the radius, filter leaf entries with the tree's
-// representation-space distance, and verify survivors exactly.
+// representation-space distance, and verify survivors exactly. Its stack,
+// query coefficients and answers live in a pooled workspace, so a query
+// allocates only the caller's copy of the answer.
 func (t *tree[C]) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {
 	var stats SearchStats
 	if t.root == nilNode || radius < 0 {
 		return nil, stats, nil
 	}
-	qv := appendCoeffs(nil, q.Rep)
-	var out []Result
-	stack := make([]int32, 1, 64)
-	stack[0] = t.root
+	ws := wsPool.Get().(*Workspace)
+	defer wsPool.Put(ws)
+	ws.qvec = appendCoeffs(ws.qvec[:0], q.Rep)
+	out := ws.results[:0]
+	stack := append(ws.stack[:0], t.root)
+	defer func() { ws.stack, ws.results = stack[:0], out[:0] }()
 	for len(stack) > 0 {
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		stats.NodesVisited++
 		if !t.ar.isLeaf[nd] {
 			for _, c := range t.ar.slotsOf(nd) {
-				if t.cov.nodeBound(q, qv, c) <= radius {
+				if t.cov.nodeBound(q, ws.qvec, c) <= radius {
 					stack = append(stack, c)
 				}
 			}
@@ -73,8 +85,11 @@ func (t *tree[C]) Range(q dist.Query, radius float64) ([]Result, SearchStats, er
 			}
 		}
 	}
+	if len(out) == 0 {
+		return nil, stats, nil
+	}
 	sortResults(out)
-	return out, stats, nil
+	return slices.Clone(out), stats, nil
 }
 
 // Range implements Index for the linear scan (exact).

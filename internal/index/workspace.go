@@ -16,10 +16,12 @@ import (
 // queries makes the steady-state search allocation-free. Not safe for
 // concurrent use: one per goroutine.
 type Workspace struct {
-	// ids is a tree search's frontier of node ids, keyed by node bound; qvec
-	// is its query's coefficient vector, which the R-tree's MBR bound reads.
-	ids  *pqueue.Heap[int32]
-	qvec []float64
+	// ids is a tree search's frontier of node ids, keyed by node bound, and
+	// stack a tree range's (tree.Range); qvec is the query's coefficient
+	// vector, which the R-tree's MBR bound reads.
+	ids   *pqueue.Heap[int32]
+	stack []int32
+	qvec  []float64
 	// best is the k-bounded candidate heap, keyed by (exact distance,
 	// entry ID). The ID tie key pins a canonical k-best even when distances
 	// collide, so the answer set is a pure function of the stored entries —
@@ -34,13 +36,17 @@ type Workspace struct {
 	// such a search it is +Inf.
 	cand  []Result
 	bound float64
-	// filt and seeds belong to the flat tier (Flat.KNNWith): one filter
-	// distance per slot, and the slots of the k smallest of them, worst on top.
+	// filt, seeds and order belong to the flat tier (Flat.KNNWith): one
+	// filter distance per slot, the slots of the k smallest of them, worst on
+	// top, and those slots in the order the heap gives them up.
 	filt  []float64
 	seeds *pqueue.Heap[int32]
+	order []int32
 	// env is the flat tier's per-query chunk envelope (Flat.queryEnvelope),
-	// rebuilt by every search that sweeps block rows.
-	env ts.Envelope
+	// rebuilt by every search that sweeps block rows; group is its refinement
+	// kernel's four lanes (Flat.refineSlots).
+	env   ts.Envelope
+	group ts.RefineGroup
 	// merged is where mergeTopK builds the next running top-k; it and cand
 	// swap.
 	merged []Result

@@ -112,18 +112,17 @@ func EnvelopeRow(x Series, v []float32) (slack float32) {
 	return float32(envelopeValues(x, &m, &rho, v[:EnvelopeWidth]))
 }
 
-// Envelope is a query's side of LowerBounds and EuclideanSqEnvelope: every
-// chunk's envelope at float64 with the query's half of each chunk's slack,
-// the float32 vector and row slack LowerBounds compares rows against, and
-// scratch for one candidate's suffix bounds. The zero value is empty; Reset
-// builds it, and it never allocates.
+// Envelope is a query's side of LowerBounds, EuclideanSqEnvelope and a
+// RefineGroup's envelope abandon: every chunk's envelope at float64 with the
+// query's half of each chunk's slack, and the float32 vector and row slack
+// LowerBounds compares rows against. The zero value is empty; Reset builds
+// it, and it never allocates.
 type Envelope struct {
-	n      int                         // the query's length
-	m, rho [EnvelopeChunks]float64     // ChunkEnvelope per chunk
-	slack  [EnvelopeChunks]float64     // κ·(|m|+ρ) + envelopeFloor per chunk
-	suf    [EnvelopeChunks + 1]float64 // suf[j]: a lower bound on the squared distance over chunks j.. of one candidate
-	v      [EnvelopeWidth]float32      // the query's envelope vector, as EnvelopeRow writes a row's
-	eps    float64                     // the query's row slack
+	n      int                     // the query's length
+	m, rho [EnvelopeChunks]float64 // ChunkEnvelope per chunk
+	slack  [EnvelopeChunks]float64 // κ·(|m|+ρ) + envelopeFloor per chunk
+	v      [EnvelopeWidth]float32  // the query's envelope vector, as EnvelopeRow writes a row's
+	eps    float64                 // the query's row slack
 }
 
 // Reset rebuilds the envelope for q.
@@ -209,47 +208,64 @@ func (e *Envelope) rowLB(s, slack float32) float64 {
 	return 0
 }
 
-// EuclideanSqEnvelope is EuclideanSqAbandon for a query a whose envelope is
-// qe and a candidate b whose EnvelopeRow vector is row. It
-// abandons on a lower bound of the whole sum instead of the partial sum
-// alone, and adds the same terms in the same order when it reads b at all, so
-// a completed sum (ok) is bit-identical to EuclideanSq(a, b). When it gives
-// up, the value it returns exceeds limit and so does the full EuclideanSq.
+// suffix writes into suf, for the candidate whose EnvelopeRow vector is row,
+// suf[j]: a lower bound on the exact squared distance over chunks j.. to the
+// query (suf[EnvelopeChunks] = 0), and reports whether the bound is a number.
 //
 // The bound. As in LowerBounds, per chunk (m_q − m_c)² + (ρ_q − ρ_c)² is at
 // most the exact chunk distance. Every value carries an error below κ·(|m|+ρ)
 // of its own chunk (|m|+ρ ≥ ‖x‖, which bounds the float32 rounding and,
 // through Σ|x_i| ≤ √l·‖x‖, the float64 sums), so with e = the two sides'
 // κ·(|m|+ρ) plus the subnormal floor, max(0, |m_q − m_c| − e)² + max(0,
-// |ρ_q − ρ_c| − e)² is a bound on the exact chunk distance. suf[j] sums them
-// over chunks j.. . At each look after i terms the kernel abandons when the
-// partial sum plus the suffix from the first chunk it has not started exceeds
-// the guard; nothing tests suf[0] before the first stride, since in a search
-// that filters on LowerBounds first that test ended no refinement. The guard is
-// limit·(1+(n+64)·2⁻⁵²): the computed sum is at least the exact one times
-// 1−(n+3)·2⁻⁵³ (each term rounds thrice, each addition once, all terms
-// non-negative), and the bound's own evaluation rounds fewer than W+8 times,
-// so a bound above the guard proves the computed sum above limit. A NaN bound
-// — a chunk whose envelope overflowed — abandons nothing: the kernel falls
-// back to EuclideanSqAbandon. It panics if the lengths differ, qe was built
-// for another length or row is not EnvelopeWidth long.
+// |ρ_q − ρ_c| − e)² is a bound on the exact chunk distance; suf[j] sums them
+// over chunks j.. . A caller abandons when a partial sum plus the suffix from
+// the first chunk it has not started exceeds limit·envelopeGuard(n): the
+// computed sum is at least the exact one times 1−(n+3)·2⁻⁵³ (each term rounds
+// thrice, each addition once, all terms non-negative), and the bound's own
+// evaluation rounds fewer than W+8 times, so a bound above the guard proves
+// the computed sum above limit. A NaN bound — a chunk whose envelope
+// overflowed — proves nothing, and the caller must fall back to the partial
+// sum alone.
+func (e *Envelope) suffix(row []float32, suf *[EnvelopeChunks + 1]float64) bool {
+	suf[EnvelopeChunks] = 0
+	for j := EnvelopeChunks - 1; j >= 0; j-- {
+		mc, rc := float64(row[j]), float64(row[EnvelopeChunks+j])
+		sl := e.slack[j] + envelopeSlack*(math.Abs(mc)+rc)
+		dm := max(math.Abs(e.m[j]-mc)-sl, 0)
+		dr := max(math.Abs(e.rho[j]-rc)-sl, 0)
+		suf[j] = suf[j+1] + dm*dm + dr*dr
+	}
+	return !math.IsNaN(suf[0])
+}
+
+// envelopeGuard is the factor 1 + (n+64)·2⁻⁵² on the limit of an n-point
+// envelope abandon (see suffix).
+func envelopeGuard(n int) float64 { return 1 + float64(n+64)*0x1p-52 }
+
+// EuclideanSqEnvelope is EuclideanSqAbandon for a query a whose envelope is
+// qe and a candidate b whose EnvelopeRow vector is row. It abandons on a
+// lower bound of the whole sum instead of the partial sum alone, and adds the
+// same terms in the same order when it reads b at all, so a completed sum
+// (ok) is bit-identical to EuclideanSq(a, b). When it gives up, the value it
+// returns exceeds limit and so does the full EuclideanSq.
+//
+// At each look after i terms it abandons when the partial sum plus the
+// suffix bound (see suffix) from the first chunk it has not started exceeds
+// the guard limit·envelopeGuard(n); nothing tests the whole bound before the
+// first stride, since in a search that filters on LowerBounds first that
+// test ended no refinement. A NaN bound abandons nothing: the kernel falls
+// back to EuclideanSqAbandon. It is the one-candidate oracle a RefineGroup's
+// envelope lanes are tested against. It panics if the lengths differ, qe was
+// built for another length or row is not EnvelopeWidth long.
 func EuclideanSqEnvelope(a, b Series, qe *Envelope, row []float32, limit float64) (sum float64, ok bool) {
 	if len(a) != len(b) || qe.n != len(a) || len(row) != EnvelopeWidth {
 		panic(ErrLengthMismatch)
 	}
-	suf := &qe.suf
-	suf[EnvelopeChunks] = 0
-	for j := EnvelopeChunks - 1; j >= 0; j-- {
-		mc, rc := float64(row[j]), float64(row[EnvelopeChunks+j])
-		e := qe.slack[j] + envelopeSlack*(math.Abs(mc)+rc)
-		dm := max(math.Abs(qe.m[j]-mc)-e, 0)
-		dr := max(math.Abs(qe.rho[j]-rc)-e, 0)
-		suf[j] = suf[j+1] + dm*dm + dr*dr
-	}
-	if math.IsNaN(suf[0]) {
+	var suf [EnvelopeChunks + 1]float64
+	if !qe.suffix(row, &suf) {
 		return EuclideanSqAbandon(a, b, limit)
 	}
-	guard := limit * (1 + float64(len(a)+64)*0x1p-52)
+	guard := limit * envelopeGuard(len(a))
 	l := envelopeChunkLen(len(a))
 	i := 0
 	for ; i+abandonStride <= len(a); i += abandonStride {

@@ -62,9 +62,10 @@ func EuclideanSq(a, b Series) float64 {
 	return sum
 }
 
-// abandonStride is how many terms EuclideanSqAbandon adds between two looks
-// at the limit: often enough that a hopeless candidate stops within a few
-// cache lines, rarely enough that the compare stays off the add chain.
+// abandonStride is how many terms EuclideanSqAbandon and a RefineGroup add
+// between two looks at the limit: often enough that a hopeless candidate
+// stops within a few cache lines, rarely enough that the compare stays off
+// the add chain.
 const abandonStride = 16
 
 // EuclideanSqAbandon is EuclideanSq with early abandoning: it adds the same
@@ -72,7 +73,9 @@ const abandonStride = 16
 // When it completes (ok) the sum is bit-identical to EuclideanSq(a, b) —
 // whatever its relation to limit. When it abandons, the partial sum it returns
 // already exceeds limit, and so does the full sum: every term is non-negative
-// and floating-point addition is monotone. It panics if the lengths differ.
+// and floating-point addition is monotone. It is the one-candidate oracle a
+// RefineGroup's plain lanes are tested against. It panics if the lengths
+// differ.
 func EuclideanSqAbandon(a, b Series, limit float64) (sum float64, ok bool) {
 	if len(a) != len(b) {
 		panic(ErrLengthMismatch)
