@@ -114,8 +114,10 @@ bench-check:
 # its wire-format rows), of recovery's (BenchmarkRecover, over the logs a
 # server writes), of the WAL's (BenchmarkStoreAppend: a single ingest, a
 # 32-series batch and a delete; BenchmarkAppendWALRecord, the record encoder
-# on decimal and float64 values) and of the reducer's (BenchmarkReduce, BenchmarkReduceMix,
-# BenchmarkReduceByStage): `go test` compiles benchmarks but never runs them,
+# on decimal and float64 values), of the reducer's (BenchmarkReduce, BenchmarkReduceMix,
+# BenchmarkReduceByStage) and of APLA's convex-hull error table
+# (BenchmarkAPLAErrorTable, at 256 and 1024 points): `go test` compiles
+# benchmarks but never runs them,
 # and these are the per-layer evidence perf PRs quote, so they must keep
 # running.
 bench-smoke:
@@ -125,6 +127,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'StoreAppend' -benchtime 1x ./internal/wal
 	$(GO) test -run '^$$' -bench 'AppendWALRecord' -benchtime 1x ./internal/tsio
 	$(GO) test -run '^$$' -bench 'Reduce' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'APLAErrorTable' -benchtime 1x ./internal/reduce
 
 # Before believing an end-to-end pair: bench/loadgen links internal/index and
 # internal/server, so a product change moves its CPU probe; with main.probe's

@@ -46,13 +46,12 @@ func benchWalk(seed int64, n int) ts.Series {
 
 // BenchmarkTable1_ReductionScaling measures per-series reduction time for
 // every method at growing lengths — the empirical form of Table 1's
-// complexity column (APLA superlinear, SAPLA ≈ n·(N + log n), rest linear).
+// complexity column (APLA ≈ n²·(N + log n), SAPLA ≈ n·(N + log n), rest
+// linear).
 func BenchmarkTable1_ReductionScaling(b *testing.B) {
 	for _, n := range []int{128, 256, 512} {
 		series := benchWalk(int64(n), n)
-		opt := eval.DefaultOptions()
-		opt.Cfg.Length = n
-		for _, meth := range opt.Methods() {
+		for _, meth := range eval.DefaultOptions().Methods() {
 			b.Run(meth.Name()+"/n="+itoa(n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := meth.Reduce(series, 12); err != nil {
@@ -299,12 +298,10 @@ func BenchmarkAblation_BulkLoad(b *testing.B) {
 }
 
 // BenchmarkReduce measures raw per-series reduction cost per method at the
-// paper's n = 1024 (APLA runs its fast objective here, as in the harness).
+// paper's n = 1024.
 func BenchmarkReduce(b *testing.B) {
 	series := benchWalk(44, 1024)
-	opt := eval.DefaultOptions()
-	opt.Cfg.Length = 1024
-	for _, meth := range opt.Methods() {
+	for _, meth := range eval.DefaultOptions().Methods() {
 		b.Run(meth.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := meth.Reduce(series, 12); err != nil {

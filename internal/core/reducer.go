@@ -97,9 +97,9 @@ func (r *Reducer) load(c ts.Series) *state {
 // finish takes the initialization in the working state through the rest of
 // the pipeline: the exact β of every segment in ExactBounds mode, the split &
 // merge iteration (Algorithm 4.3) and the endpoint movement (Algorithms
-// 4.4–4.5), under the config's pass budgets. A non-nil stages receives
-// freshly allocated copies of the segmentation after initialization and
-// after the split & merge iteration.
+// 4.4–4.5): N refinement passes and one endpoint-movement sweep. A non-nil
+// stages receives freshly allocated copies of the segmentation after
+// initialization and after the split & merge iteration.
 func (r *Reducer) finish(nSeg int, stages *[2]repr.Linear) {
 	st := &r.st
 	if st.exact {
@@ -114,26 +114,14 @@ func (r *Reducer) finish(nSeg int, stages *[2]repr.Linear) {
 
 	st.adjustToCount(nSeg)
 	if !r.cfg.SkipRefine {
-		passes := r.cfg.RefinePasses
-		if passes <= 0 {
-			passes = nSeg
-		}
-		st.refine(passes, &r.sm, &r.ms)
+		st.refine(nSeg, &r.sm, &r.ms)
 	}
 	if stages != nil {
 		stages[1] = st.toRepr()
 	}
 
 	if !r.cfg.SkipEndpointMove {
-		passes := r.cfg.MovePasses
-		if passes <= 0 {
-			passes = 1
-		}
-		for p := 0; p < passes; p++ {
-			if !st.moveEndpoints(r.order) {
-				break
-			}
-		}
+		st.moveEndpoints(r.order)
 	}
 }
 

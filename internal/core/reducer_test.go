@@ -107,7 +107,6 @@ func TestReducerConfigVariants(t *testing.T) {
 		{SkipRefine: true},
 		{SkipEndpointMove: true},
 		{ExactBounds: true},
-		{RefinePasses: 2, MovePasses: 3},
 	}
 	for i, cfg := range cfgs {
 		s := cfg

@@ -40,14 +40,9 @@ import (
 const improveEps = 1e-12
 
 // SAPLA is the Self-Adaptive Piecewise Linear Approximation method. The zero
-// value is ready to use; the fields tune iteration budgets.
+// value runs the paper's budgets (N split & merge passes at size N, one
+// endpoint-movement sweep); the fields are the ablations' switches.
 type SAPLA struct {
-	// RefinePasses caps the split&merge refinement loop at size N.
-	// 0 means the paper's default of N passes.
-	RefinePasses int
-	// MovePasses is the number of endpoint-movement sweeps over the
-	// segment queue. 0 means the paper's default of one sweep.
-	MovePasses int
 	// SkipEndpointMove disables stage 3 (used by the ablation benches).
 	SkipEndpointMove bool
 	// SkipRefine disables the β^sm/β^ms refinement at size N (ablation).
@@ -509,14 +504,12 @@ func (st *state) applyBoundary(i, cut int) {
 
 // moveEndpoints is Algorithm 4.4: process segments in decreasing-β order;
 // for each, evaluate the four greedy boundary moves (β^a..β^d) and apply the
-// best improving one. It reports whether any move was applied. order is a
-// caller-owned scratch heap reused across passes.
-func (st *state) moveEndpoints(order *pqueue.Heap[int]) bool {
+// best improving one. order is a caller-owned scratch heap.
+func (st *state) moveEndpoints(order *pqueue.Heap[int]) {
 	order.Reset()
 	for i, g := range st.segs {
 		order.Push(g.beta, i)
 	}
-	movedAny := false
 	for order.Len() > 0 {
 		_, i := order.Pop()
 		type cand struct {
@@ -550,11 +543,9 @@ func (st *state) moveEndpoints(order *pqueue.Heap[int]) bool {
 			cd := cands[best]
 			if cd.cut != st.segs[cd.pair].end {
 				st.applyBoundary(cd.pair, cd.cut)
-				movedAny = true
 			}
 		}
 	}
-	return movedAny
 }
 
 // toRepr converts the working segmentation to a freshly allocated

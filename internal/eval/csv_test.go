@@ -92,3 +92,6 @@ func TestWriteScalingCSV(t *testing.T) {
 		t.Fatalf("row = %v", recs[1])
 	}
 }
+
+// TotalIngest is the paper's Figure 14a quantity: reduction plus tree build.
+func (r IndexRow) TotalIngest() time.Duration { return r.ReduceTime + r.IngestTime }

@@ -26,10 +26,6 @@ type Options struct {
 	Ks       []int
 	MinFill  int
 	MaxFill  int
-	// APLAExactMaxLen bounds the series length up to which APLA runs its
-	// exact max-deviation DP (O(n³)-ish error table); longer series use the
-	// O(Nn²) sum-of-squares objective. 0 means always exact.
-	APLAExactMaxLen int
 	// Workers bounds dataset-level parallelism; 0 means GOMAXPROCS.
 	Workers int
 }
@@ -51,13 +47,12 @@ func DefaultOptions() Options {
 		ds = append(ds, d)
 	}
 	return Options{
-		Datasets:        ds,
-		Cfg:             ucr.Config{Length: 256, Count: 50, Queries: 3},
-		Ms:              []int{12, 18, 24},
-		Ks:              []int{4, 8, 16, 32, 64},
-		MinFill:         2,
-		MaxFill:         5,
-		APLAExactMaxLen: 512,
+		Datasets: ds,
+		Cfg:      ucr.Config{Length: 256, Count: 50, Queries: 3},
+		Ms:       []int{12, 18, 24},
+		Ks:       []int{4, 8, 16, 32, 64},
+		MinFill:  2,
+		MaxFill:  5,
 	}
 }
 
@@ -78,16 +73,11 @@ func Sources(ds []ucr.Dataset) []ucr.Source {
 	return out
 }
 
-// Methods returns the eight methods in the paper's comparison, with APLA's
-// objective selected per the options (see Options.APLAExactMaxLen).
+// Methods returns the eight methods in the paper's comparison.
 func (o Options) Methods() []reduce.Method {
-	apla := reduce.NewAPLA()
-	if o.APLAExactMaxLen > 0 && o.Cfg.Length > o.APLAExactMaxLen {
-		apla.Error = reduce.SumSq
-	}
 	return []reduce.Method{
 		core.New(),
-		apla,
+		reduce.NewAPLA(),
 		reduce.NewAPCA(),
 		reduce.NewPLA(),
 		reduce.NewPAA(),

@@ -276,7 +276,6 @@ func TestFullOptionsShape(t *testing.T) {
 	if len(o.Ms) != 3 || len(o.Ks) != 5 {
 		t.Fatalf("full parameters %+v", o)
 	}
-	// APLA switches to the fast objective at n=1024.
 	for _, m := range o.Methods() {
 		if m.Name() == "APLA" {
 			return

@@ -36,9 +36,6 @@ type IndexRow struct {
 	Queries      int
 }
 
-// TotalIngest is the paper's Figure 14a quantity: reduction plus tree build.
-func (r IndexRow) TotalIngest() time.Duration { return r.ReduceTime + r.IngestTime }
-
 // KRow is one (method, tree, K) point of the K-sweep behind Figure 13: how
 // pruning power and accuracy respond to the neighbourhood size.
 type KRow struct {

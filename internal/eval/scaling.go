@@ -17,17 +17,16 @@ type ScalingRow struct {
 
 // ScalingExperiment verifies Table 1 empirically: every method reduces
 // random-walk series of increasing lengths at a fixed budget M, timing each.
-// The shape to look for: APLA grows superquadratically, SAPLA and APCA stay
-// near-linear (SAPLA ≈ n·(N+log n)), PLA/PAA/PAALM/SAX linear.
+// The shape to look for: APLA grows quadratically (an O(n² log n) error table
+// under an O(Nn²) DP), SAPLA and APCA stay near-linear (SAPLA ≈ n·(N+log n)),
+// PLA/PAA/PAALM/SAX linear.
 func ScalingExperiment(lengths []int, m, repeats int) ([]ScalingRow, error) {
-	opt := DefaultOptions()
+	methods := DefaultOptions().Methods()
 	if repeats < 1 {
 		repeats = 1
 	}
 	var rows []ScalingRow
 	for _, n := range lengths {
-		opt.Cfg.Length = n
-		methods := opt.Methods()
 		rng := rand.New(rand.NewSource(int64(n))) //sapla:nondet seeded with the series length, so the walk is reproducible across runs
 		series := make([]ts.Series, repeats)
 		for i := range series {

@@ -46,10 +46,6 @@ func (h *Heap[T]) Push(priority float64, v T) {
 // be non-empty.
 func (h *Heap[T]) PeekPriority() float64 { return h.items[0].priority }
 
-// PeekValue returns the best value without removing it. The heap must be
-// non-empty.
-func (h *Heap[T]) PeekValue() T { return h.items[0].value }
-
 // Pop removes and returns the best priority and value. The heap must be
 // non-empty.
 func (h *Heap[T]) Pop() (float64, T) {

@@ -264,3 +264,7 @@ func BenchmarkHeapReuse(b *testing.B) {
 		}
 	}
 }
+
+// PeekValue returns the best value without removing it. The heap must be
+// non-empty.
+func (h *Heap[T]) PeekValue() T { return h.items[0].value }

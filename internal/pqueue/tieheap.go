@@ -21,10 +21,6 @@ type tieItem[T any] struct {
 	value    T
 }
 
-// NewMinTieHeap returns a tie-broken heap that pops the smallest
-// (priority, tie) pair first.
-func NewMinTieHeap[T any]() *TieHeap[T] { return &TieHeap[T]{min: true} }
-
 // NewMaxTieHeap returns a tie-broken heap that pops the largest
 // (priority, tie) pair first.
 func NewMaxTieHeap[T any]() *TieHeap[T] { return &TieHeap[T]{min: false} }
@@ -54,10 +50,6 @@ func (h *TieHeap[T]) PeekPriority() float64 { return h.items[0].priority }
 // PeekTie returns the best item's tie key without removing it. The heap
 // must be non-empty.
 func (h *TieHeap[T]) PeekTie() int64 { return h.items[0].tie }
-
-// PeekValue returns the best value without removing it. The heap must be
-// non-empty.
-func (h *TieHeap[T]) PeekValue() T { return h.items[0].value }
 
 // Pop removes and returns the best priority, tie key and value. The heap
 // must be non-empty.

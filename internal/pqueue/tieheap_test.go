@@ -133,3 +133,7 @@ func BenchmarkTieHeapReuse(b *testing.B) {
 		}
 	}
 }
+
+// NewMinTieHeap returns a tie-broken heap that pops the smallest
+// (priority, tie) pair first.
+func NewMinTieHeap[T any]() *TieHeap[T] { return &TieHeap[T]{min: true} }

@@ -256,21 +256,6 @@ func TestAPLABeatsPLAOnMaxDevSum(t *testing.T) {
 	}
 }
 
-func TestAPLASSEModeRuns(t *testing.T) {
-	c := randWalk(6, 200)
-	a := &APLA{Error: SumSq}
-	rep, err := a.Reduce(c, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Segments() != 4 {
-		t.Fatalf("segments = %d", rep.Segments())
-	}
-	if err := rep.(repr.Linear).Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCHEBYLowOrderExact(t *testing.T) {
 	// A linear function is representable by T_0 and T_1 exactly
 	// (up to the nearest-sample quadrature error, which vanishes for a line

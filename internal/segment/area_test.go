@@ -235,3 +235,30 @@ func TestBetaMergeUsuallyBounds(t *testing.T) {
 		t.Fatalf("beta bound violated too often: %d/%d", violations, total)
 	}
 }
+
+// PointFn supplies the value of a (real or reconstructed) segment at a local
+// 0-based position. Algorithm 4.1's get_max is expressed over three such
+// suppliers so the same routine serves original points and line evaluations.
+type PointFn func(t int) float64
+
+// SlicePoints adapts a slice of original points to a PointFn.
+func SlicePoints(c ts.Series) PointFn { return func(t int) float64 { return c[t] } }
+
+// GetMax is Algorithm 4.1: the maximum absolute pairwise difference between
+// the three suppliers at the given local positions.
+func GetMax(ids []int, f, g, h PointFn) float64 {
+	var m float64
+	for _, k := range ids {
+		a, b, c := f(k), g(k), h(k)
+		if d := math.Abs(a - b); d > m {
+			m = d
+		}
+		if d := math.Abs(a - c); d > m {
+			m = d
+		}
+		if d := math.Abs(b - c); d > m {
+			m = d
+		}
+	}
+	return m
+}

@@ -6,33 +6,6 @@ import (
 	"sapla/internal/ts"
 )
 
-// PointFn supplies the value of a (real or reconstructed) segment at a local
-// 0-based position. Algorithm 4.1's get_max is expressed over three such
-// suppliers so the same routine serves original points and line evaluations.
-type PointFn func(t int) float64
-
-// SlicePoints adapts a slice of original points to a PointFn.
-func SlicePoints(c ts.Series) PointFn { return func(t int) float64 { return c[t] } }
-
-// GetMax is Algorithm 4.1: the maximum absolute pairwise difference between
-// the three suppliers at the given local positions.
-func GetMax(ids []int, f, g, h PointFn) float64 {
-	var m float64
-	for _, k := range ids {
-		a, b, c := f(k), g(k), h(k)
-		if d := math.Abs(a - b); d > m {
-			m = d
-		}
-		if d := math.Abs(a - c); d > m {
-			m = d
-		}
-		if d := math.Abs(b - c); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // triple returns the maximum absolute pairwise difference among c[k],
 // a.Eval(k) and b.Eval(k) — one get_max position on concrete types, kept
 // closure-free so the reduction hot path performs no allocations.
@@ -140,8 +113,8 @@ func SampleDev(c ts.Series, ln Line) float64 {
 
 // ExactMaxDeviation returns the true segment max deviation εᵢ
 // (Definition 3.4): the maximum absolute difference between the original
-// points c and the fit ln, in O(len(c)). Used for evaluation metrics and as
-// ground truth in tests; the algorithms themselves use the O(1) β bounds.
+// points c and the fit ln, in O(len(c)). SAPLA's ExactBounds mode uses it in
+// place of the O(1) β bounds, and the tests take it as ground truth.
 func ExactMaxDeviation(c ts.Series, ln Line) float64 {
 	var m float64
 	for t, v := range c {

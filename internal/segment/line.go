@@ -1,16 +1,15 @@
 // Package segment implements the linear-segment mathematics that the paper's
 // algorithms are built on: least-squares line fits (Eq. 1), O(1) incremental
-// fits (Eq. 2), O(1) merge of adjacent fits (Eqs. 3–4), split / inverse-merge
-// (Eqs. 5–8), endpoint-movement updates (Eqs. 9–11), the per-segment squared
-// distance Dist_S (Eq. 12), the Increment Area (Definition 4.1), the
+// fits (Eq. 2), O(1) merge of adjacent fits (Eqs. 3–4), the per-segment
+// squared distance Dist_S (Eq. 12), the Increment Area (Definition 4.1), the
 // Reconstruction Area (Definition 4.2) and the get_max-style segment upper
 // bounds β (Sections 4.1.2, 4.1.4, 4.3.1).
 //
-// The canonical implementations work on sufficient statistics
-// (l, Σc, Σt·c) which any fitted line determines uniquely; the paper's
-// closed-form recurrences are provided verbatim (Eq2Increment, Eq34Merge,
-// Eq9RemoveLast, Eq10Prepend, Eq11RemoveFirst) and are cross-checked against
-// the canonical forms by the package tests.
+// The implementations work on sufficient statistics (l, Σc, Σt·c), which any
+// fitted line determines uniquely; a window's fit comes from prefix sums
+// (FitWindow), so the split and endpoint-movement refits (Eqs. 5–11) are not
+// needed. The package tests keep them, the paper's recurrences verbatim
+// (Eq1 … Eq11RemoveFirst) and Algorithm 4.1's get_max as oracles.
 package segment
 
 import (
@@ -92,56 +91,11 @@ func (ln Line) Stats(l int) (s0, s1 float64) {
 	return s0, s1
 }
 
-// SSE returns the residual sum of squares of the fit ln against l points
-// with sufficient statistics (s0, s1, s2 = Σc²), in O(1).
-func SSE(ln Line, l int, s0, s1, s2 float64) float64 {
-	fl := float64(l)
-	sumT := fl * (fl - 1) / 2
-	sumT2 := fl * (fl - 1) * (2*fl - 1) / 6
-	r := s2 - 2*ln.A*s1 - 2*ln.B*s0 + ln.A*ln.A*sumT2 + 2*ln.A*ln.B*sumT + ln.B*ln.B*fl
-	if r < 0 {
-		r = 0 // numerical noise
-	}
-	return r
-}
-
 // Append returns the least-squares fit after appending one point c to a
 // segment of length l fitted by ln (paper Eq. (2), O(1)).
 func Append(ln Line, l int, c float64) Line {
 	s0, s1 := ln.Stats(l)
 	return Fit(l+1, s0+c, s1+float64(l)*c)
-}
-
-// RemoveLast returns the least-squares fit after removing the last point
-// cLast from a segment of length l fitted by ln (paper Eq. (9), O(1)).
-func RemoveLast(ln Line, l int, cLast float64) Line {
-	if l < 2 {
-		panic("segment: RemoveLast on segment of length < 2")
-	}
-	s0, s1 := ln.Stats(l)
-	return Fit(l-1, s0-cLast, s1-float64(l-1)*cLast)
-}
-
-// Prepend returns the least-squares fit after prepending one point cFirst to
-// a segment of length l fitted by ln (paper Eq. (10), O(1)). Local time
-// shifts so the new point is at t = 0.
-func Prepend(ln Line, l int, cFirst float64) Line {
-	s0, s1 := ln.Stats(l)
-	// Old points move from local t to t+1: s1' = s1 + s0; new point adds 0·c.
-	return Fit(l+1, s0+cFirst, s1+s0)
-}
-
-// RemoveFirst returns the least-squares fit after removing the first point
-// cFirst from a segment of length l fitted by ln (paper Eq. (11), O(1)).
-// Local time shifts so the old t = 1 becomes t = 0.
-func RemoveFirst(ln Line, l int, cFirst float64) Line {
-	if l < 2 {
-		panic("segment: RemoveFirst on segment of length < 2")
-	}
-	s0, s1 := ln.Stats(l)
-	s0 -= cFirst
-	// Remaining points move from local t to t−1: s1' = (s1 − 0·cFirst) − s0'.
-	return Fit(l-1, s0, s1-s0)
 }
 
 // Merge returns the least-squares fit over the union of two adjacent
@@ -151,33 +105,4 @@ func Merge(left Line, l1 int, right Line, l2 int) Line {
 	s0l, s1l := left.Stats(l1)
 	s0r, s1r := right.Stats(l2)
 	return Fit(l1+l2, s0l+s0r, s1l+s1r+float64(l1)*s0r)
-}
-
-// SplitLeft recovers the left sub-segment's least-squares fit from the fit of
-// the merged segment and the right sub-segment's fit (paper Eqs. (5)–(6),
-// O(1)). merged covers L points, right covers the last l2 of them.
-func SplitLeft(merged Line, L int, right Line, l2 int) Line {
-	l1 := L - l2
-	if l1 < 1 {
-		panic("segment: SplitLeft with empty left side")
-	}
-	s0m, s1m := merged.Stats(L)
-	s0r, s1r := right.Stats(l2)
-	return Fit(l1, s0m-s0r, s1m-(s1r+float64(l1)*s0r))
-}
-
-// SplitRight recovers the right sub-segment's least-squares fit from the fit
-// of the merged segment and the left sub-segment's fit (paper Eqs. (7)–(8),
-// O(1)). merged covers L points, left covers the first l1 of them. The
-// returned line uses local time starting at the right sub-segment's start.
-func SplitRight(merged Line, L int, left Line, l1 int) Line {
-	l2 := L - l1
-	if l2 < 1 {
-		panic("segment: SplitRight with empty right side")
-	}
-	s0m, s1m := merged.Stats(L)
-	s0l, s1l := left.Stats(l1)
-	s0r := s0m - s0l
-	s1r := s1m - s1l - float64(l1)*s0r
-	return Fit(l2, s0r, s1r)
 }

@@ -88,26 +88,6 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSSEMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(30)
-		c := randSeries(rng, n)
-		ln := FitSlice(c)
-		var w0, w1, w2, brute float64
-		for ti, v := range c {
-			w0 += v
-			w1 += float64(ti) * v
-			w2 += v * v
-			d := v - ln.Eval(ti)
-			brute += d * d
-		}
-		if got := SSE(ln, n, w0, w1, w2); !almostEq(got, brute, 1e-8) {
-			t.Fatalf("SSE = %v, brute = %v", got, brute)
-		}
-	}
-}
-
 func TestAppendMatchesDirectFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
@@ -277,4 +257,70 @@ func TestFitIsLeastSquares(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The inverse moves below are the paper's remaining O(1) refit formulas in
+// sufficient-statistics form (Eqs. (5)–(11)); the reducer refits windows
+// from prefix sums instead, so they live here as oracles for the verbatim
+// recurrences of paper_eqs_test.go.
+
+// RemoveLast returns the least-squares fit after removing the last point
+// cLast from a segment of length l fitted by ln (paper Eq. (9), O(1)).
+func RemoveLast(ln Line, l int, cLast float64) Line {
+	if l < 2 {
+		panic("segment: RemoveLast on segment of length < 2")
+	}
+	s0, s1 := ln.Stats(l)
+	return Fit(l-1, s0-cLast, s1-float64(l-1)*cLast)
+}
+
+// Prepend returns the least-squares fit after prepending one point cFirst to
+// a segment of length l fitted by ln (paper Eq. (10), O(1)). Local time
+// shifts so the new point is at t = 0.
+func Prepend(ln Line, l int, cFirst float64) Line {
+	s0, s1 := ln.Stats(l)
+	// Old points move from local t to t+1: s1' = s1 + s0; new point adds 0·c.
+	return Fit(l+1, s0+cFirst, s1+s0)
+}
+
+// RemoveFirst returns the least-squares fit after removing the first point
+// cFirst from a segment of length l fitted by ln (paper Eq. (11), O(1)).
+// Local time shifts so the old t = 1 becomes t = 0.
+func RemoveFirst(ln Line, l int, cFirst float64) Line {
+	if l < 2 {
+		panic("segment: RemoveFirst on segment of length < 2")
+	}
+	s0, s1 := ln.Stats(l)
+	s0 -= cFirst
+	// Remaining points move from local t to t−1: s1' = (s1 − 0·cFirst) − s0'.
+	return Fit(l-1, s0, s1-s0)
+}
+
+// SplitLeft recovers the left sub-segment's least-squares fit from the fit of
+// the merged segment and the right sub-segment's fit (paper Eqs. (5)–(6),
+// O(1)). merged covers L points, right covers the last l2 of them.
+func SplitLeft(merged Line, L int, right Line, l2 int) Line {
+	l1 := L - l2
+	if l1 < 1 {
+		panic("segment: SplitLeft with empty left side")
+	}
+	s0m, s1m := merged.Stats(L)
+	s0r, s1r := right.Stats(l2)
+	return Fit(l1, s0m-s0r, s1m-(s1r+float64(l1)*s0r))
+}
+
+// SplitRight recovers the right sub-segment's least-squares fit from the fit
+// of the merged segment and the left sub-segment's fit (paper Eqs. (7)–(8),
+// O(1)). merged covers L points, left covers the first l1 of them. The
+// returned line uses local time starting at the right sub-segment's start.
+func SplitRight(merged Line, L int, left Line, l1 int) Line {
+	l2 := L - l1
+	if l2 < 1 {
+		panic("segment: SplitRight with empty right side")
+	}
+	s0m, s1m := merged.Stats(L)
+	s0l, s1l := left.Stats(l1)
+	s0r := s0m - s0l
+	s1r := s1m - s1l - float64(l1)*s0r
+	return Fit(l2, s0r, s1r)
 }

@@ -123,19 +123,6 @@ func MaxDeviation(c, r Series) float64 {
 	return m
 }
 
-// SumAbsDeviation returns the total absolute pointwise difference
-// ε(C, Č) = Σ |c_t − č_t| (paper Table 2). It panics on length mismatch.
-func SumAbsDeviation(c, r Series) float64 {
-	if len(c) != len(r) {
-		panic(ErrLengthMismatch)
-	}
-	var sum float64
-	for i := range c {
-		sum += math.Abs(c[i] - r[i])
-	}
-	return sum
-}
-
 // Mean returns the arithmetic mean of s. It returns 0 for an empty series.
 func (s Series) Mean() float64 {
 	if len(s) == 0 {

@@ -292,3 +292,16 @@ func FuzzEuclideanSqAbandon(f *testing.F) {
 		checkAbandon(t, a, b, limit)
 	})
 }
+
+// SumAbsDeviation returns the total absolute pointwise difference
+// ε(C, Č) = Σ |c_t − č_t| (paper Table 2). It panics on length mismatch.
+func SumAbsDeviation(c, r Series) float64 {
+	if len(c) != len(r) {
+		panic(ErrLengthMismatch)
+	}
+	var sum float64
+	for i := range c {
+		sum += math.Abs(c[i] - r[i])
+	}
+	return sum
+}
