@@ -106,9 +106,10 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of the flat tier's kernel benchmarks (BenchmarkServedKNN,
-# BenchmarkServedRange, BenchmarkFlatFilter, BenchmarkBatchKNN, and
+# BenchmarkServedRange, BenchmarkFlatFilter, BenchmarkBatchKNN,
 # BenchmarkRefineGroup: four refinements one after the other against one
-# group of four, at 256 and 1024 points), of the
+# group of four, at 256 and 1024 points, and BenchmarkEnvelopeRow: the row
+# build every insert, bulk load and recovery pays a series), of the
 # request front end's (BenchmarkHandlerKNN, BenchmarkHandlerKNNBatch,
 # BenchmarkHandlerIngestBatch, BenchmarkHandlerIngest, BenchmarkDecodeBody and
 # its wire-format rows), of recovery's (BenchmarkRecover, over the logs a
@@ -122,7 +123,7 @@ bench-check:
 # running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Served|FlatFilter|BatchKNN' -benchtime 1x ./internal/index
-	$(GO) test -run '^$$' -bench 'RefineGroup' -benchtime 1x ./internal/ts
+	$(GO) test -run '^$$' -bench 'RefineGroup|EnvelopeRow' -benchtime 1x ./internal/ts
 	$(GO) test -run '^$$' -bench 'Handler|DecodeBody|Recover' -benchtime 1x ./internal/server
 	$(GO) test -run '^$$' -bench 'StoreAppend' -benchtime 1x ./internal/wal
 	$(GO) test -run '^$$' -bench 'AppendWALRecord' -benchtime 1x ./internal/tsio

@@ -444,10 +444,7 @@ func servedSharded4(b *testing.B, n int) *servedLong {
 // filter/op and refine/op are the two counts a k-NN change moves. The
 // sharded4 rows run
 // through ShardedIndex.KNNWith, so their refine/op is what the bound handed
-// from shard to shard saves over four independent searches; sharded4/1500x1024
-// is the one length whose refinements abandon on the envelope
-// (envelopeAbandonMin), 4x1500x512 and flat (6000 × 256) abandon on the
-// partial sum.
+// from shard to shard saves over four independent searches.
 func BenchmarkServedKNN(b *testing.B) {
 	idxs, queries := servedPair(b)
 	run := func(name string, idx Index, queries []dist.Query) {

@@ -81,13 +81,11 @@ func searchAll(t *testing.T, idx *ShardedIndex, queries []dist.Query, k int, rad
 }
 
 // TestFlatEnvelopeAnswersIdentical: the flat tier answers as the linear scan
-// does, and the chunk envelope only ends refinements that could not enter an
-// answer. Over random insert / delete sequences — swap-remove carries
-// envelope rows from slot to slot — every k-NN (the shard hand-off), batch
-// and range answer equals the scan's to the distance bit, and it, its
-// Measured count and the scan identity hold with the envelope abandon
-// switched off too (every refinement on ts.EuclideanSqAbandon). The filter
-// prunes at every length, and 17 points leave most of the 16 chunks empty.
+// does. Over random insert / delete sequences — swap-remove carries envelope
+// rows from slot to slot — every k-NN (the shard hand-off), batch and range
+// answer equals the scan's to the distance bit, and the k-NN and the batch
+// refine the same rows. The filter prunes at every length; 17 points make
+// five 3-point chunks, a ragged 2-point one and two empty ones.
 func TestFlatEnvelopeAnswersIdentical(t *testing.T) {
 	for _, n := range []int{17, 256, 512, 1000, 1024} {
 		for _, shards := range []int{1, 4, 7} {
@@ -136,33 +134,18 @@ func TestFlatEnvelopeAnswersIdentical(t *testing.T) {
 					}
 					k := []int{1, 5, 10}[round%3]
 					got := searchAll(t, idx, queries, k, radii)
-					saved := make([]bool, len(flats))
-					for i, f := range flats {
-						saved[i], f.abandon = f.abandon, false
-					}
-					plain := searchAll(t, idx, queries, k, radii)
-					for i, f := range flats {
-						f.abandon = saved[i]
-					}
 					for qi, q := range queries {
 						label := fmt.Sprintf("round %d query %d", round, qi)
 						scanKNN, _, _ := m.scan().KNN(q, k)
 						scanRange, _, _ := m.scan().Range(q, radii[qi])
-						for _, run := range []envelopeRun{got, plain} {
-							identicalResults(t, label+" knn", run.knn[qi], scanKNN)
-							identicalResults(t, label+" batch", run.batch[qi], scanKNN)
-							identicalResults(t, label+" range", run.rng[qi], scanRange)
+						identicalResults(t, label+" knn", got.knn[qi], scanKNN)
+						identicalResults(t, label+" batch", got.batch[qi], scanKNN)
+						identicalResults(t, label+" range", got.rng[qi], scanRange)
+						if got.knnStats[qi] != got.batchStats[qi] {
+							t.Fatalf("%s: k-NN stats %+v, batch stats %+v", label, got.knnStats[qi], got.batchStats[qi])
 						}
-						for _, pair := range [][2]SearchStats{
-							{got.knnStats[qi], plain.knnStats[qi]},
-							{got.batchStats[qi], plain.batchStats[qi]},
-							{got.rngStats[qi], plain.rngStats[qi]},
-						} {
-							g, w := pair[0], pair[1]
-							if g != w {
-								t.Fatalf("%s: stats %+v, without the envelope abandon %+v", label, g, w)
-							}
-							filtered, measured = filtered+g.Filtered, measured+g.Measured
+						for _, st := range []SearchStats{got.knnStats[qi], got.rngStats[qi]} {
+							filtered, measured = filtered+st.Filtered, measured+st.Measured
 						}
 					}
 				}

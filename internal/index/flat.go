@@ -14,31 +14,14 @@ import (
 // growth allocates ~33 KiB at a time instead of doubling one huge slice.
 const flatRows = 256
 
-// envelopeAbandonMin is the shortest series whose refinements abandon on the
-// chunk envelope (ts.EuclideanSqEnvelope's bound) rather than on the partial
-// sum alone (ts.EuclideanSqAbandon's). The filter has already applied the
-// bound, so what the envelope adds at refine time is the suffix bound over
-// the chunks a refinement has not reached, at 16 chunk bounds a candidate:
-// worth it on long series, dearer than the plain abandon on short ones. With
-// four candidates refined at once the plain loop got cheaper, and the cut
-// moved up from 512: the envelope abandon, against the plain one query by
-// query, took 6–9 % longer at 6000 × 256, 4–7 % at 4 × 1500 × 512 and 2–4 %
-// at 4 × 1500 × 768, and 1–3 % less at 4 × 1500 × 1024 (BenchmarkServedKNN's
-// indexes, -cpu 1; DESIGN §11).
-const envelopeAbandonMin = 1024
-
-// refined marks a filter-buffer slot whose entry has already been measured
-// (the seeds of KNNWith). Filter distances are at least 0, so a negative
-// value cannot be one.
-const refined = -1
-
 // ErrQueryLength is returned by the flat tier when a query's length differs
 // from the stored series' — the exact distance is undefined there.
 var ErrQueryLength = fmt.Errorf("index: query and stored series lengths differ: %w", ts.ErrLengthMismatch)
 
 // flatBlock holds the chunk envelopes of flatRows consecutive slots: per row,
-// its raw series' envelope vector (ts.EnvelopeRow: every chunk's
-// ts.ChunkEnvelope rounded to float32, ts.EnvelopeWidth values) and its slack.
+// its raw series' envelope vector (ts.EnvelopeRow: every chunk's polynomial
+// coordinates and residual norm rounded to float32, ts.EnvelopeWidth values)
+// and its slack.
 type flatBlock struct {
 	env   []float32 // ts.EnvelopeWidth values per row
 	slack []float32 // one per row
@@ -61,11 +44,10 @@ type flatBlock struct {
 // writers mutate it only through that wrapper and under a mutex of their own,
 // which is then enough to read it (Lookup, Each) without the wrapper's lock.
 type Flat struct {
-	n       int  // series length; 0 until the first entry
-	abandon bool // refinements abandon on the envelope: series of at least envelopeAbandonMin points
-	ents    []*Entry
-	slot    map[int]int32 // entry ID → slot
-	blocks  []flatBlock   // cover every slot
+	n      int // series length; 0 until the first entry
+	ents   []*Entry
+	slot   map[int]int32 // entry ID → slot
+	blocks []flatBlock   // cover every slot
 }
 
 // NewFlat builds an empty flat tier.
@@ -107,9 +89,7 @@ func (f *Flat) Insert(e *Entry) error {
 	if len(e.Raw) != n || n == 0 {
 		return fmt.Errorf("index: entry id %d: %d points, the tier holds %d: %w", e.ID, len(e.Raw), f.n, ts.ErrLengthMismatch)
 	}
-	if f.n == 0 {
-		f.n, f.abandon = n, n >= envelopeAbandonMin
-	}
+	f.n = n
 	s := len(f.ents)
 	f.ents = append(f.ents, e)
 	f.slot[e.ID] = int32(s)
@@ -154,7 +134,7 @@ func (f *Flat) InsertBatch(entries []*Entry) error {
 				f.Delete(u.ID)
 			}
 			if fresh {
-				f.n, f.abandon, f.blocks = 0, false, nil
+				f.n, f.blocks = 0, nil
 			}
 			return err
 		}
@@ -219,23 +199,18 @@ func abandonLimit(bound float64) float64 { return bound * bound * (1 + 1e-12) }
 
 // refineSlots refines, four at a time (ts.RefineGroup), the slots of seeds —
 // or, when seeds is nil, every slot in slot order — whose filter distance is
-// at least 0 and at most the running k-th best distance kth, and returns kth
-// updated; it is never looser than the one given, so a search handed a bound
-// (Workspace.bound) keeps pruning against it while its own heap fills. A
-// group takes the next four such slots under kth as it stands when the group
-// forms, counts them in stats, and runs until every lane has finished, under
-// the limit kth gives before each kernel call; a finished lane is not
-// refilled, so which candidates are refined never depends on where a lane
-// gave up, and the envelope abandon measures exactly what the plain one does.
-// On series of at least envelopeAbandonMin points the lanes abandon on the
-// row's envelope (ts.EuclideanSqEnvelope's bound); otherwise on the partial
-// sum (ts.EuclideanSqAbandon's). A completed lane's sum is the sequential sum
-// ts.EuclideanSq computes, and offerBest's (distance, ID) order decides ties
-// as a scan does, so answers stay bit-identical to every other index's.
-func (f *Flat) refineSlots(ws *Workspace, q dist.Query, env *ts.Envelope, k int, seeds []int32, kth float64, stats *SearchStats) float64 {
-	if !f.abandon {
-		env = nil
-	}
+// at most the running k-th best distance kth (a NaN one, a refined seed's
+// mark, never is), and returns kth updated; it is never looser than the one
+// given, so a search handed a bound (Workspace.bound) keeps pruning against
+// it while its own heap fills. A group takes the next four such slots under
+// kth as it stands when the group forms, counts them in stats, and runs
+// until every lane has finished, under the limit kth gives before each
+// kernel call; a finished lane is not refilled, so which candidates are
+// refined never depends on where a lane gave up. A completed lane's sum is
+// the sequential sum ts.EuclideanSq computes, and offerBest's (distance, ID)
+// order decides ties as a scan does, so answers stay bit-identical to every
+// other index's.
+func (f *Flat) refineSlots(ws *Workspace, q dist.Query, k int, seeds []int32, kth float64, stats *SearchStats) float64 {
 	filt := ws.filt[:len(f.ents)]
 	end := len(filt)
 	if seeds != nil {
@@ -244,21 +219,17 @@ func (f *Flat) refineSlots(ws *Workspace, q dist.Query, env *ts.Envelope, k int,
 	g := &ws.group
 	var lane [ts.GroupLanes]int32 // the slot each lane refines
 	for at := 0; at < end; {
-		g.Reset(q.Raw, env)
+		g.Reset(q.Raw)
 		lanes := 0
 		for ; at < end && lanes < ts.GroupLanes; at++ {
 			s := int32(at)
 			if seeds != nil {
 				s = seeds[at]
 			}
-			if fd := filt[s]; fd < 0 || fd > kth {
-				continue
+			if fd := filt[s]; !(fd <= kth) {
+				continue // pruned, or a seed already refined (NaN)
 			}
-			var row []float32
-			if env != nil {
-				row, _ = f.row(int(s))
-			}
-			lane[g.Add(f.ents[s].Raw, row)] = s
+			lane[g.Add(f.ents[s].Raw)] = s
 			lanes++
 		}
 		stats.Measured += lanes
@@ -310,6 +281,10 @@ func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 	seeds := ws.seeds
 	seeds.Reset()
 	ws.best.Reset()
+	// worst is the seed heap's largest filter distance once it holds k, +Inf
+	// before: every filter distance is finite, so a slot enters the heap
+	// exactly when the heap would have taken it.
+	worst := math.Inf(1)
 	for lo := 0; lo < n; lo += flatRows {
 		out := filt[lo:min(lo+flatRows, n)]
 		f.filterSlots(env, lo, out)
@@ -317,11 +292,14 @@ func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 			continue // the best heap cannot fill, so no seed could tighten the bound
 		}
 		for i, fd := range out {
-			if seeds.Len() < k {
+			if fd < worst {
+				if seeds.Len() == k {
+					seeds.Pop()
+				}
 				seeds.Push(fd, int32(lo+i))
-			} else if fd < seeds.PeekPriority() {
-				seeds.Pop()
-				seeds.Push(fd, int32(lo+i))
+				if seeds.Len() == k {
+					worst = seeds.PeekPriority()
+				}
 			}
 		}
 	}
@@ -338,12 +316,12 @@ func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 			order = append(order, s)
 		}
 		ws.order = order
-		kth = f.refineSlots(ws, q, env, k, order, kth, &stats)
+		kth = f.refineSlots(ws, q, k, order, kth, &stats)
 		for _, s := range order {
-			filt[s] = refined
+			filt[s] = math.NaN() // refined: pass 2's one compare skips it
 		}
 	}
-	kth = f.refineSlots(ws, q, env, k, nil, kth, &stats)
+	kth = f.refineSlots(ws, q, k, nil, kth, &stats)
 	return ws.drainResults(), stats, nil
 }
 

@@ -561,7 +561,7 @@ func TestFlatInsertRefuses(t *testing.T) {
 	}
 	state := func() []any {
 		b, rows := f.blocks[0], f.Len()
-		return []any{len(f.blocks), f.n, f.abandon, slices.Clone(f.ents),
+		return []any{len(f.blocks), f.n, slices.Clone(f.ents),
 			slices.Clone(b.env[:rows*ts.EnvelopeWidth]), slices.Clone(b.slack[:rows])}
 	}
 	short := *m
@@ -602,11 +602,11 @@ func TestFlatInsertRefuses(t *testing.T) {
 		if err := g.InsertBatch(batch); !errors.Is(err, ts.ErrLengthMismatch) {
 			t.Fatalf("%s into a fresh tier: %v", name, err)
 		}
-		if g.Len() != 0 || g.n != 0 || g.abandon || len(g.blocks) != 0 {
+		if g.Len() != 0 || g.n != 0 || len(g.blocks) != 0 {
 			t.Fatalf("refused %s left Len %d, n %d, %d blocks", name, g.Len(), g.n, len(g.blocks))
 		}
 	}
-	if err := g.Insert(m.entry(3)); err != nil || g.n != m.n || !g.abandon {
+	if err := g.Insert(m.entry(3)); err != nil || g.n != m.n {
 		t.Fatalf("after the refused batches: %v, n %d", err, g.n)
 	}
 
@@ -874,7 +874,7 @@ func TestFlatReusedSlotPadding(t *testing.T) {
 	if err := f.Insert(NewEntry(2, wild, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if v, _, _ := f.Envelope(2); !math.IsInf(float64(v[0]), 0) && !math.IsInf(float64(v[ts.EnvelopeChunks]), 0) {
+	if v, _, _ := f.Envelope(2); !slices.ContainsFunc(v, func(x float32) bool { return math.IsInf(float64(x), 0) }) {
 		t.Fatalf("the wild row did not overflow: %v", v)
 	}
 	if !f.Delete(2) { // the last slot: its row stays behind in the block

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 
@@ -50,6 +51,10 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	if errors.As(err, &tooBig) {
 		writeErr(w, http.StatusRequestEntityTooLarge,
 			"request body exceeds %d bytes", tooBig.Limit)
+		return false
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		writeErr(w, http.StatusServiceUnavailable, "request body not read within %d ms", s.cfg.RequestTimeout.Milliseconds())
 		return false
 	}
 	writeErr(w, http.StatusBadRequest, "invalid JSON: %v", err)

@@ -114,6 +114,13 @@ func (s *Server) ingest(ctx context.Context, items []ingestRequest) ([]int, *rej
 		}
 	}
 
+	// A request whose deadline passed (or whose client left) while it was
+	// decoded and validated claims nothing. Once it has claimed, the commit
+	// runs to its end: a WAL append is not taken back.
+	if err := ctx.Err(); err != nil {
+		return nil, &rejection{http.StatusServiceUnavailable, -1, fmt.Errorf("request not committed: %w", err)}
+	}
+
 	// The series length and the claims are cross-shard, so every ID resolves
 	// and claims under one bookMu hold: racing ingests cannot claim one ID or
 	// disagree on the length, and the same explicit ID conflicts while the
@@ -391,8 +398,8 @@ func (s *Server) prepareQuery(values ts.Series) (dist.Query, error) {
 }
 
 // knnStatus maps a batch search error to a status code: a cancellation
-// (client gone, or the request timeout fired — the TimeoutHandler then owns
-// the response anyway) is the client's doing, everything else is ours.
+// (client gone, or the request's deadline passed) answers 503, everything
+// else is ours.
 func knnStatus(err error) int {
 	if errors.Is(err, index.ErrBatchCanceled) {
 		return http.StatusServiceUnavailable

@@ -281,15 +281,25 @@ func (s *Server) Handler() http.Handler { return s.handler }
 func (s *Server) buildHandler() http.Handler {
 	mux := http.NewServeMux()
 
+	// An API request runs on its connection's goroutine under a context that
+	// expires after RequestTimeout: a search sees it between queries and a
+	// write before it claims IDs (503), and the request keeps its admission
+	// slot until its handler returns, so timed-out work stays admitted work.
+	// The body is read under the same deadline, so a client that trickles it
+	// cannot hold a slot past the budget either.
 	api := func(endpoint string, sem chan struct{}, h http.HandlerFunc) http.Handler {
 		limited := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 			h(w, r)
 		})
-		timed := http.TimeoutHandler(limited, s.cfg.RequestTimeout,
-			`{"error":"request timed out"}`)
-		admitted := s.admit(endpoint, sem, timed)
-		return s.instrument(endpoint, admitted)
+		admitted := s.instrument(endpoint, s.admit(endpoint, sem, limited))
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			deadline := time.Now().Add(s.cfg.RequestTimeout)
+			ctx, cancel := context.WithDeadline(r.Context(), deadline)
+			defer cancel()
+			_ = http.NewResponseController(w).SetReadDeadline(deadline) //sapla:errok a writer without a connection (a handler benchmark's recorder) reads its body unbounded
+			admitted.ServeHTTP(w, r.WithContext(ctx))
+		})
 	}
 
 	mux.Handle("POST /v1/ingest", api("ingest", s.writeSem, s.handleIngest))
@@ -379,8 +389,8 @@ func (s *Server) Serve(l net.Listener) error {
 	srv := &http.Server{
 		Handler: s.handler,
 		// Header read and idle bounds; per-request work is bounded by the
-		// API TimeoutHandler, and pprof profiles may legitimately stream
-		// for longer than any single API call.
+		// API routes' request context, and pprof profiles may legitimately
+		// stream for longer than any single API call.
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -314,11 +315,10 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestRequestTimeout: a 1 ns budget fires the TimeoutHandler, proving the
-// timeout path is wired. The request is a valid ingest whose WAL fsync a
-// syncGate holds, so the handler cannot answer first: it either sees the
-// deadline while reducing, and answers 503 itself, or waits at the gate until
-// the TimeoutHandler has answered.
+// TestRequestTimeout: a 1 ns budget expires the request's context, proving
+// the timeout path is wired. The request is a valid ingest whose WAL fsync a
+// syncGate holds, so it could not answer by committing: it sees the passed
+// deadline before it claims an ID and answers 503.
 func TestRequestTimeout(t *testing.T) {
 	cfg := durableConfig(newSyncGate(wal.NewMemFS()), 1)
 	cfg.M, cfg.RequestTimeout = 12, time.Nanosecond
@@ -336,6 +336,82 @@ func TestRequestTimeout(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("timeout request returned %d, want 503", resp.StatusCode)
 	}
+}
+
+// TestTimedOutWriteKeepsItsSlot: a request keeps its admission slot until
+// its handler returns, deadline or not. With one write slot, an ingest whose
+// WAL fsync a syncGate holds past its deadline still owns the slot, so a
+// second ingest is shed with 429 instead of running beside it; once the
+// fsync is released the first ingest commits and answers 201.
+func TestTimedOutWriteKeepsItsSlot(t *testing.T) {
+	gate := newSyncGate(wal.NewMemFS())
+	cfg := durableConfig(gate, 1)
+	cfg.M, cfg.MaxInflightWrite, cfg.RequestTimeout = 12, 1, 100*time.Millisecond
+	_, hs := newTestServer(t, cfg)
+	release := gate.arm()
+	t.Cleanup(release) // runs before the server's Close, which waits for the handler
+	client := hs.Client()
+	rng := rand.New(rand.NewSource(7))
+	bodies := make([][]byte, 2)
+	for i := range bodies {
+		b, err := json.Marshal(map[string]any{"values": randWalk(rng, 32)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = b
+	}
+	first := make(chan int, 1)
+	go func() {
+		resp, err := client.Post(hs.URL+"/v1/ingest", "application/json", bytes.NewReader(bodies[0]))
+		if err != nil {
+			first <- -1
+			return
+		}
+		resp.Body.Close()
+		first <- resp.StatusCode
+	}()
+	<-gate.entered                     // the first ingest waits on its fsync,
+	time.Sleep(2 * cfg.RequestTimeout) // and its deadline passes there
+	resp, err := client.Post(hs.URL+"/v1/ingest", "application/json", bytes.NewReader(bodies[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("a second ingest while the first held the only write slot past its deadline: %d, want 429", resp.StatusCode)
+	}
+	release()
+	if code := <-first; code != http.StatusCreated {
+		t.Fatalf("the held ingest answered %d once its fsync was released, want 201", code)
+	}
+}
+
+// TestTrickledBodyTimesOut: the request deadline bounds reading the body
+// too. A client that sends an ingest's headers and the start of its body and
+// then stops is answered 503 once RequestTimeout has passed, and its
+// admission slot is free again: with one write slot, the next ingest commits.
+func TestTrickledBodyTimesOut(t *testing.T) {
+	_, hs := newTestServer(t, Config{M: 12, MaxInflightWrite: 1, RequestTimeout: 100 * time.Millisecond})
+	conn, err := net.Dial("tcp", hs.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/ingest HTTP/1.1\r\nHost: sapla\r\nContent-Type: application/json\r\nContent-Length: 4096\r\n\r\n{\"values\":["); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no answer to a stalled body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("a stalled body answered %d, want 503", resp.StatusCode)
+	}
+	ingestOne(t, hs.Client(), hs.URL, nil, randWalk(rand.New(rand.NewSource(3)), 32))
 }
 
 // TestServerIngestEdgeCases drives the tsio.ValidateSeries edge cases

@@ -2,137 +2,221 @@ package ts
 
 import "math"
 
-// EnvelopeChunks is W, the number of chunks of a series' envelope: an n-point
-// series is cut into chunks of ⌈n/W⌉ points, the last non-empty one shorter
-// when W does not divide n, and the chunks past the series' end (n < W, or a
-// ragged tail) are empty with envelope (0, 0). At 1024 points the chunks are
-// 64 points long, four of EuclideanSqAbandon's looks.
-const EnvelopeChunks = 16
+// EnvelopeChunks is W, the number of chunks (frames) of a series' envelope:
+// an n-point series is cut into chunks of ⌈n/W⌉ points, the last non-empty
+// one shorter when W does not divide n, and the chunks past the series' end
+// (n < W, or a ragged tail) are empty with an all-zero envelope.
+const EnvelopeChunks = 8
 
-// EnvelopeWidth is the length of an envelope vector v = (m₁…m_W, ρ₁…ρ_W).
-const EnvelopeWidth = 2 * EnvelopeChunks
+// chunkValues is how many values a chunk's envelope keeps (chunkEnvelopes):
+// its coordinates on the orthonormal discrete polynomials of degree 0, 1 and
+// 2 over the chunk, and its residual norm.
+const chunkValues = 4
+
+// EnvelopeWidth is the length of an envelope vector: chunk j's values are
+// v[4j : 4j+4] = (a₀, a₁, a₂, ρ) of chunk j.
+const EnvelopeWidth = chunkValues * EnvelopeChunks
 
 // envelopeChunkLen returns the chunk length of an n-point series' envelope.
 func envelopeChunkLen(n int) int { return (n + EnvelopeChunks - 1) / EnvelopeChunks }
 
 // envelopeSlack is κ, the relative slack of every envelope value (see
-// EuclideanSqEnvelope). A value stored as float32 is off by at most 2⁻²⁴ of
-// its size; ChunkEnvelope's own float64 error is below (3l+8)·2⁻⁵³ of the
-// chunk's norm, under 2⁻²⁴·0.75 for any series of fewer than 2³¹ points
-// (l < 2²⁷). κ = 2⁻²² is more than twice their sum.
+// LowerBounds). A value stored as float32 is off by at most 2⁻²⁴ of its
+// size; chunkEnvelopes' own float64 error is below (7l+110)·2⁻⁵³ of the
+// chunk's norm, under 2⁻²⁴ for any series of fewer than 2²⁹ points
+// (l < 2²⁶). κ/2 = 2⁻²³ is their sum's bound.
 const envelopeSlack = 0x1p-22
 
-// envelopeFloor is an absolute slack beside κ: a float32 below 2⁻¹²⁶ is
-// subnormal and off by up to 2⁻¹⁵⁰ whatever its size, twice that for a
-// chunk's two values.
-const envelopeFloor = 0x1p-148
-
 // rowFloor is the absolute part of a row's slack (EnvelopeRow): it covers
-// the subnormal rounding of the stored values (√(2W)·2⁻¹⁵⁰ < 2⁻¹⁴⁷) and of
-// LowerBounds' float32 squares, each off by up to 2⁻¹⁵⁰ below 2⁻¹²⁶, which
-// moves the root of the 2W-term sum by less than √(2W+1)·2⁻⁷⁵ < 2⁻⁷².
+// the subnormal rounding of the stored values (√EnvelopeWidth·2⁻¹⁵⁰ <
+// 2⁻¹⁴⁷) and of LowerBounds' float32 squares, each off by up to 2⁻¹⁵⁰ below
+// 2⁻¹²⁶, which moves the root of the EnvelopeWidth-term sum by less than
+// √(EnvelopeWidth+1)·2⁻⁷⁵ < 2⁻⁷².
 const rowFloor = 0x1p-72
 
 // rowShrink is 1 − δ, LowerBounds' factor on the float32 distance. δ = 2⁻²⁰
-// covers the kernel's rounding — each of the 2W squares reaches the sum
-// through at most 13 float32 roundings and the root through one float64
-// one, so the computed root is within (1+2⁻²⁴)⁷ of the exact one — with
-// 2⁻²¹ to spare, and the spare covers the three float64 roundings after it
-// and the refine sum's own (n+3)·2⁻⁵³ (n < 2³¹; see LowerBounds).
+// covers the kernel's rounding — each of the EnvelopeWidth squares reaches
+// the sum through at most 13 float32 roundings and the root through one
+// float64 one, so the computed root is within (1+2⁻²⁴)⁷ of the exact one —
+// with 2⁻²¹ to spare, and the spare covers the three float64 roundings after
+// it and the refine sum's own (n+3)·2⁻⁵³ (n < 2²⁹; see LowerBounds).
 const rowShrink = 1 - 0x1p-20
 
-// ChunkEnvelope returns the envelope of one chunk x of l points: its sum
-// scaled by 1/√l — the mean's coordinate along the unit vector 1/√l — and its
-// residual norm ‖x − mean·1‖. The residual is taken in a second pass against
-// the mean rather than from Σx² − l·mean², which cancels when the chunk sits
-// far from zero. Both passes add in four lanes, which shortens the chain of
-// dependent adds a row insert waits on; in any order a sum of l terms is
-// within (l−1)·2⁻⁵³ of the sum of their magnitudes, all that
-// EuclideanSqEnvelope's slack assumes. An empty chunk is (0, 0).
-func ChunkEnvelope(x Series) (m, rho float64) {
-	if len(x) == 0 {
-		return 0, 0
+// chunkEnvelopes writes into c the envelopes of len(c) consecutive chunks
+// of l ≥ 1 points at the start of x, in closed form with no basis table:
+// with d = t − (l−1)/2 and σ² = (l²−1)/12 the orthonormal discrete
+// polynomials of degree 0–2 are
+//
+//	u₀ = 1/√l,  u₁ = d/√(l(l²−1)/12),  u₂ = (d² − σ²)/√(l(l²−1)(l²−4)/180)
+//
+// (u₁ = 0 for l < 2, u₂ = 0 for l < 3), and a chunk's envelope is its
+// coordinates aᵢ = ⟨x, uᵢ⟩ and its residual norm ρ = ‖x − Σ aᵢuᵢ‖. Two
+// passes, each in four lanes (lane k takes the points 4i+k): momentLanes
+// takes the moments Σx, Σdx and Σd²x, and residualLanes the residual against
+// the fitted quadratic — rather than ‖x‖² − Σaᵢ², which cancels when the
+// chunk is nearly a quadratic — which each lane steps along by differences:
+// the fit f at its next point, the step g to the point after that, and g's
+// own constant step 32γ. The kernels take the first l&^3 points of every
+// chunk, and the last l mod 4, one a lane, are added here.
+//
+// The error. Write F = ‖x‖ of a chunk and u = 2⁻⁵³. The moments carry at
+// most (l+1)u·Σ|dᵏx| (d is exact), and Σ|dᵏx| ≤ ‖dᵏ‖·F; scaled by the basis
+// norms, a₀ and a₁ are within (l+4)u·F, and a₂, whose numerator Σd²x − σ²Σx
+// cancels, within (3.2l + 17)u·F (‖d²‖ + σ²√l is at most 3.2 times u₂'s
+// norm, at l = 3). The closed form is the exact basis, so the computed
+// coordinates are those of a basis orthonormal to within about l·2⁻⁵² of the
+// chunk's norm. A lane's running fit gathers one rounding of its step per
+// point, and its step one of 32γ, so after the l/4 points of a lane the fit
+// is off by less than (l²/32)·u·max|g| + (l/4)·u·max|f| ≤ 3.4√l·u·F a point,
+// 3.4l·u·F in norm; by the triangle inequality the residual is within
+// (7l + 110)u·F of ‖x − Σ aᵢuᵢ‖, its own sum's (l/2 + 4)u·ρ included. Every
+// value is within (7l + 110)·2⁻⁵³·F of its exact value.
+func chunkEnvelopes(x Series, l int, c [][chunkValues]float64) {
+	var lanes [EnvelopeChunks]laneState
+	ls := lanes[:len(c)]
+	lf := float64(l)
+	h := (lf - 1) / 2
+	body := l &^ 3
+	momentLanes(x, l, -h, ls)
+
+	sig2 := (lf*lf - 1) / 12
+	irl := 1 / math.Sqrt(lf)
+	var in1, in2 float64 // 1/‖d‖ and 1/‖d² − σ²‖, 0 where that polynomial vanishes
+	if l >= 2 {
+		in1 = 1 / math.Sqrt(lf*sig2)
 	}
-	var s0, s1, s2, s3 float64
-	y := x
-	for ; len(y) >= 4; y = y[4:] {
-		s0 += y[0]
-		s1 += y[1]
-		s2 += y[2]
-		s3 += y[3]
+	if l >= 3 {
+		in2 = 1 / math.Sqrt(lf*sig2*(lf*lf-4)/15)
 	}
-	for _, v := range y {
-		s0 += v
+	for j := range ls {
+		s := &ls[j]
+		d := float64(body) - h
+		for k, v := range x[j*l+body : (j+1)*l] {
+			t := float64(d * v)
+			s[k] += v
+			s[4+k] += t
+			s[8+k] += float64(d * t)
+			d++
+		}
+		sx, sdx, sddx := (s[0]+s[1])+(s[2]+s[3]), (s[4]+s[5])+(s[6]+s[7]), (s[8]+s[9])+(s[10]+s[11])
+		c[j] = [chunkValues]float64{sx * irl, sdx * in1, (sddx - sig2*sx) * in2}
+		// The fit α + βd + γd² = Σ aᵢuᵢ at d.
+		beta, gamma := c[j][1]*in1, c[j][2]*in2
+		alpha := c[j][0]*irl - gamma*sig2
+		for k := range 4 {
+			d := float64(k) - h
+			s[k] = alpha + d*(beta+gamma*d)
+			s[4+k] = 4 * (beta + gamma*(2*d+4))
+		}
+		s[8], s[9] = 32*gamma, 32*gamma
 	}
-	s := (s0 + s1) + (s2 + s3)
-	l := float64(len(x))
-	mean := s / l
-	var r0, r1, r2, r3 float64
-	for y = x; len(y) >= 4; y = y[4:] {
-		d0, d1, d2, d3 := y[0]-mean, y[1]-mean, y[2]-mean, y[3]-mean
-		r0 += d0 * d0
-		r1 += d1 * d1
-		r2 += d2 * d2
-		r3 += d3 * d3
+	residualLanes(x, l, ls)
+	for j := range ls {
+		s := &ls[j]
+		for k, v := range x[j*l+body : (j+1)*l] {
+			e := v - s[k]
+			s[8+k] += float64(e * e)
+		}
+		c[j][3] = math.Sqrt((s[8] + s[9]) + (s[10] + s[11]))
 	}
-	for _, v := range y {
-		d := v - mean
-		r0 += d * d
-	}
-	return s / math.Sqrt(l), math.Sqrt((r0 + r1) + (r2 + r3))
 }
 
-// chunk returns chunk j of x, empty past its end.
-func chunk(x Series, j int) Series {
-	l := envelopeChunkLen(len(x))
-	return x[min(j*l, len(x)):min((j+1)*l, len(x))]
-}
+// laneState is one chunk's four lanes between chunkEnvelopes' kernels. After
+// momentLanes it holds each lane's Σx, Σdx and Σd²x, lane k at k, 4+k and
+// 8+k. Before residualLanes it holds each lane's fit f at its next point (k)
+// and step g (4+k), and the steps' own step twice (8, 9); after it, each
+// lane's f advanced past the kernel's points (k), g as it was, and the
+// lane's Σ(x − f)² (8+k).
+type laneState [12]float64
 
-// envelopeValues computes every chunk's envelope of x at float64, the vector v
-// rounded to float32, and the row slack ε = 2κ‖x‖ + rowFloor, ‖x‖² being
-// Σⱼ(mⱼ² + ρⱼ²). While every value of v fits a float32, ‖x‖² is far from
-// overflowing; once one does not, ε may be +Inf or NaN, and LowerBounds
-// gives the row 0 whatever ε is.
-func envelopeValues(x Series, m, rho *[EnvelopeChunks]float64, v []float32) (eps float64) {
-	var norm2 float64
-	for j := range m {
-		m[j], rho[j] = ChunkEnvelope(chunk(x, j))
-		v[j], v[EnvelopeChunks+j] = float32(m[j]), float32(rho[j])
-		norm2 += m[j]*m[j] + rho[j]*rho[j]
+// momentLanesGo is momentLanes in Go: for each chunk j of len(lanes), the
+// first l&^3 of x[j·l:]'s points, lane k at d+k, d+k+4, … — the lanes the
+// SSE2 kernel keeps two to a register — each product rounded on its own.
+func momentLanesGo(x Series, l int, d float64, lanes []laneState) {
+	for j := range lanes {
+		c := x[j*l:][:l&^3]
+		var s laneState
+		e := [4]float64{d, d + 1, d + 2, d + 3}
+		for i := 0; i < len(c); i += 4 {
+			for k, v := range c[i : i+4] {
+				t := float64(e[k] * v)
+				s[k] += v
+				s[4+k] += t
+				s[8+k] += float64(e[k] * t)
+				e[k] += 4
+			}
+		}
+		lanes[j] = s
 	}
-	return 2*envelopeSlack*math.Sqrt(norm2) + rowFloor
 }
 
-// EnvelopeRow writes the envelope vector of x — every chunk's ChunkEnvelope
-// rounded to float32, v = (m₁…m_W, ρ₁…ρ_W) — into v, which must hold
-// EnvelopeWidth values, and returns the row's slack ε (see LowerBounds),
-// rounded to float32. The stored side of LowerBounds and EuclideanSqEnvelope.
+// residualLanesGo is residualLanes in Go: for each chunk j of len(lanes),
+// over the first l&^3 of x[j·l:]'s points, each lane adds (x − f)², then
+// steps f by g and g by the lanes' common step.
+func residualLanesGo(x Series, l int, lanes []laneState) {
+	for j := range lanes {
+		c := x[j*l:][:l&^3]
+		s := &lanes[j]
+		var r [4]float64
+		g, dd := [4]float64(s[4:8]), s[8]
+		for i := 0; i < len(c); i += 4 {
+			for k, v := range c[i : i+4] {
+				e := v - s[k]
+				r[k] += float64(e * e)
+				s[k] += g[k]
+				g[k] += dd
+			}
+		}
+		copy(s[8:], r[:])
+	}
+}
+
+// envelopeValues writes the envelope vector of x — every chunk's four values
+// (chunkEnvelopes) rounded to float32, chunk after chunk, zeros for the
+// empty chunks — into v, which must hold EnvelopeWidth values, and returns
+// the row slack ε = 2κ‖x‖ + rowFloor, ‖x‖² being the sum of the values'
+// squares at float64 (each chunk's squared norm, by Pythagoras). While every
+// value of v fits a float32, ‖x‖² is far from overflowing; once one does
+// not, ε may be +Inf or NaN, and LowerBounds gives the row 0 whatever ε is.
+func envelopeValues(x Series, v []float32) (eps float64) {
+	v = v[:EnvelopeWidth]
+	var c [EnvelopeChunks][chunkValues]float64
+	if n := len(x); n > 0 {
+		l := envelopeChunkLen(n)
+		full := n / l
+		chunkEnvelopes(x, l, c[:full])
+		if rest := n - full*l; rest > 0 {
+			chunkEnvelopes(x[full*l:], rest, c[full:full+1])
+		}
+	}
+	var n2 [chunkValues]float64 // ‖x‖² in four sums, one a value of the chunks
+	for j, cj := range c {
+		vj := v[j*chunkValues:][:chunkValues]
+		for i, y := range cj {
+			vj[i] = float32(y)
+			n2[i] += y * y
+		}
+	}
+	return 2*envelopeSlack*math.Sqrt((n2[0]+n2[1])+(n2[2]+n2[3])) + rowFloor
+}
+
+// EnvelopeRow writes the envelope vector of x (envelopeValues) into v, which
+// must hold EnvelopeWidth values, and returns the row's slack ε (see
+// LowerBounds), rounded to float32: the stored side of LowerBounds.
 func EnvelopeRow(x Series, v []float32) (slack float32) {
-	var m, rho [EnvelopeChunks]float64
-	return float32(envelopeValues(x, &m, &rho, v[:EnvelopeWidth]))
+	return float32(envelopeValues(x, v))
 }
 
-// Envelope is a query's side of LowerBounds, EuclideanSqEnvelope and a
-// RefineGroup's envelope abandon: every chunk's envelope at float64 with the
-// query's half of each chunk's slack, and the float32 vector and row slack
-// LowerBounds compares rows against. The zero value is empty; Reset builds
-// it, and it never allocates.
+// Envelope is a query's side of LowerBounds: the float32 vector and the row
+// slack LowerBounds compares rows against, as EnvelopeRow builds a row's. The
+// zero value is empty; Reset builds it, and it never allocates.
 type Envelope struct {
-	n      int                     // the query's length
-	m, rho [EnvelopeChunks]float64 // ChunkEnvelope per chunk
-	slack  [EnvelopeChunks]float64 // κ·(|m|+ρ) + envelopeFloor per chunk
-	v      [EnvelopeWidth]float32  // the query's envelope vector, as EnvelopeRow writes a row's
-	eps    float64                 // the query's row slack
+	v   [EnvelopeWidth]float32
+	eps float64
 }
 
 // Reset rebuilds the envelope for q.
-func (e *Envelope) Reset(q Series) {
-	e.n = len(q)
-	e.eps = envelopeValues(q, &e.m, &e.rho, e.v[:])
-	for j := range e.m {
-		e.slack[j] = envelopeSlack*(math.Abs(e.m[j])+e.rho[j]) + envelopeFloor
-	}
-}
+func (e *Envelope) Reset(q Series) { e.eps = envelopeValues(q, e.v[:]) }
 
 // LowerBounds writes into out, for every row of rows — EnvelopeWidth values
 // each, as EnvelopeRow writes them — and its slack in slack, a lower bound on
@@ -141,34 +225,37 @@ func (e *Envelope) Reset(q Series) {
 //	lb = max(0, ‖v′_q − v′_c‖·(1 − δ) − ε_q − ε_c),
 //
 // the float32 distance between the two envelope vectors taken in four
-// accumulators. Every lb is finite and at least 0, and it is at most the
-// distance ts.EuclideanSq's sum gives, rounding included, so a search that
-// prunes a candidate only when its lb exceeds a distance it measured loses
-// nothing.
+// accumulators. Every lb is finite and at least 0 (+0, never −0 or NaN), and
+// it is at most the distance ts.EuclideanSq's sum gives, rounding included,
+// so a search that prunes a candidate only when its lb exceeds a distance it
+// measured loses nothing.
 //
-// The proof. Per chunk write x = (m/√l)·1 + r with r ⟂ 1, ‖r‖ = ρ; then
-// ‖x_q − x_c‖² = (m_q − m_c)² + ‖r_q − r_c‖² ≥ (m_q − m_c)² + (ρ_q − ρ_c)²,
-// and summed over the chunks D = ‖q − c‖ ≥ ‖v_q − v_c‖ for the exact
-// vectors. A stored value is off by less than κ/2·(|m|+ρ) of its chunk
-// (envelopeSlack) plus 2⁻¹⁵⁰ when subnormal; (|m|+ρ)² ≤ 2(m²+ρ²) and
-// Σⱼ(mⱼ² + ρⱼ²) = ‖x‖², so ‖v′ − v‖ ≤ κ‖x‖ + 2⁻¹⁴⁷, which ε = 2κ‖x‖ +
-// rowFloor exceeds by more than 2⁻⁷³ even after its rounding to float32.
-// The computed float32 root K is at most ‖v′_q − v′_c‖·(1+2⁻²⁴)⁷ + 2⁻⁷²
-// (rowShrink, rowFloor), hence at most (D + ε_q + ε_c)·(1+2⁻²⁴)⁷, so
-// K·(1 − δ) − ε_q − ε_c ≤ D·(1 − 2⁻²¹) − 2⁻²¹·(ε_q + ε_c); the three float64
-// roundings that evaluate it add at most 3·2⁻⁵³·(D + ε_q + ε_c). The refined
-// distance √EuclideanSq is at least D·(1 − (n+5)·2⁻⁵⁴) less √n·2⁻⁵³⁷ for
-// squares that underflow, which the 2⁻⁹² the floors leave covers: lb stays
-// below it for n < 2³¹.
+// The proof. Per chunk write x = Σᵢ aᵢuᵢ + r, the orthogonal projection on
+// the chunk's discrete polynomials u₀, u₁, u₂ (chunkEnvelopes) and a residual
+// r ⟂ uᵢ with ‖r‖ = ρ; then ‖x_q − x_c‖² = Σᵢ(a_q,i − a_c,i)² + ‖r_q − r_c‖²
+// ≥ Σᵢ(a_q,i − a_c,i)² + (ρ_q − ρ_c)² by the reverse triangle inequality, and
+// summed over the chunks D = ‖q − c‖ ≥ ‖v_q − v_c‖ for the exact vectors. A
+// stored value is off by less than κ/2 of its chunk's norm (envelopeSlack:
+// the float64 basis is orthonormal only to within about l·2⁻⁵², and the
+// float32 rounding adds 2⁻²⁴) plus 2⁻¹⁵⁰ when subnormal; a chunk's four
+// values are then off by less than κ‖x_j‖ + 2⁻¹⁴⁹ together, and Σⱼ‖x_j‖² =
+// ‖x‖², so ‖v′ − v‖ ≤ κ‖x‖ + 2⁻¹⁴⁷, which ε = 2κ‖x‖ + rowFloor exceeds by
+// more than 2⁻⁷³ even after its rounding to float32. The computed float32
+// root K is at most ‖v′_q − v′_c‖·(1+2⁻²⁴)⁷ + 2⁻⁷² (rowShrink, rowFloor),
+// hence at most (D + ε_q + ε_c)·(1+2⁻²⁴)⁷, so K·(1 − δ) − ε_q − ε_c ≤
+// D·(1 − 2⁻²¹) − 2⁻²¹·(ε_q + ε_c); the three float64 roundings that evaluate
+// it add at most 3·2⁻⁵³·(D + ε_q + ε_c). The refined distance √EuclideanSq
+// is at least D·(1 − (n+5)·2⁻⁵⁴) less √n·2⁻⁵³⁷ for squares that underflow,
+// which the 2⁻⁹² the floors leave covers: lb stays below it for n < 2²⁹.
 //
-// Overflow. A chunk whose sum or residual does not fit a float32 stores
-// ±Inf (or NaN, once the float64 sum itself overflows), and a difference
-// above 2⁶⁴ overflows its float32 square: either way the sum is not finite
-// and the row's lb is 0, whatever the slacks. Such rows are refined, never
-// pruned.
+// Overflow. A chunk whose coordinates or residual do not fit a float32
+// stores ±Inf (or NaN, once a float64 moment itself overflows), and a
+// difference above 2⁶⁴ overflows its float32 square: either way the sum is
+// not finite and the row's lb is 0, whatever the slacks. Such rows are
+// refined, never pruned.
 //
-// On amd64 the float32 sums come from an SSE kernel (envelope_amd64.s) whose
-// bits equal lowerBoundsGo's, the pure-Go loop it replaces and the kernel
+// On amd64 the bounds come from an SSE kernel (envelope_amd64.s) whose bits
+// equal lowerBoundsGo's, the pure-Go loop it replaces and the kernel
 // everywhere else (DESIGN §11, "The filter kernel").
 func (e *Envelope) LowerBounds(rows, slack []float32, out []float64) {
 	lowerBounds(e, rows, slack, out)
@@ -199,88 +286,16 @@ func lowerBoundsGo(e *Envelope, rows, slack []float32, out []float64) {
 
 // rowLB is the float64 tail of LowerBounds for a row whose squared
 // envelope distance summed to s and whose slack is slack: 0 unless s is
-// finite, else max(0, √s·(1 − δ) − ε_q − ε_c), the product rounded on its
-// own so that no step is fused.
+// finite, else lb = √s·(1 − δ) − ε_q − ε_c, the product rounded on its own so
+// that no step is fused. It returns lb only when lb > 0, else +0: a −0 or a
+// NaN lb (a NaN slack) gives +0, exactly as the kernel's MAXSD against +0
+// does, so the filter never yields NaN — Flat marks its refined slots NaN and
+// relies on that.
 func (e *Envelope) rowLB(s, slack float32) float64 {
 	if s <= math.MaxFloat32 {
-		return max(float64(math.Sqrt(float64(s))*rowShrink)-e.eps-float64(slack), 0)
+		if lb := float64(math.Sqrt(float64(s))*rowShrink) - e.eps - float64(slack); lb > 0 {
+			return lb
+		}
 	}
 	return 0
-}
-
-// suffix writes into suf, for the candidate whose EnvelopeRow vector is row,
-// suf[j]: a lower bound on the exact squared distance over chunks j.. to the
-// query (suf[EnvelopeChunks] = 0), and reports whether the bound is a number.
-//
-// The bound. As in LowerBounds, per chunk (m_q − m_c)² + (ρ_q − ρ_c)² is at
-// most the exact chunk distance. Every value carries an error below κ·(|m|+ρ)
-// of its own chunk (|m|+ρ ≥ ‖x‖, which bounds the float32 rounding and,
-// through Σ|x_i| ≤ √l·‖x‖, the float64 sums), so with e = the two sides'
-// κ·(|m|+ρ) plus the subnormal floor, max(0, |m_q − m_c| − e)² + max(0,
-// |ρ_q − ρ_c| − e)² is a bound on the exact chunk distance; suf[j] sums them
-// over chunks j.. . A caller abandons when a partial sum plus the suffix from
-// the first chunk it has not started exceeds limit·envelopeGuard(n): the
-// computed sum is at least the exact one times 1−(n+3)·2⁻⁵³ (each term rounds
-// thrice, each addition once, all terms non-negative), and the bound's own
-// evaluation rounds fewer than W+8 times, so a bound above the guard proves
-// the computed sum above limit. A NaN bound — a chunk whose envelope
-// overflowed — proves nothing, and the caller must fall back to the partial
-// sum alone.
-func (e *Envelope) suffix(row []float32, suf *[EnvelopeChunks + 1]float64) bool {
-	suf[EnvelopeChunks] = 0
-	for j := EnvelopeChunks - 1; j >= 0; j-- {
-		mc, rc := float64(row[j]), float64(row[EnvelopeChunks+j])
-		sl := e.slack[j] + envelopeSlack*(math.Abs(mc)+rc)
-		dm := max(math.Abs(e.m[j]-mc)-sl, 0)
-		dr := max(math.Abs(e.rho[j]-rc)-sl, 0)
-		suf[j] = suf[j+1] + dm*dm + dr*dr
-	}
-	return !math.IsNaN(suf[0])
-}
-
-// envelopeGuard is the factor 1 + (n+64)·2⁻⁵² on the limit of an n-point
-// envelope abandon (see suffix).
-func envelopeGuard(n int) float64 { return 1 + float64(n+64)*0x1p-52 }
-
-// EuclideanSqEnvelope is EuclideanSqAbandon for a query a whose envelope is
-// qe and a candidate b whose EnvelopeRow vector is row. It abandons on a
-// lower bound of the whole sum instead of the partial sum alone, and adds the
-// same terms in the same order when it reads b at all, so a completed sum
-// (ok) is bit-identical to EuclideanSq(a, b). When it gives up, the value it
-// returns exceeds limit and so does the full EuclideanSq.
-//
-// At each look after i terms it abandons when the partial sum plus the
-// suffix bound (see suffix) from the first chunk it has not started exceeds
-// the guard limit·envelopeGuard(n); nothing tests the whole bound before the
-// first stride, since in a search that filters on LowerBounds first that
-// test ended no refinement. A NaN bound abandons nothing: the kernel falls
-// back to EuclideanSqAbandon. It is the one-candidate oracle a RefineGroup's
-// envelope lanes are tested against. It panics if the lengths differ, qe was
-// built for another length or row is not EnvelopeWidth long.
-func EuclideanSqEnvelope(a, b Series, qe *Envelope, row []float32, limit float64) (sum float64, ok bool) {
-	if len(a) != len(b) || qe.n != len(a) || len(row) != EnvelopeWidth {
-		panic(ErrLengthMismatch)
-	}
-	var suf [EnvelopeChunks + 1]float64
-	if !qe.suffix(row, &suf) {
-		return EuclideanSqAbandon(a, b, limit)
-	}
-	guard := limit * envelopeGuard(len(a))
-	l := envelopeChunkLen(len(a))
-	i := 0
-	for ; i+abandonStride <= len(a); i += abandonStride {
-		x, y := a[i:][:abandonStride], b[i:][:abandonStride]
-		for j := range x {
-			d := x[j] - y[j]
-			sum += d * d
-		}
-		if lb := sum + suf[(i+abandonStride+l-1)/l]; lb > guard {
-			return lb, false
-		}
-	}
-	for ; i < len(a); i++ {
-		d := a[i] - b[i]
-		sum += d * d
-	}
-	return sum, true
 }

@@ -1,32 +1,32 @@
 package ts
 
-// kernelRows is the number of rows one envelopeSums call sums: LowerBounds
-// keeps their float32 sums on its stack, 1 KiB, and a Flat block
-// (index.flatRows) is one call.
-const kernelRows = 256
-
-// lowerBounds is LowerBounds on amd64: envelopeSums adds each row's squared
-// differences from the query's vector, kernelRows rows at a time, and the
-// float64 tail runs in Go.
+// lowerBounds is LowerBounds on amd64: envelopeBounds writes every row's
+// float64 bound itself, rowLB's steps included.
 func lowerBounds(e *Envelope, rows, slack []float32, out []float64) {
-	rows = rows[:len(out)*EnvelopeWidth]
-	slack = slack[:len(out)]
-	var sums [kernelRows]float32
-	for len(out) > 0 {
-		k := min(len(out), kernelRows)
-		envelopeSums(&e.v, rows[:k*EnvelopeWidth], sums[:k])
-		for i, s := range sums[:k] {
-			out[i] = e.rowLB(s, slack[i])
-		}
-		rows, slack, out = rows[k*EnvelopeWidth:], slack[k:], out[k:]
-	}
+	envelopeBounds(&e.v, e.eps, rows[:len(out)*EnvelopeWidth], slack[:len(out)], out)
 }
 
-// envelopeSums writes, for each of the len(sums) rows of rows (EnvelopeWidth
-// values each; rows must hold them all), the float32 sum of the squared
-// differences between q and the row, with lowerBoundsGo's bits: lane i of
-// one 4-wide accumulator adds terms i, i+4, …, and the lanes are reduced as
-// (s0+s1)+(s2+s3). SSE and SSE2 only, which every amd64 has.
+// envelopeBounds writes, for each of the len(out) rows of rows (EnvelopeWidth
+// values each) and its slack in slack (both must hold them all), the row's
+// lower bound with lowerBoundsGo's bits. The float32 sum of the squared
+// differences between q and the row: lane i of one 4-wide accumulator adds
+// terms i, i+4, …, and the lanes are reduced as (s0+s1)+(s2+s3). Then
+// rowLB's tail with query slack eps: 0 for a sum whose exponent is all ones
+// (not finite), else √s·(1 − δ) − eps − slack, each step rounded on its own,
+// and max against +0 that gives +0 for a −0 or NaN bound. SSE and SSE2 only,
+// which every amd64 has.
 //
 //go:noescape
-func envelopeSums(q *[EnvelopeWidth]float32, rows, sums []float32)
+func envelopeBounds(q *[EnvelopeWidth]float32, eps float64, rows, slack []float32, out []float64)
+
+// momentLanes is momentLanesGo in SSE2, with its bits: lanes 0–1 and 2–3
+// each share one register. x must hold len(lanes)·l points.
+//
+//go:noescape
+func momentLanes(x Series, l int, d float64, lanes []laneState)
+
+// residualLanes is residualLanesGo in SSE2, with its bits. x must hold
+// len(lanes)·l points.
+//
+//go:noescape
+func residualLanes(x Series, l int, lanes []laneState)

@@ -1,17 +1,17 @@
 package ts
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// envelopeOf is the stored side of EuclideanSqEnvelope: every chunk's
-// ChunkEnvelope rounded to float32, as index.Flat keeps it.
-func envelopeOf(s Series) []float32 {
-	v := make([]float32, EnvelopeWidth)
-	EnvelopeRow(s, v)
-	return v
+// chunk returns chunk j of x, empty past its end.
+func chunk(x Series, j int) Series {
+	l := envelopeChunkLen(len(x))
+	return x[min(j*l, len(x)):min((j+1)*l, len(x))]
 }
 
 // rowBound is LowerBounds for a query a and one stored row, b's.
@@ -33,30 +33,6 @@ func checkRowBound(t *testing.T, a, b Series) {
 	if !(lb >= 0 && lb <= d) || math.IsInf(lb, 0) {
 		t.Fatalf("n=%d: row bound %v, distance %v", len(a), lb, d)
 	}
-}
-
-// checkEnvelope holds EuclideanSqEnvelope to EuclideanSqAbandon's contract: a
-// completed sum is bit-identical to EuclideanSq, a sum given up on — read or
-// not — proves that the full sum exceeds the limit. It reports whether the
-// kernel gave up.
-func checkEnvelope(t *testing.T, a, b Series, limit float64) (abandoned bool) {
-	t.Helper()
-	checkRowBound(t, a, b)
-	var qe Envelope
-	qe.Reset(a)
-	row := envelopeOf(b)
-	full := EuclideanSq(a, b)
-	sum, ok := EuclideanSqEnvelope(a, b, &qe, row, limit)
-	if ok {
-		if math.Float64bits(sum) != math.Float64bits(full) {
-			t.Fatalf("n=%d limit=%g: completed with %v, EuclideanSq says %v", len(a), limit, sum, full)
-		}
-		return false
-	}
-	if !(sum > limit) || !(full > limit) {
-		t.Fatalf("n=%d limit=%g: gave up at %v with full sum %v", len(a), limit, sum, full)
-	}
-	return true
 }
 
 // envelopeCase derives a query a and a candidate b from a seed, chunk by
@@ -112,109 +88,76 @@ func envelopeCase(seed int64, n int) (a, b Series) {
 	return a, b
 }
 
-// TestEuclideanSqEnvelope: at the limits a search hands the kernel — 0, +Inf,
-// a fraction or multiple of the distance, the distance itself and the float
-// just below it — the kernel keeps EuclideanSqAbandon's contract. The limit
-// equal to the full sum is the property that the bound, slack included,
-// never exceeds the sequential sum: a candidate at exactly the limit must
-// complete. Lengths cover sub-chunk series, multiples of 64 and ragged last
-// chunks.
-func TestEuclideanSqEnvelope(t *testing.T) {
-	abandoned := 0
+// TestEnvelopeBoundIsTight: where the chunk bound is exact the row bound is
+// the distance up to the slack — within 1e-5 of it — so the slack is not so
+// wide that the filter keeps what it could prune. Two shapes make it exact:
+// an affine copy (each chunk's residual a multiple of the query's), and a
+// copy plus a quadratic on every chunk (the residuals equal), which only the
+// degree-2 coordinates carry. The first chunk alone differing is the edge of
+// the second, at every length from sub-chunk series to ragged chunks.
+func TestEnvelopeBoundIsTight(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{3, 17, 100, 256, 1000, 1024} {
+		a := make(Series, n)
+		for i := range a {
+			a[i] = rng.NormFloat64()
+		}
+		affine, quad, first := make(Series, n), make(Series, n), slices.Clone(a)
+		for i := range a {
+			affine[i] = 3*a[i] + 2
+		}
+		for j := range EnvelopeChunks {
+			x, y := chunk(a, j), chunk(quad, j)
+			c0, c1, c2 := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+			for i := range y {
+				u := float64(i) / float64(len(y))
+				y[i] = x[i] + c0 + c1*u + c2*u*u
+			}
+			if j == 0 {
+				copy(chunk(first, 0), y)
+			}
+		}
+		for name, b := range map[string]Series{"affine copy": affine, "quadratic offsets": quad, "first chunk offset": first} {
+			checkRowBound(t, a, b)
+			if lb, d := rowBound(a, b), math.Sqrt(EuclideanSq(a, b)); !(lb >= d*(1-1e-5)) {
+				t.Fatalf("n=%d %s: bound %v, distance %v", n, name, lb, d)
+			}
+		}
+	}
+}
+
+// TestRowBoundOnEdgeShapes: the row bound stays a bound on envelopeCase's
+// chunk shapes — cancelling ±1e16 spikes, offsets of ±1e6 and ±1e150 that the
+// means carry and the differences cancel, constant chunks, near-duplicates
+// and affine copies — at sub-chunk, ragged and full-chunk lengths.
+func TestRowBoundOnEdgeShapes(t *testing.T) {
 	for seed := int64(0); seed < 1500; seed++ {
 		n := []int{1, 17, 64, 100, 512, 1000, 1024}[seed%7]
 		a, b := envelopeCase(seed, n)
-		full := EuclideanSq(a, b)
-		for _, limit := range []float64{0, math.Inf(1), full, math.Nextafter(full, 0), full / 2, full * 0.999, full * 2} {
-			if checkEnvelope(t, a, b, limit) {
-				abandoned++
-			}
-		}
-		// The bound at its own distance: nothing is given up.
-		var qe Envelope
-		qe.Reset(a)
-		row := envelopeOf(b)
-		if _, ok := EuclideanSqEnvelope(a, b, &qe, row, full); !ok {
-			t.Fatalf("seed %d n=%d: gave up on a candidate at exactly the limit %v", seed, n, full)
-		}
-	}
-	if abandoned == 0 {
-		t.Fatal("no candidate was abandoned: the property was not checked on giving up")
+		checkRowBound(t, a, b)
+		checkRowBound(t, b, a)
 	}
 }
 
-// TestEnvelopeBoundIsTight: on affine copies the bound is the exact distance
-// up to the slack, so at a limit a hair below it the kernel gives up once it
-// has read the first chunk — the slack is not so wide that the kernel reads
-// what it could have skipped. Every value past the first chunk is NaN, which
-// a completed sum would carry.
-func TestEnvelopeBoundIsTight(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a, b := make(Series, 1024), make(Series, 1024)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-		b[i] = 3*a[i] + 2
-	}
-	var qe Envelope
-	qe.Reset(a)
-	row := envelopeOf(b)
-	full := EuclideanSq(a, b)
-	for i := envelopeChunkLen(len(b)); i < len(b); i++ {
-		b[i] = math.NaN()
-	}
-	if sum, ok := EuclideanSqEnvelope(a, b, &qe, row, full*(1-1e-5)); ok || !(sum > full*(1-1e-5)) {
-		t.Fatalf("limit 1e-5 below the distance of an affine copy: (%v, %v); want a give-up after the first chunk", sum, ok)
-	}
-}
-
-// TestEnvelopeOverflowDismissesNothing: a chunk whose float32 envelope
-// overflows makes the bound NaN, and the kernel falls back to plain
-// abandoning rather than trusting it: it completes at the full sum.
+// TestEnvelopeOverflowDismissesNothing: one chunk whose float32 envelope
+// overflows makes the row's bound 0, whatever the other chunks say, on the
+// stored side and on the query's: such a row is refined, never dismissed.
 func TestEnvelopeOverflowDismissesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
 	a, b := make(Series, 512), make(Series, 512)
 	for i := range a {
-		a[i], b[i] = 1e200, 1e200
+		a[i] = rng.NormFloat64()
+		b[i] = a[i] + 100
 	}
-	b[3] = -1e200
-	var qe Envelope
-	qe.Reset(a)
-	row := envelopeOf(b)
-	full := EuclideanSq(a, b)
-	if sum, ok := EuclideanSqEnvelope(a, b, &qe, row, full); !ok || sum != full {
-		t.Fatalf("overflowed envelope: (%v, %v), want (%v, true)", sum, ok, full)
+	x := chunk(b, 3)
+	for i := range x {
+		x[i] = 1e200 * float64(1-2*(i%2))
 	}
-	if _, ok := EuclideanSqEnvelope(a, b, &qe, row, 1); ok {
-		t.Fatalf("overflowed envelope at limit 1: ok %v; want a plain abandon", ok)
-	}
-	for name, call := range map[string]func(){
-		"a short row":                    func() { EuclideanSqEnvelope(a, b, &qe, row[:EnvelopeWidth-2], 1) },
-		"a query envelope of 512 points": func() { EuclideanSqEnvelope(a[:448], b[:448], &qe, row, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			call()
-		}()
-	}
-}
-
-func FuzzEuclideanSqEnvelope(f *testing.F) {
-	f.Add(int64(1), uint16(1024), 0.5)
-	f.Add(int64(2), uint16(1000), 1.0)
-	f.Add(int64(3), uint16(512), 0.0)
-	f.Add(int64(4), uint16(64), 2.0)
-	f.Add(int64(5), uint16(17), 1.0)
-	f.Add(int64(6), uint16(1024), 0.999999)
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, scale float64) {
-		if math.IsNaN(scale) {
-			t.Skip()
+	for _, c := range [][2]Series{{a, b}, {b, a}} {
+		if lb := rowBound(c[0], c[1]); lb != 0 || math.Signbit(lb) {
+			t.Fatalf("a row bound across an overflowed chunk: %v, want +0", lb)
 		}
-		a, b := envelopeCase(seed, 1+int(n%2048))
-		checkEnvelope(t, a, b, scale*EuclideanSq(a, b))
-	})
+	}
 }
 
 // wildCase derives a query a and a candidate b of n points whose chunks sit
@@ -278,7 +221,7 @@ func TestEnvelopeLowerBounds(t *testing.T) {
 }
 
 // FuzzEnvelopeLowerBound lets the fuzzer pick the length and the magnitudes
-// the row bound and the abandoning kernel are checked at.
+// the row bound is checked at.
 func FuzzEnvelopeLowerBound(f *testing.F) {
 	f.Add(int64(1), uint8(0), int16(0))
 	f.Add(int64(2), uint8(1), int16(300))
@@ -289,10 +232,6 @@ func FuzzEnvelopeLowerBound(f *testing.F) {
 		n := []int{1, 17, 100, 256, 1024}[size%5]
 		a, b := wildCase(seed, n, int(exp)%330)
 		checkRowBound(t, a, b)
-		full := EuclideanSq(a, b)
-		for _, limit := range []float64{full, full / 2} {
-			checkEnvelope(t, a, b, limit)
-		}
 	})
 }
 
@@ -421,4 +360,102 @@ func FuzzLowerBoundsKernel(f *testing.F) {
 		e, rows, slack := kernelCase(seed, int(count%601), int(offset%4), int(exp)%330)
 		checkKernel(t, e, rows, slack)
 	})
+}
+
+// TestRowLBZeroAndNaN pins the tail's max against +0: a bound that comes out
+// −0 (a −0 sum) or NaN (a NaN slack, on either side) is +0, in the Go tail
+// and in the kernel, whose MAXSD operand order decides it. Flat marks its
+// refined slots NaN, so the filter must never yield one.
+func TestRowLBZeroAndNaN(t *testing.T) {
+	var zero, e Envelope // zero's slack is 0: √−0·(1 − δ) − 0 − 0 is −0
+	if lb := zero.rowLB(float32(math.Copysign(0, -1)), 0); lb != 0 || math.Signbit(lb) {
+		t.Fatalf("a −0 sum: rowLB %v, want +0", lb)
+	}
+	e.Reset(Series{1, 2, 3, 4})
+	row := make([]float32, 2*EnvelopeWidth)
+	copy(row, e.v[:])
+	nan := float32(math.NaN())
+	for _, c := range []struct {
+		eps   float64
+		slack []float32
+	}{{e.eps, []float32{nan, nan}}, {math.NaN(), []float32{0, 1}}} {
+		q := e
+		q.eps = c.eps
+		got, want := []float64{-1, -1}, []float64{-2, -2}
+		q.LowerBounds(row, c.slack, got)
+		lowerBoundsGo(&q, row, c.slack, want)
+		for i := range got {
+			if math.Float64bits(got[i]) != 0 || math.Float64bits(want[i]) != 0 {
+				t.Fatalf("query slack %v, row slack %v: LowerBounds %v, reference %v; want +0", c.eps, c.slack[i], got[i], want[i])
+			}
+		}
+	}
+}
+
+// BenchmarkEnvelopeRow prices the row build a series pays at insert, bulk
+// load and recovery (EnvelopeRow), at the served lengths.
+func BenchmarkEnvelopeRow(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		x := make(Series, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		v := make([]float32, EnvelopeWidth)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			for range b.N {
+				EnvelopeRow(x, v)
+			}
+		})
+	}
+}
+
+// TestChunkLanesMatchReference: the row build's two kernels give their Go
+// loops' bits — on amd64 the SSE2 kernels against momentLanesGo and
+// residualLanesGo, elsewhere the loops themselves — for one to eight chunks
+// of every length from 1 to past a multiple of 4, at the magnitudes
+// wildCase draws (overflowing squares, subnormals) and with fits and steps
+// drawn at random, specials included.
+func TestChunkLanesMatchReference(t *testing.T) {
+	specials := []float64{math.Inf(1), math.NaN(), 0, math.Copysign(0, -1), 1e300, 5e-324}
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := []int{1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 125, 128}[seed%13]
+		count := 1 + rng.Intn(EnvelopeChunks)
+		x, _ := wildCase(seed, count*l, []int{0, 38, 150, 300, -40, -310}[seed%6])
+		d := -float64(l-1) / 2
+		got, want := make([]laneState, count), make([]laneState, count)
+		for i := range got {
+			got[i][0], want[i][0] = -1, -2
+		}
+		momentLanes(x, l, d, got)
+		momentLanesGo(x, l, d, want)
+		for j := range got {
+			for i := range got[j] {
+				if math.Float64bits(got[j][i]) != math.Float64bits(want[j][i]) {
+					t.Fatalf("seed %d l=%d chunk %d: moment lane value %d is %v, reference %v", seed, l, j, i, got[j][i], want[j][i])
+				}
+			}
+		}
+		for j := range got {
+			for i := range 10 {
+				v := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+				if rng.Intn(16) == 0 {
+					v = specials[rng.Intn(len(specials))]
+				}
+				got[j][i] = v
+			}
+			got[j][9] = got[j][8]
+			want[j] = got[j]
+		}
+		residualLanes(x, l, got)
+		residualLanesGo(x, l, want)
+		for j := range got {
+			for i := range got[j] {
+				if math.Float64bits(got[j][i]) != math.Float64bits(want[j][i]) {
+					t.Fatalf("seed %d l=%d chunk %d: residual lane value %d is %v, reference %v", seed, l, j, i, got[j][i], want[j][i])
+				}
+			}
+		}
+	}
 }

@@ -12,44 +12,28 @@ const GroupLanes = 4
 // waits on its latency. A lane's square equals EuclideanSq's (q[i] − b[i])²
 // bit for bit — a difference and its negation round alike — and it adds the
 // same terms in the same order, so a completed lane's sum is bit-identical to
-// EuclideanSq. A lane gives up exactly where EuclideanSqAbandon would, or, in
-// a group reset with the query's envelope, where EuclideanSqEnvelope would,
-// and with the same value: at each look its partial sum plus its suffix bound
-// from the first chunk not yet started is held against its guard, the limit
-// for the plain abandon (whose suffix is all zeros) and the limit times
-// envelopeGuard for the envelope one.
+// EuclideanSq. A lane gives up exactly where EuclideanSqAbandon would, and
+// with the same value: at each look its partial sum is held against the
+// limit.
 //
 // A lane that is empty or finished reads the query against itself: the
-// values are in cache, its sum stays 0 and its suffix all zeros, so it never
-// gives up. Lanes are added only before the first Refine, and a finished lane
-// is not refilled. The zero value is unusable; Reset prepares it, and nothing
-// allocates.
+// values are in cache and its sum stays 0, so it never gives up. Lanes are
+// added only before the first Refine, and a finished lane is not refilled.
+// The zero value is unusable; Reset prepares it, and nothing allocates.
 type RefineGroup struct {
 	q     Series
-	env   *Envelope // nil: the lanes abandon on the partial sum alone
-	added int       // lanes added since Reset
-	live  uint8     // lanes neither given up nor completed, lane j as bit j
-	whole uint8     // lanes whose result is a completed sum
-	i     int       // the lanes' shared position in q
-	c     int       // the first envelope chunk the lanes have not started
-	next  int       // where chunk c starts
+	added int   // lanes added since Reset
+	live  uint8 // lanes neither given up nor completed, lane j as bit j
+	whole uint8 // lanes whose result is a completed sum
+	i     int   // the lanes' shared position in q
 	b     [GroupLanes]Series
 	sum   [GroupLanes]float64 // running sums
 	res   [GroupLanes]float64 // a finished lane's result
-	scale [GroupLanes]float64 // a lane's guard is limit·scale
-	suf   [GroupLanes][EnvelopeChunks + 1]float64
 }
 
-// Reset empties g for refinements against q. With env, which must have been
-// built for q, the lanes abandon on the envelope's suffix bound
-// (EuclideanSqEnvelope); with nil, on the partial sum alone
-// (EuclideanSqAbandon).
-func (g *RefineGroup) Reset(q Series, env *Envelope) {
-	if env != nil && env.n != len(q) {
-		panic(ErrLengthMismatch)
-	}
-	g.q, g.env, g.added, g.live, g.whole = q, env, 0, 0, 0
-	g.i, g.c, g.next = 0, 0, 0
+// Reset empties g for refinements against q.
+func (g *RefineGroup) Reset(q Series) {
+	g.q, g.added, g.live, g.whole, g.i = q, 0, 0, 0, 0
 	for j := range GroupLanes {
 		g.retire(j)
 	}
@@ -57,14 +41,13 @@ func (g *RefineGroup) Reset(q Series, env *Envelope) {
 
 // retire turns lane j into one that reads the query against itself.
 func (g *RefineGroup) retire(j int) {
-	g.b[j], g.sum[j], g.scale[j], g.suf[j] = g.q, 0, 1, [EnvelopeChunks + 1]float64{}
+	g.b[j], g.sum[j] = g.q, 0
 }
 
-// Add puts candidate b, whose EnvelopeRow vector is row (read only in a group
-// reset with an envelope), in the next free lane and returns that lane. It
-// panics if b's length differs from the query's, the row is not
-// EnvelopeWidth long, the group is full or its refinement has started.
-func (g *RefineGroup) Add(b Series, row []float32) (lane int) {
+// Add puts candidate b in the next free lane and returns that lane. It
+// panics if b's length differs from the query's, the group is full or its
+// refinement has started.
+func (g *RefineGroup) Add(b Series) (lane int) {
 	if len(b) != len(g.q) || g.added == GroupLanes || g.i != 0 {
 		panic(ErrLengthMismatch)
 	}
@@ -72,19 +55,6 @@ func (g *RefineGroup) Add(b Series, row []float32) (lane int) {
 	g.added++
 	g.live |= 1 << lane
 	g.b[lane] = b
-	if g.env != nil {
-		if len(row) != EnvelopeWidth {
-			panic(ErrLengthMismatch)
-		}
-		// A NaN bound (an overflowed chunk) proves nothing: the lane keeps
-		// the zero suffix and plain guard, as EuclideanSqEnvelope falls
-		// back to EuclideanSqAbandon.
-		if g.env.suffix(row, &g.suf[lane]) {
-			g.scale[lane] = envelopeGuard(len(g.q))
-		} else {
-			g.suf[lane] = [EnvelopeChunks + 1]float64{}
-		}
-	}
 	return lane
 }
 
@@ -115,11 +85,9 @@ func (g *RefineGroup) Refine(limit float64) (done uint8) {
 	}
 	q := g.q
 	n := len(q)
-	l := envelopeChunkLen(n)
 	b0, b1, b2, b3 := g.b[0][:n], g.b[1][:n], g.b[2][:n], g.b[3][:n]
 	s0, s1, s2, s3 := g.sum[0], g.sum[1], g.sum[2], g.sum[3]
-	g0, g1, g2, g3 := limit*g.scale[0], limit*g.scale[1], limit*g.scale[2], limit*g.scale[3]
-	i, c, next := g.i, g.c, g.next
+	i := g.i
 	for i <= n-abandonStride {
 		// Two terms a trip. The difference is taken as b[k] − q[k], so it
 		// overwrites the value it loads instead of a copy of q[k].
@@ -138,15 +106,12 @@ func (g *RefineGroup) Refine(limit float64) (done uint8) {
 			s3 += d3 * d3
 		}
 		i += abandonStride
-		for next < i {
-			c, next = c+1, next+l
-		}
-		if lb0, lb1, lb2, lb3 := s0+g.suf[0][c], s1+g.suf[1][c], s2+g.suf[2][c], s3+g.suf[3][c]; lb0 > g0 || lb1 > g1 || lb2 > g2 || lb3 > g3 {
-			g.i, g.c, g.next, g.sum = i, c, next, [GroupLanes]float64{s0, s1, s2, s3}
-			for j, lb := range [GroupLanes]float64{lb0, lb1, lb2, lb3} {
-				if g.live&(1<<j) != 0 && lb > limit*g.scale[j] {
+		if s0 > limit || s1 > limit || s2 > limit || s3 > limit {
+			g.i, g.sum = i, [GroupLanes]float64{s0, s1, s2, s3}
+			for j, s := range g.sum {
+				if g.live&(1<<j) != 0 && s > limit {
 					done |= 1 << j
-					g.res[j] = lb
+					g.res[j] = s
 					g.retire(j)
 				}
 			}
@@ -165,14 +130,13 @@ func (g *RefineGroup) Refine(limit float64) (done uint8) {
 }
 
 // refineLast is Refine for lane j, the only live one: the same terms, looks
-// and guard, without three lanes of the query read against itself.
+// and limit, without three lanes of the query read against itself.
 func (g *RefineGroup) refineLast(j int, limit float64) (done uint8) {
 	q := g.q
 	n := len(q)
 	b := g.b[j][:n]
-	l := envelopeChunkLen(n)
-	s, guard, suf := g.sum[j], limit*g.scale[j], &g.suf[j]
-	i, c, next := g.i, g.c, g.next
+	s := g.sum[j]
+	i := g.i
 	done, g.live = 1<<j, 0
 	for i <= n-abandonStride {
 		for k := i; k < i+abandonStride; k++ {
@@ -180,11 +144,8 @@ func (g *RefineGroup) refineLast(j int, limit float64) (done uint8) {
 			s += d * d
 		}
 		i += abandonStride
-		for next < i {
-			c, next = c+1, next+l
-		}
-		if lb := s + suf[c]; lb > guard {
-			g.i, g.res[j] = i, lb
+		if s > limit {
+			g.i, g.res[j] = i, s
 			g.retire(j)
 			return done
 		}

@@ -12,8 +12,8 @@ import (
 // lane 0 the partner envelopeCase builds for the query (affine copies,
 // constant and cancelling chunks, far offsets), lanes 1–3 the query plus
 // noise at scales 10⁻³, 10⁻¹ and 10, so that under one limit they give up at
-// different strides. With overflow, lane 2's last chunk sits at ±1e200, and
-// its float32 envelope overflows: its suffix bound is NaN.
+// different strides. With overflow, lane 2's last chunk sits at ±1e200,
+// where the squares overflow to +Inf.
 func groupCase(seed int64, n int, overflow bool) (q Series, cs [GroupLanes]Series) {
 	q, cs[0] = envelopeCase(seed, n)
 	rng := rand.New(rand.NewSource(seed))
@@ -33,31 +33,16 @@ func groupCase(seed int64, n int, overflow bool) (q Series, cs [GroupLanes]Serie
 	return q, cs
 }
 
-// oracle is one candidate's refinement on its own: EuclideanSqEnvelope
-// against the candidate's EnvelopeRow when the query's envelope qe is given,
-// EuclideanSqAbandon otherwise.
-func oracle(q, b Series, qe *Envelope, limit float64) (float64, bool) {
-	if qe == nil {
-		return EuclideanSqAbandon(q, b, limit)
-	}
-	return EuclideanSqEnvelope(q, b, qe, envelopeOf(b), limit)
-}
-
-// runGroup refines cs in one RefineGroup — against the query's envelope when
-// qe is given — calling Refine until no lane is live with the limit
-// limits(call) gives, and returns every lane's result and the limit of the
-// call that finished it. It fails the test if a call makes no progress or
-// reports a lane that was not live.
-func runGroup(t *testing.T, q Series, cs []Series, qe *Envelope, limits func(call int) float64) (sums []float64, ok []bool, at []float64) {
+// runGroup refines cs in one RefineGroup, calling Refine until no lane is
+// live with the limit limits(call) gives, and returns every lane's result
+// and the limit of the call that finished it. It fails the test if a call
+// makes no progress or reports a lane that was not live.
+func runGroup(t *testing.T, q Series, cs []Series, limits func(call int) float64) (sums []float64, ok []bool, at []float64) {
 	t.Helper()
 	var g RefineGroup
-	g.Reset(q, qe)
-	var rows [GroupLanes][]float32
+	g.Reset(q)
 	for j, b := range cs {
-		if qe != nil {
-			rows[j] = envelopeOf(b)
-		}
-		if lane := g.Add(b, rows[j]); lane != j {
+		if lane := g.Add(b); lane != j {
 			t.Fatalf("candidate %d went to lane %d", j, lane)
 		}
 	}
@@ -81,15 +66,15 @@ func runGroup(t *testing.T, q Series, cs []Series, qe *Envelope, limits func(cal
 }
 
 // checkGroup refines cs in one group under a fixed limit and holds every
-// lane to its one-candidate oracle bit for bit: a completed lane's sum is
-// EuclideanSq's, and a lane gives up only where the oracle does — where the
-// full sum exceeds the limit, and for an envelope lane where
-// EuclideanSqEnvelope's bound proves it. It returns how many lanes gave up.
-func checkGroup(t *testing.T, label string, q Series, cs []Series, qe *Envelope, limit float64) (abandoned int) {
+// lane to its one-candidate oracle, EuclideanSqAbandon, bit for bit: a
+// completed lane's sum is EuclideanSq's, and a lane gives up only where the
+// oracle does, where the full sum exceeds the limit. It returns how many
+// lanes gave up.
+func checkGroup(t *testing.T, label string, q Series, cs []Series, limit float64) (abandoned int) {
 	t.Helper()
-	sums, ok, _ := runGroup(t, q, cs, qe, func(int) float64 { return limit })
+	sums, ok, _ := runGroup(t, q, cs, func(int) float64 { return limit })
 	for j, b := range cs {
-		wantSum, wantOK := oracle(q, b, qe, limit)
+		wantSum, wantOK := EuclideanSqAbandon(q, b, limit)
 		if ok[j] != wantOK || math.Float64bits(sums[j]) != math.Float64bits(wantSum) {
 			t.Fatalf("%s lane %d limit %g: (%v, %v), alone (%v, %v)", label, j, limit, sums[j], ok[j], wantSum, wantOK)
 		}
@@ -112,54 +97,44 @@ func checkGroup(t *testing.T, label string, q Series, cs []Series, qe *Envelope,
 // group — one to four lanes, the rest empty — gives its one-candidate
 // oracle's result bit for bit under the limits a search hands it: 0, +Inf,
 // each lane's exact sum (which must complete), the float below it, and
-// fractions that end the lanes at different strides; with the plain and the
-// envelope abandon, and with a lane whose envelope overflowed. A limit that
-// tightens between calls binds the lanes still running.
+// fractions that end the lanes at different strides; also with a lane whose
+// squares overflow. A limit that tightens between calls binds the lanes
+// still running.
 func TestRefineGroupBits(t *testing.T) {
 	abandoned, spread := 0, 0
 	for _, n := range []int{1, 15, 16, 17, 255, 256, 1000, 1024} {
 		for seed := int64(0); seed < 12; seed++ {
 			overflow := seed%3 == 2
 			q, cs := groupCase(seed*31+int64(n), n, overflow)
-			var qe Envelope
-			qe.Reset(q)
 			lanes := 1 + int(seed%GroupLanes)
-			for _, env := range []*Envelope{nil, &qe} {
-				label := fmt.Sprintf("n=%d seed=%d lanes=%d envelope=%v overflow=%v", n, seed, lanes, env != nil, overflow)
-				limits := []float64{0, math.Inf(1)}
-				for _, b := range cs[:lanes] {
-					full := EuclideanSq(q, b)
-					limits = append(limits, full, math.Nextafter(full, 0), full/2, full*0.9)
-				}
-				for _, limit := range limits {
-					abandoned += checkGroup(t, label, q, cs[:lanes], env, limit)
-				}
-				// Tighten the limit on every call: a lane gives up only
-				// above the limit of the call that ends it.
-				full := EuclideanSq(q, cs[0])
-				sums, ok, at := runGroup(t, q, cs[:lanes], env, func(call int) float64 { return full * math.Pow(0.8, float64(call)) })
-				for j, b := range cs[:lanes] {
-					if ok[j] && math.Float64bits(sums[j]) != math.Float64bits(EuclideanSq(q, b)) {
-						t.Fatalf("%s tightening lane %d: completed with %v, EuclideanSq says %v", label, j, sums[j], EuclideanSq(q, b))
-					}
-					if !ok[j] && !(sums[j] > at[j] && EuclideanSq(q, b) > at[j]) {
-						t.Fatalf("%s tightening lane %d: gave up at %v under limit %v", label, j, sums[j], at[j])
-					}
-				}
+			label := fmt.Sprintf("n=%d seed=%d lanes=%d overflow=%v", n, seed, lanes, overflow)
+			limits := []float64{0, math.Inf(1)}
+			for _, b := range cs[:lanes] {
+				full := EuclideanSq(q, b)
+				limits = append(limits, full, math.Nextafter(full, 0), full/2, full*0.9)
 			}
-			if overflow {
-				var suf [EnvelopeChunks + 1]float64
-				if qe.suffix(envelopeOf(cs[2]), &suf) {
-					t.Fatalf("n=%d seed=%d: the overflowed lane's suffix bound is a number", n, seed)
+			for _, limit := range limits {
+				abandoned += checkGroup(t, label, q, cs[:lanes], limit)
+			}
+			// Tighten the limit on every call: a lane gives up only
+			// above the limit of the call that ends it.
+			full := EuclideanSq(q, cs[0])
+			sums, ok, at := runGroup(t, q, cs[:lanes], func(call int) float64 { return full * math.Pow(0.8, float64(call)) })
+			for j, b := range cs[:lanes] {
+				if ok[j] && math.Float64bits(sums[j]) != math.Float64bits(EuclideanSq(q, b)) {
+					t.Fatalf("%s tightening lane %d: completed with %v, EuclideanSq says %v", label, j, sums[j], EuclideanSq(q, b))
+				}
+				if !ok[j] && !(sums[j] > at[j] && EuclideanSq(q, b) > at[j]) {
+					t.Fatalf("%s tightening lane %d: gave up at %v under limit %v", label, j, sums[j], at[j])
 				}
 			}
 			// Under a tenth of the closest lane's sum, the lanes give up
 			// one look after another.
 			limit := EuclideanSq(q, cs[1]) / 10
 			var g RefineGroup
-			g.Reset(q, nil)
+			g.Reset(q)
 			for _, b := range cs[:lanes] {
-				g.Add(b, nil)
+				g.Add(b)
 			}
 			looks := map[int]bool{}
 			for g.Live() != 0 {
@@ -179,24 +154,20 @@ func TestRefineGroupBits(t *testing.T) {
 		t.Fatal("no group had lanes give up at different strides")
 	}
 	var g RefineGroup
-	g.Reset(Series{1, 2}, nil)
+	g.Reset(Series{1, 2})
 	if g.Live() != 0 || g.Refine(1) != 0 {
 		t.Fatal("an empty group reported live lanes")
 	}
 	q := make(Series, 64)
-	var qe Envelope
-	qe.Reset(q)
 	for name, call := range map[string]func(){
-		"a candidate of another length": func() { g.Reset(q, nil); g.Add(q[:63], nil) },
+		"a candidate of another length": func() { g.Reset(q); g.Add(q[:63]) },
 		"a fifth lane": func() {
-			g.Reset(q, nil)
+			g.Reset(q)
 			for range GroupLanes + 1 {
-				g.Add(q, nil)
+				g.Add(q)
 			}
 		},
-		"a lane added after the first Refine": func() { g.Reset(q, nil); g.Add(q, nil); g.Add(q, nil); g.Refine(0); g.Add(q, nil) },
-		"a short row":                         func() { g.Reset(q, &qe); g.Add(q, make([]float32, EnvelopeWidth-1)) },
-		"an envelope of another length":       func() { g.Reset(q[:32], &qe) },
+		"a lane added after the first Refine": func() { g.Reset(q); g.Add(q); g.Add(q); g.Refine(0); g.Add(q) },
 	} {
 		func() {
 			defer func() {
@@ -210,25 +181,20 @@ func TestRefineGroupBits(t *testing.T) {
 }
 
 func FuzzRefineGroup(f *testing.F) {
-	f.Add(int64(1), uint16(256), uint8(4), 0.5, false)
-	f.Add(int64(2), uint16(1024), uint8(4), 0.999999, true)
-	f.Add(int64(3), uint16(17), uint8(2), 1.0, true)
-	f.Add(int64(4), uint16(1000), uint8(3), 0.0, false)
-	f.Add(int64(5), uint16(15), uint8(1), 2.0, true)
-	f.Add(int64(6), uint16(512), uint8(4), 0.01, true)
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, lanes uint8, scale float64, envelope bool) {
+	f.Add(int64(1), uint16(256), uint8(4), 0.5)
+	f.Add(int64(2), uint16(1024), uint8(4), 0.999999)
+	f.Add(int64(3), uint16(17), uint8(2), 1.0)
+	f.Add(int64(4), uint16(1000), uint8(3), 0.0)
+	f.Add(int64(5), uint16(15), uint8(1), 2.0)
+	f.Add(int64(6), uint16(512), uint8(4), 0.01)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, lanes uint8, scale float64) {
 		if math.IsNaN(scale) {
 			t.Skip()
 		}
 		q, cs := groupCase(seed, 1+int(n%2048), seed%4 == 0)
-		var qe *Envelope
-		if envelope {
-			qe = new(Envelope)
-			qe.Reset(q)
-		}
 		k := 1 + int(lanes)%GroupLanes
-		label := fmt.Sprintf("seed=%d n=%d lanes=%d envelope=%v", seed, len(q), k, envelope)
-		checkGroup(t, label, q, cs[:k], qe, scale*EuclideanSq(q, cs[k-1]))
+		label := fmt.Sprintf("seed=%d n=%d lanes=%d", seed, len(q), k)
+		checkGroup(t, label, q, cs[:k], scale*EuclideanSq(q, cs[k-1]))
 	})
 }
 
@@ -262,9 +228,9 @@ func BenchmarkRefineGroup(b *testing.B) {
 		b.Run(fmt.Sprintf("%d/group", n), func(b *testing.B) {
 			var g RefineGroup
 			for range b.N {
-				g.Reset(q, nil)
+				g.Reset(q)
 				for _, c := range cs {
-					g.Add(c, nil)
+					g.Add(c)
 				}
 				for g.Live() != 0 {
 					g.Refine(math.Inf(1))
