@@ -108,6 +108,3 @@ func (a *nodeArena[C]) reserve(extra int) {
 // len returns the number of node ids ever allocated and not reset (live +
 // free-listed).
 func (a *nodeArena[C]) len() int { return len(a.isLeaf) }
-
-// live returns the number of in-use nodes.
-func (a *nodeArena[C]) live() int { return len(a.isLeaf) - len(a.free) }

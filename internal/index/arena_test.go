@@ -20,6 +20,19 @@ func liveEnts(ents []*Entry) int {
 	return n
 }
 
+// live returns the number of in-use nodes.
+func (a *nodeArena[C]) live() int { return len(a.isLeaf) - len(a.free) }
+
+// contains reports whether v lies inside r.
+func (r Rect) contains(v []float64) bool {
+	for d := range v {
+		if v[d] < r.Lo[d] || v[d] > r.Hi[d] {
+			return false
+		}
+	}
+	return true
+}
+
 // checkArenaAccounting asserts the free-list invariants: every arena slot is
 // either live or on the free list, and the entry arena agrees with Len().
 func checkArenaAccounting[C any](t *testing.T, tree *tree[C]) {

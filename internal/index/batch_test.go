@@ -122,6 +122,7 @@ func TestKNNWithAllocs(t *testing.T) {
 		{"Flat/n1024", 1024, func() (Index, error) { return flat(0) }, knnWith, 0},
 		{"Sharded4/n1024", 1024, func() (Index, error) { return NewSharded(4, flat) }, knnWith, 0},
 		{"DBCH", 128, func() (Index, error) { return NewDBCH("SAPLA", 2, 5) }, knnWith, 0},
+		{"Sharded4DBCH", 128, func() (Index, error) { return NewSharded(4, safeDBCH) }, knnWith, 0},
 		{"RTree", 128, func() (Index, error) { return NewRTree("SAPLA", 128, m, 2, 5) }, knnWith, 0},
 		{"LinearScan", 128, func() (Index, error) { return NewLinearScan(), nil }, knnWith, 0},
 	}
@@ -155,11 +156,23 @@ func TestKNNWithAllocs(t *testing.T) {
 	}
 }
 
+// safeDBCH builds a shard of the index bench/loadgen's per-layer trace
+// searches: a DBCH-tree with SafeBound.
+func safeDBCH(int) (Index, error) {
+	tree, err := NewDBCH("SAPLA", 2, 5)
+	if err != nil {
+		return nil, err
+	}
+	tree.SafeBound = true
+	return tree, nil
+}
+
 // TestRangeAllocs: a range query is a k-NN search on a pooled workspace, so
 // once the pool holds a warm one its only allocation is the caller's copy of
 // the answer — on the bare flat tier and behind four shards alike. The
 // DBCH-tree's depth-first range borrows the same pool for its stack, query
-// coefficients and answers, and allocates only that copy too.
+// coefficients and answers, and allocates only that copy too; behind four
+// shards, each holding such a tree, the range is the k-NN search again.
 func TestRangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are the detector's")
@@ -169,10 +182,14 @@ func TestRangeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shardedDBCH, err := NewSharded(4, safeDBCH)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, row := range []struct {
 		name string
 		idx  Index
-	}{{"Flat", NewFlat()}, {"Sharded4", newShardedFlat(t, 4)}, {"DBCH", dbch}} {
+	}{{"Flat", NewFlat()}, {"Sharded4", newShardedFlat(t, 4)}, {"DBCH", dbch}, {"Sharded4DBCH", shardedDBCH}} {
 		t.Run(row.name, func(t *testing.T) {
 			for _, e := range benchEntries(t, 2*flatRows+30, n, m) {
 				if err := row.idx.Insert(e); err != nil {
@@ -403,8 +420,8 @@ func TestBatchKNNContextCanceled(t *testing.T) {
 
 // stackProbe is an Index that records, per KNN call, whether the calling
 // goroutine's stack passes through the named function, and cancels a context
-// after a set number of calls. KNNWith and Range go to the scan unrecorded:
-// BatchKNN calls KNN.
+// after a set number of calls. KNNWith, collect and Range go to the scan
+// unrecorded: BatchKNN calls KNN.
 type stackProbe struct {
 	scan     Index
 	through  string
@@ -430,6 +447,9 @@ func (p *stackProbe) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 }
 func (p *stackProbe) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
 	return p.scan.KNNWith(ws, q, k)
+}
+func (p *stackProbe) collect(ws *Workspace, q dist.Query, k int) (SearchStats, error) {
+	return p.scan.collect(ws, q, k)
 }
 func (p *stackProbe) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {
 	return p.scan.Range(q, radius)

@@ -442,9 +442,9 @@ func servedSharded4(b *testing.B, n int) *servedLong {
 
 // BenchmarkServedKNN is the search-kernel delta without the HTTP harness:
 // filter/op and refine/op are the two counts a k-NN change moves. The
-// sharded4 rows run
-// through ShardedIndex.KNNWith, so their refine/op is what the bound handed
-// from shard to shard saves over four independent searches.
+// sharded4 rows run through ShardedIndex.KNNWith, so their refine/op is what
+// pruning every shard from the one answer set's worst saves over four
+// independent searches.
 func BenchmarkServedKNN(b *testing.B) {
 	idxs, queries := servedPair(b)
 	run := func(name string, idx Index, queries []dist.Query) {

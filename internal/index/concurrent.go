@@ -152,11 +152,17 @@ func (c *ConcurrentIndex) KNN(q dist.Query, k int) ([]Result, SearchStats, error
 	return pooledKNN(c, q, k, math.Inf(1))
 }
 
-// KNNWith implements Index. The results correspond to one
+// KNNWith implements Index (search). The results correspond to one
 // consistent state of the index: the one the shared lock holds still.
 func (c *ConcurrentIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
-	res, stats, _, err := c.KNNSnapshot(ws, q, k)
-	return res, stats, err
+	return search(c, ws, q, k, math.Inf(1))
+}
+
+// collect implements Index under the shared lock.
+func (c *ConcurrentIndex) collect(ws *Workspace, q dist.Query, k int) (SearchStats, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.inner.collect(ws, q, k)
 }
 
 // KNNSnapshot is KNNWith plus the epoch the answers correspond to — the
@@ -167,7 +173,7 @@ func (c *ConcurrentIndex) KNNSnapshot(ws *Workspace, q dist.Query, k int) ([]Res
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	epoch := c.epoch.Load()
-	res, stats, err := c.inner.KNNWith(ws, q, k)
+	res, stats, err := search(c.inner, ws, q, k, math.Inf(1))
 	return res, stats, epoch, err
 }
 

@@ -46,7 +46,8 @@ func (e *Entry) Vec() []float64 { return e.vec }
 
 // Index is a searchable collection of entries. Every index in this package
 // implements it: the flat tier, both trees, the linear scan and the
-// concurrent and sharded wrappers.
+// concurrent and sharded wrappers. Its unexported collect method keeps every
+// implementation inside this package.
 type Index interface {
 	// Insert adds an entry.
 	Insert(e *Entry) error
@@ -57,6 +58,10 @@ type Index interface {
 	// aliases the workspace and stays valid only until the workspace's next
 	// search.
 	KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error)
+	// collect offers ws's answer set (Workspace.offerBest) every stored entry
+	// that can still enter the k best, pruning from ws.kth(k); search wraps
+	// it into KNNWith. k is positive.
+	collect(ws *Workspace, q dist.Query, k int) (SearchStats, error)
 	// Range is the GEMINI framework's other query type: every stored series
 	// within Euclidean distance radius of the query.
 	Range(q dist.Query, radius float64) ([]Result, SearchStats, error)
@@ -97,14 +102,6 @@ type TreeStats struct {
 
 // TotalNodes returns internal + leaf node count.
 func (s TreeStats) TotalNodes() int { return s.InternalNodes + s.LeafNodes }
-
-// AvgLeafFill returns the mean number of entries per leaf.
-func (s TreeStats) AvgLeafFill() float64 {
-	if s.LeafNodes == 0 {
-		return 0
-	}
-	return float64(s.Entries) / float64(s.LeafNodes)
-}
 
 // errDim reports an entry whose vector dimensionality does not match the
 // index.

@@ -199,18 +199,17 @@ func abandonLimit(bound float64) float64 { return bound * bound * (1 + 1e-12) }
 
 // refineSlots refines, four at a time (ts.RefineGroup), the slots of seeds —
 // or, when seeds is nil, every slot in slot order — whose filter distance is
-// at most the running k-th best distance kth (a NaN one, a refined seed's
-// mark, never is), and returns kth updated; it is never looser than the one
-// given, so a search handed a bound (Workspace.bound) keeps pruning against
-// it while its own heap fills. A group takes the next four such slots under
-// kth as it stands when the group forms, counts them in stats, and runs
-// until every lane has finished, under the limit kth gives before each
-// kernel call; a finished lane is not refilled, so which candidates are
-// refined never depends on where a lane gave up. A completed lane's sum is
-// the sequential sum ts.EuclideanSq computes, and offerBest's (distance, ID)
-// order decides ties as a scan does, so answers stay bit-identical to every
-// other index's.
-func (f *Flat) refineSlots(ws *Workspace, q dist.Query, k int, seeds []int32, kth float64, stats *SearchStats) float64 {
+// at most the running bound kth, ws.kth(k) (a NaN one, a refined seed's mark,
+// never is), which every offer can only tighten. A group takes the next four
+// such slots under kth as it stands when the group forms, counts them in
+// stats, and runs until every lane has finished, under the limit kth gives
+// before each kernel call; a finished lane is not refilled, so which
+// candidates are refined never depends on where a lane gave up. A completed
+// lane's sum is the sequential sum ts.EuclideanSq computes, and offerBest's
+// (distance, ID) order decides ties as a scan does, so answers stay
+// bit-identical to every other index's.
+func (f *Flat) refineSlots(ws *Workspace, q dist.Query, k int, seeds []int32, stats *SearchStats) {
+	kth := ws.kth(k)
 	filt := ws.filt[:len(f.ents)]
 	end := len(filt)
 	if seeds != nil {
@@ -237,12 +236,11 @@ func (f *Flat) refineSlots(ws *Workspace, q dist.Query, k int, seeds []int32, kt
 			for done := g.Refine(abandonLimit(kth)); done != 0; done &= done - 1 {
 				j := bits.TrailingZeros8(done)
 				if sum, ok := g.Result(j); ok {
-					kth = min(kth, ws.offerBest(k, math.Sqrt(sum), f.ents[lane[j]]))
+					kth = ws.offerBest(k, math.Sqrt(sum), f.ents[lane[j]])
 				}
 			}
 		}
 	}
-	return kth
 }
 
 // KNN implements Index.
@@ -250,29 +248,34 @@ func (f *Flat) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 	return pooledKNN(f, q, k, math.Inf(1))
 }
 
-// KNNWith implements Index in two passes over a workspace-owned
+// KNNWith implements Index (search).
+func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
+	return search(f, ws, q, k, math.Inf(1))
+}
+
+// collect implements Index in two passes over a workspace-owned
 // buffer of filter distances. Pass 1 filters every live entry and keeps the k
 // smallest filter distances; those entries are measured first, which seeds
 // the k-th best distance close to its final value. Pass 2 walks the buffer
 // and measures only entries whose filter distance does not exceed the running
 // bound, abandoning each exact distance as soon as it cannot beat it. Both
 // measure four entries at a time (refineSlots). The
-// bound starts at ws.bound: +Inf, inside a scatter-gather search the k-th
-// best distance the shards before this one earned, or a range query's radius,
-// which the seeds must beat too. With k >= n there are no seeds: the best heap
-// cannot fill, and pass 2 measures in slot order every entry the handed bound
-// lets through. Pruning is strict and the filter never exceeds a computed
-// distance, so an entry tying that distance is still measured and the
-// canonical merge decides the tie by ID: the answer is the linear scan's.
-func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
+// bound starts at ws.kth(k): +Inf, a range query's radius, which the seeds
+// must beat too, or, inside a scatter-gather search, the worst of the set the
+// shards before this one filled. With k >= n there are no seeds: this tier
+// cannot fill the set alone, and pass 2 measures in slot order every entry
+// the bound lets through. Pruning is strict and the filter never exceeds a
+// computed distance, so an entry tying that distance is still measured and
+// offerBest decides the tie by ID: the answer is the linear scan's.
+func (f *Flat) collect(ws *Workspace, q dist.Query, k int) (SearchStats, error) {
 	var stats SearchStats
 	n := len(f.ents)
-	if n == 0 || k <= 0 {
-		return nil, stats, nil
+	if n == 0 {
+		return stats, nil
 	}
 	env, err := f.queryEnvelope(ws, q)
 	if err != nil {
-		return nil, stats, err
+		return stats, err
 	}
 	if cap(ws.filt) < n {
 		ws.filt = make([]float64, n+n/4)
@@ -280,7 +283,6 @@ func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 	filt := ws.filt[:n]
 	seeds := ws.seeds
 	seeds.Reset()
-	ws.best.Reset()
 	// worst is the seed heap's largest filter distance once it holds k, +Inf
 	// before: every filter distance is finite, so a slot enters the heap
 	// exactly when the heap would have taken it.
@@ -289,7 +291,7 @@ func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 		out := filt[lo:min(lo+flatRows, n)]
 		f.filterSlots(env, lo, out)
 		if k >= n {
-			continue // the best heap cannot fill, so no seed could tighten the bound
+			continue // this tier cannot fill the set, so no seed could tighten the bound
 		}
 		for i, fd := range out {
 			if fd < worst {
@@ -306,9 +308,7 @@ func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 	stats.Filtered = n
 
 	// The seeds go through the same groups first, in the order the heap
-	// gives them up; until the last of them completes the best heap holds
-	// fewer than k, so the bound they are refined under is the one handed in.
-	kth := ws.bound
+	// gives them up, under the set's moving worst.
 	if seeds.Len() > 0 {
 		order := ws.order[:0]
 		for seeds.Len() > 0 {
@@ -316,13 +316,13 @@ func (f *Flat) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 			order = append(order, s)
 		}
 		ws.order = order
-		kth = f.refineSlots(ws, q, k, order, kth, &stats)
+		f.refineSlots(ws, q, k, order, &stats)
 		for _, s := range order {
 			filt[s] = math.NaN() // refined: pass 2's one compare skips it
 		}
 	}
-	kth = f.refineSlots(ws, q, k, nil, kth, &stats)
-	return ws.drainResults(), stats, nil
+	f.refineSlots(ws, q, k, nil, &stats)
+	return stats, nil
 }
 
 // Range implements Index: the k-NN search under the fixed bound radius

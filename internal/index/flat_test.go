@@ -981,12 +981,14 @@ func TestFlatOverflowingEnvelope(t *testing.T) {
 	}
 }
 
-// FuzzFlatRange holds the flat tier's range query, bare and behind four
-// shards, to LinearScan.Range — IDs, order and distance bits — on fuzzed
-// values and radius bits. The first flatRangePoints bytes are the query, each
-// further run of them a stored series; a byte is a value in quarter steps, so
-// exact distance ties are common. The seeds carry the NaN, ±0, +Inf and tie
-// radii.
+// FuzzFlatRange holds the flat tier's range query and k-NN, bare and behind
+// four shards, to LinearScan.Range and LinearScan.KNN — IDs, order and
+// distance bits — on fuzzed values, radius bits and k. The first
+// flatRangePoints bytes are the query, each further run of them a stored
+// series; a byte is a value in quarter steps, so exact distance ties are
+// common. The seeds carry the NaN, ±0, +Inf and tie radii, and k = 1, 2, n
+// and n + 5 over the tie entries: at k = 2 the second answer is decided
+// between two equal distances by ID alone.
 func FuzzFlatRange(f *testing.F) {
 	// The query is all zeros; entries 1 and 2 lie at distance 1 (a tie), entry
 	// 3 at 2 and entry 4 on the query.
@@ -994,11 +996,11 @@ func FuzzFlatRange(f *testing.F) {
 	ties[1*flatRangePoints] = 4
 	ties[2*flatRangePoints+3] = 0xfc // −4
 	ties[3*flatRangePoints+7] = 8
-	for _, r := range []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), 1, 2, -1} {
-		f.Add(ties, math.Float64bits(r))
+	for i, r := range []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), 1, 2, -1} {
+		f.Add(ties, math.Float64bits(r), []int{1, 2, 4, 9}[i%4])
 	}
-	f.Add([]byte("the query, then a stored series and another one"), math.Float64bits(30))
-	f.Fuzz(func(t *testing.T, data []byte, radiusBits uint64) {
+	f.Add([]byte("the query, then a stored series and another one"), math.Float64bits(30), 3)
+	f.Fuzz(func(t *testing.T, data []byte, radiusBits uint64, k int) {
 		series := func(b []byte) ts.Series {
 			s := make(ts.Series, flatRangePoints)
 			for i, v := range b {
@@ -1025,12 +1027,17 @@ func FuzzFlatRange(f *testing.F) {
 		}
 		radius := math.Float64frombits(radiusBits)
 		want, _, _ := scan.Range(q, radius)
+		wantKNN, _, _ := scan.KNN(q, k)
 		for _, tier := range tiers {
 			got, _, err := tier.idx.Range(q, radius)
 			if err != nil {
 				t.Fatalf("%s: %v", tier.name, err)
 			}
 			identicalResults(t, fmt.Sprintf("%s radius %v", tier.name, radius), got, want)
+			if got, _, err = tier.idx.KNN(q, k); err != nil {
+				t.Fatalf("%s: %v", tier.name, err)
+			}
+			identicalResults(t, fmt.Sprintf("%s k %d", tier.name, k), got, wantKNN)
 		}
 	})
 }

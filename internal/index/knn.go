@@ -12,27 +12,29 @@ func (t *tree[C]) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 	return pooledKNN(t, q, k, math.Inf(1))
 }
 
-// KNNWith implements Index: the GEMINI branch-and-bound k-NN.
+// KNNWith implements Index (search).
+func (t *tree[C]) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
+	return search(t, ws, q, k, math.Inf(1))
+}
+
+// collect implements Index: the GEMINI branch-and-bound k-NN.
 // Nodes are visited in increasing bound order off an int32 frontier, so
 // traversal never boxes a node into an interface; leaf entries are filtered
 // with the tree's representation-space distance, and only entries whose
 // filter distance beats the current k-th best are fetched for an exact
 // Euclidean distance (those fetches are the paper's "time series which have
-// to be measured"). The bound starts at ws.bound (+Inf, the k-th distance
-// earlier shards earned, or a range query's radius) and never loosens. All
-// scratch state lives in ws; the returned slice aliases ws and stays valid
-// until its next use.
-func (t *tree[C]) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
+// to be measured"). The bound starts at ws.kth(k) (+Inf, a range query's
+// radius, or the worst of a set earlier shards filled) and never loosens.
+func (t *tree[C]) collect(ws *Workspace, q dist.Query, k int) (SearchStats, error) {
 	var stats SearchStats
-	if t.root == nilNode || k <= 0 {
-		return nil, stats, nil
+	if t.root == nilNode {
+		return stats, nil
 	}
 	ws.qvec = appendCoeffs(ws.qvec[:0], q.Rep)
 	nodes := ws.ids
 	nodes.Reset()
 	nodes.Push(0, t.root)
-	ws.best.Reset() // k current best, worst on top
-	kth := ws.bound
+	kth := ws.kth(k)
 
 	for nodes.Len() > 0 {
 		prio, nd := nodes.Pop()
@@ -53,17 +55,17 @@ func (t *tree[C]) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchS
 			stats.Filtered++
 			fd, err := t.cov.filterEntry(q, e)
 			if err != nil {
-				return nil, stats, err
+				return stats, err
 			}
 			if fd > kth {
 				continue
 			}
 			stats.Measured++
 			exact := math.Sqrt(ts.EuclideanSq(q.Raw, e.Raw))
-			kth = min(kth, ws.offerBest(k, exact, e))
+			kth = ws.offerBest(k, exact, e)
 		}
 	}
-	return ws.drainResults(), stats, nil
+	return stats, nil
 }
 
 // LinearScan is the exact baseline: every query measures every series.
@@ -88,18 +90,17 @@ func (s *LinearScan) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 	return pooledKNN(s, q, k, math.Inf(1))
 }
 
-// KNNWith implements Index: exhaustive search through a
-// k-bounded heap, so a scan over n entries costs O(n log k) and zero
-// allocations instead of the sort-everything O(n log n).
+// KNNWith implements Index (search).
 func (s *LinearScan) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
-	stats := SearchStats{Measured: len(s.entries)}
-	if k <= 0 {
-		return nil, stats, nil
-	}
-	ws.best.Reset()
+	return search(s, ws, q, k, math.Inf(1))
+}
+
+// collect implements Index: exhaustive search through the k-bounded answer
+// set, so a scan over n entries costs O(n log k) and zero allocations instead
+// of the sort-everything O(n log n).
+func (s *LinearScan) collect(ws *Workspace, q dist.Query, k int) (SearchStats, error) {
 	for _, e := range s.entries {
-		d := math.Sqrt(ts.EuclideanSq(q.Raw, e.Raw))
-		ws.offerBest(k, d, e)
+		ws.offerBest(k, math.Sqrt(ts.EuclideanSq(q.Raw, e.Raw)), e)
 	}
-	return ws.drainResults(), stats, nil
+	return SearchStats{Measured: len(s.entries)}, nil
 }

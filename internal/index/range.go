@@ -16,10 +16,10 @@ func rangeSearch(idx Index, q dist.Query, radius float64) ([]Result, SearchStats
 	return pooledKNN(idx, q, math.MaxInt, radius)
 }
 
-// sortResults orders range answers by the canonical (distance, entry ID)
-// key. Distance alone would leave exact ties in traversal order, which
-// differs between tree shapes; the ID tie-break makes the answer a pure
-// function of the stored entries, as the k-NN heap's does.
+// sortResults orders answers by the canonical (distance, entry ID) key
+// (before). Distance alone would leave exact ties in traversal order, which
+// differs between tree shapes and shard counts; the ID tie-break makes the
+// answer a pure function of the stored entries.
 func sortResults(out []Result) {
 	slices.SortFunc(out, func(a, b Result) int {
 		if before(a, b) {
@@ -32,7 +32,8 @@ func sortResults(out []Result) {
 	})
 }
 
-// before reports whether a precedes b in the canonical (distance, ID) order.
+// before reports whether a precedes b in the canonical (distance, ID) order,
+// the one order every answer set is selected and sorted under.
 func before(a, b Result) bool {
 	if a.Dist != b.Dist { //sapla:floateq exact tie: the ID tie-break must fire only on bit-equal distances
 		return a.Dist < b.Dist
@@ -43,7 +44,7 @@ func before(a, b Result) bool {
 // Range implements Index: the GEMINI range query — prune nodes whose
 // bound exceeds the radius, filter leaf entries with the tree's
 // representation-space distance, and verify survivors exactly. Its stack,
-// query coefficients and answers live in a pooled workspace, so a query
+// query coefficients and answer set live in a pooled workspace, so a query
 // allocates only the caller's copy of the answer.
 func (t *tree[C]) Range(q dist.Query, radius float64) ([]Result, SearchStats, error) {
 	var stats SearchStats
@@ -53,9 +54,9 @@ func (t *tree[C]) Range(q dist.Query, radius float64) ([]Result, SearchStats, er
 	ws := wsPool.Get().(*Workspace)
 	defer wsPool.Put(ws)
 	ws.qvec = appendCoeffs(ws.qvec[:0], q.Rep)
-	out := ws.results[:0]
+	out := ws.best[:0]
 	stack := append(ws.stack[:0], t.root)
-	defer func() { ws.stack, ws.results = stack[:0], out[:0] }()
+	defer func() { ws.stack, ws.best = stack[:0], out[:0] }()
 	for len(stack) > 0 {
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

@@ -74,16 +74,6 @@ func (r Rect) unionMargin(o Rect) float64 {
 	return m
 }
 
-// contains reports whether v lies inside r.
-func (r Rect) contains(v []float64) bool {
-	for d := range v {
-		if v[d] < r.Lo[d] || v[d] > r.Hi[d] {
-			return false
-		}
-	}
-	return true
-}
-
 // gap returns the per-dimension distance from coordinate q to the interval
 // [lo, hi] (0 if inside).
 func gap(q, lo, hi float64) float64 {

@@ -36,15 +36,15 @@ func ShardOf(id, shards int) int {
 // lock and epoch counter, so writes to different shards proceed concurrently.
 // Every shard searches under its own shared lock, whatever its inner index;
 // for the flat-tier shards sapla-serve runs, the writer a search can queue
-// behind holds the lock for one append or swap. The gather runs through the
-// canonical (distance, ID) merge: whenever each shard returns its true top-k
-// — the flat tier, whose chunk-envelope filter lower-bounds the computed
-// distance, or a tree or the linear scan under such a filter — the merged
-// k-NN and range answers are byte-identical to the single-shard answer, and
-// to a linear scan's, for any shard count. Shards are visited in order and
-// each shard prunes from the bound the ones before it earned or the caller
-// handed (KNNWith; a range query is that search under its radius), which
-// changes the work a query does, never its answer.
+// behind holds the lock for one append or swap. The shards fill one answer
+// set under the canonical (distance, ID) order: whenever each shard's filter
+// lower-bounds the computed distance — the flat tier's chunk envelope, or a
+// tree or the linear scan under such a filter — the k-NN and range answers
+// are byte-identical to the single-shard answer, and to a linear scan's, for
+// any shard count. Shards are visited in order and each prunes from the
+// set's worst as the ones before it left it (collect; a range query is that
+// search under its radius), which changes the work a query does, never its
+// answer.
 type ShardedIndex struct {
 	shards []*ConcurrentIndex
 }
@@ -176,63 +176,32 @@ func (s *ShardedIndex) Fragmentation() float64 {
 	return frag / weight
 }
 
-// mergeTopK folds res, one shard's answer, into the running top-k ws.cand:
-// both are sorted under the canonical (distance, ID) order, so one linear
-// merge keeps the k best, at a cost of their lengths whatever k is. An entry
-// lives in one shard, so no key repeats, and the merged answer equals what
-// one index holding every entry would return.
-func mergeTopK(ws *Workspace, k int, res []Result) {
-	cand, out := ws.cand, ws.merged[:0]
-	for len(out) < k && len(cand)+len(res) > 0 {
-		if len(res) == 0 || (len(cand) > 0 && before(cand[0], res[0])) {
-			out, cand = append(out, cand[0]), cand[1:]
-		} else {
-			out, res = append(out, res[0]), res[1:]
-		}
-	}
-	ws.cand, ws.merged = out, ws.cand
-}
-
 // KNN implements Index over all shards.
 func (s *ShardedIndex) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 	return pooledKNN(s, q, k, math.Inf(1))
 }
 
-// KNNWith implements Index by visiting the shards in order on one
-// workspace and keeping one running top-k across them (ws.cand): each shard's
-// answer is folded in under the canonical (distance, ID) order, and once k
-// results are held their k-th distance tightens the bound the next shard
-// starts pruning from (ws.bound, which every searching tier honours; a handed
-// bound, a range query's radius, never loosens). That k-th distance is an
-// exact distance already measured, so it is never below the global k-th, and
-// a shard prunes only an entry whose filter distance — never above its
-// computed distance — exceeds it: no true neighbour is lost. ws.bound is back
-// at +Inf on every return. Every shard search sees one consistent state of
-// that shard. There is no per-query fan-out: BatchKNN fills the cores with
-// queries.
+// KNNWith implements Index (search).
 func (s *ShardedIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
-	if len(s.shards) == 1 {
-		return s.shards[0].KNNWith(ws, q, k)
-	}
+	return search(s, ws, q, k, math.Inf(1))
+}
+
+// collect implements Index by visiting the shards in order, each under its
+// shared lock, into the one answer set in ws. Every shard prunes from the
+// set's worst (ws.kth), an exact distance already measured and so never
+// below the global k-th, and only an entry whose filter distance — never
+// above its computed distance — exceeds it: no true neighbour is lost. There
+// is no per-query fan-out: BatchKNN fills the cores with queries.
+func (s *ShardedIndex) collect(ws *Workspace, q dist.Query, k int) (SearchStats, error) {
 	var stats SearchStats
-	if k <= 0 {
-		return nil, stats, nil
-	}
-	ws.cand = ws.cand[:0]
 	for _, sh := range s.shards {
-		res, st, err := sh.KNNWith(ws, q, k)
-		if err != nil {
-			ws.bound = math.Inf(1)
-			return nil, stats, err
-		}
+		st, err := sh.collect(ws, q, k)
 		stats.Add(st)
-		mergeTopK(ws, k, res)
-		if len(ws.cand) == k {
-			ws.bound = min(ws.bound, ws.cand[k-1].Dist)
+		if err != nil {
+			return stats, err
 		}
 	}
-	ws.bound = math.Inf(1)
-	return ws.cand, stats, nil
+	return stats, nil
 }
 
 // Range implements Index: the k-NN scatter-gather under the fixed bound

@@ -23,9 +23,9 @@ import (
 //     generators) carry a //sapla:nondet <reason> directive.
 //
 // The check applies to packages whose import path ends in /eval, /index or
-// /pqueue — pqueue carries the canonical (distance, ID) merge order that the
-// sharded scatter-gather path relies on for byte-identical answers, so it
-// sits under the same contract as the engines built on it.
+// /pqueue — pqueue's heap orders the index's search frontier and seeds,
+// which decide what a search refines and so the work it reports, so it sits
+// under the same contract as the engines built on it.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Run:  runDeterminism,

@@ -107,8 +107,8 @@ func runFixture(t *testing.T, fixture string, checks ...string) (*lint.Program, 
 func TestFloatcmp(t *testing.T)    { runFixture(t, "floatcmp", "floatcmp") }
 func TestDeterminism(t *testing.T) { runFixture(t, "eval", "determinism") }
 
-// TestDeterminismPqueue pins the analyzer's scope extension to the merge-
-// order package: /pqueue is under the same contract as /eval and /index.
+// TestDeterminismPqueue pins the analyzer's scope extension to the heap
+// package: /pqueue is under the same contract as /eval and /index.
 func TestDeterminismPqueue(t *testing.T) { runFixture(t, "pqueue", "determinism") }
 func TestErrcheck(t *testing.T)          { runFixture(t, "errcheck", "errcheck") }
 func TestCtxflow(t *testing.T)           { runFixture(t, "ctxflow", "ctxflow") }

@@ -1,6 +1,6 @@
-// Package pqueue exercises the determinism analyzer's pqueue scope: the
-// canonical (distance, ID) merge order lives here, so the package sits under
-// the same no-clock/no-randomness/no-map-order contract as eval and index.
+// Package pqueue exercises the determinism analyzer's pqueue scope: the heap
+// that orders the index's search frontier lives here, so the package sits
+// under the same no-clock/no-randomness/no-map-order contract as eval and index.
 package pqueue
 
 import "time"

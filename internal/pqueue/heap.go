@@ -1,7 +1,7 @@
-// Package pqueue provides the value-based binary heaps behind SAPLA's
+// Package pqueue provides the value-based binary heap behind SAPLA's
 // bookkeeping (the paper's η queue of increment areas and the endpoint
-// movement's β order) and the k-NN searches: Heap orders by a float64
-// priority, TieHeap by a priority and an integer tie key. Both are reusable.
+// movement's β order) and the k-NN searches' frontiers and seed sets: Heap
+// orders by a float64 priority and is reusable.
 package pqueue
 
 // Heap is a binary-heap priority queue over a float64 priority: items are

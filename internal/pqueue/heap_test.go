@@ -206,40 +206,24 @@ func TestHeapMatchesSortedSlice(t *testing.T) {
 	}
 }
 
-// TestHeapReuseAllocs is the zero-allocation contract both heaps give the
+// TestHeapReuseAllocs is the zero-allocation contract the heap gives the
 // k-NN searches: once the backing array has grown, a Reset-and-refill cycle
 // does not touch the heap.
 func TestHeapReuseAllocs(t *testing.T) {
 	const n = 256
-	h, th := NewMinHeap[int](), NewMaxTieHeap[int]()
-	rows := []struct {
-		name  string
-		cycle func()
-	}{
-		{"Heap", func() {
-			h.Reset()
-			for j := 0; j < n; j++ {
-				h.Push(float64((j*37)%n), j)
-			}
-			for h.Len() > 0 {
-				h.Pop()
-			}
-		}},
-		{"TieHeap", func() {
-			th.Reset()
-			for j := 0; j < n; j++ {
-				th.Push(float64((j*37)%16), int64(j), j)
-			}
-			for th.Len() > 0 {
-				th.Pop()
-			}
-		}},
-	}
-	for _, row := range rows {
-		// AllocsPerRun's own warm-up run grows the backing array.
-		if allocs := testing.AllocsPerRun(20, row.cycle); allocs != 0 {
-			t.Errorf("%s: Reset/Push/Pop cycle allocates %v times", row.name, allocs)
+	h := NewMinHeap[int]()
+	// AllocsPerRun's own warm-up run grows the backing array.
+	allocs := testing.AllocsPerRun(20, func() {
+		h.Reset()
+		for j := 0; j < n; j++ {
+			h.Push(float64((j*37)%n), j)
 		}
+		for h.Len() > 0 {
+			h.Pop()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Reset/Push/Pop cycle allocates %v times", allocs)
 	}
 }
 

@@ -62,41 +62,11 @@ func EuclideanSq(a, b Series) float64 {
 	return sum
 }
 
-// abandonStride is how many terms EuclideanSqAbandon and a RefineGroup add
-// between two looks at the limit: often enough that a hopeless candidate
-// stops within a few cache lines, rarely enough that the compare stays off
-// the add chain.
+// abandonStride is how many terms a RefineGroup (and EuclideanSqAbandon, its
+// one-candidate test oracle) adds between two looks at the limit: often
+// enough that a hopeless candidate stops within a few cache lines, rarely
+// enough that the compare stays off the add chain.
 const abandonStride = 16
-
-// EuclideanSqAbandon is EuclideanSq with early abandoning: it adds the same
-// terms in the same order, and gives up once the running sum exceeds limit.
-// When it completes (ok) the sum is bit-identical to EuclideanSq(a, b) —
-// whatever its relation to limit. When it abandons, the partial sum it returns
-// already exceeds limit, and so does the full sum: every term is non-negative
-// and floating-point addition is monotone. It is the one-candidate oracle a
-// RefineGroup's plain lanes are tested against. It panics if the lengths
-// differ.
-func EuclideanSqAbandon(a, b Series, limit float64) (sum float64, ok bool) {
-	if len(a) != len(b) {
-		panic(ErrLengthMismatch)
-	}
-	i := 0
-	for ; i+abandonStride <= len(a); i += abandonStride {
-		x, y := a[i:i+abandonStride], b[i:i+abandonStride]
-		for j := range x {
-			d := x[j] - y[j]
-			sum += d * d
-		}
-		if sum > limit {
-			return sum, false
-		}
-	}
-	for ; i < len(a); i++ {
-		d := a[i] - b[i]
-		sum += d * d
-	}
-	return sum, true
-}
 
 // Euclidean returns the Euclidean distance between a and b, or an error if
 // the lengths differ.

@@ -106,7 +106,7 @@ type Reducer = core.Reducer
 func NewReducer() *Reducer { return core.NewReducer() }
 
 // SearchWorkspace holds one k-NN search's reusable scratch state (node
-// frontier, result heap, result buffer). Pass it to an index's KNNWith for
+// frontier, answer set). Pass it to an index's KNNWith for
 // allocation-free steady-state search. Not safe for concurrent use.
 type SearchWorkspace = index.Workspace
 
