@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
@@ -76,21 +75,18 @@ func (a *indexAcc) add(b indexAcc) {
 type truthCache struct {
 	once  []sync.Once
 	truth [][][]int
+	err   []error
 }
 
 func newTruthCache(n int) *truthCache {
-	return &truthCache{once: make([]sync.Once, n), truth: make([][][]int, n)}
+	return &truthCache{once: make([]sync.Once, n), truth: make([][][]int, n), err: make([]error, n)}
 }
 
-func (tc *truthCache) get(di int, data, queries []ts.Series, maxK int) [][]int {
+func (tc *truthCache) get(di int, data, queries []ts.Series, maxK int) ([][]int, error) {
 	tc.once[di].Do(func() {
-		t := make([][]int, len(queries))
-		for qi, q := range queries {
-			t[qi] = exactKNNIDs(data, q, maxK)
-		}
-		tc.truth[di] = t
+		tc.truth[di], tc.err[di] = exactKNNIDs(data, queries, maxK)
 	})
-	return tc.truth[di]
+	return tc.truth[di], tc.err[di]
 }
 
 // IndexExperiment regenerates Figures 13, 14, 15 and 16 at one coefficient
@@ -165,7 +161,11 @@ func IndexExperiment(opt Options, m int) ([]IndexRow, []KRow, error) {
 		}
 
 		meth := methods[mi]
-		truth := tc.get(di, data, queries, maxK)
+		truth, err := tc.get(di, data, queries, maxK)
+		if err != nil {
+			errs[u] = err
+			return
+		}
 		local := &slots[u]
 
 		// Reduce all series once (the dominant share of Figure 14a).
@@ -327,25 +327,28 @@ func IndexExperiment(opt Options, m int) ([]IndexRow, []KRow, error) {
 	return rows, kRows, nil
 }
 
-// exactKNNIDs returns the ids of the k exact nearest neighbours of q.
-func exactKNNIDs(data []ts.Series, q ts.Series, k int) []int {
-	type pair struct {
-		id int
-		d  float64
+// exactKNNIDs returns, per query, the ids of its k exact nearest neighbours
+// in the (distance, ID) order every index answers in, from the linear scan.
+func exactKNNIDs(data, queries []ts.Series, k int) ([][]int, error) {
+	scan := index.NewLinearScan()
+	for id, c := range data {
+		if err := scan.Insert(index.NewEntry(id, c, nil)); err != nil {
+			return nil, err
+		}
 	}
-	ps := make([]pair, len(data))
-	for i, c := range data {
-		ps[i] = pair{i, ts.EuclideanSq(q, c)}
+	out := make([][]int, len(queries))
+	for qi, q := range queries {
+		res, _, err := scan.KNN(dist.Query{Raw: q}, k)
+		if err != nil {
+			return nil, err
+		}
+		ids := make([]int, len(res))
+		for i, r := range res {
+			ids[i] = r.Entry.ID
+		}
+		out[qi] = ids
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].d < ps[j].d })
-	if k > len(ps) {
-		k = len(ps)
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = ps[i].id
-	}
-	return out
+	return out, nil
 }
 
 // overlapCount counts how many results are true nearest neighbours.

@@ -92,8 +92,8 @@ func TestKNNWithMatchesKNN(t *testing.T) {
 // TestKNNWithAllocs is the zero-allocation contract of every k-NN entry
 // point that takes a Workspace: once one search has sized the workspace, a
 // search does not touch the heap. Each row builds its index from fresh
-// entries (Flat.Insert drops an entry's cached flat form), over
-// more than two flat blocks so the sweep crosses a block boundary.
+// entries, over more than two flat blocks so the sweep crosses a block
+// boundary.
 func TestKNNWithAllocs(t *testing.T) {
 	const m, k = 12, 10
 	flat := func(int) (Index, error) { return NewFlat(), nil }

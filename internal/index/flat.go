@@ -74,10 +74,9 @@ func (f *Flat) Each(fn func(e *Entry)) {
 	}
 }
 
-// Insert implements Index. It drops the entry's cached coefficient vector and
-// flat form, which the tier never reads. It refuses, with the tier and e
-// unchanged, a duplicate ID (the ID is the delete key), an empty series and
-// one of another length than the first entry's.
+// Insert implements Index. It refuses, with the tier and e unchanged, a
+// duplicate ID (the ID is the delete key), an empty series and one of another
+// length than the first entry's.
 func (f *Flat) Insert(e *Entry) error {
 	if _, dup := f.slot[e.ID]; dup {
 		return fmt.Errorf("index: duplicate entry id %d", e.ID)
@@ -93,7 +92,6 @@ func (f *Flat) Insert(e *Entry) error {
 	s := len(f.ents)
 	f.ents = append(f.ents, e)
 	f.slot[e.ID] = int32(s)
-	e.flat, e.vec = nil, nil
 	if len(f.blocks)*flatRows <= s {
 		f.blocks = append(f.blocks, flatBlock{
 			env:   make([]float32, flatRows*ts.EnvelopeWidth),

@@ -689,6 +689,64 @@ func TestFlatNeverRefusesSAPLA(t *testing.T) {
 	}
 }
 
+// TestFlatInsertLeavesEntry: the flat tier does not write to the entries it
+// holds, so an R-tree holding the same entries keeps inserting and answers
+// k-NN as the linear scan does.
+func TestFlatInsertLeavesEntry(t *testing.T) {
+	const n, m, shared, k = 64, 12, 150, 10
+	meth := core.New()
+	rng := rand.New(rand.NewSource(55))
+	entry := func(id int) *Entry {
+		raw := mixedSeries(rng, id, n)
+		rep, err := meth.Reduce(raw, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewEntry(id, raw, rep)
+	}
+	rt, err := NewRTree("SAPLA", n, m, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, scan := NewFlat(), NewLinearScan()
+	for id := 0; id < shared; id++ {
+		e := entry(id)
+		if err := errors.Join(rt.Insert(e), flat.Insert(e), scan.Insert(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := shared; id < 2*shared; id++ {
+		e := entry(id)
+		if err := errors.Join(rt.Insert(e), scan.Insert(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for qi := 0; qi < 20; qi++ {
+		raw := mixedSeries(rng, qi, n)
+		rep, err := meth.Reduce(raw, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := dist.NewQuery(raw, rep)
+		got, _, err := rt.KNN(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := scan.KNN(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("q%d: %d results, scan %d", qi, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Entry != want[i].Entry || got[i].Dist != want[i].Dist {
+				t.Fatalf("q%d result %d: %+v, scan %+v", qi, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestFlatQueryErrors: a query of another length than the stored series is
 // ErrQueryLength — an error, not a panic — whatever its representation says,
 // and the workspace survives it. The representation is not read: a query

@@ -33,7 +33,7 @@ func (s *Server) openStores() error {
 		var err error
 		recs, err = wal.OpenSharded(fsys, s.cfg.Shards, wal.Options{
 			SyncEvery:   s.cfg.SyncEvery,
-			ObserveSync: s.metricsWALSyncObserver(),
+			ObserveSync: s.metrics.walSync.Observe,
 		})
 		if err != nil {
 			return fmt.Errorf("server: recover: %w", err)
@@ -56,7 +56,8 @@ func (s *Server) openStores() error {
 	// Rebuild each shard's flat tier from its recovered series, shards in
 	// parallel: the entries are the ones ingest builds, raw values only, and
 	// the insert computes each row's chunk envelope. Nothing is reduced; a
-	// representation an older log carries was dropped on replay.
+	// log that carries a representation was refused on replay as
+	// ErrCorruptWAL.
 	errs := make([]error, len(recs))
 	par.Do(context.Background(), len(recs), len(recs), func(i int) {
 		entries := make([]*index.Entry, len(recs[i].Series))
@@ -95,17 +96,6 @@ func (s *Server) openStores() error {
 	}
 	s.recoveryDur = time.Since(start)
 	return nil
-}
-
-// metricsWALSyncObserver returns the fsync-latency observer. The metrics
-// struct is sized after the effective shard count is known (i.e. after
-// recovery), so the observer closes over the field lazily.
-func (s *Server) metricsWALSyncObserver() func(time.Duration) {
-	return func(d time.Duration) {
-		if m := s.metrics; m != nil {
-			m.walSync.Observe(d)
-		}
-	}
 }
 
 // Recovery reports what startup replayed from disk, aggregated across
@@ -162,7 +152,7 @@ func (s *Server) snapshotNow() error {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		s.metrics.snapshots.Add(1)
-		s.metrics.shardSnapshots[i].Add(1)
+		sh.snapshots.Add(1)
 		s.metrics.snapshotTime.Observe(time.Since(start))
 	}
 	return nil

@@ -505,7 +505,7 @@ func TestServerLoadShedding(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("shed response missing Retry-After")
 	}
-	if got := s.metrics.shed.Get("knn"); got == nil || got.String() != "1" {
+	if got := s.metrics.endpoints[epKNN].shed.Value(); got != 1 {
 		t.Fatalf("shed counter: %v", got)
 	}
 	// Writes use a separate semaphore and still flow.

@@ -13,7 +13,7 @@ import (
 
 // latencyBuckets are the histogram upper bounds. Exponential-ish spacing
 // from 50µs to 1s covers everything from a warm k-NN hit to a cold batch.
-var latencyBuckets = []time.Duration{
+var latencyBuckets = [...]time.Duration{
 	50 * time.Microsecond,
 	100 * time.Microsecond,
 	250 * time.Microsecond,
@@ -30,17 +30,12 @@ var latencyBuckets = []time.Duration{
 	1 * time.Second,
 }
 
-// histogram is a fixed-bucket latency histogram safe for concurrent use.
-// It implements expvar.Var so it can sit in an expvar.Map.
+// histogram is a fixed-bucket latency histogram safe for concurrent use and
+// ready at its zero value.
 type histogram struct {
 	count   atomic.Uint64
 	sumNano atomic.Uint64
-	buckets []atomic.Uint64 // len(latencyBuckets)+1: trailing overflow bucket
-}
-
-// newHistogram returns an empty histogram.
-func newHistogram() *histogram {
-	return &histogram{buckets: make([]atomic.Uint64, len(latencyBuckets)+1)}
+	buckets [len(latencyBuckets) + 1]atomic.Uint64 // trailing overflow bucket
 }
 
 // Observe records one duration.
@@ -75,16 +70,16 @@ func (h *histogram) snapshot() histSnapshot {
 	var s histSnapshot
 	s.Count = h.count.Load()
 	s.Buckets = make(map[string]uint64, len(h.buckets))
-	counts := make([]uint64, len(h.buckets))
+	var counts [len(latencyBuckets) + 1]uint64
 	for i := range h.buckets {
 		counts[i] = h.buckets[i].Load()
 		s.Buckets[bucketLabel(i)] = counts[i]
 	}
 	if s.Count > 0 {
 		s.MeanMs = float64(h.sumNano.Load()) / float64(s.Count) / 1e6
-		s.P50Ms = quantile(counts, s.Count, 0.50)
-		s.P95Ms = quantile(counts, s.Count, 0.95)
-		s.P99Ms = quantile(counts, s.Count, 0.99)
+		s.P50Ms = quantile(counts[:], s.Count, 0.50)
+		s.P95Ms = quantile(counts[:], s.Count, 0.95)
+		s.P99Ms = quantile(counts[:], s.Count, 0.99)
 	}
 	return s
 }
@@ -109,35 +104,45 @@ func quantile(counts []uint64, total uint64, q float64) float64 {
 	for i, c := range counts {
 		cum += c
 		if cum > target {
-			if i == len(latencyBuckets) {
-				return float64(latencyBuckets[len(latencyBuckets)-1].Nanoseconds()) / 1e6
-			}
-			return float64(latencyBuckets[i].Nanoseconds()) / 1e6
+			return float64(latencyBuckets[min(i, len(latencyBuckets)-1)].Nanoseconds()) / 1e6
 		}
 	}
 	return 0
 }
 
-// String implements expvar.Var.
-func (h *histogram) String() string {
-	b, err := json.Marshal(h.snapshot())
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
+// endpoint is an API route; it indexes the per-endpoint metrics table.
+type endpoint int
+
+const (
+	epIngest endpoint = iota
+	epIngestBatch
+	epKNN
+	epKNNBatch
+	epRange
+	epDelete
+	numEndpoints
+)
+
+// endpointNames are the endpoints' metric keys.
+var endpointNames = [numEndpoints]string{"ingest", "ingest_batch", "knn", "knn_batch", "range", "delete"}
+
+// endpointMetrics counts one endpoint's requests.
+type endpointMetrics struct {
+	requests expvar.Int // answered requests, sheds and 503s included
+	errors   expvar.Int // non-2xx answers
+	shed     expvar.Int // 429 load sheds
+	latency  histogram
 }
 
-// metrics aggregates the server's counters. All vars are unpublished expvar
-// values (no global expvar.Publish, so many servers can coexist in one
-// process, e.g. under test); the /metrics handler renders them as one JSON
-// document.
+// metrics aggregates the server's counters, every one ready at its zero
+// value. Nothing is published (no global expvar.Publish, so many servers can
+// coexist in one process, e.g. under test); the /metrics handler renders the
+// counters as one JSON document. Each shard's snapshot count is its
+// shardState's.
 type metrics struct {
 	start time.Time
 
-	requests *expvar.Map // per-endpoint request counts
-	errors   *expvar.Map // per-endpoint non-2xx counts
-	shed     *expvar.Map // per-endpoint 429 load-shed counts
-	latency  map[string]*histogram
+	endpoints [numEndpoints]endpointMetrics
 
 	ingested expvar.Int // series accepted
 	deleted  expvar.Int // series removed
@@ -148,12 +153,10 @@ type metrics struct {
 	decodeFallback expvar.Int
 
 	// Durability instrumentation (zero when the WAL is disabled).
-	// snapshots sums across shards; shardSnapshots[i] counts shard i's.
-	walSync        *histogram // WAL fsync latency, the write-path floor
-	snapshots      expvar.Int // snapshots installed
+	walSync        histogram  // WAL fsync latency, the write-path floor
+	snapshots      expvar.Int // snapshots installed, summed across shards
 	snapshotErrors expvar.Int // snapshot sweeps that failed
-	snapshotTime   *histogram // snapshot write duration
-	shardSnapshots []expvar.Int
+	snapshotTime   histogram  // snapshot write duration
 
 	// Cumulative GEMINI search work, the numerators/denominator of the
 	// paper's pruning power ρ (Eq. 14): measured / candidates is the
@@ -165,35 +168,13 @@ type metrics struct {
 	candidates   expvar.Int // sum of index size at query time
 }
 
-// endpoint names used as metric keys.
-var endpointNames = []string{"ingest", "ingest_batch", "knn", "knn_batch", "range", "delete"}
-
-func newMetrics(nshards int) *metrics {
-	m := &metrics{
-		start:          time.Now(),
-		requests:       new(expvar.Map).Init(),
-		errors:         new(expvar.Map).Init(),
-		shed:           new(expvar.Map).Init(),
-		latency:        make(map[string]*histogram, len(endpointNames)),
-		walSync:        newHistogram(),
-		snapshotTime:   newHistogram(),
-		shardSnapshots: make([]expvar.Int, nshards),
-	}
-	for _, name := range endpointNames {
-		m.latency[name] = newHistogram()
-	}
-	return m
-}
-
-// observe records one finished request against an endpoint.
-func (m *metrics) observe(endpoint string, status int, d time.Duration) {
-	m.requests.Add(endpoint, 1)
+// observe records one finished request.
+func (e *endpointMetrics) observe(status int, d time.Duration) {
+	e.requests.Add(1)
 	if status >= 400 {
-		m.errors.Add(endpoint, 1)
+		e.errors.Add(1)
 	}
-	if h, ok := m.latency[endpoint]; ok {
-		h.Observe(d)
-	}
+	e.latency.Observe(d)
 }
 
 // addSearch accumulates st, the summed stats of nq queries run against an
@@ -206,74 +187,73 @@ func (m *metrics) addSearch(nq int, st index.SearchStats, size int) {
 	m.candidates.Add(int64(nq) * int64(size))
 }
 
-// handler serves the /metrics JSON document.
+// metricsHandler serves the /metrics JSON document. A request, error or shed
+// count is listed once it is non-zero.
 func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
-	m := s.metrics
-	doc := map[string]json.RawMessage{}
-	raw := func(v expvar.Var) json.RawMessage { return json.RawMessage(v.String()) }
-
-	doc["uptime_seconds"] = mustJSON(time.Since(m.start).Seconds())
-	doc["requests"] = raw(m.requests)
-	doc["errors"] = raw(m.errors)
-	doc["shed"] = raw(m.shed)
-	doc["decode"] = mustJSON(map[string]any{
-		"fast":     m.decodeFast.Value(),
-		"fallback": m.decodeFallback.Value(),
-	})
-
-	lat := map[string]json.RawMessage{}
-	for name, h := range m.latency {
-		lat[name] = json.RawMessage(h.String())
+	m := &s.metrics
+	requests, errs, shed := map[string]int64{}, map[string]int64{}, map[string]int64{}
+	latency := make(map[string]histSnapshot, numEndpoints)
+	for ep := range m.endpoints {
+		e, name := &m.endpoints[ep], endpointNames[ep]
+		putNonZero(requests, name, e.requests.Value())
+		putNonZero(errs, name, e.errors.Value())
+		putNonZero(shed, name, e.shed.Value())
+		latency[name] = e.latency.snapshot()
 	}
-	doc["latency"] = mustJSON(lat)
 
 	var pruning float64
 	if c := m.candidates.Value(); c > 0 {
 		pruning = float64(m.measured.Value()) / float64(c)
 	}
-	doc["search"] = mustJSON(map[string]any{
-		"queries":       m.queries.Value(),
-		"measured":      m.measured.Value(),
-		"filtered":      m.filtered.Value(),
-		"nodes_visited": m.nodesVisited.Value(),
-		"candidates":    m.candidates.Value(),
-		"pruning_ratio": pruning,
-	})
-
-	doc["index"] = mustJSON(map[string]any{
-		"size":          s.idx.Len(),
-		"epoch":         s.idx.Epoch(),
-		"shards":        s.idx.NumShards(),
-		"method":        s.cfg.Method,
-		"coeff_budget":  s.cfg.M,
-		"series_length": s.seriesLen(),
-		"ingested":      m.ingested.Value(),
-		"deleted":       m.deleted.Value(),
-	})
+	doc := map[string]any{
+		"uptime_seconds": time.Since(m.start).Seconds(),
+		"requests":       requests,
+		"errors":         errs,
+		"shed":           shed,
+		"decode": map[string]int64{
+			"fast":     m.decodeFast.Value(),
+			"fallback": m.decodeFallback.Value(),
+		},
+		"latency": latency,
+		"search": map[string]any{
+			"queries":       m.queries.Value(),
+			"measured":      m.measured.Value(),
+			"filtered":      m.filtered.Value(),
+			"nodes_visited": m.nodesVisited.Value(),
+			"candidates":    m.candidates.Value(),
+			"pruning_ratio": pruning,
+		},
+		"index": map[string]any{
+			"size":          s.idx.Len(),
+			"epoch":         s.idx.Epoch(),
+			"shards":        s.idx.NumShards(),
+			"method":        s.cfg.Method,
+			"coeff_budget":  s.cfg.M,
+			"series_length": s.seriesLen(),
+			"ingested":      m.ingested.Value(),
+			"deleted":       m.deleted.Value(),
+		},
+	}
 
 	// Per-shard slice of the index and (when durable) WAL state, so an
 	// operator can see a hot or snapshot-lagging shard instead of an
 	// averaged-away aggregate.
 	shardDocs := make([]map[string]any, len(s.shards))
-	for i, shState := range s.shards {
-		sh := s.idx.Shard(i)
-		sd := map[string]any{
-			"size":  sh.Len(),
-			"epoch": sh.Epoch(),
-		}
-		if shState.store != nil {
-			sd["wal_unsynced"] = shState.store.Unsynced()
-			sd["snapshot_seq"] = shState.store.SnapshotSeq()
-			sd["snapshots"] = m.shardSnapshots[i].Value()
+	for i, sh := range s.shards {
+		sd := map[string]any{"size": s.idx.Shard(i).Len(), "epoch": s.idx.Shard(i).Epoch()}
+		if sh.store != nil {
+			sd["wal_unsynced"] = sh.store.Unsynced()
+			sd["snapshot_seq"] = sh.store.SnapshotSeq()
+			sd["snapshots"] = sh.snapshots.Value()
 		}
 		shardDocs[i] = sd
 	}
-	doc["shards"] = mustJSON(shardDocs)
+	doc["shards"] = shardDocs
 
 	if s.durable() {
 		t := s.walTotals()
-		doc["durability"] = mustJSON(map[string]any{
-			"wal_fsync":            json.RawMessage(m.walSync.String()),
+		doc["durability"] = map[string]any{
+			"wal_fsync":            m.walSync.snapshot(),
 			"wal_streams":          len(s.shards),
 			"wal_unsynced":         t.unsynced,
 			"wal_records_decimal":  t.forms.Decimal,
@@ -281,13 +261,13 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 			"snapshot_seq":         t.snapSeq,
 			"snapshots":            m.snapshots.Value(),
 			"snapshot_errors":      m.snapshotErrors.Value(),
-			"snapshot_write":       json.RawMessage(m.snapshotTime.String()),
+			"snapshot_write":       m.snapshotTime.snapshot(),
 			"recovery_replayed":    s.recovery.Replayed,
 			"recovery_snapshot":    s.recovery.SnapshotSeries,
 			"recovery_torn_bytes":  s.recovery.TornBytes,
 			"recovery_duration_ms": float64(s.recoveryDur.Nanoseconds()) / 1e6,
 			"sync_every":           s.cfg.SyncEvery,
-		})
+		}
 	}
 
 	w.Header().Set("Content-Type", "application/json")
@@ -296,12 +276,9 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(doc) //sapla:errok status line already sent; a failed write means the client went away
 }
 
-// mustJSON marshals v, which is built from plain maps and numbers and
-// cannot fail.
-func mustJSON(v any) json.RawMessage {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return json.RawMessage(`null`)
+// putNonZero sets dst[name] to a non-zero count v.
+func putNonZero(dst map[string]int64, name string, v int64) {
+	if v != 0 {
+		dst[name] = v
 	}
-	return b
 }

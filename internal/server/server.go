@@ -31,6 +31,7 @@ package server
 import (
 	"context"
 	"errors"
+	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -94,7 +95,7 @@ type Config struct {
 	// CompactEvery is ignored: the flat tier never fragments, so there is
 	// nothing to compact. The field (and sapla-serve's -compact-every) stays
 	// only because bench/ still sets it; it goes once bench/ stops passing
-	// it (ROADMAP item 3b).
+	// it (ROADMAP item 6b).
 	CompactEvery time.Duration
 
 	// MaxInflightSearch bounds concurrently admitted search requests
@@ -175,9 +176,10 @@ func stateName(st int32) string {
 // Lock order: a holder of mu may take the shard's index lock and its store's
 // lock, never Server.bookMu.
 type shardState struct {
-	mu    sync.Mutex
-	store *wal.Store // this shard's WAL stream; nil without durability
-	flat  *index.Flat
+	mu        sync.Mutex
+	store     *wal.Store // this shard's WAL stream; nil without durability
+	flat      *index.Flat
+	snapshots expvar.Int // snapshots of this shard installed
 }
 
 // Server is the similarity-search HTTP service. Create with New, mount via
@@ -185,7 +187,7 @@ type shardState struct {
 type Server struct {
 	cfg     Config
 	idx     *index.ShardedIndex
-	metrics *metrics
+	metrics metrics
 	handler http.Handler
 
 	// state is the lifecycle (recovering → ready → draining) gate /readyz
@@ -211,8 +213,9 @@ type Server struct {
 	// bookMu guards the cross-shard ingest bookkeeping: the IDs of in-flight
 	// ingests (committed ones are their shards' to refuse), the fixed series
 	// length, and the auto-ID counter, which exceeds every ID ever claimed or
-	// recovered — so an auto ID is never in flight or committed. Search paths
-	// never take bookMu, and its holders take no other lock.
+	// recovered — so an auto ID is never in flight or committed. Searches and
+	// /metrics take it too, briefly, to read the series length (seriesLen);
+	// its holders take no other lock.
 	bookMu  sync.Mutex
 	claimed map[int]bool
 	n       int // series length, fixed by the first ingest
@@ -243,7 +246,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
-		metrics:   nil, // sized after the effective shard count is known
+		metrics:   metrics{start: time.Now()},
 		claimed:   make(map[int]bool),
 		searchSem: make(chan struct{}, cfg.MaxInflightSearch),
 		writeSem:  make(chan struct{}, cfg.MaxInflightWrite),
@@ -254,7 +257,6 @@ func New(cfg Config) (*Server, error) {
 	if err := s.openStores(); err != nil {
 		return nil, err
 	}
-	s.metrics = newMetrics(len(s.shards))
 	idx, err := index.NewSharded(len(s.shards), func(i int) (index.Index, error) {
 		return s.shards[i].flat, nil
 	})
@@ -272,42 +274,20 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Handler returns the root handler: API routes wrapped with metrics, body
-// limits and per-request timeouts, plus /healthz, /metrics and
-// /debug/pprof.
+// Handler returns the root handler: the API routes, each wrapped by api,
+// plus /healthz, /readyz, /metrics and /debug/pprof.
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // buildHandler wires the mux.
 func (s *Server) buildHandler() http.Handler {
 	mux := http.NewServeMux()
 
-	// An API request runs on its connection's goroutine under a context that
-	// expires after RequestTimeout: a search sees it between queries and a
-	// write before it claims IDs (503), and the request keeps its admission
-	// slot until its handler returns, so timed-out work stays admitted work.
-	// The body is read under the same deadline, so a client that trickles it
-	// cannot hold a slot past the budget either.
-	api := func(endpoint string, sem chan struct{}, h http.HandlerFunc) http.Handler {
-		limited := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-			h(w, r)
-		})
-		admitted := s.instrument(endpoint, s.admit(endpoint, sem, limited))
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			deadline := time.Now().Add(s.cfg.RequestTimeout)
-			ctx, cancel := context.WithDeadline(r.Context(), deadline)
-			defer cancel()
-			_ = http.NewResponseController(w).SetReadDeadline(deadline) //sapla:errok a writer without a connection (a handler benchmark's recorder) reads its body unbounded
-			admitted.ServeHTTP(w, r.WithContext(ctx))
-		})
-	}
-
-	mux.Handle("POST /v1/ingest", api("ingest", s.writeSem, s.handleIngest))
-	mux.Handle("POST /v1/ingest/batch", api("ingest_batch", s.writeSem, s.handleIngestBatch))
-	mux.Handle("POST /v1/knn", api("knn", s.searchSem, s.handleKNN))
-	mux.Handle("POST /v1/knn/batch", api("knn_batch", s.searchSem, s.handleKNNBatch))
-	mux.Handle("POST /v1/range", api("range", s.searchSem, s.handleRange))
-	mux.Handle("DELETE /v1/series/{id}", api("delete", s.writeSem, s.handleDelete))
+	mux.HandleFunc("POST /v1/ingest", s.api(epIngest, s.writeSem, s.handleIngest))
+	mux.HandleFunc("POST /v1/ingest/batch", s.api(epIngestBatch, s.writeSem, s.handleIngestBatch))
+	mux.HandleFunc("POST /v1/knn", s.api(epKNN, s.searchSem, s.handleKNN))
+	mux.HandleFunc("POST /v1/knn/batch", s.api(epKNNBatch, s.searchSem, s.handleKNNBatch))
+	mux.HandleFunc("POST /v1/range", s.api(epRange, s.searchSem, s.handleRange))
+	mux.HandleFunc("DELETE /v1/series/{id}", s.api(epDelete, s.writeSem, s.handleDelete))
 
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -324,40 +304,49 @@ func (s *Server) buildHandler() http.Handler {
 	return mux
 }
 
-// admit gates h behind the endpoint class's admission semaphore and the
-// lifecycle state. A saturated class sheds immediately with 429 and a
-// Retry-After hint — bounded work over unbounded queueing, so overload
-// degrades into fast, explicit rejections instead of collapsing latency for
-// every admitted request. A non-ready server answers 503.
-func (s *Server) admit(endpoint string, sem chan struct{}, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if st := s.state.Load(); st != stateReady {
-			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusServiceUnavailable, "server is %s", stateName(st))
-			return
-		}
-		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
-		default:
-			s.metrics.shed.Add(endpoint, 1)
-			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusTooManyRequests,
-				"server is saturated, retry later")
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
-}
+// api wraps an API route's handler h in one request's steps, in order:
+//
+//  1. a deadline RequestTimeout away bounds the context (a search sees it
+//     between queries, a write before it claims IDs: 503) and the body read,
+//     so a client that trickles its body cannot hold a slot past the budget;
+//  2. the clock starts and the writer records the status;
+//  3. a server that is not ready answers 503;
+//  4. the request takes a slot of its class's admission semaphore without
+//     waiting, or sheds with 429 and Retry-After: overload degrades into
+//     fast, explicit rejections, not latency for every admitted request. It
+//     keeps the slot until its answer is counted, so timed-out work stays
+//     admitted work;
+//  5. the body is bounded by MaxBodyBytes;
+//  6. h answers;
+//  7. the answer is counted and timed against ep, sheds and 503s included.
+func (s *Server) api(ep endpoint, sem chan struct{}, h http.HandlerFunc) http.HandlerFunc {
+	m := &s.metrics.endpoints[ep]
+	return func(w http.ResponseWriter, r *http.Request) {
+		deadline := time.Now().Add(s.cfg.RequestTimeout)
+		ctx, cancel := context.WithDeadline(r.Context(), deadline)
+		defer cancel()
+		_ = http.NewResponseController(w).SetReadDeadline(deadline) //sapla:errok a writer without a connection (a handler benchmark's recorder) reads its body unbounded
+		r = r.WithContext(ctx)
 
-// instrument wraps h with request counting and latency observation.
-func (s *Server) instrument(endpoint string, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h.ServeHTTP(sw, r)
-		s.metrics.observe(endpoint, sw.status, time.Since(start))
-	})
+		if st := s.state.Load(); st != stateReady {
+			sw.Header().Set("Retry-After", "1")
+			writeErr(sw, http.StatusServiceUnavailable, "server is %s", stateName(st))
+		} else {
+			select {
+			case sem <- struct{}{}:
+				defer func() { <-sem }()
+				r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
+				h(sw, r)
+			default:
+				m.shed.Add(1)
+				sw.Header().Set("Retry-After", "1")
+				writeErr(sw, http.StatusTooManyRequests, "server is saturated, retry later")
+			}
+		}
+		m.observe(sw.status, time.Since(start))
+	}
 }
 
 // statusWriter captures the response status for metrics.
